@@ -33,7 +33,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="flatten from --top and write circuit.dot")
     p.add_argument("--ir", action="store_true", help="write ir.json")
     p.add_argument("--jobs", "-j", type=int, default=1,
-                   help="worker count for parsing and evaluation (default: 1)")
+                   help="accepted for compatibility; has no effect (must be >= 1)")
     return p
 
 

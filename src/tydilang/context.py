@@ -1,116 +1,79 @@
 """Shared evaluation state: once-only node guards and diagnostics.
 
 Every shared node (variable, type entry, streamlet, implementation, template
-instantiation) transitions NotInferred -> Evaluated/Error exactly once. A
-worker hitting an in-progress node waits for its completion; wait cycles --
-within one worker or across workers -- are reported as circular dependencies
-instead of deadlocking.
+instantiation) transitions NotInferred -> Evaluated/Error exactly once.
+Evaluation is demand-driven on the calling thread: a node that is demanded
+again while it is still being evaluated closes a dependency cycle, which is
+reported as a circular dependency.
 """
 
 from __future__ import annotations
 
-import threading
+import contextlib
 from collections import Counter
 from typing import Optional
 
-from .errors import CircularDependencyError
-from .model import Package, Project, Scope, enclosing_package_scope
+from .errors import CircularDependencyError, TydiError
+from .model import EvalState, Package, Project, Scope, enclosing_package_scope
 
 
 class InstantiationCell:
-    __slots__ = ("entity", "error")
+    __slots__ = ("entity", "error", "done")
 
     def __init__(self):
         self.entity = None
         self.error = None
+        self.done = False
 
 
 class EvalContext:
-    def __init__(self, project: Project, jobs: int = 1):
+    def __init__(self, project: Project):
         self.project = project
-        self.jobs = max(1, jobs)
-        self._cond = threading.Condition()
-        self._in_progress: dict[int, int] = {}  # id(node) -> owner thread ident
-        self._done: set[int] = set()
-        self._waiting: dict[int, int] = {}  # thread ident -> id(node)
-        self._labels: dict[int, str] = {}
-        self._stacks: dict[int, list[str]] = {}  # thread ident -> eval stack
+        self._stack: list[str] = []  # labels of the nodes being evaluated
+        self._in_progress: dict[int, int] = {}  # id(node) -> stack depth
         self.eval_counts: Counter[str] = Counter()
         self._scope_packages: dict[int, str] = {}
         self._cells: dict = {}
 
     # -- node guards ---------------------------------------------------------
 
-    def begin(self, node, label: str) -> bool:
-        """True when this worker must compute the node; False when the result
-        is already (or has just become) available on the node itself."""
-        me = threading.get_ident()
+    def begin(self, node, label: str):
+        """Mark the node as being evaluated; demanding it again before
+        `finish` raises the dependency cycle that leads back to it."""
         key = id(node)
-        with self._cond:
-            while True:
-                if key in self._done:
-                    return False
-                if key not in self._in_progress:
-                    self._in_progress[key] = me
-                    self._labels[key] = label
-                    self._stacks.setdefault(me, []).append(label)
-                    return True
-                owner = self._in_progress[key]
-                if owner == me:
-                    stack = self._stacks.get(me, [])
-                    start = stack.index(label) if label in stack else 0
-                    raise CircularDependencyError(stack[start:] + [label])
-                cycle = self._wait_cycle(me, owner)
-                if cycle is not None:
-                    raise CircularDependencyError(cycle + [label])
-                self._waiting[me] = key
-                self._cond.wait()
-                self._waiting.pop(me, None)
+        depth = self._in_progress.get(key)
+        if depth is not None:
+            raise CircularDependencyError(self._stack[depth:] + [label])
+        self._in_progress[key] = len(self._stack)
+        self._stack.append(label)
 
     def finish(self, node):
-        me = threading.get_ident()
-        key = id(node)
-        with self._cond:
-            self._in_progress.pop(key, None)
-            self._done.add(key)
-            stack = self._stacks.get(me)
-            if stack:
-                stack.pop()
-            self._cond.notify_all()
+        del self._in_progress[id(node)]
+        self._stack.pop()
 
-    def _wait_cycle(self, me: int, owner: int) -> Optional[list[str]]:
-        """Follow the waits-for chain from `owner`; a path back to `me` means
-        waiting would close a cross-worker dependency cycle."""
-        labels = []
-        current = owner
-        seen = set()
-        while current in self._waiting and current not in seen:
-            seen.add(current)
-            waited_node = self._waiting[current]
-            labels.append(self._labels.get(waited_node, "?"))
-            current = self._in_progress.get(waited_node)
-            if current is None:
-                return None
-            if current == me:
-                return labels
-        return None
-
-    def count_eval(self, label: str):
-        with self._cond:
+    @contextlib.contextmanager
+    def evaluating(self, node):
+        """Guard the block that evaluates a NotInferred node: count it, then
+        leave it Evaluated, or Error with the raised TydiError stored."""
+        label = node.label()
+        self.begin(node, label)
+        try:
             self.eval_counts[label] += 1
+            yield
+            node.state = EvalState.EVALUATED
+        except TydiError as e:
+            node.error = e
+            node.state = EvalState.ERROR
+            raise
+        finally:
+            self.finish(node)
 
     def instantiation_cell(self, key):
-        """Shared holder for one (package, mangled-name) monomorphization."""
-        with self._cond:
-            cell = self._cells.get(key)
-            if cell is None:
-                cell = InstantiationCell()
-                self._cells[key] = cell
-            return cell
-
-    def register(self, table: dict, key: str, entity):
-        with self._cond:
-            table[key] = entity
+        """Memo holder for one (package, mangled-name) monomorphization."""
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = InstantiationCell()
+        return cell
 
     # -- project lookups -------------------------------------------------------
 

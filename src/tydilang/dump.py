@@ -3,7 +3,7 @@
 The same renderer serves every pipeline stage: unevaluated entries print as
 ``UnknownType(NotInferred("raw"))`` style records, evaluated ones as values.
 Entries within each section are emitted in lexicographic id order so the dump
-is stable across evaluation schedules.
+does not depend on the order in which entities were evaluated.
 """
 
 from __future__ import annotations

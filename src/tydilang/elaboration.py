@@ -51,12 +51,7 @@ def evaluate_streamlet(ctx: EvalContext, s: Streamlet):
         return
     if s.state is EvalState.ERROR:
         raise s.error
-    if not ctx.begin(s, s.label()):
-        if s.state is EvalState.ERROR:
-            raise s.error
-        return
-    try:
-        ctx.count_eval(s.label())
+    with ctx.evaluating(s):
         path = ctx.path_for(s.scope)
         if s.is_template:
             raise TydiError(
@@ -67,13 +62,6 @@ def evaluate_streamlet(ctx: EvalContext, s: Streamlet):
             evaluate_port(ctx, s.scope, port)
         for a in s.asserts:
             check_assertion(ctx, s.scope, a)
-        s.state = EvalState.EVALUATED
-    except TydiError as e:
-        s.error = e
-        s.state = EvalState.ERROR
-        raise
-    finally:
-        ctx.finish(s)
 
 
 def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
@@ -125,20 +113,8 @@ def evaluate_implementation(ctx: EvalContext, impl: Implementation):
         return
     if impl.state is EvalState.ERROR:
         raise impl.error
-    if not ctx.begin(impl, impl.label()):
-        if impl.state is EvalState.ERROR:
-            raise impl.error
-        return
-    try:
-        ctx.count_eval(impl.label())
+    with ctx.evaluating(impl):
         _compute_implementation(ctx, impl)
-        impl.state = EvalState.EVALUATED
-    except TydiError as e:
-        impl.error = e
-        impl.state = EvalState.ERROR
-        raise
-    finally:
-        ctx.finish(impl)
 
 
 def _compute_implementation(ctx: EvalContext, impl: Implementation):
@@ -493,14 +469,15 @@ def instantiate_template(ctx: EvalContext, template, args: list[TemplateArg]):
     pkg_scope = enclosing_package_scope(template.scope)
     kind = "streamlet" if isinstance(template, Streamlet) else "implementation"
     cell = ctx.instantiation_cell((id(pkg_scope), kind, mangled))
-    if not ctx.begin(cell, f"instantiate {mangled}"):
+    if cell.done:
         if cell.error is not None:
             raise cell.error
         return cell.entity
+    ctx.begin(cell, f"instantiate {mangled}")
     try:
         entity = _do_instantiate(ctx, template, args, mangled)
         table = pkg_scope.streamlets if kind == "streamlet" else pkg_scope.implements
-        ctx.register(table, mangled, entity)
+        table[mangled] = entity
         cell.entity = entity
         # evaluate after registration so partial results appear in dumps
         if kind == "streamlet":
@@ -512,6 +489,7 @@ def instantiate_template(ctx: EvalContext, template, args: list[TemplateArg]):
         cell.error = e
         raise
     finally:
+        cell.done = True
         ctx.finish(cell)
 
 

@@ -371,30 +371,17 @@ def evaluate_range(ctx: EvalContext, scope: Scope, range_exp: AstNode) -> ArrayV
 
 
 def force_variable(ctx: EvalContext, var: Variable) -> Value:
-    """Evaluate a variable at most once; concurrent requests wait."""
+    """Evaluate a variable at most once; later requests reuse the result."""
     if var.state is EvalState.EVALUATED:
         return var.value
     if var.state is EvalState.ERROR:
         raise var.error
-    if not ctx.begin(var, var.label()):
-        if var.state is EvalState.ERROR:
-            raise var.error
-        return var.value
-    try:
-        value = _compute_variable(ctx, var)
-        var.value = value
-        var.state = EvalState.EVALUATED
-        return value
-    except TydiError as e:
-        var.error = e
-        var.state = EvalState.ERROR
-        raise
-    finally:
-        ctx.finish(var)
+    with ctx.evaluating(var):
+        var.value = _compute_variable(ctx, var)
+    return var.value
 
 
 def _compute_variable(ctx: EvalContext, var: Variable) -> Value:
-    ctx.count_eval(var.label())
     path = ctx.path_for(var.scope) if var.scope else None
     if var.is_magic:
         raise TydiError(

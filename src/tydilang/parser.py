@@ -8,7 +8,6 @@ always bind tighter than any binary operator.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from typing import Optional
 
@@ -774,42 +773,29 @@ def parse_fragment(text: str, rule: str = "logical_type") -> AstNode:
     return n
 
 
-def parse_project(paths_and_texts: list[tuple[str, str]], jobs: int = 1,
+def parse_project(paths_and_texts: list[tuple[str, str]],
                   ) -> tuple[dict[str, ParsedFile], list[Diagnostic]]:
-    """Parse every file (possibly concurrently); key results by package name.
+    """Parse every file in path order; key results by package name.
 
     All syntax diagnostics are aggregated so one bad file does not hide
     errors in the others. Two files declaring the same package is an error.
     """
     diagnostics: list[Diagnostic] = []
-    results: list[tuple[str, ParsedFile | None]] = []
-
-    def work(item):
-        path, text = item
-        try:
-            return path, parse_file(text, path)
-        except SyntaxDiagnosticError as e:
-            return path, e.diagnostic
-
-    if jobs > 1 and len(paths_and_texts) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(work, paths_and_texts))
-    else:
-        raw = [work(item) for item in paths_and_texts]
-
     by_package: dict[str, ParsedFile] = {}
     seen_path: dict[str, str] = {}
-    for path, outcome in sorted(raw, key=lambda r: r[0]):
-        if isinstance(outcome, Diagnostic):
-            diagnostics.append(outcome)
+    for path, text in sorted(paths_and_texts, key=lambda item: item[0]):
+        try:
+            parsed = parse_file(text, path)
+        except SyntaxDiagnosticError as e:
+            diagnostics.append(e.diagnostic)
             continue
-        name = outcome.source.package_name
+        name = parsed.source.package_name
         if name in by_package:
             diagnostics.append(Diagnostic(
                 "syntax",
                 f"duplicate package {name!r} declared in {seen_path[name]} and {path}",
                 path))
             continue
-        by_package[name] = outcome
+        by_package[name] = parsed
         seen_path[name] = path
     return by_package, diagnostics

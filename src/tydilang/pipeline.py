@@ -1,14 +1,13 @@
 """Compilation pipeline: parse -> build -> evaluate -> sugar -> DRC -> emit.
 
-Stage boundaries are barriers; artifacts are written as soon as their stage
-completes, so everything produced before a failure survives it. The worker
-count only affects scheduling, never results: all dumps are byte-identical
-for any number of jobs.
+Stages run one after another on the calling thread; artifacts are written as
+soon as their stage completes, so everything produced before a failure
+survives it. `CompileConfig.jobs` is validated but has no effect: every
+artifact is the same for any value.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -20,7 +19,7 @@ from .dump import dump_code_structure
 from .elaboration import evaluate_implementation
 from .errors import Diagnostic, TydiError, offset_to_line_col
 from .math_engine import force_variable
-from .model import Project, Variable
+from .model import Implementation, Project, Variable
 from .parser import ParsedFile, parse_project
 from .stdlib import PRELUDE_PACKAGE, PRELUDE_PATH, PRELUDE_SOURCE
 from .sugaring import sugar_project
@@ -38,11 +37,11 @@ class CompileConfig:
     emit_drc: bool = False
     emit_dot: bool = False
     emit_ir: bool = False
-    jobs: int = 1
+    jobs: int = 1  # validated for compatibility; has no effect
 
     def __post_init__(self):
         if self.jobs < 1:
-            raise ValueError("worker count must be >= 1")
+            raise ValueError("jobs must be >= 1")
 
 
 @dataclass
@@ -86,7 +85,9 @@ def render_error_report(diagnostics: list[Diagnostic],
 
 
 def collect_sources(inputs: list[str]) -> list[tuple[str, str]]:
-    """Expand directories into their `.td` files and read everything."""
+    """Expand directories into their `.td` files and read everything.
+
+    A file that cannot be read or is not UTF-8 raises OSError naming it."""
     paths: list[str] = []
     for item in inputs:
         if os.path.isdir(item):
@@ -98,7 +99,11 @@ def collect_sources(inputs: list[str]) -> list[tuple[str, str]]:
     out = []
     for p in paths:
         with open(p, "r", encoding="utf-8") as f:
-            out.append((p, f.read()))
+            try:
+                out.append((p, f.read()))
+            except UnicodeDecodeError as e:
+                raise OSError(f"{p}: not valid UTF-8 ({e.reason} at byte "
+                              f"{e.start})") from None
     return out
 
 
@@ -144,39 +149,27 @@ def evaluate_project(ctx: EvalContext, project: Project,
             return [Diagnostic("usage", f"top implementation {top!r} not found")]
         if impl.is_template:
             return [Diagnostic("usage", f"top implementation {top!r} is a template")]
-        roots = [("impl", impl)]
+        roots = [impl]
     else:
         impl_roots, value_roots = evaluation_roots(project)
-        roots = [("impl", r) for r in impl_roots] + [("value", r) for r in value_roots]
+        roots = impl_roots + value_roots
 
-    def run_root(item) -> Optional[Diagnostic]:
-        kind, root = item
+    seen = set()
+    diagnostics = []
+    for root in roots:
         try:
-            if kind == "impl":
+            if isinstance(root, Implementation):
                 evaluate_implementation(ctx, root)
             elif isinstance(root, Variable):
                 force_variable(ctx, root)
             else:
                 force_type_entry(ctx, root)
-            return None
         except TydiError as e:
-            return e.diagnostic
-
-    if ctx.jobs > 1 and len(roots) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=ctx.jobs) as pool:
-            outcomes = list(pool.map(run_root, roots))
-    else:
-        outcomes = [run_root(r) for r in roots]
-
-    seen = set()
-    diagnostics = []
-    for d in outcomes:
-        if d is None:
-            continue
-        key = (d.category, d.message, d.path, str(d.span))
-        if key not in seen:
-            seen.add(key)
-            diagnostics.append(d)
+            d = e.diagnostic
+            key = (d.category, d.message, d.path, str(d.span))
+            if key not in seen:
+                seen.add(key)
+                diagnostics.append(d)
     diagnostics.sort(key=lambda d: (d.path or "", d.span.start if d.span else -1,
                                     d.message))
     return diagnostics
@@ -204,7 +197,7 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
     source_texts = dict(sources)
 
     # stage: parse
-    parsed, diagnostics = parse_project(sources, jobs=config.jobs)
+    parsed, diagnostics = parse_project(sources)
     _write_ast_dumps(config, result, parsed)
     if diagnostics:
         result.diagnostics.extend(diagnostics)
@@ -223,7 +216,7 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
     _write(config, result, "1_parser_output.txt", dump_code_structure(project))
 
     # stage: evaluation and expansion
-    ctx = EvalContext(project, jobs=config.jobs)
+    ctx = EvalContext(project)
     diagnostics = evaluate_project(ctx, project, config.top)
     if diagnostics:
         result.diagnostics.extend(diagnostics)

@@ -36,21 +36,9 @@ def force_type_entry(ctx: EvalContext, entry: TypeEntry):
         return entry.evaluated
     if entry.state is EvalState.ERROR:
         raise entry.error
-    if not ctx.begin(entry, entry.label()):
-        if entry.state is EvalState.ERROR:
-            raise entry.error
-        return entry.evaluated
-    try:
-        ctx.count_eval(entry.label())
+    with ctx.evaluating(entry):
         _compute_type_entry(ctx, entry)
-        entry.state = EvalState.EVALUATED
-        return entry.evaluated
-    except TydiError as e:
-        entry.error = e
-        entry.state = EvalState.ERROR
-        raise
-    finally:
-        ctx.finish(entry)
+    return entry.evaluated
 
 
 def _compute_type_entry(ctx: EvalContext, entry: TypeEntry):

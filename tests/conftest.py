@@ -24,10 +24,10 @@ def project_of(*texts, name="test_project"):
     return project
 
 
-def evaluated_project(*texts, name="test_project", top=None, jobs=1):
+def evaluated_project(*texts, name="test_project", top=None):
     """Parse, build and fully evaluate; fails the test on any diagnostic."""
     project = project_of(*texts, name=name)
-    ctx = EvalContext(project, jobs=jobs)
+    ctx = EvalContext(project)
     diags = evaluate_project(ctx, project, top)
     assert not diags, diags
     return project, ctx

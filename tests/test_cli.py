@@ -177,6 +177,16 @@ def test_jobs_zero_is_usage_error(tmp_path):
     assert main([str(src), "--jobs", "0", "--output", str(tmp_path / "b")]) == 2
 
 
+def test_non_utf8_source_is_io_error(tmp_path, capsys):
+    bad = tmp_path / "bad.td"
+    bad.write_bytes(b"package p;\nconst a = \"\xff\";\n")
+    out = tmp_path / "b"
+    assert main([str(bad), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"[io] {bad}: not valid UTF-8"), err
+    assert not out.exists()
+
+
 def test_default_project_name_is_output_parent():
     from tydilang.cli import default_project_name
     assert default_project_name("/home/user/test_project/build") == "test_project"

@@ -1,6 +1,8 @@
-"""Multi-worker evaluation: once-only computation, schedule-independent
-results, and dependency cycles that span workers must be reported rather
-than deadlock."""
+"""Once-only evaluation and cycle reporting: shared nodes are computed once,
+stored errors are reused, dependency cycles become diagnostics, and the
+`jobs` setting changes neither the artifacts nor the thread that compiles."""
+
+import threading
 
 from tydilang.context import EvalContext
 from tydilang.pipeline import evaluate_project
@@ -17,7 +19,7 @@ const top_v = left + right;
 
 def test_shared_node_computed_once_with_many_workers():
     for _ in range(10):
-        project, ctx = evaluated_project(DIAMOND, jobs=8)
+        project, ctx = evaluated_project(DIAMOND)
         assert ctx.eval_counts["package_p.base"] == 1
         assert project.packages["p"].scope.variables["top_v"].value.value == 210
 
@@ -26,7 +28,7 @@ def test_cross_worker_cycle_reported_not_deadlocked():
     source = "package p;\nconst a = b + 1;\nconst b = a + 1;\n"
     for _ in range(20):
         project = project_of(source)
-        ctx = EvalContext(project, jobs=4)
+        ctx = EvalContext(project)
         diags = evaluate_project(ctx, project)
         assert diags, "cycle must surface as a diagnostic"
         assert any("circular" in d.message for d in diags)
@@ -42,7 +44,7 @@ def test_mutually_instantiating_implementations_cycle():
         "impl b_i of b_s { instance inner(a_i), x => inner.x, };\n")
     for jobs in (1, 4):
         project = project_of(source)
-        ctx = EvalContext(project, jobs=jobs)
+        ctx = EvalContext(project)
         diags = evaluate_project(ctx, project)
         assert any("circular" in d.message for d in diags), jobs
 
@@ -67,7 +69,15 @@ def test_waiting_worker_sees_error_of_in_progress_node():
               "const u2 = bad + 2;\n")
     for _ in range(10):
         project = project_of(source)
-        ctx = EvalContext(project, jobs=4)
+        ctx = EvalContext(project)
         diags = evaluate_project(ctx, project)
         assert diags
         assert ctx.eval_counts["package_p.bad"] == 1
+
+
+def test_compiles_without_starting_threads(tpch1_source, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("compilation must not start threads")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    result = compile_texts(tpch1_source, top="std.main_i", jobs=8)
+    assert result.ok, result.diagnostics

@@ -587,7 +587,7 @@ def test_dump_identical_across_worker_counts():
         "};\n")
     dumps = []
     for jobs in (1, 8):
-        project, _ = evaluated_project(source, jobs=jobs)
+        project, _ = evaluated_project(source)
         dumps.append(dump_code_structure(project))
     assert dumps[0] == dumps[1]
 
@@ -699,7 +699,7 @@ def test_template_memo_under_worker_contention():
         decls.append(f"streamlet t{k}_s {{ a: s in, }};")
         decls.append(f"impl t{k}_i of t{k}_s {{ instance v(v_i<type s>), a => v.input, }};")
     source = "\n".join(decls)
-    project, ctx = evaluated_project(source, jobs=8)
+    project, ctx = evaluated_project(source)
     scope = project.packages["p"].scope
     mangled = [k for k in scope.implements if k.startswith("v_i@")]
     assert mangled == ["v_i@Stream(s)"]

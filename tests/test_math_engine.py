@@ -3,9 +3,11 @@ import random
 import pytest
 
 from tydilang.context import EvalContext
+from tydilang.elaboration import evaluate_implementation
 from tydilang.errors import TydiError
 from tydilang.math_engine import evaluate_range, force_variable
 from tydilang.parser import parse_fragment
+from tydilang.type_eval import force_type_entry
 from tydilang.values import (ArrayValue, BoolValue, FloatValue, IntValue,
                              StrValue)
 
@@ -277,16 +279,35 @@ def test_memoization_computes_each_variable_once():
     assert ctx.eval_counts["package_p.base"] == 1
 
 
-def test_cycle_reports_members():
-    project = project_of(
-        "package p;\nconst a = b + 1;\nconst b = c + 1;\nconst c = a + 1;\n")
+CYCLES = {
+    "constant": (
+        "package p;\nconst a = b + 1;\nconst b = c + 1;\nconst c = a + 1;\n",
+        force_variable, "variables", "a",
+        "package_p.a -> package_p.b -> package_p.c -> package_p.a"),
+    "type_alias": (
+        "package p;\ntype t = u;\ntype u = t;\n",
+        force_type_entry, "types", "t",
+        "package_p.t -> package_p.u -> package_p.t"),
+    "impl": (
+        "package p;\n"
+        "type s = Stream(Bit(1));\n"
+        "streamlet a_s { x: s in, };\n"
+        "streamlet b_s { x: s in, };\n"
+        "impl a_i of a_s { instance inner(b_i), x => inner.x, };\n"
+        "impl b_i of b_s { instance inner(a_i), x => inner.x, };\n",
+        evaluate_implementation, "implements", "a_i",
+        "impl a_i -> impl b_i -> impl a_i"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CYCLES))
+def test_cycle_reports_members(case):
+    source, force, table, name, cycle = CYCLES[case]
+    project = project_of(source)
     ctx = EvalContext(project)
     with pytest.raises(TydiError) as exc:
-        force_variable(ctx, project.packages["p"].scope.variables["a"])
-    message = exc.value.message
-    assert "circular" in message
-    for name in ("package_p.a", "package_p.b", "package_p.c"):
-        assert name in message
+        force(ctx, getattr(project.packages["p"].scope, table)[name])
+    assert exc.value.message == f"circular dependency: {cycle}"
 
 
 def test_self_cycle():

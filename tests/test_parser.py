@@ -177,7 +177,7 @@ def test_dump_is_deterministic(tpch1_source):
 def test_parse_project_keys_by_package_name():
     parsed, diags = parse_project(
         [("x/simple_0.td", "package simple_0;"),
-         ("x/simple_1.td", "package simple_1;")], jobs=4)
+         ("x/simple_1.td", "package simple_1;")])
     assert not diags
     assert sorted(parsed) == ["simple_0", "simple_1"]
 
