@@ -2,8 +2,9 @@
 
 Stages run one after another on the calling thread; artifacts are written as
 soon as their stage completes, so everything produced before a failure
-survives it. `CompileConfig.jobs` is validated but has no effect: every
-artifact is the same for any value.
+survives it. An input nested deeper than the Python stack allows fails with
+a "nesting too deep while <stage>" diagnostic. `CompileConfig.jobs` is
+validated but has no effect: every artifact is the same for any value.
 """
 
 from __future__ import annotations
@@ -195,46 +196,62 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
     result = result or CompileResult()
     sources = sources + [(PRELUDE_PATH, PRELUDE_SOURCE)]
     source_texts = dict(sources)
+    stage = "parsing"
+    try:
+        for stage in _stages(config, result, sources, source_texts):
+            pass
+    except RecursionError:
+        # parsing, AST dumps and evaluation recurse once per nesting level or
+        # dependency, so a deep enough input exhausts the Python stack
+        result.diagnostics.append(Diagnostic(
+            "syntax" if stage == "parsing" else "resolution",
+            f"nesting too deep while {stage}"))
+        _finish_with_errors(config, result, source_texts)
+    return result
 
-    # stage: parse
+
+def _stages(config: CompileConfig, result: CompileResult,
+            sources: list[tuple[str, str]], source_texts: dict[str, str]):
+    """Run the stages into `result`, yielding the name of each stage after
+    parsing as it starts; a failed stage records its diagnostics and stops."""
     parsed, diagnostics = parse_project(sources)
     _write_ast_dumps(config, result, parsed)
     if diagnostics:
         result.diagnostics.extend(diagnostics)
         _finish_with_errors(config, result, source_texts)
-        return result
+        return
 
-    # stage: build the code structure
+    yield "building"
     try:
         project = build_project(config.project_name, parsed)
     except TydiError as e:
         result.diagnostics.append(e.diagnostic)
         _finish_with_errors(config, result, source_texts)
-        return result
+        return
     _inject_prelude_imports(project)
     result.project = project
     _write(config, result, "1_parser_output.txt", dump_code_structure(project))
 
-    # stage: evaluation and expansion
+    yield "evaluating"
     ctx = EvalContext(project)
     diagnostics = evaluate_project(ctx, project, config.top)
     if diagnostics:
         result.diagnostics.extend(diagnostics)
         _finish_with_errors(config, result, source_texts)
-        return result
+        return
     _write(config, result, "2_evaluation_output.txt", dump_code_structure(project))
 
-    # stage: sugaring
+    yield "sugaring"
     try:
         sugar_project(ctx, project)
     except TydiError as e:
         result.diagnostics.append(e.diagnostic)
         _finish_with_errors(config, result, source_texts)
-        return result
+        return
     _write(config, result, "2_evaluation_output_after_sugaring.txt",
            dump_code_structure(project))
 
-    # stage: design rule check
+    yield "checking design rules"
     if config.emit_drc:
         result.drc_diagnostics = run_drc(project)
         _write(config, result, "drc_report.txt",
@@ -242,14 +259,14 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
         if drc_has_errors(result.drc_diagnostics):
             result.exit_code = 1
 
-    # stage: emission
+    yield "emitting"
     try:
         if config.emit_dot:
             if config.top is None:
                 result.diagnostics.append(Diagnostic(
                     "usage", "--dot requires --top <package.impl>"))
                 result.exit_code = 2
-                return result
+                return
             pkg_name, _, impl_name = config.top.partition(".")
             circuit = flatten(project, pkg_name, impl_name)
             _write(config, result, "circuit.dot", emit_dot(circuit))
@@ -258,8 +275,7 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
     except TydiError as e:
         result.diagnostics.append(e.diagnostic)
         _finish_with_errors(config, result, source_texts)
-        return result
-    return result
+        return
 
 
 def _write_ast_dumps(config: CompileConfig, result: CompileResult,

@@ -4,7 +4,7 @@ After elaboration every port must ultimately be connected exactly once. A
 source end used k >= 2 times gets a k-channel duplicator spliced in; an
 instance output that is never used gets a voider to complete its handshake.
 Self ports of an implementation are its external interface and stay untouched
-when unused.
+when unused. Each source's uses are indexed in one pass over connections.
 """
 
 from __future__ import annotations
@@ -69,16 +69,21 @@ def _universe(impl: Implementation):
     return ends
 
 
-def usage_census(impl: Implementation) -> list[PortUsage]:
+def _census(impl: Implementation):
+    """Every port end's usage, and each source end's connections in order."""
     counts: dict[tuple, int] = {}
+    uses: dict[tuple, list[Connection]] = {}
     for conn in impl.connections:
-        for end in (conn.source, conn.sink):
-            counts[end.key()] = counts.get(end.key(), 0) + 1
-    out = []
-    for key, role, port in _universe(impl):
-        out.append(PortUsage(key[0], key[1], key[2], key[3], role,
-                             counts.get(key, 0), port))
-    return out
+        source = conn.source.key()
+        uses.setdefault(source, []).append(conn)
+        for key in (source, conn.sink.key()):
+            counts[key] = counts.get(key, 0) + 1
+    return [PortUsage(*key, role, counts.get(key, 0), port)
+            for key, role, port in _universe(impl)], uses
+
+
+def usage_census(impl: Implementation) -> list[PortUsage]:
+    return _census(impl)[0]
 
 
 def _sanitize(name: str) -> str:
@@ -156,20 +161,19 @@ def sugar_implementation(ctx: EvalContext, project: Project,
     """Rewrite one implementation so every port end is singly connected."""
     if impl.external or impl.state is not EvalState.EVALUATED:
         return
-    census = usage_census(impl)
-    index = {u.key(): u for u in census}
+    census, uses = _census(impl)
     ordered = sorted(
         (u for u in census if u.role == "source"),
         key=lambda u: (u.owner or "", u.owner_index if u.owner_index is not None else -1,
                        u.port_name, u.port_index if u.port_index is not None else -1))
     for usage in ordered:
         if usage.use_count >= 2:
-            _insert_duplicator(ctx, project, impl, usage)
+            _insert_duplicator(ctx, project, impl, usage, uses)
         elif usage.use_count == 0 and usage.owner is not None:
             _insert_voider(ctx, project, impl, usage)
 
 
-def _insert_duplicator(ctx, project, impl, usage: PortUsage):
+def _insert_duplicator(ctx, project, impl, usage: PortUsage, uses):
     k = usage.use_count
     template = _std_template(project, DUPLICATOR_IMPL)
     dup_impl = instantiate_template(
@@ -180,14 +184,10 @@ def _insert_duplicator(ctx, project, impl, usage: PortUsage):
     impl.scope.instances[gen_name] = inst
     in_port = dup_impl.streamlet.ports["input"]
     out_port = dup_impl.streamlet.ports["output"]
-    # retarget the k existing uses onto the duplicator's outputs, keeping each
-    # connection's fifo depth, marker and name on its sink edge
-    j = 0
-    key = usage.key()
-    for conn in impl.connections:
-        if conn.source.key() == key:
-            conn.source = _instance_end(inst, out_port, port_index=j)
-            j += 1
+    # retarget this source's uses, indexed before any insertion, onto the
+    # outputs in declaration order; each keeps its fifo depth, marker and name
+    for j, conn in enumerate(uses.get(usage.key(), [])):
+        conn.source = _instance_end(inst, out_port, port_index=j)
     feed = Connection(name=f"{gen_name}_in", source=_make_end(usage),
                       sink=_instance_end(inst, in_port))
     feed.state = EvalState.EVALUATED

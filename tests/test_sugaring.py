@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tydilang.dump import dump_code_structure
-from tydilang.model import EvalState
+from tydilang.model import EndRef, EvalState
 from tydilang.sugaring import sugar_project, usage_census
 
 from conftest import evaluated_project
@@ -118,6 +118,44 @@ def test_strictness_preserved_through_duplicator():
         "impl i of s { input => a, input => b, };\n")
     diags = run_drc(project)
     assert diags == []  # same named type on every rewired edge: still strict
+
+
+def test_interleaved_sources_keep_their_own_sink_order():
+    """Each duplicator's output[j] feeds the j-th sink of its own source, in
+    declaration order, while the uses of two sources alternate."""
+    project, ctx = evaluated_project(
+        "package p;" + BASE +
+        "streamlet s { in_arr: rgb_stream [2] in, solo: rgb_stream in, "
+        "a: rgb_stream out, b: rgb_stream out, c: rgb_stream out, "
+        "d: rgb_stream out, e: rgb_stream out, f: rgb_stream out, };\n"
+        "impl i of s {\n"
+        '  in_arr[1] =2=> a "a_edge",\n'
+        "  in_arr[0] => f,\n"
+        "  solo => b @NoStrictType@,\n"
+        '  in_arr[1] => c "c_edge" @NoStrictType@,\n'
+        "  solo =3=> d,\n"
+        "  in_arr[1] => e,\n"
+        "};\n")
+    impl = project.packages["p"].scope.implements["i"]
+    flags = {c.sink.port_name: (c.name, c.fifo_depth, c.no_strict)
+             for c in impl.connections}
+    sugar_project(ctx, project)
+    arr, solo = "duplicate_self_in_arr_1_3", "duplicate_self_solo_2"
+    expected = {"a": (arr, 0), "b": (solo, 0), "c": (arr, 1), "d": (solo, 1),
+                "e": (arr, 2)}
+    edges = {c.sink.port_name: c for c in impl.connections
+             if c.sink.owner_name is None}
+    assert set(edges) == set(expected) | {"f"}
+    assert edges["f"].source.key() == (None, None, "in_arr", 0)  # single use
+    for sink, (dup, j) in expected.items():
+        conn = edges[sink]
+        assert (conn.source.owner_name, conn.source.port_name,
+                conn.source.port_index) == (dup, "output", j), sink
+        assert (conn.name, conn.fifo_depth, conn.no_strict) == flags[sink]
+    feeds = {c.sink.owner_name: c.source.key() for c in impl.connections
+             if c.sink.owner_name in (arr, solo)}
+    assert feeds == {arr: (None, None, "in_arr", 1),
+                     solo: (None, None, "solo", None)}
 
 
 # -- voiders ------------------------------------------------------------------------
@@ -281,6 +319,56 @@ def test_dataflow_topology_preserved_through_duplicators():
             src = feeder.source
         contracted.add((src.key(), snk.key()))
     assert contracted == before
+
+
+def fan_out(lanes: int) -> str:
+    """A `for` fan-out of `lanes` lanes whose every second input also feeds a
+    probe: lanes / 2 duplicators and `lanes` voiders."""
+    return ("package p;" + BASE + f"const lanes = {lanes};\n" + """
+streamlet tap_s { input: rgb_stream in, output: rgb_stream out, tap: rgb_stream out, };
+external impl tap_i of tap_s {};
+streamlet probe_s { input: rgb_stream in, };
+external impl probe_i of probe_s {};
+streamlet fan_s { inputs: rgb_stream [lanes] in, outputs: rgb_stream [lanes] out, };
+impl fan_i of fan_s {
+  for i in (0=1=>lanes) {
+    instance lane_{{i}}(tap_i),
+    inputs[i] => lane_{{i}}.input,
+    lane_{{i}}.output => outputs[i],
+    if ((i % 2) == 0) {
+      instance probe_{{i}}(probe_i),
+      inputs[i] => probe_{{i}}.input,
+    }
+  }
+};
+""")
+
+
+def test_sugaring_is_linear_in_connections(monkeypatch):
+    """Doubling the fan-out width at most about doubles the port-end key
+    lookups sugaring makes; rescanning every connection for each duplicator
+    would make them grow fourfold."""
+    original = EndRef.key
+
+    def key_calls(lanes):
+        project, ctx = evaluated_project(fan_out(lanes))
+        calls = 0
+
+        def counting(end):
+            nonlocal calls
+            calls += 1
+            return original(end)
+
+        with monkeypatch.context() as m:
+            m.setattr(EndRef, "key", counting)
+            sugar_project(ctx, project)
+        impl = project.packages["p"].scope.implements["fan_i"]
+        assert sum(n.startswith("duplicate_") for n in impl.instances) == lanes // 2
+        assert sum(n.startswith("void_") for n in impl.instances) == lanes
+        return calls
+
+    narrow, wide = key_calls(100), key_calls(200)
+    assert wide / narrow <= 2.5, (narrow, wide)
 
 
 def test_missing_prelude_reported():
