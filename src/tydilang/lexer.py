@@ -1,12 +1,21 @@
 """Tokenizer for `.td` source text.
 
-Operates on the UTF-8 byte encoding so token spans are byte offsets.
-Comments (``//`` and ``/* */``) and whitespace are discarded; the language
-is space-insensitive.
+One compiled master pattern is matched at each offset of the UTF-8 encoding,
+so token spans are byte offsets. Its groups, tried in order: a run of
+whitespace and ``//`` / ``/* */`` comments (discarded; the language is
+space-insensitive), a ``#doc#`` string, a ``"str"`` literal (only ``\\"`` and
+``\\\\`` escapes), FLOAT, INT (``0b``/``0x``/``0o`` prefixes or decimal), an
+identifier, and punctuation, longest first.
+
+Checks that run after a match: an identifier must not contain ``__``, a
+number must not be followed by an identifier character, and ``process``
+followed by ``{`` becomes one opaque PROCESS_BODY token up to the matching
+brace. Where no group matches, `_fail` names the reason.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import Span, SyntaxDiagnosticError
@@ -21,6 +30,29 @@ PUNCT = [
     "+", "-", "*", "/", "%", "^", "&", "|", "!", "~",
 ]
 
+_SKIP = rb"(?:[ \t\r\n]+|//[^\n]*\n?|/\*.*?\*/)+"
+# a string literal up to, not including, its closing quote
+_STR_HEAD = rb'"(?:[^"\\\n]|\\["\\])*'
+_MASTER = re.compile(b"|".join([
+    rb"(?P<SKIP>" + _SKIP + rb")",
+    rb"(?P<DOC>#[^#]*#)",
+    rb"(?P<STR>" + _STR_HEAD + rb'")',
+    rb"(?P<FLOAT>[0-9]+\.[0-9]+)",
+    rb"(?P<INT>0[bxo][A-Za-z0-9_]*|[0-9]+)",
+    rb"(?P<ID>[A-Za-z_][A-Za-z0-9_]*)",
+    # an unclosed `/*` is an error, not the punctuation `/` and `*`
+    rb"(?!/\*)(?P<PUNCT>"
+    + b"|".join(re.escape(p.encode()) for p in sorted(PUNCT, key=len, reverse=True))
+    + rb")",
+]), re.DOTALL)
+_BLANK = re.compile(_SKIP, re.DOTALL)
+_STR_PREFIX = re.compile(_STR_HEAD)
+_IDENT_START = re.compile(rb"[A-Za-z_]")
+_ESCAPE = re.compile(rb"\\(.)")
+# inside a process body: comments and strings (any escape) to skip, then an
+# unclosed comment or string (group 1) and a brace (group 2)
+_BRACES = re.compile(rb'//[^\n]*\n?|/\*.*?\*/|"(?:[^"\\]|\\.)*"|(/\*|")|([{}])', re.DOTALL)
+
 
 @dataclass(frozen=True)
 class Token:
@@ -30,18 +62,6 @@ class Token:
 
     def __repr__(self):
         return f"Token({self.type!r}, {self.text!r}, {self.span})"
-
-
-def _is_ident_start(b: int) -> bool:
-    return b == 0x5F or 0x41 <= b <= 0x5A or 0x61 <= b <= 0x7A
-
-
-def _is_ident_char(b: int) -> bool:
-    return _is_ident_start(b) or 0x30 <= b <= 0x39
-
-
-def _is_digit(b: int) -> bool:
-    return 0x30 <= b <= 0x39
 
 
 def tokenize(text: str, path: str | None = None) -> list[Token]:
@@ -54,151 +74,71 @@ def tokenize(text: str, path: str | None = None) -> list[Token]:
         raise SyntaxDiagnosticError(msg, path, Span(start, min(end, n)))
 
     while i < n:
-        b = data[i]
-        if b in (0x20, 0x09, 0x0D, 0x0A):
-            i += 1
-            continue
-        if data.startswith(b"//", i):
-            j = data.find(b"\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if data.startswith(b"/*", i):
-            j = data.find(b"*/", i + 2)
-            if j < 0:
-                err("unterminated block comment", i, n)
-            i = j + 2
-            continue
-        if b == 0x23:  # '#' documentation string
-            j = data.find(b"#", i + 1)
-            if j < 0:
-                err("unterminated documentation string", i, n)
-            raw = data[i + 1:j].decode("utf-8")
-            out.append(Token("DOC", raw, Span(i, j + 1)))
-            i = j + 1
-            continue
-        if b == 0x22:  # '"'
-            j = i + 1
-            buf = bytearray()
-            while j < n:
-                c = data[j]
-                if c == 0x5C:  # backslash: only \" and \\ are recognized
-                    if j + 1 >= n or data[j + 1] not in (0x22, 0x5C):
-                        err("unsupported escape in string literal", j, j + 2)
-                    buf.append(data[j + 1])
-                    j += 2
-                    continue
-                if c == 0x22:
-                    break
-                if c == 0x0A:
-                    err("unterminated string literal", i, j)
-                buf.append(c)
-                j += 1
-            if j >= n:
-                err("unterminated string literal", i, n)
-            out.append(Token("STR", buf.decode("utf-8"), Span(i, j + 1)))
-            i = j + 1
-            continue
-        if _is_digit(b):
-            j = i
-            is_float = False
-            if data.startswith(b"0b", i) or data.startswith(b"0x", i) or data.startswith(b"0o", i):
-                j = i + 2
-                while j < n and _is_ident_char(data[j]):
-                    j += 1
-            else:
-                while j < n and _is_digit(data[j]):
-                    j += 1
-                if j < n and data[j] == 0x2E and j + 1 < n and _is_digit(data[j + 1]):
-                    is_float = True
-                    j += 1
-                    while j < n and _is_digit(data[j]):
-                        j += 1
-            raw = data[i:j].decode("utf-8")
-            if j < n and _is_ident_start(data[j]):
-                err(f"malformed number {raw!r}", i, j + 1)
-            out.append(Token("FLOAT" if is_float else "INT", raw, Span(i, j)))
+        m = _MASTER.match(data, i)
+        if m is None:
+            err(*_fail(data, i))
+        kind, j = m.lastgroup, m.end()
+        if kind == "SKIP":
             i = j
             continue
-        if _is_ident_start(b):
-            j = i
-            while j < n and _is_ident_char(data[j]):
-                j += 1
-            raw = data[i:j].decode("utf-8")
+        if kind == "STR":
+            raw = _ESCAPE.sub(rb"\1", data[i + 1:j - 1]).decode("utf-8")
+        elif kind == "DOC":
+            raw = data[i + 1:j - 1].decode("utf-8")
+        else:
+            raw = m.group().decode("utf-8")
+        if kind == "PUNCT":
+            kind = raw
+        elif kind == "INT" or kind == "FLOAT":
+            if _IDENT_START.match(data, j):
+                err(f"malformed number {raw!r}", i, j + 1)
+        elif kind == "ID":
             if "__" in raw:
                 err(f"consecutive underscores are not allowed in identifier {raw!r}", i, j)
             if raw == "process":
                 # simulation blocks are carried as opaque text; their contents
                 # follow a different token grammar and are never analyzed
-                k = _skip_blank(data, j)
-                if k < n and data[k] == 0x7B:
+                k = _BLANK.match(data, j)
+                k = k.end() if k else j
+                if data.startswith(b"{", k):
                     end = _scan_balanced_braces(data, k, path)
                     inner = data[k + 1:end - 1].decode("utf-8")
                     out.append(Token("PROCESS_BODY", inner, Span(i, end)))
                     i = end
                     continue
-            out.append(Token("ID", raw, Span(i, j)))
-            i = j
-            continue
-        for p in PUNCT:
-            pb = p.encode()
-            if data.startswith(pb, i):
-                out.append(Token(p, p, Span(i, i + len(pb))))
-                i += len(pb)
-                break
-        else:
-            err(f"unexpected character {chr(b)!r}", i, i + 1)
+        out.append(Token(kind, raw, Span(i, j)))
+        i = j
 
     out.append(Token("EOF", "", Span(n, n)))
     return out
 
 
-def _skip_blank(data: bytes, i: int) -> int:
+def _fail(data: bytes, i: int) -> tuple[str, int, int]:
+    """Message and span for the case that no token starts at ``data[i]``."""
     n = len(data)
-    while i < n:
-        if data[i] in (0x20, 0x09, 0x0D, 0x0A):
-            i += 1
-        elif data.startswith(b"//", i):
-            j = data.find(b"\n", i)
-            i = n if j < 0 else j + 1
-        elif data.startswith(b"/*", i):
-            j = data.find(b"*/", i + 2)
-            if j < 0:
-                return n
-            i = j + 2
-        else:
-            break
-    return i
+    if data.startswith(b"/*", i):
+        return "unterminated block comment", i, n
+    if data.startswith(b"#", i):
+        return "unterminated documentation string", i, n
+    if data.startswith(b'"', i):
+        j = _STR_PREFIX.match(data, i).end()
+        if data.startswith(b"\\", j):
+            return "unsupported escape in string literal", j, j + 2
+        return "unterminated string literal", i, j
+    return f"unexpected character {chr(data[i])!r}", i, i + 1
 
 
 def _scan_balanced_braces(data: bytes, start: int, path) -> int:
     """Index just past the brace matching ``data[start]``, honoring strings
     and comments inside the block."""
-    n = len(data)
     depth = 0
-    i = start
-    while i < n:
-        b = data[i]
-        if data.startswith(b"//", i):
-            j = data.find(b"\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if data.startswith(b"/*", i):
-            j = data.find(b"*/", i + 2)
-            if j < 0:
-                break
-            i = j + 2
-            continue
-        if b == 0x22:
-            i += 1
-            while i < n and data[i] != 0x22:
-                i += 2 if data[i] == 0x5C else 1
-            i += 1
-            continue
-        if b == 0x7B:
+    for m in _BRACES.finditer(data, start):
+        if m.group(1):
+            break  # an unclosed comment or string
+        if m.group(2) == b"{":
             depth += 1
-        elif b == 0x7D:
+        elif m.group(2) == b"}":
             depth -= 1
             if depth == 0:
-                return i + 1
-        i += 1
-    raise SyntaxDiagnosticError("unterminated process block", path, Span(start, n))
+                return m.end()
+    raise SyntaxDiagnosticError("unterminated process block", path, Span(start, len(data)))

@@ -9,7 +9,7 @@ when unused. Each source's uses are indexed in one pass over connections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .context import EvalContext
 from .elaboration import TemplateArg, instantiate_template
@@ -24,8 +24,7 @@ DUPLICATOR_IMPL = "duplicator_i"
 VOIDER_IMPL = "void_i"
 
 
-@dataclass(frozen=True)
-class PortUsage:
+class PortUsage(NamedTuple):
     owner: object  # None for Self, otherwise the instance name
     owner_index: object
     port_name: str
@@ -38,12 +37,14 @@ class PortUsage:
         return (self.owner, self.owner_index, self.port_name, self.port_index)
 
 
-def end_role(end: EndRef) -> str:
+def _role(self_side: bool, direction: str) -> str:
     """A Self `in` port acts as a source inside its own implementation; an
     instance's `out` port is a source."""
-    if end.is_self:
-        return "source" if end.port.direction == "in" else "sink"
-    return "source" if end.port.direction == "out" else "sink"
+    return "source" if direction == ("in" if self_side else "out") else "sink"
+
+
+def end_role(end: EndRef) -> str:
+    return _role(end.is_self, end.port.direction)
 
 
 def _universe(impl: Implementation):
@@ -52,10 +53,7 @@ def _universe(impl: Implementation):
 
     def port_ends(owner, owner_index, port: Port, self_side: bool):
         indices = [None] if port.array_size is None else list(range(port.array_size))
-        if self_side:
-            role = "source" if port.direction == "in" else "sink"
-        else:
-            role = "source" if port.direction == "out" else "sink"
+        role = _role(self_side, port.direction)
         for pi in indices:
             ends.append(((owner, owner_index, port.name, pi), role, port))
 

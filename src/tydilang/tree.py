@@ -41,7 +41,10 @@ def dump_ast(n: AstNode) -> str:
     """Bracketed text form: ``Kind(start, end[, [children...]])``."""
     if not n.children:
         return f"{n.kind}({n.span.start}, {n.span.end})"
-    inner = ", ".join(dump_ast(c) for c in n.children)
+    parts = []
+    for c in n.children:  # a loop, not a generator: one stack frame per level
+        parts.append(dump_ast(c))
+    inner = ", ".join(parts)
     return f"{n.kind}({n.span.start}, {n.span.end}, [{inner}])"
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tydilang.errors import SyntaxDiagnosticError
+from tydilang.lexer import tokenize
 from tydilang.parser import parse_file, parse_fragment, parse_project
 from tydilang.tree import check_span_containment, dump_ast, iter_nodes
 
@@ -142,6 +143,107 @@ def test_string_escapes():
 def test_unsupported_escape_rejected():
     with pytest.raises(SyntaxDiagnosticError):
         parse_file(r'package p; const s = "a\nb";')
+
+
+# Each lexer diagnostic: source, exact message, and the exact bytes its span
+# covers (the span starts at the first occurrence of those bytes).
+LEXER_DIAGNOSTICS = [
+    ("package p; /* open\nconst a = 1;", "unterminated block comment",
+     b"/* open\nconst a = 1;"),
+    ("package p;\n#never closed\nconst a = 1;", "unterminated documentation string",
+     b"#never closed\nconst a = 1;"),
+    ('package p; const s = "abc\nconst t = 1;', "unterminated string literal",
+     b'"abc'),
+    ('package p; const s = "abc', "unterminated string literal", b'"abc'),
+    ('package p; const s = "a\\nb";', "unsupported escape in string literal",
+     b"\\n"),
+    ('package p; const s = "a\\', "unsupported escape in string literal", b"\\"),
+    ("package p; const a = 12ab;", "malformed number '12'", b"12a"),
+    ("package p; const a = 1.5x;", "malformed number '1.5'", b"1.5x"),
+    ("package p; const a = $;", "unexpected character '$'", b"$"),
+    ("package p; const \u00e9 = 1;", "unexpected character '\u00c3'", b"\xc3"),
+    ("package p;\nconst a__b = 1;",
+     "consecutive underscores are not allowed in identifier 'a__b'", b"a__b"),
+    ('package p;\nimpl i of s { process { "}" /* } */ {',
+     "unterminated process block", b'{ "}" /* } */ {'),
+]
+
+
+@pytest.mark.parametrize("source, message, span_bytes", LEXER_DIAGNOSTICS, ids=[
+    "block_comment", "doc_string", "string_at_newline", "string_at_eof",
+    "escape", "escape_at_eof", "number_12ab", "number_1.5x", "character",
+    "non_ascii_character", "double_underscore", "process_block"])
+def test_lexer_diagnostic_is_pinned(source, message, span_bytes):
+    with pytest.raises(SyntaxDiagnosticError) as exc:
+        tokenize(source, "pin.td")
+    diag = exc.value.diagnostic
+    data = source.encode("utf-8")
+    assert (diag.category, diag.message, diag.path) == ("syntax", message, "pin.td")
+    assert (diag.span.start, diag.span.end) == (
+        data.index(span_bytes), data.index(span_bytes) + len(span_bytes))
+
+
+# One snippet with every token class; spans are UTF-8 byte offsets.
+EVERY_TOKEN_CLASS = (
+    '#d\u00f3c# package p; // line\n'
+    'const s = "q\\"b\\\\e"; /* block */ const f = 1.25;\n'
+    'const n = 42 + 0b101 + 0x1F + 0o17;\n'
+    '{{ }} @NoStrictType@ => == != <= >= << >> && ||\n'
+    'impl i of s { process { if (x == "}{") { send(x); } // }\n'
+    '  /* { */ }, };\n')
+
+
+def test_token_stream_is_pinned():
+    assert [(t.type, t.text, t.span.start, t.span.end)
+            for t in tokenize(EVERY_TOKEN_CLASS)] == [
+        ('DOC', 'dóc', 0, 6),
+        ('ID', 'package', 7, 14),
+        ('ID', 'p', 15, 16),
+        (';', ';', 16, 17),
+        ('ID', 'const', 26, 31),
+        ('ID', 's', 32, 33),
+        ('=', '=', 34, 35),
+        ('STR', 'q"b\\e', 36, 45),
+        (';', ';', 45, 46),
+        ('ID', 'const', 59, 64),
+        ('ID', 'f', 65, 66),
+        ('=', '=', 67, 68),
+        ('FLOAT', '1.25', 69, 73),
+        (';', ';', 73, 74),
+        ('ID', 'const', 75, 80),
+        ('ID', 'n', 81, 82),
+        ('=', '=', 83, 84),
+        ('INT', '42', 85, 87),
+        ('+', '+', 88, 89),
+        ('INT', '0b101', 90, 95),
+        ('+', '+', 96, 97),
+        ('INT', '0x1F', 98, 102),
+        ('+', '+', 103, 104),
+        ('INT', '0o17', 105, 109),
+        (';', ';', 109, 110),
+        ('{{', '{{', 111, 113),
+        ('}}', '}}', 114, 116),
+        ('@NoStrictType@', '@NoStrictType@', 117, 131),
+        ('=>', '=>', 132, 134),
+        ('==', '==', 135, 137),
+        ('!=', '!=', 138, 140),
+        ('<=', '<=', 141, 143),
+        ('>=', '>=', 144, 146),
+        ('<<', '<<', 147, 149),
+        ('>>', '>>', 150, 152),
+        ('&&', '&&', 153, 155),
+        ('||', '||', 156, 158),
+        ('ID', 'impl', 159, 163),
+        ('ID', 'i', 164, 165),
+        ('ID', 'of', 166, 168),
+        ('ID', 's', 169, 170),
+        ('{', '{', 171, 172),
+        ('PROCESS_BODY', ' if (x == "}{") { send(x); } // }\n  /* { */ ', 173, 227),
+        (',', ',', 227, 228),
+        ('}', '}', 229, 230),
+        (';', ';', 230, 231),
+        ('EOF', '', 232, 232),
+    ]
 
 
 def test_doc_string_attaches_to_streamlet():
