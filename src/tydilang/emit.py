@@ -5,12 +5,24 @@ visited implementation becomes one flat component whose name is the instance
 path joined by ``__`` (array elements as ``_AT_<i>`` segments). Connections
 at every level become nets between flat components; a wrapper's own port
 appears as both an inner and an outer endpoint.
+
+A design instances the same few implementations many times, so `flatten`
+analyses each distinct implementation once per call into a *stamp*: its
+wrapper flag, its port list (one tuple shared by every copy), its children
+as flat-name suffixes (``__inst`` or ``__inst_AT_i``) in sorted instance
+order, and its nets with both ends resolved to a port anchor and a slot: the
+implementation itself or one of its children. Walking the tree then only
+joins each copy's flat name onto the child suffixes; a net takes its ends'
+names from those, so a copy's nets and components share their name strings.
+`emit_dot` likewise renders each distinct port list's record label once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import TydiError
 from .logical_types import (BitType, GroupType, NullType, StreamType,
@@ -19,15 +31,15 @@ from .model import EndRef, EvalState, Implementation, Port, Project
 from .values import format_float
 
 
-@dataclass
+@dataclass(slots=True)
 class FlatComponent:
     flat_name: str
     is_wrapper: bool
-    ports: list[tuple[str, str]]  # (display name, anchor name)
+    ports: tuple[tuple[str, str], ...]  # (display name, anchor name)
     impl_id: str
 
 
-@dataclass
+@dataclass(slots=True)
 class FlatNet:
     source: tuple[str, str]  # (component anchor, port anchor)
     sink: tuple[str, str]
@@ -41,20 +53,47 @@ class FlatCircuit:
     nets: list[FlatNet] = field(default_factory=list)
 
 
-def _port_anchor(name: str, index) -> str:
+class _Stamp(NamedTuple):
+    """What every flat copy of one implementation shares."""
+    is_wrapper: bool
+    ports: tuple[tuple[str, str], ...]
+    children: tuple[tuple[str, Implementation], ...]  # (name suffix, target)
+    # (connection name, source slot, source anchor, sink slot, sink anchor);
+    # slot 0 is the implementation itself, slot k its k-th child
+    nets: tuple[tuple[str, int, str, int, str], ...]
+
+
+def _segment(name: str, index) -> str:
     return name if index is None else f"{name}_AT_{index}"
 
 
-def _component_ports(impl: Implementation) -> list[tuple[str, str]]:
-    out = []
+def _stamp(impl: Implementation) -> _Stamp:
+    ports = []
     for pname in sorted(impl.streamlet.ports):
-        port = impl.streamlet.ports[pname]
-        if port.array_size is None:
-            out.append((pname, pname))
+        size = impl.streamlet.ports[pname].array_size
+        if size is None:
+            ports.append((pname, pname))
         else:
-            for i in range(port.array_size):
-                out.append((f"{pname}@{i}", f"{pname}_AT_{i}"))
-    return out
+            ports += [(f"{pname}@{i}", f"{pname}_AT_{i}") for i in range(size)]
+    children = []
+    slots = {}  # (instance name, element index) -> slot
+    for inst_name in sorted(impl.instances):
+        inst = impl.instances[inst_name]
+        if inst.target is None:
+            raise TydiError("resolution",
+                            f"instance {inst_name!r} of {impl.id!r} is unresolved")
+        for i in [None] if inst.array_size is None else range(inst.array_size):
+            children.append(("__" + _segment(inst_name, i), inst.target))
+            slots[inst_name, i] = len(children)
+
+    # evaluation checked that every end names an instance element that exists
+    def end_point(end: EndRef) -> tuple[int, str]:
+        slot = 0 if end.is_self else slots[end.owner_name, end.owner_index]
+        return slot, _segment(end.port_name, end.port_index)
+
+    nets = tuple((conn.name, *end_point(conn.source), *end_point(conn.sink))
+                 for conn in impl.connections if conn.state is EvalState.EVALUATED)
+    return _Stamp(bool(impl.instances), tuple(ports), tuple(children), nets)
 
 
 def flatten(project: Project, top_package: str, top_impl: str) -> FlatCircuit:
@@ -70,59 +109,45 @@ def flatten(project: Project, top_package: str, top_impl: str) -> FlatCircuit:
         raise TydiError("resolution",
                         f"top implementation {top_impl!r} is not evaluated")
     circuit = FlatCircuit(top=impl.id)
-    _walk(impl, impl.id, circuit)
+    stamps: dict[int, _Stamp] = {}  # by identity: ids repeat across packages
+    components, nets = circuit.components, circuit.nets
+
+    def walk(impl: Implementation, flat_name: str):
+        stamp = stamps.get(id(impl))
+        if stamp is None:
+            stamp = stamps[id(impl)] = _stamp(impl)
+        is_wrapper, ports, children, conns = stamp
+        components.append(FlatComponent(flat_name, is_wrapper, ports, impl.id))
+        names = [flat_name]  # by slot, shared by components and nets
+        for suffix, target in children:
+            names.append(flat_name + suffix)
+            walk(target, names[-1])
+        for name, src_slot, src_anchor, sink_slot, sink_anchor in conns:
+            src, sink = names[src_slot], names[sink_slot]
+            nets.append(FlatNet((src, src_anchor), (sink, sink_anchor),
+                                f"{name}__{src}::{src_anchor}__{sink}"))
+
+    walk(impl, impl.id)
     return circuit
-
-
-def _walk(impl: Implementation, flat_name: str, circuit: FlatCircuit):
-    circuit.components.append(FlatComponent(
-        flat_name=flat_name,
-        is_wrapper=bool(impl.instances),
-        ports=_component_ports(impl),
-        impl_id=impl.id))
-
-    def child_name(inst_name: str, index) -> str:
-        seg = inst_name if index is None else f"{inst_name}_AT_{index}"
-        return f"{flat_name}__{seg}"
-
-    for inst_name in sorted(impl.instances):
-        inst = impl.instances[inst_name]
-        if inst.target is None:
-            raise TydiError("resolution",
-                            f"instance {inst_name!r} of {impl.id!r} is unresolved")
-        indices = [None] if inst.array_size is None else list(range(inst.array_size))
-        for i in indices:
-            _walk(inst.target, child_name(inst_name, i), circuit)
-
-    def end_point(end: EndRef) -> tuple[str, str]:
-        anchor = _port_anchor(end.port_name, end.port_index)
-        if end.is_self:
-            return flat_name, anchor
-        return child_name(end.owner_name, end.owner_index), anchor
-
-    for conn in impl.connections:
-        if conn.state is not EvalState.EVALUATED:
-            continue
-        src = end_point(conn.source)
-        snk = end_point(conn.sink)
-        label = f"{conn.name}__{src[0]}::{src[1]}__{snk[0]}"
-        circuit.nets.append(FlatNet(source=src, sink=snk, label=label))
 
 
 def emit_dot(circuit: FlatCircuit) -> str:
     lines = ["digraph {"]
-    for comp in sorted(circuit.components, key=lambda c: c.flat_name):
-        cells = [f"<component>{comp.flat_name}"]
-        cells += [f"<{anchor}>{display}" for display, anchor in comp.ports]
-        label = "{" + "|".join(cells) + "}"
+    tails: dict[tuple, str] = {}  # port list -> end of its record label
+    for comp in sorted(circuit.components, key=attrgetter("flat_name")):
+        ports = tuple(comp.ports)
+        tail = tails.get(ports)
+        if tail is None:
+            tail = tails[ports] = "".join(
+                f"|<{anchor}>{display}" for display, anchor in ports) + '}"];'
         attrs = "color=red, shape=record" if comp.is_wrapper else "shape=record"
-        lines.append(f'{comp.flat_name} [{attrs}, label="{label}"];')
-    for net in sorted(circuit.nets, key=lambda n: n.label):
-        lines.append(f"{net.source[0]}:{net.source[1]} -> "
-                     f"{net.sink[0]}:{net.sink[1]} "
-                     f'[label="{net.label}"] ;')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        name = comp.flat_name
+        lines.append(f'{name} [{attrs}, label="{{<component>{name}{tail}')
+    lines += [f"{n.source[0]}:{n.source[1]} -> {n.sink[0]}:{n.sink[1]} "
+              f'[label="{n.label}"] ;'
+              for n in sorted(circuit.nets, key=attrgetter("label"))]
+    lines.append("}\n")  # no second copy of the text just to end it
+    return "\n".join(lines)
 
 
 # -- structured IR ---------------------------------------------------------------

@@ -125,7 +125,9 @@ def _fail(data: bytes, i: int) -> tuple[str, int, int]:
         if data.startswith(b"\\", j):
             return "unsupported escape in string literal", j, j + 2
         return "unterminated string literal", i, j
-    return f"unexpected character {chr(data[i])!r}", i, i + 1
+    # `data` is UTF-8 and `i` starts a character; name and span all its bytes
+    char = data[i:i + 4].decode("utf-8", "ignore")[0]
+    return f"unexpected character {char!r}", i, i + len(char.encode("utf-8"))
 
 
 def _scan_balanced_braces(data: bytes, start: int, path) -> int:

@@ -309,6 +309,9 @@ def _inject_prelude_imports(project: Project):
 
 def _finish_with_errors(config: CompileConfig, result: CompileResult,
                         sources: dict[str, str]):
-    result.exit_code = 1
+    # a usage error (a --top that names no implementation, or a template)
+    # exits 2 like the CLI's own argument errors
+    usage = any(d.category == "usage" for d in result.diagnostics)
+    result.exit_code = 2 if usage else 1
     _write(config, result, "error_report.txt",
            render_error_report(result.diagnostics, sources))

@@ -131,7 +131,22 @@ def test_missing_top_is_usage_error(tmp_path):
     src = write_sources(tmp_path, {"x.td": "package p;"})
     out = tmp_path / "build"
     code = main([str(src), "--output", str(out), "--top", "p.ghost"])
-    assert code == 1  # compile-level failure, reported in the error report
+    assert code == 2  # a usage error, still reported in the error report
+
+
+def test_template_top_keeps_reports_and_exits_2(tmp_path):
+    src = write_sources(tmp_path, {"x.td": (
+        "package p;\n"
+        "type s = Stream(Bit(1));\n"
+        "streamlet a_s<n: int> { i: s in, };\n"
+        "impl a_i<n: int> of a_s<n> { };\n")})
+    out = tmp_path / "build"
+    code = main([str(src), "--output", str(out), "--top", "p.a_i", "--ir"])
+    assert code == 2
+    report = (out / "error_report.txt").read_text()
+    assert report == "<project>: [usage] top implementation 'p.a_i' is a template\n"
+    assert (out / "1_parser_output.txt").exists()
+    assert not (out / "ir.json").exists()
 
 
 def test_jobs_produce_identical_artifacts(tmp_path):

@@ -1,13 +1,15 @@
 import json
+import os
 import re
 
 import pytest
 
 from tydilang.emit import emit_dot, emit_ir, flatten
 from tydilang.errors import TydiError
+from tydilang.model import EndRef
 from tydilang.sugaring import sugar_project
 
-from conftest import evaluated_project
+from conftest import DATA_DIR, compile_texts, evaluated_project
 
 TWO_LEVEL = """
 type Group rgb {
@@ -134,6 +136,75 @@ def test_single_component_circuit():
     assert circuit.nets[0].source == ("top_i", "a")
 
 
+def binary_tree(depth: int) -> str:
+    """A binary instance tree: level k instances level k-1 twice, so one
+    node implementation per level and one leaf serve 2**(depth+1)-1 copies."""
+    lines = ["package p;",
+             "type s = Stream(Bit(1));",
+             "streamlet pair_s { input: s in, output: s out, };",
+             "external impl lvl0_i of pair_s {\n};"]
+    for k in range(1, depth + 1):
+        lines.append(
+            f"impl lvl{k}_i of pair_s {{ instance a(lvl{k - 1}_i), "
+            f"instance b(lvl{k - 1}_i), input => a.input, "
+            f"a.output => b.input, b.output => output, }};")
+    return "\n".join(lines) + "\n"
+
+
+def test_same_named_implementations_in_two_packages_stay_apart():
+    """Implementation ids are unique only within a package, so two `leaf_i`
+    in one hierarchy must keep their own ports."""
+    project, _ = evaluated_project(
+        "package lib;\n"
+        "type s = Stream(Bit(1));\n"
+        "streamlet leaf_s { i: s in, };\n"
+        "external impl leaf_i of leaf_s {\n};\n",
+        "package app;\nimport lib;\n"
+        "type s = Stream(Bit(1));\n"
+        "streamlet leaf_s { x: s in, y: s out, };\n"
+        "external impl leaf_i of leaf_s {\n};\n"
+        "streamlet top_s { a: s in, b: s in, c: s out, };\n"
+        "impl top_i of top_s {\n"
+        "  instance l(lib.leaf_i), instance m(leaf_i),\n"
+        "  a => l.i @NoStrictType@, b => m.x, m.y => c,\n"
+        "};\n", top="app.top_i")
+    circuit = flatten(project, "app", "top_i")
+    ports = {c.flat_name: list(c.ports) for c in circuit.components}
+    assert ports["top_i__l"] == [("i", "i")]
+    assert ports["top_i__m"] == [("x", "x"), ("y", "y")]
+    dot = emit_dot(circuit)
+    assert "<component>top_i__l|<i>i}" in dot
+    assert "<component>top_i__m|<x>x|<y>y}" in dot
+
+
+def test_flatten_resolves_each_implementation_once(monkeypatch):
+    """Connection ends are resolved once per distinct implementation, not
+    once per flat copy: every node implementation costs the same six
+    `is_self` reads (three connections, two ends) at depth 6 and at depth 8,
+    while the flat tree grows fourfold."""
+    original = EndRef.is_self
+
+    def flatten_tree(depth):
+        project, _ = evaluated_project(binary_tree(depth), top=f"p.lvl{depth}_i")
+        reads = 0
+
+        def counting(end):
+            nonlocal reads
+            reads += 1
+            return original.fget(end)
+
+        with monkeypatch.context() as m:
+            m.setattr(EndRef, "is_self", property(counting))
+            circuit = flatten(project, "p", f"lvl{depth}_i")
+        assert len(circuit.components) == 2 ** (depth + 1) - 1
+        assert len(circuit.nets) == 3 * (2 ** depth - 1)
+        return reads, len(circuit.components)
+
+    (small_reads, small), (large_reads, large) = flatten_tree(6), flatten_tree(8)
+    assert large / small > 4
+    assert (small_reads / 6, large_reads / 8) == (6, 6), (small_reads, large_reads)
+
+
 # -- DOT ------------------------------------------------------------------------
 
 
@@ -192,6 +263,19 @@ def test_dot_sorted_and_deterministic():
     names = [l.split(" ")[0] for l in emit_dot(c1).splitlines()
              if "shape=record" in l]
     assert names == sorted(names)
+
+
+def test_dot_is_pinned():
+    """Byte-exact DOT for a design with one wrapper implementation instanced
+    three times (two array elements and a scalar), array ports, a named net
+    and a wrapper port that passes straight through."""
+    with open(os.path.join(DATA_DIR, "golden_circuit.td"), encoding="utf-8") as f:
+        source = f.read()
+    with open(os.path.join(DATA_DIR, "golden_circuit.dot"), encoding="utf-8") as f:
+        expected = f.read()
+    result = compile_texts(source, top="circ.top_i", dot=True)
+    assert result.ok, result.diagnostics
+    assert result.artifacts["circuit.dot"] == expected
 
 
 def test_dot_empty_circuit():
