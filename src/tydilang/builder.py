@@ -103,11 +103,8 @@ class StatementBuilder:
                 declare(own, self.build_const(item, own), "variable", item.span, self.path)
             elif item.kind == "TypeDecl":
                 declare(own, self.build_type_entry(item, own), "type", item.span, self.path)
-            elif item.kind == "AssertStmt":
+            else:  # AssertStmt, the last kind of group item the parser makes
                 entry.asserts.append(item)
-            else:
-                raise TydiError("syntax", f"unexpected {item.kind} in group body",
-                                self.path, item.span)
         return entry
 
     # -- streamlets ------------------------------------------------------------
@@ -221,11 +218,8 @@ class StatementBuilder:
             own.connections.append(self.build_connection(item))
         elif kind in ("IfBlock", "ForBlock"):
             impl.generative.append(item)
-        elif kind == "ProcessBlock":
+        else:  # ProcessBlock, the last kind of item the parser makes
             impl.process_block = item.leaf_text
-        else:
-            raise TydiError("syntax", f"unexpected {kind} in implementation body",
-                            self.path, item.span)
 
     def build_instance(self, item: AstNode) -> Instance:
         name = name_of(item.children[0], self.path)
@@ -308,11 +302,9 @@ class PackageBuilder(StatementBuilder):
             s = self.build_streamlet(stmt, scope)
             declare(scope, s, "streamlet", stmt.span, self.path)
             return
-        if kind in ("ImplDecl", "ImplInstDecl"):
-            i = self.build_impl(stmt, scope)
-            declare(scope, i, "implementation", stmt.span, self.path)
-            return
-        raise TydiError("syntax", f"unexpected statement {kind}", self.path, stmt.span)
+        # ImplDecl or ImplInstDecl, the last statements the parser makes
+        declare(scope, self.build_impl(stmt, scope), "implementation", stmt.span,
+                self.path)
 
 
 def build_project(name: str, parsed_files: dict[str, ParsedFile]) -> Project:

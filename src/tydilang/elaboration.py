@@ -6,7 +6,8 @@ targets of its instances (instantiating templates on the way), the types of
 every port it touches, and nothing else. Template instantiation deep-copies
 the template, binds each parameter's magic variable, registers the copy under
 a mangled ``name@arg@arg`` id and evaluates it; instantiating the same
-arguments twice returns the existing entity.
+arguments twice returns the existing entity. Streamlet, implementation and
+type references resolve through `model.resolve_ref`.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ from typing import Optional
 
 from .builder import StatementBuilder, name_of, snip
 from .context import EvalContext
-from .errors import AssertionFailure, ResolutionError, TydiError, TypeError_
+from .errors import AssertionFailure, TydiError, TypeError_
 from .logical_types import StreamType, short_name
 from .math_engine import (ExpressionEvaluator, evaluate_expression,
                           evaluate_range, force_variable)
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Port, Scope, Streamlet, TypeEntry, Variable,
-                    enclosing_package_scope, resolve_name)
+                    enclosing_package_scope, resolve_name, resolve_ref)
 from .tree import AstNode, node as make_node
-from .type_eval import evaluate_type_ast, force_type_entry
+from .type_eval import evaluate_type_terminal, force_type_entry
 from .values import (ArrayValue, BoolValue, ClockDomainValue, FloatValue,
                      IntValue, StrValue, Value, format_value, mangle_text,
                      variant_name)
@@ -66,15 +67,8 @@ def evaluate_streamlet(ctx: EvalContext, s: Streamlet):
 
 def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
     path = ctx.path_for(scope)
-    inner = port.type_ast.children[0]
-    if inner.kind == "LogicalUserDefinedType":
-        from .type_eval import _resolve_type_ref
-        entry = _resolve_type_ref(ctx, scope, inner)
-        port.logical_type = force_type_entry(ctx, entry)
-        port.type_terminal = entry.terminal
-    else:
-        port.logical_type = evaluate_type_ast(ctx, scope, port.type_ast)
-        port.type_terminal = port.logical_type
+    port.logical_type, port.type_terminal = evaluate_type_terminal(
+        ctx, scope, port.type_ast)
     if not isinstance(port.logical_type, StreamType):
         raise TypeError_(
             f"port {port.name!r} must have a stream type, got "
@@ -92,10 +86,7 @@ def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
         if body.kind == "STR":
             port.clockdomain = ClockDomainValue(body.leaf_text)
         else:
-            try:
-                var, _ = resolve_name(scope, body.leaf_text, "variable")
-            except ResolutionError as e:
-                raise TydiError("resolution", e.message, path, body.span) from None
+            var = resolve_ref(ctx.project, scope, body, "variable", path)
             cd = force_variable(ctx, var)
             if not isinstance(cd, ClockDomainValue):
                 raise TypeError_(
@@ -168,7 +159,7 @@ def _resolve_of_streamlet(ctx: EvalContext, impl: Implementation) -> Streamlet:
     if of.kind == "TemplateInstance":
         template, args = _resolve_template_use(ctx, impl.scope, of, "streamlet")
         return instantiate_template(ctx, template, args)
-    s = _resolve_entity(ctx, impl.scope, of, "streamlet")
+    s = resolve_ref(ctx.project, impl.scope, of, "streamlet", path)
     if s.is_template:
         raise TydiError(
             "resolution",
@@ -188,7 +179,8 @@ def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
         bound = None
         if target_ast.kind == "ID":
             bound = impl.scope.impl_args.get(target_ast.leaf_text)
-        target = bound or _resolve_entity(ctx, impl.scope, target_ast, "implementation")
+        target = bound or resolve_ref(ctx.project, impl.scope, target_ast,
+                                      "implementation", path)
         if target.is_template:
             raise TydiError(
                 "resolution",
@@ -203,37 +195,6 @@ def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
                              path, inst.span)
         inst.array_size = size.value
     inst.state = EvalState.EVALUATED
-
-
-def _resolve_entity(ctx: EvalContext, scope: Scope, ref: AstNode, category: str):
-    """Resolve an ID or pkg.ID reference to a streamlet or implementation."""
-    path = ctx.path_for(scope)
-    if ref.kind == "ID":
-        try:
-            entity, _ = resolve_name(scope, ref.leaf_text, category)
-            return entity
-        except ResolutionError as e:
-            raise TydiError("resolution", e.message, path, ref.span) from None
-    if ref.kind == "QualifiedId":
-        pkg_name, member = (c.leaf_text for c in ref.children)
-        pkg_scope = enclosing_package_scope(scope)
-        if pkg_scope is None or f"$package${pkg_name}" not in pkg_scope.variables:
-            raise TydiError("resolution",
-                            f"package {pkg_name!r} is not imported here",
-                            path, ref.span)
-        pkg = ctx.project.packages.get(pkg_name)
-        if pkg is None:
-            raise TydiError("resolution", f"package {pkg_name!r} does not exist",
-                            path, ref.span)
-        table = pkg.scope.streamlets if category == "streamlet" else pkg.scope.implements
-        entity = table.get(member)
-        if entity is None:
-            raise TydiError("resolution",
-                            f"{category} {member!r} not found in package {pkg_name!r}",
-                            path, ref.span)
-        return entity
-    raise TydiError("resolution", f"cannot resolve {ref.kind} as a {category}",
-                    path, ref.span)
 
 
 # -- connections ---------------------------------------------------------------
@@ -338,17 +299,13 @@ def _extract_owner_scope(ctx: EvalContext, scope: Scope, extract: AstNode) -> Sc
             template, args = _resolve_template_use(ctx, scope, owner_ast, category)
             entity = instantiate_template(ctx, template, args)
         else:
-            entity = _resolve_entity(ctx, scope, owner_ast, category)
+            entity = resolve_ref(ctx.project, scope, owner_ast, category, path)
         return entity.scope
     # keyword 'type': group/union member access
-    from .type_eval import _resolve_type_ref
     if owner_ast.kind not in ("ID", "QualifiedId"):
         raise TydiError("resolution", "type member extraction needs a type name",
                         path, owner_ast.span)
-    entry = _resolve_type_ref(ctx, scope, owner_ast if owner_ast.kind == "QualifiedId"
-                              else make_node("LogicalUserDefinedType",
-                                             owner_ast.span.start, owner_ast.span.end,
-                                             [owner_ast]))
+    entry = resolve_ref(ctx.project, scope, owner_ast, "type", path)
     evaluated = force_type_entry(ctx, entry)
     inner_scope = getattr(evaluated, "scope", None)
     if inner_scope is None:
@@ -392,7 +349,7 @@ def _resolve_template_use(ctx: EvalContext, scope: Scope, inst_ast: AstNode,
     """Resolve a `name<args>` use; evaluates the arguments in `scope`."""
     path = ctx.path_for(scope)
     base = inst_ast.children[0]
-    template = _resolve_entity(ctx, scope, base, category)
+    template = resolve_ref(ctx.project, scope, base, category, path)
     if not template.is_template:
         raise TydiError("resolution",
                         f"{category} {template.id!r} is not a template",
@@ -417,23 +374,15 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
             raise TypeError_(
                 f"template parameter {param.name!r} expects a logical type; "
                 "use the `type` keyword before the argument", path, arg_node.span)
-        type_ast = arg_node.children[0]
-        inner = type_ast.children[0]
-        if inner.kind == "LogicalUserDefinedType":
-            from .type_eval import _resolve_type_ref
-            entry = _resolve_type_ref(ctx, scope, inner)
-            lt = force_type_entry(ctx, entry)
-            terminal = entry.terminal
-        else:
-            lt = evaluate_type_ast(ctx, scope, type_ast)
-            terminal = lt
+        lt, terminal = evaluate_type_terminal(ctx, scope, arg_node.children[0])
         return TemplateArg("type", short_name(lt), logical_type=lt, terminal=terminal)
     if param.kind == "impl":
         if arg_node.kind != "TemplateArgImpl":
             raise TypeError_(
                 f"template parameter {param.name!r} expects an implementation; "
                 "use the `impl` keyword before the argument", path, arg_node.span)
-        target = _resolve_entity(ctx, scope, arg_node.children[0], "implementation")
+        target = resolve_ref(ctx.project, scope, arg_node.children[0], "implementation",
+                             path)
         if target.is_template:
             raise TydiError(
                 "resolution",
@@ -606,18 +555,13 @@ class _Cloner:
 
 def _expand_block(ctx: EvalContext, impl: Implementation, block: AstNode,
                   sb: StatementBuilder, suffix: str):
-    path = ctx.path_for(impl.scope)
-    if block.kind == "IfBlock":
-        body = _select_if_branch(ctx, impl.scope, block, path)
-        if body is not None:
-            for item in body.children:
-                _add_expanded_item(ctx, impl, item, sb, suffix)
-        return
     if block.kind == "ForBlock":
         expand_for(ctx, impl, block, sb, suffix)
         return
-    raise TydiError("syntax", f"unexpected generative block {block.kind}",
-                    path, block.span)
+    body = _select_if_branch(ctx, impl.scope, block, ctx.path_for(impl.scope))
+    if body is not None:
+        for item in body.children:
+            _add_expanded_item(ctx, impl, item, sb, suffix)
 
 
 def _select_if_branch(ctx, scope, block: AstNode, path) -> Optional[AstNode]:

@@ -97,14 +97,7 @@ def _stamp(impl: Implementation) -> _Stamp:
 
 
 def flatten(project: Project, top_package: str, top_impl: str) -> FlatCircuit:
-    pkg = project.packages.get(top_package)
-    impl = pkg.scope.implements.get(top_impl) if pkg else None
-    if impl is None:
-        raise TydiError("resolution",
-                        f"top implementation {top_package}.{top_impl} not found")
-    if impl.is_template:
-        raise TydiError("resolution",
-                        f"top implementation {top_impl!r} is a template")
+    impl = project.top_implementation(f"{top_package}.{top_impl}")
     if impl.state is not EvalState.EVALUATED:
         raise TydiError("resolution",
                         f"top implementation {top_impl!r} is not evaluated")

@@ -4,7 +4,8 @@ Implements the operator/type matrix for constant variables: arithmetic with
 int/float promotion, bool logic, comparisons, string concatenation, bitwise
 operations, `round`/`floor`/`ceil`/`log`, array literals and insertion, and
 integer ranges. Integer arithmetic is 64-bit; overflow is a compile error
-rather than silent wraparound.
+rather than silent wraparound. A `name` or `package.name` reference resolves
+through `model.resolve_ref`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import math
 from typing import Optional
 
 from .context import EvalContext
-from .errors import ResolutionError, Span, TydiError, TypeError_
-from .model import EvalState, Scope, Variable, enclosing_package_scope, resolve_name
+from .errors import Span, TydiError, TypeError_
+from .model import EvalState, Scope, Variable, resolve_ref
 from .tree import AstNode
 from .values import (ArrayValue, BoolValue, ClockDomainValue, FloatValue,
                      IntValue, StrValue, Value, format_float, in_int64_range,
@@ -124,55 +125,20 @@ class ExpressionEvaluator:
             return self.eval_index(atom)
         if kind == "FunctionExp":
             return self.eval_function(atom)
-        if kind == "MemberExtractExp":
-            from .elaboration import extract_member_value
-            return extract_member_value(self.ctx, self.scope, atom)
-        raise self.err(f"cannot evaluate {kind}", atom.span)
+        # MemberExtractExp, the last kind of atom the parser makes
+        from .elaboration import extract_member_value
+        return extract_member_value(self.ctx, self.scope, atom)
 
-    def eval_reference(self, atom: AstNode) -> Value:
-        ids = [c.leaf_text for c in atom.children]
-        if len(ids) == 1:
-            var, _ = self._resolve_variable(ids[0], atom.span)
-            return force_variable(self.ctx, var)
-        var = self._resolve_package_member(ids[0], ids[1], atom.span)
+    def eval_reference(self, ref: AstNode) -> Value:
+        """The value of the variable a VarExp or IndexExp names."""
+        var = resolve_ref(self.ctx.project, self.scope, ref, "variable", self.path)
         return force_variable(self.ctx, var)
 
-    def _resolve_variable(self, name: str, span) -> tuple[Variable, Scope]:
-        try:
-            return resolve_name(self.scope, name, "variable")
-        except ResolutionError as e:
-            raise TydiError("resolution", e.message, self.path, span) from None
-
-    def _resolve_package_member(self, pkg_name: str, member: str, span) -> Variable:
-        pkg_scope = enclosing_package_scope(self.scope)
-        if pkg_scope is None or f"$package${pkg_name}" not in pkg_scope.variables:
-            raise TydiError(
-                "resolution",
-                f"package {pkg_name!r} is not imported here", self.path, span)
-        target = self.ctx.project.packages.get(pkg_name)
-        if target is None:
-            raise TydiError(
-                "resolution",
-                f"package {pkg_name!r} does not exist in the project",
-                self.path, span)
-        var = target.scope.variables.get(member)
-        if var is None:
-            raise TydiError(
-                "resolution",
-                f"variable {member!r} not found in package {pkg_name!r}",
-                self.path, span)
-        return var
-
     def eval_index(self, atom: AstNode) -> Value:
-        ids = [c.leaf_text for c in atom.children if c.kind == "ID"]
         index_exp = atom.children[-1]
-        if len(ids) == 1:
-            var, _ = self._resolve_variable(ids[0], atom.span)
-        else:
-            var = self._resolve_package_member(ids[0], ids[1], atom.span)
-        arr = force_variable(self.ctx, var)
+        arr = self.eval_reference(atom)
         if not isinstance(arr, ArrayValue):
-            raise self.err(f"{ids[-1]!r} is not an array", atom.span)
+            raise self.err(f"{atom.children[-2].leaf_text!r} is not an array", atom.span)
         idx = self.eval_exp(index_exp)
         if not isinstance(idx, IntValue):
             raise self.err("array index must be an int", index_exp.span)
@@ -196,10 +162,8 @@ class ExpressionEvaluator:
             n = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
         elif func == "floor":
             n = math.floor(x)
-        elif func == "ceil":
+        else:  # ceil: the parser makes a FUNC of the builtins only
             n = math.ceil(x)
-        else:
-            raise self.err(f"unknown function {func!r}", atom.span)
         return IntValue(_check_int(int(n), atom.span, self.path, f"{func} result"))
 
     def _eval_log(self, base: Value, arg: Value, span) -> Value:
@@ -231,11 +195,10 @@ class ExpressionEvaluator:
             if isinstance(v, BoolValue):
                 return BoolValue(not v.value)
             raise self.err(f"unary '!' expects bool, got {variant_name(v)}", span)
-        if op == "~":
-            if isinstance(v, IntValue):
-                return IntValue(_check_int(~v.value, span, self.path))
-            raise self.err(f"unary '~' expects int, got {variant_name(v)}", span)
-        raise self.err(f"unknown unary operator {op!r}", span)
+        # "~", the last of the parser's unary operators
+        if isinstance(v, IntValue):
+            return IntValue(_check_int(~v.value, span, self.path))
+        raise self.err(f"unary '~' expects int, got {variant_name(v)}", span)
 
     def apply_binary(self, op: str, a: Value, b: Value, span) -> Value:
         if op == "+" and (isinstance(a, ArrayValue) or isinstance(b, ArrayValue)):
@@ -283,13 +246,11 @@ class ExpressionEvaluator:
         if op == "+" and (isinstance(a, StrValue) or isinstance(b, StrValue)):
             return self._str_concat(a, b, span)
 
-        if op in ("+", "-", "*", "/", "^"):
-            if not (isinstance(a, (IntValue, FloatValue))
-                    and isinstance(b, (IntValue, FloatValue))):
-                raise self._bin_err(op, a, b, span)
-            return self._numeric(op, a, b, span)
-
-        raise self.err(f"unknown operator {op!r}", span)
+        # + - * / ^, the rest of the parser's infix operators
+        if not (isinstance(a, (IntValue, FloatValue))
+                and isinstance(b, (IntValue, FloatValue))):
+            raise self._bin_err(op, a, b, span)
+        return self._numeric(op, a, b, span)
 
     def _numeric(self, op: str, a: Value, b: Value, span) -> Value:
         both_int = isinstance(a, IntValue) and isinstance(b, IntValue)
@@ -335,8 +296,6 @@ class ExpressionEvaluator:
         if isinstance(a, ArrayValue) and isinstance(b, ArrayValue):
             raise self.err("cannot add two arrays", span)
         arr, elem, append = (a, b, True) if isinstance(a, ArrayValue) else (b, a, False)
-        if isinstance(elem, ArrayValue):
-            raise self.err("nested arrays are not supported", span)
         if arr.elements and type(arr.elements[0]) is not type(elem):
             raise self.err(
                 f"inserted {variant_name(elem)} does not match array of "

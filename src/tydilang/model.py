@@ -2,7 +2,8 @@
 
 Scopes house variables, logical types, streamlets, implementations, ports,
 instances and connections, and are linked by typed scope relationships that
-govern which name categories may resolve through them.
+govern which name categories may resolve through them. Every stage looks up
+a `name` or `package.name` reference through `resolve_ref`.
 """
 
 from __future__ import annotations
@@ -264,8 +265,17 @@ class Project:
     name: str
     packages: dict[str, Package] = field(default_factory=dict)
 
-    def package_scope(self, name: str) -> Scope:
-        return self.packages[name].scope
+    def top_implementation(self, top: str) -> Implementation:
+        """The implementation `top` ("package.impl") names; a usage error if
+        it names none or a template."""
+        pkg_name, _, impl_name = top.partition(".")
+        pkg = self.packages.get(pkg_name)
+        impl = pkg.scope.implements.get(impl_name) if pkg else None
+        if impl is None:
+            raise TydiError("usage", f"top implementation {top!r} not found")
+        if impl.is_template:
+            raise TydiError("usage", f"top implementation {top!r} is a template")
+        return impl
 
 
 def declare(scope: Scope, entity, category: str, span: Optional[Span] = None,
@@ -290,38 +300,63 @@ def declare(scope: Scope, entity, category: str, span: Optional[Span] = None,
     table[key] = entity
 
 
-def resolve_name(start_scope: Scope, name: str, category: str):
+def resolve_name(start_scope: Scope, name: str, category: str,
+                 path: Optional[str] = None, span: Optional[Span] = None):
     """Find `name` in `start_scope` or outward through permitted relations.
 
-    Inner names shadow outer names. Returns (entity, owning scope); raises
-    ResolutionError with the chain of scopes searched on a miss.
+    Inner names shadow outer names; relations are searched depth first, in
+    the order they were added. Returns (entity, owning scope); on a miss,
+    raises a ResolutionError at `path`/`span` naming the scopes searched.
     """
     allowed = TRAVERSABLE[category]
     attr = _CATEGORY_MAPS[category]
     searched: list[str] = []
     seen: set[int] = set()
-
-    def walk(scope: Scope):
+    stack = [start_scope]
+    while stack:
+        scope = stack.pop()
         if id(scope) in seen:
-            return None
+            continue
         seen.add(id(scope))
         searched.append(scope.name)
         table = getattr(scope, attr)
         if name in table:
             return table[name], scope
-        for kind, target in scope.relations:
-            if kind not in allowed:
-                continue
-            hit = walk(target)
-            if hit is not None:
-                return hit
-        return None
+        for kind, target in reversed(scope.relations):
+            if kind in allowed:
+                stack.append(target)
+    chain = " -> ".join(searched)
+    raise ResolutionError(f"{category} {name!r} not found (searched {chain})",
+                          path, span)
 
-    found = walk(start_scope)
-    if found is None:
-        chain = " -> ".join(searched)
-        raise ResolutionError(f"{category} {name!r} not found (searched {chain})")
-    return found
+
+def resolve_ref(project: Project, scope: Scope, ref: AstNode, category: str,
+                path: Optional[str]):
+    """The entity a `name` or `package.name` reference denotes.
+
+    `ref` is an ID leaf or a node whose ID children spell the reference
+    (QualifiedId, VarExp, IndexExp, LogicalUserDefinedType). A plain name
+    resolves outward from `scope`; a qualified one is a member of a package
+    that the package of `scope` imports. A miss raises a ResolutionError at
+    `path` and the span of `ref`.
+    """
+    ids = [ref.leaf_text] if ref.kind == "ID" else \
+        [c.leaf_text for c in ref.children if c.kind == "ID"]
+    if len(ids) == 1:
+        return resolve_name(scope, ids[0], category, path, ref.span)[0]
+    pkg_name, member = ids
+    pkg_scope = enclosing_package_scope(scope)
+    if pkg_scope is None or f"$package${pkg_name}" not in pkg_scope.variables:
+        raise ResolutionError(f"package {pkg_name!r} is not imported here",
+                              path, ref.span)
+    pkg = project.packages.get(pkg_name)
+    if pkg is None:
+        raise ResolutionError(f"package {pkg_name!r} does not exist", path, ref.span)
+    entity = getattr(pkg.scope, _CATEGORY_MAPS[category]).get(member)
+    if entity is None:
+        raise ResolutionError(
+            f"{category} {member!r} not found in package {pkg_name!r}", path, ref.span)
+    return entity
 
 
 def enclosing_package_scope(scope: Scope) -> Optional[Scope]:

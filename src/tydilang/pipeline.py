@@ -143,14 +143,10 @@ def evaluate_project(ctx: EvalContext, project: Project,
                      top: Optional[str] = None) -> list[Diagnostic]:
     """Drive lazy evaluation from the configured roots; aggregate failures."""
     if top is not None:
-        pkg_name, _, impl_name = top.partition(".")
-        pkg = project.packages.get(pkg_name)
-        impl = pkg.scope.implements.get(impl_name) if pkg else None
-        if impl is None:
-            return [Diagnostic("usage", f"top implementation {top!r} not found")]
-        if impl.is_template:
-            return [Diagnostic("usage", f"top implementation {top!r} is a template")]
-        roots = [impl]
+        try:
+            roots = [project.top_implementation(top)]
+        except TydiError as e:
+            return [e.diagnostic]
     else:
         impl_roots, value_roots = evaluation_roots(project)
         roots = impl_roots + value_roots

@@ -2,7 +2,8 @@
 
 Every type entry evaluates at most once. Strict type checking compares the
 *declaration* two references resolve to (through any alias chain), while
-compatibility is the structural comparison from `logical_types`.
+compatibility is the structural comparison from `logical_types`. Named
+types resolve through `model.resolve_ref`.
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ from __future__ import annotations
 from typing import Optional
 
 from .context import EvalContext
-from .errors import ResolutionError, TydiError, TypeError_
+from .errors import TypeError_
 from .logical_types import (DIRECTION_VALUES, NULL, SYNCHRONICITY_VALUES,
                             BitType, GroupType, StreamProperties, StreamType,
                             UnionType)
 from .math_engine import evaluate_expression
-from .model import EvalState, Scope, TypeEntry, resolve_name
+from .model import EvalState, Scope, TypeEntry, resolve_ref
 from .tree import AstNode
 from .values import BoolValue, FloatValue, IntValue, StrValue, variant_name
 
@@ -54,7 +55,8 @@ def _compute_type_entry(ctx: EvalContext, entry: TypeEntry):
         entry.terminal = entry
         return
     if inner.kind == "LogicalUserDefinedType":
-        target = _resolve_type_ref(ctx, entry.scope, inner)
+        target = resolve_ref(ctx.project, entry.scope, inner, "type",
+                             ctx.path_for(entry.scope))
         force_type_entry(ctx, target)
         entry.evaluated = target.evaluated
         entry.terminal = target.terminal
@@ -84,31 +86,15 @@ def _evaluate_group(ctx: EvalContext, entry: TypeEntry, inner: AstNode):
     return result
 
 
-def _resolve_type_ref(ctx: EvalContext, scope: Scope, ref: AstNode) -> TypeEntry:
-    path = ctx.path_for(scope)
-    ids = [c.leaf_text for c in ref.children]
-    if len(ids) == 1:
-        try:
-            entry, _ = resolve_name(scope, ids[0], "type")
-            return entry
-        except ResolutionError as e:
-            raise TydiError("resolution", e.message, path, ref.span) from None
-    pkg_name, member = ids
-    from .model import enclosing_package_scope
-    pkg_scope = enclosing_package_scope(scope)
-    if pkg_scope is None or f"$package${pkg_name}" not in pkg_scope.variables:
-        raise TydiError("resolution", f"package {pkg_name!r} is not imported here",
-                        path, ref.span)
-    target = ctx.project.packages.get(pkg_name)
-    if target is None:
-        raise TydiError("resolution", f"package {pkg_name!r} does not exist",
-                        path, ref.span)
-    entry = target.scope.types.get(member)
-    if entry is None:
-        raise TydiError("resolution",
-                        f"type {member!r} not found in package {pkg_name!r}",
-                        path, ref.span)
-    return entry
+def evaluate_type_terminal(ctx: EvalContext, scope: Scope, type_node: AstNode):
+    """A logical-type expression's value and the declaration strict type
+    checks compare: a named type's terminal, or the value of an inline one."""
+    inner = type_node.children[0]
+    if inner.kind == "LogicalUserDefinedType":
+        entry = resolve_ref(ctx.project, scope, inner, "type", ctx.path_for(scope))
+        return force_type_entry(ctx, entry), entry.terminal
+    evaluated = evaluate_type_ast(ctx, scope, type_node)
+    return evaluated, evaluated
 
 
 def evaluate_type_ast(ctx: EvalContext, scope: Scope, type_node: AstNode,
@@ -135,17 +121,15 @@ def evaluate_type_ast(ctx: EvalContext, scope: Scope, type_node: AstNode,
     if kind == "LogicalStreamType":
         return _evaluate_stream(ctx, scope, inner, declared_name)
     if kind == "LogicalUserDefinedType":
-        target = _resolve_type_ref(ctx, scope, inner)
-        return force_type_entry(ctx, target)
+        return force_type_entry(ctx, resolve_ref(ctx.project, scope, inner, "type", path))
     if kind == "LogicalTypeExtract":
         from .elaboration import extract_member_type
         evaluated, _ = extract_member_type(ctx, scope, inner)
         return evaluated
-    if kind in ("LogicalGroupType", "LogicalUnionType"):
-        raise TypeError_(
-            "inline group/union types must be declared with their own `type` "
-            "statement", path, inner.span)
-    raise TypeError_(f"cannot evaluate type node {kind}", path, inner.span)
+    # a group or union, the last kinds of logical type the parser makes
+    raise TypeError_(
+        "inline group/union types must be declared with their own `type` "
+        "statement", path, inner.span)
 
 
 def _evaluate_stream(ctx: EvalContext, scope: Scope, stream_node: AstNode,

@@ -5,13 +5,22 @@ Each case compiles its sources (named ``f0.td``, ``f1.td``, ...) with
 category, message and location (``path:line:col``, the bare path when the
 diagnostic has no span, ``<project>`` when it has no path). A few checks
 are reachable only through the library API; `API_CASES` pins those.
+
+`test_every_diagnostic_site_is_pinned` reads the compiler's source and
+checks that each message it can raise is pinned here or listed, with the
+reason, in `UNREACHABLE`.
 """
+
+import ast
+import re
+from pathlib import Path
 
 import pytest
 
 from tydilang.builder import build_project
 from tydilang.context import EvalContext
 from tydilang.emit import flatten
+from tydilang import errors
 from tydilang.errors import TydiError
 from tydilang.logical_types import StreamType, bit_width
 from tydilang.model import Scope, ScopeRelationKind, Streamlet, declare, resolve_name
@@ -105,7 +114,7 @@ CASES = [
      ("package a; const x = b.y;", "package b; const y = 1;"), {}, "resolution",
      "package 'b' is not imported here", "f0.td:1:22"),
     ("variable_package_missing", "package a; import b; const x = b.y;", {},
-     "resolution", "package 'b' does not exist in the project", "f0.td:1:32"),
+     "resolution", "package 'b' does not exist", "f0.td:1:32"),
     ("variable_not_in_package",
      ("package a; import b; const x = b.z;", "package b; const y = 1;"), {},
      "resolution", "variable 'z' not found in package 'b'", "f0.td:1:32"),
@@ -365,11 +374,6 @@ def test_diagnostic_is_pinned(sources, options, category, message, location):
         result.diagnostics[0].path)) == location
 
 
-def test_case_ids_are_unique():
-    ids = [case[0] for case in CASES]
-    assert len(ids) == len(set(ids))
-
-
 def _declare_streamlet_in_group():
     group = Scope("group_g", "group")
     declare(group, Streamlet(id="q", scope=Scope("streamlet_q", "streamlet")),
@@ -424,3 +428,101 @@ def test_api_diagnostic_is_pinned(call, category, message):
     except TydiError as e:
         diagnostic = e.diagnostic
     assert (diagnostic.category, diagnostic.message) == (category, message)
+
+
+# -- every site is pinned ----------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tydilang"
+
+# message sites that no source and no API call reaches, by "module.function:
+# message" with {} for each interpolated value
+UNREACHABLE = {
+    "elaboration.evaluate_streamlet: streamlet template {} must be instantiated "
+    "with arguments before use":
+        "an `of` naming a template is rejected first, and instantiated copies "
+        "have no template parameters",
+    "elaboration._compute_implementation: implementation template {} must be "
+    "instantiated with arguments before use":
+        "roots, instances, impl arguments and --top all reject templates first, "
+        "and instantiated copies have no template parameters",
+    "elaboration._literal_node: loop value of type {} cannot be substituted":
+        "loop values are array elements, and arrays hold only the basic values "
+        "handled above",
+    "emit._stamp: instance {} of {} is unresolved":
+        "flatten needs an evaluated top, and evaluating an implementation "
+        "resolves every instance below it",
+    "emit._type_json: cannot serialize type {}":
+        "every kind of logical type is handled above",
+    "logical_types.short_name: type has no name form: {}":
+        "every kind of logical type is handled above",
+}
+
+# calls whose argument is a diagnostic message, by the name called, with the
+# text the callee puts in front of it
+_ERROR_CLASSES = {name for name, obj in vars(errors).items()
+                  if isinstance(obj, type) and issubclass(obj, TydiError)}
+_MESSAGE_HELPERS = {"err": "", "fail": "expected "}
+
+
+def _skeleton(node) -> str:
+    """The literal text of a message expression, {} for each computed part."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_skeleton(part) for part in node.values)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _skeleton(node.left) + _skeleton(node.right)
+    return "{}"
+
+
+def _message(node, function: str):
+    """(prefix, message expression) if `node` makes a diagnostic."""
+    if isinstance(node, ast.Call):
+        callee = node.func.id if isinstance(node.func, ast.Name) else \
+            getattr(node.func, "attr", None)
+        index = 1 if callee in ("TydiError", "Diagnostic") else 0
+        if (callee in _ERROR_CLASSES or callee == "Diagnostic"
+                or callee in _MESSAGE_HELPERS) and len(node.args) > index:
+            return _MESSAGE_HELPERS.get(callee, ""), node.args[index]
+    # the lexer's `_fail` returns (message, start, end) for `err` to raise
+    if isinstance(node, ast.Return) and function == "_fail" \
+            and isinstance(node.value, ast.Tuple):
+        return "", node.value.elts[0]
+    return None
+
+
+def diagnostic_sites() -> dict[str, str]:
+    """Every message site in the compiler: its key and the text it makes."""
+    sites = {}
+
+    def visit(node, module: str, function: str):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            found = _message(child, inner)
+            if found is not None:
+                text = found[0] + _skeleton(found[1])
+                sites[f"{module}.{inner}: {text}"] = text
+            visit(child, module, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    return sites
+
+
+def _matches(skeleton: str, message: str) -> bool:
+    pattern = ".*".join(re.escape(part) for part in skeleton.split("{}"))
+    return re.match(pattern, message) is not None
+
+
+def test_every_diagnostic_site_is_pinned():
+    """A new diagnostic cannot land without a pin or a recorded reason. A
+    site that passes on a text made elsewhere ({} alone) matches any pin;
+    the text is checked where it is made."""
+    sites = diagnostic_sites()
+    assert {"lexer", "parser", "builder", "model", "math_engine", "type_eval",
+            "elaboration", "pipeline", "emit"} <= {key.split(".")[0] for key in sites}
+    pinned = [case[4] for case in CASES] + [case[3] for case in API_CASES]
+    unpinned = [key for key, skeleton in sites.items() if key not in UNREACHABLE
+                and not any(_matches(skeleton, message) for message in pinned)]
+    assert unpinned == []
+    assert set(UNREACHABLE) <= set(sites), "stale UNREACHABLE entries"

@@ -117,11 +117,13 @@ def test_net_labels_follow_declared_format():
 
 
 def test_flatten_errors():
+    """A bad top is the same usage error as `--top` gives the pipeline."""
     project, ctx = evaluated_project("package p;" + TWO_LEVEL, top="p.main_i")
-    with pytest.raises(TydiError):
-        flatten(project, "p", "ghost_i")
-    with pytest.raises(TydiError):
-        flatten(project, "ghost", "main_i")
+    for pkg, impl in (("p", "ghost_i"), ("ghost", "main_i")):
+        with pytest.raises(TydiError) as exc:
+            flatten(project, pkg, impl)
+        assert (exc.value.category, exc.value.message) == (
+            "usage", f"top implementation '{pkg}.{impl}' not found")
 
 
 def test_single_component_circuit():

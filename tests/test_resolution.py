@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from tydilang.errors import ResolutionError, TydiError
@@ -98,6 +100,29 @@ def test_not_found_error_names_searched_scopes():
     with pytest.raises(ResolutionError) as exc:
         resolve_name(inner, "nope", "variable")
     assert "group_g" in exc.value.message and "package_p" in exc.value.message
+
+
+def test_resolve_name_leaves_no_garbage():
+    """A lookup builds no closure or other reference cycle: with the collector
+    off, 1,000 hits and misses leave nothing for it to collect."""
+    outer = Scope("package_p", "package")
+    inner = Scope("group_g", "group")
+    inner.add_relation(ScopeRelationKind.GROUP, outer)
+    outer.variables["x"] = Variable(id="x", raw="1", scope=outer)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(500):
+            resolve_name(inner, "x", "variable")
+            try:
+                resolve_name(inner, "nope", "variable")
+            except ResolutionError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- declare ------------------------------------------------------------------
