@@ -17,10 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from tydilang import errors
 from tydilang.builder import build_project
 from tydilang.context import EvalContext
 from tydilang.emit import flatten
-from tydilang import errors
 from tydilang.errors import TydiError
 from tydilang.logical_types import StreamType, bit_width
 from tydilang.model import Scope, ScopeRelationKind, Streamlet, declare, resolve_name
