@@ -1,6 +1,11 @@
-from tydilang.dump import dump_code_structure
+import os
 
-from conftest import compile_texts, evaluated_project, project_of
+import pytest
+
+from tydilang.dump import dump_code_structure
+from tydilang.pipeline import CompileConfig, compile_sources
+
+from conftest import DATA_DIR, compile_texts, evaluated_project, project_of
 
 SIMPLE_0 = """package simple_0;
 import simple_1;
@@ -173,10 +178,31 @@ def test_golden_dump_frozen():
     """Full-dump regression pin for a small project touching most record
     kinds: values, aliases, streams, streamlets, external and normal impls,
     instances, named and auto-named connections, and the builtin templates."""
-    import os
-    from conftest import DATA_DIR
     source = open(os.path.join(DATA_DIR, "golden_demo.td")).read()
     expected = open(os.path.join(DATA_DIR, "golden_demo_dump.txt")).read()
     result = compile_texts(source, top="demo.top_i")
     assert result.ok
     assert result.artifacts["2_evaluation_output.txt"] == expected
+
+
+@pytest.mark.parametrize("artifact", ["2_evaluation_output_after_sugaring.txt",
+                                      "ir.json"])
+def test_golden_template_project_is_pinned(artifact):
+    """Byte-exact pins for a two-package project that instantiates templates:
+    a streamlet template with a type parameter, an int parameter sizing a port
+    array and a group reading that parameter; an impl template with an
+    `impl of` parameter and a for block; a derived implementation of a
+    template from another package; and the duplicator and voiders that
+    sugaring inserts."""
+    project_dir = os.path.join(DATA_DIR, "golden_templates")
+    sources = []
+    for name in ("app.td", "lib.td"):
+        with open(os.path.join(project_dir, name), encoding="utf-8") as f:
+            sources.append((name, f.read()))
+    with open(os.path.join(project_dir, artifact), encoding="utf-8") as f:
+        expected = f.read()
+    config = CompileConfig(inputs=[project_dir], top="app.top_i", emit_drc=True,
+                           emit_dot=True, emit_ir=True)
+    result = compile_sources(config, sources)
+    assert result.ok, result.diagnostics
+    assert result.artifacts[artifact] == expected
