@@ -34,16 +34,19 @@ def name_of(name_node: AstNode, path: Optional[str] = None) -> str:
 class StatementBuilder:
     """Builds scope entries from statement ASTs.
 
-    Also used by generative for/if expansion, which clones statement subtrees
-    and materializes them into an already-evaluating implementation.
+    Also used by template instantiation, which builds a template's statement
+    again under the mangled name, and by generative for/if expansion, which
+    clones statement subtrees and materializes them into an
+    already-evaluating implementation.
     """
 
     def __init__(self, text: str, path: str):
         self.text = text
         self.path = path
+        self.data = text.encode("utf-8")  # spans are UTF-8 byte offsets
 
     def snip(self, span: Span) -> str:
-        return snip(self.text, span)
+        return self.data[span.start:span.end].decode("utf-8")
 
     # -- variables -----------------------------------------------------------
 
@@ -129,13 +132,16 @@ class StatementBuilder:
                 id=p.name, raw=f"$arg${p.name}", scope=scope,
                 dump_tag=tags[p.kind], is_magic=True)
 
-    def build_streamlet(self, stmt: AstNode, scope: Scope) -> Streamlet:
+    def build_streamlet(self, stmt: AstNode, scope: Scope,
+                        name: Optional[str] = None) -> Streamlet:
+        """`name` overrides the declared one, as for a template instance."""
         doc_node = stmt.child("DOC")
-        name = stmt.child("ID").leaf_text
+        name = name or stmt.child("ID").leaf_text
         own = Scope(f"streamlet_{name}", "streamlet")
         own.add_relation(ScopeRelationKind.STREAMLET, scope)
         s = Streamlet(id=name, scope=own,
-                      doc=doc_node.leaf_text if doc_node else None, span=stmt.span)
+                      doc=doc_node.leaf_text if doc_node else None, span=stmt.span,
+                      decl=stmt)
         s.ports = own.ports
         tparams = stmt.child("TemplateParams")
         if tparams is not None:
@@ -170,14 +176,16 @@ class StatementBuilder:
 
     # -- implementations ---------------------------------------------------------
 
-    def build_impl(self, stmt: AstNode, scope: Scope) -> Implementation:
+    def build_impl(self, stmt: AstNode, scope: Scope,
+                   name: Optional[str] = None) -> Implementation:
+        """`name` overrides the declared one, as for a template instance."""
         doc_node = stmt.child("DOC")
-        name = stmt.child("ID").leaf_text
+        name = name or stmt.child("ID").leaf_text
         own = Scope(f"implement_{name}", "implement")
         own.add_relation(ScopeRelationKind.IMPLEMENT, scope)
         impl = Implementation(id=name, scope=own,
                               doc=doc_node.leaf_text if doc_node else None,
-                              span=stmt.span, src_text=self.text)
+                              span=stmt.span, src_text=self.text, decl=stmt)
         impl.instances = own.instances
         impl.connections = own.connections
         if stmt.kind == "ImplInstDecl":

@@ -3,10 +3,11 @@ generative for/if expansion.
 
 Evaluation is demand-driven: an implementation pulls in its streamlet, the
 targets of its instances (instantiating templates on the way), the types of
-every port it touches, and nothing else. Template instantiation deep-copies
-the template, binds each parameter's magic variable, registers the copy under
-a mangled ``name@arg@arg`` id and evaluates it; instantiating the same
-arguments twice returns the existing entity. Streamlet, implementation and
+every port it touches, and nothing else. Template instantiation builds the
+template's statement again with the `StatementBuilder` under a mangled
+``name@arg@arg`` id, binds each parameter's magic variable in the fresh scope,
+registers the instance and evaluates it; instantiating the same arguments
+twice returns the existing entity. Streamlet, implementation and
 type references resolve through `model.resolve_ref`.
 """
 
@@ -137,17 +138,10 @@ def _evaluate_derived(ctx: EvalContext, impl: Implementation):
     """`impl name(template<args>);` — a fresh monomorph under the user name."""
     inst_ast = impl.derived_from
     template, args = _resolve_template_use(ctx, impl.scope, inst_ast, "implementation")
-    clone = _do_instantiate(ctx, template, args, impl.id)
-    impl.scope = clone.scope
-    impl.instances = clone.scope.instances
-    impl.connections = clone.scope.connections
-    impl.external = clone.external
-    impl.asserts = clone.asserts
-    impl.generative = clone.generative
-    impl.process_block = clone.process_block
-    impl.of_ast = clone.of_ast
-    impl.raw_of = clone.raw_of
-    impl.src_text = clone.src_text
+    body = _do_instantiate(ctx, template, args, impl.id)
+    for name in ("scope", "instances", "connections", "external", "asserts",
+                 "generative", "process_block", "of_ast", "raw_of", "src_text"):
+        setattr(impl, name, getattr(body, name))
     impl.derived_from = None
     # evaluating the adopted body binds the streamlet and resolves the rest
     _compute_implementation(ctx, impl)
@@ -444,13 +438,15 @@ def instantiate_template(ctx: EvalContext, template, args: list[TemplateArg]):
 
 def _do_instantiate(ctx: EvalContext, template, args: list[TemplateArg],
                     new_name: str):
-    cloner = _Cloner()
-    if isinstance(template, Streamlet):
-        clone = cloner.clone_streamlet(template, new_name)
-    else:
-        clone = cloner.clone_implementation(template, new_name)
-    _bind_args(clone.scope, template.template_params, args)
-    return clone
+    """Build the template's statement again under `new_name`, in the
+    template's package, and bind the arguments in the fresh scope."""
+    pkg = ctx.package_of(template.scope)
+    sb = StatementBuilder(pkg.text, pkg.path)
+    build = sb.build_streamlet if isinstance(template, Streamlet) else sb.build_impl
+    entity = build(template.decl, pkg.scope, new_name)
+    entity.template_params = []
+    _bind_args(entity.scope, template.template_params, args)
+    return entity
 
 
 def _bind_args(scope: Scope, params, args: list[TemplateArg]):
@@ -468,86 +464,6 @@ def _bind_args(scope: Scope, params, args: list[TemplateArg]):
                 id=param.name, raw=mangle_text(arg.value), scope=scope,
                 declared_kind=variant_name(arg.value),
                 state=EvalState.EVALUATED, value=arg.value)
-
-
-class _Cloner:
-    """Deep copy of a template's scope tree.
-
-    ASTs are shared (immutable); evaluation state is reset; scope relations
-    pointing inside the copied tree are retargeted to the fresh scopes while
-    outward relations (to the package) stay shared.
-    """
-
-    def __init__(self):
-        self.scope_map: dict[int, Scope] = {}
-
-    def _retarget(self, target: Scope) -> Scope:
-        return self.scope_map.get(id(target), target)
-
-    def clone_scope(self, scope: Scope, new_name: Optional[str] = None) -> Scope:
-        s = Scope(new_name or scope.name, scope.category)
-        self.scope_map[id(scope)] = s
-        s.relations = [(kind, self._retarget(t)) for kind, t in scope.relations]
-        for k, v in scope.variables.items():
-            s.variables[k] = Variable(
-                id=v.id, raw=v.raw, scope=s, declared_kind=v.declared_kind,
-                expr_ast=v.expr_ast, dump_tag=v.dump_tag, is_magic=v.is_magic,
-                span=v.span)
-        for k, t in scope.types.items():
-            s.types[k] = self.clone_type_entry(t, s)
-        for k, p in scope.ports.items():
-            s.ports[k] = Port(
-                name=p.name, type_ast=p.type_ast, raw_type=p.raw_type,
-                direction=p.direction, array_size_ast=p.array_size_ast,
-                raw_size=p.raw_size, cd_ast=p.cd_ast, raw_cd=p.raw_cd, span=p.span)
-        for k, i in scope.instances.items():
-            s.instances[k] = Instance(
-                name=i.name, target_ast=i.target_ast, raw_target=i.raw_target,
-                array_size_ast=i.array_size_ast, span=i.span)
-        for c in scope.connections:
-            s.connections.append(self.clone_connection(c))
-        s.impl_args = dict(scope.impl_args)
-        return s
-
-    def clone_type_entry(self, t: TypeEntry, new_scope: Scope) -> TypeEntry:
-        own = self.clone_scope(t.own_scope) if t.own_scope is not None else None
-        return TypeEntry(
-            id=t.id, ast=t.ast, scope=new_scope, own_scope=own,
-            field_names=list(t.field_names), asserts=list(t.asserts),
-            src_text=t.src_text, span=t.span, alias_of=t.alias_of,
-            state=t.state if t.ast is None else EvalState.NOT_INFERRED,
-            evaluated=t.evaluated if t.ast is None else None,
-            terminal=t.terminal if t.ast is None else None)
-
-    def clone_connection(self, c: Connection) -> Connection:
-        return Connection(
-            name=c.name, source=self.clone_end(c.source), sink=self.clone_end(c.sink),
-            fifo_ast=c.fifo_ast, raw_fifo=c.raw_fifo, no_strict=c.no_strict,
-            span=c.span)
-
-    def clone_end(self, e: EndRef) -> EndRef:
-        return EndRef(
-            owner_ast=e.owner_ast, owner_index_ast=e.owner_index_ast,
-            port_ast=e.port_ast, port_index_ast=e.port_index_ast,
-            raw_owner=e.raw_owner, raw_port=e.raw_port)
-
-    def clone_streamlet(self, s: Streamlet, new_name: str) -> Streamlet:
-        scope = self.clone_scope(s.scope, f"streamlet_{new_name}")
-        clone = Streamlet(id=new_name, scope=scope, doc=s.doc,
-                          asserts=list(s.asserts), span=s.span)
-        clone.ports = scope.ports
-        return clone
-
-    def clone_implementation(self, i: Implementation, new_name: str) -> Implementation:
-        scope = self.clone_scope(i.scope, f"implement_{new_name}")
-        clone = Implementation(
-            id=new_name, scope=scope, of_ast=i.of_ast, raw_of=i.raw_of, doc=i.doc,
-            external=i.external, asserts=list(i.asserts),
-            generative=list(i.generative), process_block=i.process_block,
-            span=i.span, src_text=i.src_text)
-        clone.instances = scope.instances
-        clone.connections = scope.connections
-        return clone
 
 
 # -- generative for/if expansion -----------------------------------------------------

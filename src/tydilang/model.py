@@ -133,6 +133,7 @@ class Streamlet:
     ports: dict[str, Port] = field(default_factory=dict)
     asserts: list[AstNode] = field(default_factory=list)
     span: Optional[Span] = None
+    decl: Optional[AstNode] = None  # declaring statement; instances rebuild it
     state: EvalState = EvalState.NOT_INFERRED
     error: Optional[TydiError] = None
 
@@ -219,6 +220,7 @@ class Implementation:
     derived_from: Optional[AstNode] = None  # ImplInstDecl target, if any
     src_text: str = ""  # source the AST spans index into (for dumps)
     span: Optional[Span] = None
+    decl: Optional[AstNode] = None  # declaring statement; instances rebuild it
     state: EvalState = EvalState.NOT_INFERRED
     error: Optional[TydiError] = None
     streamlet: Optional[Streamlet] = None
