@@ -165,6 +165,14 @@ CASES = [
      "power result overflows 64-bit range: 18446744073709551616", "f0.td:1:22"),
     ("power_out_of_range", P + "const x = 10.5 ^ 400;", {}, "type",
      "power result out of range: 10.5 ^ 400", "f0.td:1:22"),
+    ("power_int_past_64", P + "const x = 3 ^ 3000000;", {}, "type",
+     "power result out of range: 3 ^ 3000000", "f0.td:1:22"),
+    ("power_int_zero_negative", P + "const x = 0 ^ -1;", {}, "type",
+     "power result out of range: 0 ^ -1", "f0.td:1:22"),
+    ("power_float_zero_negative", P + "const x = 0.0 ^ -1.0;", {}, "type",
+     "power result out of range: 0.0 ^ -1.0", "f0.td:1:22"),
+    ("power_complex", P + "const x = -8.0 ^ 0.5;", {}, "type",
+     "power result out of range: -8.0 ^ 0.5", "f0.td:1:22"),
     ("sum_overflow", P + "const x = 9223372036854775807 + 1;", {}, "type",
      "integer overflows 64-bit range: 9223372036854775808", "f0.td:1:22"),
     ("concat_operand", P + 'const c: clockdomain = "f"; const x = "a" + c;', {},
