@@ -383,7 +383,8 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
                 f"component argument {target.id!r} must be a concrete "
                 "implementation, not a template", path, arg_node.span)
         evaluate_implementation(ctx, target)
-        wanted, _ = resolve_name(template.scope, param.impl_of, "streamlet")
+        wanted, _ = resolve_name(enclosing_package_scope(template.scope),
+                                 param.impl_of, "streamlet", path, arg_node.span)
         if target.streamlet is not wanted:
             raise TypeError_(
                 f"implementation {target.id!r} implements streamlet "

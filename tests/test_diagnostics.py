@@ -337,7 +337,7 @@ CASES = [
     ("template_impl_of_not_found",
      IO + "external impl t<c: impl of nope> of io_s { }; "
      "impl i of io_s { instance a(t<impl leaf_i>), };", {}, "resolution",
-     "streamlet 'nope' not found (searched implement_t -> package_p)", "<project>"),
+     "streamlet 'nope' not found (searched package_p)", "f0.td:1:186"),
     ("template_value_argument", IO + "streamlet q<n: int> { }; impl i of q<type s> { };",
      {}, "type", "template parameter 'n' expects a int value", "f0.td:1:147"),
     ("template_value_kind", IO + 'streamlet q<n: int> { }; impl i of q<"a"> { };', {},

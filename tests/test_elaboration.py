@@ -7,7 +7,7 @@ from tydilang.model import EvalState
 from tydilang.pipeline import evaluate_project
 from tydilang.values import DEFAULT_CLOCKDOMAIN, IntValue
 
-from conftest import evaluated_project, project_of
+from conftest import compile_texts, evaluated_project, project_of
 
 
 def failing_project(*texts, top=None):
@@ -328,6 +328,19 @@ def test_impl_of_interface_mismatch():
         "};\n"
         "impl bad(tpl<impl other_impl>);\n")
     assert any("requires an implementation of" in d.message for d in diags)
+
+
+def test_streamlet_template_impl_of_parameter():
+    """The streamlet an `impl of` parameter names resolves in the template's
+    package, so a streamlet template can take one too."""
+    result = compile_texts(
+        "package p;\n"
+        "type s = Stream(Bit(1));\n"
+        "streamlet io_s { i: s in, o: s out, };\n"
+        "external impl leaf_i of io_s { };\n"
+        "streamlet q<c: impl of io_s> { };\n"
+        "impl i of q<impl leaf_i> { };\n")
+    assert result.exit_code == 0, result.diagnostics
 
 
 def test_impl_template_passes_args_to_streamlet_template():
