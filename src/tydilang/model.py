@@ -90,7 +90,6 @@ class TypeEntry:
     state: EvalState = EvalState.NOT_INFERRED
     evaluated: object = None  # LogicalType
     error: Optional[TydiError] = None
-    alias_of: Optional["TypeEntry"] = None  # set for bound template args
     terminal: object = None  # declaration identity used by strict type checks
 
     def label(self) -> str:

@@ -43,11 +43,6 @@ def force_type_entry(ctx: EvalContext, entry: TypeEntry):
 
 
 def _compute_type_entry(ctx: EvalContext, entry: TypeEntry):
-    if entry.alias_of is not None:
-        force_type_entry(ctx, entry.alias_of)
-        entry.evaluated = entry.alias_of.evaluated
-        entry.terminal = entry.alias_of.terminal
-        return
     ast = entry.ast
     inner = ast.children[0] if ast.kind == "LogicalType" else ast
     if inner.kind in ("LogicalGroupType", "LogicalUnionType"):
