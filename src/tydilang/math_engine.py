@@ -264,18 +264,17 @@ class ExpressionEvaluator:
                 raise self.err("division by zero", span)
             return FloatValue(x / y)
         if op == "^":
-            out_of_range = f"power result out of range: {x} ^ {y}"
             if both_int and y >= 0:
                 # past 2 ^ 64 the power surely overflows: do not compute it
                 if abs(x) >= 2 and y > 64:
-                    raise self.err(out_of_range, span)
+                    raise self.err(f"power result out of range: {x} ^ {y}", span)
                 return IntValue(_check_int(x ** y, span, self.path, "power result"))
             try:
                 n = float(x) ** float(y)
             except (OverflowError, ZeroDivisionError):
                 n = None
             if not isinstance(n, float):  # also a negative base to a fraction
-                raise self.err(out_of_range, span)
+                raise self.err(f"power result out of range: {x} ^ {y}", span)
             return FloatValue(n)
         n = {"+": x + y, "-": x - y, "*": x * y}[op]
         if both_int:
