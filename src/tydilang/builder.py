@@ -9,16 +9,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import Span, TydiError
+from .errors import TydiError
 from .model import (Connection, EndRef, Implementation, Instance, Package,
                     Port, Project, Scope, ScopeRelationKind, Streamlet,
                     TemplateParam, TypeEntry, Variable, declare)
 from .parser import ParsedFile
 from .tree import AstNode
-
-
-def snip(text: str, span: Span) -> str:
-    return text.encode("utf-8")[span.start:span.end].decode("utf-8")
 
 
 def name_of(name_node: AstNode, path: Optional[str] = None) -> str:
@@ -37,16 +33,14 @@ class StatementBuilder:
     Also used by template instantiation, which builds a template's statement
     again under the mangled name, and by generative for/if expansion, which
     clones statement subtrees and materializes them into an
-    already-evaluating implementation.
+    already-evaluating implementation. Every scope it makes belongs to
+    `package`, whose source the statements' spans index into.
     """
 
-    def __init__(self, text: str, path: str):
-        self.text = text
-        self.path = path
-        self.data = text.encode("utf-8")  # spans are UTF-8 byte offsets
-
-    def snip(self, span: Span) -> str:
-        return self.data[span.start:span.end].decode("utf-8")
+    def __init__(self, package: Package):
+        self.package = package
+        self.path = package.path
+        self.snip = package.snip
 
     # -- variables -----------------------------------------------------------
 
@@ -80,26 +74,25 @@ class StatementBuilder:
             # type alias = Group g { ... };  the group scope is detached and
             # the inline name is invisible outside the alias
             return self.build_group_entry(inner, name, scope, attached=False)
-        return TypeEntry(id=name, ast=ty, scope=scope, span=stmt.span,
-                         src_text=self.text)
+        return TypeEntry(id=name, ast=ty, scope=scope, span=stmt.span)
 
     def build_group_entry(self, group_ast: AstNode, entry_id: str, scope: Scope,
                           attached: bool) -> TypeEntry:
         is_group = group_ast.kind == "LogicalGroupType"
         group_name = group_ast.children[0].leaf_text
         prefix = "group" if is_group else "union"
-        own = Scope(f"{prefix}_{group_name}", prefix)
+        own = Scope(f"{prefix}_{group_name}", prefix, package=self.package)
         if attached:
             own.add_relation(
                 ScopeRelationKind.GROUP if is_group else ScopeRelationKind.UNION,
                 scope)
         entry = TypeEntry(id=entry_id, ast=group_ast, scope=scope, own_scope=own,
-                          span=group_ast.span, src_text=self.text)
+                          span=group_ast.span)
         for item in group_ast.children[1:]:
             if item.kind == "SubItemItem":
                 fname = item.children[0].leaf_text
                 fentry = TypeEntry(id=fname, ast=item.children[1], scope=own,
-                                   span=item.span, src_text=self.text)
+                                   span=item.span)
                 declare(own, fentry, "type", item.span, self.path)
                 entry.field_names.append(fname)
             elif item.kind == "ConstDecl":
@@ -137,7 +130,7 @@ class StatementBuilder:
         """`name` overrides the declared one, as for a template instance."""
         doc_node = stmt.child("DOC")
         name = name or stmt.child("ID").leaf_text
-        own = Scope(f"streamlet_{name}", "streamlet")
+        own = Scope(f"streamlet_{name}", "streamlet", package=self.package)
         own.add_relation(ScopeRelationKind.STREAMLET, scope)
         s = Streamlet(id=name, scope=own,
                       doc=doc_node.leaf_text if doc_node else None, span=stmt.span,
@@ -181,11 +174,11 @@ class StatementBuilder:
         """`name` overrides the declared one, as for a template instance."""
         doc_node = stmt.child("DOC")
         name = name or stmt.child("ID").leaf_text
-        own = Scope(f"implement_{name}", "implement")
+        own = Scope(f"implement_{name}", "implement", package=self.package)
         own.add_relation(ScopeRelationKind.IMPLEMENT, scope)
         impl = Implementation(id=name, scope=own,
                               doc=doc_node.leaf_text if doc_node else None,
-                              span=stmt.span, src_text=self.text, decl=stmt)
+                              span=stmt.span, decl=stmt)
         impl.instances = own.instances
         impl.connections = own.connections
         if stmt.kind == "ImplInstDecl":
@@ -271,19 +264,17 @@ class StatementBuilder:
 
 
 class PackageBuilder(StatementBuilder):
-    def __init__(self, project: Project, parsed: ParsedFile):
-        super().__init__(parsed.source.text, parsed.source.path)
-        self.project = project
+    def __init__(self, parsed: ParsedFile):
+        source = parsed.source
+        super().__init__(Package(source.package_name, source.path, source.text))
         self.parsed = parsed
 
     def build(self) -> Package:
-        name = self.parsed.source.package_name
-        scope = Scope(f"package_{name}", "package")
-        pkg = Package(name, scope, self.path, self.text)
-        self._add_package_magic(scope, name)
+        scope = self.package.scope
+        self._add_package_magic(scope, self.package.name)
         for stmt in self.parsed.ast.children:
             self.build_statement(stmt, scope)
-        return pkg
+        return self.package
 
     def _add_package_magic(self, scope: Scope, pkg_name: str):
         var = Variable(id=f"$package${pkg_name}", raw="", scope=scope,
@@ -318,6 +309,5 @@ class PackageBuilder(StatementBuilder):
 def build_project(name: str, parsed_files: dict[str, ParsedFile]) -> Project:
     project = Project(name)
     for pkg_name in sorted(parsed_files):
-        builder = PackageBuilder(project, parsed_files[pkg_name])
-        project.packages[pkg_name] = builder.build()
+        project.packages[pkg_name] = PackageBuilder(parsed_files[pkg_name]).build()
     return project

@@ -1,20 +1,20 @@
-"""Shared evaluation state: once-only node guards and diagnostics.
+"""Shared evaluation state: once-only node guards and instantiation memos.
 
 Every shared node (variable, type entry, streamlet, implementation, template
 instantiation) transitions NotInferred -> Evaluated/Error exactly once.
 Evaluation is demand-driven on the calling thread: a node that is demanded
 again while it is still being evaluated closes a dependency cycle, which is
-reported as a circular dependency.
+reported as a circular dependency. The context holds no source locations:
+each scope's package gives the path a diagnostic is reported at.
 """
 
 from __future__ import annotations
 
 import contextlib
 from collections import Counter
-from typing import Optional
 
 from .errors import CircularDependencyError, TydiError
-from .model import EvalState, Package, Project, Scope, enclosing_package_scope
+from .model import EvalState, Project
 
 
 class InstantiationCell:
@@ -32,7 +32,6 @@ class EvalContext:
         self._stack: list[str] = []  # labels of the nodes being evaluated
         self._in_progress: dict[int, int] = {}  # id(node) -> stack depth
         self.eval_counts: Counter[str] = Counter()
-        self._scope_packages: dict[int, str] = {}
         self._cells: dict = {}
 
     # -- node guards ---------------------------------------------------------
@@ -74,20 +73,3 @@ class EvalContext:
         if cell is None:
             cell = self._cells[key] = InstantiationCell()
         return cell
-
-    # -- project lookups -------------------------------------------------------
-
-    def package_of(self, scope: Scope) -> Optional[Package]:
-        pkg_scope = enclosing_package_scope(scope)
-        if pkg_scope is None:
-            return None
-        key = id(pkg_scope)
-        if key not in self._scope_packages:
-            for name, pkg in self.project.packages.items():
-                self._scope_packages[id(pkg.scope)] = name
-        name = self._scope_packages.get(key)
-        return self.project.packages.get(name) if name else None
-
-    def path_for(self, scope: Scope) -> Optional[str]:
-        pkg = self.package_of(scope)
-        return pkg.path if pkg else None

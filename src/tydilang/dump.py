@@ -8,11 +8,11 @@ does not depend on the order in which entities were evaluated.
 
 from __future__ import annotations
 
-from .builder import snip
 from .logical_types import (GroupType, StreamType, UnionType,
                             data_type_display, stream_display_name)
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
-                    Port, Project, Scope, Streamlet, TypeEntry, Variable)
+                    Package, Port, Project, Scope, Streamlet, TypeEntry,
+                    Variable)
 from .tree import AstNode
 from .values import format_value
 
@@ -139,7 +139,7 @@ def _dump_evaluated_type(w: _Writer, label: str, t, own_scope):
 
 def _dump_unevaluated_type(w: _Writer, entry: TypeEntry):
     ast = entry.ast
-    text = entry.src_text
+    pkg = entry.scope.package
     inner = ast.children[0] if ast is not None and ast.kind == "LogicalType" else ast
     if inner is None:
         w.line(f"{entry.id}:UnknownType(NotInferred(\"\"))")
@@ -154,24 +154,24 @@ def _dump_unevaluated_type(w: _Writer, entry: TypeEntry):
         return
     if kind == "LogicalStreamType":
         w.open(f"{entry.id}:Stream({entry.id})")
-        w.line(f"DataType={_raw_element_text(inner.children[0], text)}")
-        w.line(_raw_properties_text(inner, text))
+        w.line(f"DataType={_raw_element_text(inner.children[0], pkg)}")
+        w.line(_raw_properties_text(inner, pkg))
         w.close()
         return
-    w.line(f"{entry.id}:{_raw_element_text(ast, text)}")
+    w.line(f"{entry.id}:{_raw_element_text(ast, pkg)}")
 
 
-def _raw_element_text(type_node: AstNode, text: str) -> str:
+def _raw_element_text(type_node: AstNode, pkg: Package) -> str:
     inner = type_node.children[0] if type_node.kind == "LogicalType" else type_node
     kind = inner.kind
     if kind == "LogicalNullType":
         return "DataNull"
     if kind == "LogicalBitType":
-        return f'Bit(NotInferred("{snip(text, inner.children[0].span)}"))'
+        return f'Bit(NotInferred("{pkg.snip(inner.children[0].span)}"))'
     if kind == "LogicalUserDefinedType":
         name = ".".join(c.leaf_text for c in inner.children)
         return f"VarType({name})"
-    return f'NotInferred("{snip(text, inner.span)}")'
+    return f'NotInferred("{pkg.snip(inner.span)}")'
 
 
 _PROPERTY_ORDER = [
@@ -185,16 +185,16 @@ _PROPERTY_ORDER = [
 ]
 
 
-def _raw_properties_text(stream_node: AstNode, text: str) -> str:
+def _raw_properties_text(stream_node: AstNode, pkg: Package) -> str:
     parts = []
     for node_kind, label, default in _PROPERTY_ORDER:
         prop = stream_node.child(node_kind)
         if prop is None:
             parts.append(f"{label}={default}")
         elif label == "user":
-            parts.append(f"user={_raw_element_text(prop.children[0], text)}")
+            parts.append(f"user={_raw_element_text(prop.children[0], pkg)}")
         else:
-            parts.append(f'{label}=NotInferred("{snip(text, prop.children[0].span)}")')
+            parts.append(f'{label}=NotInferred("{pkg.snip(prop.children[0].span)}")')
     return ", ".join(parts)
 
 
@@ -244,7 +244,7 @@ def _impl_streamlet_text(impl: Implementation) -> str:
         base = of.children[0]
         base_name = base.leaf_text if base.kind == "ID" else \
             ".".join(c.leaf_text for c in base.children)
-        args = ",".join("@" + snip(impl.src_text, a.children[0].span)
+        args = ",".join("@" + impl.scope.package.snip(a.children[0].span)
                         for a in of.children[1:])
         return f"ProxyStreamlet({base_name}<{args}>)"
     name = of.leaf_text if of.kind == "ID" else ".".join(c.leaf_text for c in of.children)

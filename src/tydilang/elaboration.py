@@ -17,15 +17,15 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .builder import StatementBuilder, name_of, snip
+from .builder import StatementBuilder, name_of
 from .context import EvalContext
 from .errors import AssertionFailure, TydiError, TypeError_
 from .logical_types import StreamType, short_name
 from .math_engine import (ExpressionEvaluator, evaluate_expression,
                           evaluate_range, force_variable)
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
-                    Port, Scope, Streamlet, TypeEntry, Variable,
-                    enclosing_package_scope, resolve_name, resolve_ref)
+                    Port, Scope, Streamlet, TypeEntry, Variable, resolve_name,
+                    resolve_ref)
 from .tree import AstNode, node as make_node
 from .type_eval import evaluate_type_terminal, force_type_entry
 from .values import (ArrayValue, BoolValue, ClockDomainValue, FloatValue,
@@ -54,7 +54,7 @@ def evaluate_streamlet(ctx: EvalContext, s: Streamlet):
     if s.state is EvalState.ERROR:
         raise s.error
     with ctx.evaluating(s):
-        path = ctx.path_for(s.scope)
+        path = s.scope.package.path
         if s.is_template:
             raise TydiError(
                 "resolution",
@@ -67,7 +67,7 @@ def evaluate_streamlet(ctx: EvalContext, s: Streamlet):
 
 
 def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
-    path = ctx.path_for(scope)
+    path = scope.package.path
     port.logical_type, port.type_terminal = evaluate_type_terminal(
         ctx, scope, port.type_ast)
     if not isinstance(port.logical_type, StreamType):
@@ -87,7 +87,7 @@ def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
         if body.kind == "STR":
             port.clockdomain = ClockDomainValue(body.leaf_text)
         else:
-            var = resolve_ref(ctx.project, scope, body, "variable", path)
+            var = resolve_ref(ctx.project, scope, body, "variable")
             cd = force_variable(ctx, var)
             if not isinstance(cd, ClockDomainValue):
                 raise TypeError_(
@@ -110,7 +110,7 @@ def evaluate_implementation(ctx: EvalContext, impl: Implementation):
 
 
 def _compute_implementation(ctx: EvalContext, impl: Implementation):
-    path = ctx.path_for(impl.scope)
+    path = impl.scope.package.path
     if impl.is_template:
         raise TydiError(
             "resolution",
@@ -122,7 +122,7 @@ def _compute_implementation(ctx: EvalContext, impl: Implementation):
     impl.streamlet = _resolve_of_streamlet(ctx, impl)
     evaluate_streamlet(ctx, impl.streamlet)
     if impl.generative:
-        sb = StatementBuilder(impl.src_text, path or "<memory>")
+        sb = StatementBuilder(impl.scope.package)
         blocks, impl.generative = impl.generative, []
         for block in blocks:
             _expand_block(ctx, impl, block, sb, "")
@@ -140,7 +140,7 @@ def _evaluate_derived(ctx: EvalContext, impl: Implementation):
     template, args = _resolve_template_use(ctx, impl.scope, inst_ast, "implementation")
     body = _do_instantiate(ctx, template, args, impl.id)
     for name in ("scope", "instances", "connections", "external", "asserts",
-                 "generative", "process_block", "of_ast", "raw_of", "src_text"):
+                 "generative", "process_block", "of_ast", "raw_of"):
         setattr(impl, name, getattr(body, name))
     impl.derived_from = None
     # evaluating the adopted body binds the streamlet and resolves the rest
@@ -148,12 +148,12 @@ def _evaluate_derived(ctx: EvalContext, impl: Implementation):
 
 
 def _resolve_of_streamlet(ctx: EvalContext, impl: Implementation) -> Streamlet:
-    path = ctx.path_for(impl.scope)
+    path = impl.scope.package.path
     of = impl.of_ast
     if of.kind == "TemplateInstance":
         template, args = _resolve_template_use(ctx, impl.scope, of, "streamlet")
         return instantiate_template(ctx, template, args)
-    s = resolve_ref(ctx.project, impl.scope, of, "streamlet", path)
+    s = resolve_ref(ctx.project, impl.scope, of, "streamlet")
     if s.is_template:
         raise TydiError(
             "resolution",
@@ -163,7 +163,7 @@ def _resolve_of_streamlet(ctx: EvalContext, impl: Implementation) -> Streamlet:
 
 
 def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
-    path = ctx.path_for(impl.scope)
+    path = impl.scope.package.path
     target_ast = inst.target_ast
     if target_ast.kind == "TemplateInstance":
         template, args = _resolve_template_use(ctx, impl.scope, target_ast,
@@ -174,7 +174,7 @@ def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
         if target_ast.kind == "ID":
             bound = impl.scope.impl_args.get(target_ast.leaf_text)
         target = bound or resolve_ref(ctx.project, impl.scope, target_ast,
-                                      "implementation", path)
+                                      "implementation")
         if target.is_template:
             raise TydiError(
                 "resolution",
@@ -195,7 +195,7 @@ def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
 
 
 def resolve_connection(ctx: EvalContext, impl: Implementation, conn: Connection):
-    path = ctx.path_for(impl.scope)
+    path = impl.scope.package.path
     for end in (conn.source, conn.sink):
         _resolve_end(ctx, impl, end, path)
     if conn.fifo_ast is not None:
@@ -262,7 +262,7 @@ def _end_index(ctx, scope, index_ast, size, what, path) -> Optional[int]:
 
 
 def check_assertion(ctx: EvalContext, scope: Scope, assert_stmt: AstNode):
-    path = ctx.path_for(scope)
+    path = scope.package.path
     exp = assert_stmt.children[0]
     value = evaluate_expression(ctx, scope, exp)
     if not isinstance(value, BoolValue):
@@ -271,8 +271,7 @@ def check_assertion(ctx: EvalContext, scope: Scope, assert_stmt: AstNode):
             path, assert_stmt.span)
     if value.value:
         return
-    pkg = ctx.package_of(scope)
-    raw = snip(pkg.text, exp.span) if pkg else "<expression>"
+    raw = scope.package.snip(exp.span)
     ev = ExpressionEvaluator(ctx, scope)
     operands = ", ".join(
         format_value(ev.eval_term(t)) for t in exp.children if t.kind == "Term")
@@ -286,20 +285,20 @@ def check_assertion(ctx: EvalContext, scope: Scope, assert_stmt: AstNode):
 def _extract_owner_scope(ctx: EvalContext, scope: Scope, extract: AstNode) -> Scope:
     keyword = extract.children[0].leaf_text
     owner_ast = extract.children[1]
-    path = ctx.path_for(scope)
+    path = scope.package.path
     if keyword in ("streamlet", "impl"):
         category = "streamlet" if keyword == "streamlet" else "implementation"
         if owner_ast.kind == "TemplateInstance":
             template, args = _resolve_template_use(ctx, scope, owner_ast, category)
             entity = instantiate_template(ctx, template, args)
         else:
-            entity = resolve_ref(ctx.project, scope, owner_ast, category, path)
+            entity = resolve_ref(ctx.project, scope, owner_ast, category)
         return entity.scope
     # keyword 'type': group/union member access
     if owner_ast.kind not in ("ID", "QualifiedId"):
         raise TydiError("resolution", "type member extraction needs a type name",
                         path, owner_ast.span)
-    entry = resolve_ref(ctx.project, scope, owner_ast, "type", path)
+    entry = resolve_ref(ctx.project, scope, owner_ast, "type")
     evaluated = force_type_entry(ctx, entry)
     inner_scope = getattr(evaluated, "scope", None)
     if inner_scope is None:
@@ -313,7 +312,7 @@ def _extract_owner_scope(ctx: EvalContext, scope: Scope, extract: AstNode) -> Sc
 def extract_member_value(ctx: EvalContext, scope: Scope, extract: AstNode) -> Value:
     owner_scope = _extract_owner_scope(ctx, scope, extract)
     member = extract.children[2].leaf_text
-    path = ctx.path_for(scope)
+    path = scope.package.path
     var = owner_scope.variables.get(member)
     if var is None:
         raise TydiError("resolution",
@@ -325,7 +324,7 @@ def extract_member_value(ctx: EvalContext, scope: Scope, extract: AstNode) -> Va
 def extract_member_type(ctx: EvalContext, scope: Scope, extract: AstNode):
     owner_scope = _extract_owner_scope(ctx, scope, extract)
     member = extract.children[2].leaf_text
-    path = ctx.path_for(scope)
+    path = scope.package.path
     entry = owner_scope.types.get(member)
     if entry is None:
         raise TydiError("resolution",
@@ -341,9 +340,9 @@ def extract_member_type(ctx: EvalContext, scope: Scope, extract: AstNode):
 def _resolve_template_use(ctx: EvalContext, scope: Scope, inst_ast: AstNode,
                           category: str):
     """Resolve a `name<args>` use; evaluates the arguments in `scope`."""
-    path = ctx.path_for(scope)
+    path = scope.package.path
     base = inst_ast.children[0]
-    template = resolve_ref(ctx.project, scope, base, category, path)
+    template = resolve_ref(ctx.project, scope, base, category)
     if not template.is_template:
         raise TydiError("resolution",
                         f"{category} {template.id!r} is not a template",
@@ -362,7 +361,7 @@ def _resolve_template_use(ctx: EvalContext, scope: Scope, inst_ast: AstNode,
 
 def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
                            arg_node: AstNode) -> TemplateArg:
-    path = ctx.path_for(scope)
+    path = scope.package.path
     if param.kind == "type":
         if arg_node.kind != "TemplateArgType":
             raise TypeError_(
@@ -375,15 +374,15 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
             raise TypeError_(
                 f"template parameter {param.name!r} expects an implementation; "
                 "use the `impl` keyword before the argument", path, arg_node.span)
-        target = resolve_ref(ctx.project, scope, arg_node.children[0], "implementation",
-                             path)
+        target = resolve_ref(ctx.project, scope, arg_node.children[0],
+                             "implementation")
         if target.is_template:
             raise TydiError(
                 "resolution",
                 f"component argument {target.id!r} must be a concrete "
                 "implementation, not a template", path, arg_node.span)
         evaluate_implementation(ctx, target)
-        wanted, _ = resolve_name(enclosing_package_scope(template.scope),
+        wanted, _ = resolve_name(template.scope.package.scope,
                                  param.impl_of, "streamlet", path, arg_node.span)
         if target.streamlet is not wanted:
             raise TypeError_(
@@ -410,7 +409,7 @@ def mangled_name(template_id: str, args: list[TemplateArg]) -> str:
 def instantiate_template(ctx: EvalContext, template, args: list[TemplateArg]):
     """Monomorphize; memoized per (owning package, mangled name)."""
     mangled = mangled_name(template.id, args)
-    pkg_scope = enclosing_package_scope(template.scope)
+    pkg_scope = template.scope.package.scope
     kind = "streamlet" if isinstance(template, Streamlet) else "implementation"
     cell = ctx.instantiation_cell((id(pkg_scope), kind, mangled))
     if cell.done:
@@ -441,10 +440,9 @@ def _do_instantiate(ctx: EvalContext, template, args: list[TemplateArg],
                     new_name: str):
     """Build the template's statement again under `new_name`, in the
     template's package, and bind the arguments in the fresh scope."""
-    pkg = ctx.package_of(template.scope)
-    sb = StatementBuilder(pkg.text, pkg.path)
+    sb = StatementBuilder(template.scope.package)
     build = sb.build_streamlet if isinstance(template, Streamlet) else sb.build_impl
-    entity = build(template.decl, pkg.scope, new_name)
+    entity = build(template.decl, sb.package.scope, new_name)
     entity.template_params = []
     _bind_args(entity.scope, template.template_params, args)
     return entity
@@ -475,7 +473,7 @@ def _expand_block(ctx: EvalContext, impl: Implementation, block: AstNode,
     if block.kind == "ForBlock":
         expand_for(ctx, impl, block, sb, suffix)
         return
-    body = _select_if_branch(ctx, impl.scope, block, ctx.path_for(impl.scope))
+    body = _select_if_branch(ctx, impl.scope, block, impl.scope.package.path)
     if body is not None:
         for item in body.children:
             _add_expanded_item(ctx, impl, item, sb, suffix)
@@ -503,7 +501,7 @@ def _select_if_branch(ctx, scope, block: AstNode, path) -> Optional[AstNode]:
 
 def expand_for(ctx: EvalContext, impl: Implementation, block: AstNode,
                sb: StatementBuilder, suffix: str):
-    path = ctx.path_for(impl.scope)
+    path = impl.scope.package.path
     var = block.children[0].leaf_text
     iterable = block.children[1]
     body = block.children[2]

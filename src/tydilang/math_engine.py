@@ -62,7 +62,7 @@ class ExpressionEvaluator:
     def __init__(self, ctx: EvalContext, scope: Scope):
         self.ctx = ctx
         self.scope = scope
-        self.path = ctx.path_for(scope)
+        self.path = scope.package.path
 
     def err(self, message: str, span: Optional[Span] = None) -> TydiError:
         return TypeError_(message, self.path, span)
@@ -131,7 +131,7 @@ class ExpressionEvaluator:
 
     def eval_reference(self, ref: AstNode) -> Value:
         """The value of the variable a VarExp or IndexExp names."""
-        var = resolve_ref(self.ctx.project, self.scope, ref, "variable", self.path)
+        var = resolve_ref(self.ctx.project, self.scope, ref, "variable")
         return force_variable(self.ctx, var)
 
     def eval_index(self, atom: AstNode) -> Value:
@@ -344,16 +344,15 @@ def force_variable(ctx: EvalContext, var: Variable) -> Value:
 
 
 def _compute_variable(ctx: EvalContext, var: Variable) -> Value:
-    path = ctx.path_for(var.scope) if var.scope else None
+    path = var.scope.package.path
     if var.is_magic:
         raise TydiError(
             "resolution",
             f"{var.id!r} cannot be used as a value here", path, var.span)
     if var.declared_kind == "clockdomain":
         if var.expr_ast is None:
-            pkg = ctx.package_of(var.scope)
-            pkg_name = pkg.name if pkg else "?"
-            return ClockDomainValue(generated_clockdomain(pkg_name, var.id))
+            return ClockDomainValue(
+                generated_clockdomain(var.scope.package.name, var.id))
         v = evaluate_expression(ctx, var.scope, var.expr_ast)
         if not isinstance(v, StrValue):
             raise TypeError_(

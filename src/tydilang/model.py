@@ -2,8 +2,10 @@
 
 Scopes house variables, logical types, streamlets, implementations, ports,
 instances and connections, and are linked by typed scope relationships that
-govern which name categories may resolve through them. Every stage looks up
-a `name` or `package.name` reference through `resolve_ref`.
+govern which name categories may resolve through them. Every scope the
+builder makes knows its `Package`, which holds the source path and text
+that diagnostics and dumps need. Every stage looks up a `name` or
+`package.name` reference through `resolve_ref`.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ class TypeEntry:
     own_scope: Optional["Scope"] = None  # group/union inner scope, if any
     field_names: list[str] = field(default_factory=list)  # group/union order
     asserts: list[AstNode] = field(default_factory=list)
-    src_text: str = ""  # source the AST spans index into (for dumps)
     span: Optional[Span] = None
     state: EvalState = EvalState.NOT_INFERRED
     evaluated: object = None  # LogicalType
@@ -217,7 +218,6 @@ class Implementation:
     generative: list[AstNode] = field(default_factory=list)  # pending if/for
     process_block: Optional[str] = None
     derived_from: Optional[AstNode] = None  # ImplInstDecl target, if any
-    src_text: str = ""  # source the AST spans index into (for dumps)
     span: Optional[Span] = None
     decl: Optional[AstNode] = None  # declaring statement; instances rebuild it
     state: EvalState = EvalState.NOT_INFERRED
@@ -245,6 +245,9 @@ class Scope:
     connections: list[Connection] = field(default_factory=list)
     relations: list[tuple[ScopeRelationKind, "Scope"]] = field(default_factory=list)
     impl_args: dict[str, "Implementation"] = field(default_factory=dict)
+    # the package whose source declares the scope; None only for scopes
+    # built by hand outside the builder
+    package: Optional["Package"] = field(default=None, compare=False)
 
     def add_relation(self, kind: ScopeRelationKind, target: "Scope"):
         self.relations.append((kind, target))
@@ -255,10 +258,20 @@ class Scope:
 
 @dataclass
 class Package:
+    """One source file's package: its scope and the text its spans index."""
+
     name: str
-    scope: Scope
-    path: str = "<memory>"
-    text: str = ""
+    path: str
+    text: str
+    scope: Scope = field(init=False)
+
+    def __post_init__(self):
+        self.scope = Scope(f"package_{self.name}", "package", package=self)
+        self._data = self.text.encode("utf-8")  # spans are UTF-8 byte offsets
+
+    def snip(self, span: Span) -> str:
+        """The source text of a span."""
+        return self._data[span.start:span.end].decode("utf-8")
 
 
 @dataclass
@@ -331,25 +344,27 @@ def resolve_name(start_scope: Scope, name: str, category: str,
                           path, span)
 
 
-def resolve_ref(project: Project, scope: Scope, ref: AstNode, category: str,
-                path: Optional[str]):
+def resolve_ref(project: Project, scope: Scope, ref: AstNode, category: str):
     """The entity a `name` or `package.name` reference denotes.
 
     `ref` is an ID leaf or a node whose ID children spell the reference
     (QualifiedId, VarExp, IndexExp, LogicalUserDefinedType). A plain name
     resolves outward from `scope`; a qualified one is a member of a package
-    that the package of `scope` imports. A miss raises a ResolutionError at
-    `path` and the span of `ref`.
+    whose `$package$` magic variable resolves from `scope`, as an import
+    declares it in the importing package scope. A miss raises a
+    ResolutionError at the path of the scope's package and the span of `ref`.
     """
+    path = scope.package.path
     ids = [ref.leaf_text] if ref.kind == "ID" else \
         [c.leaf_text for c in ref.children if c.kind == "ID"]
     if len(ids) == 1:
         return resolve_name(scope, ids[0], category, path, ref.span)[0]
     pkg_name, member = ids
-    pkg_scope = enclosing_package_scope(scope)
-    if pkg_scope is None or f"$package${pkg_name}" not in pkg_scope.variables:
+    try:
+        resolve_name(scope, f"$package${pkg_name}", "variable")
+    except ResolutionError:
         raise ResolutionError(f"package {pkg_name!r} is not imported here",
-                              path, ref.span)
+                              path, ref.span) from None
     pkg = project.packages.get(pkg_name)
     if pkg is None:
         raise ResolutionError(f"package {pkg_name!r} does not exist", path, ref.span)
@@ -358,15 +373,3 @@ def resolve_ref(project: Project, scope: Scope, ref: AstNode, category: str,
         raise ResolutionError(
             f"{category} {member!r} not found in package {pkg_name!r}", path, ref.span)
     return entity
-
-
-def enclosing_package_scope(scope: Scope) -> Optional[Scope]:
-    """The package scope a scope ultimately belongs to, or None if detached."""
-    seen = set()
-    cur = scope
-    while cur is not None and id(cur) not in seen:
-        seen.add(id(cur))
-        if cur.category == "package":
-            return cur
-        cur = cur.relations[0][1] if cur.relations else None
-    return None

@@ -50,8 +50,7 @@ def _compute_type_entry(ctx: EvalContext, entry: TypeEntry):
         entry.terminal = entry
         return
     if inner.kind == "LogicalUserDefinedType":
-        target = resolve_ref(ctx.project, entry.scope, inner, "type",
-                             ctx.path_for(entry.scope))
+        target = resolve_ref(ctx.project, entry.scope, inner, "type")
         force_type_entry(ctx, target)
         entry.evaluated = target.evaluated
         entry.terminal = target.terminal
@@ -86,7 +85,7 @@ def evaluate_type_terminal(ctx: EvalContext, scope: Scope, type_node: AstNode):
     checks compare: a named type's terminal, or the value of an inline one."""
     inner = type_node.children[0]
     if inner.kind == "LogicalUserDefinedType":
-        entry = resolve_ref(ctx.project, scope, inner, "type", ctx.path_for(scope))
+        entry = resolve_ref(ctx.project, scope, inner, "type")
         return force_type_entry(ctx, entry), entry.terminal
     evaluated = evaluate_type_ast(ctx, scope, type_node)
     return evaluated, evaluated
@@ -100,7 +99,7 @@ def evaluate_type_ast(ctx: EvalContext, scope: Scope, type_node: AstNode,
     a `type x = Stream(...)` declaration; inline streams stay anonymous.
     """
     inner = type_node.children[0] if type_node.kind == "LogicalType" else type_node
-    path = ctx.path_for(scope)
+    path = scope.package.path
     kind = inner.kind
     if kind == "LogicalNullType":
         return NULL
@@ -116,7 +115,7 @@ def evaluate_type_ast(ctx: EvalContext, scope: Scope, type_node: AstNode,
     if kind == "LogicalStreamType":
         return _evaluate_stream(ctx, scope, inner, declared_name)
     if kind == "LogicalUserDefinedType":
-        return force_type_entry(ctx, resolve_ref(ctx.project, scope, inner, "type", path))
+        return force_type_entry(ctx, resolve_ref(ctx.project, scope, inner, "type"))
     if kind == "LogicalTypeExtract":
         from .elaboration import extract_member_type
         evaluated, _ = extract_member_type(ctx, scope, inner)
@@ -129,7 +128,7 @@ def evaluate_type_ast(ctx: EvalContext, scope: Scope, type_node: AstNode,
 
 def _evaluate_stream(ctx: EvalContext, scope: Scope, stream_node: AstNode,
                      declared_name: Optional[str]) -> StreamType:
-    path = ctx.path_for(scope)
+    path = scope.package.path
     element = evaluate_type_ast(ctx, scope, stream_node.children[0])
     props = StreamProperties()
     for child in stream_node.children[1:]:
