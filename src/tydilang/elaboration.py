@@ -170,11 +170,7 @@ def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
                                                "implementation")
         target = instantiate_template(ctx, template, args)
     else:
-        bound = None
-        if target_ast.kind == "ID":
-            bound = impl.scope.impl_args.get(target_ast.leaf_text)
-        target = bound or resolve_ref(ctx.project, impl.scope, target_ast,
-                                      "implementation")
+        target = _resolve_impl(ctx, impl.scope, target_ast)
         if target.is_template:
             raise TydiError(
                 "resolution",
@@ -189,6 +185,14 @@ def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
                              path, inst.span)
         inst.array_size = size.value
     inst.state = EvalState.EVALUATED
+
+
+def _resolve_impl(ctx: EvalContext, scope: Scope, ref: AstNode) -> Implementation:
+    """The implementation `ref` names: an `impl of` argument bound in
+    `scope`, or else what `resolve_ref` finds."""
+    if ref.kind == "ID" and ref.leaf_text in scope.impl_args:
+        return scope.impl_args[ref.leaf_text]
+    return resolve_ref(ctx.project, scope, ref, "implementation")
 
 
 # -- connections ---------------------------------------------------------------
@@ -374,8 +378,7 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
             raise TypeError_(
                 f"template parameter {param.name!r} expects an implementation; "
                 "use the `impl` keyword before the argument", path, arg_node.span)
-        target = resolve_ref(ctx.project, scope, arg_node.children[0],
-                             "implementation")
+        target = _resolve_impl(ctx, scope, arg_node.children[0])
         if target.is_template:
             raise TydiError(
                 "resolution",

@@ -343,6 +343,23 @@ def test_streamlet_template_impl_of_parameter():
     assert result.exit_code == 0, result.diagnostics
 
 
+def test_impl_of_argument_passed_on():
+    """An implementation bound to an `impl of` parameter can be passed on as
+    a template argument."""
+    result = compile_texts(
+        "package p;\n"
+        "type s = Stream(Bit(1));\n"
+        "streamlet io_s { i: s in, o: s out, };\n"
+        "external impl leaf_i of io_s { };\n"
+        "streamlet w_s<c: impl of io_s> { i: s in, o: s out, };\n"
+        "external impl w_i<c: impl of io_s> of w_s<impl c> { };\n"
+        "streamlet top_s { i: s in, o: s out, };\n"
+        "impl top_i of top_s { instance w(w_i<impl leaf_i>), i => w.i, w.o => o, };\n",
+        drc=True)
+    assert result.exit_code == 0, result.diagnostics
+    assert [d for d in result.drc_diagnostics if d.severity == "Error"] == []
+
+
 def test_impl_template_passes_args_to_streamlet_template():
     project, _ = evaluated_project(
         "package p;" + RGB +
