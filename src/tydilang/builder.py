@@ -263,6 +263,15 @@ class StatementBuilder:
             raw_port=self.snip(port.span))
 
 
+def import_package(scope: Scope, pkg_name: str):
+    """Let `pkg_name.member` references resolve from `scope` by declaring
+    the magic `$package$<pkg_name>` variable there, once."""
+    magic = f"$package${pkg_name}"
+    if magic not in scope.variables:
+        scope.variables[magic] = Variable(
+            id=magic, raw="", scope=scope, dump_tag="PackageType", is_magic=True)
+
+
 class PackageBuilder(StatementBuilder):
     def __init__(self, parsed: ParsedFile):
         source = parsed.source
@@ -271,25 +280,15 @@ class PackageBuilder(StatementBuilder):
 
     def build(self) -> Package:
         scope = self.package.scope
-        self._add_package_magic(scope, self.package.name)
+        import_package(scope, self.package.name)
         for stmt in self.parsed.ast.children:
             self.build_statement(stmt, scope)
         return self.package
 
-    def _add_package_magic(self, scope: Scope, pkg_name: str):
-        var = Variable(id=f"$package${pkg_name}", raw="", scope=scope,
-                       dump_tag="PackageType", is_magic=True)
-        scope.variables[var.id] = var
-
     def build_statement(self, stmt: AstNode, scope: Scope):
         kind = stmt.kind
         if kind == "ImportStmt":
-            target = stmt.children[0].leaf_text
-            magic = f"$package${target}"
-            if magic not in scope.variables:
-                scope.variables[magic] = Variable(
-                    id=magic, raw="", scope=scope, dump_tag="PackageType",
-                    is_magic=True)
+            import_package(scope, stmt.children[0].leaf_text)
             return
         if kind == "ConstDecl":
             declare(scope, self.build_const(stmt, scope), "variable", stmt.span, self.path)

@@ -13,12 +13,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .builder import build_project
+from .builder import build_project, import_package
 from .context import EvalContext
 from .drc import drc_has_errors, render_drc_report, run_drc
 from .dump import dump_code_structure
 from .elaboration import evaluate_implementation
-from .errors import Diagnostic, TydiError, offset_to_line_col
+from .errors import Diagnostic, TydiError
 from .math_engine import force_variable
 from .model import Implementation, Project, Variable
 from .parser import ParsedFile, parse_project
@@ -75,13 +75,8 @@ def render_error_report(diagnostics: list[Diagnostic],
     def sort_key(d: Diagnostic):
         return (d.path or "", d.span.start if d.span else -1, d.message)
 
-    lines = []
-    for d in sorted(diagnostics, key=sort_key):
-        where = d.path or "<project>"
-        if d.span is not None and d.path in sources:
-            line, col = offset_to_line_col(sources[d.path], d.span.start)
-            where = f"{d.path}:{line}:{col}"
-        lines.append(f"{where}: [{d.category}] {d.message}")
+    lines = [f"{d.location(sources.get(d.path))}: [{d.category}] {d.message}"
+             for d in sorted(diagnostics, key=sort_key)]
     return "\n".join(lines) + "\n"
 
 
@@ -293,14 +288,9 @@ def _write_ast_dumps(config: CompileConfig, result: CompileResult,
 
 
 def _inject_prelude_imports(project: Project):
-    magic = f"$package${PRELUDE_PACKAGE}"
     for pkg in project.packages.values():
-        if pkg.name == PRELUDE_PACKAGE:
-            continue
-        if magic not in pkg.scope.variables:
-            pkg.scope.variables[magic] = Variable(
-                id=magic, raw="", scope=pkg.scope, dump_tag="PackageType",
-                is_magic=True)
+        if pkg.name != PRELUDE_PACKAGE:
+            import_package(pkg.scope, PRELUDE_PACKAGE)
 
 
 def _finish_with_errors(config: CompileConfig, result: CompileResult,
