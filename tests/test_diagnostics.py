@@ -229,6 +229,16 @@ CASES = [
      "direction must be one of Forward/Reverse", "f0.td:1:34"),
     ("stream_keep", P + "type t = Stream(Bit(1), x = 1);", {}, "type",
      "keep must be a bool", "f0.td:1:34"),
+    # -- a group inline under an alias sees no names around it, but its
+    # diagnostics still carry the package's path
+    ("detached_group_name", P + "const x = 8; type a = Group g { r: Bit(x), };", {},
+     "resolution", "variable 'x' not found (searched group_g)", "f0.td:1:51"),
+    ("detached_group_assert", P + "type a = Group g { r: Bit(1), assert(1 == 2), };",
+     {}, "assertion", "assertion failed: 1 == 2 (operands: int(1), int(2))",
+     "f0.td:1:42"),
+    ("detached_group_qualified",
+     ("package a; import b; type t = Group g { r: b.t, };", "package b; type t = Bit(1);"),
+     {}, "resolution", "package 'b' is not imported here", "f0.td:1:44"),
     # -- ports
     ("port_not_stream", P + "streamlet q { a: Bit(1) in, }; impl i of q { };", {},
      "type", "port 'a' must have a stream type, got Bit(1)", "f0.td:1:26"),

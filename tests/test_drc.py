@@ -112,6 +112,27 @@ def test_clockdomain_mismatch_is_r4_error():
     assert "100MHz-ph1" in r4[0].message and "DefaultClockDomain" in r4[0].message
 
 
+def test_generated_clockdomains_differ_per_package():
+    """A bare `const k: clockdomain` is named after its package, even inside
+    a group declared inline under an alias."""
+    detached = "type a = Group g { const k: clockdomain, };\nconst cd = type a.k;\n"
+    project, ctx = evaluated_project(
+        "package p1;\n" + detached +
+        "type s = Stream(Bit(1));\n"
+        "streamlet src_s { o: s out `cd, };\n"
+        "external impl src_i of src_s { };\n",
+        "package p2;\nimport p1;\n" + detached +
+        "streamlet sink_s { i: p1.s in `cd, };\n"
+        "external impl sink_i of sink_s { };\n"
+        "streamlet top_s { };\n"
+        "impl top_i of top_s { instance a(p1.src_i), instance b(sink_i), a.o => b.i, };\n")
+    assert [project.packages[p].scope.variables["cd"].value.expression
+            for p in ("p1", "p2")] == ["$generated$p1$k", "$generated$p2$k"]
+    sugar_project(ctx, project)
+    diags = run_drc(project)
+    assert [(d.severity, d.rule) for d in diags] == [("Error", "R4")]
+
+
 def test_matching_clockdomains_pass_r4():
     diags = checked(
         "package p;" + RGB +

@@ -1,4 +1,5 @@
 import gc
+import os
 
 import pytest
 
@@ -6,8 +7,9 @@ from tydilang.errors import ResolutionError, TydiError
 from tydilang.model import (Implementation, Instance, Port, Scope,
                             ScopeRelationKind, Streamlet, TypeEntry, Variable,
                             declare, resolve_name)
+from tydilang.pipeline import CompileConfig, compile_project
 
-from conftest import evaluated_project, project_of
+from conftest import DATA_DIR, evaluated_project, project_of
 
 CATEGORIES = ["variable", "type", "streamlet", "implementation", "port", "instance"]
 RELATIONS = [ScopeRelationKind.GROUP, ScopeRelationKind.UNION,
@@ -236,3 +238,42 @@ def test_attached_alias_group_usable_through_alias_only():
         "impl i of s { };\n")
     entry = project.packages["tpch"].scope.types["rgb_alias"]
     assert dict(entry.evaluated.fields)["r"].width == 8
+
+
+def _reachable_scopes(project):
+    """Every scope reachable from the project's package scopes."""
+    seen = {}
+    stack = [pkg.scope for pkg in project.packages.values()]
+    while stack:
+        scope = stack.pop()
+        if id(scope) in seen:
+            continue
+        seen[id(scope)] = scope
+        stack.extend(target for _, target in scope.relations)
+        stack.extend(e.own_scope for e in scope.types.values() if e.own_scope)
+        stack.extend(s.scope for s in scope.streamlets.values())
+        stack.extend(i.scope for i in scope.implements.values())
+        stack.extend(i.target.scope for i in scope.instances.values() if i.target)
+        stack.extend(i.scope for i in scope.impl_args.values())
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("inputs, top", [
+    (["tpch1.td"], "std.main_i"),
+    (["golden_templates"], "app.top_i"),
+], ids=["tpch1", "golden_templates"])
+def test_every_scope_knows_its_package(inputs, top):
+    """Package, streamlet, implementation and group scopes, template
+    instances, for-expanded implementations and the prelude instances that
+    sugaring inserts all belong to a package of the project."""
+    config = CompileConfig(inputs=[os.path.join(DATA_DIR, i) for i in inputs],
+                           top=top, emit_drc=True)
+    result = compile_project(config)
+    assert result.exit_code == 0, result.diagnostics
+    packages = list(result.project.packages.values())
+    scopes = _reachable_scopes(result.project)
+    assert [s.name for s in scopes if not any(s.package is p for p in packages)] == []
+    assert {"package", "streamlet", "implement", "group"} <= {s.category for s in scopes}
+    names = {s.name for s in scopes}
+    assert any("@" in n and n.startswith("implement_") for n in names)
+    assert any(n.startswith("implement_duplicator_i@") for n in names)
