@@ -12,9 +12,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tydilang"
 
 
 def _is_type_checking(node) -> bool:
-    return isinstance(node, ast.If) and (
-        (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING")
-        or (isinstance(node.test, ast.Attribute) and node.test.attr == "TYPE_CHECKING"))
+    return isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+        and node.test.id == "TYPE_CHECKING"
 
 
 def _imported_names(tree) -> dict[str, int]:
