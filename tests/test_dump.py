@@ -206,3 +206,19 @@ def test_golden_template_project_is_pinned(artifact):
     result = compile_sources(config, sources)
     assert result.ok, result.diagnostics
     assert result.artifacts[artifact] == expected
+
+
+def test_golden_tpch1_ir_is_pinned():
+    """Byte-exact pin of the JSON IR of the paper's TPC-H query-1 design, as
+    `tydilang tests/data/tpch1.td --top std.main_i --drc --dot --ir` writes
+    it: 161 stream types, most of them port types used many times over."""
+    path = os.path.join(DATA_DIR, "tpch1.td")
+    with open(path, encoding="utf-8") as f:
+        sources = [(path, f.read())]
+    with open(os.path.join(DATA_DIR, "golden_tpch1_ir.json"), encoding="utf-8") as f:
+        expected = f.read()
+    config = CompileConfig(inputs=[path], top="std.main_i", emit_drc=True,
+                           emit_dot=True, emit_ir=True)
+    result = compile_sources(config, sources)
+    assert result.ok, result.diagnostics
+    assert result.artifacts["ir.json"] == expected
