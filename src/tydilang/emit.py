@@ -15,12 +15,21 @@ implementation itself or one of its children. Walking the tree then only
 joins each copy's flat name onto the child suffixes; a net takes its ends'
 names from those, so a copy's nets and components share their name strings.
 `emit_dot` likewise renders each distinct port list's record label once.
+
+`emit_ir` builds its document of dicts and lists and writes the text that
+the standard `json` module gives with ``indent=2, sort_keys=True``, but
+without the pure-Python generator chain that any indent forces on it:
+`_ir_text` appends shared pieces of text to one list and joins it once.
+Strings are escaped by `json.encoder`'s C routine; each key's line head
+(separator, newline, indent, quoted key) is made once per depth. Ports and
+named types hold the `LogicalType` itself, and each type is rendered once
+per depth at which it occurs, however many ports use it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -178,7 +187,7 @@ def _type_json(t):
 
 def _port_json(port: Port):
     out = {
-        "type": _type_json(port.logical_type),
+        "type": port.logical_type,  # rendered once per depth by _ir_text
         "direction": port.direction,
         "clockdomain": port.clockdomain.expression,
     }
@@ -199,22 +208,20 @@ def _end_json(end: EndRef):
 def emit_ir(project: Project) -> str:
     """Serialize every evaluated streamlet, implementation and named type."""
     packages = {}
-    for pkg_name in sorted(project.packages):
-        scope = project.packages[pkg_name].scope
-        types = {tid: _type_json(e.evaluated)
-                 for tid, e in sorted(scope.types.items())
+    for pkg_name, package in project.packages.items():
+        scope = package.scope
+        types = {tid: e.evaluated for tid, e in scope.types.items()
                  if e.state is EvalState.EVALUATED}
         streamlets = {}
-        for sid, s in sorted(scope.streamlets.items()):
+        for sid, s in scope.streamlets.items():
             if s.is_template or s.state is not EvalState.EVALUATED:
                 continue
-            entry = {"ports": {p.name: _port_json(p)
-                               for p in sorted(s.ports.values(), key=lambda p: p.name)}}
+            entry = {"ports": {p.name: _port_json(p) for p in s.ports.values()}}
             if s.doc:
                 entry["doc"] = s.doc
             streamlets[sid] = entry
         implementations = {}
-        for iid, impl in sorted(scope.implements.items()):
+        for iid, impl in scope.implements.items():
             if impl.is_template or impl.state is not EvalState.EVALUATED:
                 continue
             entry = {
@@ -224,7 +231,7 @@ def emit_ir(project: Project) -> str:
                     inst.name: ({"target": inst.target.id, "array_size": inst.array_size}
                                 if inst.array_size is not None
                                 else {"target": inst.target.id})
-                    for inst in sorted(impl.instances.values(), key=lambda i: i.name)
+                    for inst in impl.instances.values()
                 },
                 "connections": [
                     {
@@ -245,5 +252,93 @@ def emit_ir(project: Project) -> str:
             "streamlets": streamlets,
             "implementations": implementations,
         }
-    doc = {"project": project.name, "packages": packages}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _ir_text({"project": project.name, "packages": packages})
+
+
+_LOGICAL_TYPES = (NullType, BitType, GroupType, UnionType, StreamType)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json
+
+
+class _Level:
+    """The text shared by every container at one depth of the document."""
+    __slots__ = ("inner", "heads", "types", "open_list", "next_item",
+                 "close_dict", "close_list")
+
+    def __init__(self, depth: int):
+        pad = "\n" + "  " * depth
+        self.inner = pad + "  "  # starts each line of a member
+        self.heads: dict[str, tuple[str, str]] = {}  # key -> (later, first)
+        self.types: dict[int, str] = {}  # id(type) -> its text at this depth
+        self.open_list, self.next_item = "[" + self.inner, "," + self.inner
+        self.close_dict, self.close_list = pad + "}", pad + "]"
+
+
+class _Levels(dict):
+    def __missing__(self, depth: int) -> _Level:
+        level = self[depth] = _Level(depth)
+        return level
+
+
+def _ir_text(doc: dict) -> str:
+    """The `json` text of `doc` with ``indent=2, sort_keys=True``, plus a
+    newline. `doc` holds dicts with string keys, lists, strings, numbers,
+    booleans, None and logical types (each written as its `_type_json`)."""
+    out: list[str] = []
+    _write(out, _Levels(), doc, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(out: list[str], levels: _Levels, value, depth: int) -> None:
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        level = levels[depth]
+        heads = level.heads
+        first = True
+        for key in sorted(value):
+            head = heads.get(key)
+            if head is None:
+                line = f"{level.inner}{_quote(key)}: "
+                head = heads[key] = ("," + line, "{" + line)
+            out.append(head[first])
+            _write(out, levels, value[key], depth + 1)
+            first = False
+        out.append(level.close_dict)
+    elif isinstance(value, _LOGICAL_TYPES):
+        memo = levels[depth].types
+        text = memo.get(id(value))
+        if text is None:
+            start = len(out)
+            _write(out, levels, _type_json(value), depth)
+            text = memo[id(value)] = "".join(out[start:])
+            del out[start:]
+        out.append(text)
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        level = levels[depth]
+        sep = level.open_list
+        for item in value:
+            out.append(sep)
+            _write(out, levels, item, depth + 1)
+            sep = level.next_item
+        out.append(level.close_list)
+    elif value is None:
+        out.append("null")
+    elif value is True:  # before int: bool is an int
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NON_FINITE.get(text, text))
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+

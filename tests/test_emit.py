@@ -3,9 +3,12 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tydilang.emit import emit_dot, emit_ir, flatten
+from tydilang.emit import _ir_text, _type_json, emit_dot, emit_ir, flatten
 from tydilang.errors import TydiError
+from tydilang.logical_types import (BitType, GroupType, StreamProperties,
+                                    StreamType)
 from tydilang.model import EndRef
 from tydilang.sugaring import sugar_project
 
@@ -340,6 +343,42 @@ def test_ir_stable_key_ordering():
         "streamlet top_s { a: s in, b: s out, };\n"
         "impl top_i of top_s { a => b, };\n")
     assert emit_ir(project) == emit_ir(project)
+
+
+_JSON_TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028",
+                     "\ufeff", "\U0001F600"]),
+    st.characters()))
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), _JSON_TEXT,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]))
+_JSON_DOC = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_DOC)
+def test_ir_writer_matches_json(doc):
+    """The IR writer gives the standard encoder's indented, key-sorted text
+    for any document: escapes, big ints, non-finite floats, empty
+    containers and nesting included."""
+    assert _ir_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_ir_writer_renders_a_shared_type_per_depth():
+    """One type object placed at several depths, and twice at one depth, is
+    written at each place as its `_type_json` dict would be: the text kept
+    for a type is never reused at another indent."""
+    group = GroupType("pair", scope=None, fields=[("a", BitType(3)), ("b", BitType(5))])
+    t = StreamType("s", group, StreamProperties(dimension=2, user=BitType(1)))
+    doc = {"a": t, "b": {"c": [t, {"d": t}]}, "e": t}
+    as_dicts = {"a": _type_json(t), "b": {"c": [_type_json(t), {"d": _type_json(t)}]},
+                "e": _type_json(t)}
+    assert _ir_text(doc) == json.dumps(as_dicts, indent=2, sort_keys=True) + "\n"
 
 
 def test_flat_names_are_injective():
