@@ -88,7 +88,7 @@ def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
             port.clockdomain = ClockDomainValue(body.leaf_text)
         else:
             var = resolve_ref(ctx.project, scope, body, "variable")
-            cd = force_variable(ctx, var)
+            cd = force_variable(ctx, var, path, body.span)
             if not isinstance(cd, ClockDomainValue):
                 raise TypeError_(
                     f"port clockdomain {body.leaf_text!r} must be a clockdomain "
@@ -231,7 +231,8 @@ def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, path):
                 path, end.owner_ast.span)
         end.instance = inst
         end.owner_index = _end_index(ctx, impl.scope, end.owner_index_ast,
-                                     inst.array_size, f"instance {owner_name!r}", path)
+                                     inst.array_size, f"instance {owner_name!r}", path,
+                                     end.owner_ast.span)
         port = inst.target.streamlet.ports.get(port_name)
         if port is None:
             raise TydiError(
@@ -241,14 +242,15 @@ def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, path):
                 path, end.port_ast.span)
     end.port = port
     end.port_index = _end_index(ctx, impl.scope, end.port_index_ast,
-                                port.array_size, f"port {port_name!r}", path)
+                                port.array_size, f"port {port_name!r}", path,
+                                end.port_ast.span)
 
 
-def _end_index(ctx, scope, index_ast, size, what, path) -> Optional[int]:
+def _end_index(ctx, scope, index_ast, size, what, path, name_span) -> Optional[int]:
     if index_ast is None:
         if size is not None:
             raise TydiError("resolution", f"{what} is an array; an index is required",
-                            path, None)
+                            path, name_span)
         return None
     if size is None:
         raise TydiError("resolution", f"{what} is not an array", path, index_ast.span)
@@ -322,7 +324,7 @@ def extract_member_value(ctx: EvalContext, scope: Scope, extract: AstNode) -> Va
         raise TydiError("resolution",
                         f"member {member!r} not found in scope {owner_scope.name!r}",
                         path, extract.span)
-    return force_variable(ctx, var)
+    return force_variable(ctx, var, path, extract.span)
 
 
 def extract_member_type(ctx: EvalContext, scope: Scope, extract: AstNode):

@@ -132,7 +132,7 @@ class ExpressionEvaluator:
     def eval_reference(self, ref: AstNode) -> Value:
         """The value of the variable a VarExp or IndexExp names."""
         var = resolve_ref(self.ctx.project, self.scope, ref, "variable")
-        return force_variable(self.ctx, var)
+        return force_variable(self.ctx, var, self.path, ref.span)
 
     def eval_index(self, atom: AstNode) -> Value:
         index_exp = atom.children[-1]
@@ -332,10 +332,15 @@ def evaluate_range(ctx: EvalContext, scope: Scope, range_exp: AstNode) -> ArrayV
     return ArrayValue(tuple(IntValue(n) for n in range(start, stop, step)))
 
 
-def force_variable(ctx: EvalContext, var: Variable) -> Value:
-    """Evaluate a variable at most once; later requests reuse the result."""
+def force_variable(ctx: EvalContext, var: Variable, path: Optional[str] = None,
+                   span: Optional[Span] = None) -> Value:
+    """Evaluate a variable at most once; later requests reuse the result.
+    `path` and `span` locate the reference that demands it."""
     if var.state is EvalState.EVALUATED:
         return var.value
+    if var.is_magic:  # a template parameter or package name: reported per use
+        raise TydiError(
+            "resolution", f"{var.id!r} cannot be used as a value here", path, span)
     if var.state is EvalState.ERROR:
         raise var.error
     with ctx.evaluating(var):
@@ -345,10 +350,6 @@ def force_variable(ctx: EvalContext, var: Variable) -> Value:
 
 def _compute_variable(ctx: EvalContext, var: Variable) -> Value:
     path = var.scope.package.path
-    if var.is_magic:
-        raise TydiError(
-            "resolution",
-            f"{var.id!r} cannot be used as a value here", path, var.span)
     if var.declared_kind == "clockdomain":
         if var.expr_ast is None:
             return ClockDomainValue(

@@ -182,7 +182,7 @@ CASES = [
     ("insert_mismatch", P + 'const x = {1} + "a";', {}, "type",
      "inserted str does not match array of int", "f0.td:1:22"),
     ("magic_variable", P + "streamlet q<n: int> { }; const x = streamlet q.n;", {},
-     "resolution", "'n' cannot be used as a value here", "f0.td"),
+     "resolution", "'n' cannot be used as a value here", "f0.td:1:47"),
     ("clockdomain_initializer", P + "const c: clockdomain = 1;", {}, "type",
      "clockdomain initializer must be a string, got int", "f0.td:1:12"),
     ("no_initializer", P + "const a; const x = a;", {}, "type",
@@ -291,7 +291,12 @@ CASES = [
      {}, "resolution", "unknown port 'q' on instance 'a' (streamlet 'io_s')",
      "f0.td:1:154"),
     ("end_needs_index", IO + "impl i of io_s { instance a(leaf_i) [2], i => a.i, };",
-     {}, "resolution", "instance 'a' is an array; an index is required", "f0.td"),
+     {}, "resolution", "instance 'a' is an array; an index is required",
+     "f0.td:1:156"),
+    ("end_port_needs_index",
+     P + "type s = Stream(Bit(1)); streamlet a_s { i: s [2] in, o: s out, }; "
+     "impl i of a_s { i => o, };", {}, "resolution",
+     "port 'i' is an array; an index is required", "f0.td:1:95"),
     ("end_not_array", IO + "impl i of io_s { instance a(leaf_i), i => a[0].i, };",
      {}, "resolution", "instance 'a' is not an array", "f0.td:1:154"),
     ("end_index_kind",
