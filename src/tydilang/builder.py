@@ -274,8 +274,7 @@ def import_package(scope: Scope, pkg_name: str):
 
 class PackageBuilder(StatementBuilder):
     def __init__(self, parsed: ParsedFile):
-        source = parsed.source
-        super().__init__(Package(source.package_name, source.path, source.text))
+        super().__init__(Package(parsed.package_name, parsed.path, parsed.text))
         self.parsed = parsed
 
     def build(self) -> Package:

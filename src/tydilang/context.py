@@ -38,11 +38,14 @@ class EvalContext:
 
     def begin(self, node, label: str):
         """Mark the node as being evaluated; demanding it again before
-        `finish` raises the dependency cycle that leads back to it."""
+        `finish` raises the dependency cycle that leads back to it, at the
+        node's declaration when it has one."""
         key = id(node)
         depth = self._in_progress.get(key)
         if depth is not None:
-            raise CircularDependencyError(self._stack[depth:] + [label])
+            span = getattr(node, "span", None)  # an InstantiationCell has none
+            path = node.scope.package.path if span is not None else None
+            raise CircularDependencyError(self._stack[depth:] + [label], path, span)
         self._in_progress[key] = len(self._stack)
         self._stack.append(label)
 

@@ -3,19 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open byte range [start, end) into a source file."""
+class Span(NamedTuple):
+    """Half-open byte range [start, end) into a source file. It does not
+    check its order: the lexer and parser make start <= end, and the tests
+    check that over every parsed fixture."""
 
     start: int
     end: int
-
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError(f"invalid span: {self.start} > {self.end}")
 
     def __str__(self):
         return f"{self.start}-{self.end}"
@@ -79,9 +76,9 @@ class AssertionFailure(TydiError):
 
 
 class CircularDependencyError(TydiError):
-    def __init__(self, members):
+    def __init__(self, members, path=None, span=None):
         cycle = " -> ".join(members)
-        super().__init__("resolution", f"circular dependency: {cycle}")
+        super().__init__("resolution", f"circular dependency: {cycle}", path, span)
         self.members = list(members)
 
 

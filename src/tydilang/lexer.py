@@ -16,7 +16,7 @@ brace. Where no group matches, `_fail` names the reason.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Span, SyntaxDiagnosticError
 
@@ -54,8 +54,7 @@ _ESCAPE = re.compile(rb"\\(.)")
 _BRACES = re.compile(rb'//[^\n]*\n?|/\*.*?\*/|"(?:[^"\\]|\\.)*"|(/\*|")|([{}])', re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # ID | INT | FLOAT | STR | DOC | punctuation text | EOF
     text: str
     span: Span

@@ -3,13 +3,13 @@
 Produces a lossless, position-annotated tree of :class:`AstNode`. Expressions
 are kept flat (``Exp`` holds ``Term (InfixOp Term)*``); operator precedence is
 applied by the math engine, and unary operators live inside ``Term`` so they
-always bind tighter than any binary operator.
+always bind tighter than any binary operator. Each parsed file is one
+`ParsedFile` record: its path, text, package name and tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import Diagnostic, SyntaxDiagnosticError
 from .lexer import Token, tokenize
@@ -33,31 +33,25 @@ UNARY_OPS = {"-", "!", "~"}
 BUILTIN_FUNCS = {"round", "floor", "ceil"}
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class ParsedFile(NamedTuple):
     path: str
     text: str
     package_name: str
-
-
-@dataclass
-class ParsedFile:
-    source: SourceFile
     ast: AstNode
 
 
 class _Parser:
     def __init__(self, text: str, path: Optional[str] = None):
         self.path = path
-        self.text = text
         self.tokens = tokenize(text, path)
+        # `next` stops at the first EOF, so the second keeps `peek(1)` in range
+        self.tokens.append(self.tokens[-1])
         self.pos = 0
 
     # -- token helpers -----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
         t = self.peek()
@@ -756,7 +750,7 @@ def parse_file(text: str, path: str = "<memory>") -> ParsedFile:
     """Parse one source file; raises SyntaxDiagnosticError on the first error."""
     p = _Parser(text, path)
     package_name, ast = p.parse_file()
-    return ParsedFile(SourceFile(path, text, package_name), ast)
+    return ParsedFile(path, text, package_name, ast)
 
 
 def parse_fragment(text: str, rule: str = "logical_type") -> AstNode:
@@ -789,7 +783,11 @@ def parse_project(paths_and_texts: list[tuple[str, str]],
         except SyntaxDiagnosticError as e:
             diagnostics.append(e.diagnostic)
             continue
-        name = parsed.source.package_name
+        except RecursionError:
+            # the parser recurses once per nesting level
+            diagnostics.append(Diagnostic("syntax", "nesting too deep while parsing", path))
+            continue
+        name = parsed.package_name
         if name in by_package:
             diagnostics.append(Diagnostic(
                 "syntax",

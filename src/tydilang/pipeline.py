@@ -276,7 +276,7 @@ def _write_ast_dumps(config: CompileConfig, result: CompileResult,
         if pkg_name == PRELUDE_PACKAGE:
             continue
         pf = parsed[pkg_name]
-        stem = os.path.splitext(os.path.basename(pf.source.path))[0]
+        stem = os.path.splitext(os.path.basename(pf.path))[0]
         name = stem
         n = 2
         while name in used:

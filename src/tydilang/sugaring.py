@@ -9,7 +9,7 @@ when unused. Each source's uses are indexed in one pass over connections.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .context import EvalContext
 from .elaboration import TemplateArg, instantiate_template
@@ -17,9 +17,9 @@ from .errors import TydiError
 from .logical_types import short_name
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Port, Project)
+from .stdlib import PRELUDE_PACKAGE
 from .values import IntValue
 
-STD_PACKAGE = "tydi_std"
 DUPLICATOR_IMPL = "duplicator_i"
 VOIDER_IMPL = "void_i"
 
@@ -113,23 +113,14 @@ def _end_path_name(usage: PortUsage) -> str:
     return _sanitize("_".join(parts))
 
 
-def _make_end(usage: PortUsage) -> EndRef:
+def _end(inst: Optional[Instance], port: Port, owner_index=None,
+         port_index=None) -> EndRef:
+    """A resolved end on a port of `inst`, or of Self when `inst` is None."""
+    owner = inst.name if inst is not None else None
     end = EndRef(owner_ast=None, owner_index_ast=None, port_ast=None,
-                 port_index_ast=None,
-                 raw_owner=usage.owner, raw_port=usage.port_name)
-    end.owner_name = usage.owner
-    end.owner_index = usage.owner_index
-    end.port_name = usage.port_name
-    end.port_index = usage.port_index
-    end.port = usage.port
-    return end
-
-
-def _instance_end(inst: Instance, port: Port, port_index=None) -> EndRef:
-    end = EndRef(owner_ast=None, owner_index_ast=None, port_ast=None,
-                 port_index_ast=None, raw_owner=inst.name, raw_port=port.name)
-    end.owner_name = inst.name
-    end.owner_index = None
+                 port_index_ast=None, raw_owner=owner, raw_port=port.name)
+    end.owner_name = owner
+    end.owner_index = owner_index
     end.port_name = port.name
     end.port_index = port_index
     end.instance = inst
@@ -137,8 +128,13 @@ def _instance_end(inst: Instance, port: Port, port_index=None) -> EndRef:
     return end
 
 
+def _source_end(impl: Implementation, usage: PortUsage) -> EndRef:
+    inst = impl.instances[usage.owner] if usage.owner is not None else None
+    return _end(inst, usage.port, usage.owner_index, usage.port_index)
+
+
 def _std_template(project: Project, name: str) -> Implementation:
-    pkg = project.packages.get(STD_PACKAGE)
+    pkg = project.packages.get(PRELUDE_PACKAGE)
     template = pkg.scope.implements.get(name) if pkg else None
     if template is None:
         raise TydiError(
@@ -185,9 +181,9 @@ def _insert_duplicator(ctx, project, impl, usage: PortUsage, uses):
     # retarget this source's uses, indexed before any insertion, onto the
     # outputs in declaration order; each keeps its fifo depth, marker and name
     for j, conn in enumerate(uses.get(usage.key(), [])):
-        conn.source = _instance_end(inst, out_port, port_index=j)
-    feed = Connection(name=f"{gen_name}_in", source=_make_end(usage),
-                      sink=_instance_end(inst, in_port))
+        conn.source = _end(inst, out_port, port_index=j)
+    feed = Connection(name=f"{gen_name}_in", source=_source_end(impl, usage),
+                      sink=_end(inst, in_port))
     feed.state = EvalState.EVALUATED
     impl.scope.connections.append(feed)
 
@@ -199,8 +195,8 @@ def _insert_voider(ctx, project, impl, usage: PortUsage):
     inst = Instance(name=gen_name, target=void_impl, state=EvalState.EVALUATED)
     impl.scope.instances[gen_name] = inst
     in_port = void_impl.streamlet.ports["input"]
-    conn = Connection(name=f"{gen_name}_in", source=_make_end(usage),
-                      sink=_instance_end(inst, in_port))
+    conn = Connection(name=f"{gen_name}_in", source=_source_end(impl, usage),
+                      sink=_end(inst, in_port))
     conn.state = EvalState.EVALUATED
     impl.scope.connections.append(conn)
 

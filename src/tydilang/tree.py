@@ -1,20 +1,19 @@
 """Position-annotated syntax tree produced by the parser.
 
-Nodes are plain (kind, span, children) records; the dump format is the
-bracketed text written to the 0_ast output folder, e.g. ``ID(6, 7)`` for a
-leaf and ``Exp(20, 22, [Term(20, 22, [...])])`` for an inner node.
+Nodes are (kind, span, children, leaf_text) named tuples, so they compare and
+hash as plain tuples; the dump format is the bracketed text written to the
+0_ast output folder, e.g. ``ID(6, 7)`` for a leaf and
+``Exp(20, 22, [Term(20, 22, [...])])`` for an inner node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import Span
 
 
-@dataclass(frozen=True)
-class AstNode:
+class AstNode(NamedTuple):
     kind: str
     span: Span
     children: tuple["AstNode", ...] = ()

@@ -90,7 +90,7 @@ CASES = [
     ("parse_duplicate_package", ("package p;", "package p;"), {}, "syntax",
      "duplicate package 'p' declared in f0.td and f1.td", "f1.td"),
     ("parse_nesting", P + "const x = " + "(" * 2000 + "1" + ")" * 2000 + ";", {},
-     "syntax", "nesting too deep while parsing", "<project>"),
+     "syntax", "nesting too deep while parsing", "f0.td"),
     # -- builder and declarations
     ("build_interpolated_instance", IO + "impl i of io_s { instance a_{{k}}(leaf_i), };",
      {}, "resolution", "interpolated identifier is only usable inside a for scope",
@@ -100,7 +100,7 @@ CASES = [
     ("declare_duplicate", P + "const x = 1; const x = 2;", {}, "resolution",
      "duplicate variable 'x' in scope package_p", "f0.td:1:25"),
     ("cycle", P + "const x = y; const y = x;", {}, "resolution",
-     "circular dependency: package_p.x -> package_p.y -> package_p.x", "<project>"),
+     "circular dependency: package_p.x -> package_p.y -> package_p.x", "f0.td:1:12"),
     # -- constant expressions
     ("literal_overflow", P + "const x = 9223372036854775808;", {}, "type",
      "integer literal overflows 64-bit range: 9223372036854775808", "f0.td:1:22"),

@@ -28,16 +28,17 @@ def backward_chain(depth: int) -> str:
             + f"const c{depth} = 0;\n")
 
 
-@pytest.mark.parametrize("source, line", [
-    (nested_parentheses(DEPTH), "[syntax] nesting too deep while parsing"),
-    (backward_chain(DEPTH), "[resolution] nesting too deep while evaluating"),
+@pytest.mark.parametrize("source, in_file, line", [
+    (nested_parentheses(DEPTH), True, "[syntax] nesting too deep while parsing"),
+    (backward_chain(DEPTH), False, "[resolution] nesting too deep while evaluating"),
 ], ids=["parentheses", "constant_chain"])
-def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, source, line):
+def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, source, in_file, line):
     src = tmp_path / "deep.td"
     src.write_text(source, encoding="utf-8")
     out = tmp_path / "build"
     assert main([str(src), "--output", str(out)]) == 1
-    assert (out / "error_report.txt").read_text() == f"<project>: {line}\n"
+    where = str(src) if in_file else "<project>"
+    assert (out / "error_report.txt").read_text() == f"{where}: {line}\n"
     assert capsys.readouterr().err.splitlines()[0] == line
 
 

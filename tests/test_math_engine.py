@@ -305,9 +305,12 @@ def test_cycle_reports_members(case):
     source, force, table, name, cycle = CYCLES[case]
     project = project_of(source)
     ctx = EvalContext(project)
+    entity = getattr(project.packages["p"].scope, table)[name]
     with pytest.raises(TydiError) as exc:
-        force(ctx, getattr(project.packages["p"].scope, table)[name])
+        force(ctx, entity)
     assert exc.value.message == f"circular dependency: {cycle}"
+    # reported where the cycle closes: the declaration demanded twice
+    assert (exc.value.diagnostic.path, exc.value.diagnostic.span) == ("file_0.td", entity.span)
 
 
 def test_self_cycle():

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from tydilang.errors import SyntaxDiagnosticError
 from tydilang.lexer import tokenize
 from tydilang.parser import parse_file, parse_fragment, parse_project
+from tydilang.stdlib import PRELUDE_PATH, PRELUDE_SOURCE
 from tydilang.tree import check_span_containment, dump_ast, iter_nodes
 
-from conftest import evaluated_project
+from conftest import DATA_DIR, evaluated_project
 
 UNION_SNIPPET = (
     'Union A {\n'
@@ -95,7 +97,7 @@ def test_id_leaf_dump_format():
 
 def test_empty_package():
     parsed = parse_file("package p;")
-    assert parsed.source.package_name == "p"
+    assert parsed.package_name == "p"
     assert parsed.ast.kind == "Package"
     assert parsed.ast.children == ()
 
@@ -266,9 +268,19 @@ def test_process_block_is_opaque():
     assert "delay_cycle(5, 100MHz);" in block.leaf_text
 
 
-def test_span_containment_over_fixture_corpus(tpch1_source):
-    parsed = parse_file(tpch1_source)
-    check_span_containment(parsed.ast)
+def test_span_containment_over_fixture_corpus():
+    """Every `.td` under tests/data and the prelude: each token and node span
+    has start <= end, and child spans nest in order inside their parent."""
+    corpus = [(PRELUDE_PATH, PRELUDE_SOURCE)] + [
+        (str(path), path.read_text(encoding="utf-8"))
+        for path in sorted(Path(DATA_DIR).rglob("*.td"))]
+    assert len(corpus) == 6
+    for path, text in corpus:
+        spans = [t.span for t in tokenize(text, path)]
+        ast = parse_file(text, path).ast
+        spans += [n.span for n in iter_nodes(ast)]
+        assert all(span.start <= span.end for span in spans), path
+        check_span_containment(ast)
 
 
 def test_dump_is_deterministic(tpch1_source):

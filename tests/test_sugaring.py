@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -174,6 +175,24 @@ def test_unused_instance_output_gets_voider():
     conn = next(c for c in impl.connections if c.sink.instance is not None
                 and c.sink.instance.name == "void_l_output")
     assert conn.source.key() == ("l", None, "output", None)
+
+
+def test_inserted_feeds_keep_the_instance_index():
+    """The dump names the element of an instance array that feeds a
+    duplicator or a voider."""
+    project, _ = sugared(
+        "package p;" + BASE +
+        "streamlet top_s { };\n"
+        "impl top_i of top_s {\n"
+        "  instance a(leaf_i) [2],\n  instance b(leaf_i),\n  instance c(leaf_i),\n"
+        "  a[1].output => b.input,\n  a[1].output => c.input,\n"
+        "  b.output => a[0].input,\n  c.output => a[1].input,\n"
+        "};\n")
+    # each feed line starts with its source end and ends with `(<inserted>_in)`
+    feeds = re.findall(r"^\s*(\S+?):.* \((\w+)_in\)$", dump_code_structure(project),
+                       re.MULTILINE)
+    assert sorted(feeds) == [("ExternalOwner(a[0]).output", "void_a_0_output"),
+                             ("ExternalOwner(a[1]).output", "duplicate_a_1_output_2")]
 
 
 def test_unused_self_ports_left_alone():
