@@ -364,6 +364,16 @@ CASES = [
      IO + "impl i of io_s { for k in (0=1=>2) { instance a(leaf_i), } };", {},
      "resolution", "instance 'a' cannot be declared in a for scope; interpolate the "
      "name with {{...}} instead", "f0.td:1:147"),
+    ("for_assert",
+     IO + "impl i of io_s { for k in (0=1=>2) { assert(k < 2), assert(k < 1), } };",
+     {}, "assertion", "assertion failed: k < 1 (operands: int(1), int(1))",
+     "f0.td:1:162"),
+    ("for_unresolved", IO + "impl i of io_s { for k in (0=1=>1) { i =q=> o, } };", {},
+     "resolution", "variable 'q' not found (searched implement_i -> package_p)",
+     "f0.td:1:150"),
+    ("for_interpolated_constant", IO + "const n = 1; impl i of io_s { "
+     "for k in (0=1=>1) { instance a_{{n}}(leaf_i), } };", {}, "resolution",
+     "interpolated identifier is only usable inside a for scope", "f0.td:1:169"),
     ("if_condition", IO + "impl i of io_s { if (1) { } };", {}, "type",
      "if condition must be a boolean value, got int", "f0.td:1:131"),
     ("interpolated_float",

@@ -194,17 +194,36 @@ def test_golden_template_project_is_pinned(artifact):
     `impl of` parameter and a for block; a derived implementation of a
     template from another package; and the duplicator and voiders that
     sugaring inserts."""
-    project_dir = os.path.join(DATA_DIR, "golden_templates")
+    _check_golden_project("golden_templates", "app.top_i", artifact)
+
+
+@pytest.mark.parametrize("artifact", ["2_evaluation_output_after_sugaring.txt",
+                                      "ir.json"])
+def test_golden_for_project_is_pinned(artifact):
+    """Byte-exact pins for generative blocks: nested `for` blocks whose inner
+    range is bounded by the outer variable; `if`/`elif`/`else` inside a
+    `for`; interpolated instance names and array-indexed ends; a FIFO depth
+    and a template argument computed from the loop variable; and an assert
+    in a `for` body."""
+    _check_golden_project("golden_for", "lanes.top_i", artifact)
+
+
+def _check_golden_project(dirname: str, top: str, artifact: str):
+    """Compile every `.td` file of `tests/data/<dirname>` with DRC, DOT and
+    IR and compare one artifact with the checked-in copy."""
+    project_dir = os.path.join(DATA_DIR, dirname)
     sources = []
-    for name in ("app.td", "lib.td"):
-        with open(os.path.join(project_dir, name), encoding="utf-8") as f:
-            sources.append((name, f.read()))
+    for name in sorted(os.listdir(project_dir)):
+        if name.endswith(".td"):
+            with open(os.path.join(project_dir, name), encoding="utf-8") as f:
+                sources.append((name, f.read()))
     with open(os.path.join(project_dir, artifact), encoding="utf-8") as f:
         expected = f.read()
-    config = CompileConfig(inputs=[project_dir], top="app.top_i", emit_drc=True,
+    config = CompileConfig(inputs=[project_dir], top=top, emit_drc=True,
                            emit_dot=True, emit_ir=True)
     result = compile_sources(config, sources)
     assert result.ok, result.diagnostics
+    assert [d for d in result.drc_diagnostics if d.severity == "Error"] == []
     assert result.artifacts[artifact] == expected
 
 

@@ -757,3 +757,79 @@ def test_nested_for_with_index_arithmetic():
     impl = project.packages["p"].scope.implements["i"]
     driven = sorted(c.sink.key() for c in impl.connections if not c.sink.is_self)
     assert driven == [("lane", k, "input", None) for k in range(4)]
+
+
+# -- for bodies: everything in a body sees the loop variable ----------------------
+
+
+def _chan_impl(body: str, extra: str = ""):
+    project, _ = evaluated_project(
+        "package p;" + FOR_BASE + extra + "impl chan_i of chan_s {\n" + body + "};\n")
+    return project.packages["p"].scope.implements["chan_i"]
+
+
+def test_assert_in_for_body_reads_loop_variable():
+    impl = _chan_impl("  for i in (0=1=>channel) {\n"
+                      "    assert(i < channel),\n"
+                      "    inputs[i] => outputs[i],\n"
+                      "  }\n")
+    assert len(impl.connections) == 4
+
+
+def test_const_in_for_body_reads_loop_variable():
+    impl = _chan_impl("  for i in (0=1=>1) {\n"
+                      "    const c = i + 1,\n"
+                      "    inputs[c] => outputs[c],\n"
+                      "  }\n")
+    assert impl.scope.variables["c"].value == IntValue(1)
+    [conn] = impl.connections
+    assert (conn.source.port_index, conn.sink.port_index) == (1, 1)
+
+
+def test_fifo_depth_from_loop_variable():
+    impl = _chan_impl("  for i in (0=1=>channel) {\n"
+                      "    inputs[i] =i+1=> outputs[i],\n"
+                      "  }\n")
+    assert [(c.source.port_index, c.fifo_depth) for c in impl.connections] == \
+        [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def test_template_value_argument_from_loop_variable():
+    impl = _chan_impl(
+        "  for i in (0=1=>2) {\n"
+        "    instance w_{{i}}(w_i<i>),\n"
+        "    inputs[i] => w_{{i}}.input,\n"
+        "    w_{{i}}.output => outputs[i],\n"
+        "  }\n",
+        extra="streamlet w_s<n: int> { input: rgb_stream in, output: rgb_stream out, };\n"
+              "external impl w_i<n: int> of w_s<n> { };\n")
+    assert {name: inst.target.id for name, inst in impl.instances.items()} == \
+        {"w_0": "w_i@0", "w_1": "w_i@1"}
+
+
+def test_inner_range_bounded_by_outer_variable():
+    impl = _chan_impl("  for a in (0=1=>3) {\n"
+                      "    for b in (0=1=>a) {\n"
+                      "      instance x_{{a}}_{{b}}(bp_i),\n"
+                      "    }\n"
+                      "  }\n")
+    assert sorted(impl.instances) == ["x_1_0", "x_2_0", "x_2_1"]
+
+
+def test_impl_of_argument_as_instance_target_in_for_body():
+    project, _ = evaluated_project(
+        "package p;" + RGB +
+        "streamlet component { input: rgb_stream in, output: rgb_stream out, };\n"
+        "impl component_impl of component { input => output, };\n"
+        "streamlet larger { input: rgb_stream [2] in, output: rgb_stream [2] out, };\n"
+        "impl larger_t<ts: impl of component> of larger {\n"
+        "  for i in (0=1=>2) {\n"
+        "    instance inst_{{i}}(ts),\n"
+        "    input[i] => inst_{{i}}.input,\n"
+        "    inst_{{i}}.output => output[i],\n"
+        "  }\n"
+        "};\n"
+        "impl larger_i(larger_t<impl component_impl>);\n")
+    larger = project.packages["p"].scope.implements["larger_i"]
+    assert {name: inst.target.id for name, inst in larger.instances.items()} == \
+        {"inst_0": "component_impl", "inst_1": "component_impl"}
