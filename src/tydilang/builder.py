@@ -18,7 +18,8 @@ from .tree import AstNode
 
 
 def name_of(name_node: AstNode, path: Optional[str] = None) -> str:
-    """Concrete identifier text; interpolation holes must be gone by now."""
+    """The text of a plain identifier. Holes are filled only inside a `for`
+    body (`elaboration.substitute`), so here an interpolated name is an error."""
     if name_node.kind == "ID":
         return name_node.leaf_text
     raise TydiError(
@@ -32,9 +33,10 @@ class StatementBuilder:
 
     Also used by template instantiation, which builds a template's statement
     again under the mangled name, and by generative for/if expansion, which
-    clones statement subtrees and materializes them into an
-    already-evaluating implementation. Every scope it makes belongs to
-    `package`, whose source the statements' spans index into.
+    builds the statements of a selected branch or of each `for` element
+    into an already-evaluating implementation, from their own AST. Every
+    scope it makes belongs to `package`, whose source the statements' spans
+    index into.
     """
 
     def __init__(self, package: Package):
@@ -204,16 +206,20 @@ class StatementBuilder:
             self.build_impl_item(item, impl, own)
         return impl
 
-    def build_impl_item(self, item: AstNode, impl: Implementation, own: Scope):
+    def build_impl_item(self, item: AstNode, impl: Implementation, own: Scope,
+                        scope: Optional[Scope] = None):
+        """Declare `item` in `own`; its expressions resolve in `scope` (`own`
+        by default, or the scope of a `for` element)."""
+        scope = scope or own
         kind = item.kind
         if kind == "ConstDecl":
-            declare(own, self.build_const(item, own), "variable", item.span, self.path)
+            declare(own, self.build_const(item, scope), "variable", item.span, self.path)
         elif kind == "TypeDecl":
-            declare(own, self.build_type_entry(item, own), "type", item.span, self.path)
+            declare(own, self.build_type_entry(item, scope), "type", item.span, self.path)
         elif kind == "AssertStmt":
-            impl.asserts.append(item)
+            impl.asserts.append((scope, item))
         elif kind == "InstanceDecl":
-            inst = self.build_instance(item)
+            inst = self.build_instance(item, name_of(item.children[0], self.path))
             declare(own, inst, "instance", item.span, self.path)
         elif kind == "ConnectionStmt":
             own.connections.append(self.build_connection(item))
@@ -222,8 +228,8 @@ class StatementBuilder:
         else:  # ProcessBlock, the last kind of item the parser makes
             impl.process_block = item.leaf_text
 
-    def build_instance(self, item: AstNode) -> Instance:
-        name = name_of(item.children[0], self.path)
+    def build_instance(self, item: AstNode, name: str,
+                       scope: Optional[Scope] = None) -> Instance:
         target = item.children[1]
         size = item.child("ArraySize")
         return Instance(
@@ -231,9 +237,11 @@ class StatementBuilder:
             target_ast=target,
             raw_target=self.snip(target.span),
             array_size_ast=size.children[0] if size else None,
-            span=item.span)
+            span=item.span,
+            scope=scope)
 
-    def build_connection(self, item: AstNode, name_suffix: str = "") -> Connection:
+    def build_connection(self, item: AstNode, name_suffix: str = "",
+                         scope: Optional[Scope] = None) -> Connection:
         ends = item.children_of("PathEnd")
         fifo = item.child("FifoDepth")
         cname_node = item.child("ConnName")
@@ -247,7 +255,8 @@ class StatementBuilder:
             fifo_ast=fifo_exp,
             raw_fifo=self.snip(fifo_exp.span) if fifo_exp is not None else None,
             no_strict=item.child("NoStrictMarker") is not None,
-            span=item.span)
+            span=item.span,
+            scope=scope)
 
     def build_end(self, end: AstNode) -> EndRef:
         owner = end.child("PathOwner")

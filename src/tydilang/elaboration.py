@@ -9,6 +9,10 @@ template's statement again with the `StatementBuilder` under a mangled
 registers the instance and evaluates it; instantiating the same arguments
 twice returns the existing entity. Streamlet, implementation and
 type references resolve through `model.resolve_ref`.
+
+Each element of a `for` block gets a scope that binds the loop variable and
+reaches the scope around it by an if/for relation. The body is built from
+its own AST once per element, and what it builds evaluates in that scope.
 """
 
 from __future__ import annotations
@@ -17,20 +21,19 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .builder import StatementBuilder, name_of
+from .builder import StatementBuilder
 from .context import EvalContext
 from .errors import AssertionFailure, TydiError, TypeError_
 from .logical_types import StreamType, short_name
 from .math_engine import (ExpressionEvaluator, evaluate_expression,
                           evaluate_range, force_variable)
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
-                    Port, Scope, Streamlet, TypeEntry, Variable, resolve_name,
-                    resolve_ref)
-from .tree import AstNode, node as make_node
+                    Port, Scope, ScopeRelationKind, Streamlet, TypeEntry,
+                    Variable, declare, resolve_name, resolve_ref)
+from .tree import AstNode
 from .type_eval import evaluate_type_terminal, force_type_entry
-from .values import (ArrayValue, BoolValue, ClockDomainValue, FloatValue,
-                     IntValue, StrValue, Value, format_value, mangle_text,
-                     variant_name)
+from .values import (ArrayValue, BoolValue, ClockDomainValue, IntValue,
+                     StrValue, Value, format_value, mangle_text, variant_name)
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -125,13 +128,13 @@ def _compute_implementation(ctx: EvalContext, impl: Implementation):
         sb = StatementBuilder(impl.scope.package)
         blocks, impl.generative = impl.generative, []
         for block in blocks:
-            _expand_block(ctx, impl, block, sb, "")
+            _expand_block(ctx, impl, block, sb, impl.scope, "")
     for inst in impl.scope.instances.values():
         _evaluate_instance(ctx, impl, inst)
     for conn in impl.scope.connections:
         resolve_connection(ctx, impl, conn)
-    for a in impl.asserts:
-        check_assertion(ctx, impl.scope, a)
+    for scope, a in impl.asserts:
+        check_assertion(ctx, scope, a)
 
 
 def _evaluate_derived(ctx: EvalContext, impl: Implementation):
@@ -163,14 +166,15 @@ def _resolve_of_streamlet(ctx: EvalContext, impl: Implementation) -> Streamlet:
 
 
 def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
-    path = impl.scope.package.path
+    scope = inst.scope or impl.scope
+    path = scope.package.path
     target_ast = inst.target_ast
     if target_ast.kind == "TemplateInstance":
-        template, args = _resolve_template_use(ctx, impl.scope, target_ast,
+        template, args = _resolve_template_use(ctx, scope, target_ast,
                                                "implementation")
         target = instantiate_template(ctx, template, args)
     else:
-        target = _resolve_impl(ctx, impl.scope, target_ast)
+        target = _resolve_impl(ctx, scope, target_ast)
         if target.is_template:
             raise TydiError(
                 "resolution",
@@ -179,7 +183,7 @@ def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
     evaluate_implementation(ctx, target)
     inst.target = target
     if inst.array_size_ast is not None:
-        size = evaluate_expression(ctx, impl.scope, inst.array_size_ast)
+        size = evaluate_expression(ctx, scope, inst.array_size_ast)
         if not isinstance(size, IntValue) or size.value < 1:
             raise TypeError_("instance array size must be a positive int",
                              path, inst.span)
@@ -199,19 +203,21 @@ def _resolve_impl(ctx: EvalContext, scope: Scope, ref: AstNode) -> Implementatio
 
 
 def resolve_connection(ctx: EvalContext, impl: Implementation, conn: Connection):
-    path = impl.scope.package.path
+    scope = conn.scope or impl.scope
+    path = scope.package.path
     for end in (conn.source, conn.sink):
-        _resolve_end(ctx, impl, end, path)
+        _resolve_end(ctx, impl, end, scope)
     if conn.fifo_ast is not None:
-        depth = evaluate_expression(ctx, impl.scope, conn.fifo_ast)
+        depth = evaluate_expression(ctx, scope, conn.fifo_ast)
         if not isinstance(depth, IntValue) or depth.value < 0:
             raise TypeError_("FIFO depth must be a non-negative int", path, conn.span)
         conn.fifo_depth = depth.value
     conn.state = EvalState.EVALUATED
 
 
-def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, path):
-    port_name = name_of(end.port_ast, path)
+def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, scope: Scope):
+    path = scope.package.path
+    port_name = substitute(end.port_ast, scope, path)
     end.port_name = port_name
     if end.owner_ast is None:
         port = impl.streamlet.ports.get(port_name)
@@ -221,7 +227,7 @@ def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, path):
                 f"unknown port {port_name!r} on streamlet {impl.streamlet.id!r}",
                 path, end.port_ast.span)
     else:
-        owner_name = name_of(end.owner_ast, path)
+        owner_name = substitute(end.owner_ast, scope, path)
         end.owner_name = owner_name
         inst = impl.scope.instances.get(owner_name)
         if inst is None:
@@ -230,7 +236,7 @@ def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, path):
                 f"unknown instance {owner_name!r} in implementation {impl.id!r}",
                 path, end.owner_ast.span)
         end.instance = inst
-        end.owner_index = _end_index(ctx, impl.scope, end.owner_index_ast,
+        end.owner_index = _end_index(ctx, scope, end.owner_index_ast,
                                      inst.array_size, f"instance {owner_name!r}", path,
                                      end.owner_ast.span)
         port = inst.target.streamlet.ports.get(port_name)
@@ -241,7 +247,7 @@ def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, path):
                 f"(streamlet {inst.target.streamlet.id!r})",
                 path, end.port_ast.span)
     end.port = port
-    end.port_index = _end_index(ctx, impl.scope, end.port_index_ast,
+    end.port_index = _end_index(ctx, scope, end.port_index_ast,
                                 port.array_size, f"port {port_name!r}", path,
                                 end.port_ast.span)
 
@@ -474,14 +480,16 @@ def _bind_args(scope: Scope, params, args: list[TemplateArg]):
 
 
 def _expand_block(ctx: EvalContext, impl: Implementation, block: AstNode,
-                  sb: StatementBuilder, suffix: str):
+                  sb: StatementBuilder, scope: Scope, suffix: str):
+    """Build what an if/for `block` generates into `impl`; its expressions
+    evaluate in `scope`, the implementation's or a `for` element's."""
     if block.kind == "ForBlock":
-        expand_for(ctx, impl, block, sb, suffix)
+        expand_for(ctx, impl, block, sb, scope, suffix)
         return
-    body = _select_if_branch(ctx, impl.scope, block, impl.scope.package.path)
+    body = _select_if_branch(ctx, scope, block, scope.package.path)
     if body is not None:
         for item in body.children:
-            _add_expanded_item(ctx, impl, item, sb, suffix)
+            _add_expanded_item(ctx, impl, item, sb, scope, suffix)
 
 
 def _select_if_branch(ctx, scope, block: AstNode, path) -> Optional[AstNode]:
@@ -505,15 +513,17 @@ def _select_if_branch(ctx, scope, block: AstNode, path) -> Optional[AstNode]:
 
 
 def expand_for(ctx: EvalContext, impl: Implementation, block: AstNode,
-               sb: StatementBuilder, suffix: str):
-    path = impl.scope.package.path
+               sb: StatementBuilder, scope: Scope, suffix: str):
+    """Build the body once per element, in an element scope that binds the
+    loop variable and resolves everything else through `scope`."""
+    path = scope.package.path
     var = block.children[0].leaf_text
     iterable = block.children[1]
     body = block.children[2]
     if iterable.kind == "RangeExp":
-        values = evaluate_range(ctx, impl.scope, iterable)
+        values = evaluate_range(ctx, scope, iterable)
     else:
-        v = evaluate_expression(ctx, impl.scope, iterable)
+        v = evaluate_expression(ctx, scope, iterable)
         if not isinstance(v, ArrayValue):
             raise TypeError_(
                 f"for iterates an array of basic values, got {variant_name(v)}",
@@ -521,9 +531,14 @@ def expand_for(ctx: EvalContext, impl: Implementation, block: AstNode,
         values = v
     _reject_plain_instances(body, path)
     for index, element in enumerate(values.elements):
-        substituted = substitute(body, var, element, path)
-        for item in substituted.children:
-            _add_expanded_item(ctx, impl, item, sb, f"{suffix}_for_{var}_{index}")
+        element_scope = Scope(scope.name, "iffor", impl_args=scope.impl_args,
+                              relations=[(ScopeRelationKind.IFFOR, scope)],
+                              package=scope.package)
+        element_scope.variables[var] = Variable(
+            id=var, raw="", scope=element_scope, state=EvalState.EVALUATED, value=element)
+        for item in body.children:
+            _add_expanded_item(ctx, impl, item, sb, element_scope,
+                               f"{suffix}_for_{var}_{index}")
 
 
 def _reject_plain_instances(body: AstNode, path):
@@ -541,97 +556,57 @@ def _reject_plain_instances(body: AstNode, path):
 
 
 def _add_expanded_item(ctx: EvalContext, impl: Implementation, item: AstNode,
-                       sb: StatementBuilder, suffix: str):
-    if item.kind in ("IfBlock", "ForBlock"):
-        _expand_block(ctx, impl, item, sb, suffix)
-        return
-    if item.kind == "ConnectionStmt":
-        impl.scope.connections.append(sb.build_connection(item, name_suffix=suffix))
-        return
-    sb.build_impl_item(item, impl, impl.scope)
+                       sb: StatementBuilder, scope: Scope, suffix: str):
+    kind = item.kind
+    if kind in ("IfBlock", "ForBlock"):
+        _expand_block(ctx, impl, item, sb, scope, suffix)
+    elif kind == "InstanceDecl":
+        name = substitute(item.children[0], scope, sb.path)
+        declare(impl.scope, sb.build_instance(item, name, scope), "instance",
+                item.span, sb.path)
+    elif kind == "ConnectionStmt":
+        impl.scope.connections.append(sb.build_connection(item, suffix, scope))
+    else:
+        sb.build_impl_item(item, impl, impl.scope, scope)
 
 
-# -- loop-variable substitution --------------------------------------------------------
-
-
-def _literal_node(value: Value, span) -> AstNode:
-    s, e = span.start, span.end
-    if isinstance(value, IntValue):
-        leaf = make_node("INT_RAW_NORAML", s, e, leaf_text=str(value.value))
-        return make_node("IntExp", s, e, [leaf])
-    if isinstance(value, FloatValue):
-        leaf = make_node("FLOAT_RAW", s, e, leaf_text=repr(value.value))
-        return make_node("FloatExp", s, e, [leaf])
-    if isinstance(value, StrValue):
-        leaf = make_node("STR", s, e, leaf_text=value.value)
-        return make_node("StringExp", s, e, [leaf])
-    if isinstance(value, BoolValue):
-        leaf = make_node("BOOL_RAW", s, e, leaf_text="true" if value.value else "false")
-        return make_node("BoolExp", s, e, [leaf])
-    if isinstance(value, ClockDomainValue):
-        leaf = make_node("ID", s, e, leaf_text=value.expression)
-        return make_node("ClockDomainExp", s, e, [leaf])
-    raise TypeError_(f"loop value of type {variant_name(value)} cannot be substituted")
-
-
-def _hole_text(value: Value, path, span) -> str:
-    if isinstance(value, IntValue):
-        return str(value.value)
-    if isinstance(value, StrValue):
-        return value.value
-    raise TydiError(
-        "type",
-        f"loop variable of type {variant_name(value)} cannot be interpolated "
-        "into an identifier", path, span)
-
-
-def substitute(node: AstNode, var: str, value: Value, path) -> AstNode:
-    """Clone `node` with every reference to the loop variable replaced by the
-    element value. Inner for-blocks that rebind the variable shadow it."""
-    if node.kind == "VarExp" and len(node.children) == 1 \
-            and node.children[0].leaf_text == var:
-        term = _literal_node(value, node.span)
-        return term
-    if node.kind == "ForBlock" and node.children[0].leaf_text == var:
-        new_iter = substitute(node.children[1], var, value, path)
-        if new_iter is node.children[1]:
-            return node
-        return AstNode(node.kind, node.span,
-                       (node.children[0], new_iter, node.children[2]))
-    if node.kind == "InterpolatedId":
-        return _substitute_interpolated(node, var, value, path)
-    if not node.children:
-        return node
-    new_children = []
-    changed = False
-    for c in node.children:
-        nc = substitute(c, var, value, path)
-        changed = changed or nc is not c
-        new_children.append(nc)
-    if not changed:
-        return node
-    return AstNode(node.kind, node.span, tuple(new_children), node.leaf_text)
-
-
-def _substitute_interpolated(node: AstNode, var: str, value: Value, path) -> AstNode:
+def substitute(name_node: AstNode, scope: Scope, path) -> str:
+    """The identifier a name spells in `scope`: an ID's text, or an
+    interpolated name with each ``{{var}}`` hole filled from the loop
+    variables bound in `scope` and the `for` element scopes around it."""
+    if name_node.kind == "ID":
+        return name_node.leaf_text
     parts = []
-    changed = False
-    for part in node.children:
-        if part.kind == "VarHole" and part.children[0].leaf_text == var:
-            text = _hole_text(value, path, part.span)
-            parts.append(make_node("ID", part.span.start, part.span.end,
-                                   leaf_text=text))
-            changed = True
-        else:
-            parts.append(part)
-    if not changed:
-        return node
-    if all(p.kind == "ID" for p in parts):
-        merged = "".join(p.leaf_text for p in parts)
-        if not _IDENT_RE.match(merged) or "__" in merged:
+    for part in name_node.children:
+        if part.kind == "ID":
+            parts.append(part.leaf_text)
+            continue
+        value = _loop_value(scope, part.children[0].leaf_text)
+        if value is None:
             raise TydiError(
                 "resolution",
-                f"interpolated identifier {merged!r} is not a valid identifier",
-                path, node.span)
-        return make_node("ID", node.span.start, node.span.end, leaf_text=merged)
-    return AstNode(node.kind, node.span, tuple(parts))
+                "interpolated identifier is only usable inside a for scope",
+                path, name_node.span)
+        if not isinstance(value, (IntValue, StrValue)):
+            raise TydiError(
+                "type", f"loop variable of type {variant_name(value)} cannot be "
+                "interpolated into an identifier", path, part.span)
+        parts.append(str(value.value))
+    merged = "".join(parts)
+    if not _IDENT_RE.match(merged) or "__" in merged:
+        raise TydiError(
+            "resolution",
+            f"interpolated identifier {merged!r} is not a valid identifier",
+            path, name_node.span)
+    return merged
+
+
+def _loop_value(scope: Scope, var: str) -> Optional[Value]:
+    """The element `var` is bound to by the innermost `for` around `scope`."""
+    while scope.category == "iffor":
+        binding = scope.variables.get(var)
+        if binding is not None:
+            return binding.value
+        scope = scope.relations[0][1]
+    return None
+

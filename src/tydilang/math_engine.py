@@ -116,9 +116,6 @@ class ExpressionEvaluator:
             return StrValue(atom.children[0].leaf_text)
         if kind == "BoolExp":
             return BoolValue(atom.children[0].leaf_text == "true")
-        if kind == "ClockDomainExp":
-            # synthesized by for-expansion when the loop value is a clockdomain
-            return ClockDomainValue(atom.children[0].leaf_text)
         if kind == "VarExp":
             return self.eval_reference(atom)
         if kind == "IndexExp":

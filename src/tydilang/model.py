@@ -29,17 +29,19 @@ class ScopeRelationKind(enum.Enum):
 
 
 # Which relation kinds each name category may traverse during resolution.
-# Ports and instances never traverse; if/for relations are dissolved by the
-# generative expansion and are never traversed by ordinary resolution.
+# Ports and instances never traverse. An if/for relation joins the scope of
+# one `for` element, which binds the loop variable, to the scope around it,
+# so everything else in the body resolves through it.
 _VALUE_RELATIONS = frozenset({
     ScopeRelationKind.GROUP, ScopeRelationKind.UNION, ScopeRelationKind.STREAM,
-    ScopeRelationKind.STREAMLET, ScopeRelationKind.IMPLEMENT,
+    ScopeRelationKind.STREAMLET, ScopeRelationKind.IMPLEMENT, ScopeRelationKind.IFFOR,
 })
+_ENTITY_RELATIONS = frozenset({ScopeRelationKind.IMPLEMENT, ScopeRelationKind.IFFOR})
 TRAVERSABLE = {
     "variable": _VALUE_RELATIONS,
     "type": _VALUE_RELATIONS,
-    "streamlet": frozenset({ScopeRelationKind.IMPLEMENT}),
-    "implementation": frozenset({ScopeRelationKind.IMPLEMENT}),
+    "streamlet": _ENTITY_RELATIONS,
+    "implementation": _ENTITY_RELATIONS,
     "port": frozenset(),
     "instance": frozenset(),
 }
@@ -152,6 +154,8 @@ class Instance:
     raw_target: str = ""
     array_size_ast: Optional[AstNode] = None
     span: Optional[Span] = None
+    # the `for` element scope its target and size resolve in; None: the impl's
+    scope: Optional["Scope"] = field(default=None, compare=False, repr=False)
     state: EvalState = EvalState.NOT_INFERRED
     target: Optional["Implementation"] = None
     array_size: Optional[int] = None
@@ -199,6 +203,8 @@ class Connection:
     raw_fifo: Optional[str] = None
     no_strict: bool = False
     span: Optional[Span] = None
+    # the `for` element scope its ends and depth resolve in; None: the impl's
+    scope: Optional["Scope"] = field(default=None, compare=False, repr=False)
     state: EvalState = EvalState.NOT_INFERRED
     fifo_depth: int = 0
 
@@ -214,7 +220,8 @@ class Implementation:
     external: bool = False
     instances: dict[str, Instance] = field(default_factory=dict)
     connections: list[Connection] = field(default_factory=list)
-    asserts: list[AstNode] = field(default_factory=list)
+    # (scope the assert evaluates in, assert statement)
+    asserts: list[tuple["Scope", AstNode]] = field(default_factory=list)
     generative: list[AstNode] = field(default_factory=list)  # pending if/for
     process_block: Optional[str] = None
     derived_from: Optional[AstNode] = None  # ImplInstDecl target, if any
@@ -320,7 +327,8 @@ def resolve_name(start_scope: Scope, name: str, category: str,
 
     Inner names shadow outer names; relations are searched depth first, in
     the order they were added. Returns (entity, owning scope); on a miss,
-    raises a ResolutionError at `path`/`span` naming the scopes searched.
+    raises a ResolutionError at `path`/`span` naming the scopes searched,
+    apart from the `for` element scopes, which bind only loop variables.
     """
     allowed = TRAVERSABLE[category]
     attr = _CATEGORY_MAPS[category]
@@ -332,7 +340,8 @@ def resolve_name(start_scope: Scope, name: str, category: str,
         if id(scope) in seen:
             continue
         seen.add(id(scope))
-        searched.append(scope.name)
+        if scope.category != "iffor":
+            searched.append(scope.name)
         table = getattr(scope, attr)
         if name in table:
             return table[name], scope

@@ -136,7 +136,10 @@ def evaluation_roots(project: Project):
 
 def evaluate_project(ctx: EvalContext, project: Project,
                      top: Optional[str] = None) -> list[Diagnostic]:
-    """Drive lazy evaluation from the configured roots; aggregate failures."""
+    """Drive lazy evaluation from the configured roots; aggregate failures.
+
+    A root whose dependencies nest deeper than the Python stack allows is
+    reported at its file, and evaluation stops there."""
     if top is not None:
         try:
             roots = [project.top_implementation(top)]
@@ -162,6 +165,10 @@ def evaluate_project(ctx: EvalContext, project: Project,
             if key not in seen:
                 seen.add(key)
                 diagnostics.append(d)
+        except RecursionError:
+            diagnostics.append(Diagnostic("resolution", "nesting too deep while evaluating",
+                                          root.scope.package.path))
+            break
     diagnostics.sort(key=lambda d: (d.path or "", d.span.start if d.span else -1,
                                     d.message))
     return diagnostics
@@ -192,8 +199,9 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
         for stage in _stages(config, result, sources, source_texts):
             pass
     except RecursionError:
-        # parsing, AST dumps and evaluation recurse once per nesting level or
-        # dependency, so a deep enough input exhausts the Python stack
+        # the AST dumps and the stages after evaluation recurse once per
+        # nesting level, so a deep enough input exhausts the Python stack;
+        # parsing and evaluation report that at the file themselves
         result.diagnostics.append(Diagnostic(
             "syntax" if stage == "parsing" else "resolution",
             f"nesting too deep while {stage}"))

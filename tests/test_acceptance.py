@@ -137,7 +137,7 @@ def test_criterion_05_name_resolution_matrix():
                     with pytest.raises(ResolutionError):
                         resolve_name(inner, "target", category)
                 checked += 1
-        assert checked == 30
+        assert checked == 36
 
 
 def _template_block(dump: str, header_prefix: str) -> str:

@@ -91,6 +91,9 @@ CASES = [
      "duplicate package 'p' declared in f0.td and f1.td", "f1.td"),
     ("parse_nesting", P + "const x = " + "(" * 2000 + "1" + ")" * 2000 + ";", {},
      "syntax", "nesting too deep while parsing", "f0.td"),
+    ("eval_nesting", P + "".join(f"const c{k} = c{k + 1} + 1; " for k in range(2000))
+     + "const c2000 = 0;", {}, "resolution", "nesting too deep while evaluating",
+     "f0.td"),
     # -- builder and declarations
     ("build_interpolated_instance", IO + "impl i of io_s { instance a_{{k}}(leaf_i), };",
      {}, "resolution", "interpolated identifier is only usable inside a for scope",
@@ -432,6 +435,12 @@ def _sugar_without_prelude():
     sugar_project(ctx, project)
 
 
+def test_only_usage_errors_have_no_location():
+    """Whatever a source can cause is reported at a file; only the usage
+    errors, which no source causes, are located at <project>."""
+    assert {case[3] for case in CASES if case[5] == "<project>"} == {"usage"}
+
+
 # checks that no source reaches; the library API does. Each call raises the
 # diagnostic or returns a result that holds it.
 API_CASES = [
@@ -478,9 +487,6 @@ UNREACHABLE = {
     "instantiated with arguments before use":
         "roots, instances, impl arguments and --top all reject templates first, "
         "and instantiated copies have no template parameters",
-    "elaboration._literal_node: loop value of type {} cannot be substituted":
-        "loop values are array elements, and arrays hold only the basic values "
-        "handled above",
     "emit._stamp: instance {} of {} is unresolved":
         "flatten needs an evaluated top, and evaluating an implementation "
         "resolves every instance below it",

@@ -30,7 +30,7 @@ def backward_chain(depth: int) -> str:
 
 @pytest.mark.parametrize("source, in_file, line", [
     (nested_parentheses(DEPTH), True, "[syntax] nesting too deep while parsing"),
-    (backward_chain(DEPTH), False, "[resolution] nesting too deep while evaluating"),
+    (backward_chain(DEPTH), True, "[resolution] nesting too deep while evaluating"),
 ], ids=["parentheses", "constant_chain"])
 def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, source, in_file, line):
     src = tmp_path / "deep.td"

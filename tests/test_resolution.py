@@ -14,12 +14,12 @@ from conftest import DATA_DIR, evaluated_project, project_of
 CATEGORIES = ["variable", "type", "streamlet", "implementation", "port", "instance"]
 RELATIONS = [ScopeRelationKind.GROUP, ScopeRelationKind.UNION,
              ScopeRelationKind.STREAM, ScopeRelationKind.STREAMLET,
-             ScopeRelationKind.IMPLEMENT]
+             ScopeRelationKind.IMPLEMENT, ScopeRelationKind.IFFOR]
 
 # Allowed (category, relation) traversals: variables and types pass every
-# relation; streamlets and implementations pass only implement relations;
-# ports and instances never traverse. If/for relations are dissolved by the
-# generative expansion and are not resolvable at all.
+# relation; streamlets and implementations pass only implement relations and
+# the if/for relation of a `for` element's scope, so a `for` body sees what
+# the implementation around it sees; ports and instances never traverse.
 ALLOWED = {
     ("variable", k) for k in RELATIONS
 } | {
@@ -27,6 +27,8 @@ ALLOWED = {
 } | {
     ("streamlet", ScopeRelationKind.IMPLEMENT),
     ("implementation", ScopeRelationKind.IMPLEMENT),
+    ("streamlet", ScopeRelationKind.IFFOR),
+    ("implementation", ScopeRelationKind.IFFOR),
 }
 
 
@@ -63,17 +65,8 @@ def test_resolution_matrix_cell(category, relation):
             resolve_name(inner, "target", category)
 
 
-def test_matrix_has_thirty_cells():
-    assert len(CATEGORIES) * len(RELATIONS) == 30
-
-
-def test_iffor_relation_is_never_traversed():
-    outer = Scope("package_p", "package")
-    inner = Scope("ifscope", "iffor")
-    inner.add_relation(ScopeRelationKind.IFFOR, outer)
-    outer.variables["x"] = Variable(id="x", raw="1", scope=outer)
-    with pytest.raises(ResolutionError):
-        resolve_name(inner, "x", "variable")
+def test_matrix_has_thirty_six_cells():
+    assert len(CATEGORIES) * len(RELATIONS) == 36
 
 
 def test_inner_name_shadows_outer():
