@@ -18,8 +18,7 @@ from .tree import AstNode
 
 
 def name_of(name_node: AstNode, path: Optional[str] = None) -> str:
-    """The text of a plain identifier. Holes are filled only inside a `for`
-    body (`elaboration.substitute`), so here an interpolated name is an error."""
+    """The text of a plain identifier; outside a `for` body a hole is an error."""
     if name_node.kind == "ID":
         return name_node.leaf_text
     raise TydiError(

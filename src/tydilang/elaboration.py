@@ -128,7 +128,7 @@ def _compute_implementation(ctx: EvalContext, impl: Implementation):
         sb = StatementBuilder(impl.scope.package)
         blocks, impl.generative = impl.generative, []
         for block in blocks:
-            _expand_block(ctx, impl, block, sb, impl.scope, "")
+            _expand_item(ctx, impl, block, sb, impl.scope, "")
     for inst in impl.scope.instances.values():
         _evaluate_instance(ctx, impl, inst)
     for conn in impl.scope.connections:
@@ -217,7 +217,8 @@ def resolve_connection(ctx: EvalContext, impl: Implementation, conn: Connection)
 
 def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, scope: Scope):
     path = scope.package.path
-    port_name = substitute(end.port_ast, scope, path)
+    port_name = end.port_ast.leaf_text if end.port_ast.kind == "ID" else \
+        substitute(end.port_ast, scope, path)
     end.port_name = port_name
     if end.owner_ast is None:
         port = impl.streamlet.ports.get(port_name)
@@ -227,7 +228,8 @@ def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, scope: Sco
                 f"unknown port {port_name!r} on streamlet {impl.streamlet.id!r}",
                 path, end.port_ast.span)
     else:
-        owner_name = substitute(end.owner_ast, scope, path)
+        owner_name = end.owner_ast.leaf_text if end.owner_ast.kind == "ID" else \
+            substitute(end.owner_ast, scope, path)
         end.owner_name = owner_name
         inst = impl.scope.instances.get(owner_name)
         if inst is None:
@@ -479,20 +481,31 @@ def _bind_args(scope: Scope, params, args: list[TemplateArg]):
 # -- generative for/if expansion -----------------------------------------------------
 
 
-def _expand_block(ctx: EvalContext, impl: Implementation, block: AstNode,
-                  sb: StatementBuilder, scope: Scope, suffix: str):
-    """Build what an if/for `block` generates into `impl`; its expressions
-    evaluate in `scope`, the implementation's or a `for` element's."""
-    if block.kind == "ForBlock":
-        expand_for(ctx, impl, block, sb, scope, suffix)
-        return
-    body = _select_if_branch(ctx, scope, block, scope.package.path)
-    if body is not None:
-        for item in body.children:
-            _add_expanded_item(ctx, impl, item, sb, scope, suffix)
+def _expand_item(ctx: EvalContext, impl: Implementation, item: AstNode,
+                 sb: StatementBuilder, scope: Scope, suffix: str):
+    """Build `item`, or what an if/for block generates, into `impl`; its
+    expressions evaluate in `scope`, the implementation's or a `for`
+    element's."""
+    kind = item.kind
+    if kind == "ForBlock":
+        expand_for(ctx, impl, item, sb, scope, suffix)
+    elif kind == "IfBlock":
+        for child in _select_if_branch(ctx, scope, item, sb.path):
+            _expand_item(ctx, impl, child, sb, scope, suffix)
+    elif kind == "InstanceDecl":
+        name_node = item.children[0]
+        name = name_node.leaf_text if name_node.kind == "ID" else \
+            substitute(name_node, scope, sb.path)
+        declare(impl.scope, sb.build_instance(item, name, scope), "instance",
+                item.span, sb.path)
+    elif kind == "ConnectionStmt":
+        impl.scope.connections.append(sb.build_connection(item, suffix, scope))
+    else:
+        sb.build_impl_item(item, impl, impl.scope, scope)
 
 
-def _select_if_branch(ctx, scope, block: AstNode, path) -> Optional[AstNode]:
+def _select_if_branch(ctx, scope, block: AstNode, path) -> tuple[AstNode, ...]:
+    """The items of the branch whose condition holds; none if no branch does."""
     def test(exp: AstNode) -> bool:
         v = evaluate_expression(ctx, scope, exp)
         if not isinstance(v, BoolValue):
@@ -502,14 +515,14 @@ def _select_if_branch(ctx, scope, block: AstNode, path) -> Optional[AstNode]:
         return v.value
 
     if test(block.children[0]):
-        return block.children[1]
+        return block.children[1].children
     for clause in block.children[2:]:
         if clause.kind == "ElifClause":
             if test(clause.children[0]):
-                return clause.children[1]
+                return clause.children[1].children
         elif clause.kind == "ElseClause":
-            return clause.children[0]
-    return None
+            return clause.children[0].children
+    return ()
 
 
 def expand_for(ctx: EvalContext, impl: Implementation, block: AstNode,
@@ -531,14 +544,14 @@ def expand_for(ctx: EvalContext, impl: Implementation, block: AstNode,
         values = v
     _reject_plain_instances(body, path)
     for index, element in enumerate(values.elements):
+        # named after the scope around it, which labels and dumps name as before
         element_scope = Scope(scope.name, "iffor", impl_args=scope.impl_args,
                               relations=[(ScopeRelationKind.IFFOR, scope)],
                               package=scope.package)
         element_scope.variables[var] = Variable(
             id=var, raw="", scope=element_scope, state=EvalState.EVALUATED, value=element)
         for item in body.children:
-            _add_expanded_item(ctx, impl, item, sb, element_scope,
-                               f"{suffix}_for_{var}_{index}")
+            _expand_item(ctx, impl, item, sb, element_scope, f"{suffix}_for_{var}_{index}")
 
 
 def _reject_plain_instances(body: AstNode, path):
@@ -555,27 +568,10 @@ def _reject_plain_instances(body: AstNode, path):
             _reject_plain_instances(item, path)
 
 
-def _add_expanded_item(ctx: EvalContext, impl: Implementation, item: AstNode,
-                       sb: StatementBuilder, scope: Scope, suffix: str):
-    kind = item.kind
-    if kind in ("IfBlock", "ForBlock"):
-        _expand_block(ctx, impl, item, sb, scope, suffix)
-    elif kind == "InstanceDecl":
-        name = substitute(item.children[0], scope, sb.path)
-        declare(impl.scope, sb.build_instance(item, name, scope), "instance",
-                item.span, sb.path)
-    elif kind == "ConnectionStmt":
-        impl.scope.connections.append(sb.build_connection(item, suffix, scope))
-    else:
-        sb.build_impl_item(item, impl, impl.scope, scope)
-
-
 def substitute(name_node: AstNode, scope: Scope, path) -> str:
-    """The identifier a name spells in `scope`: an ID's text, or an
-    interpolated name with each ``{{var}}`` hole filled from the loop
-    variables bound in `scope` and the `for` element scopes around it."""
-    if name_node.kind == "ID":
-        return name_node.leaf_text
+    """The identifier an interpolated name spells in `scope`: each
+    ``{{var}}`` hole is filled from the loop variables bound in `scope` and
+    the `for` element scopes around it."""
     parts = []
     for part in name_node.children:
         if part.kind == "ID":
