@@ -186,7 +186,7 @@ def test_golden_dump_frozen():
 
 
 @pytest.mark.parametrize("artifact", ["2_evaluation_output_after_sugaring.txt",
-                                      "ir.json"])
+                                      "ir.json", "circuit.dot"])
 def test_golden_template_project_is_pinned(artifact):
     """Byte-exact pins for a two-package project that instantiates templates:
     a streamlet template with a type parameter, an int parameter sizing a port
@@ -198,7 +198,7 @@ def test_golden_template_project_is_pinned(artifact):
 
 
 @pytest.mark.parametrize("artifact", ["2_evaluation_output_after_sugaring.txt",
-                                      "ir.json"])
+                                      "ir.json", "circuit.dot"])
 def test_golden_for_project_is_pinned(artifact):
     """Byte-exact pins for generative blocks: nested `for` blocks whose inner
     range is bounded by the outer variable; `if`/`elif`/`else` inside a
@@ -228,16 +228,18 @@ def _check_golden_project(dirname: str, top: str, artifact: str):
 
 
 def test_golden_tpch1_ir_is_pinned():
-    """Byte-exact pin of the JSON IR of the paper's TPC-H query-1 design, as
-    `tydilang tests/data/tpch1.td --top std.main_i --drc --dot --ir` writes
-    it: 161 stream types, most of them port types used many times over."""
+    """Byte-exact pins of the JSON IR and the DOT graph of the paper's TPC-H
+    query-1 design, as `tydilang tests/data/tpch1.td --top std.main_i --drc
+    --dot --ir` writes them: 161 stream types, most of them port types used
+    many times over, and 143 nets."""
     path = os.path.join(DATA_DIR, "tpch1.td")
     with open(path, encoding="utf-8") as f:
         sources = [(path, f.read())]
-    with open(os.path.join(DATA_DIR, "golden_tpch1_ir.json"), encoding="utf-8") as f:
-        expected = f.read()
     config = CompileConfig(inputs=[path], top="std.main_i", emit_drc=True,
                            emit_dot=True, emit_ir=True)
     result = compile_sources(config, sources)
     assert result.ok, result.diagnostics
-    assert result.artifacts["ir.json"] == expected
+    for artifact, golden in (("ir.json", "golden_tpch1_ir.json"),
+                             ("circuit.dot", "golden_tpch1.dot")):
+        with open(os.path.join(DATA_DIR, golden), encoding="utf-8") as f:
+            assert result.artifacts[artifact] == f.read(), artifact
