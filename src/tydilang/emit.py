@@ -14,7 +14,13 @@ order, and its nets with both ends resolved to a port anchor and a slot: the
 implementation itself or one of its children. Walking the tree then only
 joins each copy's flat name onto the child suffixes; a net takes its ends'
 names from those, so a copy's nets and components share their name strings.
+A stamp holds each net name escaped for a quoted DOT label (a backslash
+before each backslash and double quote), so no copy escapes it again.
 `emit_dot` likewise renders each distinct port list's record label once.
+Components and nets are exact tuples of strings, a bool and the shared port
+tuple, not objects or named tuples: a collection untracks an exact tuple
+once its items are untracked, so a large circuit adds nothing to the
+collections after it.
 
 `emit_ir` builds its document of dicts and lists and writes the text that
 the standard `json` module gives with ``indent=2, sort_keys=True``, but
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import TydiError
@@ -40,26 +46,13 @@ from .model import EndRef, EvalState, Implementation, Port, Project
 from .values import format_float
 
 
-@dataclass(slots=True)
-class FlatComponent:
-    flat_name: str
-    is_wrapper: bool
-    ports: tuple[tuple[str, str], ...]  # (display name, anchor name)
-    impl_id: str
-
-
-@dataclass(slots=True)
-class FlatNet:
-    source: tuple[str, str]  # (component anchor, port anchor)
-    sink: tuple[str, str]
-    label: str
-
-
 @dataclass
 class FlatCircuit:
     top: str
-    components: list[FlatComponent] = field(default_factory=list)
-    nets: list[FlatNet] = field(default_factory=list)
+    # (flat name, is wrapper, ports); ports are (display name, anchor) pairs
+    components: list[tuple[str, bool, tuple]] = field(default_factory=list)
+    # (label, source, source anchor, sink, sink anchor)
+    nets: list[tuple[str, str, str, str, str]] = field(default_factory=list)
 
 
 class _Stamp(NamedTuple):
@@ -67,8 +60,8 @@ class _Stamp(NamedTuple):
     is_wrapper: bool
     ports: tuple[tuple[str, str], ...]
     children: tuple[tuple[str, Implementation], ...]  # (name suffix, target)
-    # (connection name, source slot, source anchor, sink slot, sink anchor);
-    # slot 0 is the implementation itself, slot k its k-th child
+    # (DOT-escaped connection name, source slot, source anchor, sink slot,
+    # sink anchor); slot 0 is the implementation itself, slot k its k-th child
     nets: tuple[tuple[str, int, str, int, str], ...]
 
 
@@ -100,7 +93,8 @@ def _stamp(impl: Implementation) -> _Stamp:
         slot = 0 if end.is_self else slots[end.owner_name, end.owner_index]
         return slot, _segment(end.port_name, end.port_index)
 
-    nets = tuple((conn.name, *end_point(conn.source), *end_point(conn.sink))
+    nets = tuple((conn.name.replace("\\", "\\\\").replace('"', '\\"'),
+                  *end_point(conn.source), *end_point(conn.sink))
                  for conn in impl.connections if conn.state is EvalState.EVALUATED)
     return _Stamp(bool(impl.instances), tuple(ports), tuple(children), nets)
 
@@ -119,15 +113,15 @@ def flatten(project: Project, top_package: str, top_impl: str) -> FlatCircuit:
         if stamp is None:
             stamp = stamps[id(impl)] = _stamp(impl)
         is_wrapper, ports, children, conns = stamp
-        components.append(FlatComponent(flat_name, is_wrapper, ports, impl.id))
+        components.append((flat_name, is_wrapper, ports))
         names = [flat_name]  # by slot, shared by components and nets
         for suffix, target in children:
             names.append(flat_name + suffix)
             walk(target, names[-1])
         for name, src_slot, src_anchor, sink_slot, sink_anchor in conns:
             src, sink = names[src_slot], names[sink_slot]
-            nets.append(FlatNet((src, src_anchor), (sink, sink_anchor),
-                                f"{name}__{src}::{src_anchor}__{sink}"))
+            nets.append((f"{name}__{src}::{src_anchor}__{sink}",
+                         src, src_anchor, sink, sink_anchor))
 
     walk(impl, impl.id)
     return circuit
@@ -136,18 +130,16 @@ def flatten(project: Project, top_package: str, top_impl: str) -> FlatCircuit:
 def emit_dot(circuit: FlatCircuit) -> str:
     lines = ["digraph {"]
     tails: dict[tuple, str] = {}  # port list -> end of its record label
-    for comp in sorted(circuit.components, key=attrgetter("flat_name")):
-        ports = tuple(comp.ports)
+    for name, is_wrapper, ports in sorted(circuit.components, key=itemgetter(0)):
         tail = tails.get(ports)
         if tail is None:
             tail = tails[ports] = "".join(
                 f"|<{anchor}>{display}" for display, anchor in ports) + '}"];'
-        attrs = "color=red, shape=record" if comp.is_wrapper else "shape=record"
-        name = comp.flat_name
+        attrs = "color=red, shape=record" if is_wrapper else "shape=record"
         lines.append(f'{name} [{attrs}, label="{{<component>{name}{tail}')
-    lines += [f"{n.source[0]}:{n.source[1]} -> {n.sink[0]}:{n.sink[1]} "
-              f'[label="{n.label}"] ;'
-              for n in sorted(circuit.nets, key=attrgetter("label"))]
+    lines += [f'{src}:{src_anchor} -> {sink}:{sink_anchor} [label="{label}"] ;'
+              for label, src, src_anchor, sink, sink_anchor
+              in sorted(circuit.nets, key=itemgetter(0))]
     lines.append("}\n")  # no second copy of the text just to end it
     return "\n".join(lines)
 

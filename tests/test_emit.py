@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -59,7 +60,7 @@ def build_circuit():
 
 def test_flat_names_join_instance_path_with_double_underscore():
     _, circuit = build_circuit()
-    names = {c.flat_name for c in circuit.components}
+    names = {name for name, _, _ in circuit.components}
     assert "main_i" in names
     assert "main_i__inner" in names
     assert "main_i__inner__accu" in names
@@ -67,31 +68,32 @@ def test_flat_names_join_instance_path_with_double_underscore():
 
 def test_array_instances_flatten_per_element():
     _, circuit = build_circuit()
-    names = {c.flat_name for c in circuit.components}
+    names = {name for name, _, _ in circuit.components}
     assert "main_i__direct_AT_0" in names
     assert "main_i__direct_AT_1" in names
 
 
 def test_array_ports_get_at_anchors():
     _, circuit = build_circuit()
-    top = next(c for c in circuit.components if c.flat_name == "main_i")
-    assert ("feeds@0", "feeds_AT_0") in top.ports
-    assert ("feeds@1", "feeds_AT_1") in top.ports
+    top_ports = next(ports for name, _, ports in circuit.components
+                     if name == "main_i")
+    assert ("feeds@0", "feeds_AT_0") in top_ports
+    assert ("feeds@1", "feeds_AT_1") in top_ports
 
 
 def test_wrappers_are_marked():
     _, circuit = build_circuit()
-    by_name = {c.flat_name: c for c in circuit.components}
-    assert by_name["main_i"].is_wrapper
-    assert by_name["main_i__inner"].is_wrapper
-    assert not by_name["main_i__inner__accu"].is_wrapper
+    is_wrapper = {name: wrapper for name, wrapper, _ in circuit.components}
+    assert is_wrapper["main_i"]
+    assert is_wrapper["main_i__inner"]
+    assert not is_wrapper["main_i__inner__accu"]
 
 
 def test_wrapper_port_has_inner_and_outer_net():
     _, circuit = build_circuit()
-    touching = [n for n in circuit.nets
-                if (n.source[0], n.source[1]) == ("main_i__inner", "input")
-                or (n.sink[0], n.sink[1]) == ("main_i__inner", "input")]
+    touching = [label for label, src, src_anchor, sink, sink_anchor in circuit.nets
+                if (src, src_anchor) == ("main_i__inner", "input")
+                or (sink, sink_anchor) == ("main_i__inner", "input")]
     # one arrow in from the parent level, one arrow out inside the wrapper
     assert len(touching) == 2
 
@@ -115,8 +117,9 @@ def test_net_count_equals_connection_count():
 
 def test_net_labels_follow_declared_format():
     _, circuit = build_circuit()
-    named = next(n for n in circuit.nets if n.label.startswith("named_net"))
-    assert named.label == "named_net__main_i__direct_AT_1::output__main_i"
+    named = next(label for label, *_ in circuit.nets
+                 if label.startswith("named_net"))
+    assert named == "named_net__main_i__direct_AT_1::output__main_i"
 
 
 def test_flatten_errors():
@@ -136,9 +139,10 @@ def test_single_component_circuit():
         "streamlet top_s { a: s in, b: s out, };\n"
         "impl top_i of top_s { a => b, };\n", top="p.top_i")
     circuit = flatten(project, "p", "top_i")
-    assert [c.flat_name for c in circuit.components] == ["top_i"]
+    assert [name for name, _, _ in circuit.components] == ["top_i"]
     assert len(circuit.nets) == 1
-    assert circuit.nets[0].source == ("top_i", "a")
+    _, source, source_anchor, _, _ = circuit.nets[0]
+    assert (source, source_anchor) == ("top_i", "a")
 
 
 def binary_tree(depth: int) -> str:
@@ -174,12 +178,30 @@ def test_same_named_implementations_in_two_packages_stay_apart():
         "  a => l.i @NoStrictType@, b => m.x, m.y => c,\n"
         "};\n", top="app.top_i")
     circuit = flatten(project, "app", "top_i")
-    ports = {c.flat_name: list(c.ports) for c in circuit.components}
+    ports = {name: list(ports) for name, _, ports in circuit.components}
     assert ports["top_i__l"] == [("i", "i")]
     assert ports["top_i__m"] == [("x", "x"), ("y", "y")]
     dot = emit_dot(circuit)
     assert "<component>top_i__l|<i>i}" in dot
     assert "<component>top_i__m|<x>x|<y>y}" in dot
+
+
+def test_flat_records_are_untracked():
+    """Components and nets are exact tuples of strings, a bool and a shared
+    port tuple, so the collector untracks them and a large circuit adds
+    nothing to the collections after it. A collection untracks a tuple only
+    once its items are untracked, and visits a container before what it
+    holds, so a fresh component needs one full collection per level: its
+    port pairs, its port list, then the component itself."""
+    _, small = build_circuit()
+    project, _ = evaluated_project(binary_tree(6), top="p.lvl6_i")
+    tree = flatten(project, "p", "lvl6_i")
+    for _ in range(3):
+        gc.collect()
+    for circuit in (small, tree):
+        assert circuit.components and circuit.nets
+        tracked = [r for r in circuit.components + circuit.nets if gc.is_tracked(r)]
+        assert tracked == []
 
 
 def test_flatten_resolves_each_implementation_once(monkeypatch):
@@ -214,7 +236,7 @@ def test_flatten_resolves_each_implementation_once(monkeypatch):
 
 
 NODE_RE = re.compile(r'^(\w+) \[(?:color=red, )?shape=record, label="\{(.*)\}"\];$')
-EDGE_RE = re.compile(r'^(\w+):(\w+) -> (\w+):(\w+) \[label="([^"]*)"\] ;$')
+EDGE_RE = re.compile(r'^(\w+):(\w+) -> (\w+):(\w+) \[label="((?:[^"]|\\")*)"\] ;$')
 
 
 def check_dot(text: str):
@@ -281,6 +303,41 @@ def test_dot_is_pinned():
     result = compile_texts(source, top="circ.top_i", dot=True)
     assert result.ok, result.diagnostics
     assert result.artifacts["circuit.dot"] == expected
+
+
+def test_dot_escapes_quotes_and_backslashes_in_net_labels():
+    """A net name may hold `"` and `\\` (string-literal escapes); in the DOT
+    label they are escaped again, so the quoted label still ends where it
+    should."""
+    result = compile_texts(
+        "package p;\n"
+        "type s = Stream(Bit(1));\n"
+        "streamlet top_s { a: s in, b: s in, x: s out, y: s out, };\n"
+        'impl top_i of top_s { a => x "q\\"uote", b => y "back\\\\slash", };\n',
+        top="p.top_i", dot=True)
+    assert result.ok, result.diagnostics
+    text = result.artifacts["circuit.dot"]
+    _, edges = check_dot(text)
+    assert len(edges) == 2
+    assert text.splitlines()[2:4] == [
+        'top_i:b -> top_i:y [label="back\\\\slash__top_i::b__top_i"] ;',
+        'top_i:a -> top_i:x [label="q\\"uote__top_i::a__top_i"] ;']
+
+
+def test_dot_edges_sorted_by_label_string():
+    """Edges are ordered by the whole label string, not by its parts: `cA__...`
+    comes before `c__...` because `A` sorts before `_`, although the net name
+    `c` sorts before `cA`."""
+    result = compile_texts(
+        "package p;\n"
+        "type s = Stream(Bit(1));\n"
+        "streamlet top_s { a: s in, b: s in, x: s out, y: s out, };\n"
+        'impl top_i of top_s { a => x "c", b => y "cA", };\n',
+        top="p.top_i", dot=True)
+    assert result.ok, result.diagnostics
+    _, edges = check_dot(result.artifacts["circuit.dot"])
+    assert [label for *_, label in edges] == ["cA__top_i::b__top_i",
+                                              "c__top_i::a__top_i"]
 
 
 def test_dot_empty_circuit():
@@ -383,5 +440,5 @@ def test_ir_writer_renders_a_shared_type_per_depth():
 
 def test_flat_names_are_injective():
     _, circuit = build_circuit()
-    names = [c.flat_name for c in circuit.components]
+    names = [name for name, _, _ in circuit.components]
     assert len(names) == len(set(names))
