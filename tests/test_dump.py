@@ -38,6 +38,58 @@ def test_pre_evaluation_dump_shows_raw_expressions():
     assert "key_stream:VarType(int_stream)" in text
 
 
+def test_pre_evaluation_dump_prints_source_text_of_every_entry():
+    """Every NotInferred record prints the source text of its expression:
+    initializers, port types, array sizes and clockdomains, instance
+    targets, FIFO depths, derived implementations and both connection ends;
+    template parameters print as placeholders of their kind."""
+    text = dump_code_structure(project_of(
+        "package p;\n"
+        'const fast: clockdomain = "200MHz";\n'
+        "const slow: clockdomain;\n"
+        "type s = Stream(Bit(8));\n"
+        "streamlet src_s<w: int, c: clockdomain, f: float, b: bool, t: str> {\n"
+        "  o: s [w + 1] out `c, q: Stream(Bit(w)) out `fast,\n"
+        "};\n"
+        'external impl src_i of src_s<2, fast, 1.0, true, "a"> { };\n'
+        "streamlet snk_s { i: s [3] in `fast, };\n"
+        "impl snk_i<n: int, k: impl of snk_s, u: type> of snk_s {\n"
+        "  instance in_k(k) [n],\n"
+        "};\n"
+        "impl d_i(snk_i<1, impl snk_x, type s>);\n"
+        "streamlet top_s { };\n"
+        "impl top_i of top_s {\n"
+        "  instance a(src_i) [2], instance b(snk_i<3, impl snk_x, type s>),\n"
+        '  a[1 + 0].o[2 - 1] =4*2=> b.i[0] "named" @NoStrictType@,\n'
+        "  a[0].q => b.i[1],\n"
+        "};\n"))
+    lines = {line.strip() for line in text.splitlines()}
+    for expected in [
+        '$package$p:PackageType(NotInferred(""))',
+        'fast:clockdomain(NotInferred(""200MHz""))',
+        'slow:clockdomain(NotInferred(""))',
+        'i:Port(VarType(s),in)[NotInferred("3")] `NotInferred("fast")',
+        'b:DummyBool(NotInferred("$arg$b"))',
+        'c:DummyClockDomain(NotInferred("$arg$c"))',
+        'f:DummyFloat(NotInferred("$arg$f"))',
+        't:DummyStr(NotInferred("$arg$t"))',
+        'w:DummyInt(NotInferred("$arg$w"))',
+        'o:Port(VarType(s),out)[NotInferred("w + 1")] `NotInferred("c")',
+        'q:Port(NotInferred("Stream(Bit(w))"),out) `NotInferred("fast")',
+        'Implement(d_i)<NormalImplement> -> NotInferred("snk_i<1, impl snk_x, type s>"){',
+        'k:DummyImplement(NotInferred("$arg$k"))',
+        'u:DummyLogicalData(NotInferred("$arg$u"))',
+        'in_k:(NotInferred("k"))[?]',
+        'a:(NotInferred("src_i"))[?]',
+        'b:(NotInferred("snk_i<3, impl snk_x, type s>"))',
+        'ExternalOwner(a[0]).NotInferred("q") =0=> '
+        'ExternalOwner(b).NotInferred("i[1]") (connection_614-631)',
+        'ExternalOwner(a[1 + 0]).NotInferred("o[2 - 1]") =NotInferred("4*2")=> '
+        'ExternalOwner(b).NotInferred("i[0]") @NoStrictType@ (named)',
+    ]:
+        assert expected in lines, expected
+
+
 def test_pre_evaluation_stream_block():
     project = project_of(
         "package tpch;\n"
@@ -153,6 +205,46 @@ def test_unevaluated_connection_dump():
     assert 'Self.NotInferred("o_shippriority_in") =0=> Self.NotInferred("b") (connection_' in text
 
 
+def test_same_named_connections_sort_by_source_port_text():
+    """Connections that share a name print in the order of their source
+    port's text: the source text of the `PathPort`, or the port name of an
+    end that sugaring made. The `for` connection is named `x` plus the
+    element suffix, and the two others are given that name in the source;
+    the three orders (by declaration, by resolved port name and by source
+    text) all differ."""
+    result = compile_texts(
+        "package p;\n"
+        "type s = Stream(Bit(8));\n"
+        "streamlet src_s { q: s [2] out, o0: s out, r: s out, };\n"
+        "external impl src_i of src_s { };\n"
+        "streamlet snk_s { i: s in, };\n"
+        "external impl snk_i of snk_s { };\n"
+        "streamlet top_s { };\n"
+        "impl top_i of top_s {\n"
+        "  instance a(src_i), instance b(snk_i), instance c(snk_i),\n"
+        "  instance d(snk_i), instance e(snk_i), instance f(snk_i),\n"
+        '  a.q[1] => b.i "x_for_k_0",\n'
+        "  for k in (0=1=>1) {\n"
+        '    a.o{{k}} => c.i "x",\n'
+        "  }\n"
+        '  a.r => d.i "x_for_k_0",\n'
+        "  a.r => e.i,\n"
+        "  a.q[0] => f.i,\n"
+        "};\n", top="p.top_i")
+    assert result.ok, result.diagnostics
+    text = result.artifacts["2_evaluation_output_after_sugaring.txt"]
+    port = ":Port(Stream(s),{}) `DefaultClockDomain"
+    assert [line.strip() for line in text.splitlines()
+            if line.endswith(" (x_for_k_0)")] == [
+        "ExternalOwner(duplicate_a_r_2).output[0]" + port.format("out")
+        + " =0=> ExternalOwner(d).i" + port.format("in") + " (x_for_k_0)",
+        "ExternalOwner(a).o0" + port.format("out")
+        + " =0=> ExternalOwner(c).i" + port.format("in") + " (x_for_k_0)",
+        "ExternalOwner(a).q[1]" + port.format("out")
+        + " =0=> ExternalOwner(b).i" + port.format("in") + " (x_for_k_0)",
+    ]
+
+
 def test_sections_in_canonical_order_and_sorted():
     project, _ = evaluated_project(
         "package p;\n"
@@ -185,7 +277,8 @@ def test_golden_dump_frozen():
     assert result.artifacts["2_evaluation_output.txt"] == expected
 
 
-@pytest.mark.parametrize("artifact", ["2_evaluation_output_after_sugaring.txt",
+@pytest.mark.parametrize("artifact", ["1_parser_output.txt",
+                                      "2_evaluation_output_after_sugaring.txt",
                                       "ir.json", "circuit.dot"])
 def test_golden_template_project_is_pinned(artifact):
     """Byte-exact pins for a two-package project that instantiates templates:
@@ -197,7 +290,8 @@ def test_golden_template_project_is_pinned(artifact):
     _check_golden_project("golden_templates", "app.top_i", artifact)
 
 
-@pytest.mark.parametrize("artifact", ["2_evaluation_output_after_sugaring.txt",
+@pytest.mark.parametrize("artifact", ["1_parser_output.txt",
+                                      "2_evaluation_output_after_sugaring.txt",
                                       "ir.json", "circuit.dot"])
 def test_golden_for_project_is_pinned(artifact):
     """Byte-exact pins for generative blocks: nested `for` blocks whose inner
@@ -228,10 +322,11 @@ def _check_golden_project(dirname: str, top: str, artifact: str):
 
 
 def test_golden_tpch1_ir_is_pinned():
-    """Byte-exact pins of the JSON IR and the DOT graph of the paper's TPC-H
-    query-1 design, as `tydilang tests/data/tpch1.td --top std.main_i --drc
-    --dot --ir` writes them: 161 stream types, most of them port types used
-    many times over, and 143 nets."""
+    """Byte-exact pins of the JSON IR, the DOT graph and the unevaluated
+    code-structure dump of the paper's TPC-H query-1 design, as `tydilang
+    tests/data/tpch1.td --top std.main_i --drc --dot --ir` writes them: 161
+    stream types, most of them port types used many times over, and 143
+    nets."""
     path = os.path.join(DATA_DIR, "tpch1.td")
     with open(path, encoding="utf-8") as f:
         sources = [(path, f.read())]
@@ -240,6 +335,8 @@ def test_golden_tpch1_ir_is_pinned():
     result = compile_sources(config, sources)
     assert result.ok, result.diagnostics
     for artifact, golden in (("ir.json", "golden_tpch1_ir.json"),
-                             ("circuit.dot", "golden_tpch1.dot")):
+                             ("circuit.dot", "golden_tpch1.dot"),
+                             ("1_parser_output.txt",
+                              "golden_tpch1_parser_output.txt")):
         with open(os.path.join(DATA_DIR, golden), encoding="utf-8") as f:
             assert result.artifacts[artifact] == f.read(), artifact
