@@ -2,7 +2,9 @@
 
 Classifies AST statements into scope entries and adds the invisible language
 elements: scope relationships and the magic ``$package$``/``$arg$`` variables.
-Nothing is evaluated here; every entry starts in the NotInferred state.
+Nothing is evaluated here; every entry starts in the NotInferred state and
+holds the AST nodes it was built from, whose source text its package's
+`Package.snip` gives back.
 """
 
 from __future__ import annotations
@@ -41,24 +43,14 @@ class StatementBuilder:
     def __init__(self, package: Package):
         self.package = package
         self.path = package.path
-        self.snip = package.snip
 
     # -- variables -----------------------------------------------------------
 
     def build_const(self, stmt: AstNode, scope: Scope) -> Variable:
-        ids = stmt.children_of("ID")
-        name = ids[0].leaf_text
         kind_node = stmt.child("DeclKind")
-        exp = stmt.child("Exp")
-        declared = kind_node.leaf_text if kind_node else None
-        return Variable(
-            id=name,
-            raw=self.snip(exp.span) if exp is not None else "",
-            scope=scope,
-            declared_kind=declared,
-            expr_ast=exp,
-            dump_tag=declared or "UnknownType",
-            span=stmt.span)
+        return Variable(id=stmt.children_of("ID")[0].leaf_text, scope=scope,
+                        declared_kind=kind_node.leaf_text if kind_node else None,
+                        expr_ast=stmt.child("Exp"), span=stmt.span)
 
     # -- logical types ---------------------------------------------------------
 
@@ -118,13 +110,9 @@ class StatementBuilder:
         return params
 
     def declare_param_magic(self, scope: Scope, params: list[TemplateParam]):
-        tags = {"int": "DummyInt", "str": "DummyStr", "float": "DummyFloat",
-                "bool": "DummyBool", "clockdomain": "DummyClockDomain",
-                "type": "DummyLogicalData", "impl": "DummyImplement"}
         for p in params:
             scope.variables[p.name] = Variable(
-                id=p.name, raw=f"$arg${p.name}", scope=scope,
-                dump_tag=tags[p.kind], is_magic=True)
+                id=p.name, scope=scope, declared_kind=p.kind, is_magic=True)
 
     def build_streamlet(self, stmt: AstNode, scope: Scope,
                         name: Optional[str] = None) -> Streamlet:
@@ -154,18 +142,13 @@ class StatementBuilder:
 
     def build_port(self, item: AstNode) -> Port:
         name = item.children[0].leaf_text
-        ty = item.child("LogicalType")
         size = item.child("ArraySize")
-        cd = item.child("ClockDomainAnn")
         return Port(
             name=name,
-            type_ast=ty,
-            raw_type=self.snip(ty.span),
+            type_ast=item.child("LogicalType"),
             direction=item.child("DIR").leaf_text,
             array_size_ast=size.children[0] if size else None,
-            raw_size=self.snip(size.children[0].span) if size else None,
-            cd_ast=cd,
-            raw_cd=self.snip(cd.children[0].span) if cd else None,
+            cd_ast=item.child("ClockDomainAnn"),
             span=item.span)
 
     # -- implementations ---------------------------------------------------------
@@ -184,12 +167,10 @@ class StatementBuilder:
         impl.connections = own.connections
         if stmt.kind == "ImplInstDecl":
             impl.derived_from = stmt.child("TemplateInstance")
-            impl.raw_of = self.snip(impl.derived_from.span)
             return impl
         impl.external = stmt.child("External") is not None
         of = stmt.child("OfStreamlet")
         impl.of_ast = of.children[0]
-        impl.raw_of = self.snip(impl.of_ast.span)
         tparams = stmt.child("TemplateParams")
         if tparams is not None:
             impl.template_params = self.build_template_params(tparams)
@@ -229,12 +210,10 @@ class StatementBuilder:
 
     def build_instance(self, item: AstNode, name: str,
                        scope: Optional[Scope] = None) -> Instance:
-        target = item.children[1]
         size = item.child("ArraySize")
         return Instance(
             name=name,
-            target_ast=target,
-            raw_target=self.snip(target.span),
+            target_ast=item.children[1],
             array_size_ast=size.children[0] if size else None,
             span=item.span,
             scope=scope)
@@ -246,29 +225,17 @@ class StatementBuilder:
         cname_node = item.child("ConnName")
         cname = cname_node.leaf_text if cname_node else \
             f"connection_{item.span.start}-{item.span.end}"
-        fifo_exp = fifo.children[0] if fifo else None
         return Connection(
             name=cname + name_suffix,
             source=self.build_end(ends[0]),
             sink=self.build_end(ends[1]),
-            fifo_ast=fifo_exp,
-            raw_fifo=self.snip(fifo_exp.span) if fifo_exp is not None else None,
+            fifo_ast=fifo.children[0] if fifo else None,
             no_strict=item.child("NoStrictMarker") is not None,
             span=item.span,
             scope=scope)
 
     def build_end(self, end: AstNode) -> EndRef:
-        owner = end.child("PathOwner")
-        port = end.child("PathPort")
-        oidx = owner.child("Index") if owner else None
-        pidx = port.child("Index")
-        return EndRef(
-            owner_ast=owner.children[0] if owner else None,
-            owner_index_ast=oidx.children[0] if oidx else None,
-            port_ast=port.children[0],
-            port_index_ast=pidx.children[0] if pidx else None,
-            raw_owner=self.snip(owner.span) if owner else None,
-            raw_port=self.snip(port.span))
+        return EndRef(end.child("PathOwner"), end.child("PathPort"))
 
 
 def import_package(scope: Scope, pkg_name: str):
@@ -276,8 +243,7 @@ def import_package(scope: Scope, pkg_name: str):
     the magic `$package$<pkg_name>` variable there, once."""
     magic = f"$package${pkg_name}"
     if magic not in scope.variables:
-        scope.variables[magic] = Variable(
-            id=magic, raw="", scope=scope, dump_tag="PackageType", is_magic=True)
+        scope.variables[magic] = Variable(id=magic, scope=scope, is_magic=True)
 
 
 class PackageBuilder(StatementBuilder):

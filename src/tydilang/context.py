@@ -1,11 +1,13 @@
-"""Shared evaluation state: once-only node guards and instantiation memos.
+"""Shared evaluation state: once-only node guards.
 
-Every shared node (variable, type entry, streamlet, implementation, template
-instantiation) transitions NotInferred -> Evaluated/Error exactly once.
-Evaluation is demand-driven on the calling thread: a node that is demanded
-again while it is still being evaluated closes a dependency cycle, which is
-reported as a circular dependency. The context holds no source locations:
-each scope's package gives the path a diagnostic is reported at.
+Every shared node (variable, type entry, streamlet, implementation)
+transitions NotInferred -> Evaluated/Error exactly once. Evaluation is
+demand-driven on the calling thread: a node that is demanded again while it
+is still being evaluated closes a dependency cycle, which is reported as a
+circular dependency at the node's declaration. The context holds no source
+locations: each scope's package gives the path a diagnostic is reported at.
+It holds no memo of template instances either: an instance is registered in
+its template's package table, where a second instantiation finds it.
 """
 
 from __future__ import annotations
@@ -17,35 +19,24 @@ from .errors import CircularDependencyError, TydiError
 from .model import EvalState, Project
 
 
-class InstantiationCell:
-    __slots__ = ("entity", "error", "done")
-
-    def __init__(self):
-        self.entity = None
-        self.error = None
-        self.done = False
-
-
 class EvalContext:
     def __init__(self, project: Project):
         self.project = project
         self._stack: list[str] = []  # labels of the nodes being evaluated
         self._in_progress: dict[int, int] = {}  # id(node) -> stack depth
         self.eval_counts: Counter[str] = Counter()
-        self._cells: dict = {}
 
     # -- node guards ---------------------------------------------------------
 
     def begin(self, node, label: str):
         """Mark the node as being evaluated; demanding it again before
         `finish` raises the dependency cycle that leads back to it, at the
-        node's declaration when it has one."""
+        node's declaration."""
         key = id(node)
         depth = self._in_progress.get(key)
         if depth is not None:
-            span = getattr(node, "span", None)  # an InstantiationCell has none
-            path = node.scope.package.path if span is not None else None
-            raise CircularDependencyError(self._stack[depth:] + [label], path, span)
+            raise CircularDependencyError(self._stack[depth:] + [label],
+                                          node.scope.package.path, node.span)
         self._in_progress[key] = len(self._stack)
         self._stack.append(label)
 
@@ -69,10 +60,3 @@ class EvalContext:
             raise
         finally:
             self.finish(node)
-
-    def instantiation_cell(self, key):
-        """Memo holder for one (package, mangled-name) monomorphization."""
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = InstantiationCell()
-        return cell

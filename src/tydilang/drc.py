@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import Span
 from .logical_types import types_compatible
-from .model import EvalState, Implementation, Project
+from .model import EvalState, Implementation, Project, end_display
 from .sugaring import end_role, usage_census
 from .type_eval import types_strictly_equal
 
@@ -102,22 +102,13 @@ def _check_implementation(pkg_name: str, impl: Implementation) -> list[DrcDiagno
         if usage.use_count > 1:
             out.append(DrcDiagnostic(
                 "Error", "R5", pkg_name, impl.id, "-",
-                f"port end {_usage_display(usage)} appears in {usage.use_count} "
+                f"port end {end_display(*usage.key())} appears in {usage.use_count} "
                 "connections"))
         elif usage.use_count == 0 and usage.owner is not None:
             out.append(DrcDiagnostic(
                 "Error", "R5", pkg_name, impl.id, "-",
-                f"port end {_usage_display(usage)} is never connected"))
+                f"port end {end_display(*usage.key())} is never connected"))
     return out
-
-
-def _usage_display(usage) -> str:
-    owner = "Self" if usage.owner is None else (
-        usage.owner if usage.owner_index is None
-        else f"{usage.owner}[{usage.owner_index}]")
-    port = usage.port_name if usage.port_index is None \
-        else f"{usage.port_name}[{usage.port_index}]"
-    return f"{owner}.{port}"
 
 
 def render_drc_report(diags: list[DrcDiagnostic]) -> str:

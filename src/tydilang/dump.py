@@ -2,6 +2,9 @@
 
 The same renderer serves every pipeline stage: unevaluated entries print as
 ``UnknownType(NotInferred("raw"))`` style records, evaluated ones as values.
+The raw text is the source of the entry's AST, sliced by `Package.snip` of
+the package the dumped scope belongs to; the placeholder tags of entries
+without source (imported packages, template parameters) are chosen here.
 Entries within each section are emitted in lexicographic id order so the dump
 does not depend on the order in which entities were evaluated.
 """
@@ -12,13 +15,19 @@ from .logical_types import (GroupType, StreamType, UnionType,
                             data_type_display, stream_display_name)
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Package, Port, Project, Scope, Streamlet, TypeEntry,
-                    Variable)
+                    Variable, indexed)
 from .tree import AstNode
 from .values import format_value
 
 _PARAM_TAGS = {
     "int": "Int", "str": "Str", "float": "Float", "bool": "Bool",
     "clockdomain": "ClockDomain", "type": "LogicalDataType(DummyLogicalData)",
+}
+# the tag of a template parameter's magic variable, by the parameter's kind
+_PARAM_PLACEHOLDERS = {
+    "int": "DummyInt", "str": "DummyStr", "float": "DummyFloat",
+    "bool": "DummyBool", "clockdomain": "DummyClockDomain",
+    "type": "DummyLogicalData", "impl": "DummyImplement",
 }
 
 
@@ -55,16 +64,17 @@ def dump_code_structure(project: Project) -> str:
 
 
 def _dump_scope(w: _Writer, scope: Scope):
+    pkg = scope.package
     w.open(f"Scope({scope.name})")
     if scope.variables:
         w.open("Variables")
         for vid in sorted(scope.variables):
-            _dump_variable(w, scope.variables[vid])
+            _dump_variable(w, scope.variables[vid], pkg)
         w.close()
     if scope.types:
         w.open("Types")
         for tid in sorted(scope.types):
-            _dump_type_entry(w, scope.types[tid])
+            _dump_type_entry(w, scope.types[tid], pkg)
         w.close()
     if scope.streamlets:
         w.open("Streamlets")
@@ -84,41 +94,48 @@ def _dump_scope(w: _Writer, scope: Scope):
     if scope.ports:
         w.open("Ports")
         for pid in sorted(scope.ports):
-            w.line(_port_text(scope.ports[pid]))
+            w.line(_port_text(scope.ports[pid], pkg))
         w.close()
     if scope.instances:
         w.open("Instances")
         for nid in sorted(scope.instances):
-            w.line(_instance_text(scope.instances[nid]))
+            w.line(_instance_text(scope.instances[nid], pkg))
         w.close()
     if scope.connections:
         w.open("Connections")
-        for conn in sorted(scope.connections, key=lambda c: (c.name, c.source.raw_port)):
-            w.line(_connection_text(conn))
+        for conn in sorted(scope.connections,
+                           key=lambda c: (c.name, _source_port_text(c, pkg))):
+            w.line(_connection_text(conn, pkg))
         w.close()
     w.close()
 
 
-def _dump_variable(w: _Writer, var: Variable):
+def _dump_variable(w: _Writer, var: Variable, pkg: Package):
     if var.state is EvalState.EVALUATED:
         w.line(f"{var.id}:{format_value(var.value)}")
     elif var.state is EvalState.ERROR:
         w.line(f"{var.id}:EvaluationError({var.error.message!r})")
-    else:
-        w.line(f'{var.id}:{var.dump_tag or "UnknownType"}(NotInferred("{var.raw}"))')
+    elif not var.is_magic:
+        raw = pkg.snip(var.expr_ast.span) if var.expr_ast is not None else ""
+        w.line(f'{var.id}:{var.declared_kind or "UnknownType"}(NotInferred("{raw}"))')
+    elif var.declared_kind is None:  # an imported package
+        w.line(f'{var.id}:PackageType(NotInferred(""))')
+    else:  # a template parameter
+        w.line(f'{var.id}:{_PARAM_PLACEHOLDERS[var.declared_kind]}'
+               f'(NotInferred("$arg${var.id}"))')
 
 
 # -- logical types -----------------------------------------------------------
 
 
-def _dump_type_entry(w: _Writer, entry: TypeEntry):
+def _dump_type_entry(w: _Writer, entry: TypeEntry, pkg: Package):
     if entry.state is EvalState.ERROR:
         w.line(f"{entry.id}:EvaluationError({entry.error.message!r})")
         return
     if entry.state is EvalState.EVALUATED:
         _dump_evaluated_type(w, entry.id, entry.evaluated, entry.own_scope)
         return
-    _dump_unevaluated_type(w, entry)
+    _dump_unevaluated_type(w, entry, pkg)
 
 
 def _dump_evaluated_type(w: _Writer, label: str, t, own_scope):
@@ -137,9 +154,8 @@ def _dump_evaluated_type(w: _Writer, label: str, t, own_scope):
     w.line(f"{label}:{data_type_display(t)}")
 
 
-def _dump_unevaluated_type(w: _Writer, entry: TypeEntry):
+def _dump_unevaluated_type(w: _Writer, entry: TypeEntry, pkg: Package):
     ast = entry.ast
-    pkg = entry.scope.package
     inner = ast.children[0] if ast is not None and ast.kind == "LogicalType" else ast
     if inner is None:
         w.line(f"{entry.id}:UnknownType(NotInferred(\"\"))")
@@ -235,8 +251,9 @@ def _dump_implement(w: _Writer, impl: Implementation):
 def _impl_streamlet_text(impl: Implementation) -> str:
     if impl.streamlet is not None:
         return f"Streamlet({impl.streamlet.id})"
+    pkg = impl.scope.package
     if impl.derived_from is not None:
-        return f'NotInferred("{impl.raw_of}")'
+        return f'NotInferred("{pkg.snip(impl.derived_from.span)}")'
     of = impl.of_ast
     if of is None:
         return 'NotInferred("")'
@@ -244,7 +261,7 @@ def _impl_streamlet_text(impl: Implementation) -> str:
         base = of.children[0]
         base_name = base.leaf_text if base.kind == "ID" else \
             ".".join(c.leaf_text for c in base.children)
-        args = ",".join("@" + impl.scope.package.snip(a.children[0].span)
+        args = ",".join("@" + pkg.snip(a.children[0].span)
                         for a in of.children[1:])
         return f"ProxyStreamlet({base_name}<{args}>)"
     name = of.leaf_text if of.kind == "ID" else ".".join(c.leaf_text for c in of.children)
@@ -254,7 +271,7 @@ def _impl_streamlet_text(impl: Implementation) -> str:
 # -- ports / instances / connections ------------------------------------------
 
 
-def _port_text(port: Port) -> str:
+def _port_text(port: Port, pkg: Package) -> str:
     if port.state is EvalState.EVALUATED:
         type_part = data_type_display(port.logical_type)
         cd = port.clockdomain.expression
@@ -263,50 +280,53 @@ def _port_text(port: Port) -> str:
         if ast_inner.kind == "LogicalUserDefinedType":
             type_part = f"VarType({'.'.join(c.leaf_text for c in ast_inner.children)})"
         else:
-            type_part = f'NotInferred("{port.raw_type}")'
-        cd = "DefaultClockDomain" if port.cd_ast is None else f'NotInferred("{port.raw_cd}")'
+            type_part = f'NotInferred("{pkg.snip(port.type_ast.span)}")'
+        cd = "DefaultClockDomain" if port.cd_ast is None else \
+            f'NotInferred("{pkg.snip(port.cd_ast.children[0].span)}")'
     size = ""
     if port.array_size_ast is not None:
         size = f"[{port.array_size}]" if port.array_size is not None \
-            else f'[NotInferred("{port.raw_size}")]'
+            else f'[NotInferred("{pkg.snip(port.array_size_ast.span)}")]'
     return f"{port.name}:Port({type_part},{port.direction}){size} `{cd}"
 
 
-def _instance_text(inst: Instance) -> str:
+def _instance_text(inst: Instance, pkg: Package) -> str:
     if inst.state is EvalState.EVALUATED:
         body = f"(Implement({inst.target.id}))"
         size = f"[{inst.array_size}]" if inst.array_size is not None else ""
     else:
-        body = f'(NotInferred("{inst.raw_target}"))'
+        body = f'(NotInferred("{pkg.snip(inst.target_ast.span)}"))'
         size = ""
         if inst.array_size_ast is not None:
             size = "[?]"
     return f"{inst.name}:{body}{size}"
 
 
-def _end_text(end: EndRef) -> str:
-    owner = "Self" if end.is_self else f"ExternalOwner({end.raw_owner})"
-    if end.port is not None:
-        port_name = end.port_name if end.port_index is None \
-            else f"{end.port_name}[{end.port_index}]"
-        if end.instance is not None:
-            base = end.owner_name if end.owner_index is None \
-                else f"{end.owner_name}[{end.owner_index}]"
-            owner = f"ExternalOwner({base})"
-        port = end.port
-        type_part = data_type_display(port.logical_type) \
-            if port.state is EvalState.EVALUATED else f'NotInferred("{port.raw_type}")'
-        cd = port.clockdomain.expression if port.clockdomain is not None \
-            else "DefaultClockDomain"
-        return f"{owner}.{port_name}:Port({type_part},{port.direction}) `{cd}"
-    return f'{owner}.NotInferred("{end.raw_port}")'
+def _source_port_text(conn: Connection, pkg: Package) -> str:
+    """The text connections of one name are ordered by: the source of the
+    source end's port path, or the port name of an end sugaring made."""
+    path_port = conn.source.path_port
+    return conn.source.port_name if path_port is None else pkg.snip(path_port.span)
 
 
-def _connection_text(conn: Connection) -> str:
+def _end_text(end: EndRef, pkg: Package) -> str:
+    if end.port is None:  # not resolved
+        owner = "Self" if end.is_self else \
+            f"ExternalOwner({pkg.snip(end.path_owner.span)})"
+        return f'{owner}.NotInferred("{pkg.snip(end.path_port.span)}")'
+    owner = "Self" if end.instance is None else \
+        f"ExternalOwner({indexed(end.owner_name, end.owner_index)})"
+    port = end.port  # a resolved end's port is evaluated
+    return (f"{owner}.{indexed(end.port_name, end.port_index)}:Port("
+            f"{data_type_display(port.logical_type)},{port.direction}) "
+            f"`{port.clockdomain.expression}")
+
+
+def _connection_text(conn: Connection, pkg: Package) -> str:
     if conn.state is EvalState.EVALUATED or conn.fifo_ast is None:
         fifo = str(conn.fifo_depth)
     else:
-        fifo = f'NotInferred("{conn.raw_fifo}")'
+        fifo = f'NotInferred("{pkg.snip(conn.fifo_ast.span)}")'
     marker = " @NoStrictType@" if conn.no_strict else ""
-    return (f"{_end_text(conn.source)} ={fifo}=> {_end_text(conn.sink)}"
+    return (f"{_end_text(conn.source, pkg)} ={fifo}=> {_end_text(conn.sink, pkg)}"
             f"{marker} ({conn.name})")

@@ -6,8 +6,9 @@ targets of its instances (instantiating templates on the way), the types of
 every port it touches, and nothing else. Template instantiation builds the
 template's statement again with the `StatementBuilder` under a mangled
 ``name@arg@arg`` id, binds each parameter's magic variable in the fresh scope,
-registers the instance and evaluates it; instantiating the same arguments
-twice returns the existing entity. Streamlet, implementation and
+registers the instance in the template's package and evaluates it;
+instantiating the same arguments twice finds the registered entity there,
+whose own evaluation state replays its result. Streamlet, implementation and
 type references resolve through `model.resolve_ref`.
 
 Each element of a `for` block gets a scope that binds the loop variable and
@@ -57,12 +58,6 @@ def evaluate_streamlet(ctx: EvalContext, s: Streamlet):
     if s.state is EvalState.ERROR:
         raise s.error
     with ctx.evaluating(s):
-        path = s.scope.package.path
-        if s.is_template:
-            raise TydiError(
-                "resolution",
-                f"streamlet template {s.id!r} must be instantiated with "
-                "arguments before use", path, s.span)
         for port in s.ports.values():
             evaluate_port(ctx, s.scope, port)
         for a in s.asserts:
@@ -113,12 +108,6 @@ def evaluate_implementation(ctx: EvalContext, impl: Implementation):
 
 
 def _compute_implementation(ctx: EvalContext, impl: Implementation):
-    path = impl.scope.package.path
-    if impl.is_template:
-        raise TydiError(
-            "resolution",
-            f"implementation template {impl.id!r} must be instantiated with "
-            "arguments before use", path, impl.span)
     if impl.derived_from is not None:
         _evaluate_derived(ctx, impl)
         return
@@ -143,7 +132,7 @@ def _evaluate_derived(ctx: EvalContext, impl: Implementation):
     template, args = _resolve_template_use(ctx, impl.scope, inst_ast, "implementation")
     body = _do_instantiate(ctx, template, args, impl.id)
     for name in ("scope", "instances", "connections", "external", "asserts",
-                 "generative", "process_block", "of_ast", "raw_of"):
+                 "generative", "process_block", "of_ast"):
         setattr(impl, name, getattr(body, name))
     impl.derived_from = None
     # evaluating the adopted body binds the streamlet and resolves the rest
@@ -215,43 +204,49 @@ def resolve_connection(ctx: EvalContext, impl: Implementation, conn: Connection)
     conn.state = EvalState.EVALUATED
 
 
+def _path_part(node: AstNode, scope: Scope, path):
+    """The name node of a PathOwner or PathPort node, the name it spells in
+    `scope`, and its index expression (None without an index)."""
+    name_node = node.children[0]
+    name = name_node.leaf_text if name_node.kind == "ID" else \
+        substitute(name_node, scope, path)
+    index = node.children[1].children[0] if len(node.children) > 1 else None
+    return name_node, name, index
+
+
 def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, scope: Scope):
     path = scope.package.path
-    port_name = end.port_ast.leaf_text if end.port_ast.kind == "ID" else \
-        substitute(end.port_ast, scope, path)
+    port_node, port_name, port_index = _path_part(end.path_port, scope, path)
     end.port_name = port_name
-    if end.owner_ast is None:
+    if end.path_owner is None:
         port = impl.streamlet.ports.get(port_name)
         if port is None:
             raise TydiError(
                 "resolution",
                 f"unknown port {port_name!r} on streamlet {impl.streamlet.id!r}",
-                path, end.port_ast.span)
+                path, port_node.span)
     else:
-        owner_name = end.owner_ast.leaf_text if end.owner_ast.kind == "ID" else \
-            substitute(end.owner_ast, scope, path)
+        owner_node, owner_name, owner_index = _path_part(end.path_owner, scope, path)
         end.owner_name = owner_name
         inst = impl.scope.instances.get(owner_name)
         if inst is None:
             raise TydiError(
                 "resolution",
                 f"unknown instance {owner_name!r} in implementation {impl.id!r}",
-                path, end.owner_ast.span)
+                path, owner_node.span)
         end.instance = inst
-        end.owner_index = _end_index(ctx, scope, end.owner_index_ast,
-                                     inst.array_size, f"instance {owner_name!r}", path,
-                                     end.owner_ast.span)
+        end.owner_index = _end_index(ctx, scope, owner_index, inst.array_size,
+                                     f"instance {owner_name!r}", path, owner_node.span)
         port = inst.target.streamlet.ports.get(port_name)
         if port is None:
             raise TydiError(
                 "resolution",
                 f"unknown port {port_name!r} on instance {owner_name!r} "
                 f"(streamlet {inst.target.streamlet.id!r})",
-                path, end.port_ast.span)
+                path, port_node.span)
     end.port = port
-    end.port_index = _end_index(ctx, scope, end.port_index_ast,
-                                port.array_size, f"port {port_name!r}", path,
-                                end.port_ast.span)
+    end.port_index = _end_index(ctx, scope, port_index, port.array_size,
+                                f"port {port_name!r}", path, port_node.span)
 
 
 def _end_index(ctx, scope, index_ast, size, what, path, name_span) -> Optional[int]:
@@ -420,33 +415,21 @@ def mangled_name(template_id: str, args: list[TemplateArg]) -> str:
 
 
 def instantiate_template(ctx: EvalContext, template, args: list[TemplateArg]):
-    """Monomorphize; memoized per (owning package, mangled name)."""
+    """Monomorphize once per (template package, mangled name): the instance
+    is registered in the package's table, which later uses look it up in."""
     mangled = mangled_name(template.id, args)
     pkg_scope = template.scope.package.scope
-    kind = "streamlet" if isinstance(template, Streamlet) else "implementation"
-    cell = ctx.instantiation_cell((id(pkg_scope), kind, mangled))
-    if cell.done:
-        if cell.error is not None:
-            raise cell.error
-        return cell.entity
-    ctx.begin(cell, f"instantiate {mangled}")
-    try:
-        entity = _do_instantiate(ctx, template, args, mangled)
-        table = pkg_scope.streamlets if kind == "streamlet" else pkg_scope.implements
-        table[mangled] = entity
-        cell.entity = entity
-        # evaluate after registration so partial results appear in dumps
-        if kind == "streamlet":
-            evaluate_streamlet(ctx, entity)
-        else:
-            evaluate_implementation(ctx, entity)
-        return entity
-    except TydiError as e:
-        cell.error = e
-        raise
-    finally:
-        cell.done = True
-        ctx.finish(cell)
+    if isinstance(template, Streamlet):
+        table, evaluate = pkg_scope.streamlets, evaluate_streamlet
+    else:
+        table, evaluate = pkg_scope.implements, evaluate_implementation
+    entity = table.get(mangled)
+    if entity is None:
+        entity = table[mangled] = _do_instantiate(ctx, template, args, mangled)
+    # evaluated after registration, so partial results appear in dumps; an
+    # evaluated or failed instance replays its result
+    evaluate(ctx, entity)
+    return entity
 
 
 def _do_instantiate(ctx: EvalContext, template, args: list[TemplateArg],
@@ -473,8 +456,7 @@ def _bind_args(scope: Scope, params, args: list[TemplateArg]):
             scope.impl_args[param.name] = arg.impl
         else:
             scope.variables[param.name] = Variable(
-                id=param.name, raw=mangle_text(arg.value), scope=scope,
-                declared_kind=variant_name(arg.value),
+                id=param.name, scope=scope, declared_kind=variant_name(arg.value),
                 state=EvalState.EVALUATED, value=arg.value)
 
 
@@ -549,7 +531,7 @@ def expand_for(ctx: EvalContext, impl: Implementation, block: AstNode,
                               relations=[(ScopeRelationKind.IFFOR, scope)],
                               package=scope.package)
         element_scope.variables[var] = Variable(
-            id=var, raw="", scope=element_scope, state=EvalState.EVALUATED, value=element)
+            id=var, scope=element_scope, state=EvalState.EVALUATED, value=element)
         for item in body.children:
             _expand_item(ctx, impl, item, sb, element_scope, f"{suffix}_for_{var}_{index}")
 

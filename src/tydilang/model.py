@@ -4,8 +4,11 @@ Scopes house variables, logical types, streamlets, implementations, ports,
 instances and connections, and are linked by typed scope relationships that
 govern which name categories may resolve through them. Every scope the
 builder makes knows its `Package`, which holds the source path and text
-that diagnostics and dumps need. Every stage looks up a `name` or
-`package.name` reference through `resolve_ref`.
+that diagnostics and dumps need. An entry holds the AST it was built from,
+and `Package.snip` gives the source text of any of its nodes; no entry keeps
+a copy of that text. A template instance is registered in its template's
+package under its mangled name, and that table is its memo. Every stage
+looks up a `name` or `package.name` reference through `resolve_ref`.
 """
 
 from __future__ import annotations
@@ -65,11 +68,10 @@ class EvalState(enum.Enum):
 @dataclass
 class Variable:
     id: str
-    raw: str  # source text of the initializer, "" when absent
     scope: Optional["Scope"] = None
-    declared_kind: Optional[str] = None  # int/str/float/bool/clockdomain
+    # int/str/float/bool/clockdomain; a template parameter's kind
+    declared_kind: Optional[str] = None
     expr_ast: Optional[AstNode] = None
-    dump_tag: Optional[str] = None  # display tag when not yet evaluated
     is_magic: bool = False
     span: Optional[Span] = None
     state: EvalState = EvalState.NOT_INFERRED
@@ -111,12 +113,9 @@ class TemplateParam:
 class Port:
     name: str
     type_ast: AstNode
-    raw_type: str
     direction: str  # in | out
     array_size_ast: Optional[AstNode] = None
-    raw_size: Optional[str] = None
     cd_ast: Optional[AstNode] = None
-    raw_cd: Optional[str] = None
     span: Optional[Span] = None
     # evaluated:
     state: EvalState = EvalState.NOT_INFERRED
@@ -151,7 +150,6 @@ class Streamlet:
 class Instance:
     name: str
     target_ast: Optional[AstNode] = None  # None for compiler-inserted instances
-    raw_target: str = ""
     array_size_ast: Optional[AstNode] = None
     span: Optional[Span] = None
     # the `for` element scope its target and size resolve in; None: the impl's
@@ -161,14 +159,23 @@ class Instance:
     array_size: Optional[int] = None
 
 
+def indexed(name: str, index: Optional[int]) -> str:
+    return name if index is None else f"{name}[{index}]"
+
+
+def end_display(owner: Optional[str], owner_index: Optional[int],
+                port_name: str, port_index: Optional[int]) -> str:
+    """The `owner[i].port[j]` text of a port end; a None owner is Self."""
+    owner_text = "Self" if owner is None else indexed(owner, owner_index)
+    return f"{owner_text}.{indexed(port_name, port_index)}"
+
+
 @dataclass
 class EndRef:
-    owner_ast: Optional[AstNode]  # None for Self ends
-    owner_index_ast: Optional[AstNode]
-    port_ast: AstNode
-    port_index_ast: Optional[AstNode]
-    raw_owner: Optional[str] = None
-    raw_port: str = ""
+    # the PathOwner and PathPort nodes of a written end; both None for an
+    # end that sugaring made, and the owner None for a Self end
+    path_owner: Optional[AstNode] = None
+    path_port: Optional[AstNode] = None
     # resolved:
     owner_name: Optional[str] = None
     owner_index: Optional[int] = None
@@ -179,19 +186,15 @@ class EndRef:
 
     @property
     def is_self(self) -> bool:
-        return self.owner_ast is None and self.owner_name is None \
-            and self.instance is None
+        return self.path_owner is None and self.instance is None
 
     def key(self):
         """Identity of the port end for census and single-use checks."""
         return (self.owner_name, self.owner_index, self.port_name, self.port_index)
 
     def display(self) -> str:
-        owner = "Self" if self.is_self else (
-            f"{self.owner_name}[{self.owner_index}]" if self.owner_index is not None
-            else self.owner_name)
-        port = self.port_name if self.port_index is None else f"{self.port_name}[{self.port_index}]"
-        return f"{owner}.{port}"
+        return end_display(self.owner_name, self.owner_index, self.port_name,
+                           self.port_index)
 
 
 @dataclass
@@ -200,7 +203,6 @@ class Connection:
     source: EndRef
     sink: EndRef
     fifo_ast: Optional[AstNode] = None
-    raw_fifo: Optional[str] = None
     no_strict: bool = False
     span: Optional[Span] = None
     # the `for` element scope its ends and depth resolve in; None: the impl's
@@ -214,7 +216,6 @@ class Implementation:
     id: str
     scope: "Scope"
     of_ast: Optional[AstNode] = None
-    raw_of: str = ""
     doc: Optional[str] = None
     template_params: list[TemplateParam] = field(default_factory=list)
     external: bool = False

@@ -116,16 +116,9 @@ def _end_path_name(usage: PortUsage) -> str:
 def _end(inst: Optional[Instance], port: Port, owner_index=None,
          port_index=None) -> EndRef:
     """A resolved end on a port of `inst`, or of Self when `inst` is None."""
-    owner = inst.name if inst is not None else None
-    end = EndRef(owner_ast=None, owner_index_ast=None, port_ast=None,
-                 port_index_ast=None, raw_owner=owner, raw_port=port.name)
-    end.owner_name = owner
-    end.owner_index = owner_index
-    end.port_name = port.name
-    end.port_index = port_index
-    end.instance = inst
-    end.port = port
-    return end
+    return EndRef(owner_name=inst.name if inst is not None else None,
+                  owner_index=owner_index, port_name=port.name,
+                  port_index=port_index, instance=inst, port=port)
 
 
 def _source_end(impl: Implementation, usage: PortUsage) -> EndRef:

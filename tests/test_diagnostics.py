@@ -360,6 +360,12 @@ CASES = [
      {}, "type", "template parameter 'n' expects a int value", "f0.td:1:147"),
     ("template_value_kind", IO + 'streamlet q<n: int> { }; impl i of q<"a"> { };', {},
      "type", "template parameter 'n' expects int, got str", "f0.td:1:147"),
+    # an instance that instances itself: reported at the template's declaration
+    ("template_cycle",
+     "package p;\ntype s = Stream(Bit(1));\nstreamlet a_s { x: s in, };\n"
+     "impl a_i<n: int> of a_s { instance y(a_i<n>), x => y.x, };\n"
+     "impl top_i of a_s { instance t(a_i<1>), x => t.x, };\n", {}, "resolution",
+     "circular dependency: impl a_i@1 -> impl a_i@1", "f0.td:4:1"),
     # -- generative blocks
     ("for_iterable", IO + "impl i of io_s { for k in (1) { } };", {}, "type",
      "for iterates an array of basic values, got int", "f0.td:1:137"),
@@ -479,14 +485,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tydilang"
 # message sites that no source and no API call reaches, by "module.function:
 # message" with {} for each interpolated value
 UNREACHABLE = {
-    "elaboration.evaluate_streamlet: streamlet template {} must be instantiated "
-    "with arguments before use":
-        "an `of` naming a template is rejected first, and instantiated copies "
-        "have no template parameters",
-    "elaboration._compute_implementation: implementation template {} must be "
-    "instantiated with arguments before use":
-        "roots, instances, impl arguments and --top all reject templates first, "
-        "and instantiated copies have no template parameters",
     "emit._stamp: instance {} of {} is unresolved":
         "flatten needs an evaluated top, and evaluating an implementation "
         "resolves every instance below it",

@@ -34,7 +34,7 @@ ALLOWED = {
 
 def _entity(category, name, scope):
     if category == "variable":
-        return Variable(id=name, raw="1", scope=scope)
+        return Variable(id=name, scope=scope)
     if category == "type":
         return TypeEntry(id=name, ast=None, scope=scope)
     if category == "streamlet":
@@ -42,7 +42,7 @@ def _entity(category, name, scope):
     if category == "implementation":
         return Implementation(id=name, scope=Scope(f"implement_{name}", "implement"))
     if category == "port":
-        return Port(name=name, type_ast=None, raw_type="", direction="in")
+        return Port(name=name, type_ast=None, direction="in")
     return Instance(name=name)
 
 
@@ -73,17 +73,17 @@ def test_inner_name_shadows_outer():
     outer = Scope("package_p", "package")
     inner = Scope("group_g", "group")
     inner.add_relation(ScopeRelationKind.GROUP, outer)
-    outer.variables["x"] = Variable(id="x", raw="outer", scope=outer)
-    inner.variables["x"] = Variable(id="x", raw="inner", scope=inner)
+    outer.variables["x"] = Variable(id="x", scope=outer)
+    inner.variables["x"] = shadow = Variable(id="x", scope=inner)
     entity, owner = resolve_name(inner, "x", "variable")
-    assert owner is inner and entity.raw == "inner"
+    assert owner is inner and entity is shadow
 
 
 def test_resolution_is_deterministic():
     outer = Scope("package_p", "package")
     inner = Scope("group_g", "group")
     inner.add_relation(ScopeRelationKind.GROUP, outer)
-    outer.variables["x"] = Variable(id="x", raw="1", scope=outer)
+    outer.variables["x"] = Variable(id="x", scope=outer)
     first = resolve_name(inner, "x", "variable")
     assert all(resolve_name(inner, "x", "variable") == first for _ in range(5))
 
@@ -103,7 +103,7 @@ def test_resolve_name_leaves_no_garbage():
     outer = Scope("package_p", "package")
     inner = Scope("group_g", "group")
     inner.add_relation(ScopeRelationKind.GROUP, outer)
-    outer.variables["x"] = Variable(id="x", raw="1", scope=outer)
+    outer.variables["x"] = Variable(id="x", scope=outer)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -125,9 +125,9 @@ def test_resolve_name_leaves_no_garbage():
 
 def test_declare_duplicate_rejected():
     scope = Scope("package_p", "package")
-    declare(scope, Variable(id="x", raw="1", scope=scope), "variable")
+    declare(scope, Variable(id="x", scope=scope), "variable")
     with pytest.raises(TydiError):
-        declare(scope, Variable(id="x", raw="2", scope=scope), "variable")
+        declare(scope, Variable(id="x", scope=scope), "variable")
 
 
 def test_declare_streamlet_outside_package_rejected():
@@ -139,7 +139,7 @@ def test_declare_streamlet_outside_package_rejected():
 
 def test_type_and_variable_namespaces_are_separate():
     scope = Scope("package_p", "package")
-    declare(scope, Variable(id="x", raw="1", scope=scope), "variable")
+    declare(scope, Variable(id="x", scope=scope), "variable")
     declare(scope, TypeEntry(id="x", ast=None, scope=scope), "type")  # no clash
 
 
