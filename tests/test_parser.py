@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tydilang.errors import SyntaxDiagnosticError
 from tydilang.lexer import tokenize
+from tydilang import parser
 from tydilang.parser import parse_file, parse_fragment, parse_project
 from tydilang.stdlib import PRELUDE_PATH, PRELUDE_SOURCE
 from tydilang.tree import check_span_containment, dump_ast, iter_nodes
@@ -274,13 +275,50 @@ def test_span_containment_over_fixture_corpus():
     corpus = [(PRELUDE_PATH, PRELUDE_SOURCE)] + [
         (str(path), path.read_text(encoding="utf-8"))
         for path in sorted(Path(DATA_DIR).rglob("*.td"))]
-    assert len(corpus) == 7
+    assert len(corpus) == 8
     for path, text in corpus:
         spans = [t.span for t in tokenize(text, path)]
         ast = parse_file(text, path).ast
         spans += [n.span for n in iter_nodes(ast)]
         assert all(span.start <= span.end for span in spans), path
         check_span_containment(ast)
+
+
+def _ast_text(path: Path) -> str:
+    """The AST of a file as the pipeline writes it to ``0_ast/<name>.txt``."""
+    return "[" + dump_ast(parse_file(path.read_text(encoding="utf-8"), str(path)).ast) + "]\n"
+
+
+@pytest.mark.parametrize("source, pinned", [
+    ("golden_grammar.td", "golden_grammar_ast.txt"),
+    ("tpch1.td", "golden_tpch1_ast.txt"),
+])
+def test_ast_dump_is_pinned(source, pinned):
+    """golden_grammar.td reaches every rule of the parser, including its
+    optional separators, member extractions, process blocks, connection
+    names and clockdomain annotations; tpch1.td is the paper's design."""
+    expected = (Path(DATA_DIR) / pinned).read_text(encoding="utf-8")
+    assert _ast_text(Path(DATA_DIR) / source) == expected
+
+
+def _parser_node_kinds() -> set[str]:
+    """Every node kind parser.py can make: the kinds it passes to `node(`
+    by name, the stream property kinds, the integer literal kinds, and the
+    group, union and member-extraction kinds it picks by rule."""
+    text = Path(parser.__file__).read_text(encoding="utf-8")
+    return (set(re.findall(r'node\("(\w+)"', text))
+            | set(parser.STREAM_PROPERTY_KINDS.values())
+            | set(re.findall(r'"(INT_RAW_\w+)"', text))
+            | set(re.findall(r'"(Logical\w+Type|\w*Extract\w*)"', text)))
+
+
+def test_grammar_fixture_holds_every_node_kind():
+    """A construct the parser learns is pinned only once golden_grammar.td
+    uses it."""
+    ast = parse_file((Path(DATA_DIR) / "golden_grammar.td").read_text(encoding="utf-8")).ast
+    kinds = _parser_node_kinds()
+    assert len(kinds) >= 83
+    assert {n.kind for n in iter_nodes(ast)} == kinds
 
 
 def test_dump_is_deterministic(tpch1_source):
