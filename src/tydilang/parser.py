@@ -93,13 +93,54 @@ class _Parser:
         t = self.expect("ID", what)
         return node("ID", t.span.start, t.span.end, leaf_text=t.text)
 
-    def separator(self, sep: str, closer: str):
-        """Consume a statement separator; it may be omitted before `closer`."""
-        if self.at(sep):
-            return self.next()
-        if self.at(closer) or self.at("EOF"):
-            return None
+    def separator(self, sep: str, closer: str, end: int) -> int:
+        """Consume a statement separator, which may be omitted before
+        `closer`; returns where the statement ends: after the separator, or
+        at `end` without one."""
+        t = self.peek()
+        if t.type == sep:
+            self.pos += 1
+            return t.span.end
+        if t.type == closer or t.type == "EOF":
+            return end
         self.fail(f"'{sep}'")
+
+    def parse_enclosed(self, opener: str, closer: str) -> tuple[int, AstNode, int]:
+        """``[exp]`` or ``(exp)``: the opener's start, the expression and the
+        closer's end."""
+        start = self.expect(opener).span.start
+        exp = self.parse_exp()
+        return start, exp, self.expect(closer).span.end
+
+    def parse_name_ref(self, what: str) -> AstNode:
+        """``name`` or ``pkg.name``: the identifier, or a QualifiedId of both."""
+        first = self.id_leaf(what)
+        if not self.at("."):
+            return first
+        self.pos += 1
+        member = self.id_leaf()
+        return node("QualifiedId", first.span.start, member.span.end, (first, member))
+
+    def parse_array_size(self, children: list[AstNode]):
+        """Append an optional ``[size]`` of a port or instance to `children`."""
+        if self.at("["):
+            start, size, end = self.parse_enclosed("[", "]")
+            children.append(node("ArraySize", start, end, (size,)))
+
+    def parse_body_decl(self) -> Optional[AstNode]:
+        """A const, type or assert item of a group, streamlet or
+        implementation body; None before any other item."""
+        t = self.peek()
+        if t.type == "ID":
+            if t.text == "const":
+                return self.parse_const(",", "}")
+            if t.text == "type":
+                return self.parse_type_decl(",", "}")
+            if t.text == "assert":
+                start = self.next().span.start
+                _, exp, end = self.parse_enclosed("(", ")")
+                return node("AssertStmt", start, self.separator(",", "}", end), (exp,))
+        return None
 
     # -- file --------------------------------------------------------------
 
@@ -120,7 +161,9 @@ class _Parser:
             t = self.next()
             doc = node("DOC", t.span.start, t.span.end, leaf_text=t.text)
         if self.at_kw("import"):
-            return self.parse_import()
+            start = self.next().span.start
+            name = self.id_leaf("package name")
+            return node("ImportStmt", start, self.expect(";").span.end, (name,))
         if self.at_kw("const"):
             return self.parse_const(";", "EOF")
         if self.at_kw("type"):
@@ -131,18 +174,11 @@ class _Parser:
             return self.parse_impl(doc)
         self.fail("a top-level declaration")
 
-    def parse_import(self) -> AstNode:
-        start = self.expect_kw("import").span.start
-        name = self.id_leaf("package name")
-        end = self.expect(";").span.end
-        return node("ImportStmt", start, end, [name])
-
     # -- const / type ------------------------------------------------------
 
     def parse_const(self, sep: str, closer: str) -> AstNode:
         start = self.expect_kw("const").span.start
-        name = self.id_leaf()
-        children = [name]
+        children = [self.id_leaf()]
         if self.at(":"):
             self.next()
             t = self.expect("ID", "a value kind")
@@ -152,23 +188,19 @@ class _Parser:
         if self.at("="):
             self.next()
             children.append(self.parse_exp())
-        end_tok = self.separator(sep, closer)
-        end = end_tok.span.end if end_tok else children[-1].span.end
-        return node("ConstDecl", start, end, children)
+        return node("ConstDecl", start,
+                    self.separator(sep, closer, children[-1].span.end), children)
 
     def parse_type_decl(self, sep: str, closer: str) -> AstNode:
         start = self.expect_kw("type").span.start
         if self.at_kw("Group") or self.at_kw("Union"):
-            body = self.parse_group_union()
-            end_tok = self.separator(sep, closer)
-            end = end_tok.span.end if end_tok else body.span.end
-            return node("TypeDecl", start, end, [body])
-        name = self.id_leaf("type name")
-        self.expect("=")
-        ty = self.parse_logical_type()
-        end_tok = self.separator(sep, closer)
-        end = end_tok.span.end if end_tok else ty.span.end
-        return node("TypeDecl", start, end, [name, ty])
+            children = (self.parse_group_union(),)
+        else:
+            name = self.id_leaf("type name")
+            self.expect("=")
+            children = (name, self.parse_logical_type())
+        return node("TypeDecl", start,
+                    self.separator(sep, closer, children[-1].span.end), children)
 
     # -- logical types -----------------------------------------------------
 
@@ -178,32 +210,24 @@ class _Parser:
 
     def parse_logical_type_inner(self) -> AstNode:
         t = self.peek()
-        if t.type == "ID" and t.text == "Null":
+        if t.type != "ID":
+            self.fail("a logical type")
+        if t.text == "Null":
             self.next()
             return node("LogicalNullType", t.span.start, t.span.end)
-        if t.type == "ID" and t.text == "Bit":
-            start = self.next().span.start
-            self.expect("(")
-            width = self.parse_exp()
-            end = self.expect(")").span.end
-            return node("LogicalBitType", start, end, [width])
-        if t.type == "ID" and t.text == "Stream":
+        if t.text == "Bit":
+            self.next()
+            _, width, end = self.parse_enclosed("(", ")")
+            return node("LogicalBitType", t.span.start, end, [width])
+        if t.text == "Stream":
             return self.parse_stream_type()
-        if t.type == "ID" and t.text in ("Group", "Union"):
+        if t.text in ("Group", "Union"):
             return self.parse_group_union()
-        if t.type == "ID" and t.text in ("streamlet", "impl"):
+        if t.text in ("streamlet", "impl"):
             return self.parse_member_extract("LogicalTypeExtract")
-        if t.type == "ID":
-            start = self.next()
-            ids = [node("ID", start.span.start, start.span.end, leaf_text=start.text)]
-            end = start.span.end
-            if self.at(".") :
-                self.next()
-                member = self.id_leaf()
-                ids.append(member)
-                end = member.span.end
-            return node("LogicalUserDefinedType", start.span.start, end, ids)
-        self.fail("a logical type")
+        ref = self.parse_name_ref("identifier")
+        return node("LogicalUserDefinedType", ref.span.start, ref.span.end,
+                    ref.children or (ref,))
 
     def parse_stream_type(self) -> AstNode:
         start = self.expect_kw("Stream").span.start
@@ -232,23 +256,16 @@ class _Parser:
         children = [self.id_leaf("group/union name")]
         self.expect("{")
         while not self.at("}"):
-            children.append(self.parse_group_item())
+            children.append(self.parse_body_decl() or self.parse_group_field())
         end = self.expect("}").span.end
         return node(kind, t.span.start, end, children)
 
-    def parse_group_item(self) -> AstNode:
-        if self.at_kw("const"):
-            return self.parse_const(",", "}")
-        if self.at_kw("type"):
-            return self.parse_type_decl(",", "}")
-        if self.at_kw("assert"):
-            return self.parse_assert(",", "}")
+    def parse_group_field(self) -> AstNode:
         name = self.id_leaf("field name")
         self.expect(":")
         ty = self.parse_logical_type()
-        end_tok = self.separator(",", "}")
-        end = end_tok.span.end if end_tok else ty.span.end
-        return node("SubItemItem", name.span.start, end, [name, ty])
+        return node("SubItemItem", name.span.start,
+                    self.separator(",", "}", ty.span.end), (name, ty))
 
     # -- streamlet ---------------------------------------------------------
 
@@ -261,44 +278,30 @@ class _Parser:
             children.append(self.parse_template_params())
         self.expect("{")
         while not self.at("}"):
-            children.append(self.parse_streamlet_item())
+            children.append(self.parse_body_decl() or self.parse_port())
         self.expect("}")
         end = self.expect(";").span.end
         return node("StreamletDecl", start, end, children)
 
-    def parse_streamlet_item(self) -> AstNode:
-        if self.at_kw("const"):
-            return self.parse_const(",", "}")
-        if self.at_kw("type"):
-            return self.parse_type_decl(",", "}")
-        if self.at_kw("assert"):
-            return self.parse_assert(",", "}")
+    def parse_port(self) -> AstNode:
         name = self.id_leaf("port name")
         self.expect(":")
         children = [name, self.parse_logical_type()]
-        if self.at("["):
-            lb = self.next()
-            size = self.parse_exp()
-            rb = self.expect("]")
-            children.append(node("ArraySize", lb.span.start, rb.span.end, [size]))
+        self.parse_array_size(children)
         d = self.expect("ID", "port direction 'in' or 'out'")
         if d.text not in ("in", "out"):
             self.fail("port direction 'in' or 'out'", d)
         children.append(node("DIR", d.span.start, d.span.end, leaf_text=d.text))
         if self.at("`"):
-            children.append(self.parse_clockdomain_ann())
-        end_tok = self.separator(",", "}")
-        end = end_tok.span.end if end_tok else children[-1].span.end
-        return node("PortDecl", name.span.start, end, children)
-
-    def parse_clockdomain_ann(self) -> AstNode:
-        tick = self.expect("`")
-        if self.at("STR"):
-            t = self.next()
-            body = node("STR", t.span.start, t.span.end, leaf_text=t.text)
-        else:
-            body = self.id_leaf("clockdomain name")
-        return node("ClockDomainAnn", tick.span.start, body.span.end, [body])
+            tick = self.next()
+            if self.at("STR"):
+                t = self.next()
+                body = node("STR", t.span.start, t.span.end, leaf_text=t.text)
+            else:
+                body = self.id_leaf("clockdomain name")
+            children.append(node("ClockDomainAnn", tick.span.start, body.span.end, [body]))
+        return node("PortDecl", name.span.start,
+                    self.separator(",", "}", children[-1].span.end), children)
 
     # -- implementation ----------------------------------------------------
 
@@ -340,12 +343,9 @@ class _Parser:
         return node("ImplDecl", start, end, children)
 
     def parse_impl_item(self) -> AstNode:
-        if self.at_kw("const"):
-            return self.parse_const(",", "}")
-        if self.at_kw("type"):
-            return self.parse_type_decl(",", "}")
-        if self.at_kw("assert"):
-            return self.parse_assert(",", "}")
+        decl = self.parse_body_decl()
+        if decl is not None:
+            return decl
         if self.at_kw("instance"):
             return self.parse_instance()
         if self.at_kw("if"):
@@ -354,7 +354,7 @@ class _Parser:
             return self.parse_for_block()
         if self.at("PROCESS_BODY"):
             t = self.next()
-            self.separator(",", "}")
+            self.separator(",", "}", t.span.end)
             return node("ProcessBlock", t.span.start, t.span.end, leaf_text=t.text)
         return self.parse_connection()
 
@@ -362,40 +362,26 @@ class _Parser:
         start = self.expect_kw("instance").span.start
         name = self.parse_name_node()
         self.expect("(")
-        target = self.parse_entity_ref()
+        children = [name, self.parse_entity_ref()]
         self.expect(")")
-        children = [name, target]
-        if self.at("["):
-            lb = self.next()
-            size = self.parse_exp()
-            rb = self.expect("]")
-            children.append(node("ArraySize", lb.span.start, rb.span.end, [size]))
-        end_tok = self.separator(",", "}")
-        end = end_tok.span.end if end_tok else children[-1].span.end
-        return node("InstanceDecl", start, end, children)
+        self.parse_array_size(children)
+        return node("InstanceDecl", start,
+                    self.separator(",", "}", children[-1].span.end), children)
 
     def parse_entity_ref(self) -> AstNode:
         """A streamlet/implementation reference: id, pkg.id, optionally with
         template arguments ``<...>``."""
-        first = self.id_leaf("a streamlet or implementation name")
-        base = first
-        if self.at("."):
-            self.next()
-            member = self.id_leaf()
-            base = node("QualifiedId", first.span.start, member.span.end, [first, member])
+        base = self.parse_name_ref("a streamlet or implementation name")
         if self.at("<"):
             return self.parse_template_instance(base)
         return base
 
     def parse_template_instance(self, base: AstNode) -> AstNode:
         self.expect("<")
-        args = [base]
-        while True:
+        args = [base, self.parse_template_arg()]
+        while self.at(","):
+            self.next()
             args.append(self.parse_template_arg())
-            if self.at(","):
-                self.next()
-                continue
-            break
         end = self.expect(">").span.end
         return node("TemplateInstance", base.span.start, end, args)
 
@@ -407,69 +393,52 @@ class _Parser:
             return node("TemplateArgType", start, ty.span.end, [ty])
         if t.type == "ID" and t.text == "impl":
             start = self.next().span.start
-            ref = self.id_leaf("an implementation name")
-            end = ref.span.end
-            ids = [ref]
-            if self.at("."):
-                self.next()
-                member = self.id_leaf()
-                ids = [node("QualifiedId", ref.span.start, member.span.end, [ref, member])]
-                end = member.span.end
-            return node("TemplateArgImpl", start, end, ids)
+            ref = self.parse_name_ref("an implementation name")
+            return node("TemplateArgImpl", start, ref.span.end, [ref])
         exp = self.parse_exp(no_compare=True)
         return node("TemplateArgExp", exp.span.start, exp.span.end, [exp])
 
     def parse_template_params(self) -> AstNode:
         start = self.expect("<").span.start
-        params = []
-        while True:
-            name = self.id_leaf("template parameter name")
-            self.expect(":")
-            t = self.peek()
-            if t.type == "ID" and t.text == "impl":
-                self.next()
-                self.expect_kw("of")
-                target = self.id_leaf("a streamlet name")
-                kind = node("ImplOfKind", t.span.start, target.span.end, [target])
-            elif t.type == "ID" and (t.text in CONST_KINDS or t.text == "type"):
-                self.next()
-                kind = node("KIND", t.span.start, t.span.end, leaf_text=t.text)
-            else:
-                self.fail("a template parameter kind", t)
-            params.append(node("TemplateParam", name.span.start, kind.span.end, [name, kind]))
-            if self.at(","):
-                self.next()
-                continue
-            break
+        params = [self.parse_template_param()]
+        while self.at(","):
+            self.next()
+            params.append(self.parse_template_param())
         end = self.expect(">").span.end
         return node("TemplateParams", start, end, params)
+
+    def parse_template_param(self) -> AstNode:
+        name = self.id_leaf("template parameter name")
+        self.expect(":")
+        t = self.peek()
+        if t.type == "ID" and t.text == "impl":
+            self.next()
+            self.expect_kw("of")
+            target = self.id_leaf("a streamlet name")
+            kind = node("ImplOfKind", t.span.start, target.span.end, [target])
+        elif t.type == "ID" and (t.text in CONST_KINDS or t.text == "type"):
+            self.next()
+            kind = node("KIND", t.span.start, t.span.end, leaf_text=t.text)
+        else:
+            self.fail("a template parameter kind", t)
+        return node("TemplateParam", name.span.start, kind.span.end, [name, kind])
 
     # -- generative blocks -------------------------------------------------
 
     def parse_if_block(self) -> AstNode:
         start = self.expect_kw("if").span.start
-        self.expect("(")
-        cond = self.parse_exp()
-        self.expect(")")
-        body = self.parse_statement_block()
-        children = [cond, body]
-        end = body.span.end
+        _, cond, _ = self.parse_enclosed("(", ")")
+        children = [cond, self.parse_statement_block()]
         while self.at_kw("elif"):
             estart = self.next().span.start
-            self.expect("(")
-            econd = self.parse_exp()
-            self.expect(")")
+            _, econd, _ = self.parse_enclosed("(", ")")
             ebody = self.parse_statement_block()
             children.append(node("ElifClause", estart, ebody.span.end, [econd, ebody]))
-            end = ebody.span.end
         if self.at_kw("else"):
             estart = self.next().span.start
             ebody = self.parse_statement_block()
             children.append(node("ElseClause", estart, ebody.span.end, [ebody]))
-            end = ebody.span.end
-        if self.at(","):
-            end = self.next().span.end
-        return node("IfBlock", start, end, children)
+        return node("IfBlock", start, self.block_end(children[-1]), children)
 
     def parse_for_block(self) -> AstNode:
         start = self.expect_kw("for").span.start
@@ -487,10 +456,13 @@ class _Parser:
             iterable = first
         self.expect(")")
         body = self.parse_statement_block()
-        end = body.span.end
+        return node("ForBlock", start, self.block_end(body), [var, iterable, body])
+
+    def block_end(self, last: AstNode) -> int:
+        """Where an if/for block ends: after its optional comma."""
         if self.at(","):
-            end = self.next().span.end
-        return node("ForBlock", start, end, [var, iterable, body])
+            return self.next().span.end
+        return last.span.end
 
     def parse_statement_block(self) -> AstNode:
         start = self.expect("{").span.start
@@ -519,36 +491,28 @@ class _Parser:
         if self.at("@NoStrictType@"):
             t = self.next()
             children.append(node("NoStrictMarker", t.span.start, t.span.end))
-        end_tok = self.separator(",", "}")
-        end = end_tok.span.end if end_tok else children[-1].span.end
-        return node("ConnectionStmt", src.span.start, end, children)
+        return node("ConnectionStmt", src.span.start,
+                    self.separator(",", "}", children[-1].span.end), children)
 
     def parse_path_end(self) -> AstNode:
-        first = self.parse_name_node()
-        children = [first]
-        end = first.span.end
-        if self.at("["):
-            self.next()
-            idx = self.parse_exp()
-            rb = self.expect("]")
-            children.append(node("Index", idx.span.start, rb.span.end, [idx]))
-            end = rb.span.end
-        if self.at("."):
-            self.next()
-            owner = node("PathOwner", first.span.start, end, children)
-            port = self.parse_name_node()
-            pchildren = [port]
-            pend = port.span.end
-            if self.at("["):
-                self.next()
-                idx = self.parse_exp()
-                rb = self.expect("]")
-                pchildren.append(node("Index", idx.span.start, rb.span.end, [idx]))
-                pend = rb.span.end
-            pnode = node("PathPort", port.span.start, pend, pchildren)
-            return node("PathEnd", first.span.start, pend, [owner, pnode])
-        pnode = node("PathPort", first.span.start, end, children)
-        return node("PathEnd", first.span.start, end, [pnode])
+        parts, end = self.parse_path_part()
+        start = parts[0].span.start
+        if not self.at("."):
+            return node("PathEnd", start, end, (node("PathPort", start, end, parts),))
+        self.pos += 1
+        owner = node("PathOwner", start, end, parts)
+        parts, port_end = self.parse_path_part()
+        port = node("PathPort", parts[0].span.start, port_end, parts)
+        return node("PathEnd", start, port_end, (owner, port))
+
+    def parse_path_part(self) -> tuple[tuple[AstNode, ...], int]:
+        """``name`` or ``name[exp]`` of a connection end: the name and its
+        Index, and where they end."""
+        name = self.parse_name_node()
+        if not self.at("["):
+            return (name,), name.span.end
+        _, idx, end = self.parse_enclosed("[", "]")
+        return (name, node("Index", idx.span.start, end, (idx,))), end
 
     def parse_name_node(self) -> AstNode:
         """An identifier, possibly with interpolation holes: ``bypass_{{i}}``."""
@@ -568,15 +532,6 @@ class _Parser:
         if len(parts) == 1:
             return first
         return node("InterpolatedId", first.span.start, end, parts)
-
-    def parse_assert(self, sep: str, closer: str) -> AstNode:
-        start = self.expect_kw("assert").span.start
-        self.expect("(")
-        exp = self.parse_exp()
-        rp = self.expect(")")
-        end_tok = self.separator(sep, closer)
-        end = end_tok.span.end if end_tok else rp.span.end
-        return node("AssertStmt", start, end, [exp])
 
     # -- expressions ---------------------------------------------------------
 
@@ -606,10 +561,8 @@ class _Parser:
             u = node("UnaryExp", t.span.start, inner.span.end, [op, inner])
             return node("Term", t.span.start, inner.span.end, [u])
         if t.type == "(":
-            self.next()
-            exp = self.parse_exp()
-            rp = self.expect(")")
-            return node("Term", t.span.start, rp.span.end, [exp])
+            _, exp, end = self.parse_enclosed("(", ")")
+            return node("Term", t.span.start, end, [exp])
         if t.type == "{":
             return self.parse_array_literal()
         atom = self.parse_atom()
@@ -654,87 +607,74 @@ class _Parser:
             self.next()
             leaf = node("STR", t.span.start, t.span.end, leaf_text=t.text)
             return node("StringExp", t.span.start, t.span.end, [leaf])
-        if t.type == "ID" and t.text in ("true", "false"):
+        if t.type != "ID":
+            self.fail("an expression")
+        if t.text in ("true", "false"):
             self.next()
             leaf = node("BOOL_RAW", t.span.start, t.span.end, leaf_text=t.text)
             return node("BoolExp", t.span.start, t.span.end, [leaf])
-        if t.type == "ID" and t.text in ("streamlet", "impl", "type"):
+        if t.text in ("streamlet", "impl", "type"):
             return self.parse_member_extract("MemberExtractExp")
-        if t.type == "ID" and self.peek(1).type == "(" and (
+        if self.peek(1).type == "(" and (
                 t.text in BUILTIN_FUNCS or t.text == "log" or _log_with_base(t.text)):
             return self.parse_function_call()
-        if t.type == "ID" and t.text == "log" and self.peek(1).type in ("INT", "FLOAT", "ID"):
+        if t.text == "log" and self.peek(1).type in ("INT", "FLOAT", "ID"):
             return self.parse_function_call()
-        if t.type == "ID":
+        self.next()
+        ids = [node("ID", t.span.start, t.span.end, leaf_text=t.text)]
+        end = t.span.end
+        # unlike parse_name_ref, `a.` before anything but a name ends at `a`
+        if self.at(".") and self.peek(1).type == "ID":
             self.next()
-            ids = [node("ID", t.span.start, t.span.end, leaf_text=t.text)]
-            end = t.span.end
-            if self.at(".") and self.peek(1).type == "ID":
-                self.next()
-                member = self.id_leaf()
-                ids.append(member)
-                end = member.span.end
-            if self.at("["):
-                self.next()
-                idx = self.parse_exp()
-                rb = self.expect("]")
-                return node("IndexExp", t.span.start, rb.span.end, ids + [idx])
-            return node("VarExp", t.span.start, end, ids)
-        self.fail("an expression")
+            member = self.id_leaf()
+            ids.append(member)
+            end = member.span.end
+        if self.at("["):
+            _, idx, end = self.parse_enclosed("[", "]")
+            return node("IndexExp", t.span.start, end, ids + [idx])
+        return node("VarExp", t.span.start, end, ids)
 
     def parse_function_call(self) -> AstNode:
         t = self.next()
-        start = t.span.start
         if t.text in BUILTIN_FUNCS:
-            self.expect("(")
-            arg = self.parse_exp()
-            end = self.expect(")").span.end
-            f = node("FUNC", t.span.start, t.span.end, leaf_text=t.text)
-            return node("FunctionExp", start, end, [f, arg])
-        # log<base>(arg): base either fused into the identifier (log2) or a
-        # following atom (log 2 (x) / log a(b))
-        f = node("FUNC", t.span.start, t.span.start + 3, leaf_text="log")
-        fused = _log_with_base(t.text)
-        if fused is not None:
-            leaf = node("INT_RAW_NORAML", t.span.start + 3, t.span.end, leaf_text=fused)
-            base_atom = node("IntExp", t.span.start + 3, t.span.end, [leaf])
-            base = node("Exp", base_atom.span.start, base_atom.span.end,
-                        [node("Term", base_atom.span.start, base_atom.span.end, [base_atom])])
+            children = [node("FUNC", t.span.start, t.span.end, leaf_text=t.text)]
         else:
-            atom = self.parse_atom()
-            base = node("Exp", atom.span.start, atom.span.end,
-                        [node("Term", atom.span.start, atom.span.end, [atom])])
-        self.expect("(")
-        arg = self.parse_exp()
-        end = self.expect(")").span.end
-        return node("FunctionExp", start, end, [f, base, arg])
+            # log<base>(arg): base either fused into the identifier (log2) or
+            # a following atom (log 2 (x) / log a(b))
+            fused = _log_with_base(t.text)
+            if fused is None:
+                base = self.parse_atom()
+            else:
+                leaf = node("INT_RAW_NORAML", t.span.start + 3, t.span.end, leaf_text=fused)
+                base = node("IntExp", t.span.start + 3, t.span.end, [leaf])
+            s, e = base.span
+            children = [node("FUNC", t.span.start, t.span.start + 3, leaf_text="log"),
+                        node("Exp", s, e, [node("Term", s, e, [base])])]
+        _, arg, end = self.parse_enclosed("(", ")")
+        children.append(arg)
+        return node("FunctionExp", t.span.start, end, children)
 
     def parse_member_extract(self, kind: str) -> AstNode:
         """``streamlet|impl|type <owner>[<args>].<member>`` where owner may be
         package-qualified. The final ``.id`` is always the member."""
         t = self.next()  # streamlet | impl | type
+        owner = self.id_leaf("an owner name")
+        member = None
+        if not self.at("<"):
+            self.expect(".")
+            member = self.id_leaf("member name")
+            if self.at("<") or self.at(".") and self.peek(1).type == "ID":
+                # what was read is a package-qualified owner
+                owner = node("QualifiedId", owner.span.start, member.span.end,
+                             [owner, member])
+                member = None
+        if self.at("<"):
+            owner = self.parse_template_instance(owner)
+        if member is None:
+            self.expect(".")
+            member = self.id_leaf("member name")
         ex = node("EXTRACT", t.span.start, t.span.end, leaf_text=t.text)
-        first = self.id_leaf("an owner name")
-        owner = first
-        if self.at("<"):
-            owner = self.parse_template_instance(first)
-            self.expect(".")
-            member = self.id_leaf("member name")
-            return node(kind, t.span.start, member.span.end, [ex, owner, member])
-        self.expect(".")
-        second = self.id_leaf("member name")
-        if self.at("<"):
-            qual = node("QualifiedId", first.span.start, second.span.end, [first, second])
-            owner = self.parse_template_instance(qual)
-            self.expect(".")
-            member = self.id_leaf("member name")
-            return node(kind, t.span.start, member.span.end, [ex, owner, member])
-        if self.at(".") and self.peek(1).type == "ID":
-            self.next()
-            member = self.id_leaf("member name")
-            owner = node("QualifiedId", first.span.start, second.span.end, [first, second])
-            return node(kind, t.span.start, member.span.end, [ex, owner, member])
-        return node(kind, t.span.start, second.span.end, [ex, owner, second])
+        return node(kind, t.span.start, member.span.end, [ex, owner, member])
 
 
 def _log_with_base(text: str) -> Optional[str]:
