@@ -9,6 +9,7 @@ holds the AST nodes it was built from, whose source text its package's
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .errors import TydiError
@@ -17,16 +18,48 @@ from .model import (Connection, EndRef, Implementation, Instance, Package,
                     TemplateParam, TypeEntry, Variable, declare)
 from .parser import ParsedFile
 from .tree import AstNode
+from .values import IntValue, StrValue, Value, variant_name
+
+_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-def name_of(name_node: AstNode, path: Optional[str] = None) -> str:
-    """The text of a plain identifier; outside a `for` body a hole is an error."""
-    if name_node.kind == "ID":
-        return name_node.leaf_text
-    raise TydiError(
-        "resolution",
-        "interpolated identifier is only usable inside a for scope",
-        path, name_node.span)
+def substitute(name_node: AstNode, scope: Scope, path) -> str:
+    """The identifier an interpolated name spells in `scope`: each
+    ``{{var}}`` hole is filled from the loop variables bound in `scope` and
+    the `for` element scopes around it; outside a `for` a hole is an error."""
+    parts = []
+    for part in name_node.children:
+        if part.kind == "ID":
+            parts.append(part.leaf_text)
+            continue
+        value = _loop_value(scope, part.children[0].leaf_text)
+        if value is None:
+            raise TydiError(
+                "resolution",
+                "interpolated identifier is only usable inside a for scope",
+                path, name_node.span)
+        if not isinstance(value, (IntValue, StrValue)):
+            raise TydiError(
+                "type", f"loop variable of type {variant_name(value)} cannot be "
+                "interpolated into an identifier", path, part.span)
+        parts.append(str(value.value))
+    merged = "".join(parts)
+    if not _IDENT_RE.match(merged) or "__" in merged:
+        raise TydiError(
+            "resolution",
+            f"interpolated identifier {merged!r} is not a valid identifier",
+            path, name_node.span)
+    return merged
+
+
+def _loop_value(scope: Scope, var: str) -> Optional[Value]:
+    """The element `var` is bound to by the innermost `for` around `scope`."""
+    while scope.category == "iffor":
+        binding = scope.variables.get(var)
+        if binding is not None:
+            return binding.value
+        scope = scope.relations[0][1]
+    return None
 
 
 class StatementBuilder:
@@ -187,22 +220,26 @@ class StatementBuilder:
         return impl
 
     def build_impl_item(self, item: AstNode, impl: Implementation, own: Scope,
-                        scope: Optional[Scope] = None):
-        """Declare `item` in `own`; its expressions resolve in `scope` (`own`
-        by default, or the scope of a `for` element)."""
-        scope = scope or own
+                        scope: Optional[Scope] = None, suffix: str = ""):
+        """Declare `item` in `own`. Its expressions resolve in `scope` (`own`
+        by default, or the scope of a `for` element), and the names of its
+        connections end in the element's `suffix`."""
+        resolve = scope or own
         kind = item.kind
         if kind == "ConstDecl":
-            declare(own, self.build_const(item, scope), "variable", item.span, self.path)
+            declare(own, self.build_const(item, resolve), "variable", item.span, self.path)
         elif kind == "TypeDecl":
-            declare(own, self.build_type_entry(item, scope), "type", item.span, self.path)
+            declare(own, self.build_type_entry(item, resolve), "type", item.span, self.path)
         elif kind == "AssertStmt":
-            impl.asserts.append((scope, item))
+            impl.asserts.append((resolve, item))
         elif kind == "InstanceDecl":
-            inst = self.build_instance(item, name_of(item.children[0], self.path))
-            declare(own, inst, "instance", item.span, self.path)
+            name_node = item.children[0]
+            name = name_node.leaf_text if name_node.kind == "ID" else \
+                substitute(name_node, resolve, self.path)
+            declare(own, self.build_instance(item, name, scope), "instance",
+                    item.span, self.path)
         elif kind == "ConnectionStmt":
-            own.connections.append(self.build_connection(item))
+            own.connections.append(self.build_connection(item, suffix, scope))
         elif kind in ("IfBlock", "ForBlock"):
             impl.generative.append(item)
         else:  # ProcessBlock, the last kind of item the parser makes

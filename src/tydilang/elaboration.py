@@ -18,11 +18,10 @@ its own AST once per element, and what it builds evaluates in that scope.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .builder import StatementBuilder
+from .builder import StatementBuilder, substitute
 from .context import EvalContext
 from .errors import AssertionFailure, TydiError, TypeError_
 from .logical_types import StreamType, short_name
@@ -30,14 +29,11 @@ from .math_engine import (ExpressionEvaluator, evaluate_expression,
                           evaluate_range, force_variable)
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Port, Scope, ScopeRelationKind, Streamlet, TypeEntry,
-                    Variable, declare, resolve_name, resolve_ref)
+                    Variable, resolve_name, resolve_ref)
 from .tree import AstNode
 from .type_eval import evaluate_type_terminal, force_type_entry
 from .values import (ArrayValue, BoolValue, ClockDomainValue, IntValue,
-                     StrValue, Value, format_value, mangle_text, variant_name)
-
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
+                     Value, format_value, mangle_text, variant_name)
 
 @dataclass
 class TemplateArg:
@@ -474,16 +470,8 @@ def _expand_item(ctx: EvalContext, impl: Implementation, item: AstNode,
     elif kind == "IfBlock":
         for child in _select_if_branch(ctx, scope, item, sb.path):
             _expand_item(ctx, impl, child, sb, scope, suffix)
-    elif kind == "InstanceDecl":
-        name_node = item.children[0]
-        name = name_node.leaf_text if name_node.kind == "ID" else \
-            substitute(name_node, scope, sb.path)
-        declare(impl.scope, sb.build_instance(item, name, scope), "instance",
-                item.span, sb.path)
-    elif kind == "ConnectionStmt":
-        impl.scope.connections.append(sb.build_connection(item, suffix, scope))
     else:
-        sb.build_impl_item(item, impl, impl.scope, scope)
+        sb.build_impl_item(item, impl, impl.scope, scope, suffix)
 
 
 def _select_if_branch(ctx, scope, block: AstNode, path) -> tuple[AstNode, ...]:
@@ -548,43 +536,3 @@ def _reject_plain_instances(body: AstNode, path):
         if item.kind in ("IfBlock", "ForBlock", "StatementBlock", "ElifClause",
                          "ElseClause"):
             _reject_plain_instances(item, path)
-
-
-def substitute(name_node: AstNode, scope: Scope, path) -> str:
-    """The identifier an interpolated name spells in `scope`: each
-    ``{{var}}`` hole is filled from the loop variables bound in `scope` and
-    the `for` element scopes around it."""
-    parts = []
-    for part in name_node.children:
-        if part.kind == "ID":
-            parts.append(part.leaf_text)
-            continue
-        value = _loop_value(scope, part.children[0].leaf_text)
-        if value is None:
-            raise TydiError(
-                "resolution",
-                "interpolated identifier is only usable inside a for scope",
-                path, name_node.span)
-        if not isinstance(value, (IntValue, StrValue)):
-            raise TydiError(
-                "type", f"loop variable of type {variant_name(value)} cannot be "
-                "interpolated into an identifier", path, part.span)
-        parts.append(str(value.value))
-    merged = "".join(parts)
-    if not _IDENT_RE.match(merged) or "__" in merged:
-        raise TydiError(
-            "resolution",
-            f"interpolated identifier {merged!r} is not a valid identifier",
-            path, name_node.span)
-    return merged
-
-
-def _loop_value(scope: Scope, var: str) -> Optional[Value]:
-    """The element `var` is bound to by the innermost `for` around `scope`."""
-    while scope.category == "iffor":
-        binding = scope.variables.get(var)
-        if binding is not None:
-            return binding.value
-        scope = scope.relations[0][1]
-    return None
-
