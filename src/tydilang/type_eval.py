@@ -32,38 +32,22 @@ _PROPERTY_KEYS = {
 
 
 def force_type_entry(ctx: EvalContext, entry: TypeEntry):
-    """Evaluate a type entry once; returns the evaluated LogicalType."""
+    """Evaluate a type entry once; returns the evaluated LogicalType. Its
+    terminal is the declaration its expression names, or else the entry."""
     if entry.state is EvalState.EVALUATED:
         return entry.evaluated
     if entry.state is EvalState.ERROR:
         raise entry.error
     with ctx.evaluating(entry):
-        _compute_type_entry(ctx, entry)
+        ast = entry.ast
+        inner = ast.children[0] if ast.kind == "LogicalType" else ast
+        if inner.kind in ("LogicalGroupType", "LogicalUnionType"):
+            entry.evaluated, terminal = _evaluate_group(ctx, entry, inner), None
+        else:
+            entry.evaluated, terminal = evaluate_type(ctx, entry.scope, inner,
+                                                      declared_name=entry.id)
+        entry.terminal = entry if terminal is None else terminal
     return entry.evaluated
-
-
-def _compute_type_entry(ctx: EvalContext, entry: TypeEntry):
-    ast = entry.ast
-    inner = ast.children[0] if ast.kind == "LogicalType" else ast
-    if inner.kind in ("LogicalGroupType", "LogicalUnionType"):
-        entry.evaluated = _evaluate_group(ctx, entry, inner)
-        entry.terminal = entry
-        return
-    if inner.kind == "LogicalUserDefinedType":
-        target = resolve_ref(ctx.project, entry.scope, inner, "type")
-        force_type_entry(ctx, target)
-        entry.evaluated = target.evaluated
-        entry.terminal = target.terminal
-        return
-    if inner.kind == "LogicalTypeExtract":
-        from .elaboration import extract_member_type
-        evaluated, terminal = extract_member_type(ctx, entry.scope, inner)
-        entry.evaluated = evaluated
-        entry.terminal = terminal
-        return
-    entry.evaluated = evaluate_type_ast(ctx, entry.scope, inner,
-                                        declared_name=entry.id)
-    entry.terminal = entry
 
 
 def _evaluate_group(ctx: EvalContext, entry: TypeEntry, inner: AstNode):
@@ -81,19 +65,17 @@ def _evaluate_group(ctx: EvalContext, entry: TypeEntry, inner: AstNode):
 
 
 def evaluate_type_terminal(ctx: EvalContext, scope: Scope, type_node: AstNode):
-    """A logical-type expression's value and the declaration strict type
-    checks compare: a named type's terminal, or the value of an inline one."""
-    inner = type_node.children[0]
-    if inner.kind == "LogicalUserDefinedType":
-        entry = resolve_ref(ctx.project, scope, inner, "type")
-        return force_type_entry(ctx, entry), entry.terminal
-    evaluated = evaluate_type_ast(ctx, scope, type_node)
-    return evaluated, evaluated
+    """A port's or template argument's type and the identity strict type
+    checks compare: the declaration it names, or else its value."""
+    evaluated, terminal = evaluate_type(ctx, scope, type_node)
+    return evaluated, evaluated if terminal is None else terminal
 
 
-def evaluate_type_ast(ctx: EvalContext, scope: Scope, type_node: AstNode,
-                      declared_name: Optional[str] = None):
-    """Evaluate a logical-type expression to a concrete LogicalType.
+def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
+                  declared_name: Optional[str] = None):
+    """Evaluate a logical-type expression to a concrete LogicalType and its
+    terminal: the declaration a named type or a member extraction names
+    (through any alias chain), or None for a type written out in place.
 
     `declared_name` names the stream when the expression sits directly under
     a `type x = Stream(...)` declaration; inline streams stay anonymous.
@@ -101,8 +83,14 @@ def evaluate_type_ast(ctx: EvalContext, scope: Scope, type_node: AstNode,
     inner = type_node.children[0] if type_node.kind == "LogicalType" else type_node
     path = scope.package.path
     kind = inner.kind
+    if kind == "LogicalUserDefinedType":
+        entry = resolve_ref(ctx.project, scope, inner, "type")
+        return force_type_entry(ctx, entry), entry.terminal
+    if kind == "LogicalTypeExtract":
+        from .elaboration import extract_member_type
+        return extract_member_type(ctx, scope, inner)
     if kind == "LogicalNullType":
-        return NULL
+        return NULL, None
     if kind == "LogicalBitType":
         width = evaluate_expression(ctx, scope, inner.children[0])
         if not isinstance(width, IntValue):
@@ -111,15 +99,9 @@ def evaluate_type_ast(ctx: EvalContext, scope: Scope, type_node: AstNode,
         if width.value < 1:
             raise TypeError_(f"Bit width must be at least 1, got {width.value}",
                              path, inner.span)
-        return BitType(width.value)
+        return BitType(width.value), None
     if kind == "LogicalStreamType":
-        return _evaluate_stream(ctx, scope, inner, declared_name)
-    if kind == "LogicalUserDefinedType":
-        return force_type_entry(ctx, resolve_ref(ctx.project, scope, inner, "type"))
-    if kind == "LogicalTypeExtract":
-        from .elaboration import extract_member_type
-        evaluated, _ = extract_member_type(ctx, scope, inner)
-        return evaluated
+        return _evaluate_stream(ctx, scope, inner, declared_name), None
     # a group or union, the last kinds of logical type the parser makes
     raise TypeError_(
         "inline group/union types must be declared with their own `type` "
@@ -129,12 +111,12 @@ def evaluate_type_ast(ctx: EvalContext, scope: Scope, type_node: AstNode,
 def _evaluate_stream(ctx: EvalContext, scope: Scope, stream_node: AstNode,
                      declared_name: Optional[str]) -> StreamType:
     path = scope.package.path
-    element = evaluate_type_ast(ctx, scope, stream_node.children[0])
+    element, _ = evaluate_type(ctx, scope, stream_node.children[0])
     props = StreamProperties()
     for child in stream_node.children[1:]:
         key = _PROPERTY_KEYS[child.kind]
         if key == "user":
-            user = evaluate_type_ast(ctx, scope, child.children[0])
+            user, _ = evaluate_type(ctx, scope, child.children[0])
             if isinstance(user, StreamType):
                 raise TypeError_("stream user type must not be a stream",
                                  path, child.span)

@@ -36,6 +36,21 @@ def test_structurally_equal_without_marker_warns_r1():
     assert diags[0].severity == "Warning"
 
 
+def test_member_extraction_names_the_declaration_it_extracts():
+    """A port typed by an alias of `streamlet h_s.t` and one typed by
+    `streamlet p.h_s.t` name the same declaration, so R1 is satisfied."""
+    diags = checked(
+        "package p;\n"
+        "streamlet h_s { type t = Stream(Bit(8)), };\n"
+        "type x = streamlet h_s.t;\n"
+        "streamlet a_s { o: x out, };\n"
+        "streamlet b_s { i: streamlet p.h_s.t in, };\n"
+        "external impl a_i of a_s {};  external impl b_i of b_s {};\n"
+        "streamlet top_s {};\n"
+        "impl top_i of top_s { instance a(a_i), instance b(b_i), a.o => b.i, };\n")
+    assert render_drc_report(diags) == "0 errors, 0 warnings\n"
+
+
 def test_marker_accepts_structural_equality():
     diags = checked(
         "package tpch;" + RGB +
