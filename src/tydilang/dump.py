@@ -11,13 +11,15 @@ does not depend on the order in which entities were evaluated.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .logical_types import (GroupType, StreamType, UnionType,
                             data_type_display, stream_display_name)
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Package, Port, Project, Scope, Streamlet, TypeEntry,
                     Variable, indexed)
 from .tree import AstNode
-from .values import format_value
+from .values import escape, format_value
 
 _PARAM_TAGS = {
     "int": "Int", "str": "Str", "float": "Float", "bool": "Bool",
@@ -110,14 +112,20 @@ def _dump_scope(w: _Writer, scope: Scope):
     w.close()
 
 
+def _not_inferred(pkg: Package, node: Optional[AstNode]) -> str:
+    """The record of an unevaluated expression: its source text, escaped."""
+    text = "" if node is None else pkg.snip(node.span)
+    return f'NotInferred("{escape(text)}")'
+
+
 def _dump_variable(w: _Writer, var: Variable, pkg: Package):
     if var.state is EvalState.EVALUATED:
         w.line(f"{var.id}:{format_value(var.value)}")
     elif var.state is EvalState.ERROR:
         w.line(f"{var.id}:EvaluationError({var.error.message!r})")
     elif not var.is_magic:
-        raw = pkg.snip(var.expr_ast.span) if var.expr_ast is not None else ""
-        w.line(f'{var.id}:{var.declared_kind or "UnknownType"}(NotInferred("{raw}"))')
+        w.line(f'{var.id}:{var.declared_kind or "UnknownType"}'
+               f'({_not_inferred(pkg, var.expr_ast)})')
     elif var.declared_kind is None:  # an imported package
         w.line(f'{var.id}:PackageType(NotInferred(""))')
     else:  # a template parameter
@@ -183,11 +191,11 @@ def _raw_element_text(type_node: AstNode, pkg: Package) -> str:
     if kind == "LogicalNullType":
         return "DataNull"
     if kind == "LogicalBitType":
-        return f'Bit(NotInferred("{pkg.snip(inner.children[0].span)}"))'
+        return f"Bit({_not_inferred(pkg, inner.children[0])})"
     if kind == "LogicalUserDefinedType":
         name = ".".join(c.leaf_text for c in inner.children)
         return f"VarType({name})"
-    return f'NotInferred("{pkg.snip(inner.span)}")'
+    return _not_inferred(pkg, inner)
 
 
 _PROPERTY_ORDER = [
@@ -210,7 +218,7 @@ def _raw_properties_text(stream_node: AstNode, pkg: Package) -> str:
         elif label == "user":
             parts.append(f"user={_raw_element_text(prop.children[0], pkg)}")
         else:
-            parts.append(f'{label}=NotInferred("{pkg.snip(prop.children[0].span)}")')
+            parts.append(f"{label}={_not_inferred(pkg, prop.children[0])}")
     return ", ".join(parts)
 
 
@@ -253,10 +261,10 @@ def _impl_streamlet_text(impl: Implementation) -> str:
         return f"Streamlet({impl.streamlet.id})"
     pkg = impl.scope.package
     if impl.derived_from is not None:
-        return f'NotInferred("{pkg.snip(impl.derived_from.span)}")'
+        return _not_inferred(pkg, impl.derived_from)
     of = impl.of_ast
     if of is None:
-        return 'NotInferred("")'
+        return _not_inferred(pkg, None)
     if of.kind == "TemplateInstance":
         base = of.children[0]
         base_name = base.leaf_text if base.kind == "ID" else \
@@ -280,13 +288,13 @@ def _port_text(port: Port, pkg: Package) -> str:
         if ast_inner.kind == "LogicalUserDefinedType":
             type_part = f"VarType({'.'.join(c.leaf_text for c in ast_inner.children)})"
         else:
-            type_part = f'NotInferred("{pkg.snip(port.type_ast.span)}")'
+            type_part = _not_inferred(pkg, port.type_ast)
         cd = "DefaultClockDomain" if port.cd_ast is None else \
-            f'NotInferred("{pkg.snip(port.cd_ast.children[0].span)}")'
+            _not_inferred(pkg, port.cd_ast.children[0])
     size = ""
     if port.array_size_ast is not None:
         size = f"[{port.array_size}]" if port.array_size is not None \
-            else f'[NotInferred("{pkg.snip(port.array_size_ast.span)}")]'
+            else f"[{_not_inferred(pkg, port.array_size_ast)}]"
     return f"{port.name}:Port({type_part},{port.direction}){size} `{cd}"
 
 
@@ -295,7 +303,7 @@ def _instance_text(inst: Instance, pkg: Package) -> str:
         body = f"(Implement({inst.target.id}))"
         size = f"[{inst.array_size}]" if inst.array_size is not None else ""
     else:
-        body = f'(NotInferred("{pkg.snip(inst.target_ast.span)}"))'
+        body = f"({_not_inferred(pkg, inst.target_ast)})"
         size = ""
         if inst.array_size_ast is not None:
             size = "[?]"
@@ -313,7 +321,7 @@ def _end_text(end: EndRef, pkg: Package) -> str:
     if end.port is None:  # not resolved
         owner = "Self" if end.is_self else \
             f"ExternalOwner({pkg.snip(end.path_owner.span)})"
-        return f'{owner}.NotInferred("{pkg.snip(end.path_port.span)}")'
+        return f"{owner}.{_not_inferred(pkg, end.path_port)}"
     owner = "Self" if end.instance is None else \
         f"ExternalOwner({indexed(end.owner_name, end.owner_index)})"
     port = end.port  # a resolved end's port is evaluated
@@ -326,7 +334,7 @@ def _connection_text(conn: Connection, pkg: Package) -> str:
     if conn.state is EvalState.EVALUATED or conn.fifo_ast is None:
         fifo = str(conn.fifo_depth)
     else:
-        fifo = f'NotInferred("{pkg.snip(conn.fifo_ast.span)}")'
+        fifo = _not_inferred(pkg, conn.fifo_ast)
     marker = " @NoStrictType@" if conn.no_strict else ""
     return (f"{_end_text(conn.source, pkg)} ={fifo}=> {_end_text(conn.sink, pkg)}"
             f"{marker} ({conn.name})")

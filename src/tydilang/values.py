@@ -78,8 +78,10 @@ def format_float(x: float) -> str:
     return text
 
 
-def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def escape(s: str) -> str:
+    """`s` with a backslash before each backslash and double quote, as
+    quoted text in dumps and DOT labels needs it."""
+    return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def format_value(v: Value) -> str:
@@ -87,7 +89,7 @@ def format_value(v: Value) -> str:
     if isinstance(v, IntValue):
         return f"int({v.value})"
     if isinstance(v, StrValue):
-        return f"str({_quote(v.value)})"
+        return f'str("{escape(v.value)}")'
     if isinstance(v, FloatValue):
         return f"float({format_float(v.value)})"
     if isinstance(v, BoolValue):

@@ -66,7 +66,7 @@ def test_pre_evaluation_dump_prints_source_text_of_every_entry():
     lines = {line.strip() for line in text.splitlines()}
     for expected in [
         '$package$p:PackageType(NotInferred(""))',
-        'fast:clockdomain(NotInferred(""200MHz""))',
+        'fast:clockdomain(NotInferred("\\"200MHz\\""))',
         'slow:clockdomain(NotInferred(""))',
         'i:Port(VarType(s),in)[NotInferred("3")] `NotInferred("fast")',
         'b:DummyBool(NotInferred("$arg$b"))',
@@ -88,6 +88,19 @@ def test_pre_evaluation_dump_prints_source_text_of_every_entry():
         'ExternalOwner(b).NotInferred("i[0]") @NoStrictType@ (named)',
     ]:
         assert expected in lines, expected
+
+
+def test_pre_evaluation_dump_escapes_source_text():
+    """Source text inside NotInferred("...") has a backslash before each
+    backslash and double quote, so a reader can tell where it ends."""
+    text = dump_code_structure(project_of(
+        "package p;\n"
+        r'const s = "a\\b" + "\"q\"";' "\n"
+        "type t = Stream(Bit(1));\n"
+        'streamlet k_s { i: t in `"slow", };\n'))
+    lines = {line.strip() for line in text.splitlines()}
+    assert r's:UnknownType(NotInferred("\"a\\\\b\" + \"\\\"q\\\"\""))' in lines
+    assert r'i:Port(VarType(t),in) `NotInferred("\"slow\"")' in lines
 
 
 def test_pre_evaluation_stream_block():
