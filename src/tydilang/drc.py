@@ -43,7 +43,7 @@ def run_drc(project: Project) -> list[DrcDiagnostic]:
         scope = project.packages[pkg_name].scope
         for impl_id in sorted(scope.implements):
             impl = scope.implements[impl_id]
-            if impl.external or impl.is_template or impl.state is not EvalState.EVALUATED:
+            if impl.external or impl.state is not EvalState.EVALUATED:
                 continue
             diags.extend(_check_implementation(pkg_name, impl))
     diags.sort(key=lambda d: (d.package, d.implementation, d.connection, d.rule,
@@ -60,8 +60,6 @@ def _check_implementation(pkg_name: str, impl: Implementation) -> list[DrcDiagno
                                  message, span))
 
     for conn in impl.connections:
-        if conn.state is not EvalState.EVALUATED:
-            continue
         src, snk = conn.source, conn.sink
         # R1 / R2: exactly one of the two type rules applies per connection
         if conn.no_strict:

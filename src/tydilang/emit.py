@@ -43,7 +43,7 @@ from .errors import TydiError
 from .logical_types import (BitType, GroupType, NullType, StreamType,
                             UnionType, stream_display_name)
 from .model import EndRef, EvalState, Implementation, Port, Project
-from .values import format_float
+from .values import escape, format_float
 
 
 @dataclass
@@ -93,9 +93,9 @@ def _stamp(impl: Implementation) -> _Stamp:
         slot = 0 if end.is_self else slots[end.owner_name, end.owner_index]
         return slot, _segment(end.port_name, end.port_index)
 
-    nets = tuple((conn.name.replace("\\", "\\\\").replace('"', '\\"'),
+    nets = tuple((escape(conn.name),
                   *end_point(conn.source), *end_point(conn.sink))
-                 for conn in impl.connections if conn.state is EvalState.EVALUATED)
+                 for conn in impl.connections)
     return _Stamp(bool(impl.instances), tuple(ports), tuple(children), nets)
 
 
@@ -206,7 +206,7 @@ def emit_ir(project: Project) -> str:
                  if e.state is EvalState.EVALUATED}
         streamlets = {}
         for sid, s in scope.streamlets.items():
-            if s.is_template or s.state is not EvalState.EVALUATED:
+            if s.state is not EvalState.EVALUATED:
                 continue
             entry = {"ports": {p.name: _port_json(p) for p in s.ports.values()}}
             if s.doc:
@@ -214,7 +214,7 @@ def emit_ir(project: Project) -> str:
             streamlets[sid] = entry
         implementations = {}
         for iid, impl in scope.implements.items():
-            if impl.is_template or impl.state is not EvalState.EVALUATED:
+            if impl.state is not EvalState.EVALUATED:
                 continue
             entry = {
                 "streamlet": impl.streamlet.id,
@@ -233,7 +233,7 @@ def emit_ir(project: Project) -> str:
                         "fifo_depth": c.fifo_depth,
                         "no_strict_type": c.no_strict,
                     }
-                    for c in impl.connections if c.state is EvalState.EVALUATED
+                    for c in impl.connections
                 ],
             }
             if impl.doc:
