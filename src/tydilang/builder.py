@@ -4,7 +4,10 @@ Classifies AST statements into scope entries and adds the invisible language
 elements: scope relationships and the magic ``$package$``/``$arg$`` variables.
 Nothing is evaluated here; every entry starts in the NotInferred state and
 holds the AST nodes it was built from, whose source text its package's
-`Package.snip` gives back.
+`Package.snip` gives back. `StatementBuilder.build_impl_item` builds every
+item of an implementation body, whether the body declares it or a for/if
+block generates it; `substitute` spells the instance names with ``{{var}}``
+holes there.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ class StatementBuilder:
 
     Also used by template instantiation, which builds a template's statement
     again under the mangled name, and by generative for/if expansion, which
-    builds the statements of a selected branch or of each `for` element
-    into an already-evaluating implementation, from their own AST. Every
+    hands each item of a selected branch or of each `for` element to
+    `build_impl_item`, into an already-evaluating implementation. Every
     scope it makes belongs to `package`, whose source the statements' spans
     index into.
     """

@@ -12,8 +12,10 @@ whose own evaluation state replays its result. Streamlet, implementation and
 type references resolve through `model.resolve_ref`.
 
 Each element of a `for` block gets a scope that binds the loop variable and
-reaches the scope around it by an if/for relation. The body is built from
-its own AST once per element, and what it builds evaluates in that scope.
+reaches the scope around it by an if/for relation. Expansion selects the
+`if` branch or loops over the elements itself and hands every other item to
+the builder's `build_impl_item`, once per element; what it builds evaluates
+in that scope.
 """
 
 from __future__ import annotations

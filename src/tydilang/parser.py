@@ -5,6 +5,13 @@ are kept flat (``Exp`` holds ``Term (InfixOp Term)*``); operator precedence is
 applied by the math engine, and unary operators live inside ``Term`` so they
 always bind tighter than any binary operator. Each parsed file is one
 `ParsedFile` record: its path, text, package name and tree.
+
+Every construct that recurs in the grammar has one method: `separator`
+ends a statement and returns where it ends, `parse_enclosed` reads ``[exp]``
+and ``(exp)``, `parse_name_ref` reads ``name`` and ``pkg.name``,
+`parse_body_decl` the const, type and assert items of group, streamlet and
+implementation bodies, and `parse_path_part` each ``name[index]`` half of
+a connection end. Each node is built once, when its kind is known.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Logical type evaluation: aliases, bit widths, streams and their properties.
 
-Every type entry evaluates at most once. Strict type checking compares the
-*declaration* two references resolve to (through any alias chain), while
-compatibility is the structural comparison from `logical_types`. Named
-types resolve through `model.resolve_ref`.
+Every type entry evaluates at most once. One function, `evaluate_type`,
+evaluates every logical-type expression: of a type entry, a port, a
+template argument or a stream's element. It returns the type and the
+*terminal*: the declaration that a named type or a member extraction
+names, through any alias chain. Strict type checking compares terminals,
+while compatibility is the structural comparison from `logical_types`.
+Named types resolve through `model.resolve_ref`.
 """
 
 from __future__ import annotations
