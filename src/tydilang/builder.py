@@ -237,10 +237,15 @@ class StatementBuilder:
             impl.asserts.append((resolve, item))
         elif kind == "InstanceDecl":
             name_node = item.children[0]
-            name = name_node.leaf_text if name_node.kind == "ID" else \
-                substitute(name_node, resolve, self.path)
-            declare(own, self.build_instance(item, name, scope), "instance",
-                    item.span, self.path)
+            size = item.child("ArraySize")
+            inst = Instance(
+                name=name_node.leaf_text if name_node.kind == "ID" else
+                substitute(name_node, resolve, self.path),
+                target_ast=item.children[1],
+                array_size_ast=size.children[0] if size else None,
+                span=item.span,
+                scope=scope)
+            declare(own, inst, "instance", item.span, self.path)
         elif kind == "ConnectionStmt":
             own.connections.append(self.build_connection(item, suffix, scope))
         elif kind in ("IfBlock", "ForBlock"):
@@ -248,18 +253,8 @@ class StatementBuilder:
         else:  # ProcessBlock, the last kind of item the parser makes
             impl.process_block = item.leaf_text
 
-    def build_instance(self, item: AstNode, name: str,
-                       scope: Optional[Scope] = None) -> Instance:
-        size = item.child("ArraySize")
-        return Instance(
-            name=name,
-            target_ast=item.children[1],
-            array_size_ast=size.children[0] if size else None,
-            span=item.span,
-            scope=scope)
-
-    def build_connection(self, item: AstNode, name_suffix: str = "",
-                         scope: Optional[Scope] = None) -> Connection:
+    def build_connection(self, item: AstNode, name_suffix: str,
+                         scope: Optional[Scope]) -> Connection:
         ends = item.children_of("PathEnd")
         fifo = item.child("FifoDepth")
         cname_node = item.child("ConnName")
