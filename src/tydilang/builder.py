@@ -40,18 +40,18 @@ def substitute(name_node: AstNode, scope: Scope, path) -> str:
             raise TydiError(
                 "resolution",
                 "interpolated identifier is only usable inside a for scope",
-                path, name_node.span)
+                path, name_node)
         if not isinstance(value, (IntValue, StrValue)):
             raise TydiError(
                 "type", f"loop variable of type {variant_name(value)} cannot be "
-                "interpolated into an identifier", path, part.span)
+                "interpolated into an identifier", path, part)
         parts.append(str(value.value))
     merged = "".join(parts)
     if not _IDENT_RE.match(merged) or "__" in merged:
         raise TydiError(
             "resolution",
             f"interpolated identifier {merged!r} is not a valid identifier",
-            path, name_node.span)
+            path, name_node)
     return merged
 
 
@@ -86,7 +86,7 @@ class StatementBuilder:
         kind_node = stmt.child("DeclKind")
         return Variable(id=stmt.children_of("ID")[0].leaf_text, scope=scope,
                         declared_kind=kind_node.leaf_text if kind_node else None,
-                        expr_ast=stmt.child("Exp"), span=stmt.span)
+                        expr_ast=stmt.child("Exp"), span=stmt)
 
     # -- logical types ---------------------------------------------------------
 
@@ -96,14 +96,20 @@ class StatementBuilder:
             # type Group Date { ... };  registers the group's own name
             return self.build_group_entry(first, first.children[0].leaf_text,
                                           scope, attached=True)
-        name = first.leaf_text
-        ty = stmt.children[1]
+        # type alias = Group g { ... };  the group scope is detached and
+        # the inline name is invisible outside the alias
+        return self.build_named_type(first.leaf_text, stmt.children[1], scope, stmt,
+                                     attached=False)
+
+    def build_named_type(self, name: str, ty: AstNode, scope: Scope,
+                         decl: AstNode, attached: bool) -> TypeEntry:
+        """The entry of `name` for the logical type `ty`, declared by `decl`;
+        a group or union written inline there gets its own entry, and
+        `attached` says whether its scope sees `scope`."""
         inner = ty.children[0]
         if inner.kind in ("LogicalGroupType", "LogicalUnionType"):
-            # type alias = Group g { ... };  the group scope is detached and
-            # the inline name is invisible outside the alias
-            return self.build_group_entry(inner, name, scope, attached=False)
-        return TypeEntry(id=name, ast=ty, scope=scope, span=stmt.span)
+            return self.build_group_entry(inner, name, scope, attached)
+        return TypeEntry(id=name, ast=ty, scope=scope, span=decl)
 
     def build_group_entry(self, group_ast: AstNode, entry_id: str, scope: Scope,
                           attached: bool) -> TypeEntry:
@@ -116,18 +122,20 @@ class StatementBuilder:
                 ScopeRelationKind.GROUP if is_group else ScopeRelationKind.UNION,
                 scope)
         entry = TypeEntry(id=entry_id, ast=group_ast, scope=scope, own_scope=own,
-                          span=group_ast.span)
+                          span=group_ast)
         for item in group_ast.children[1:]:
             if item.kind == "SubItemItem":
                 fname = item.children[0].leaf_text
-                fentry = TypeEntry(id=fname, ast=item.children[1], scope=own,
-                                   span=item.span)
-                declare(own, fentry, "type", item.span, self.path)
+                # f: Group h { ... },  attached to the enclosing group's
+                # scope, as a nested `type Group` declaration is
+                fentry = self.build_named_type(fname, item.children[1], own, item,
+                                               attached=True)
+                declare(own, fentry, "type", item, self.path)
                 entry.field_names.append(fname)
             elif item.kind == "ConstDecl":
-                declare(own, self.build_const(item, own), "variable", item.span, self.path)
+                declare(own, self.build_const(item, own), "variable", item, self.path)
             elif item.kind == "TypeDecl":
-                declare(own, self.build_type_entry(item, own), "type", item.span, self.path)
+                declare(own, self.build_type_entry(item, own), "type", item, self.path)
             else:  # AssertStmt, the last kind of group item the parser makes
                 entry.asserts.append(item)
         return entry
@@ -158,7 +166,7 @@ class StatementBuilder:
         own = Scope(f"streamlet_{name}", "streamlet", package=self.package)
         own.add_relation(ScopeRelationKind.STREAMLET, scope)
         s = Streamlet(id=name, scope=own,
-                      doc=doc_node.leaf_text if doc_node else None, span=stmt.span,
+                      doc=doc_node.leaf_text if doc_node else None, span=stmt,
                       decl=stmt)
         s.ports = own.ports
         tparams = stmt.child("TemplateParams")
@@ -167,11 +175,11 @@ class StatementBuilder:
             self.declare_param_magic(own, s.template_params)
         for item in stmt.children:
             if item.kind == "PortDecl":
-                declare(own, self.build_port(item), "port", item.span, self.path)
+                declare(own, self.build_port(item), "port", item, self.path)
             elif item.kind == "ConstDecl":
-                declare(own, self.build_const(item, own), "variable", item.span, self.path)
+                declare(own, self.build_const(item, own), "variable", item, self.path)
             elif item.kind == "TypeDecl":
-                declare(own, self.build_type_entry(item, own), "type", item.span, self.path)
+                declare(own, self.build_type_entry(item, own), "type", item, self.path)
             elif item.kind == "AssertStmt":
                 s.asserts.append(item)
         return s
@@ -185,7 +193,7 @@ class StatementBuilder:
             direction=item.child("DIR").leaf_text,
             array_size_ast=size.children[0] if size else None,
             cd_ast=item.child("ClockDomainAnn"),
-            span=item.span)
+            span=item)
 
     # -- implementations ---------------------------------------------------------
 
@@ -198,7 +206,7 @@ class StatementBuilder:
         own.add_relation(ScopeRelationKind.IMPLEMENT, scope)
         impl = Implementation(id=name, scope=own,
                               doc=doc_node.leaf_text if doc_node else None,
-                              span=stmt.span, decl=stmt)
+                              span=stmt, decl=stmt)
         impl.instances = own.instances
         impl.connections = own.connections
         if stmt.kind == "ImplInstDecl":
@@ -217,7 +225,7 @@ class StatementBuilder:
             raise TydiError(
                 "syntax",
                 f"external implementation {name!r} must have an empty body",
-                self.path, body[0].span)
+                self.path, body[0])
         for item in body:
             self.build_impl_item(item, impl, own)
         return impl
@@ -230,9 +238,9 @@ class StatementBuilder:
         resolve = scope or own
         kind = item.kind
         if kind == "ConstDecl":
-            declare(own, self.build_const(item, resolve), "variable", item.span, self.path)
+            declare(own, self.build_const(item, resolve), "variable", item, self.path)
         elif kind == "TypeDecl":
-            declare(own, self.build_type_entry(item, resolve), "type", item.span, self.path)
+            declare(own, self.build_type_entry(item, resolve), "type", item, self.path)
         elif kind == "AssertStmt":
             impl.asserts.append((resolve, item))
         elif kind == "InstanceDecl":
@@ -243,9 +251,9 @@ class StatementBuilder:
                 substitute(name_node, resolve, self.path),
                 target_ast=item.children[1],
                 array_size_ast=size.children[0] if size else None,
-                span=item.span,
+                span=item,
                 scope=scope)
-            declare(own, inst, "instance", item.span, self.path)
+            declare(own, inst, "instance", item, self.path)
         elif kind == "ConnectionStmt":
             own.connections.append(self.build_connection(item, suffix, scope))
         elif kind in ("IfBlock", "ForBlock"):
@@ -259,14 +267,14 @@ class StatementBuilder:
         fifo = item.child("FifoDepth")
         cname_node = item.child("ConnName")
         cname = cname_node.leaf_text if cname_node else \
-            f"connection_{item.span.start}-{item.span.end}"
+            f"connection_{item.start}-{item.end}"
         return Connection(
             name=cname + name_suffix,
             source=self.build_end(ends[0]),
             sink=self.build_end(ends[1]),
             fifo_ast=fifo.children[0] if fifo else None,
             no_strict=item.child("NoStrictMarker") is not None,
-            span=item.span,
+            span=item,
             scope=scope)
 
     def build_end(self, end: AstNode) -> EndRef:
@@ -299,17 +307,17 @@ class PackageBuilder(StatementBuilder):
             import_package(scope, stmt.children[0].leaf_text)
             return
         if kind == "ConstDecl":
-            declare(scope, self.build_const(stmt, scope), "variable", stmt.span, self.path)
+            declare(scope, self.build_const(stmt, scope), "variable", stmt, self.path)
             return
         if kind == "TypeDecl":
-            declare(scope, self.build_type_entry(stmt, scope), "type", stmt.span, self.path)
+            declare(scope, self.build_type_entry(stmt, scope), "type", stmt, self.path)
             return
         if kind == "StreamletDecl":
             s = self.build_streamlet(stmt, scope)
-            declare(scope, s, "streamlet", stmt.span, self.path)
+            declare(scope, s, "streamlet", stmt, self.path)
             return
         # ImplDecl or ImplInstDecl, the last statements the parser makes
-        declare(scope, self.build_impl(stmt, scope), "implementation", stmt.span,
+        declare(scope, self.build_impl(stmt, scope), "implementation", stmt,
                 self.path)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import Span
+from .errors import Span, as_span
 from .logical_types import types_compatible
 from .model import EvalState, Implementation, Project, end_display
 from .sugaring import end_role, usage_census
@@ -30,7 +30,10 @@ class DrcDiagnostic:
     implementation: str
     connection: str
     message: str
-    span: Optional[Span] = None
+    span: Optional[Span] = None  # given as any location, held as a Span
+
+    def __post_init__(self):
+        object.__setattr__(self, "span", as_span(self.span))
 
     def line(self) -> str:
         return (f"[{self.severity}] {self.rule} {self.package}.{self.implementation}"

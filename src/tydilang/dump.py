@@ -114,7 +114,7 @@ def _dump_scope(w: _Writer, scope: Scope):
 
 def _not_inferred(pkg: Package, node: Optional[AstNode]) -> str:
     """The record of an unevaluated expression: its source text, escaped."""
-    text = "" if node is None else pkg.snip(node.span)
+    text = "" if node is None else pkg.snip(node)
     return f'NotInferred("{escape(text)}")'
 
 
@@ -269,7 +269,7 @@ def _impl_streamlet_text(impl: Implementation) -> str:
         base = of.children[0]
         base_name = base.leaf_text if base.kind == "ID" else \
             ".".join(c.leaf_text for c in base.children)
-        args = ",".join("@" + pkg.snip(a.children[0].span)
+        args = ",".join("@" + pkg.snip(a.children[0])
                         for a in of.children[1:])
         return f"ProxyStreamlet({base_name}<{args}>)"
     name = of.leaf_text if of.kind == "ID" else ".".join(c.leaf_text for c in of.children)
@@ -314,13 +314,13 @@ def _source_port_text(conn: Connection, pkg: Package) -> str:
     """The text connections of one name are ordered by: the source of the
     source end's port path, or the port name of an end sugaring made."""
     path_port = conn.source.path_port
-    return conn.source.port_name if path_port is None else pkg.snip(path_port.span)
+    return conn.source.port_name if path_port is None else pkg.snip(path_port)
 
 
 def _end_text(end: EndRef, pkg: Package) -> str:
     if end.port is None:  # not resolved
         owner = "Self" if end.is_self else \
-            f"ExternalOwner({pkg.snip(end.path_owner.span)})"
+            f"ExternalOwner({pkg.snip(end.path_owner)})"
         return f"{owner}.{_not_inferred(pkg, end.path_port)}"
     owner = "Self" if end.instance is None else \
         f"ExternalOwner({indexed(end.owner_name, end.owner_index)})"

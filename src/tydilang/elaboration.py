@@ -84,11 +84,11 @@ def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
             port.clockdomain = ClockDomainValue(body.leaf_text)
         else:
             var = resolve_ref(ctx.project, scope, body, "variable")
-            cd = force_variable(ctx, var, path, body.span)
+            cd = force_variable(ctx, var, path, body)
             if not isinstance(cd, ClockDomainValue):
                 raise TypeError_(
                     f"port clockdomain {body.leaf_text!r} must be a clockdomain "
-                    f"value, got {variant_name(cd)}", path, body.span)
+                    f"value, got {variant_name(cd)}", path, body)
             port.clockdomain = cd
     port.state = EvalState.EVALUATED
 
@@ -148,7 +148,7 @@ def _resolve_of_streamlet(ctx: EvalContext, impl: Implementation) -> Streamlet:
         raise TydiError(
             "resolution",
             f"streamlet {s.id!r} is a template; supply template arguments",
-            path, of.span)
+            path, of)
     return s
 
 
@@ -222,7 +222,7 @@ def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, scope: Sco
             raise TydiError(
                 "resolution",
                 f"unknown port {port_name!r} on streamlet {impl.streamlet.id!r}",
-                path, port_node.span)
+                path, port_node)
     else:
         owner_node, owner_name, owner_index = _path_part(end.path_owner, scope, path)
         end.owner_name = owner_name
@@ -231,37 +231,37 @@ def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, scope: Sco
             raise TydiError(
                 "resolution",
                 f"unknown instance {owner_name!r} in implementation {impl.id!r}",
-                path, owner_node.span)
+                path, owner_node)
         end.instance = inst
         end.owner_index = _end_index(ctx, scope, owner_index, inst.array_size,
-                                     f"instance {owner_name!r}", path, owner_node.span)
+                                     f"instance {owner_name!r}", path, owner_node)
         port = inst.target.streamlet.ports.get(port_name)
         if port is None:
             raise TydiError(
                 "resolution",
                 f"unknown port {port_name!r} on instance {owner_name!r} "
                 f"(streamlet {inst.target.streamlet.id!r})",
-                path, port_node.span)
+                path, port_node)
     end.port = port
     end.port_index = _end_index(ctx, scope, port_index, port.array_size,
-                                f"port {port_name!r}", path, port_node.span)
+                                f"port {port_name!r}", path, port_node)
 
 
-def _end_index(ctx, scope, index_ast, size, what, path, name_span) -> Optional[int]:
+def _end_index(ctx, scope, index_ast, size, what, path, name_node) -> Optional[int]:
     if index_ast is None:
         if size is not None:
             raise TydiError("resolution", f"{what} is an array; an index is required",
-                            path, name_span)
+                            path, name_node)
         return None
     if size is None:
-        raise TydiError("resolution", f"{what} is not an array", path, index_ast.span)
+        raise TydiError("resolution", f"{what} is not an array", path, index_ast)
     idx = evaluate_expression(ctx, scope, index_ast)
     if not isinstance(idx, IntValue):
-        raise TypeError_(f"index of {what} must be an int", path, index_ast.span)
+        raise TypeError_(f"index of {what} must be an int", path, index_ast)
     if not 0 <= idx.value < size:
         raise TydiError("resolution",
                         f"index {idx.value} out of bounds for {what} of size {size}",
-                        path, index_ast.span)
+                        path, index_ast)
     return idx.value
 
 
@@ -275,15 +275,15 @@ def check_assertion(ctx: EvalContext, scope: Scope, assert_stmt: AstNode):
     if not isinstance(value, BoolValue):
         raise TypeError_(
             f"assert expects a boolean argument, got {variant_name(value)}",
-            path, assert_stmt.span)
+            path, assert_stmt)
     if value.value:
         return
-    raw = scope.package.snip(exp.span)
+    raw = scope.package.snip(exp)
     ev = ExpressionEvaluator(ctx, scope)
     operands = ", ".join(
         format_value(ev.eval_term(t)) for t in exp.children if t.kind == "Term")
     raise AssertionFailure(
-        f"assertion failed: {raw} (operands: {operands})", path, assert_stmt.span)
+        f"assertion failed: {raw} (operands: {operands})", path, assert_stmt)
 
 
 # -- member extraction -------------------------------------------------------------
@@ -304,7 +304,7 @@ def _extract_owner_scope(ctx: EvalContext, scope: Scope, extract: AstNode) -> Sc
     # keyword 'type': group/union member access
     if owner_ast.kind not in ("ID", "QualifiedId"):
         raise TydiError("resolution", "type member extraction needs a type name",
-                        path, owner_ast.span)
+                        path, owner_ast)
     entry = resolve_ref(ctx.project, scope, owner_ast, "type")
     evaluated = force_type_entry(ctx, entry)
     inner_scope = getattr(evaluated, "scope", None)
@@ -312,7 +312,7 @@ def _extract_owner_scope(ctx: EvalContext, scope: Scope, extract: AstNode) -> Sc
         raise TydiError(
             "resolution",
             f"type {entry.id!r} has no member scope (only groups and unions do)",
-            path, owner_ast.span)
+            path, owner_ast)
     return inner_scope
 
 
@@ -324,8 +324,8 @@ def extract_member_value(ctx: EvalContext, scope: Scope, extract: AstNode) -> Va
     if var is None:
         raise TydiError("resolution",
                         f"member {member!r} not found in scope {owner_scope.name!r}",
-                        path, extract.span)
-    return force_variable(ctx, var, path, extract.span)
+                        path, extract)
+    return force_variable(ctx, var, path, extract)
 
 
 def extract_member_type(ctx: EvalContext, scope: Scope, extract: AstNode):
@@ -336,7 +336,7 @@ def extract_member_type(ctx: EvalContext, scope: Scope, extract: AstNode):
     if entry is None:
         raise TydiError("resolution",
                         f"type member {member!r} not found in scope "
-                        f"{owner_scope.name!r}", path, extract.span)
+                        f"{owner_scope.name!r}", path, extract)
     force_type_entry(ctx, entry)
     return entry.evaluated, entry.terminal
 
@@ -353,14 +353,14 @@ def _resolve_template_use(ctx: EvalContext, scope: Scope, inst_ast: AstNode,
     if not template.is_template:
         raise TydiError("resolution",
                         f"{category} {template.id!r} is not a template",
-                        path, inst_ast.span)
+                        path, inst_ast)
     arg_nodes = inst_ast.children[1:]
     params = template.template_params
     if len(arg_nodes) != len(params):
         raise TydiError(
             "resolution",
             f"template {template.id!r} expects {len(params)} argument(s), "
-            f"got {len(arg_nodes)}", path, inst_ast.span)
+            f"got {len(arg_nodes)}", path, inst_ast)
     args = [_evaluate_template_arg(ctx, scope, template, p, a)
             for p, a in zip(params, arg_nodes)]
     return template, args
@@ -373,38 +373,38 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
         if arg_node.kind != "TemplateArgType":
             raise TypeError_(
                 f"template parameter {param.name!r} expects a logical type; "
-                "use the `type` keyword before the argument", path, arg_node.span)
+                "use the `type` keyword before the argument", path, arg_node)
         lt, terminal = evaluate_type_terminal(ctx, scope, arg_node.children[0])
         return TemplateArg("type", short_name(lt), logical_type=lt, terminal=terminal)
     if param.kind == "impl":
         if arg_node.kind != "TemplateArgImpl":
             raise TypeError_(
                 f"template parameter {param.name!r} expects an implementation; "
-                "use the `impl` keyword before the argument", path, arg_node.span)
+                "use the `impl` keyword before the argument", path, arg_node)
         target = _resolve_impl(ctx, scope, arg_node.children[0])
         if target.is_template:
             raise TydiError(
                 "resolution",
                 f"component argument {target.id!r} must be a concrete "
-                "implementation, not a template", path, arg_node.span)
+                "implementation, not a template", path, arg_node)
         evaluate_implementation(ctx, target)
         wanted, _ = resolve_name(template.scope.package.scope,
-                                 param.impl_of, "streamlet", path, arg_node.span)
+                                 param.impl_of, "streamlet", path, arg_node)
         if target.streamlet is not wanted:
             raise TypeError_(
                 f"implementation {target.id!r} implements streamlet "
                 f"{target.streamlet.id!r}, but parameter {param.name!r} requires "
-                f"an implementation of {param.impl_of!r}", path, arg_node.span)
+                f"an implementation of {param.impl_of!r}", path, arg_node)
         return TemplateArg("impl", target.id, impl=target)
     if arg_node.kind != "TemplateArgExp":
         raise TypeError_(
             f"template parameter {param.name!r} expects a {param.kind} value",
-            path, arg_node.span)
+            path, arg_node)
     value = evaluate_expression(ctx, scope, arg_node.children[0])
     if variant_name(value) != param.kind:
         raise TypeError_(
             f"template parameter {param.name!r} expects {param.kind}, got "
-            f"{variant_name(value)}", path, arg_node.span)
+            f"{variant_name(value)}", path, arg_node)
     return TemplateArg("value", mangle_text(value), value=value)
 
 
@@ -483,7 +483,7 @@ def _select_if_branch(ctx, scope, block: AstNode, path) -> tuple[AstNode, ...]:
         if not isinstance(v, BoolValue):
             raise TypeError_(
                 f"if condition must be a boolean value, got {variant_name(v)}",
-                path, exp.span)
+                path, exp)
         return v.value
 
     if test(block.children[0]):
@@ -512,7 +512,7 @@ def expand_for(ctx: EvalContext, impl: Implementation, block: AstNode,
         if not isinstance(v, ArrayValue):
             raise TypeError_(
                 f"for iterates an array of basic values, got {variant_name(v)}",
-                path, iterable.span)
+                path, iterable)
         values = v
     _reject_plain_instances(body, path)
     for index, element in enumerate(values.elements):
@@ -534,7 +534,7 @@ def _reject_plain_instances(body: AstNode, path):
                 "resolution",
                 f"instance {item.children[0].leaf_text!r} cannot be declared in "
                 "a for scope; interpolate the name with {{...}} instead",
-                path, item.span)
+                path, item)
         if item.kind in ("IfBlock", "ForBlock", "StatementBlock", "ElifClause",
                          "ElseClause"):
             _reject_plain_instances(item, path)

@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Protocol
+
+
+class Located(Protocol):
+    """A location in a source file: a Span, a token, an AST node."""
+
+    start: int
+    end: int
 
 
 class Span(NamedTuple):
-    """Half-open byte range [start, end) into a source file. It does not
-    check its order: the lexer and parser make start <= end, and the tests
-    check that over every parsed fixture."""
+    """Half-open byte range [start, end) into a source file, as a diagnostic
+    holds it. Tokens and AST nodes carry the two ints themselves, and a
+    `Diagnostic` makes its Span from the one it is given. It does not check
+    its order: the lexer and parser make start <= end, and the tests check
+    that over every parsed fixture."""
 
     start: int
     end: int
@@ -18,14 +27,26 @@ class Span(NamedTuple):
         return f"{self.start}-{self.end}"
 
 
+def as_span(location: Optional[Located]) -> Optional[Span]:
+    """The Span of a location: None, a Span, or anything with `start` and
+    `end`, such as a token or an AST node."""
+    if location is None or type(location) is Span:
+        return location
+    return Span(location.start, location.end)
+
+
 @dataclass
 class Diagnostic:
-    """A single compiler message tied to a source location."""
+    """A single compiler message tied to a source location. `span` may be
+    given as any location; the diagnostic holds it as a Span."""
 
     category: str  # syntax | resolution | type | assertion | drc | io | usage
     message: str
     path: Optional[str] = None
     span: Optional[Span] = None
+
+    def __post_init__(self):
+        self.span = as_span(self.span)
 
     def location(self, source_text: Optional[str] = None) -> str:
         if self.path is None:
@@ -40,7 +61,7 @@ class TydiError(Exception):
     """Raised for any unrecoverable condition in a compile stage."""
 
     def __init__(self, category: str, message: str, path: Optional[str] = None,
-                 span: Optional[Span] = None):
+                 span: Optional[Located] = None):
         super().__init__(message)
         self.diagnostic = Diagnostic(category, message, path, span)
 

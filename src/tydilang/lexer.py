@@ -1,11 +1,13 @@
 """Tokenizer for `.td` source text.
 
 One compiled master pattern is matched at each offset of the UTF-8 encoding,
-so token spans are byte offsets. Its groups, tried in order: a run of
-whitespace and ``//`` / ``/* */`` comments (discarded; the language is
-space-insensitive), a ``#doc#`` string, a ``"str"`` literal (only ``\\"`` and
-``\\\\`` escapes), FLOAT, INT (``0b``/``0x``/``0o`` prefixes or decimal), an
-identifier, and punctuation, longest first.
+so a token's `start` and `end` are byte offsets. A token carries them as
+plain ints; a `Span` is made only for a diagnostic. The pattern's groups,
+tried in order: a run of whitespace and ``//`` / ``/* */`` comments
+(discarded; the language is space-insensitive), a ``#doc#`` string, a
+``"str"`` literal (only ``\\"`` and ``\\\\`` escapes), FLOAT, INT
+(``0b``/``0x``/``0o`` prefixes or decimal), an identifier, and punctuation,
+longest first.
 
 Checks that run after a match: an identifier must not contain ``__``, a
 number must not be followed by an identifier character, and ``process``
@@ -57,10 +59,11 @@ _BRACES = re.compile(rb'//[^\n]*\n?|/\*.*?\*/|"(?:[^"\\]|\\.)*"|(/\*|")|([{}])',
 class Token(NamedTuple):
     type: str  # ID | INT | FLOAT | STR | DOC | punctuation text | EOF
     text: str
-    span: Span
+    start: int  # byte offsets of the token: [start, end)
+    end: int
 
     def __repr__(self):
-        return f"Token({self.type!r}, {self.text!r}, {self.span})"
+        return f"Token({self.type!r}, {self.text!r}, {self.start}-{self.end})"
 
 
 def tokenize(text: str, path: str | None = None) -> list[Token]:
@@ -102,13 +105,13 @@ def tokenize(text: str, path: str | None = None) -> list[Token]:
                 if data.startswith(b"{", k):
                     end = _scan_balanced_braces(data, k, path)
                     inner = data[k + 1:end - 1].decode("utf-8")
-                    out.append(Token("PROCESS_BODY", inner, Span(i, end)))
+                    out.append(Token("PROCESS_BODY", inner, i, end))
                     i = end
                     continue
-        out.append(Token(kind, raw, Span(i, j)))
+        out.append(Token(kind, raw, i, j))
         i = j
 
-    out.append(Token("EOF", "", Span(n, n)))
+    out.append(Token("EOF", "", n, n))
     return out
 
 

@@ -14,7 +14,7 @@ import math
 from typing import Optional
 
 from .context import EvalContext
-from .errors import Span, TydiError, TypeError_
+from .errors import Located, TydiError, TypeError_
 from .model import EvalState, Scope, Variable, resolve_ref
 from .tree import AstNode
 from .values import (ArrayValue, BoolValue, ClockDomainValue, FloatValue,
@@ -35,7 +35,7 @@ def generated_clockdomain(package_name: str, var_id: str) -> str:
     return f"$generated${package_name}${var_id}"
 
 
-def _check_int(n: int, span: Optional[Span], path, what: str = "integer") -> int:
+def _check_int(n: int, span: Optional[Located], path, what: str = "integer") -> int:
     if not in_int64_range(n):
         raise TypeError_(f"{what} overflows 64-bit range: {n}", path, span)
     return n
@@ -64,7 +64,7 @@ class ExpressionEvaluator:
         self.scope = scope
         self.path = scope.package.path
 
-    def err(self, message: str, span: Optional[Span] = None) -> TydiError:
+    def err(self, message: str, span: Optional[Located] = None) -> TydiError:
         return TypeError_(message, self.path, span)
 
     # -- entry points ----------------------------------------------------------
@@ -80,7 +80,7 @@ class ExpressionEvaluator:
         while i < len(ops) and PRECEDENCE[ops[i]] >= min_prec:
             op = ops[i]
             right, i = self._climb(terms, ops, exp, i + 1, PRECEDENCE[op] + 1)
-            left = self.apply_binary(op, left, right, exp.span)
+            left = self.apply_binary(op, left, right, exp)
         return left, i
 
     def eval_term(self, term: AstNode) -> Value:
@@ -90,14 +90,14 @@ class ExpressionEvaluator:
         if inner.kind == "UnaryExp":
             op = inner.children[0].leaf_text
             operand = self.eval_term(inner.children[1])
-            return self.apply_unary(op, operand, inner.span)
+            return self.apply_unary(op, operand, inner)
         if inner.kind == "ArrayExp":
             elems = tuple(self.eval_exp(e) for e in inner.children)
             kinds = {type(e) for e in elems}
             if len(kinds) > 1:
-                raise self.err("array elements must all have the same type", inner.span)
+                raise self.err("array elements must all have the same type", inner)
             if ArrayValue in kinds:
-                raise self.err("nested arrays are not supported", inner.span)
+                raise self.err("nested arrays are not supported", inner)
             return ArrayValue(elems)
         return self.eval_atom(inner)
 
@@ -109,7 +109,7 @@ class ExpressionEvaluator:
             leaf = atom.children[0]
             text = leaf.leaf_text
             n = int(text) if leaf.kind == "INT_RAW_NORAML" else int(text, 0)
-            return IntValue(_check_int(n, atom.span, self.path, "integer literal"))
+            return IntValue(_check_int(n, atom, self.path, "integer literal"))
         if kind == "FloatExp":
             return FloatValue(float(atom.children[0].leaf_text))
         if kind == "StringExp":
@@ -129,20 +129,20 @@ class ExpressionEvaluator:
     def eval_reference(self, ref: AstNode) -> Value:
         """The value of the variable a VarExp or IndexExp names."""
         var = resolve_ref(self.ctx.project, self.scope, ref, "variable")
-        return force_variable(self.ctx, var, self.path, ref.span)
+        return force_variable(self.ctx, var, self.path, ref)
 
     def eval_index(self, atom: AstNode) -> Value:
         index_exp = atom.children[-1]
         arr = self.eval_reference(atom)
         if not isinstance(arr, ArrayValue):
-            raise self.err(f"{atom.children[-2].leaf_text!r} is not an array", atom.span)
+            raise self.err(f"{atom.children[-2].leaf_text!r} is not an array", atom)
         idx = self.eval_exp(index_exp)
         if not isinstance(idx, IntValue):
-            raise self.err("array index must be an int", index_exp.span)
+            raise self.err("array index must be an int", index_exp)
         if not 0 <= idx.value < len(arr.elements):
             raise self.err(
                 f"index {idx.value} out of bounds for array of size "
-                f"{len(arr.elements)}", atom.span)
+                f"{len(arr.elements)}", atom)
         return arr.elements[idx.value]
 
     def eval_function(self, atom: AstNode) -> Value:
@@ -150,10 +150,10 @@ class ExpressionEvaluator:
         if func == "log":
             base = self.eval_exp(atom.children[1])
             arg = self.eval_exp(atom.children[2])
-            return self._eval_log(base, arg, atom.span)
+            return self._eval_log(base, arg, atom)
         arg = self.eval_exp(atom.children[1])
         if not isinstance(arg, FloatValue):
-            raise self.err(f"{func} expects a float, got {variant_name(arg)}", atom.span)
+            raise self.err(f"{func} expects a float, got {variant_name(arg)}", atom)
         x = arg.value
         if func == "round":
             n = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
@@ -161,7 +161,7 @@ class ExpressionEvaluator:
             n = math.floor(x)
         else:  # ceil: the parser makes a FUNC of the builtins only
             n = math.ceil(x)
-        return IntValue(_check_int(int(n), atom.span, self.path, f"{func} result"))
+        return IntValue(_check_int(int(n), atom, self.path, f"{func} result"))
 
     def _eval_log(self, base: Value, arg: Value, span) -> Value:
         for v, what in ((base, "base"), (arg, "argument")):
@@ -319,18 +319,18 @@ def evaluate_range(ctx: EvalContext, scope: Scope, range_exp: AstNode) -> ArrayV
     vals = [ev.eval_exp(c) for c in range_exp.children]
     for v in vals:
         if not isinstance(v, IntValue):
-            raise ev.err("range bounds must all be int", range_exp.span)
+            raise ev.err("range bounds must all be int", range_exp)
     start, step, stop = (v.value for v in vals)
     if step == 0:
-        raise ev.err("range step must not be zero", range_exp.span)
+        raise ev.err("range step must not be zero", range_exp)
     size = max(0, -(-(stop - start) // step))
     if size > RANGE_ELEMENT_LIMIT:
-        raise ev.err(f"range produces too many elements ({size})", range_exp.span)
+        raise ev.err(f"range produces too many elements ({size})", range_exp)
     return ArrayValue(tuple(IntValue(n) for n in range(start, stop, step)))
 
 
 def force_variable(ctx: EvalContext, var: Variable, path: Optional[str] = None,
-                   span: Optional[Span] = None) -> Value:
+                   span: Optional[Located] = None) -> Value:
     """Evaluate a variable at most once; later requests reuse the result.
     `path` and `span` locate the reference that demands it."""
     if var.state is EvalState.EVALUATED:

@@ -6,9 +6,11 @@ govern which name categories may resolve through them. Every scope the
 builder makes knows its `Package`, which holds the source path and text
 that diagnostics and dumps need. An entry holds the AST it was built from,
 and `Package.snip` gives the source text of any of its nodes; no entry keeps
-a copy of that text. A template instance is registered in its template's
-package under its mangled name, and that table is its memo. Every stage
-looks up a `name` or `package.name` reference through `resolve_ref`.
+a copy of that text. An entity's `span` field holds the node that declares
+it, which diagnostics take as its location. A template instance is
+registered in its template's package under its mangled name, and that table
+is its memo. Every stage looks up a `name` or `package.name` reference
+through `resolve_ref`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ResolutionError, Span, TydiError
+from .errors import Located, ResolutionError, TydiError
 from .tree import AstNode
 from .values import Value
 
@@ -73,7 +75,7 @@ class Variable:
     declared_kind: Optional[str] = None
     expr_ast: Optional[AstNode] = None
     is_magic: bool = False
-    span: Optional[Span] = None
+    span: Optional[AstNode] = None
     state: EvalState = EvalState.NOT_INFERRED
     value: Optional[Value] = None
     error: Optional[TydiError] = None
@@ -91,7 +93,7 @@ class TypeEntry:
     own_scope: Optional["Scope"] = None  # group/union inner scope, if any
     field_names: list[str] = field(default_factory=list)  # group/union order
     asserts: list[AstNode] = field(default_factory=list)
-    span: Optional[Span] = None
+    span: Optional[AstNode] = None
     state: EvalState = EvalState.NOT_INFERRED
     evaluated: object = None  # LogicalType
     error: Optional[TydiError] = None
@@ -116,7 +118,7 @@ class Port:
     direction: str  # in | out
     array_size_ast: Optional[AstNode] = None
     cd_ast: Optional[AstNode] = None
-    span: Optional[Span] = None
+    span: Optional[AstNode] = None
     # evaluated:
     state: EvalState = EvalState.NOT_INFERRED
     logical_type: object = None
@@ -133,7 +135,7 @@ class Streamlet:
     template_params: list[TemplateParam] = field(default_factory=list)
     ports: dict[str, Port] = field(default_factory=dict)
     asserts: list[AstNode] = field(default_factory=list)
-    span: Optional[Span] = None
+    span: Optional[AstNode] = None
     decl: Optional[AstNode] = None  # declaring statement; instances rebuild it
     state: EvalState = EvalState.NOT_INFERRED
     error: Optional[TydiError] = None
@@ -151,7 +153,7 @@ class Instance:
     name: str
     target_ast: Optional[AstNode] = None  # None for compiler-inserted instances
     array_size_ast: Optional[AstNode] = None
-    span: Optional[Span] = None
+    span: Optional[AstNode] = None
     # the `for` element scope its target and size resolve in; None: the impl's
     scope: Optional["Scope"] = field(default=None, compare=False, repr=False)
     state: EvalState = EvalState.NOT_INFERRED
@@ -204,7 +206,7 @@ class Connection:
     sink: EndRef
     fifo_ast: Optional[AstNode] = None
     no_strict: bool = False
-    span: Optional[Span] = None
+    span: Optional[AstNode] = None
     # the `for` element scope its ends and depth resolve in; None: the impl's
     scope: Optional["Scope"] = field(default=None, compare=False, repr=False)
     state: EvalState = EvalState.NOT_INFERRED
@@ -226,7 +228,7 @@ class Implementation:
     generative: list[AstNode] = field(default_factory=list)  # pending if/for
     process_block: Optional[str] = None
     derived_from: Optional[AstNode] = None  # ImplInstDecl target, if any
-    span: Optional[Span] = None
+    span: Optional[AstNode] = None
     decl: Optional[AstNode] = None  # declaring statement; instances rebuild it
     state: EvalState = EvalState.NOT_INFERRED
     error: Optional[TydiError] = None
@@ -277,9 +279,9 @@ class Package:
         self.scope = Scope(f"package_{self.name}", "package", package=self)
         self._data = self.text.encode("utf-8")  # spans are UTF-8 byte offsets
 
-    def snip(self, span: Span) -> str:
-        """The source text of a span."""
-        return self._data[span.start:span.end].decode("utf-8")
+    def snip(self, location: Located) -> str:
+        """The source text of a location, such as an AST node."""
+        return self._data[location.start:location.end].decode("utf-8")
 
 
 @dataclass
@@ -300,7 +302,7 @@ class Project:
         return impl
 
 
-def declare(scope: Scope, entity, category: str, span: Optional[Span] = None,
+def declare(scope: Scope, entity, category: str, span: Optional[Located] = None,
             path: Optional[str] = None) -> None:
     """Insert an entity into one category map of a scope.
 
@@ -323,7 +325,7 @@ def declare(scope: Scope, entity, category: str, span: Optional[Span] = None,
 
 
 def resolve_name(start_scope: Scope, name: str, category: str,
-                 path: Optional[str] = None, span: Optional[Span] = None):
+                 path: Optional[str] = None, span: Optional[Located] = None):
     """Find `name` in `start_scope` or outward through permitted relations.
 
     Inner names shadow outer names; relations are searched depth first, in
@@ -362,24 +364,25 @@ def resolve_ref(project: Project, scope: Scope, ref: AstNode, category: str):
     resolves outward from `scope`; a qualified one is a member of a package
     whose `$package$` magic variable resolves from `scope`, as an import
     declares it in the importing package scope. A miss raises a
-    ResolutionError at the path of the scope's package and the span of `ref`.
+    ResolutionError at the path of the scope's package and the location of
+    `ref`.
     """
     path = scope.package.path
     ids = [ref.leaf_text] if ref.kind == "ID" else \
         [c.leaf_text for c in ref.children if c.kind == "ID"]
     if len(ids) == 1:
-        return resolve_name(scope, ids[0], category, path, ref.span)[0]
+        return resolve_name(scope, ids[0], category, path, ref)[0]
     pkg_name, member = ids
     try:
         resolve_name(scope, f"$package${pkg_name}", "variable")
     except ResolutionError:
         raise ResolutionError(f"package {pkg_name!r} is not imported here",
-                              path, ref.span) from None
+                              path, ref) from None
     pkg = project.packages.get(pkg_name)
     if pkg is None:
-        raise ResolutionError(f"package {pkg_name!r} does not exist", path, ref.span)
+        raise ResolutionError(f"package {pkg_name!r} does not exist", path, ref)
     entity = getattr(pkg.scope, _CATEGORY_MAPS[category]).get(member)
     if entity is None:
         raise ResolutionError(
-            f"{category} {member!r} not found in package {pkg_name!r}", path, ref.span)
+            f"{category} {member!r} not found in package {pkg_name!r}", path, ref)
     return entity

@@ -94,11 +94,11 @@ class _Parser:
         else:
             found = t.text
         raise SyntaxDiagnosticError(
-            f"expected {expected}, found {found!r}", self.path, t.span)
+            f"expected {expected}, found {found!r}", self.path, t)
 
     def id_leaf(self, what: str = "identifier") -> AstNode:
         t = self.expect("ID", what)
-        return node("ID", t.span.start, t.span.end, leaf_text=t.text)
+        return node("ID", t.start, t.end, leaf_text=t.text)
 
     def separator(self, sep: str, closer: str, end: int) -> int:
         """Consume a statement separator, which may be omitted before
@@ -107,7 +107,7 @@ class _Parser:
         t = self.peek()
         if t.type == sep:
             self.pos += 1
-            return t.span.end
+            return t.end
         if t.type == closer or t.type == "EOF":
             return end
         self.fail(f"'{sep}'")
@@ -115,9 +115,9 @@ class _Parser:
     def parse_enclosed(self, opener: str, closer: str) -> tuple[int, AstNode, int]:
         """``[exp]`` or ``(exp)``: the opener's start, the expression and the
         closer's end."""
-        start = self.expect(opener).span.start
+        start = self.expect(opener).start
         exp = self.parse_exp()
-        return start, exp, self.expect(closer).span.end
+        return start, exp, self.expect(closer).end
 
     def parse_name_ref(self, what: str) -> AstNode:
         """``name`` or ``pkg.name``: the identifier, or a QualifiedId of both."""
@@ -126,7 +126,7 @@ class _Parser:
             return first
         self.pos += 1
         member = self.id_leaf()
-        return node("QualifiedId", first.span.start, member.span.end, (first, member))
+        return node("QualifiedId", first.start, member.end, (first, member))
 
     def parse_array_size(self, children: list[AstNode]):
         """Append an optional ``[size]`` of a port or instance to `children`."""
@@ -144,7 +144,7 @@ class _Parser:
             if t.text == "type":
                 return self.parse_type_decl(",", "}")
             if t.text == "assert":
-                start = self.next().span.start
+                start = self.next().start
                 _, exp, end = self.parse_enclosed("(", ")")
                 return node("AssertStmt", start, self.separator(",", "}", end), (exp,))
         return None
@@ -159,18 +159,18 @@ class _Parser:
         stmts: list[AstNode] = []
         while not self.at("EOF"):
             stmts.append(self.parse_top_statement())
-        end = stmts[-1].span.end if stmts else self.peek().span.end
-        return name, node("Package", start_tok.span.start, max(end, start_tok.span.start), stmts)
+        end = stmts[-1].end if stmts else self.peek().end
+        return name, node("Package", start_tok.start, max(end, start_tok.start), stmts)
 
     def parse_top_statement(self) -> AstNode:
         doc = None
         if self.at("DOC"):
             t = self.next()
-            doc = node("DOC", t.span.start, t.span.end, leaf_text=t.text)
+            doc = node("DOC", t.start, t.end, leaf_text=t.text)
         if self.at_kw("import"):
-            start = self.next().span.start
+            start = self.next().start
             name = self.id_leaf("package name")
-            return node("ImportStmt", start, self.expect(";").span.end, (name,))
+            return node("ImportStmt", start, self.expect(";").end, (name,))
         if self.at_kw("const"):
             return self.parse_const(";", "EOF")
         if self.at_kw("type"):
@@ -184,22 +184,22 @@ class _Parser:
     # -- const / type ------------------------------------------------------
 
     def parse_const(self, sep: str, closer: str) -> AstNode:
-        start = self.expect_kw("const").span.start
+        start = self.expect_kw("const").start
         children = [self.id_leaf()]
         if self.at(":"):
             self.next()
             t = self.expect("ID", "a value kind")
             if t.text not in CONST_KINDS:
                 self.fail("one of " + "/".join(CONST_KINDS), t)
-            children.append(node("DeclKind", t.span.start, t.span.end, leaf_text=t.text))
+            children.append(node("DeclKind", t.start, t.end, leaf_text=t.text))
         if self.at("="):
             self.next()
             children.append(self.parse_exp())
         return node("ConstDecl", start,
-                    self.separator(sep, closer, children[-1].span.end), children)
+                    self.separator(sep, closer, children[-1].end), children)
 
     def parse_type_decl(self, sep: str, closer: str) -> AstNode:
-        start = self.expect_kw("type").span.start
+        start = self.expect_kw("type").start
         if self.at_kw("Group") or self.at_kw("Union"):
             children = (self.parse_group_union(),)
         else:
@@ -207,13 +207,13 @@ class _Parser:
             self.expect("=")
             children = (name, self.parse_logical_type())
         return node("TypeDecl", start,
-                    self.separator(sep, closer, children[-1].span.end), children)
+                    self.separator(sep, closer, children[-1].end), children)
 
     # -- logical types -----------------------------------------------------
 
     def parse_logical_type(self) -> AstNode:
         inner = self.parse_logical_type_inner()
-        return node("LogicalType", inner.span.start, inner.span.end, [inner])
+        return node("LogicalType", inner.start, inner.end, [inner])
 
     def parse_logical_type_inner(self) -> AstNode:
         t = self.peek()
@@ -221,11 +221,11 @@ class _Parser:
             self.fail("a logical type")
         if t.text == "Null":
             self.next()
-            return node("LogicalNullType", t.span.start, t.span.end)
+            return node("LogicalNullType", t.start, t.end)
         if t.text == "Bit":
             self.next()
             _, width, end = self.parse_enclosed("(", ")")
-            return node("LogicalBitType", t.span.start, end, [width])
+            return node("LogicalBitType", t.start, end, [width])
         if t.text == "Stream":
             return self.parse_stream_type()
         if t.text in ("Group", "Union"):
@@ -233,11 +233,11 @@ class _Parser:
         if t.text in ("streamlet", "impl"):
             return self.parse_member_extract("LogicalTypeExtract")
         ref = self.parse_name_ref("identifier")
-        return node("LogicalUserDefinedType", ref.span.start, ref.span.end,
+        return node("LogicalUserDefinedType", ref.start, ref.end,
                     ref.children or (ref,))
 
     def parse_stream_type(self) -> AstNode:
-        start = self.expect_kw("Stream").span.start
+        start = self.expect_kw("Stream").start
         self.expect("(")
         children = [self.parse_logical_type()]
         while self.at(","):
@@ -253,8 +253,8 @@ class _Parser:
             else:
                 value = self.parse_exp()
             children.append(node(STREAM_PROPERTY_KINDS[key.text],
-                                 comma.span.start, value.span.end, [value]))
-        end = self.expect(")").span.end
+                                 comma.start, value.end, [value]))
+        end = self.expect(")").end
         return node("LogicalStreamType", start, end, children)
 
     def parse_group_union(self) -> AstNode:
@@ -264,21 +264,21 @@ class _Parser:
         self.expect("{")
         while not self.at("}"):
             children.append(self.parse_body_decl() or self.parse_group_field())
-        end = self.expect("}").span.end
-        return node(kind, t.span.start, end, children)
+        end = self.expect("}").end
+        return node(kind, t.start, end, children)
 
     def parse_group_field(self) -> AstNode:
         name = self.id_leaf("field name")
         self.expect(":")
         ty = self.parse_logical_type()
-        return node("SubItemItem", name.span.start,
-                    self.separator(",", "}", ty.span.end), (name, ty))
+        return node("SubItemItem", name.start,
+                    self.separator(",", "}", ty.end), (name, ty))
 
     # -- streamlet ---------------------------------------------------------
 
     def parse_streamlet(self, doc: Optional[AstNode]) -> AstNode:
         start_tok = self.expect_kw("streamlet")
-        start = doc.span.start if doc else start_tok.span.start
+        start = doc.start if doc else start_tok.start
         children = [doc] if doc else []
         children.append(self.id_leaf("streamlet name"))
         if self.at("<"):
@@ -287,7 +287,7 @@ class _Parser:
         while not self.at("}"):
             children.append(self.parse_body_decl() or self.parse_port())
         self.expect("}")
-        end = self.expect(";").span.end
+        end = self.expect(";").end
         return node("StreamletDecl", start, end, children)
 
     def parse_port(self) -> AstNode:
@@ -298,17 +298,17 @@ class _Parser:
         d = self.expect("ID", "port direction 'in' or 'out'")
         if d.text not in ("in", "out"):
             self.fail("port direction 'in' or 'out'", d)
-        children.append(node("DIR", d.span.start, d.span.end, leaf_text=d.text))
+        children.append(node("DIR", d.start, d.end, leaf_text=d.text))
         if self.at("`"):
             tick = self.next()
             if self.at("STR"):
                 t = self.next()
-                body = node("STR", t.span.start, t.span.end, leaf_text=t.text)
+                body = node("STR", t.start, t.end, leaf_text=t.text)
             else:
                 body = self.id_leaf("clockdomain name")
-            children.append(node("ClockDomainAnn", tick.span.start, body.span.end, [body]))
-        return node("PortDecl", name.span.start,
-                    self.separator(",", "}", children[-1].span.end), children)
+            children.append(node("ClockDomainAnn", tick.start, body.end, [body]))
+        return node("PortDecl", name.start,
+                    self.separator(",", "}", children[-1].end), children)
 
     # -- implementation ----------------------------------------------------
 
@@ -318,10 +318,10 @@ class _Parser:
         first = self.peek()
         if self.at_kw("external"):
             t = self.next()
-            external = node("External", t.span.start, t.span.end)
+            external = node("External", t.start, t.end)
         self.expect_kw("impl")
         name = self.id_leaf("implementation name")
-        start = doc.span.start if doc else first.span.start
+        start = doc.start if doc else first.start
         if self.at("("):
             # impl name(template<args>); declares a concrete implementation
             if external is not None:
@@ -331,7 +331,7 @@ class _Parser:
             if target.kind != "TemplateInstance":
                 self.fail("a template instantiation")
             self.expect(")")
-            end = self.expect(";").span.end
+            end = self.expect(";").end
             children += [name, target]
             return node("ImplInstDecl", start, end, children)
         if external is not None:
@@ -341,12 +341,12 @@ class _Parser:
             children.append(self.parse_template_params())
         self.expect_kw("of")
         ref = self.parse_entity_ref()
-        children.append(node("OfStreamlet", ref.span.start, ref.span.end, [ref]))
+        children.append(node("OfStreamlet", ref.start, ref.end, [ref]))
         self.expect("{")
         while not self.at("}"):
             children.append(self.parse_impl_item())
         self.expect("}")
-        end = self.expect(";").span.end
+        end = self.expect(";").end
         return node("ImplDecl", start, end, children)
 
     def parse_impl_item(self) -> AstNode:
@@ -361,19 +361,19 @@ class _Parser:
             return self.parse_for_block()
         if self.at("PROCESS_BODY"):
             t = self.next()
-            self.separator(",", "}", t.span.end)
-            return node("ProcessBlock", t.span.start, t.span.end, leaf_text=t.text)
+            self.separator(",", "}", t.end)
+            return node("ProcessBlock", t.start, t.end, leaf_text=t.text)
         return self.parse_connection()
 
     def parse_instance(self) -> AstNode:
-        start = self.expect_kw("instance").span.start
+        start = self.expect_kw("instance").start
         name = self.parse_name_node()
         self.expect("(")
         children = [name, self.parse_entity_ref()]
         self.expect(")")
         self.parse_array_size(children)
         return node("InstanceDecl", start,
-                    self.separator(",", "}", children[-1].span.end), children)
+                    self.separator(",", "}", children[-1].end), children)
 
     def parse_entity_ref(self) -> AstNode:
         """A streamlet/implementation reference: id, pkg.id, optionally with
@@ -389,29 +389,29 @@ class _Parser:
         while self.at(","):
             self.next()
             args.append(self.parse_template_arg())
-        end = self.expect(">").span.end
-        return node("TemplateInstance", base.span.start, end, args)
+        end = self.expect(">").end
+        return node("TemplateInstance", base.start, end, args)
 
     def parse_template_arg(self) -> AstNode:
         t = self.peek()
         if t.type == "ID" and t.text == "type":
-            start = self.next().span.start
+            start = self.next().start
             ty = self.parse_logical_type()
-            return node("TemplateArgType", start, ty.span.end, [ty])
+            return node("TemplateArgType", start, ty.end, [ty])
         if t.type == "ID" and t.text == "impl":
-            start = self.next().span.start
+            start = self.next().start
             ref = self.parse_name_ref("an implementation name")
-            return node("TemplateArgImpl", start, ref.span.end, [ref])
+            return node("TemplateArgImpl", start, ref.end, [ref])
         exp = self.parse_exp(no_compare=True)
-        return node("TemplateArgExp", exp.span.start, exp.span.end, [exp])
+        return node("TemplateArgExp", exp.start, exp.end, [exp])
 
     def parse_template_params(self) -> AstNode:
-        start = self.expect("<").span.start
+        start = self.expect("<").start
         params = [self.parse_template_param()]
         while self.at(","):
             self.next()
             params.append(self.parse_template_param())
-        end = self.expect(">").span.end
+        end = self.expect(">").end
         return node("TemplateParams", start, end, params)
 
     def parse_template_param(self) -> AstNode:
@@ -422,33 +422,33 @@ class _Parser:
             self.next()
             self.expect_kw("of")
             target = self.id_leaf("a streamlet name")
-            kind = node("ImplOfKind", t.span.start, target.span.end, [target])
+            kind = node("ImplOfKind", t.start, target.end, [target])
         elif t.type == "ID" and (t.text in CONST_KINDS or t.text == "type"):
             self.next()
-            kind = node("KIND", t.span.start, t.span.end, leaf_text=t.text)
+            kind = node("KIND", t.start, t.end, leaf_text=t.text)
         else:
             self.fail("a template parameter kind", t)
-        return node("TemplateParam", name.span.start, kind.span.end, [name, kind])
+        return node("TemplateParam", name.start, kind.end, [name, kind])
 
     # -- generative blocks -------------------------------------------------
 
     def parse_if_block(self) -> AstNode:
-        start = self.expect_kw("if").span.start
+        start = self.expect_kw("if").start
         _, cond, _ = self.parse_enclosed("(", ")")
         children = [cond, self.parse_statement_block()]
         while self.at_kw("elif"):
-            estart = self.next().span.start
+            estart = self.next().start
             _, econd, _ = self.parse_enclosed("(", ")")
             ebody = self.parse_statement_block()
-            children.append(node("ElifClause", estart, ebody.span.end, [econd, ebody]))
+            children.append(node("ElifClause", estart, ebody.end, [econd, ebody]))
         if self.at_kw("else"):
-            estart = self.next().span.start
+            estart = self.next().start
             ebody = self.parse_statement_block()
-            children.append(node("ElseClause", estart, ebody.span.end, [ebody]))
+            children.append(node("ElseClause", estart, ebody.end, [ebody]))
         return node("IfBlock", start, self.block_end(children[-1]), children)
 
     def parse_for_block(self) -> AstNode:
-        start = self.expect_kw("for").span.start
+        start = self.expect_kw("for").start
         var = self.id_leaf("loop variable")
         self.expect_kw("in")
         self.expect("(")
@@ -458,7 +458,7 @@ class _Parser:
             step = self.parse_exp()
             self.expect("=>")
             stop = self.parse_exp()
-            iterable = node("RangeExp", first.span.start, stop.span.end, [first, step, stop])
+            iterable = node("RangeExp", first.start, stop.end, [first, step, stop])
         else:
             iterable = first
         self.expect(")")
@@ -468,15 +468,15 @@ class _Parser:
     def block_end(self, last: AstNode) -> int:
         """Where an if/for block ends: after its optional comma."""
         if self.at(","):
-            return self.next().span.end
-        return last.span.end
+            return self.next().end
+        return last.end
 
     def parse_statement_block(self) -> AstNode:
-        start = self.expect("{").span.start
+        start = self.expect("{").start
         items = []
         while not self.at("}"):
             items.append(self.parse_impl_item())
-        end = self.expect("}").span.end
+        end = self.expect("}").end
         return node("StatementBlock", start, end, items)
 
     # -- connections -------------------------------------------------------
@@ -488,28 +488,28 @@ class _Parser:
             eq = self.next()
             depth = self.parse_exp()
             self.expect("=>")
-            children.append(node("FifoDepth", eq.span.start, depth.span.end, [depth]))
+            children.append(node("FifoDepth", eq.start, depth.end, [depth]))
         else:
             self.expect("=>", "'=>' or '=<depth>=>'")
         children.append(self.parse_path_end())
         if self.at("STR"):
             t = self.next()
-            children.append(node("ConnName", t.span.start, t.span.end, leaf_text=t.text))
+            children.append(node("ConnName", t.start, t.end, leaf_text=t.text))
         if self.at("@NoStrictType@"):
             t = self.next()
-            children.append(node("NoStrictMarker", t.span.start, t.span.end))
-        return node("ConnectionStmt", src.span.start,
-                    self.separator(",", "}", children[-1].span.end), children)
+            children.append(node("NoStrictMarker", t.start, t.end))
+        return node("ConnectionStmt", src.start,
+                    self.separator(",", "}", children[-1].end), children)
 
     def parse_path_end(self) -> AstNode:
         parts, end = self.parse_path_part()
-        start = parts[0].span.start
+        start = parts[0].start
         if not self.at("."):
             return node("PathEnd", start, end, (node("PathPort", start, end, parts),))
         self.pos += 1
         owner = node("PathOwner", start, end, parts)
         parts, port_end = self.parse_path_part()
-        port = node("PathPort", parts[0].span.start, port_end, parts)
+        port = node("PathPort", parts[0].start, port_end, parts)
         return node("PathEnd", start, port_end, (owner, port))
 
     def parse_path_part(self) -> tuple[tuple[AstNode, ...], int]:
@@ -517,35 +517,35 @@ class _Parser:
         Index, and where they end."""
         name = self.parse_name_node()
         if not self.at("["):
-            return (name,), name.span.end
+            return (name,), name.end
         _, idx, end = self.parse_enclosed("[", "]")
-        return (name, node("Index", idx.span.start, end, (idx,))), end
+        return (name, node("Index", idx.start, end, (idx,))), end
 
     def parse_name_node(self) -> AstNode:
         """An identifier, possibly with interpolation holes: ``bypass_{{i}}``."""
         first = self.id_leaf()
         parts = [first]
-        end = first.span.end
-        while self.at("{{") and self.peek().span.start == end:
+        end = first.end
+        while self.at("{{") and self.peek().start == end:
             lb = self.next()
             var = self.id_leaf("interpolation variable")
             rb = self.expect("}}")
-            parts.append(node("VarHole", lb.span.start, rb.span.end, [var]))
-            end = rb.span.end
-            if self.at("ID") and self.peek().span.start == end:
+            parts.append(node("VarHole", lb.start, rb.end, [var]))
+            end = rb.end
+            if self.at("ID") and self.peek().start == end:
                 frag = self.next()
-                parts.append(node("ID", frag.span.start, frag.span.end, leaf_text=frag.text))
-                end = frag.span.end
+                parts.append(node("ID", frag.start, frag.end, leaf_text=frag.text))
+                end = frag.end
         if len(parts) == 1:
             return first
-        return node("InterpolatedId", first.span.start, end, parts)
+        return node("InterpolatedId", first.start, end, parts)
 
     # -- expressions ---------------------------------------------------------
 
     def parse_exp(self, no_compare: bool = False) -> AstNode:
         first = self.parse_term()
         children = [first]
-        end = first.span.end
+        end = first.end
         while True:
             t = self.peek()
             if t.type not in INFIX_OPS:
@@ -553,30 +553,30 @@ class _Parser:
             if no_compare and t.type in ("<", ">"):
                 break
             self.next()
-            children.append(node("InfixOp", t.span.start, t.span.end, leaf_text=t.text))
+            children.append(node("InfixOp", t.start, t.end, leaf_text=t.text))
             term = self.parse_term()
             children.append(term)
-            end = term.span.end
-        return node("Exp", first.span.start, end, children)
+            end = term.end
+        return node("Exp", first.start, end, children)
 
     def parse_term(self) -> AstNode:
         t = self.peek()
         if t.type in UNARY_OPS:
             self.next()
-            op = node("UnaryOp", t.span.start, t.span.end, leaf_text=t.text)
+            op = node("UnaryOp", t.start, t.end, leaf_text=t.text)
             inner = self.parse_term()
-            u = node("UnaryExp", t.span.start, inner.span.end, [op, inner])
-            return node("Term", t.span.start, inner.span.end, [u])
+            u = node("UnaryExp", t.start, inner.end, [op, inner])
+            return node("Term", t.start, inner.end, [u])
         if t.type == "(":
             _, exp, end = self.parse_enclosed("(", ")")
-            return node("Term", t.span.start, end, [exp])
+            return node("Term", t.start, end, [exp])
         if t.type == "{":
             return self.parse_array_literal()
         atom = self.parse_atom()
-        return node("Term", atom.span.start, atom.span.end, [atom])
+        return node("Term", atom.start, atom.end, [atom])
 
     def parse_array_literal(self) -> AstNode:
-        start = self.expect("{").span.start
+        start = self.expect("{").start
         elems = []
         while not self.at("}"):
             elems.append(self.parse_exp())
@@ -584,7 +584,7 @@ class _Parser:
                 self.next()
                 continue
             break
-        end = self.expect("}").span.end
+        end = self.expect("}").end
         arr = node("ArrayExp", start, end, elems)
         return node("Term", start, end, [arr])
 
@@ -604,22 +604,22 @@ class _Parser:
                 int(t.text, 0) if not t.text.isdigit() else int(t.text)
             except ValueError:
                 self.fail("a valid integer literal", t)
-            leaf = node(leaf_kind, t.span.start, t.span.end, leaf_text=t.text)
-            return node("IntExp", t.span.start, t.span.end, [leaf])
+            leaf = node(leaf_kind, t.start, t.end, leaf_text=t.text)
+            return node("IntExp", t.start, t.end, [leaf])
         if t.type == "FLOAT":
             self.next()
-            leaf = node("FLOAT_RAW", t.span.start, t.span.end, leaf_text=t.text)
-            return node("FloatExp", t.span.start, t.span.end, [leaf])
+            leaf = node("FLOAT_RAW", t.start, t.end, leaf_text=t.text)
+            return node("FloatExp", t.start, t.end, [leaf])
         if t.type == "STR":
             self.next()
-            leaf = node("STR", t.span.start, t.span.end, leaf_text=t.text)
-            return node("StringExp", t.span.start, t.span.end, [leaf])
+            leaf = node("STR", t.start, t.end, leaf_text=t.text)
+            return node("StringExp", t.start, t.end, [leaf])
         if t.type != "ID":
             self.fail("an expression")
         if t.text in ("true", "false"):
             self.next()
-            leaf = node("BOOL_RAW", t.span.start, t.span.end, leaf_text=t.text)
-            return node("BoolExp", t.span.start, t.span.end, [leaf])
+            leaf = node("BOOL_RAW", t.start, t.end, leaf_text=t.text)
+            return node("BoolExp", t.start, t.end, [leaf])
         if t.text in ("streamlet", "impl", "type"):
             return self.parse_member_extract("MemberExtractExp")
         if self.peek(1).type == "(" and (
@@ -628,23 +628,23 @@ class _Parser:
         if t.text == "log" and self.peek(1).type in ("INT", "FLOAT", "ID"):
             return self.parse_function_call()
         self.next()
-        ids = [node("ID", t.span.start, t.span.end, leaf_text=t.text)]
-        end = t.span.end
+        ids = [node("ID", t.start, t.end, leaf_text=t.text)]
+        end = t.end
         # unlike parse_name_ref, `a.` before anything but a name ends at `a`
         if self.at(".") and self.peek(1).type == "ID":
             self.next()
             member = self.id_leaf()
             ids.append(member)
-            end = member.span.end
+            end = member.end
         if self.at("["):
             _, idx, end = self.parse_enclosed("[", "]")
-            return node("IndexExp", t.span.start, end, ids + [idx])
-        return node("VarExp", t.span.start, end, ids)
+            return node("IndexExp", t.start, end, ids + [idx])
+        return node("VarExp", t.start, end, ids)
 
     def parse_function_call(self) -> AstNode:
         t = self.next()
         if t.text in BUILTIN_FUNCS:
-            children = [node("FUNC", t.span.start, t.span.end, leaf_text=t.text)]
+            children = [node("FUNC", t.start, t.end, leaf_text=t.text)]
         else:
             # log<base>(arg): base either fused into the identifier (log2) or
             # a following atom (log 2 (x) / log a(b))
@@ -652,14 +652,14 @@ class _Parser:
             if fused is None:
                 base = self.parse_atom()
             else:
-                leaf = node("INT_RAW_NORAML", t.span.start + 3, t.span.end, leaf_text=fused)
-                base = node("IntExp", t.span.start + 3, t.span.end, [leaf])
-            s, e = base.span
-            children = [node("FUNC", t.span.start, t.span.start + 3, leaf_text="log"),
+                leaf = node("INT_RAW_NORAML", t.start + 3, t.end, leaf_text=fused)
+                base = node("IntExp", t.start + 3, t.end, [leaf])
+            s, e = base.start, base.end
+            children = [node("FUNC", t.start, t.start + 3, leaf_text="log"),
                         node("Exp", s, e, [node("Term", s, e, [base])])]
         _, arg, end = self.parse_enclosed("(", ")")
         children.append(arg)
-        return node("FunctionExp", t.span.start, end, children)
+        return node("FunctionExp", t.start, end, children)
 
     def parse_member_extract(self, kind: str) -> AstNode:
         """``streamlet|impl|type <owner>[<args>].<member>`` where owner may be
@@ -672,7 +672,7 @@ class _Parser:
             member = self.id_leaf("member name")
             if self.at("<") or self.at(".") and self.peek(1).type == "ID":
                 # what was read is a package-qualified owner
-                owner = node("QualifiedId", owner.span.start, member.span.end,
+                owner = node("QualifiedId", owner.start, member.end,
                              [owner, member])
                 member = None
         if self.at("<"):
@@ -680,8 +680,8 @@ class _Parser:
         if member is None:
             self.expect(".")
             member = self.id_leaf("member name")
-        ex = node("EXTRACT", t.span.start, t.span.end, leaf_text=t.text)
-        return node(kind, t.span.start, member.span.end, [ex, owner, member])
+        ex = node("EXTRACT", t.start, t.end, leaf_text=t.text)
+        return node(kind, t.start, member.end, [ex, owner, member])
 
 
 def _log_with_base(text: str) -> Optional[str]:

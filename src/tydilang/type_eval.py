@@ -42,21 +42,20 @@ def force_type_entry(ctx: EvalContext, entry: TypeEntry):
     if entry.state is EvalState.ERROR:
         raise entry.error
     with ctx.evaluating(entry):
-        ast = entry.ast
-        inner = ast.children[0] if ast.kind == "LogicalType" else ast
-        if inner.kind in ("LogicalGroupType", "LogicalUnionType"):
-            entry.evaluated, terminal = _evaluate_group(ctx, entry, inner), None
+        if entry.own_scope is not None:  # a group or union the builder built
+            entry.evaluated, terminal = _evaluate_group(ctx, entry), None
         else:
-            entry.evaluated, terminal = evaluate_type(ctx, entry.scope, inner,
+            entry.evaluated, terminal = evaluate_type(ctx, entry.scope, entry.ast,
                                                       declared_name=entry.id)
         entry.terminal = entry if terminal is None else terminal
     return entry.evaluated
 
 
-def _evaluate_group(ctx: EvalContext, entry: TypeEntry, inner: AstNode):
-    name = inner.children[0].leaf_text
+def _evaluate_group(ctx: EvalContext, entry: TypeEntry):
+    group_ast = entry.ast
+    name = group_ast.children[0].leaf_text
     scope = entry.own_scope
-    cls = GroupType if inner.kind == "LogicalGroupType" else UnionType
+    cls = GroupType if group_ast.kind == "LogicalGroupType" else UnionType
     result = cls(name=name, scope=scope)
     for fname in entry.field_names:
         fentry = scope.types[fname]
@@ -98,17 +97,17 @@ def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
         width = evaluate_expression(ctx, scope, inner.children[0])
         if not isinstance(width, IntValue):
             raise TypeError_(f"Bit width must be an int, got {variant_name(width)}",
-                             path, inner.span)
+                             path, inner)
         if width.value < 1:
             raise TypeError_(f"Bit width must be at least 1, got {width.value}",
-                             path, inner.span)
+                             path, inner)
         return BitType(width.value), None
     if kind == "LogicalStreamType":
         return _evaluate_stream(ctx, scope, inner, declared_name), None
     # a group or union, the last kinds of logical type the parser makes
     raise TypeError_(
         "inline group/union types must be declared with their own `type` "
-        "statement", path, inner.span)
+        "statement", path, inner)
 
 
 def _evaluate_stream(ctx: EvalContext, scope: Scope, stream_node: AstNode,
@@ -122,43 +121,43 @@ def _evaluate_stream(ctx: EvalContext, scope: Scope, stream_node: AstNode,
             user, _ = evaluate_type(ctx, scope, child.children[0])
             if isinstance(user, StreamType):
                 raise TypeError_("stream user type must not be a stream",
-                                 path, child.span)
+                                 path, child)
             props.user = user
             continue
         value = evaluate_expression(ctx, scope, child.children[0])
         if key == "dimension":
             if not isinstance(value, IntValue) or value.value < 0:
-                raise TypeError_("dimension must be a non-negative int", path, child.span)
+                raise TypeError_("dimension must be a non-negative int", path, child)
             props.dimension = value.value
         elif key == "throughput":
             if isinstance(value, IntValue):
                 value = FloatValue(float(value.value))
             if not isinstance(value, FloatValue) or value.value < 0:
                 raise TypeError_("throughput must be a non-negative number",
-                                 path, child.span)
+                                 path, child)
             props.throughput = value.value
         elif key == "synchronicity":
             if not isinstance(value, StrValue) or value.value not in SYNCHRONICITY_VALUES:
                 raise TypeError_(
                     f"synchronicity must be one of {'/'.join(SYNCHRONICITY_VALUES)}",
-                    path, child.span)
+                    path, child)
             props.synchronicity = value.value
         elif key == "complexity":
             if not isinstance(value, IntValue) or not 1 <= value.value <= 7:
                 raise TypeError_(
                     f"complexity must be an int in [1, 7], got "
                     f"{value.value if isinstance(value, IntValue) else variant_name(value)}",
-                    path, child.span)
+                    path, child)
             props.complexity = value.value
         elif key == "direction":
             if not isinstance(value, StrValue) or value.value not in DIRECTION_VALUES:
                 raise TypeError_(
                     f"direction must be one of {'/'.join(DIRECTION_VALUES)}",
-                    path, child.span)
+                    path, child)
             props.direction = value.value
         elif key == "keep":
             if not isinstance(value, BoolValue):
-                raise TypeError_("keep must be a bool", path, child.span)
+                raise TypeError_("keep must be a bool", path, child)
             props.keep = value.value
     return StreamType(name=declared_name, element=element, properties=props)
 

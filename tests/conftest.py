@@ -1,9 +1,11 @@
+import gc
 import os
 
 import pytest
 
 from tydilang.builder import build_project
 from tydilang.context import EvalContext
+from tydilang.errors import Span
 from tydilang.parser import parse_project
 from tydilang.pipeline import (CompileConfig, compile_sources,
                                evaluate_project)
@@ -22,6 +24,12 @@ def project_of(*texts, name="test_project"):
     project = build_project(name, parsed)
     _inject_prelude_imports(project)
     return project
+
+
+def live_span_count() -> int:
+    """How many `Span` records are alive, after a full collection."""
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if type(o) is Span)
 
 
 def evaluated_project(*texts, name="test_project", top=None):

@@ -353,3 +353,23 @@ def test_golden_tpch1_ir_is_pinned():
                               "golden_tpch1_parser_output.txt")):
         with open(os.path.join(DATA_DIR, golden), encoding="utf-8") as f:
             assert result.artifacts[artifact] == f.read(), artifact
+
+
+def test_evaluated_values_dump_format():
+    """Each kind of evaluated value as the dump prints it: strings escaped,
+    floats in their shortest form, clockdomains and arrays of each."""
+    project, _ = evaluated_project(
+        "package v;\n"
+        'const s = "a\\"b\\\\c";\n'
+        "const f = 2.5 * 2.0;\n"
+        "const g = 0.1;\n"
+        'const cd: clockdomain = "200MHz";\n'
+        "const ints = {1, 2, 3};\n"
+        'const strs = {"x", "y"};\n')
+    text = dump_code_structure(project)
+    assert ("        cd:clockdomain(200MHz)\n"
+            "        f:float(5)\n"
+            "        g:float(0.1)\n"
+            "        ints:array([int(1),int(2),int(3)])\n"
+            '        s:str("a\\"b\\\\c")\n'
+            '        strs:array([str("x"),str("y")])\n') in text

@@ -7,7 +7,8 @@ from tydilang.model import EvalState
 from tydilang.pipeline import evaluate_project
 from tydilang.values import DEFAULT_CLOCKDOMAIN, IntValue
 
-from conftest import compile_texts, evaluated_project, project_of
+from conftest import (compile_texts, evaluated_project, live_span_count,
+                      project_of)
 
 
 def failing_project(*texts, top=None):
@@ -105,6 +106,29 @@ def test_auto_connection_name_uses_span():
     assert conn.name.startswith("connection_")
     start, end = conn.name[len("connection_"):].split("-")
     assert int(start) < int(end)
+
+
+def test_for_expansion_builds_no_span_per_element():
+    """Entities keep their declaring node as their location, so a `for` of
+    200 lanes leaves as many `Span` records alive as one of 20."""
+    def spans_with_lanes(lanes: int) -> int:
+        project, _ = evaluated_project(
+            "package p;\n"
+            "type s = Stream(Bit(1));\n"
+            "streamlet leaf_s { i: s in, };\n"
+            "external impl leaf_i of leaf_s {};\n"
+            f"streamlet top_s {{ i: s [{lanes}] in, }};\n"
+            "impl top_i of top_s {\n"
+            f"  for k in (0=1=>{lanes}) {{\n"
+            "    instance l_{{k}}(leaf_i),\n"
+            "    i[k] => l_{{k}}.i,\n"
+            "  },\n"
+            "};\n")
+        impl = project.packages["p"].scope.implements["top_i"]
+        assert len(impl.instances) == len(impl.connections) == lanes
+        return live_span_count()
+
+    assert spans_with_lanes(200) == spans_with_lanes(20)
 
 
 def test_index_out_of_bounds():

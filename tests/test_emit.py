@@ -442,3 +442,52 @@ def test_flat_names_are_injective():
     _, circuit = build_circuit()
     names = [name for name, _, _ in circuit.components]
     assert len(names) == len(set(names))
+
+
+def test_ir_inline_group_field_keeps_its_fields():
+    """A group written inline as a field's type is built like a nested
+    `type Group` declaration, so its fields reach the IR."""
+    project, _ = evaluated_project(
+        "package p;\n"
+        "type Group g { f: Group h { x: Bit(1), }, y: Bit(2), };\n"
+        "streamlet a_s { o: Stream(g) out, };\n"
+        "external impl a_i of a_s {};\n")
+    doc = json.loads(emit_ir(project))
+    assert doc["packages"]["p"]["types"]["g"] == {
+        "kind": "group", "name": "g", "fields": [
+            {"name": "f", "type": {"kind": "group", "name": "h", "fields": [
+                {"name": "x", "type": {"kind": "bit", "width": 1}}]}},
+            {"name": "y", "type": {"kind": "bit", "width": 2}}]}
+    port = doc["packages"]["p"]["streamlets"]["a_s"]["ports"]["o"]
+    assert port["type"]["element"] == doc["packages"]["p"]["types"]["g"]
+
+
+def test_ir_inline_union_field_keeps_its_fields():
+    """An inline union field sees the names around its enclosing union, as
+    a nested declaration does, and the IR writes both unions."""
+    project, _ = evaluated_project(
+        "package p;\n"
+        "const w = 3;\n"
+        "type Union u { a: Union v { p: Bit(w), q: Null, }, b: Bit(2), };\n")
+    doc = json.loads(emit_ir(project))
+    assert doc["packages"]["p"]["types"]["u"] == {
+        "kind": "union", "name": "u", "fields": [
+            {"name": "a", "type": {"kind": "union", "name": "v", "fields": [
+                {"name": "p", "type": {"kind": "bit", "width": 3}},
+                {"name": "q", "type": {"kind": "null"}}]}},
+            {"name": "b", "type": {"kind": "bit", "width": 2}}]}
+
+
+def test_ir_writes_streamlet_and_implementation_docs():
+    project, _ = evaluated_project(
+        "package p;\n"
+        "type s = Stream(Bit(1));\n"
+        "#emits one bit# streamlet a_s { o: s out, };\n"
+        "#an external \"source\"# external impl a_i of a_s {};\n"
+        "streamlet b_s { o: s out, };\n"
+        "external impl b_i of b_s {};\n")
+    doc = json.loads(emit_ir(project))["packages"]["p"]
+    assert doc["streamlets"]["a_s"]["doc"] == "emits one bit"
+    assert doc["implementations"]["a_i"]["doc"] == 'an external "source"'
+    assert "doc" not in doc["streamlets"]["b_s"]
+    assert "doc" not in doc["implementations"]["b_i"]

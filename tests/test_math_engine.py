@@ -4,7 +4,7 @@ import pytest
 
 from tydilang.context import EvalContext
 from tydilang.elaboration import evaluate_implementation
-from tydilang.errors import TydiError
+from tydilang.errors import Span, TydiError
 from tydilang.math_engine import evaluate_range, force_variable
 from tydilang.parser import parse_fragment
 from tydilang.type_eval import force_type_entry
@@ -310,7 +310,8 @@ def test_cycle_reports_members(case):
         force(ctx, entity)
     assert exc.value.message == f"circular dependency: {cycle}"
     # reported where the cycle closes: the declaration demanded twice
-    assert (exc.value.diagnostic.path, exc.value.diagnostic.span) == ("file_0.td", entity.span)
+    assert (exc.value.diagnostic.path, exc.value.diagnostic.span) == (
+        "file_0.td", Span(entity.span.start, entity.span.end))
 
 
 def test_self_cycle():

@@ -11,7 +11,7 @@ from tydilang.parser import parse_file, parse_fragment, parse_project
 from tydilang.stdlib import PRELUDE_PATH, PRELUDE_SOURCE
 from tydilang.tree import check_span_containment, dump_ast, iter_nodes
 
-from conftest import DATA_DIR, evaluated_project
+from conftest import DATA_DIR, evaluated_project, live_span_count
 
 UNION_SNIPPET = (
     'Union A {\n'
@@ -198,7 +198,7 @@ EVERY_TOKEN_CLASS = (
 
 
 def test_token_stream_is_pinned():
-    assert [(t.type, t.text, t.span.start, t.span.end)
+    assert [(t.type, t.text, t.start, t.end)
             for t in tokenize(EVERY_TOKEN_CLASS)] == [
         ('DOC', 'dóc', 0, 6),
         ('ID', 'package', 7, 14),
@@ -275,12 +275,12 @@ def test_span_containment_over_fixture_corpus():
     corpus = [(PRELUDE_PATH, PRELUDE_SOURCE)] + [
         (str(path), path.read_text(encoding="utf-8"))
         for path in sorted(Path(DATA_DIR).rglob("*.td"))]
-    assert len(corpus) == 8
+    assert len(corpus) == 9
     for path, text in corpus:
-        spans = [t.span for t in tokenize(text, path)]
+        located = tokenize(text, path)
         ast = parse_file(text, path).ast
-        spans += [n.span for n in iter_nodes(ast)]
-        assert all(span.start <= span.end for span in spans), path
+        located += iter_nodes(ast)
+        assert all(x.start <= x.end for x in located), path
         check_span_containment(ast)
 
 
@@ -325,6 +325,16 @@ def test_dump_is_deterministic(tpch1_source):
     a = dump_ast(parse_file(tpch1_source).ast)
     b = dump_ast(parse_file(tpch1_source).ast)
     assert a == b
+
+
+def test_parsing_builds_no_span(tpch1_source):
+    """Tokens and AST nodes carry plain offsets: holding the parsed TPC-H
+    design keeps no `Span` alive."""
+    before = live_span_count()
+    parsed, diags = parse_project([("tpch1.td", tpch1_source)])
+    assert not diags
+    assert live_span_count() <= before
+    assert len(list(iter_nodes(parsed["std"].ast))) > 3000
 
 
 def test_parse_project_keys_by_package_name():
