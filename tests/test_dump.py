@@ -292,7 +292,7 @@ def test_golden_dump_frozen():
 
 @pytest.mark.parametrize("artifact", ["1_parser_output.txt",
                                       "2_evaluation_output_after_sugaring.txt",
-                                      "ir.json", "circuit.dot"])
+                                      "ir.json", "circuit.dot", "drc_report.txt"])
 def test_golden_template_project_is_pinned(artifact):
     """Byte-exact pins for a two-package project that instantiates templates:
     a streamlet template with a type parameter, an int parameter sizing a port
@@ -305,7 +305,7 @@ def test_golden_template_project_is_pinned(artifact):
 
 @pytest.mark.parametrize("artifact", ["1_parser_output.txt",
                                       "2_evaluation_output_after_sugaring.txt",
-                                      "ir.json", "circuit.dot"])
+                                      "ir.json", "circuit.dot", "drc_report.txt"])
 def test_golden_for_project_is_pinned(artifact):
     """Byte-exact pins for generative blocks: nested `for` blocks whose inner
     range is bounded by the outer variable; `if`/`elif`/`else` inside a
@@ -335,11 +335,13 @@ def _check_golden_project(dirname: str, top: str, artifact: str):
 
 
 def test_golden_tpch1_ir_is_pinned():
-    """Byte-exact pins of the JSON IR, the DOT graph and the unevaluated
-    code-structure dump of the paper's TPC-H query-1 design, as `tydilang
-    tests/data/tpch1.td --top std.main_i --drc --dot --ir` writes them: 161
-    stream types, most of them port types used many times over, and 143
-    nets."""
+    """Byte-exact pins of the JSON IR, the DOT graph, the unevaluated
+    code-structure dump and the DRC report of the paper's TPC-H query-1
+    design, as `tydilang tests/data/tpch1.td --top std.main_i --drc --dot
+    --ir` writes them: 161 stream types, most of them port types used many
+    times over, 143 nets, and 14 R1 warnings: the comparator's inline
+    `Stream(Bit(2))` output, duplicated, feeds `select` ports typed by the
+    declared `stream_filter_select_stream`."""
     path = os.path.join(DATA_DIR, "tpch1.td")
     with open(path, encoding="utf-8") as f:
         sources = [(path, f.read())]
@@ -350,7 +352,8 @@ def test_golden_tpch1_ir_is_pinned():
     for artifact, golden in (("ir.json", "golden_tpch1_ir.json"),
                              ("circuit.dot", "golden_tpch1.dot"),
                              ("1_parser_output.txt",
-                              "golden_tpch1_parser_output.txt")):
+                              "golden_tpch1_parser_output.txt"),
+                             ("drc_report.txt", "golden_tpch1_drc_report.txt")):
         with open(os.path.join(DATA_DIR, golden), encoding="utf-8") as f:
             assert result.artifacts[artifact] == f.read(), artifact
 
