@@ -230,3 +230,108 @@ def test_external_implementations_are_not_checked():
         "streamlet s { input: rgb_stream in, output: rgb_stream out, };\n"
         "external impl e_i of s {\n};\n")
     assert diags == []
+
+
+STRICTNESS = """
+package p;
+type bytes = Stream(Bit(8));
+type chain_a = Stream(Bit(9));
+type chain_b = chain_a;
+type chain_c = chain_b;
+streamlet h_s { type t = Stream(Bit(10)), };
+type h_alias = streamlet h_s.t;
+type arg_named = Stream(Bit(11));
+type decl_a = Stream(Bit(12));
+type decl_b = Stream(Bit(12));
+type fan_named = Stream(Bit(14));
+type void_named = Stream(Bit(16));
+type loose_a = Stream(Bit(18));
+type loose_b = Stream(Bit(18));
+type loose_c = Stream(Bit(19));
+streamlet pass_s<t: type> { i: t in, o: t out, };
+impl pass_i<t: type> of pass_s<type t> { i => o "through", };
+streamlet src_s {
+  alias_o: bytes out, chain_o: chain_a out, extract_o: streamlet p.h_s.t out,
+  named_arg_o: arg_named out, inline_arg_o: Stream(Bit(13)) out,
+  inline_o: Stream(Bit(17)) out, decl_o: decl_a out,
+  fan_named_o: fan_named out, fan_inline_o: Stream(Bit(15)) out,
+  void_named_o: void_named out, void_inline_o: Stream(Bit(20)) out,
+  loose_o: loose_a out, loose_bad_o: loose_a out, bad_o: decl_a out,
+};
+external impl src_i of src_s { };
+streamlet snk_s {
+  alias_i: bytes in, chain_i: chain_c in, extract_i: h_alias in,
+  named_arg_i: arg_named in, inline_arg_i: Stream(Bit(13)) in,
+  inline_i: Stream(Bit(17)) in, decl_i: decl_b in,
+  fan_named_i0: fan_named in, fan_named_i1: fan_named in,
+  fan_inline_i0: Stream(Bit(15)) in, fan_inline_i1: Stream(Bit(15)) in,
+  loose_i: loose_b in, loose_bad_i: loose_c in, bad_i: loose_c in,
+};
+external impl snk_i of snk_s { };
+streamlet top_s { };
+impl top_i of top_s {
+  instance src(src_i), instance snk(snk_i),
+  instance named_pass(pass_i<type arg_named>),
+  instance inline_pass(pass_i<type Stream(Bit(13))>),
+  src.alias_o => snk.alias_i "same_alias",
+  src.chain_o => snk.chain_i "alias_chain",
+  src.extract_o => snk.extract_i "extract_alias",
+  src.named_arg_o => named_pass.i "named_arg_in",
+  named_pass.o => snk.named_arg_i "named_arg_out",
+  src.inline_arg_o => inline_pass.i "inline_arg_in",
+  inline_pass.o => snk.inline_arg_i "inline_arg_out",
+  src.inline_o => snk.inline_i "two_inline",
+  src.decl_o => snk.decl_i "two_decls",
+  src.fan_named_o => snk.fan_named_i0 "fan_named_0",
+  src.fan_named_o => snk.fan_named_i1 "fan_named_1",
+  src.fan_inline_o => snk.fan_inline_i0 "fan_inline_0",
+  src.fan_inline_o => snk.fan_inline_i1 "fan_inline_1",
+  src.loose_o => snk.loose_i "loose" @NoStrictType@,
+  src.loose_bad_o => snk.loose_bad_i "loose_bad" @NoStrictType@,
+  src.bad_o => snk.bad_i "bad",
+};
+"""
+
+
+def test_strictness_of_every_way_a_port_type_is_written():
+    """The R1/R2 outcome of each connection, after sugaring, by how its two
+    port types are written: strict typing holds exactly when both ends name
+    one declaration, or carry one inline type through a template argument,
+    a duplicator or a voider."""
+    project, ctx = evaluated_project(STRICTNESS)
+    sugar_project(ctx, project)
+    diags = run_drc(project)
+    scope = project.packages["p"].scope
+    outcome = {}
+    for impl_id, impl in scope.implements.items():
+        if not impl.external and not impl.is_template:
+            for conn in impl.connections:
+                outcome[impl_id, conn.name] = ""
+    for d in diags:
+        assert d.rule in ("R1", "R2"), d.line()
+        assert outcome[d.implementation, d.connection] == "", d.line()
+        outcome[d.implementation, d.connection] = f"{d.rule} {d.severity}"
+    assert outcome == {
+        ("pass_i@Stream(arg_named)", "through"): "",
+        ("pass_i@Stream(Bit(13))", "through"): "",
+        ("top_i", "same_alias"): "",
+        ("top_i", "alias_chain"): "",
+        ("top_i", "extract_alias"): "",
+        ("top_i", "named_arg_in"): "",
+        ("top_i", "named_arg_out"): "",
+        ("top_i", "inline_arg_in"): "R1 Warning",
+        ("top_i", "inline_arg_out"): "R1 Warning",
+        ("top_i", "two_inline"): "R1 Warning",
+        ("top_i", "two_decls"): "R1 Warning",
+        ("top_i", "duplicate_src_fan_named_o_2_in"): "",
+        ("top_i", "fan_named_0"): "",
+        ("top_i", "fan_named_1"): "",
+        ("top_i", "duplicate_src_fan_inline_o_2_in"): "",
+        ("top_i", "fan_inline_0"): "R1 Warning",
+        ("top_i", "fan_inline_1"): "R1 Warning",
+        ("top_i", "void_src_void_named_o_in"): "",
+        ("top_i", "void_src_void_inline_o_in"): "",
+        ("top_i", "loose"): "",
+        ("top_i", "loose_bad"): "R2 Error",
+        ("top_i", "bad"): "R1 Error",
+    }
