@@ -1,8 +1,11 @@
 """Post-sugaring design rule check.
 
 Rules enforced per connection of every non-external implementation:
-  R1  unmarked connections must resolve to the same type declaration; merely
-      structural equality is a warning, anything else an error
+  R1  unmarked connections must carry the very same evaluated type: what one
+      type declaration evaluated to, named by both ends through any aliases,
+      member extractions or template arguments, or one type written in place
+      that a template argument or an inserted duplicator or voider passes
+      on; merely structural equality is a warning, anything else an error
   R2  @NoStrictType@ connections must at least be structurally compatible
   R3  connections run source -> sink (a Self `in` port is a source inside
       its own implementation, an instance `out` port is a source)
@@ -19,7 +22,6 @@ from .errors import Span, as_span
 from .logical_types import types_compatible
 from .model import EvalState, Implementation, Project, end_display
 from .sugaring import end_role, usage_census
-from .type_eval import types_strictly_equal
 
 
 @dataclass(frozen=True)
@@ -70,18 +72,17 @@ def _check_implementation(pkg_name: str, impl: Implementation) -> list[DrcDiagno
                 report("Error", "R2", conn,
                        f"{src.display()} and {snk.display()} have incompatible "
                        "stream types", conn.span)
+        elif src.port.logical_type is snk.port.logical_type:
+            pass  # strict: one evaluated type at both ends
+        elif types_compatible(src.port.logical_type, snk.port.logical_type):
+            report("Warning", "R1", conn,
+                   f"{src.display()} and {snk.display()} are structurally "
+                   "compatible but do not name the same type declaration; "
+                   "add @NoStrictType@ to accept", conn.span)
         else:
-            if types_strictly_equal(src.port.type_terminal, snk.port.type_terminal):
-                pass
-            elif types_compatible(src.port.logical_type, snk.port.logical_type):
-                report("Warning", "R1", conn,
-                       f"{src.display()} and {snk.display()} are structurally "
-                       "compatible but do not name the same type declaration; "
-                       "add @NoStrictType@ to accept", conn.span)
-            else:
-                report("Error", "R1", conn,
-                       f"{src.display()} and {snk.display()} have incompatible "
-                       "stream types", conn.span)
+            report("Error", "R1", conn,
+                   f"{src.display()} and {snk.display()} have incompatible "
+                   "stream types", conn.span)
         # R3: direction
         if end_role(src) != "source":
             report("Error", "R3", conn,

@@ -20,8 +20,7 @@ in that scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .builder import StatementBuilder, substitute
 from .context import EvalContext
@@ -33,18 +32,14 @@ from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Port, Scope, ScopeRelationKind, Streamlet, TypeEntry,
                     Variable, resolve_name, resolve_ref)
 from .tree import AstNode
-from .type_eval import evaluate_type_terminal, force_type_entry
+from .type_eval import evaluate_type, force_type_entry
 from .values import (ArrayValue, BoolValue, ClockDomainValue, IntValue,
                      Value, format_value, mangle_text, variant_name)
 
-@dataclass
-class TemplateArg:
+
+class TemplateArg(NamedTuple):
     kind: str  # value | type | impl
-    mangle: str
-    value: Optional[Value] = None
-    logical_type: object = None
-    terminal: object = None
-    impl: Optional[Implementation] = None
+    value: object  # a Value, a LogicalType or an Implementation
 
 
 # -- streamlet evaluation ------------------------------------------------------
@@ -64,8 +59,7 @@ def evaluate_streamlet(ctx: EvalContext, s: Streamlet):
 
 def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
     path = scope.package.path
-    port.logical_type, port.type_terminal = evaluate_type_terminal(
-        ctx, scope, port.type_ast)
+    port.logical_type = evaluate_type(ctx, scope, port.type_ast)
     if not isinstance(port.logical_type, StreamType):
         raise TypeError_(
             f"port {port.name!r} must have a stream type, got "
@@ -337,8 +331,7 @@ def extract_member_type(ctx: EvalContext, scope: Scope, extract: AstNode):
         raise TydiError("resolution",
                         f"type member {member!r} not found in scope "
                         f"{owner_scope.name!r}", path, extract)
-    force_type_entry(ctx, entry)
-    return entry.evaluated, entry.terminal
+    return force_type_entry(ctx, entry)
 
 
 # -- template instantiation ----------------------------------------------------------
@@ -374,8 +367,7 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
             raise TypeError_(
                 f"template parameter {param.name!r} expects a logical type; "
                 "use the `type` keyword before the argument", path, arg_node)
-        lt, terminal = evaluate_type_terminal(ctx, scope, arg_node.children[0])
-        return TemplateArg("type", short_name(lt), logical_type=lt, terminal=terminal)
+        return TemplateArg("type", evaluate_type(ctx, scope, arg_node.children[0]))
     if param.kind == "impl":
         if arg_node.kind != "TemplateArgImpl":
             raise TypeError_(
@@ -395,7 +387,7 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
                 f"implementation {target.id!r} implements streamlet "
                 f"{target.streamlet.id!r}, but parameter {param.name!r} requires "
                 f"an implementation of {param.impl_of!r}", path, arg_node)
-        return TemplateArg("impl", target.id, impl=target)
+        return TemplateArg("impl", target)
     if arg_node.kind != "TemplateArgExp":
         raise TypeError_(
             f"template parameter {param.name!r} expects a {param.kind} value",
@@ -405,11 +397,19 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
         raise TypeError_(
             f"template parameter {param.name!r} expects {param.kind}, got "
             f"{variant_name(value)}", path, arg_node)
-    return TemplateArg("value", mangle_text(value), value=value)
+    return TemplateArg("value", value)
+
+
+def _mangle(arg: TemplateArg) -> str:
+    if arg.kind == "type":
+        return short_name(arg.value)
+    if arg.kind == "impl":
+        return arg.value.id
+    return mangle_text(arg.value)
 
 
 def mangled_name(template_id: str, args: list[TemplateArg]) -> str:
-    return template_id + "".join("@" + a.mangle for a in args)
+    return template_id + "".join("@" + _mangle(a) for a in args)
 
 
 def instantiate_template(ctx: EvalContext, template, args: list[TemplateArg]):
@@ -448,10 +448,9 @@ def _bind_args(scope: Scope, params, args: list[TemplateArg]):
         if arg.kind == "type":
             scope.types[param.name] = TypeEntry(
                 id=param.name, ast=None, scope=scope,
-                state=EvalState.EVALUATED, evaluated=arg.logical_type,
-                terminal=arg.terminal)
+                state=EvalState.EVALUATED, evaluated=arg.value)
         elif arg.kind == "impl":
-            scope.impl_args[param.name] = arg.impl
+            scope.impl_args[param.name] = arg.value
         else:
             scope.variables[param.name] = Variable(
                 id=param.name, scope=scope, declared_kind=variant_name(arg.value),

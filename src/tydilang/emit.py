@@ -260,7 +260,7 @@ class _Level:
         pad = "\n" + "  " * depth
         self.inner = pad + "  "  # starts each line of a member
         self.heads: dict[str, tuple[str, str]] = {}  # key -> (later, first)
-        self.types: dict[int, str] = {}  # id(type) -> its text at this depth
+        self.types: dict[object, str] = {}  # type -> its text at this depth
         self.open_list, self.next_item = "[" + self.inner, "," + self.inner
         self.close_dict, self.close_list = pad + "}", pad + "]"
 
@@ -302,11 +302,11 @@ def _write(out: list[str], levels: _Levels, value, depth: int) -> None:
         out.append(level.close_dict)
     elif isinstance(value, _LOGICAL_TYPES):
         memo = levels[depth].types
-        text = memo.get(id(value))
+        text = memo.get(value)
         if text is None:
             start = len(out)
             _write(out, levels, _type_json(value), depth)
-            text = memo[id(value)] = "".join(out[start:])
+            text = memo[value] = "".join(out[start:])
             del out[start:]
         out.append(text)
     elif isinstance(value, list):

@@ -2,11 +2,17 @@
 
 Aliases and template placeholders exist only in the unevaluated (AST) world;
 evaluation resolves them away, so the classes here are always concrete.
+They are frozen: `type_eval` builds each one once, complete. A group, union
+or stream is compared by identity (`==` and `hash` are the object's own), and
+that identity is what strict typing compares: every alias, member extraction
+and template argument of a declaration passes on the one object the
+declaration evaluated to, while a type written in place is a fresh object
+each time it is evaluated. `types_compatible` is the structural comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import TypeError_
@@ -39,21 +45,21 @@ class BitType:
     width: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GroupType:
     name: str
     scope: "Scope"
-    fields: list[tuple[str, "LogicalType"]] = field(default_factory=list)
+    fields: tuple[tuple[str, "LogicalType"], ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class UnionType:
     name: str
     scope: "Scope"
-    fields: list[tuple[str, "LogicalType"]] = field(default_factory=list)
+    fields: tuple[tuple[str, "LogicalType"], ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamProperties:
     dimension: int = 0
     user: "LogicalType" = NULL
@@ -70,11 +76,11 @@ class StreamProperties:
                 f"direction={self.direction}, keep={'true' if self.keep else 'false'}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StreamType:
     name: Optional[str]  # the id this Stream(...) expression was declared under
     element: "LogicalType" = NULL
-    properties: StreamProperties = field(default_factory=StreamProperties)
+    properties: StreamProperties = StreamProperties()
 
 
 LogicalType = object  # NullType | BitType | GroupType | UnionType | StreamType

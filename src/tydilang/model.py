@@ -97,7 +97,6 @@ class TypeEntry:
     state: EvalState = EvalState.NOT_INFERRED
     evaluated: object = None  # LogicalType
     error: Optional[TydiError] = None
-    terminal: object = None  # declaration identity used by strict type checks
 
     def label(self) -> str:
         owner = self.scope.name if self.scope else "?"
@@ -122,7 +121,6 @@ class Port:
     # evaluated:
     state: EvalState = EvalState.NOT_INFERRED
     logical_type: object = None
-    type_terminal: object = None  # strictness identity (TypeEntry or LogicalType)
     array_size: Optional[int] = None
     clockdomain: Optional[Value] = None
 

@@ -14,7 +14,6 @@ from typing import NamedTuple, Optional
 from .context import EvalContext
 from .elaboration import TemplateArg, instantiate_template
 from .errors import TydiError
-from .logical_types import short_name
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Port, Project)
 from .stdlib import PRELUDE_PACKAGE
@@ -137,12 +136,6 @@ def _std_template(project: Project, name: str) -> Implementation:
     return template
 
 
-def _type_arg(port: Port) -> TemplateArg:
-    return TemplateArg("type", short_name(port.logical_type),
-                       logical_type=port.logical_type,
-                       terminal=port.type_terminal)
-
-
 def sugar_implementation(ctx: EvalContext, project: Project,
                          impl: Implementation) -> None:
     """Rewrite one implementation so every port end is singly connected."""
@@ -164,8 +157,8 @@ def _insert_duplicator(ctx, project, impl, usage: PortUsage, uses):
     k = usage.use_count
     template = _std_template(project, DUPLICATOR_IMPL)
     dup_impl = instantiate_template(
-        ctx, template, [_type_arg(usage.port), TemplateArg("value", str(k),
-                                                           value=IntValue(k))])
+        ctx, template, [TemplateArg("type", usage.port.logical_type),
+                        TemplateArg("value", IntValue(k))])
     gen_name = _unique_name(impl, _sanitize(f"duplicate_{_end_path_name(usage)}_{k}"))
     inst = Instance(name=gen_name, target=dup_impl, state=EvalState.EVALUATED)
     impl.scope.instances[gen_name] = inst
@@ -183,7 +176,8 @@ def _insert_duplicator(ctx, project, impl, usage: PortUsage, uses):
 
 def _insert_voider(ctx, project, impl, usage: PortUsage):
     template = _std_template(project, VOIDER_IMPL)
-    void_impl = instantiate_template(ctx, template, [_type_arg(usage.port)])
+    void_impl = instantiate_template(
+        ctx, template, [TemplateArg("type", usage.port.logical_type)])
     gen_name = _unique_name(impl, _sanitize(f"void_{_end_path_name(usage)}"))
     inst = Instance(name=gen_name, target=void_impl, state=EvalState.EVALUATED)
     impl.scope.instances[gen_name] = inst

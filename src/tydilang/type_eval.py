@@ -2,16 +2,18 @@
 
 Every type entry evaluates at most once. One function, `evaluate_type`,
 evaluates every logical-type expression: of a type entry, a port, a
-template argument or a stream's element. It returns the type and the
-*terminal*: the declaration that a named type or a member extraction
-names, through any alias chain. Strict type checking compares terminals,
-while compatibility is the structural comparison from `logical_types`.
-Named types resolve through `model.resolve_ref`.
+template argument or a stream's element. A named type or a member
+extraction evaluates to the very object its declaration evaluated to,
+through any alias chain, and a type written in place to a fresh object, so
+strict type checking compares objects by identity; compatibility is the
+structural comparison from `logical_types`. Each type is built once, when
+its fields or properties are all known. Named types resolve through
+`model.resolve_ref`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from .context import EvalContext
 from .errors import TypeError_
@@ -35,19 +37,17 @@ _PROPERTY_KEYS = {
 
 
 def force_type_entry(ctx: EvalContext, entry: TypeEntry):
-    """Evaluate a type entry once; returns the evaluated LogicalType. Its
-    terminal is the declaration its expression names, or else the entry."""
+    """Evaluate a type entry once; returns the evaluated LogicalType."""
     if entry.state is EvalState.EVALUATED:
         return entry.evaluated
     if entry.state is EvalState.ERROR:
         raise entry.error
     with ctx.evaluating(entry):
         if entry.own_scope is not None:  # a group or union the builder built
-            entry.evaluated, terminal = _evaluate_group(ctx, entry), None
+            entry.evaluated = _evaluate_group(ctx, entry)
         else:
-            entry.evaluated, terminal = evaluate_type(ctx, entry.scope, entry.ast,
-                                                      declared_name=entry.id)
-        entry.terminal = entry if terminal is None else terminal
+            entry.evaluated = evaluate_type(ctx, entry.scope, entry.ast,
+                                            declared_name=entry.id)
     return entry.evaluated
 
 
@@ -56,28 +56,20 @@ def _evaluate_group(ctx: EvalContext, entry: TypeEntry):
     name = group_ast.children[0].leaf_text
     scope = entry.own_scope
     cls = GroupType if group_ast.kind == "LogicalGroupType" else UnionType
-    result = cls(name=name, scope=scope)
-    for fname in entry.field_names:
-        fentry = scope.types[fname]
-        result.fields.append((fname, force_type_entry(ctx, fentry)))
+    fields = tuple((fname, force_type_entry(ctx, scope.types[fname]))
+                   for fname in entry.field_names)
     from .elaboration import check_assertion
     for a in entry.asserts:
         check_assertion(ctx, scope, a)
-    return result
-
-
-def evaluate_type_terminal(ctx: EvalContext, scope: Scope, type_node: AstNode):
-    """A port's or template argument's type and the identity strict type
-    checks compare: the declaration it names, or else its value."""
-    evaluated, terminal = evaluate_type(ctx, scope, type_node)
-    return evaluated, evaluated if terminal is None else terminal
+    return cls(name=name, scope=scope, fields=fields)
 
 
 def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
                   declared_name: Optional[str] = None):
-    """Evaluate a logical-type expression to a concrete LogicalType and its
-    terminal: the declaration a named type or a member extraction names
-    (through any alias chain), or None for a type written out in place.
+    """Evaluate a logical-type expression to a concrete LogicalType: the
+    object its declaration evaluated to for a named type or a member
+    extraction (through any alias chain), a new one for a type written out
+    in place.
 
     `declared_name` names the stream when the expression sits directly under
     a `type x = Stream(...)` declaration; inline streams stay anonymous.
@@ -86,13 +78,12 @@ def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
     path = scope.package.path
     kind = inner.kind
     if kind == "LogicalUserDefinedType":
-        entry = resolve_ref(ctx.project, scope, inner, "type")
-        return force_type_entry(ctx, entry), entry.terminal
+        return force_type_entry(ctx, resolve_ref(ctx.project, scope, inner, "type"))
     if kind == "LogicalTypeExtract":
         from .elaboration import extract_member_type
         return extract_member_type(ctx, scope, inner)
     if kind == "LogicalNullType":
-        return NULL, None
+        return NULL
     if kind == "LogicalBitType":
         width = evaluate_expression(ctx, scope, inner.children[0])
         if not isinstance(width, IntValue):
@@ -101,9 +92,9 @@ def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
         if width.value < 1:
             raise TypeError_(f"Bit width must be at least 1, got {width.value}",
                              path, inner)
-        return BitType(width.value), None
+        return BitType(width.value)
     if kind == "LogicalStreamType":
-        return _evaluate_stream(ctx, scope, inner, declared_name), None
+        return _evaluate_stream(ctx, scope, inner, declared_name)
     # a group or union, the last kinds of logical type the parser makes
     raise TypeError_(
         "inline group/union types must be declared with their own `type` "
@@ -113,56 +104,46 @@ def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
 def _evaluate_stream(ctx: EvalContext, scope: Scope, stream_node: AstNode,
                      declared_name: Optional[str]) -> StreamType:
     path = scope.package.path
-    element, _ = evaluate_type(ctx, scope, stream_node.children[0])
-    props = StreamProperties()
+    element = evaluate_type(ctx, scope, stream_node.children[0])
+    props: dict[str, Any] = {}
     for child in stream_node.children[1:]:
         key = _PROPERTY_KEYS[child.kind]
         if key == "user":
-            user, _ = evaluate_type(ctx, scope, child.children[0])
+            user = evaluate_type(ctx, scope, child.children[0])
             if isinstance(user, StreamType):
                 raise TypeError_("stream user type must not be a stream",
                                  path, child)
-            props.user = user
+            props[key] = user
             continue
         value = evaluate_expression(ctx, scope, child.children[0])
         if key == "dimension":
             if not isinstance(value, IntValue) or value.value < 0:
                 raise TypeError_("dimension must be a non-negative int", path, child)
-            props.dimension = value.value
         elif key == "throughput":
             if isinstance(value, IntValue):
                 value = FloatValue(float(value.value))
             if not isinstance(value, FloatValue) or value.value < 0:
                 raise TypeError_("throughput must be a non-negative number",
                                  path, child)
-            props.throughput = value.value
         elif key == "synchronicity":
             if not isinstance(value, StrValue) or value.value not in SYNCHRONICITY_VALUES:
                 raise TypeError_(
                     f"synchronicity must be one of {'/'.join(SYNCHRONICITY_VALUES)}",
                     path, child)
-            props.synchronicity = value.value
         elif key == "complexity":
             if not isinstance(value, IntValue) or not 1 <= value.value <= 7:
                 raise TypeError_(
                     f"complexity must be an int in [1, 7], got "
                     f"{value.value if isinstance(value, IntValue) else variant_name(value)}",
                     path, child)
-            props.complexity = value.value
         elif key == "direction":
             if not isinstance(value, StrValue) or value.value not in DIRECTION_VALUES:
                 raise TypeError_(
                     f"direction must be one of {'/'.join(DIRECTION_VALUES)}",
                     path, child)
-            props.direction = value.value
         elif key == "keep":
             if not isinstance(value, BoolValue):
                 raise TypeError_("keep must be a bool", path, child)
-            props.keep = value.value
-    return StreamType(name=declared_name, element=element, properties=props)
-
-
-def types_strictly_equal(terminal_a, terminal_b) -> bool:
-    """Identity of definition: both references resolve, through aliases, to
-    the same declaration (or to the very same inline type value)."""
-    return terminal_a is not None and terminal_a is terminal_b
+        props[key] = value.value
+    return StreamType(name=declared_name, element=element,
+                      properties=StreamProperties(**props))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,7 @@ from tydilang.errors import TydiError
 from tydilang.logical_types import (NULL, BitType, GroupType, StreamType,
                                     bit_width, data_type_display, short_name,
                                     types_compatible)
-from tydilang.type_eval import force_type_entry, types_strictly_equal
+from tydilang.type_eval import force_type_entry
 
 from conftest import evaluated_project, project_of
 
@@ -204,15 +206,13 @@ def _ports(project, streamlet):
 def test_same_alias_is_strictly_equal():
     project, _ = evaluated_project("package p;" + SHARED)
     ports = _ports(project, "s")
-    assert types_strictly_equal(ports["input"].type_terminal,
-                                ports["output"].type_terminal)
+    assert ports["input"].logical_type is ports["output"].logical_type
 
 
 def test_two_inline_streams_are_not_strictly_equal():
     project, _ = evaluated_project("package p;" + SHARED)
     ports = _ports(project, "s2")
-    assert not types_strictly_equal(ports["input"].type_terminal,
-                                    ports["output"].type_terminal)
+    assert ports["input"].logical_type is not ports["output"].logical_type
     assert types_compatible(ports["input"].logical_type,
                             ports["output"].logical_type)
 
@@ -225,7 +225,7 @@ def test_alias_chain_is_strictly_equal_to_target():
     types = project.packages["p"].scope.types
     for entry in types.values():
         force_type_entry(ctx, entry)
-    assert types_strictly_equal(types["a"].terminal, types["c"].terminal)
+    assert types["a"].evaluated is types["c"].evaluated
 
 
 def test_strictly_equal_implies_compatible():
@@ -233,6 +233,48 @@ def test_strictly_equal_implies_compatible():
     ports = _ports(project, "s")
     assert types_compatible(ports["input"].logical_type,
                             ports["output"].logical_type)
+
+
+def test_evaluated_types_are_frozen():
+    project, _ = evaluated_project(
+        "package p;\n"
+        "type Group g { a: Bit(4), };\n"
+        "type Union u { a: Bit(4), };\n"
+        "type s = Stream(g, d=1, u=u);\n")
+    types = project.packages["p"].scope.types
+    stream = types["s"].evaluated
+    for t, name, value in ((types["g"].evaluated, "fields", ()),
+                           (types["u"].evaluated, "name", "v"),
+                           (stream, "element", NULL),
+                           (stream.properties, "dimension", 2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, value)
+    assert stream.properties.dimension == 1
+
+
+def test_same_named_groups_of_two_packages_are_distinct_but_compatible():
+    group = "type Group pair { a: Bit(4), b: Bit(2), };\n"
+    project, _ = evaluated_project("package p1;\n" + group,
+                                   "package p2;\n" + group)
+    one, two = (project.packages[p].scope.types["pair"].evaluated
+                for p in ("p1", "p2"))
+    assert (one.name, one.fields) == (two.name, two.fields)
+    assert one != two and hash(one) != hash(two)
+    assert types_compatible(one, two)
+
+
+def test_alias_evaluates_to_the_object_of_its_target():
+    project, ctx = evaluated_project(
+        "package p;\n"
+        "type Group g { a: Bit(4), };\n"
+        "type s = Stream(g);\n"
+        "type s2 = s;\ntype s3 = s2;\ntype g2 = g;\n")
+    types = project.packages["p"].scope.types
+    for entry in types.values():
+        force_type_entry(ctx, entry)
+    assert types["s3"].evaluated is types["s2"].evaluated is types["s"].evaluated
+    assert types["g2"].evaluated is types["g"].evaluated
+    assert types["s"].evaluated.element is types["g"].evaluated
 
 
 def test_compatibility_is_structural():
