@@ -121,8 +121,6 @@ def _not_inferred(pkg: Package, node: Optional[AstNode]) -> str:
 def _dump_variable(w: _Writer, var: Variable, pkg: Package):
     if var.state is EvalState.EVALUATED:
         w.line(f"{var.id}:{format_value(var.value)}")
-    elif var.state is EvalState.ERROR:
-        w.line(f"{var.id}:EvaluationError({var.error.message!r})")
     elif not var.is_magic:
         w.line(f'{var.id}:{var.declared_kind or "UnknownType"}'
                f'({_not_inferred(pkg, var.expr_ast)})')
@@ -137,9 +135,6 @@ def _dump_variable(w: _Writer, var: Variable, pkg: Package):
 
 
 def _dump_type_entry(w: _Writer, entry: TypeEntry, pkg: Package):
-    if entry.state is EvalState.ERROR:
-        w.line(f"{entry.id}:EvaluationError({entry.error.message!r})")
-        return
     if entry.state is EvalState.EVALUATED:
         _dump_evaluated_type(w, entry.id, entry.evaluated, entry.own_scope)
         return
@@ -164,10 +159,7 @@ def _dump_evaluated_type(w: _Writer, label: str, t, own_scope):
 
 def _dump_unevaluated_type(w: _Writer, entry: TypeEntry, pkg: Package):
     ast = entry.ast
-    inner = ast.children[0] if ast is not None and ast.kind == "LogicalType" else ast
-    if inner is None:
-        w.line(f"{entry.id}:UnknownType(NotInferred(\"\"))")
-        return
+    inner = ast.children[0] if ast.kind == "LogicalType" else ast
     kind = inner.kind
     if kind in ("LogicalGroupType", "LogicalUnionType"):
         tag = "DataGroup" if kind == "LogicalGroupType" else "DataUnion"
@@ -263,8 +255,6 @@ def _impl_streamlet_text(impl: Implementation) -> str:
     if impl.derived_from is not None:
         return _not_inferred(pkg, impl.derived_from)
     of = impl.of_ast
-    if of is None:
-        return _not_inferred(pkg, None)
     if of.kind == "TemplateInstance":
         base = of.children[0]
         base_name = base.leaf_text if base.kind == "ID" else \

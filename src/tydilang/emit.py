@@ -81,9 +81,6 @@ def _stamp(impl: Implementation) -> _Stamp:
     slots = {}  # (instance name, element index) -> slot
     for inst_name in sorted(impl.instances):
         inst = impl.instances[inst_name]
-        if inst.target is None:
-            raise TydiError("resolution",
-                            f"instance {inst_name!r} of {impl.id!r} is unresolved")
         for i in [None] if inst.array_size is None else range(inst.array_size):
             children.append(("__" + _segment(inst_name, i), inst.target))
             slots[inst_name, i] = len(children)
@@ -158,23 +155,21 @@ def _type_json(t):
     if isinstance(t, UnionType):
         return {"kind": "union", "name": t.name,
                 "fields": [{"name": n, "type": _type_json(ft)} for n, ft in t.fields]}
-    if isinstance(t, StreamType):
-        p = t.properties
-        return {
-            "kind": "stream",
-            "name": stream_display_name(t),
-            "element": _type_json(t.element),
-            "properties": {
-                "dimension": p.dimension,
-                "user": _type_json(p.user),
-                "throughput": float(format_float(p.throughput)),
-                "synchronicity": p.synchronicity,
-                "complexity": p.complexity,
-                "direction": p.direction,
-                "keep": p.keep,
-            },
-        }
-    raise TydiError("type", f"cannot serialize type {t!r}")
+    p = t.properties  # a StreamType
+    return {
+        "kind": "stream",
+        "name": stream_display_name(t),
+        "element": _type_json(t.element),
+        "properties": {
+            "dimension": p.dimension,
+            "user": _type_json(p.user),
+            "throughput": float(format_float(p.throughput)),
+            "synchronicity": p.synchronicity,
+            "complexity": p.complexity,
+            "direction": p.direction,
+            "keep": p.keep,
+        },
+    }
 
 
 def _port_json(port: Port):
@@ -328,9 +323,7 @@ def _write(out: list[str], levels: _Levels, value, depth: int) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, float):
+    else:  # a float
         text = float.__repr__(value)
         out.append(_NON_FINITE.get(text, text))
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} as JSON")
 

@@ -96,9 +96,7 @@ def bit_width(t: LogicalType) -> int:
         return sum(bit_width(ft) for _, ft in t.fields)
     if isinstance(t, UnionType):
         return max((bit_width(ft) for _, ft in t.fields), default=0)
-    if isinstance(t, StreamType):
-        raise TypeError_("bit_width is undefined for stream types")
-    raise TypeError_(f"bit_width is undefined for {t!r}")
+    raise TypeError_("bit_width is undefined for stream types")
 
 
 def types_compatible(a: LogicalType, b: LogicalType) -> bool:
@@ -114,17 +112,15 @@ def types_compatible(a: LogicalType, b: LogicalType) -> bool:
             return False
         return all(an == bn and types_compatible(at, bt)
                    for (an, at), (bn, bt) in zip(a.fields, b.fields))
-    if isinstance(a, StreamType):
-        pa, pb = a.properties, b.properties
-        return (types_compatible(a.element, b.element)
-                and pa.dimension == pb.dimension
-                and types_compatible(pa.user, pb.user)
-                and pa.throughput == pb.throughput
-                and pa.synchronicity == pb.synchronicity
-                and pa.complexity == pb.complexity
-                and pa.direction == pb.direction
-                and pa.keep == pb.keep)
-    return False
+    pa, pb = a.properties, b.properties  # two StreamTypes
+    return (types_compatible(a.element, b.element)
+            and pa.dimension == pb.dimension
+            and types_compatible(pa.user, pb.user)
+            and pa.throughput == pb.throughput
+            and pa.synchronicity == pb.synchronicity
+            and pa.complexity == pb.complexity
+            and pa.direction == pb.direction
+            and pa.keep == pb.keep)
 
 
 def data_type_display(t: LogicalType) -> str:
@@ -137,9 +133,7 @@ def data_type_display(t: LogicalType) -> str:
         return f"DataGroup({t.name})"
     if isinstance(t, UnionType):
         return f"DataUnion({t.name})"
-    if isinstance(t, StreamType):
-        return f"Stream({stream_display_name(t)})"
-    return repr(t)
+    return f"Stream({stream_display_name(t)})"
 
 
 def short_name(t: LogicalType) -> str:
@@ -150,9 +144,7 @@ def short_name(t: LogicalType) -> str:
         return f"Bit({t.width})"
     if isinstance(t, (GroupType, UnionType)):
         return t.name
-    if isinstance(t, StreamType):
-        return f"Stream({stream_display_name(t)})"
-    raise TypeError_(f"type has no name form: {t!r}")
+    return f"Stream({stream_display_name(t)})"
 
 
 def stream_display_name(t: StreamType) -> str:

@@ -334,13 +334,9 @@ def resolve_name(start_scope: Scope, name: str, category: str,
     allowed = TRAVERSABLE[category]
     attr = _CATEGORY_MAPS[category]
     searched: list[str] = []
-    seen: set[int] = set()
     stack = [start_scope]
     while stack:
         scope = stack.pop()
-        if id(scope) in seen:
-            continue
-        seen.add(id(scope))
         if scope.category != "iffor":
             searched.append(scope.name)
         table = getattr(scope, attr)

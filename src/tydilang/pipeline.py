@@ -2,7 +2,8 @@
 
 Stages run one after another on the calling thread; artifacts are written as
 soon as their stage completes, so everything produced before a failure
-survives it. An input nested deeper than the Python stack allows fails with
+survives it. An artifact that cannot be written ends the compile with an
+`io` diagnostic. An input nested deeper than the Python stack allows fails with
 a "nesting too deep while <stage>" diagnostic. `CompileConfig.jobs` is
 validated but has no effect: every artifact is the same for any value.
 """
@@ -196,16 +197,22 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
     source_texts = dict(sources)
     stage = "parsing"
     try:
-        for stage in _stages(config, result, sources, source_texts):
-            pass
-    except RecursionError:
-        # the AST dumps and the stages after evaluation recurse once per
-        # nesting level, so a deep enough input exhausts the Python stack;
-        # parsing and evaluation report that at the file themselves
-        result.diagnostics.append(Diagnostic(
-            "syntax" if stage == "parsing" else "resolution",
-            f"nesting too deep while {stage}"))
-        _finish_with_errors(config, result, source_texts)
+        try:
+            for stage in _stages(config, result, sources, source_texts):
+                pass
+        except RecursionError:
+            # the AST dumps and the stages after evaluation recurse once per
+            # nesting level, so a deep enough input exhausts the Python stack;
+            # parsing and evaluation report that at the file themselves
+            result.diagnostics.append(Diagnostic(
+                "syntax" if stage == "parsing" else "resolution",
+                f"nesting too deep while {stage}"))
+            _finish_with_errors(config, result, source_texts)
+    except OSError as e:
+        # an artifact could not be written: an io error, like an unreadable
+        # input, and no error report is tried where that write failed
+        result.diagnostics.append(Diagnostic("io", str(e)))
+        result.exit_code = 2
     return result
 
 
@@ -241,12 +248,7 @@ def _stages(config: CompileConfig, result: CompileResult,
     _write(config, result, "2_evaluation_output.txt", dump_code_structure(project))
 
     yield "sugaring"
-    try:
-        sugar_project(ctx, project)
-    except TydiError as e:
-        result.diagnostics.append(e.diagnostic)
-        _finish_with_errors(config, result, source_texts)
-        return
+    sugar_project(ctx, project)
     _write(config, result, "2_evaluation_output_after_sugaring.txt",
            dump_code_structure(project))
 
@@ -259,22 +261,17 @@ def _stages(config: CompileConfig, result: CompileResult,
             result.exit_code = 1
 
     yield "emitting"
-    try:
-        if config.emit_dot:
-            if config.top is None:
-                result.diagnostics.append(Diagnostic(
-                    "usage", "--dot requires --top <package.impl>"))
-                result.exit_code = 2
-                return
-            pkg_name, _, impl_name = config.top.partition(".")
-            circuit = flatten(project, pkg_name, impl_name)
-            _write(config, result, "circuit.dot", emit_dot(circuit))
-        if config.emit_ir:
-            _write(config, result, "ir.json", emit_ir(project))
-    except TydiError as e:
-        result.diagnostics.append(e.diagnostic)
-        _finish_with_errors(config, result, source_texts)
-        return
+    if config.emit_dot:
+        if config.top is None:
+            result.diagnostics.append(Diagnostic(
+                "usage", "--dot requires --top <package.impl>"))
+            result.exit_code = 2
+            return
+        pkg_name, _, impl_name = config.top.partition(".")
+        circuit = flatten(project, pkg_name, impl_name)
+        _write(config, result, "circuit.dot", emit_dot(circuit))
+    if config.emit_ir:
+        _write(config, result, "ir.json", emit_ir(project))
 
 
 def _write_ast_dumps(config: CompileConfig, result: CompileResult,

@@ -1,6 +1,9 @@
 import os
 
+import pytest
+
 from tydilang.cli import main
+from tydilang.pipeline import CompileConfig
 
 from conftest import DATA_DIR
 
@@ -204,6 +207,8 @@ def test_ast_dump_stem_collision_resolved(tmp_path):
 def test_jobs_zero_is_usage_error(tmp_path):
     src = write_sources(tmp_path, {"x.td": "package p;"})
     assert main([str(src), "--jobs", "0", "--output", str(tmp_path / "b")]) == 2
+    with pytest.raises(ValueError):
+        CompileConfig(inputs=[], jobs=0)
 
 
 def test_non_utf8_source_is_io_error(tmp_path, capsys):
@@ -214,6 +219,25 @@ def test_non_utf8_source_is_io_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"[io] {bad}: not valid UTF-8"), err
     assert not out.exists()
+
+
+def test_unwritable_artifact_is_io_error(tmp_path, capsys):
+    """An artifact that cannot be written ends the compile with an io error
+    and exit 2, keeps what was written, and tries no error report there."""
+    src = write_sources(tmp_path, {"x.td": "package p;"})
+    not_a_dir = tmp_path / "notadir"
+    not_a_dir.write_text("")
+    assert main([str(src), "--output", str(not_a_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[io] [Errno 20] Not a directory:"), err
+
+    out = tmp_path / "b"
+    (out / "1_parser_output.txt").mkdir(parents=True)
+    assert main([str(src), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[io] [Errno 21] Is a directory:"), err
+    assert sorted(os.listdir(out)) == ["0_ast", "1_parser_output.txt"]
+    assert (out / "0_ast" / "x.txt").is_file()
 
 
 def test_default_project_name_is_output_parent():

@@ -103,6 +103,20 @@ def test_pre_evaluation_dump_escapes_source_text():
     assert r'i:Port(VarType(t),in) `NotInferred("\"slow\"")' in lines
 
 
+def test_qualified_template_streamlet_dump():
+    """An implementation of another package's template streamlet: before
+    evaluation, its qualified name and raw arguments; after, the mangled
+    name of the instance, with a float and a bool argument."""
+    result = compile_texts(
+        "package p;\nimport lib;\ntype n = Null;\nimpl x of lib.t_s<1.5, true> { };\n",
+        "package lib;\nstreamlet t_s<f: float, b: bool> { };\n")
+    parsed, evaluated = ({line.strip() for line in result.artifacts[name].splitlines()}
+                         for name in ("1_parser_output.txt", "2_evaluation_output.txt"))
+    assert "n:DataNull" in parsed
+    assert "Implement(x)<NormalImplement> -> ProxyStreamlet(lib.t_s<@1.5,@true>){" in parsed
+    assert "Implement(x)<NormalImplement> -> Streamlet(t_s@1.5@true){" in evaluated
+
+
 def test_pre_evaluation_stream_block():
     project = project_of(
         "package tpch;\n"

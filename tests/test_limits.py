@@ -28,15 +28,25 @@ def backward_chain(depth: int) -> str:
             + f"const c{depth} = 0;\n")
 
 
+def nested_groups(depth: int) -> str:
+    """`g00001` has a field of type `g00000`, and so on up to `g<depth-1>`.
+    The names sort leaf first, so each group evaluates from memoized fields,
+    and only the IR of the outermost group nests `depth` deep."""
+    return ("package p;\ntype Group g00000 { f: Bit(1), };\n"
+            + "".join(f"type Group g{k:05d} {{ f: g{k - 1:05d}, }};\n"
+                      for k in range(1, depth)))
+
+
 @pytest.mark.parametrize("source, in_file, line", [
     (nested_parentheses(DEPTH), True, "[syntax] nesting too deep while parsing"),
     (backward_chain(DEPTH), True, "[resolution] nesting too deep while evaluating"),
-], ids=["parentheses", "constant_chain"])
+    (nested_groups(1000), False, "[resolution] nesting too deep while emitting"),
+], ids=["parentheses", "constant_chain", "group_ir"])
 def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, source, in_file, line):
     src = tmp_path / "deep.td"
     src.write_text(source, encoding="utf-8")
     out = tmp_path / "build"
-    assert main([str(src), "--output", str(out)]) == 1
+    assert main([str(src), "--ir", "--output", str(out)]) == 1
     where = str(src) if in_file else "<project>"
     assert (out / "error_report.txt").read_text() == f"{where}: {line}\n"
     assert capsys.readouterr().err.splitlines()[0] == line

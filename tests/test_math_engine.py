@@ -114,6 +114,7 @@ def test_log_forms():
     assert eval_const("ceil(log2(31))") == IntValue(5)
     assert eval_const("log 2 (8)") == FloatValue(3.0)
     assert eval_const("log10(1000.0)") == FloatValue(3.0)
+    assert eval_const("round(log3(81))") == IntValue(4)
     assert "positive" in eval_error("log2(0)")
     assert "base" in eval_error("log 1 (5)")
 

@@ -170,13 +170,16 @@ LEXER_DIAGNOSTICS = [
      "consecutive underscores are not allowed in identifier 'a__b'", b"a__b"),
     ('package p;\nimpl i of s { process { "}" /* } */ {',
      "unterminated process block", b'{ "}" /* } */ {'),
+    ('package p;\nimpl i of s { process { "}',
+     "unterminated process block", b'{ "}'),
 ]
 
 
 @pytest.mark.parametrize("source, message, span_bytes", LEXER_DIAGNOSTICS, ids=[
     "block_comment", "doc_string", "string_at_newline", "string_at_eof",
     "escape", "escape_at_eof", "number_12ab", "number_1.5x", "character",
-    "non_ascii_character", "double_underscore", "process_block"])
+    "non_ascii_character", "double_underscore", "process_block",
+    "process_block_string"])
 def test_lexer_diagnostic_is_pinned(source, message, span_bytes):
     with pytest.raises(SyntaxDiagnosticError) as exc:
         tokenize(source, "pin.td")
@@ -195,6 +198,12 @@ EVERY_TOKEN_CLASS = (
     '{{ }} @NoStrictType@ => == != <= >= << >> && ||\n'
     'impl i of s { process { if (x == "}{") { send(x); } // }\n'
     '  /* { */ }, };\n')
+
+
+def test_reprs_show_kind_and_span():
+    """A failing assertion prints a token or a node on one short line."""
+    assert repr(tokenize("package p;")[0]) == "Token('ID', 'package', 0-7)"
+    assert repr(parse_file("package p;").ast) == "AstNode(Package, 0-10)"
 
 
 def test_token_stream_is_pinned():

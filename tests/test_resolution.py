@@ -97,6 +97,14 @@ def test_not_found_error_names_searched_scopes():
     assert "group_g" in exc.value.message and "package_p" in exc.value.message
 
 
+def test_scope_repr_is_its_name():
+    """Not the dataclass repr, which would print every scope it reaches."""
+    outer = Scope("package_p", "package")
+    inner = Scope("group_g", "group")
+    inner.add_relation(ScopeRelationKind.GROUP, outer)
+    assert repr(inner) == "Scope(group_g)"
+
+
 def test_resolve_name_leaves_no_garbage():
     """A lookup builds no closure or other reference cycle: with the collector
     off, 1,000 hits and misses leave nothing for it to collect."""

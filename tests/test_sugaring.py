@@ -177,6 +177,23 @@ def test_unused_instance_output_gets_voider():
     assert conn.source.key() == ("l", None, "output", None)
 
 
+def test_inserted_names_are_sanitized_and_unique():
+    """An inserted component's name has no `__`, and a name already taken
+    gets the first free numeric suffix."""
+    project, _ = sugared(
+        "package p;" + BASE +
+        "streamlet top_s { input: rgb_stream in, };\n"
+        "impl top_i of top_s {\n"
+        "  instance l_(leaf_i),\n  instance void_l_output(leaf_i),\n"
+        "  input => l_.input,\n"
+        "};\n")
+    impl = project.packages["p"].scope.implements["top_i"]
+    feeds = {c.sink.owner_name: c.source.key() for c in impl.connections
+             if c.sink.owner_name and c.sink.owner_name.startswith("void_")}
+    assert feeds == {"void_l_output_2": ("l_", None, "output", None),
+                     "void_void_l_output_output": ("void_l_output", None, "output", None)}
+
+
 def test_inserted_feeds_keep_the_instance_index():
     """The dump names the element of an instance array that feeds a
     duplicator or a voider."""

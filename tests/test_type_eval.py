@@ -72,6 +72,8 @@ def test_stream_properties_full():
     p = entry.evaluated.properties
     assert (p.dimension, p.throughput, p.synchronicity, p.complexity,
             p.direction, p.keep) == (5, 2.5, "Desync", 3, "Reverse", True)
+    p = eval_type("type s = Stream(Bit(8), t = 2);", "s").evaluated.properties
+    assert type(p.throughput) is float and p.throughput == 2.0
 
 
 def test_user_type_must_not_be_stream():
@@ -94,8 +96,8 @@ def test_negative_bit_width_rejected():
 
 def test_group_fields_evaluate_in_group_scope():
     entry = eval_type(
-        "type Group rgb {\n  const x = 8,\n  r: Bit(x),\n  g: Bit(x),\n  b: Bit(x),\n};",
-        "rgb")
+        "type Group rgb {\n  const x = 8,\n  type c = Bit(x),\n  r: c,\n  g: Bit(x),\n"
+        "  b: Bit(x),\n};", "rgb")
     assert [w.width for _, w in entry.evaluated.fields] == [8, 8, 8]
 
 
@@ -287,8 +289,10 @@ def test_group_compatibility_requires_same_name_order():
     a = GroupType("g1", None, [("a", BitType(4)), ("b", BitType(4))])
     b = GroupType("g2", None, [("b", BitType(4)), ("a", BitType(4))])
     c = GroupType("g3", None, [("a", BitType(4)), ("b", BitType(4))])
+    d = GroupType("g4", None, [("a", BitType(4))])
     assert not types_compatible(a, b)
     assert types_compatible(a, c)
+    assert not types_compatible(a, d)
 
 
 def test_stream_compatibility_requires_equal_properties():
@@ -312,3 +316,4 @@ def test_display_names():
     assert short_name(group) == "Date"
     anon = StreamType(name=None, element=BitType(2))
     assert short_name(anon) == "Stream(Bit(2))"
+    assert short_name(StreamType(name=None)) == "Stream(Null)"
