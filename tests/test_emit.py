@@ -305,6 +305,28 @@ def test_dot_is_pinned():
     assert result.artifacts["circuit.dot"] == expected
 
 
+def test_hierarchy_dot_is_pinned():
+    """Byte-exact DOT for a wrapper instanced as array elements and one level
+    deeper, whose named connection holds `"` and `\\` and starts at a child's
+    array port; every copy has a fan-out and unread outputs, so duplicator
+    and voider copies repeat, and two implementations name a connection
+    alike."""
+    with open(os.path.join(DATA_DIR, "golden_hier.td"), encoding="utf-8") as f:
+        source = f.read()
+    with open(os.path.join(DATA_DIR, "golden_hier.dot"), encoding="utf-8") as f:
+        expected = f.read()
+    result = compile_texts(source, top="hier.top_i", dot=True)
+    assert result.ok, result.diagnostics
+    text = result.artifacts["circuit.dot"]
+    assert text == expected
+    _, edges = check_dot(text)
+    labels = [label for *_, label in edges]
+    assert sum(label.startswith('q\\"uote\\\\back__') for label in labels) == 3
+    assert sum(label.startswith("shared__") for label in labels) == 4
+    assert ("top_i__row_AT_1__x", "o_AT_1", "top_i__row_AT_1__duplicate_x_o_1_2",
+            "input") in [edge[:4] for edge in edges]
+
+
 def test_dot_escapes_quotes_and_backslashes_in_net_labels():
     """A net name may hold `"` and `\\` (string-literal escapes); in the DOT
     label they are escaped again, so the quoted label still ends where it
