@@ -7,20 +7,21 @@ at every level become nets between flat components; a wrapper's own port
 appears as both an inner and an outer endpoint.
 
 A design instances the same few implementations many times, so `flatten`
-analyses each distinct implementation once per call into a *stamp*: its
-wrapper flag, its port list (one tuple shared by every copy), its children
-as flat-name suffixes (``__inst`` or ``__inst_AT_i``) in sorted instance
-order, and its nets with both ends resolved to a port anchor and a slot: the
-implementation itself or one of its children. Walking the tree then only
-joins each copy's flat name onto the child suffixes; a net takes its ends'
-names from those, so a copy's nets and components share their name strings.
-A stamp holds each net name escaped for a quoted DOT label (a backslash
-before each backslash and double quote), so no copy escapes it again.
-`emit_dot` likewise renders each distinct port list's record label once.
-Components and nets are exact tuples of strings, a bool and the shared port
-tuple, not objects or named tuples: a collection untracks an exact tuple
-once its items are untracked, so a large circuit adds nothing to the
-collections after it.
+renders each distinct implementation once per call into a *stamp* of text:
+the two pieces of its component line around the flat name (record
+attributes, then the port cells), its children as flat-name suffixes
+(``__inst`` or ``__inst_AT_i``) in sorted instance order, and for each net
+five fragments: the DOT-escaped connection name (a backslash before each
+backslash and double quote) with its ``__``, and the ends' suffixes and
+anchors with the punctuation between them. A copy then costs one f-string
+per component and two per net, its label and its line, each joining the
+copy's flat name onto the stamp's fragments. `FlatCircuit` holds the flat
+names and the net labels, the sort keys, beside two parallel lists of the
+lines; all four hold only strings, so a circuit adds nothing to the
+collector's lists. `emit_dot` sorts index lists by key, which keeps equal
+keys in walk order, and joins the lines once. A stamp refuses a port list
+whose record anchors repeat, and `emit_dot` two components of one flat name:
+either would merge in the DOT.
 
 `emit_ir` builds its document of dicts and lists and writes the text that
 the standard `json` module gives with ``indent=2, sort_keys=True``, but
@@ -36,8 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import TydiError
 from .logical_types import (BitType, GroupType, NullType, StreamType,
@@ -48,52 +47,76 @@ from .values import escape, format_float
 
 @dataclass
 class FlatCircuit:
-    top: str
-    # (flat name, is wrapper, ports); ports are (display name, anchor) pairs
-    components: list[tuple[str, bool, tuple]] = field(default_factory=list)
-    # (label, source, source anchor, sink, sink anchor)
-    nets: list[tuple[str, str, str, str, str]] = field(default_factory=list)
-
-
-class _Stamp(NamedTuple):
-    """What every flat copy of one implementation shares."""
-    is_wrapper: bool
-    ports: tuple[tuple[str, str], ...]
-    children: tuple[tuple[str, Implementation], ...]  # (name suffix, target)
-    # (DOT-escaped connection name, source slot, source anchor, sink slot,
-    # sink anchor); slot 0 is the implementation itself, slot k its k-th child
-    nets: tuple[tuple[str, int, str, int, str], ...]
+    top: Implementation
+    components: list[str] = field(default_factory=list)  # flat names
+    component_lines: list[str] = field(default_factory=list)
+    nets: list[str] = field(default_factory=list)  # labels
+    net_lines: list[str] = field(default_factory=list)
 
 
 def _segment(name: str, index) -> str:
     return name if index is None else f"{name}_AT_{index}"
 
 
-def _stamp(impl: Implementation) -> _Stamp:
-    ports = []
-    for pname in sorted(impl.streamlet.ports):
-        size = impl.streamlet.ports[pname].array_size
-        if size is None:
-            ports.append((pname, pname))
-        else:
-            ports += [(f"{pname}@{i}", f"{pname}_AT_{i}") for i in range(size)]
+def _stamp(impl: Implementation) -> tuple:
+    """The text every flat copy of `impl` shares: its component line after
+    the first and after the second flat name, its children as (flat-name
+    suffix, target), and each net as the five fragments that `_walk` joins
+    a copy's flat name onto; ``src``/``sink`` below are the suffixes of the
+    ends (empty for the implementation's own ports)."""
+    streamlet = impl.streamlet
+    cells = []
+    givers = {"component": "the component itself"}  # anchor -> what gives it
+    for pname in sorted(streamlet.ports):
+        port = streamlet.ports[pname]
+        for display, anchor in ([(pname, pname)] if port.array_size is None else
+                                [(f"{pname}@{i}", f"{pname}_AT_{i}")
+                                 for i in range(port.array_size)]):
+            if anchor in givers:
+                raise TydiError(
+                    "resolution", f"port {pname!r} of streamlet {streamlet.id!r} "
+                    f"gives the DOT record anchor {anchor!r}, as "
+                    f"{givers[anchor]} does", streamlet.scope.package.path, port.span)
+            givers[anchor] = f"port {pname!r}"
+            cells.append(f"|<{anchor}>{display}")
+    attrs = "color=red, shape=record" if impl.instances else "shape=record"
     children = []
-    slots = {}  # (instance name, element index) -> slot
+    suffixes = {}  # (instance name, element index) -> flat-name suffix
     for inst_name in sorted(impl.instances):
         inst = impl.instances[inst_name]
         for i in [None] if inst.array_size is None else range(inst.array_size):
-            children.append(("__" + _segment(inst_name, i), inst.target))
-            slots[inst_name, i] = len(children)
+            suffixes[inst_name, i] = "__" + _segment(inst_name, i)
+            children.append((suffixes[inst_name, i], inst.target))
 
     # evaluation checked that every end names an instance element that exists
-    def end_point(end: EndRef) -> tuple[int, str]:
-        slot = 0 if end.is_self else slots[end.owner_name, end.owner_index]
-        return slot, _segment(end.port_name, end.port_index)
+    def end_point(end: EndRef) -> tuple[str, str]:
+        suffix = "" if end.is_self else suffixes[end.owner_name, end.owner_index]
+        return suffix, _segment(end.port_name, end.port_index)
 
-    nets = tuple((escape(conn.name),
-                  *end_point(conn.source), *end_point(conn.sink))
-                 for conn in impl.connections)
-    return _Stamp(bool(impl.instances), tuple(ports), tuple(children), nets)
+    nets = []
+    for conn in impl.connections:
+        (src, src_anchor), (sink, sink_anchor) = map(end_point, (conn.source, conn.sink))
+        nets.append((escape(conn.name) + "__", f"{src}::{src_anchor}__", sink,
+                     f"{src}:{src_anchor} -> ", f'{sink}:{sink_anchor} [label="'))
+    return (f' [{attrs}, label="{{<component>', "".join(cells) + '}"];',
+            children, nets)
+
+
+def _walk(circuit: FlatCircuit, stamps: dict, impl: Implementation,
+          flat_name: str) -> None:
+    stamp = stamps.get(id(impl))
+    if stamp is None:
+        stamp = stamps[id(impl)] = _stamp(impl)
+    head, tail, children, nets = stamp
+    circuit.components.append(flat_name)
+    circuit.component_lines.append(f"{flat_name}{head}{flat_name}{tail}")
+    for suffix, target in children:
+        _walk(circuit, stamps, target, flat_name + suffix)
+    labels, lines = circuit.nets, circuit.net_lines
+    for name, src, sink, arrow, label_head in nets:
+        label = f"{name}{flat_name}{src}{flat_name}{sink}"
+        labels.append(label)
+        lines.append(f'{flat_name}{arrow}{flat_name}{label_head}{label}"] ;')
 
 
 def flatten(project: Project, top_package: str, top_impl: str) -> FlatCircuit:
@@ -101,44 +124,24 @@ def flatten(project: Project, top_package: str, top_impl: str) -> FlatCircuit:
     if impl.state is not EvalState.EVALUATED:
         raise TydiError("resolution",
                         f"top implementation {top_impl!r} is not evaluated")
-    circuit = FlatCircuit(top=impl.id)
-    stamps: dict[int, _Stamp] = {}  # by identity: ids repeat across packages
-    components, nets = circuit.components, circuit.nets
-
-    def walk(impl: Implementation, flat_name: str):
-        stamp = stamps.get(id(impl))
-        if stamp is None:
-            stamp = stamps[id(impl)] = _stamp(impl)
-        is_wrapper, ports, children, conns = stamp
-        components.append((flat_name, is_wrapper, ports))
-        names = [flat_name]  # by slot, shared by components and nets
-        for suffix, target in children:
-            names.append(flat_name + suffix)
-            walk(target, names[-1])
-        for name, src_slot, src_anchor, sink_slot, sink_anchor in conns:
-            src, sink = names[src_slot], names[sink_slot]
-            nets.append((f"{name}__{src}::{src_anchor}__{sink}",
-                         src, src_anchor, sink, sink_anchor))
-
-    walk(impl, impl.id)
+    circuit = FlatCircuit(impl)
+    _walk(circuit, {}, impl, impl.id)  # stamps by identity: ids repeat across packages
     return circuit
 
 
 def emit_dot(circuit: FlatCircuit) -> str:
-    lines = ["digraph {"]
-    tails: dict[tuple, str] = {}  # port list -> end of its record label
-    for name, is_wrapper, ports in sorted(circuit.components, key=itemgetter(0)):
-        tail = tails.get(ports)
-        if tail is None:
-            tail = tails[ports] = "".join(
-                f"|<{anchor}>{display}" for display, anchor in ports) + '}"];'
-        attrs = "color=red, shape=record" if is_wrapper else "shape=record"
-        lines.append(f'{name} [{attrs}, label="{{<component>{name}{tail}')
-    lines += [f'{src}:{src_anchor} -> {sink}:{sink_anchor} [label="{label}"] ;'
-              for label, src, src_anchor, sink, sink_anchor
-              in sorted(circuit.nets, key=itemgetter(0))]
-    lines.append("}\n")  # no second copy of the text just to end it
-    return "\n".join(lines)
+    names, labels = circuit.components, circuit.nets
+    order = sorted(range(len(names)), key=names.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if names[i] == names[j]:
+            top = circuit.top
+            raise TydiError("resolution", f"two components of {top.id!r} flatten "
+                            f"to the name {names[i]!r}", top.scope.package.path,
+                            top.span)
+    return "\n".join(["digraph {", *map(circuit.component_lines.__getitem__, order),
+                      *map(circuit.net_lines.__getitem__,
+                           sorted(range(len(labels)), key=labels.__getitem__)),
+                      "}\n"])
 
 
 # -- structured IR ---------------------------------------------------------------

@@ -268,8 +268,13 @@ def _stages(config: CompileConfig, result: CompileResult,
             result.exit_code = 2
             return
         pkg_name, _, impl_name = config.top.partition(".")
-        circuit = flatten(project, pkg_name, impl_name)
-        _write(config, result, "circuit.dot", emit_dot(circuit))
+        try:  # the circuit is dropped as soon as its text is made
+            _write(config, result, "circuit.dot",
+                   emit_dot(flatten(project, pkg_name, impl_name)))
+        except TydiError as e:  # flat names or record anchors that collide
+            result.diagnostics.append(e.diagnostic)
+            _finish_with_errors(config, result, source_texts)
+            return
     if config.emit_ir:
         _write(config, result, "ir.json", emit_ir(project))
 

@@ -407,6 +407,26 @@ CASES = [
      "usage", "top implementation 'p.t' is a template", "<project>"),
     ("dot_without_top", IO, {"emit_dot": True}, "usage",
      "--dot requires --top <package.impl>", "<project>"),
+    # -- emit: names that would merge in the DOT
+    ("flat_name_of_array_element",
+     IO + "impl top_i of io_s { instance row(leaf_i) [2], instance row_AT_0(leaf_i), };",
+     {"top": "p.top_i", "emit_dot": True}, "resolution",
+     "two components of 'top_i' flatten to the name 'top_i__row_AT_0'", "f0.td:1:110"),
+    ("flat_name_across_levels",
+     IO + "impl a_i of io_s { instance x(leaf_i), }; impl b_i of io_s { instance "
+     "_x(leaf_i), }; impl top_i of io_s { instance a_(a_i), instance a(b_i), };",
+     {"top": "p.top_i", "emit_dot": True}, "resolution",
+     "two components of 'top_i' flatten to the name 'top_i__a___x'", "f0.td:1:195"),
+    ("dot_anchor_of_array_element",
+     IO + "streamlet f_s { feeds: s [2] in, feeds_AT_0: s in, }; "
+     "external impl f_i of f_s { };", {"top": "p.f_i", "emit_dot": True}, "resolution",
+     "port 'feeds_AT_0' of streamlet 'f_s' gives the DOT record anchor 'feeds_AT_0', "
+     "as port 'feeds' does", "f0.td:1:143"),
+    ("dot_anchor_component",
+     IO + "streamlet c_s { component: s in, }; external impl c_i of c_s { };",
+     {"top": "p.c_i", "emit_dot": True}, "resolution",
+     "port 'component' of streamlet 'c_s' gives the DOT record anchor 'component', "
+     "as the component itself does", "f0.td:1:126"),
 ]
 
 

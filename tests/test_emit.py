@@ -6,12 +6,15 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tydilang import emit
 from tydilang.emit import _ir_text, _type_json, emit_dot, emit_ir, flatten
 from tydilang.errors import TydiError
 from tydilang.logical_types import (BitType, GroupType, StreamProperties,
                                     StreamType)
 from tydilang.model import EndRef
+from tydilang.pipeline import CompileConfig, compile_project
 from tydilang.sugaring import sugar_project
+from tydilang.values import escape
 
 from conftest import DATA_DIR, compile_texts, evaluated_project
 
@@ -58,9 +61,38 @@ def build_circuit():
 # -- flattening ----------------------------------------------------------------
 
 
+NODE_RE = re.compile(r'^(\w+) \[(color=red, )?shape=record, label="\{(.*)\}"\];$')
+EDGE_RE = re.compile(r'^(\w+):(\w+) -> (\w+):(\w+) \[label="((?:[^"]|\\")*)"\] ;$')
+
+
+def components_of(circuit) -> dict:
+    """{flat name: (is wrapper, [(display name, anchor), ...])}, read from
+    each component's DOT line, which must name the key it is listed with."""
+    out = {}
+    for name, line in zip(circuit.components, circuit.component_lines, strict=True):
+        m = NODE_RE.match(line)
+        assert m and m.group(1) == name, (name, line)
+        cells = m.group(3).split("|")
+        assert cells[0] == f"<component>{name}"
+        ports = [re.match(r"^<(\w+)>(.+)$", cell).group(2, 1) for cell in cells[1:]]
+        out[name] = (m.group(2) is not None, ports)
+    return out
+
+
+def nets_of(circuit) -> list:
+    """(label, source, source anchor, sink, sink anchor) of each net, read
+    from its DOT line, which must hold the label it is listed with."""
+    out = []
+    for label, line in zip(circuit.nets, circuit.net_lines, strict=True):
+        m = EDGE_RE.match(line)
+        assert m and m.group(5) == label, (label, line)
+        out.append((label, *m.group(1, 2, 3, 4)))
+    return out
+
+
 def test_flat_names_join_instance_path_with_double_underscore():
     _, circuit = build_circuit()
-    names = {name for name, _, _ in circuit.components}
+    names = set(components_of(circuit))
     assert "main_i" in names
     assert "main_i__inner" in names
     assert "main_i__inner__accu" in names
@@ -68,22 +100,21 @@ def test_flat_names_join_instance_path_with_double_underscore():
 
 def test_array_instances_flatten_per_element():
     _, circuit = build_circuit()
-    names = {name for name, _, _ in circuit.components}
+    names = set(components_of(circuit))
     assert "main_i__direct_AT_0" in names
     assert "main_i__direct_AT_1" in names
 
 
 def test_array_ports_get_at_anchors():
     _, circuit = build_circuit()
-    top_ports = next(ports for name, _, ports in circuit.components
-                     if name == "main_i")
+    _, top_ports = components_of(circuit)["main_i"]
     assert ("feeds@0", "feeds_AT_0") in top_ports
     assert ("feeds@1", "feeds_AT_1") in top_ports
 
 
 def test_wrappers_are_marked():
     _, circuit = build_circuit()
-    is_wrapper = {name: wrapper for name, wrapper, _ in circuit.components}
+    is_wrapper = {name: wrapper for name, (wrapper, _) in components_of(circuit).items()}
     assert is_wrapper["main_i"]
     assert is_wrapper["main_i__inner"]
     assert not is_wrapper["main_i__inner__accu"]
@@ -91,7 +122,7 @@ def test_wrappers_are_marked():
 
 def test_wrapper_port_has_inner_and_outer_net():
     _, circuit = build_circuit()
-    touching = [label for label, src, src_anchor, sink, sink_anchor in circuit.nets
+    touching = [label for label, src, src_anchor, sink, sink_anchor in nets_of(circuit)
                 if (src, src_anchor) == ("main_i__inner", "input")
                 or (sink, sink_anchor) == ("main_i__inner", "input")]
     # one arrow in from the parent level, one arrow out inside the wrapper
@@ -117,7 +148,7 @@ def test_net_count_equals_connection_count():
 
 def test_net_labels_follow_declared_format():
     _, circuit = build_circuit()
-    named = next(label for label, *_ in circuit.nets
+    named = next(label for label, *_ in nets_of(circuit)
                  if label.startswith("named_net"))
     assert named == "named_net__main_i__direct_AT_1::output__main_i"
 
@@ -139,9 +170,9 @@ def test_single_component_circuit():
         "streamlet top_s { a: s in, b: s out, };\n"
         "impl top_i of top_s { a => b, };\n", top="p.top_i")
     circuit = flatten(project, "p", "top_i")
-    assert [name for name, _, _ in circuit.components] == ["top_i"]
+    assert list(components_of(circuit)) == ["top_i"]
     assert len(circuit.nets) == 1
-    _, source, source_anchor, _, _ = circuit.nets[0]
+    _, source, source_anchor, _, _ = nets_of(circuit)[0]
     assert (source, source_anchor) == ("top_i", "a")
 
 
@@ -178,7 +209,7 @@ def test_same_named_implementations_in_two_packages_stay_apart():
         "  a => l.i @NoStrictType@, b => m.x, m.y => c,\n"
         "};\n", top="app.top_i")
     circuit = flatten(project, "app", "top_i")
-    ports = {name: list(ports) for name, _, ports in circuit.components}
+    ports = {name: ports for name, (_, ports) in components_of(circuit).items()}
     assert ports["top_i__l"] == [("i", "i")]
     assert ports["top_i__m"] == [("x", "x"), ("y", "y")]
     dot = emit_dot(circuit)
@@ -187,56 +218,83 @@ def test_same_named_implementations_in_two_packages_stay_apart():
 
 
 def test_flat_records_are_untracked():
-    """Components and nets are exact tuples of strings, a bool and a shared
-    port tuple, so the collector untracks them and a large circuit adds
-    nothing to the collections after it. A collection untracks a tuple only
-    once its items are untracked, and visits a container before what it
-    holds, so a fresh component needs one full collection per level: its
-    port pairs, its port list, then the component itself."""
-    _, small = build_circuit()
-    project, _ = evaluated_project(binary_tree(6), top="p.lvl6_i")
-    tree = flatten(project, "p", "lvl6_i")
-    for _ in range(3):
+    """A circuit is its own object and four lists of strings, so flattening
+    the depth-8 tree (511 components, 765 nets) leaves as few new objects
+    for the collector to track as flattening a depth-2 one: no record per
+    component or net, and the stamps are gone once `flatten` returns."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        added = []
+        for depth in (2, 8):
+            project, _ = evaluated_project(binary_tree(depth), top=f"p.lvl{depth}_i")
+            gc.collect()
+            before = len(gc.get_objects())
+            circuit = flatten(project, "p", f"lvl{depth}_i")
+            added.append(len(gc.get_objects()) - before)
+            assert len(circuit.components) == 2 ** (depth + 1) - 1
+            del circuit
+    finally:
+        if enabled:
+            gc.enable()
+    assert added[0] == added[1] <= 5, added
+
+
+def test_flatten_leaves_no_garbage():
+    """Flattening and rendering build no reference cycle: with the collector
+    off, a circuit's text leaves nothing for it to collect, so the circuit
+    is freed the moment its text is made."""
+    project, _ = build_circuit()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         gc.collect()
-    for circuit in (small, tree):
-        assert circuit.components and circuit.nets
-        tracked = [r for r in circuit.components + circuit.nets if gc.is_tracked(r)]
-        assert tracked == []
+        assert emit_dot(flatten(project, "p", "main_i"))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_flatten_resolves_each_implementation_once(monkeypatch):
-    """Connection ends are resolved once per distinct implementation, not
-    once per flat copy: every node implementation costs the same six
-    `is_self` reads (three connections, two ends) at depth 6 and at depth 8,
-    while the flat tree grows fourfold."""
+    """Connection ends are resolved, and connection names escaped, once per
+    distinct implementation, not once per flat copy: every node
+    implementation costs the same six `is_self` reads (three connections,
+    two ends) and three `escape` calls at depth 6 and at depth 8, while the
+    flat tree grows fourfold."""
     original = EndRef.is_self
 
     def flatten_tree(depth):
         project, _ = evaluated_project(binary_tree(depth), top=f"p.lvl{depth}_i")
-        reads = 0
+        reads = escapes = 0
 
         def counting(end):
             nonlocal reads
             reads += 1
             return original.fget(end)
 
+        def counting_escape(text):
+            nonlocal escapes
+            escapes += 1
+            return escape(text)
+
         with monkeypatch.context() as m:
             m.setattr(EndRef, "is_self", property(counting))
+            m.setattr(emit, "escape", counting_escape)
             circuit = flatten(project, "p", f"lvl{depth}_i")
         assert len(circuit.components) == 2 ** (depth + 1) - 1
         assert len(circuit.nets) == 3 * (2 ** depth - 1)
-        return reads, len(circuit.components)
+        return reads, escapes, len(circuit.components)
 
-    (small_reads, small), (large_reads, large) = flatten_tree(6), flatten_tree(8)
+    (small_reads, small_escapes, small), (large_reads, large_escapes, large) = \
+        flatten_tree(6), flatten_tree(8)
     assert large / small > 4
     assert (small_reads / 6, large_reads / 8) == (6, 6), (small_reads, large_reads)
+    assert (small_escapes, large_escapes) == (3 * 6, 3 * 8)
 
 
 # -- DOT ------------------------------------------------------------------------
 
-
-NODE_RE = re.compile(r'^(\w+) \[(?:color=red, )?shape=record, label="\{(.*)\}"\];$')
-EDGE_RE = re.compile(r'^(\w+):(\w+) -> (\w+):(\w+) \[label="((?:[^"]|\\")*)"\] ;$')
 
 
 def check_dot(text: str):
@@ -250,7 +308,7 @@ def check_dot(text: str):
     for line in lines[1:-1]:
         m = NODE_RE.match(line)
         if m:
-            name, label = m.groups()
+            name, _, label = m.groups()
             cells = label.split("|")
             assert cells[0] == f"<component>{name}"
             anchors[name] = set()
@@ -462,8 +520,8 @@ def test_ir_writer_renders_a_shared_type_per_depth():
 
 def test_flat_names_are_injective():
     _, circuit = build_circuit()
-    names = [name for name, _, _ in circuit.components]
-    assert len(names) == len(set(names))
+    names = list(components_of(circuit))
+    assert len(names) == len(circuit.components) == len(set(names))
 
 
 def test_ir_inline_group_field_keeps_its_fields():
@@ -513,3 +571,37 @@ def test_ir_writes_streamlet_and_implementation_docs():
     assert doc["implementations"]["a_i"]["doc"] == 'an external "source"'
     assert "doc" not in doc["streamlets"]["b_s"]
     assert "doc" not in doc["implementations"]["b_i"]
+
+
+COLLIDING = [
+    ("array_element", "package p; type s = Stream(Bit(1)); "
+     "streamlet io_s { i: s in, o: s out, }; external impl leaf_i of io_s { }; "
+     "impl top_i of io_s { instance row(leaf_i) [2], instance row_AT_0(leaf_i), };",
+     "p.top_i"),
+    ("across_levels", "package p; type s = Stream(Bit(1)); "
+     "streamlet io_s { i: s in, o: s out, }; external impl leaf_i of io_s { }; "
+     "impl a_i of io_s { instance x(leaf_i), }; impl b_i of io_s { instance _x(leaf_i), }; "
+     "impl top_i of io_s { instance a_(a_i), instance a(b_i), };", "p.top_i"),
+    ("port_anchor", "package p; type s = Stream(Bit(1)); "
+     "streamlet f_s { feeds: s [2] in, feeds_AT_0: s in, }; "
+     "external impl f_i of f_s { };", "p.f_i"),
+]
+
+
+@pytest.mark.parametrize("source, top", [case[1:] for case in COLLIDING],
+                         ids=[case[0] for case in COLLIDING])
+def test_colliding_dot_names_fail_the_compile(tmp_path, source, top):
+    """Two components of one flat name, or two ports of one record anchor,
+    would merge in the DOT; the compile fails with an error report instead,
+    and writes no circuit.dot and no IR."""
+    path = tmp_path / "f0.td"
+    path.write_text(source, encoding="utf-8")
+    out = tmp_path / "out"
+    result = compile_project(CompileConfig(inputs=[str(path)], output_dir=str(out),
+                                           top=top, emit_dot=True, emit_ir=True))
+    assert result.exit_code == 1
+    assert [d.category for d in result.diagnostics] == ["resolution"]
+    report = (out / "error_report.txt").read_text(encoding="utf-8")
+    assert report.startswith(f"{path}:1:") and "[resolution]" in report
+    assert not (out / "circuit.dot").exists() and not (out / "ir.json").exists()
+    assert (out / "2_evaluation_output_after_sugaring.txt").exists()
