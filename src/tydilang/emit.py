@@ -66,18 +66,20 @@ def _stamp(impl: Implementation) -> tuple:
     ends (empty for the implementation's own ports)."""
     streamlet = impl.streamlet
     cells = []
-    givers = {"component": "the component itself"}  # anchor -> what gives it
+    givers = {"component": None}  # anchor -> the port that gives it
     for pname in sorted(streamlet.ports):
         port = streamlet.ports[pname]
         for display, anchor in ([(pname, pname)] if port.array_size is None else
                                 [(f"{pname}@{i}", f"{pname}_AT_{i}")
                                  for i in range(port.array_size)]):
             if anchor in givers:
+                other = givers[anchor]
                 raise TydiError(
                     "resolution", f"port {pname!r} of streamlet {streamlet.id!r} "
-                    f"gives the DOT record anchor {anchor!r}, as "
-                    f"{givers[anchor]} does", streamlet.scope.package.path, port.span)
-            givers[anchor] = f"port {pname!r}"
+                    f"gives the DOT record anchor {anchor!r}, as " +
+                    ("the component itself" if other is None else f"port {other!r}")
+                    + " does", streamlet.scope.package.path, port.span)
+            givers[anchor] = pname
             cells.append(f"|<{anchor}>{display}")
     attrs = "color=red, shape=record" if impl.instances else "shape=record"
     children = []
@@ -95,7 +97,8 @@ def _stamp(impl: Implementation) -> tuple:
 
     nets = []
     for conn in impl.connections:
-        (src, src_anchor), (sink, sink_anchor) = map(end_point, (conn.source, conn.sink))
+        src, src_anchor = end_point(conn.source)
+        sink, sink_anchor = end_point(conn.sink)
         nets.append((escape(conn.name) + "__", f"{src}::{src_anchor}__", sink,
                      f"{src}:{src_anchor} -> ", f'{sink}:{sink_anchor} [label="'))
     return (f' [{attrs}, label="{{<component>', "".join(cells) + '}"];',
