@@ -87,8 +87,8 @@ def _stamp(impl: Implementation) -> tuple:
     for inst_name in sorted(impl.instances):
         inst = impl.instances[inst_name]
         for i in [None] if inst.array_size is None else range(inst.array_size):
-            suffixes[inst_name, i] = "__" + _segment(inst_name, i)
-            children.append((suffixes[inst_name, i], inst.target))
+            suffix = suffixes[inst_name, i] = "__" + _segment(inst_name, i)
+            children.append((suffix, inst.target))
 
     # evaluation checked that every end names an instance element that exists
     def end_point(end: EndRef) -> tuple[str, str]:

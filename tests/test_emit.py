@@ -6,7 +6,6 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tydilang import emit
 from tydilang.emit import _ir_text, _type_json, emit_dot, emit_ir, flatten
 from tydilang.errors import TydiError
 from tydilang.logical_types import (BitType, GroupType, StreamProperties,
@@ -280,7 +279,7 @@ def test_flatten_resolves_each_implementation_once(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(EndRef, "is_self", property(counting))
-            m.setattr(emit, "escape", counting_escape)
+            m.setattr("tydilang.emit.escape", counting_escape)
             circuit = flatten(project, "p", f"lvl{depth}_i")
         assert len(circuit.components) == 2 ** (depth + 1) - 1
         assert len(circuit.nets) == 3 * (2 ** depth - 1)
