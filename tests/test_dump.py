@@ -349,13 +349,15 @@ def _check_golden_project(dirname: str, top: str, artifact: str):
 
 
 def test_golden_tpch1_ir_is_pinned():
-    """Byte-exact pins of the JSON IR, the DOT graph, the unevaluated
-    code-structure dump and the DRC report of the paper's TPC-H query-1
-    design, as `tydilang tests/data/tpch1.td --top std.main_i --drc --dot
+    """Byte-exact pins of the JSON IR, the DOT graph, the unevaluated and
+    the sugared code-structure dumps and the DRC report of the paper's
+    TPC-H query-1 design, as `tydilang tests/data/tpch1.td --top std.main_i --drc --dot
     --ir` writes them: 161 stream types, most of them port types used many
     times over, 143 nets, and 14 R1 warnings: the comparator's inline
     `Stream(Bit(2))` output, duplicated, feeds `select` ports typed by the
-    declared `stream_filter_select_stream`."""
+    declared `stream_filter_select_stream`. The sugared dump keeps 60
+    `NotInferred` records, 31 of them ports of templates, beside the
+    evaluated and sugared ones."""
     path = os.path.join(DATA_DIR, "tpch1.td")
     with open(path, encoding="utf-8") as f:
         sources = [(path, f.read())]
@@ -367,7 +369,9 @@ def test_golden_tpch1_ir_is_pinned():
                              ("circuit.dot", "golden_tpch1.dot"),
                              ("1_parser_output.txt",
                               "golden_tpch1_parser_output.txt"),
-                             ("drc_report.txt", "golden_tpch1_drc_report.txt")):
+                             ("drc_report.txt", "golden_tpch1_drc_report.txt"),
+                             ("2_evaluation_output_after_sugaring.txt",
+                              "golden_tpch1_evaluation_output.txt")):
         with open(os.path.join(DATA_DIR, golden), encoding="utf-8") as f:
             assert result.artifacts[artifact] == f.read(), artifact
 
