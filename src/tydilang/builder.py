@@ -142,21 +142,19 @@ class StatementBuilder:
 
     # -- streamlets ------------------------------------------------------------
 
-    def build_template_params(self, node: AstNode) -> list[TemplateParam]:
+    def build_template_params(self, node: AstNode, scope: Scope) -> list[TemplateParam]:
+        """The parameters of a template, each declared in `scope` as a magic
+        variable at its parameter node."""
         params = []
         for p in node.children:
             pname = p.children[0].leaf_text
             kind = p.children[1]
-            if kind.kind == "ImplOfKind":
-                params.append(TemplateParam(pname, "impl", kind.children[0].leaf_text))
-            else:
-                params.append(TemplateParam(pname, kind.leaf_text))
+            param = TemplateParam(pname, "impl", kind.children[0].leaf_text) \
+                if kind.kind == "ImplOfKind" else TemplateParam(pname, kind.leaf_text)
+            declare(scope, Variable(id=pname, scope=scope, declared_kind=param.kind,
+                                    is_magic=True), "variable", p, self.path)
+            params.append(param)
         return params
-
-    def declare_param_magic(self, scope: Scope, params: list[TemplateParam]):
-        for p in params:
-            scope.variables[p.name] = Variable(
-                id=p.name, scope=scope, declared_kind=p.kind, is_magic=True)
 
     def build_streamlet(self, stmt: AstNode, scope: Scope,
                         name: Optional[str] = None) -> Streamlet:
@@ -166,13 +164,11 @@ class StatementBuilder:
         own = Scope(f"streamlet_{name}", "streamlet", package=self.package)
         own.add_relation(ScopeRelationKind.STREAMLET, scope)
         s = Streamlet(id=name, scope=own,
-                      doc=doc_node.leaf_text if doc_node else None, span=stmt,
-                      decl=stmt)
+                      doc=doc_node.leaf_text if doc_node else None, span=stmt)
         s.ports = own.ports
         tparams = stmt.child("TemplateParams")
         if tparams is not None:
-            s.template_params = self.build_template_params(tparams)
-            self.declare_param_magic(own, s.template_params)
+            s.template_params = self.build_template_params(tparams, own)
         for item in stmt.children:
             if item.kind == "PortDecl":
                 declare(own, self.build_port(item), "port", item, self.path)
@@ -206,7 +202,7 @@ class StatementBuilder:
         own.add_relation(ScopeRelationKind.IMPLEMENT, scope)
         impl = Implementation(id=name, scope=own,
                               doc=doc_node.leaf_text if doc_node else None,
-                              span=stmt, decl=stmt)
+                              span=stmt)
         impl.instances = own.instances
         impl.connections = own.connections
         if stmt.kind == "ImplInstDecl":
@@ -217,8 +213,7 @@ class StatementBuilder:
         impl.of_ast = of.children[0]
         tparams = stmt.child("TemplateParams")
         if tparams is not None:
-            impl.template_params = self.build_template_params(tparams)
-            self.declare_param_magic(own, impl.template_params)
+            impl.template_params = self.build_template_params(tparams, own)
         body = [c for c in stmt.children
                 if c.kind not in ("DOC", "ID", "External", "TemplateParams", "OfStreamlet")]
         if impl.external and body:

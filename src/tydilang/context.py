@@ -1,18 +1,19 @@
-"""Shared evaluation state: once-only node guards.
+"""Shared evaluation state: the one once-only guard.
 
-Every shared node (variable, type entry, streamlet, implementation)
-transitions NotInferred -> Evaluated/Error exactly once. Evaluation is
-demand-driven on the calling thread: a node that is demanded again while it
-is still being evaluated closes a dependency cycle, which is reported as a
-circular dependency at the node's declaration. The context holds no source
-locations: each scope's package gives the path a diagnostic is reported at.
-It holds no memo of template instances either: an instance is registered in
-its template's package table, where a second instantiation finds it.
+Every shared record (variable, type entry, streamlet, implementation)
+transitions NotInferred -> Evaluated/Error exactly once, in `EvalContext.force`,
+the only code that writes a record's state or re-raises its stored error.
+Evaluation is demand-driven on the calling thread: a record that is demanded
+again while it is still being evaluated closes a dependency cycle, which is
+reported as a circular dependency at the record's declaration. The context
+holds no source locations: each scope's package gives the path a diagnostic
+is reported at. It holds no memo of template instances either: an instance
+is registered in its template's package table, where a second instantiation
+finds it.
 """
 
 from __future__ import annotations
 
-import contextlib
 from collections import Counter
 
 from .errors import CircularDependencyError, TydiError
@@ -44,15 +45,19 @@ class EvalContext:
         del self._in_progress[id(node)]
         self._stack.pop()
 
-    @contextlib.contextmanager
-    def evaluating(self, node):
-        """Guard the block that evaluates a NotInferred node: count it, then
-        leave it Evaluated, or Error with the raised TydiError stored."""
+    def force(self, node, compute):
+        """Run `compute(self, node)` for a NotInferred node, counted, and
+        leave the node Evaluated, or Error with the raised TydiError stored;
+        an evaluated node returns at once and a failed one re-raises."""
+        if node.state is EvalState.EVALUATED:
+            return
+        if node.state is EvalState.ERROR:
+            raise node.error
         label = node.label()
         self.begin(node, label)
         try:
             self.eval_counts[label] += 1
-            yield
+            compute(self, node)
             node.state = EvalState.EVALUATED
         except TydiError as e:
             node.error = e

@@ -270,7 +270,7 @@ def _impl_streamlet_text(impl: Implementation) -> str:
 
 
 def _port_text(port: Port, pkg: Package) -> str:
-    if port.state is EvalState.EVALUATED:
+    if port.logical_type is not None:
         type_part = data_type_display(port.logical_type)
         cd = port.clockdomain.expression
     else:
@@ -289,7 +289,7 @@ def _port_text(port: Port, pkg: Package) -> str:
 
 
 def _instance_text(inst: Instance, pkg: Package) -> str:
-    if inst.state is EvalState.EVALUATED:
+    if inst.target is not None:
         body = f"(Implement({inst.target.id}))"
         size = f"[{inst.array_size}]" if inst.array_size is not None else ""
     else:
@@ -321,7 +321,7 @@ def _end_text(end: EndRef, pkg: Package) -> str:
 
 
 def _connection_text(conn: Connection, pkg: Package) -> str:
-    if conn.state is EvalState.EVALUATED or conn.fifo_ast is None:
+    if conn.sink.port is not None or conn.fifo_ast is None:
         fifo = str(conn.fifo_depth)
     else:
         fifo = _not_inferred(pkg, conn.fifo_ast)

@@ -3,13 +3,16 @@ generative for/if expansion.
 
 Evaluation is demand-driven: an implementation pulls in its streamlet, the
 targets of its instances (instantiating templates on the way), the types of
-every port it touches, and nothing else. Template instantiation builds the
-template's statement again with the `StatementBuilder` under a mangled
-``name@arg@arg`` id, binds each parameter's magic variable in the fresh scope,
-registers the instance in the template's package and evaluates it;
-instantiating the same arguments twice finds the registered entity there,
-whose own evaluation state replays its result. Streamlet, implementation and
-type references resolve through `model.resolve_ref`.
+every port it touches, and nothing else. A streamlet or implementation is
+computed once, by `EvalContext.force`; a derived implementation
+(`impl name(template<args>);`) adopts the body of a fresh instance and goes
+on to evaluate it. Template instantiation builds the template's statement
+again with the `StatementBuilder` under a mangled ``name@arg@arg`` id, binds
+each parameter's magic variable in the fresh scope, registers the instance
+in the template's package and forces it; instantiating the same arguments
+twice finds the registered entity there, whose own evaluation state replays
+its result. Streamlet, implementation and type references resolve through
+`model.resolve_ref`.
 
 Each element of a `for` block gets a scope that binds the loop variable and
 reaches the scope around it by an if/for relation. Expansion selects the
@@ -46,24 +49,23 @@ class TemplateArg(NamedTuple):
 
 
 def evaluate_streamlet(ctx: EvalContext, s: Streamlet):
-    if s.state is EvalState.EVALUATED:
-        return
-    if s.state is EvalState.ERROR:
-        raise s.error
-    with ctx.evaluating(s):
-        for port in s.ports.values():
-            evaluate_port(ctx, s.scope, port)
-        for a in s.asserts:
-            check_assertion(ctx, s.scope, a)
+    ctx.force(s, _compute_streamlet)
+
+
+def _compute_streamlet(ctx: EvalContext, s: Streamlet):
+    for port in s.ports.values():
+        evaluate_port(ctx, s.scope, port)
+    for a in s.asserts:
+        check_assertion(ctx, s.scope, a)
 
 
 def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
     path = scope.package.path
-    port.logical_type = evaluate_type(ctx, scope, port.type_ast)
-    if not isinstance(port.logical_type, StreamType):
+    logical_type = evaluate_type(ctx, scope, port.type_ast)
+    if not isinstance(logical_type, StreamType):
         raise TypeError_(
             f"port {port.name!r} must have a stream type, got "
-            f"{short_name(port.logical_type)}", path, port.span)
+            f"{short_name(logical_type)}", path, port.span)
     if port.array_size_ast is not None:
         size = evaluate_expression(ctx, scope, port.array_size_ast)
         if not isinstance(size, IntValue) or size.value < 1:
@@ -84,32 +86,24 @@ def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
                     f"port clockdomain {body.leaf_text!r} must be a clockdomain "
                     f"value, got {variant_name(cd)}", path, body)
             port.clockdomain = cd
-    port.state = EvalState.EVALUATED
+    port.logical_type = logical_type  # last: a port with a type is evaluated
 
 
 # -- implementation evaluation -------------------------------------------------
 
 
 def evaluate_implementation(ctx: EvalContext, impl: Implementation):
-    if impl.state is EvalState.EVALUATED:
-        return
-    if impl.state is EvalState.ERROR:
-        raise impl.error
-    with ctx.evaluating(impl):
-        _compute_implementation(ctx, impl)
+    ctx.force(impl, _compute_implementation)
 
 
 def _compute_implementation(ctx: EvalContext, impl: Implementation):
     if impl.derived_from is not None:
-        _evaluate_derived(ctx, impl)
-        return
+        _adopt_derived(ctx, impl)
     impl.streamlet = _resolve_of_streamlet(ctx, impl)
     evaluate_streamlet(ctx, impl.streamlet)
-    if impl.generative:
-        sb = StatementBuilder(impl.scope.package)
-        blocks, impl.generative = impl.generative, []
-        for block in blocks:
-            _expand_item(ctx, impl, block, sb, impl.scope, "")
+    sb = StatementBuilder(impl.scope.package)
+    for block in impl.generative:
+        _expand_item(ctx, impl, block, sb, impl.scope, "")
     for inst in impl.scope.instances.values():
         _evaluate_instance(ctx, impl, inst)
     for conn in impl.scope.connections:
@@ -118,17 +112,15 @@ def _compute_implementation(ctx: EvalContext, impl: Implementation):
         check_assertion(ctx, scope, a)
 
 
-def _evaluate_derived(ctx: EvalContext, impl: Implementation):
-    """`impl name(template<args>);` — a fresh monomorph under the user name."""
-    inst_ast = impl.derived_from
-    template, args = _resolve_template_use(ctx, impl.scope, inst_ast, "implementation")
+def _adopt_derived(ctx: EvalContext, impl: Implementation):
+    """`impl name(template<args>);` — take the body of a fresh monomorph
+    under the user name, which the implementation then evaluates."""
+    template, args = _resolve_template_use(ctx, impl.scope, impl.derived_from,
+                                           "implementation")
     body = _do_instantiate(ctx, template, args, impl.id)
     for name in ("scope", "instances", "connections", "external", "asserts",
                  "generative", "process_block", "of_ast"):
         setattr(impl, name, getattr(body, name))
-    impl.derived_from = None
-    # evaluating the adopted body binds the streamlet and resolves the rest
-    _compute_implementation(ctx, impl)
 
 
 def _resolve_of_streamlet(ctx: EvalContext, impl: Implementation) -> Streamlet:
@@ -162,14 +154,13 @@ def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
                 f"instance {inst.name!r} targets template {target.id!r} "
                 "without arguments", path, inst.span)
     evaluate_implementation(ctx, target)
-    inst.target = target
     if inst.array_size_ast is not None:
         size = evaluate_expression(ctx, scope, inst.array_size_ast)
         if not isinstance(size, IntValue) or size.value < 1:
             raise TypeError_("instance array size must be a positive int",
                              path, inst.span)
         inst.array_size = size.value
-    inst.state = EvalState.EVALUATED
+    inst.target = target  # last: an instance with a target is evaluated
 
 
 def _resolve_impl(ctx: EvalContext, scope: Scope, ref: AstNode) -> Implementation:
@@ -193,7 +184,6 @@ def resolve_connection(ctx: EvalContext, impl: Implementation, conn: Connection)
         if not isinstance(depth, IntValue) or depth.value < 0:
             raise TypeError_("FIFO depth must be a non-negative int", path, conn.span)
         conn.fifo_depth = depth.value
-    conn.state = EvalState.EVALUATED
 
 
 def _path_part(node: AstNode, scope: Scope, path):
@@ -418,15 +408,15 @@ def instantiate_template(ctx: EvalContext, template, args: list[TemplateArg]):
     mangled = mangled_name(template.id, args)
     pkg_scope = template.scope.package.scope
     if isinstance(template, Streamlet):
-        table, evaluate = pkg_scope.streamlets, evaluate_streamlet
+        table, compute = pkg_scope.streamlets, _compute_streamlet
     else:
-        table, evaluate = pkg_scope.implements, evaluate_implementation
+        table, compute = pkg_scope.implements, _compute_implementation
     entity = table.get(mangled)
     if entity is None:
         entity = table[mangled] = _do_instantiate(ctx, template, args, mangled)
     # evaluated after registration, so partial results appear in dumps; an
     # evaluated or failed instance replays its result
-    evaluate(ctx, entity)
+    ctx.force(entity, compute)
     return entity
 
 
@@ -436,7 +426,7 @@ def _do_instantiate(ctx: EvalContext, template, args: list[TemplateArg],
     template's package, and bind the arguments in the fresh scope."""
     sb = StatementBuilder(template.scope.package)
     build = sb.build_streamlet if isinstance(template, Streamlet) else sb.build_impl
-    entity = build(template.decl, sb.package.scope, new_name)
+    entity = build(template.span, sb.package.scope, new_name)
     entity.template_params = []
     _bind_args(entity.scope, template.template_params, args)
     return entity

@@ -15,10 +15,10 @@ from typing import Optional
 
 from .context import EvalContext
 from .errors import Located, TydiError, TypeError_
-from .model import EvalState, Scope, Variable, resolve_ref
+from .model import Scope, Variable, resolve_ref
 from .tree import AstNode
 from .values import (ArrayValue, BoolValue, ClockDomainValue, FloatValue,
-                     IntValue, StrValue, Value, format_float, in_int64_range,
+                     IntValue, StrValue, Value, in_int64_range, mangle_text,
                      variant_name)
 
 PRECEDENCE = {
@@ -279,18 +279,9 @@ class ExpressionEvaluator:
         return FloatValue(float(n))
 
     def _str_concat(self, a: Value, b: Value, span) -> Value:
-        def text(v: Value) -> str:
-            if isinstance(v, StrValue):
-                return v.value
-            if isinstance(v, IntValue):
-                return str(v.value)
-            if isinstance(v, FloatValue):
-                return format_float(v.value)
-            if isinstance(v, BoolValue):
-                return "true" if v.value else "false"
+        if isinstance(a, ClockDomainValue) or isinstance(b, ClockDomainValue):
             raise self._bin_err("+", a, b, span)
-
-        return StrValue(text(a) + text(b))
+        return StrValue(mangle_text(a) + mangle_text(b))
 
     def _array_insert(self, a: Value, b: Value, span) -> Value:
         if isinstance(a, ArrayValue) and isinstance(b, ArrayValue):
@@ -333,30 +324,27 @@ def force_variable(ctx: EvalContext, var: Variable, path: Optional[str] = None,
                    span: Optional[Located] = None) -> Value:
     """Evaluate a variable at most once; later requests reuse the result.
     `path` and `span` locate the reference that demands it."""
-    if var.state is EvalState.EVALUATED:
-        return var.value
     if var.is_magic:  # a template parameter or package name: reported per use
         raise TydiError(
             "resolution", f"{var.id!r} cannot be used as a value here", path, span)
-    if var.state is EvalState.ERROR:
-        raise var.error
-    with ctx.evaluating(var):
-        var.value = _compute_variable(ctx, var)
+    ctx.force(var, _compute_variable)
     return var.value
 
 
-def _compute_variable(ctx: EvalContext, var: Variable) -> Value:
+def _compute_variable(ctx: EvalContext, var: Variable):
     path = var.scope.package.path
     if var.declared_kind == "clockdomain":
         if var.expr_ast is None:
-            return ClockDomainValue(
+            var.value = ClockDomainValue(
                 generated_clockdomain(var.scope.package.name, var.id))
+            return
         v = evaluate_expression(ctx, var.scope, var.expr_ast)
         if not isinstance(v, StrValue):
             raise TypeError_(
                 f"clockdomain initializer must be a string, got {variant_name(v)}",
                 path, var.span)
-        return ClockDomainValue(v.value)
+        var.value = ClockDomainValue(v.value)
+        return
     if var.expr_ast is None:
         raise TypeError_(f"variable {var.id!r} has no initializer", path, var.span)
     value = evaluate_expression(ctx, var.scope, var.expr_ast)
@@ -364,4 +352,4 @@ def _compute_variable(ctx: EvalContext, var: Variable) -> Value:
         raise TypeError_(
             f"variable {var.id!r} declared {var.declared_kind} but evaluates to "
             f"{variant_name(value)}", path, var.span)
-    return value
+    var.value = value

@@ -7,10 +7,14 @@ builder makes knows its `Package`, which holds the source path and text
 that diagnostics and dumps need. An entry holds the AST it was built from,
 and `Package.snip` gives the source text of any of its nodes; no entry keeps
 a copy of that text. An entity's `span` field holds the node that declares
-it, which diagnostics take as its location. A template instance is
-registered in its template's package under its mangled name, and that table
-is its memo. Every stage looks up a `name` or `package.name` reference
-through `resolve_ref`.
+it, which diagnostics take as its location, and from which a template
+instance is built again. Variables, type entries, streamlets and
+implementations carry an evaluation `state` and stored `error`, which only
+`EvalContext.force` writes; a port, instance or connection is evaluated
+when its result is set: its logical type, its target or its sink's port. A
+template instance is registered in its template's package under its
+mangled name, and that table is its memo. Every stage looks up a `name` or
+`package.name` reference through `resolve_ref`.
 """
 
 from __future__ import annotations
@@ -118,8 +122,7 @@ class Port:
     array_size_ast: Optional[AstNode] = None
     cd_ast: Optional[AstNode] = None
     span: Optional[AstNode] = None
-    # evaluated:
-    state: EvalState = EvalState.NOT_INFERRED
+    # evaluated; a port with a logical type is evaluated:
     logical_type: object = None
     array_size: Optional[int] = None
     clockdomain: Optional[Value] = None
@@ -134,7 +137,6 @@ class Streamlet:
     ports: dict[str, Port] = field(default_factory=dict)
     asserts: list[AstNode] = field(default_factory=list)
     span: Optional[AstNode] = None
-    decl: Optional[AstNode] = None  # declaring statement; instances rebuild it
     state: EvalState = EvalState.NOT_INFERRED
     error: Optional[TydiError] = None
 
@@ -154,7 +156,7 @@ class Instance:
     span: Optional[AstNode] = None
     # the `for` element scope its target and size resolve in; None: the impl's
     scope: Optional["Scope"] = field(default=None, compare=False, repr=False)
-    state: EvalState = EvalState.NOT_INFERRED
+    # evaluated; an instance with a target is evaluated:
     target: Optional["Implementation"] = None
     array_size: Optional[int] = None
 
@@ -207,7 +209,6 @@ class Connection:
     span: Optional[AstNode] = None
     # the `for` element scope its ends and depth resolve in; None: the impl's
     scope: Optional["Scope"] = field(default=None, compare=False, repr=False)
-    state: EvalState = EvalState.NOT_INFERRED
     fifo_depth: int = 0
 
 
@@ -223,11 +224,10 @@ class Implementation:
     connections: list[Connection] = field(default_factory=list)
     # (scope the assert evaluates in, assert statement)
     asserts: list[tuple["Scope", AstNode]] = field(default_factory=list)
-    generative: list[AstNode] = field(default_factory=list)  # pending if/for
+    generative: list[AstNode] = field(default_factory=list)  # if/for blocks
     process_block: Optional[str] = None
     derived_from: Optional[AstNode] = None  # ImplInstDecl target, if any
     span: Optional[AstNode] = None
-    decl: Optional[AstNode] = None  # declaring statement; instances rebuild it
     state: EvalState = EvalState.NOT_INFERRED
     error: Optional[TydiError] = None
     streamlet: Optional[Streamlet] = None

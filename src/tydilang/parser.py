@@ -240,6 +240,7 @@ class _Parser:
         start = self.expect_kw("Stream").start
         self.expect("(")
         children = [self.parse_logical_type()]
+        given = set()
         while self.at(","):
             comma = self.next()
             if self.at(")"):
@@ -247,6 +248,10 @@ class _Parser:
             key = self.expect("ID", "a stream property")
             if key.text not in STREAM_PROPERTY_KINDS:
                 self.fail("a stream property (d/u/t/s/c/r/x)", key)
+            if key.text in given:
+                raise SyntaxDiagnosticError(
+                    f"stream property {key.text!r} is given twice", self.path, key)
+            given.add(key.text)
             self.expect("=")
             if key.text == "u":
                 value = self.parse_logical_type()

@@ -160,7 +160,7 @@ def _insert_duplicator(ctx, project, impl, usage: PortUsage, uses):
         ctx, template, [TemplateArg("type", usage.port.logical_type),
                         TemplateArg("value", IntValue(k))])
     gen_name = _unique_name(impl, _sanitize(f"duplicate_{_end_path_name(usage)}_{k}"))
-    inst = Instance(name=gen_name, target=dup_impl, state=EvalState.EVALUATED)
+    inst = Instance(name=gen_name, target=dup_impl)
     impl.scope.instances[gen_name] = inst
     in_port = dup_impl.streamlet.ports["input"]
     out_port = dup_impl.streamlet.ports["output"]
@@ -168,10 +168,9 @@ def _insert_duplicator(ctx, project, impl, usage: PortUsage, uses):
     # outputs in declaration order; each keeps its fifo depth, marker and name
     for j, conn in enumerate(uses.get(usage.key(), [])):
         conn.source = _end(inst, out_port, port_index=j)
-    feed = Connection(name=f"{gen_name}_in", source=_source_end(impl, usage),
-                      sink=_end(inst, in_port))
-    feed.state = EvalState.EVALUATED
-    impl.scope.connections.append(feed)
+    impl.scope.connections.append(Connection(
+        name=f"{gen_name}_in", source=_source_end(impl, usage),
+        sink=_end(inst, in_port)))
 
 
 def _insert_voider(ctx, project, impl, usage: PortUsage):
@@ -179,13 +178,12 @@ def _insert_voider(ctx, project, impl, usage: PortUsage):
     void_impl = instantiate_template(
         ctx, template, [TemplateArg("type", usage.port.logical_type)])
     gen_name = _unique_name(impl, _sanitize(f"void_{_end_path_name(usage)}"))
-    inst = Instance(name=gen_name, target=void_impl, state=EvalState.EVALUATED)
+    inst = Instance(name=gen_name, target=void_impl)
     impl.scope.instances[gen_name] = inst
     in_port = void_impl.streamlet.ports["input"]
-    conn = Connection(name=f"{gen_name}_in", source=_source_end(impl, usage),
-                      sink=_end(inst, in_port))
-    conn.state = EvalState.EVALUATED
-    impl.scope.connections.append(conn)
+    impl.scope.connections.append(Connection(
+        name=f"{gen_name}_in", source=_source_end(impl, usage),
+        sink=_end(inst, in_port)))
 
 
 def sugar_project(ctx: EvalContext, project: Project) -> None:

@@ -21,7 +21,7 @@ from .logical_types import (DIRECTION_VALUES, NULL, SYNCHRONICITY_VALUES,
                             BitType, GroupType, StreamProperties, StreamType,
                             UnionType)
 from .math_engine import evaluate_expression
-from .model import EvalState, Scope, TypeEntry, resolve_ref
+from .model import Scope, TypeEntry, resolve_ref
 from .tree import AstNode
 from .values import BoolValue, FloatValue, IntValue, StrValue, variant_name
 
@@ -38,17 +38,16 @@ _PROPERTY_KEYS = {
 
 def force_type_entry(ctx: EvalContext, entry: TypeEntry):
     """Evaluate a type entry once; returns the evaluated LogicalType."""
-    if entry.state is EvalState.EVALUATED:
-        return entry.evaluated
-    if entry.state is EvalState.ERROR:
-        raise entry.error
-    with ctx.evaluating(entry):
-        if entry.own_scope is not None:  # a group or union the builder built
-            entry.evaluated = _evaluate_group(ctx, entry)
-        else:
-            entry.evaluated = evaluate_type(ctx, entry.scope, entry.ast,
-                                            declared_name=entry.id)
+    ctx.force(entry, _compute_type_entry)
     return entry.evaluated
+
+
+def _compute_type_entry(ctx: EvalContext, entry: TypeEntry):
+    if entry.own_scope is not None:  # a group or union the builder built
+        entry.evaluated = _evaluate_group(ctx, entry)
+    else:
+        entry.evaluated = evaluate_type(ctx, entry.scope, entry.ast,
+                                        declared_name=entry.id)
 
 
 def _evaluate_group(ctx: EvalContext, entry: TypeEntry):

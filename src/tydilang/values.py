@@ -93,7 +93,8 @@ def format_value(v: Value) -> str:
 
 
 def mangle_text(v: Value) -> str:
-    """How a value renders inside a template-instance mangled name."""
+    """How a value renders inside a template-instance mangled name or a
+    string concatenation."""
     if isinstance(v, IntValue):
         return str(v.value)
     if isinstance(v, StrValue):

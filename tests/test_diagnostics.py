@@ -74,6 +74,8 @@ CASES = [
      "expected a logical type, found '1'", "f0.td:1:21"),
     ("parse_stream_property", P + "type t = Stream(Bit(1), q = 1);", {}, "syntax",
      "expected a stream property (d/u/t/s/c/r/x), found 'q'", "f0.td:1:36"),
+    ("parse_stream_property_twice", P + "type t = Stream(Bit(1), d = 1, d = 2);", {},
+     "syntax", "stream property 'd' is given twice", "f0.td:1:43"),
     ("parse_port_direction", P + "streamlet q { a: t sideways, };", {}, "syntax",
      "expected port direction 'in' or 'out', found 'sideways'", "f0.td:1:31"),
     ("parse_external_instantiation", P + "external impl i(t<1>);", {}, "syntax",
@@ -102,6 +104,8 @@ CASES = [
      "syntax", "external implementation 'i' must have an empty body", "f0.td:1:136"),
     ("declare_duplicate", P + "const x = 1; const x = 2;", {}, "resolution",
      "duplicate variable 'x' in scope package_p", "f0.td:1:25"),
+    ("declare_template_parameter_twice", P + "streamlet q<n: int, n: int> { };", {},
+     "resolution", "duplicate variable 'n' in scope streamlet_q", "f0.td:1:32"),
     # a failed entity that a later root demands again is reported once
     ("type_failed_then_demanded", P + "type t = q; type u = t;", {}, "resolution",
      "type 'q' not found (searched package_p)", "f0.td:1:21"),

@@ -723,6 +723,31 @@ def test_unused_scope_variables_stay_lazy_even_with_assertions():
     assert scope.variables["untouched"].state is EvalState.NOT_INFERRED
 
 
+@pytest.mark.parametrize("texts, label", [
+    (("package q; const bad = 1 / 0;",
+      "package p; import q; const u1 = q.bad + 1; const u2 = q.bad + 2;"),
+     "package_q.bad"),
+    (("package q; type bad = Bit(0);",
+      "package p; import q; type u1 = q.bad; type u2 = Stream(q.bad);"),
+     "package_q.bad"),
+    (("package p; streamlet bad_s { a: Stream(nope) in, };"
+      " impl u1 of bad_s { }; impl u2 of bad_s { };",), "streamlet bad_s"),
+    (("package p; type s = Stream(Bit(1)); streamlet io_s { i: s in, };"
+      " impl bad_i of io_s { instance x(nope), };"
+      " impl u1 of io_s { instance y(bad_i), }; impl u2 of io_s { instance y(bad_i), };",),
+     "impl bad_i"),
+], ids=["variable", "type_entry", "streamlet", "implementation"])
+def test_failed_record_is_computed_once_and_reported_once(texts, label):
+    """A failing record of each kind, demanded by two roots, is computed
+    once: the second demand re-raises the stored error, which is reported
+    once."""
+    project = project_of(*texts)
+    ctx = EvalContext(project)
+    diags = evaluate_project(ctx, project)
+    assert len(diags) == 1, diags
+    assert ctx.eval_counts[label] == 1
+
+
 def test_cross_package_template_instantiates_into_owning_package():
     project, _ = evaluated_project(
         "package lib;\n"
