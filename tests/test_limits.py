@@ -52,6 +52,23 @@ def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, source, in_file, line):
     assert capsys.readouterr().err.splitlines()[0] == line
 
 
+@pytest.mark.parametrize("chain, dumped", [
+    ("".join(f"type t{k:05d} = t{k + 1:05d};\n" for k in range(199))
+     + "type t00199 = Bit(1);\n", "t00000:Bit(1)"),
+    ("".join(f"const c{k:05d} = c{k + 1:05d} + 1;\n" for k in range(99))
+     + "const c00099 = 0;\n", "c00000:int(99)"),
+], ids=["type_aliases_200", "constants_100"])
+def test_evaluation_depth_limits_are_pinned(chain, dumped):
+    """Evaluation recurses once per dependency, so a backward chain, whose
+    first name sorts first and needs all the others, is as deep as the
+    stack allows. These lengths compile today; a change that lowers the
+    limit below them fails here."""
+    result = compile_sources(CompileConfig(inputs=["<memory>"]),
+                             [("chain.td", "package p;\n" + chain)])
+    assert result.exit_code == 0, result.diagnostics
+    assert dumped in result.artifacts["2_evaluation_output.txt"]
+
+
 def test_ast_dump_reaches_as_deep_as_the_parser():
     """Writing `0_ast` used to overflow from about 180 nested parentheses,
     far below what the parser accepts."""
