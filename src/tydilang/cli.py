@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Exit status: 0 on success (warnings allowed), 1 on compile or DRC errors,
-2 on usage errors.
+2 on usage and io errors.
 """
 
 from __future__ import annotations

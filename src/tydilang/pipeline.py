@@ -2,10 +2,14 @@
 
 Stages run one after another on the calling thread; artifacts are written as
 soon as their stage completes, so everything produced before a failure
-survives it. An artifact that cannot be written ends the compile with an
-`io` diagnostic. An input nested deeper than the Python stack allows fails with
-a "nesting too deep while <stage>" diagnostic. `CompileConfig.jobs` is
-validated but has no effect: every artifact is the same for any value.
+survives it. A compile into a directory first removes the `ARTIFACTS` an
+earlier compile left there, but not `0_ast/`. A failed stage reports
+diagnostics; `compile_sources` alone writes them to `error_report.txt`, and
+the exit status is derived from them (`CompileResult.exit_code`). An artifact
+that cannot be written or removed ends the compile with an `io` diagnostic
+and no error report. An input nested deeper than the Python stack allows
+fails with a "nesting too deep while <stage>" diagnostic. `CompileConfig.jobs`
+is validated but has no effect: every artifact is the same for any value.
 """
 
 from __future__ import annotations
@@ -46,13 +50,25 @@ class CompileConfig:
             raise ValueError("jobs must be >= 1")
 
 
+# the fixed artifact names; `0_ast/` holds one more per source file
+ARTIFACTS = ("1_parser_output.txt", "2_evaluation_output.txt",
+             "2_evaluation_output_after_sugaring.txt", "drc_report.txt",
+             "circuit.dot", "ir.json", "error_report.txt")
+
+
 @dataclass
 class CompileResult:
     project: Optional[Project] = None
     diagnostics: list[Diagnostic] = field(default_factory=list)
     drc_diagnostics: list = field(default_factory=list)
     artifacts: dict[str, str] = field(default_factory=dict)  # name -> text
-    exit_code: int = 0
+
+    @property
+    def exit_code(self) -> int:
+        """2 on a usage or io error, 1 on any other diagnostic or a DRC error."""
+        if any(d.category in ("usage", "io") for d in self.diagnostics):
+            return 2
+        return 1 if self.diagnostics or drc_has_errors(self.drc_diagnostics) else 0
 
     @property
     def ok(self) -> bool:
@@ -181,11 +197,9 @@ def compile_project(config: CompileConfig) -> CompileResult:
         sources = collect_sources(config.inputs)
     except OSError as e:
         result.diagnostics.append(Diagnostic("io", str(e)))
-        result.exit_code = 2
         return result
     if not sources:
         result.diagnostics.append(Diagnostic("usage", "no input files"))
-        result.exit_code = 2
         return result
     return compile_sources(config, sources, result)
 
@@ -194,12 +208,18 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
                     result: Optional[CompileResult] = None) -> CompileResult:
     result = result or CompileResult()
     sources = sources + [(PRELUDE_PATH, PRELUDE_SOURCE)]
-    source_texts = dict(sources)
     stage = "parsing"
     try:
+        if config.output_dir is not None:
+            for name in ARTIFACTS:
+                path = os.path.join(config.output_dir, name)
+                if os.path.isfile(path):
+                    os.remove(path)
         try:
-            for stage in _stages(config, result, sources, source_texts):
+            for stage in _stages(config, result, sources):
                 pass
+        except TydiError as e:
+            result.diagnostics.append(e.diagnostic)
         except RecursionError:
             # the AST dumps and the stages after evaluation recurse once per
             # nesting level, so a deep enough input exhausts the Python stack;
@@ -207,33 +227,29 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
             result.diagnostics.append(Diagnostic(
                 "syntax" if stage == "parsing" else "resolution",
                 f"nesting too deep while {stage}"))
-            _finish_with_errors(config, result, source_texts)
+        if result.diagnostics:
+            _write(config, result, "error_report.txt",
+                   render_error_report(result.diagnostics, dict(sources)))
     except OSError as e:
-        # an artifact could not be written: an io error, like an unreadable
-        # input, and no error report is tried where that write failed
+        # an artifact could not be written or removed: an io error, like an
+        # unreadable input, and no error report is tried where that failed
         result.diagnostics.append(Diagnostic("io", str(e)))
-        result.exit_code = 2
     return result
 
 
 def _stages(config: CompileConfig, result: CompileResult,
-            sources: list[tuple[str, str]], source_texts: dict[str, str]):
+            sources: list[tuple[str, str]]):
     """Run the stages into `result`, yielding the name of each stage after
-    parsing as it starts; a failed stage records its diagnostics and stops."""
+    parsing as it starts. A stage that reports a list of diagnostics records
+    them and stops; one that stops at its first error raises it."""
     parsed, diagnostics = parse_project(sources)
     _write_ast_dumps(config, result, parsed)
     if diagnostics:
         result.diagnostics.extend(diagnostics)
-        _finish_with_errors(config, result, source_texts)
         return
 
     yield "building"
-    try:
-        project = build_project(config.project_name, parsed)
-    except TydiError as e:
-        result.diagnostics.append(e.diagnostic)
-        _finish_with_errors(config, result, source_texts)
-        return
+    project = build_project(config.project_name, parsed)
     _inject_prelude_imports(project)
     result.project = project
     _write(config, result, "1_parser_output.txt", dump_code_structure(project))
@@ -243,7 +259,6 @@ def _stages(config: CompileConfig, result: CompileResult,
     diagnostics = evaluate_project(ctx, project, config.top)
     if diagnostics:
         result.diagnostics.extend(diagnostics)
-        _finish_with_errors(config, result, source_texts)
         return
     _write(config, result, "2_evaluation_output.txt", dump_code_structure(project))
 
@@ -257,24 +272,15 @@ def _stages(config: CompileConfig, result: CompileResult,
         result.drc_diagnostics = run_drc(project)
         _write(config, result, "drc_report.txt",
                render_drc_report(result.drc_diagnostics))
-        if drc_has_errors(result.drc_diagnostics):
-            result.exit_code = 1
 
     yield "emitting"
     if config.emit_dot:
         if config.top is None:
-            result.diagnostics.append(Diagnostic(
-                "usage", "--dot requires --top <package.impl>"))
-            result.exit_code = 2
-            return
+            raise TydiError("usage", "--dot requires --top <package.impl>")
         pkg_name, _, impl_name = config.top.partition(".")
-        try:  # the circuit is dropped as soon as its text is made
-            _write(config, result, "circuit.dot",
-                   emit_dot(flatten(project, pkg_name, impl_name)))
-        except TydiError as e:  # flat names or record anchors that collide
-            result.diagnostics.append(e.diagnostic)
-            _finish_with_errors(config, result, source_texts)
-            return
+        # raises on colliding flat names; the circuit is dropped once written
+        _write(config, result, "circuit.dot",
+               emit_dot(flatten(project, pkg_name, impl_name)))
     if config.emit_ir:
         _write(config, result, "ir.json", emit_ir(project))
 
@@ -302,12 +308,3 @@ def _inject_prelude_imports(project: Project):
         if pkg.name != PRELUDE_PACKAGE:
             import_package(pkg.scope, PRELUDE_PACKAGE)
 
-
-def _finish_with_errors(config: CompileConfig, result: CompileResult,
-                        sources: dict[str, str]):
-    # a usage error (a --top that names no implementation, or a template)
-    # exits 2 like the CLI's own argument errors
-    usage = any(d.category == "usage" for d in result.diagnostics)
-    result.exit_code = 2 if usage else 1
-    _write(config, result, "error_report.txt",
-           render_error_report(result.diagnostics, sources))

@@ -46,21 +46,3 @@ def dump_ast(n: AstNode) -> str:
         parts.append(dump_ast(c))
     inner = ", ".join(parts)
     return f"{n.kind}({n.start}, {n.end}, [{inner}])"
-
-
-def iter_nodes(n: AstNode):
-    yield n
-    for c in n.children:
-        yield from iter_nodes(c)
-
-
-def check_span_containment(n: AstNode) -> None:
-    """Verify child spans nest inside the parent, in order, non-overlapping."""
-    prev_end = n.start
-    for c in n.children:
-        if c.start < n.start or c.end > n.end:
-            raise AssertionError(f"{c.kind} span escapes parent {n.kind}")
-        if c.start < prev_end:
-            raise AssertionError(f"{c.kind} overlaps preceding sibling in {n.kind}")
-        prev_end = c.end
-        check_span_containment(c)

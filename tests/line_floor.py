@@ -33,7 +33,6 @@ import pytest
 # RecursionError handler run; test_deep_nesting_is_a_diagnostic
 # (tests/test_limits.py) reaches each one
 _OVERFLOW = "a RecursionError handler, run after tracing stopped"
-_ORACLE = "a test oracle's failure; the tests assert that it does not fail"
 
 # lines no test executes, by "module.qualname: <stripped line text>", with the
 # reason each is accepted
@@ -51,12 +50,6 @@ UNCOVERED = {
     'pipeline.compile_sources: "syntax" if stage == "parsing" else "resolution",':
         _OVERFLOW,
     'pipeline.compile_sources: f"nesting too deep while {stage}"))': _OVERFLOW,
-    "pipeline.compile_sources: _finish_with_errors(config, result, source_texts)":
-        _OVERFLOW,
-    'tree.check_span_containment: raise AssertionError(f"{c.kind} span escapes '
-    'parent {n.kind}")': _ORACLE,
-    'tree.check_span_containment: raise AssertionError(f"{c.kind} overlaps '
-    'preceding sibling in {n.kind}")': _ORACLE,
     'parser.parse_fragment: raise ValueError(f"unknown fragment rule {rule!r}")':
         "rejects a misspelt rule; every caller in the tests names a known one",
 }

@@ -194,6 +194,31 @@ def test_rerun_is_idempotent(tmp_path):
     assert (out / "ir.json").read_bytes() == first
 
 
+def test_error_report_of_an_earlier_compile_is_removed(tmp_path):
+    bad = write_sources(tmp_path / "bad", {"x.td": "package p;\nconst x = ;\n"})
+    good = write_sources(tmp_path / "good", {"x.td": "package p;\nconst x = 1;\n"})
+    out = tmp_path / "build"
+    assert main([str(bad), "--output", str(out)]) == 1
+    assert (out / "error_report.txt").is_file()
+    assert main([str(good), "--output", str(out)]) == 0
+    assert not (out / "error_report.txt").exists()
+
+
+def test_only_the_fixed_artifacts_of_an_earlier_compile_are_removed(tmp_path):
+    """A dropped `--ir` leaves no `ir.json`; a user's file and the AST dump
+    of a file no longer given stay, since neither is a fixed artifact name."""
+    first = write_sources(tmp_path / "first", {"a.td": "package a;"})
+    second = write_sources(tmp_path / "second", {"b.td": "package b;"})
+    out = tmp_path / "build"
+    assert main([str(first), "--output", str(out), "--ir"]) == 0
+    (out / "notes.txt").write_text("kept")
+    assert main([str(second), "--output", str(out)]) == 0
+    assert sorted(os.listdir(out)) == [
+        "0_ast", "1_parser_output.txt", "2_evaluation_output.txt",
+        "2_evaluation_output_after_sugaring.txt", "notes.txt"]
+    assert sorted(os.listdir(out / "0_ast")) == ["a.txt", "b.txt"]
+
+
 def test_ast_dump_stem_collision_resolved(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -286,12 +311,9 @@ FAILURES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "source, options, exit_code, report",
-    [pytest.param(*case[1:], id=case[0], marks=[pytest.mark.xfail(
-        strict=True, reason="the library's --dot without --top writes no error "
-        "report yet")] if case[0] == "dot_without_top" else [])
-     for case in FAILURES])
+@pytest.mark.parametrize("source, options, exit_code, report",
+                         [case[1:] for case in FAILURES],
+                         ids=[case[0] for case in FAILURES])
 def test_exit_status_and_error_report_per_failure(tmp_path, source, options,
                                                   exit_code, report):
     """Each kind of failure, through the library entry point that the CLI

@@ -9,9 +9,27 @@ from tydilang.lexer import tokenize
 from tydilang import parser
 from tydilang.parser import parse_file, parse_fragment, parse_project
 from tydilang.stdlib import PRELUDE_PATH, PRELUDE_SOURCE
-from tydilang.tree import check_span_containment, dump_ast, iter_nodes
+from tydilang.tree import AstNode, dump_ast
 
 from conftest import DATA_DIR, evaluated_project, live_span_count
+
+
+def iter_nodes(n: AstNode):
+    yield n
+    for c in n.children:
+        yield from iter_nodes(c)
+
+
+def check_span_containment(n: AstNode) -> None:
+    """Verify child spans nest inside the parent, in order, non-overlapping."""
+    prev_end = n.start
+    for c in n.children:
+        if c.start < n.start or c.end > n.end:
+            raise AssertionError(f"{c.kind} span escapes parent {n.kind}")
+        if c.start < prev_end:
+            raise AssertionError(f"{c.kind} overlaps preceding sibling in {n.kind}")
+        prev_end = c.end
+        check_span_containment(c)
 
 UNION_SNIPPET = (
     'Union A {\n'
