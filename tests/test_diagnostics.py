@@ -250,6 +250,24 @@ CASES = [
     ("detached_group_assert", P + "type a = Group g { r: Bit(1), assert(1 == 2), };",
      {}, "assertion", "assertion failed: 1 == 2 (operands: int(1), int(2))",
      "f0.td:1:42"),
+    # -- an assert evaluates in the scope of its own body, which declares `w`
+    ("group_assert_in_own_scope",
+     P + "type Group g { const w = 1, r: Bit(1), assert(w == 2), };", {},
+     "assertion", "assertion failed: w == 2 (operands: int(1), int(2))",
+     "f0.td:1:51"),
+    ("union_assert_in_own_scope",
+     P + "type Union u { const w = 1, r: Bit(1), assert(w == 2), };", {},
+     "assertion", "assertion failed: w == 2 (operands: int(1), int(2))",
+     "f0.td:1:51"),
+    ("field_group_assert_in_own_scope",
+     P + "type Group g { f: Group h { const w = 1, x: Bit(1), assert(w == 2), }, };",
+     {}, "assertion", "assertion failed: w == 2 (operands: int(1), int(2))",
+     "f0.td:1:64"),
+    ("streamlet_assert_in_own_scope",
+     P + "type s = Stream(Bit(1)); streamlet a_s { const w = 1, i: s in, "
+     "assert(w == 2), }; impl a_i of a_s { };", {},
+     "assertion", "assertion failed: w == 2 (operands: int(1), int(2))",
+     "f0.td:1:75"),
     ("detached_group_qualified",
      ("package a; import b; type t = Group g { r: b.t, };", "package b; type t = Bit(1);"),
      {}, "resolution", "package 'b' is not imported here", "f0.td:1:44"),

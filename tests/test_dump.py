@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from tydilang.cli import main
 from tydilang.dump import dump_code_structure
 from tydilang.pipeline import CompileConfig, compile_sources
 
@@ -374,6 +375,22 @@ def test_golden_tpch1_ir_is_pinned():
                               "golden_tpch1_evaluation_output.txt")):
         with open(os.path.join(DATA_DIR, golden), encoding="utf-8") as f:
             assert result.artifacts[artifact] == f.read(), artifact
+
+
+@pytest.mark.parametrize("artifact, golden", [
+    ("1_parser_output.txt", "golden_grammar_parser_output.txt"),
+    ("error_report.txt", "golden_grammar_error_report.txt")])
+def test_golden_grammar_build_is_pinned(tmp_path, monkeypatch, artifact, golden):
+    """Byte-exact pins of what the builder makes of every item kind the
+    parser reaches, and of the evaluation errors that follow, as
+    `tydilang tests/data/golden_grammar.td --project project` writes them
+    from the repository root."""
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(DATA_DIR)))
+    out = tmp_path / "build"
+    assert main(["tests/data/golden_grammar.td", "--project", "project",
+                 "--output", str(out)]) == 1
+    with open(os.path.join(DATA_DIR, golden), encoding="utf-8") as f:
+        assert (out / artifact).read_text(encoding="utf-8") == f.read()
 
 
 def test_evaluated_values_dump_format():
