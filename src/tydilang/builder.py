@@ -4,10 +4,10 @@ Classifies AST statements into scope entries and adds the invisible language
 elements: scope relationships and the magic ``$package$``/``$arg$`` variables.
 Nothing is evaluated here; every entry starts in the NotInferred state and
 holds the AST nodes it was built from, whose source text its package's
-`Package.snip` gives back. `StatementBuilder.build_impl_item` builds every
-item of an implementation body, whether the body declares it or a for/if
-block generates it; `substitute` spells the instance names with ``{{var}}``
-holes there.
+`Package.snip` gives back. `StatementBuilder.build_item` builds every item
+of every body: of a package, a group or union, a streamlet or an
+implementation, whether the body declares it or a for/if block generates
+it; `substitute` spells the instance names with ``{{var}}`` holes there.
 """
 
 from __future__ import annotations
@@ -55,6 +55,12 @@ def substitute(name_node: AstNode, scope: Scope, path) -> str:
     return merged
 
 
+def _body(decl: AstNode) -> list[AstNode]:
+    """The body items of a streamlet or implementation declaration."""
+    return [c for c in decl.children
+            if c.kind not in ("DOC", "ID", "External", "TemplateParams", "OfStreamlet")]
+
+
 def _loop_value(scope: Scope, var: str) -> Optional[Value]:
     """The element `var` is bound to by the innermost `for` around `scope`."""
     while scope.category == "iffor":
@@ -71,9 +77,9 @@ class StatementBuilder:
     Also used by template instantiation, which builds a template's statement
     again under the mangled name, and by generative for/if expansion, which
     hands each item of a selected branch or of each `for` element to
-    `build_impl_item`, into an already-evaluating implementation. Every
-    scope it makes belongs to `package`, whose source the statements' spans
-    index into.
+    `build_item`, into an already-evaluating implementation. Every scope it
+    makes belongs to `package`, whose source the statements' spans index
+    into.
     """
 
     def __init__(self, package: Package):
@@ -124,20 +130,7 @@ class StatementBuilder:
         entry = TypeEntry(id=entry_id, ast=group_ast, scope=scope, own_scope=own,
                           span=group_ast)
         for item in group_ast.children[1:]:
-            if item.kind == "SubItemItem":
-                fname = item.children[0].leaf_text
-                # f: Group h { ... },  attached to the enclosing group's
-                # scope, as a nested `type Group` declaration is
-                fentry = self.build_named_type(fname, item.children[1], own, item,
-                                               attached=True)
-                declare(own, fentry, "type", item, self.path)
-                entry.field_names.append(fname)
-            elif item.kind == "ConstDecl":
-                declare(own, self.build_const(item, own), "variable", item, self.path)
-            elif item.kind == "TypeDecl":
-                declare(own, self.build_type_entry(item, own), "type", item, self.path)
-            else:  # AssertStmt, the last kind of group item the parser makes
-                entry.asserts.append(item)
+            self.build_item(item, entry, own)
         return entry
 
     # -- streamlets ------------------------------------------------------------
@@ -169,27 +162,9 @@ class StatementBuilder:
         tparams = stmt.child("TemplateParams")
         if tparams is not None:
             s.template_params = self.build_template_params(tparams, own)
-        for item in stmt.children:
-            if item.kind == "PortDecl":
-                declare(own, self.build_port(item), "port", item, self.path)
-            elif item.kind == "ConstDecl":
-                declare(own, self.build_const(item, own), "variable", item, self.path)
-            elif item.kind == "TypeDecl":
-                declare(own, self.build_type_entry(item, own), "type", item, self.path)
-            elif item.kind == "AssertStmt":
-                s.asserts.append(item)
+        for item in _body(stmt):
+            self.build_item(item, s, own)
         return s
-
-    def build_port(self, item: AstNode) -> Port:
-        name = item.children[0].leaf_text
-        size = item.child("ArraySize")
-        return Port(
-            name=name,
-            type_ast=item.child("LogicalType"),
-            direction=item.child("DIR").leaf_text,
-            array_size_ast=size.children[0] if size else None,
-            cd_ast=item.child("ClockDomainAnn"),
-            span=item)
 
     # -- implementations ---------------------------------------------------------
 
@@ -214,22 +189,25 @@ class StatementBuilder:
         tparams = stmt.child("TemplateParams")
         if tparams is not None:
             impl.template_params = self.build_template_params(tparams, own)
-        body = [c for c in stmt.children
-                if c.kind not in ("DOC", "ID", "External", "TemplateParams", "OfStreamlet")]
+        body = _body(stmt)
         if impl.external and body:
             raise TydiError(
                 "syntax",
                 f"external implementation {name!r} must have an empty body",
                 self.path, body[0])
         for item in body:
-            self.build_impl_item(item, impl, own)
+            self.build_item(item, impl, own)
         return impl
 
-    def build_impl_item(self, item: AstNode, impl: Implementation, own: Scope,
-                        scope: Optional[Scope] = None, suffix: str = ""):
-        """Declare `item` in `own`. Its expressions resolve in `scope` (`own`
-        by default, or the scope of a `for` element), and the names of its
-        connections end in the element's `suffix`."""
+    # -- body items ----------------------------------------------------------------
+
+    def build_item(self, item: AstNode, owner, own: Scope,
+                   scope: Optional[Scope] = None, suffix: str = ""):
+        """Build `item` of the body of `owner` (a package, a group or union
+        entry, a streamlet or an implementation) and declare it in `own`.
+        Its expressions resolve in `scope` (`own` by default, or the scope
+        of a `for` element), and the names of its connections end in the
+        element's `suffix`."""
         resolve = scope or own
         kind = item.kind
         if kind == "ConstDecl":
@@ -237,43 +215,58 @@ class StatementBuilder:
         elif kind == "TypeDecl":
             declare(own, self.build_type_entry(item, resolve), "type", item, self.path)
         elif kind == "AssertStmt":
-            impl.asserts.append((resolve, item))
-        elif kind == "InstanceDecl":
-            name_node = item.children[0]
+            owner.asserts.append((resolve, item))
+        elif kind == "SubItemItem":
+            # f: Group h { ... },  attached to the enclosing group's scope,
+            # as a nested `type Group` declaration is
+            fname = item.children[0].leaf_text
+            declare(own, self.build_named_type(fname, item.children[1], resolve,
+                                               item, attached=True),
+                    "type", item, self.path)
+            owner.field_names.append(fname)
+        elif kind == "PortDecl":
             size = item.child("ArraySize")
-            inst = Instance(
+            declare(own, Port(
+                name=item.children[0].leaf_text, type_ast=item.child("LogicalType"),
+                direction=item.child("DIR").leaf_text,
+                array_size_ast=size.children[0] if size else None,
+                cd_ast=item.child("ClockDomainAnn"), span=item), "port", item, self.path)
+        elif kind == "InstanceDecl":
+            name_node, size = item.children[0], item.child("ArraySize")
+            declare(own, Instance(
                 name=name_node.leaf_text if name_node.kind == "ID" else
                 substitute(name_node, resolve, self.path),
                 target_ast=item.children[1],
                 array_size_ast=size.children[0] if size else None,
-                span=item,
-                scope=scope)
-            declare(own, inst, "instance", item, self.path)
+                span=item, scope=scope), "instance", item, self.path)
         elif kind == "ConnectionStmt":
             own.connections.append(self.build_connection(item, suffix, scope))
         elif kind in ("IfBlock", "ForBlock"):
-            impl.generative.append(item)
-        else:  # ProcessBlock, the last kind of item the parser makes
-            impl.process_block = item.leaf_text
+            owner.generative.append(item)
+        elif kind == "ProcessBlock":
+            owner.process_block = item.leaf_text
+        elif kind == "ImportStmt":
+            import_package(own, item.children[0].leaf_text)
+        elif kind == "StreamletDecl":
+            declare(own, self.build_streamlet(item, own), "streamlet", item, self.path)
+        else:  # ImplDecl or ImplInstDecl, the last items the parser makes
+            declare(own, self.build_impl(item, own), "implementation", item,
+                    self.path)
 
     def build_connection(self, item: AstNode, name_suffix: str,
                          scope: Optional[Scope]) -> Connection:
-        ends = item.children_of("PathEnd")
+        source, sink = (EndRef(end.child("PathOwner"), end.child("PathPort"))
+                        for end in item.children_of("PathEnd"))
         fifo = item.child("FifoDepth")
         cname_node = item.child("ConnName")
         cname = cname_node.leaf_text if cname_node else \
             f"connection_{item.start}-{item.end}"
         return Connection(
-            name=cname + name_suffix,
-            source=self.build_end(ends[0]),
-            sink=self.build_end(ends[1]),
+            name=cname + name_suffix, source=source, sink=sink,
             fifo_ast=fifo.children[0] if fifo else None,
             no_strict=item.child("NoStrictMarker") is not None,
             span=item,
             scope=scope)
-
-    def build_end(self, end: AstNode) -> EndRef:
-        return EndRef(end.child("PathOwner"), end.child("PathPort"))
 
 
 def import_package(scope: Scope, pkg_name: str):
@@ -284,40 +277,13 @@ def import_package(scope: Scope, pkg_name: str):
         scope.variables[magic] = Variable(id=magic, scope=scope, is_magic=True)
 
 
-class PackageBuilder(StatementBuilder):
-    def __init__(self, parsed: ParsedFile):
-        super().__init__(Package(parsed.package_name, parsed.path, parsed.text))
-        self.parsed = parsed
-
-    def build(self) -> Package:
-        scope = self.package.scope
-        import_package(scope, self.package.name)
-        for stmt in self.parsed.ast.children:
-            self.build_statement(stmt, scope)
-        return self.package
-
-    def build_statement(self, stmt: AstNode, scope: Scope):
-        kind = stmt.kind
-        if kind == "ImportStmt":
-            import_package(scope, stmt.children[0].leaf_text)
-            return
-        if kind == "ConstDecl":
-            declare(scope, self.build_const(stmt, scope), "variable", stmt, self.path)
-            return
-        if kind == "TypeDecl":
-            declare(scope, self.build_type_entry(stmt, scope), "type", stmt, self.path)
-            return
-        if kind == "StreamletDecl":
-            s = self.build_streamlet(stmt, scope)
-            declare(scope, s, "streamlet", stmt, self.path)
-            return
-        # ImplDecl or ImplInstDecl, the last statements the parser makes
-        declare(scope, self.build_impl(stmt, scope), "implementation", stmt,
-                self.path)
-
-
 def build_project(name: str, parsed_files: dict[str, ParsedFile]) -> Project:
     project = Project(name)
-    for pkg_name in sorted(parsed_files):
-        project.packages[pkg_name] = PackageBuilder(parsed_files[pkg_name]).build()
+    for pkg_name, parsed in sorted(parsed_files.items()):
+        package = project.packages[pkg_name] = Package(
+            parsed.package_name, parsed.path, parsed.text)
+        import_package(package.scope, package.name)
+        sb = StatementBuilder(package)
+        for stmt in parsed.ast.children:
+            sb.build_item(stmt, package, package.scope)
     return project

@@ -17,8 +17,8 @@ its result. Streamlet, implementation and type references resolve through
 Each element of a `for` block gets a scope that binds the loop variable and
 reaches the scope around it by an if/for relation. Expansion selects the
 `if` branch or loops over the elements itself and hands every other item to
-the builder's `build_impl_item`, once per element; what it builds evaluates
-in that scope.
+the builder's `build_item`, once per element; what it builds evaluates in
+that scope.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def evaluate_streamlet(ctx: EvalContext, s: Streamlet):
 def _compute_streamlet(ctx: EvalContext, s: Streamlet):
     for port in s.ports.values():
         evaluate_port(ctx, s.scope, port)
-    for a in s.asserts:
-        check_assertion(ctx, s.scope, a)
+    for scope, a in s.asserts:
+        check_assertion(ctx, scope, a)
 
 
 def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
@@ -462,7 +462,7 @@ def _expand_item(ctx: EvalContext, impl: Implementation, item: AstNode,
         for child in _select_if_branch(ctx, scope, item, sb.path):
             _expand_item(ctx, impl, child, sb, scope, suffix)
     else:
-        sb.build_impl_item(item, impl, impl.scope, scope, suffix)
+        sb.build_item(item, impl, impl.scope, scope, suffix)
 
 
 def _select_if_branch(ctx, scope, block: AstNode, path) -> tuple[AstNode, ...]:

@@ -96,7 +96,7 @@ class TypeEntry:
     scope: Optional["Scope"] = None  # defining scope (resolution starts here)
     own_scope: Optional["Scope"] = None  # group/union inner scope, if any
     field_names: list[str] = field(default_factory=list)  # group/union order
-    asserts: list[AstNode] = field(default_factory=list)
+    asserts: list[tuple["Scope", AstNode]] = field(default_factory=list)
     span: Optional[AstNode] = None
     state: EvalState = EvalState.NOT_INFERRED
     evaluated: object = None  # LogicalType
@@ -135,7 +135,7 @@ class Streamlet:
     doc: Optional[str] = None
     template_params: list[TemplateParam] = field(default_factory=list)
     ports: dict[str, Port] = field(default_factory=dict)
-    asserts: list[AstNode] = field(default_factory=list)
+    asserts: list[tuple["Scope", AstNode]] = field(default_factory=list)
     span: Optional[AstNode] = None
     state: EvalState = EvalState.NOT_INFERRED
     error: Optional[TydiError] = None

@@ -58,8 +58,8 @@ def _evaluate_group(ctx: EvalContext, entry: TypeEntry):
     fields = tuple((fname, force_type_entry(ctx, scope.types[fname]))
                    for fname in entry.field_names)
     from .elaboration import check_assertion
-    for a in entry.asserts:
-        check_assertion(ctx, scope, a)
+    for a_scope, a in entry.asserts:
+        check_assertion(ctx, a_scope, a)
     return cls(name=name, scope=scope, fields=fields)
 
 
