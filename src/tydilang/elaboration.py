@@ -23,7 +23,7 @@ that scope.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .builder import StatementBuilder, substitute
 from .context import EvalContext
@@ -38,11 +38,6 @@ from .tree import AstNode
 from .type_eval import evaluate_type, force_type_entry
 from .values import (ArrayValue, BoolValue, ClockDomainValue, IntValue,
                      Value, format_value, mangle_text, variant_name)
-
-
-class TemplateArg(NamedTuple):
-    kind: str  # value | type | impl
-    value: object  # a Value, a LogicalType or an Implementation
 
 
 # -- streamlet evaluation ------------------------------------------------------
@@ -350,14 +345,14 @@ def _resolve_template_use(ctx: EvalContext, scope: Scope, inst_ast: AstNode,
 
 
 def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
-                           arg_node: AstNode) -> TemplateArg:
+                           arg_node: AstNode):
     path = scope.package.path
     if param.kind == "type":
         if arg_node.kind != "TemplateArgType":
             raise TypeError_(
                 f"template parameter {param.name!r} expects a logical type; "
                 "use the `type` keyword before the argument", path, arg_node)
-        return TemplateArg("type", evaluate_type(ctx, scope, arg_node.children[0]))
+        return evaluate_type(ctx, scope, arg_node.children[0])
     if param.kind == "impl":
         if arg_node.kind != "TemplateArgImpl":
             raise TypeError_(
@@ -377,7 +372,7 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
                 f"implementation {target.id!r} implements streamlet "
                 f"{target.streamlet.id!r}, but parameter {param.name!r} requires "
                 f"an implementation of {param.impl_of!r}", path, arg_node)
-        return TemplateArg("impl", target)
+        return target
     if arg_node.kind != "TemplateArgExp":
         raise TypeError_(
             f"template parameter {param.name!r} expects a {param.kind} value",
@@ -387,25 +382,28 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
         raise TypeError_(
             f"template parameter {param.name!r} expects {param.kind}, got "
             f"{variant_name(value)}", path, arg_node)
-    return TemplateArg("value", value)
+    return value
 
 
-def _mangle(arg: TemplateArg) -> str:
-    if arg.kind == "type":
-        return short_name(arg.value)
-    if arg.kind == "impl":
-        return arg.value.id
-    return mangle_text(arg.value)
+def _mangle(kind: str, arg) -> str:
+    if kind == "type":
+        return short_name(arg)
+    if kind == "impl":
+        return arg.id
+    return mangle_text(arg)
 
 
-def mangled_name(template_id: str, args: list[TemplateArg]) -> str:
-    return template_id + "".join("@" + _mangle(a) for a in args)
+def mangled_name(template, args: list) -> str:
+    return template.id + "".join("@" + _mangle(p.kind, a)
+                                 for p, a in zip(template.template_params, args))
 
 
-def instantiate_template(ctx: EvalContext, template, args: list[TemplateArg]):
+def instantiate_template(ctx: EvalContext, template, args: list):
     """Monomorphize once per (template package, mangled name): the instance
-    is registered in the package's table, which later uses look it up in."""
-    mangled = mangled_name(template.id, args)
+    is registered in the package's table, which later uses look it up in.
+    Each argument is what its parameter's kind takes: a LogicalType, an
+    Implementation or a Value."""
+    mangled = mangled_name(template, args)
     pkg_scope = template.scope.package.scope
     if isinstance(template, Streamlet):
         table, compute = pkg_scope.streamlets, _compute_streamlet
@@ -420,8 +418,7 @@ def instantiate_template(ctx: EvalContext, template, args: list[TemplateArg]):
     return entity
 
 
-def _do_instantiate(ctx: EvalContext, template, args: list[TemplateArg],
-                    new_name: str):
+def _do_instantiate(ctx: EvalContext, template, args: list, new_name: str):
     """Build the template's statement again under `new_name`, in the
     template's package, and bind the arguments in the fresh scope."""
     sb = StatementBuilder(template.scope.package)
@@ -432,19 +429,19 @@ def _do_instantiate(ctx: EvalContext, template, args: list[TemplateArg],
     return entity
 
 
-def _bind_args(scope: Scope, params, args: list[TemplateArg]):
+def _bind_args(scope: Scope, params, args: list):
     for param, arg in zip(params, args):
         scope.variables.pop(param.name, None)
-        if arg.kind == "type":
+        if param.kind == "type":
             scope.types[param.name] = TypeEntry(
                 id=param.name, ast=None, scope=scope,
-                state=EvalState.EVALUATED, evaluated=arg.value)
-        elif arg.kind == "impl":
-            scope.impl_args[param.name] = arg.value
+                state=EvalState.EVALUATED, evaluated=arg)
+        elif param.kind == "impl":
+            scope.impl_args[param.name] = arg
         else:
             scope.variables[param.name] = Variable(
-                id=param.name, scope=scope, declared_kind=variant_name(arg.value),
-                state=EvalState.EVALUATED, value=arg.value)
+                id=param.name, scope=scope, declared_kind=param.kind,
+                state=EvalState.EVALUATED, value=arg)
 
 
 # -- generative for/if expansion -----------------------------------------------------

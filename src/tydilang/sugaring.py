@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .context import EvalContext
-from .elaboration import TemplateArg, instantiate_template
+from .elaboration import instantiate_template
 from .errors import TydiError
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Port, Project)
@@ -147,43 +147,34 @@ def sugar_implementation(ctx: EvalContext, project: Project,
         key=lambda u: (u.owner or "", u.owner_index if u.owner_index is not None else -1,
                        u.port_name, u.port_index if u.port_index is not None else -1))
     for usage in ordered:
-        if usage.use_count >= 2:
-            _insert_duplicator(ctx, project, impl, usage, uses)
-        elif usage.use_count == 0 and usage.owner is not None:
-            _insert_voider(ctx, project, impl, usage)
+        k = usage.use_count
+        if k >= 2:
+            inst = _insert(ctx, project, impl, usage, DUPLICATOR_IMPL, [IntValue(k)],
+                           f"duplicate_{_end_path_name(usage)}_{k}")
+            # retarget this source's uses, indexed before any insertion, onto
+            # the outputs in declaration order; each keeps its fifo depth,
+            # marker and name
+            out_port = inst.target.streamlet.ports["output"]
+            for j, conn in enumerate(uses.get(usage.key(), [])):
+                conn.source = _end(inst, out_port, port_index=j)
+        elif k == 0 and usage.owner is not None:
+            _insert(ctx, project, impl, usage, VOIDER_IMPL, [],
+                    f"void_{_end_path_name(usage)}")
 
 
-def _insert_duplicator(ctx, project, impl, usage: PortUsage, uses):
-    k = usage.use_count
-    template = _std_template(project, DUPLICATOR_IMPL)
-    dup_impl = instantiate_template(
-        ctx, template, [TemplateArg("type", usage.port.logical_type),
-                        TemplateArg("value", IntValue(k))])
-    gen_name = _unique_name(impl, _sanitize(f"duplicate_{_end_path_name(usage)}_{k}"))
-    inst = Instance(name=gen_name, target=dup_impl)
-    impl.scope.instances[gen_name] = inst
-    in_port = dup_impl.streamlet.ports["input"]
-    out_port = dup_impl.streamlet.ports["output"]
-    # retarget this source's uses, indexed before any insertion, onto the
-    # outputs in declaration order; each keeps its fifo depth, marker and name
-    for j, conn in enumerate(uses.get(usage.key(), [])):
-        conn.source = _end(inst, out_port, port_index=j)
+def _insert(ctx, project, impl, usage: PortUsage, template_name: str,
+            more_args: list, base: str) -> Instance:
+    """Instance the prelude template `template_name` on the source's type
+    and `more_args`, under a unique name made from `base`, and connect the
+    source end to its `input`."""
+    target = instantiate_template(ctx, _std_template(project, template_name),
+                                  [usage.port.logical_type, *more_args])
+    name = _unique_name(impl, _sanitize(base))
+    inst = impl.scope.instances[name] = Instance(name=name, target=target)
     impl.scope.connections.append(Connection(
-        name=f"{gen_name}_in", source=_source_end(impl, usage),
-        sink=_end(inst, in_port)))
-
-
-def _insert_voider(ctx, project, impl, usage: PortUsage):
-    template = _std_template(project, VOIDER_IMPL)
-    void_impl = instantiate_template(
-        ctx, template, [TemplateArg("type", usage.port.logical_type)])
-    gen_name = _unique_name(impl, _sanitize(f"void_{_end_path_name(usage)}"))
-    inst = Instance(name=gen_name, target=void_impl)
-    impl.scope.instances[gen_name] = inst
-    in_port = void_impl.streamlet.ports["input"]
-    impl.scope.connections.append(Connection(
-        name=f"{gen_name}_in", source=_source_end(impl, usage),
-        sink=_end(inst, in_port)))
+        name=f"{name}_in", source=_source_end(impl, usage),
+        sink=_end(inst, target.streamlet.ports["input"])))
+    return inst
 
 
 def sugar_project(ctx: EvalContext, project: Project) -> None:
