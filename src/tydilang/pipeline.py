@@ -3,13 +3,14 @@
 Stages run one after another on the calling thread; artifacts are written as
 soon as their stage completes, so everything produced before a failure
 survives it. A compile into a directory first removes the `ARTIFACTS` an
-earlier compile left there, but not `0_ast/`. A failed stage reports
-diagnostics; `compile_sources` alone writes them to `error_report.txt`, and
-the exit status is derived from them (`CompileResult.exit_code`). An artifact
-that cannot be written or removed ends the compile with an `io` diagnostic
-and no error report. An input nested deeper than the Python stack allows
-fails with a "nesting too deep while <stage>" diagnostic. `CompileConfig.jobs`
-is validated but has no effect: every artifact is the same for any value.
+earlier compile left there, but not `0_ast/`, even when its inputs cannot be
+read. A failed stage reports diagnostics; `compile_sources` alone writes them
+to `error_report.txt`, and the exit status is derived from them
+(`CompileResult.exit_code`). An artifact that cannot be written or removed
+ends the compile with an `io` diagnostic and no error report. An input
+nested deeper than the Python stack allows fails with a "nesting too deep
+while <stage>" diagnostic. `CompileConfig.jobs` is validated but has no
+effect: every artifact is the same for any value.
 """
 
 from __future__ import annotations
@@ -193,14 +194,13 @@ def evaluate_project(ctx: EvalContext, project: Project,
 
 def compile_project(config: CompileConfig) -> CompileResult:
     result = CompileResult()
+    sources = []
     try:
         sources = collect_sources(config.inputs)
     except OSError as e:
         result.diagnostics.append(Diagnostic("io", str(e)))
-        return result
-    if not sources:
+    if not sources and not result.diagnostics:
         result.diagnostics.append(Diagnostic("usage", "no input files"))
-        return result
     return compile_sources(config, sources, result)
 
 
@@ -215,6 +215,8 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
                 path = os.path.join(config.output_dir, name)
                 if os.path.isfile(path):
                     os.remove(path)
+        if result.diagnostics:  # the inputs could not be read
+            return result
         try:
             for stage in _stages(config, result, sources):
                 pass

@@ -219,6 +219,26 @@ def test_only_the_fixed_artifacts_of_an_earlier_compile_are_removed(tmp_path):
     assert sorted(os.listdir(out / "0_ast")) == ["a.txt", "b.txt"]
 
 
+def test_unreadable_input_removes_the_error_report_of_an_earlier_compile(tmp_path):
+    bad = write_sources(tmp_path / "bad", {"x.td": "package p;\nconst x = ;\n"})
+    out = tmp_path / "build"
+    assert main([str(bad), "--output", str(out)]) == 1
+    assert (out / "error_report.txt").is_file()
+    assert main([str(tmp_path / "missing.td"), "--output", str(out)]) == 2
+    assert not (out / "error_report.txt").exists()
+
+
+def test_input_without_sources_removes_the_error_report_of_an_earlier_compile(tmp_path):
+    bad = write_sources(tmp_path / "bad", {"x.td": "package p;\nconst x = ;\n"})
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "build"
+    assert main([str(bad), "--output", str(out)]) == 1
+    assert (out / "error_report.txt").is_file()
+    assert main([str(empty), "--output", str(out)]) == 2
+    assert not (out / "error_report.txt").exists()
+
+
 def test_ast_dump_stem_collision_resolved(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
