@@ -226,19 +226,25 @@ class StatementBuilder:
             owner.field_names.append(fname)
         elif kind == "PortDecl":
             size = item.child("ArraySize")
-            declare(own, Port(
-                name=item.children[0].leaf_text, type_ast=item.child("LogicalType"),
+            port = Port(
+                name=item.children[0].leaf_text,
+                type_ast=item.child("LogicalType"),
                 direction=item.child("DIR").leaf_text,
                 array_size_ast=size.children[0] if size else None,
-                cd_ast=item.child("ClockDomainAnn"), span=item), "port", item, self.path)
+                cd_ast=item.child("ClockDomainAnn"),
+                span=item)
+            declare(own, port, "port", item, self.path)
         elif kind == "InstanceDecl":
-            name_node, size = item.children[0], item.child("ArraySize")
-            declare(own, Instance(
+            name_node = item.children[0]
+            size = item.child("ArraySize")
+            inst = Instance(
                 name=name_node.leaf_text if name_node.kind == "ID" else
                 substitute(name_node, resolve, self.path),
                 target_ast=item.children[1],
                 array_size_ast=size.children[0] if size else None,
-                span=item, scope=scope), "instance", item, self.path)
+                span=item,
+                scope=scope)
+            declare(own, inst, "instance", item, self.path)
         elif kind == "ConnectionStmt":
             own.connections.append(self.build_connection(item, suffix, scope))
         elif kind in ("IfBlock", "ForBlock"):
@@ -262,7 +268,9 @@ class StatementBuilder:
         cname = cname_node.leaf_text if cname_node else \
             f"connection_{item.start}-{item.end}"
         return Connection(
-            name=cname + name_suffix, source=source, sink=sink,
+            name=cname + name_suffix,
+            source=source,
+            sink=sink,
             fifo_ast=fifo.children[0] if fifo else None,
             no_strict=item.child("NoStrictMarker") is not None,
             span=item,
