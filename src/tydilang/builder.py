@@ -220,9 +220,9 @@ class StatementBuilder:
             # f: Group h { ... },  attached to the enclosing group's scope,
             # as a nested `type Group` declaration is
             fname = item.children[0].leaf_text
-            declare(own, self.build_named_type(fname, item.children[1], resolve,
-                                               item, attached=True),
-                    "type", item, self.path)
+            fentry = self.build_named_type(fname, item.children[1], resolve, item,
+                                           attached=True)
+            declare(own, fentry, "type", item, self.path)
             owner.field_names.append(fname)
         elif kind == "PortDecl":
             size = item.child("ArraySize")
