@@ -378,6 +378,28 @@ def test_golden_tpch1_ir_is_pinned():
 
 
 @pytest.mark.parametrize("artifact, golden", [
+    ("1_parser_output.txt", "golden_streams_parser_output.txt"),
+    ("2_evaluation_output.txt", "golden_streams_evaluation_output.txt"),
+    ("ir.json", "golden_streams_ir.json"),
+    ("drc_report.txt", "golden_streams_drc_report.txt")])
+def test_golden_stream_properties_are_pinned(artifact, golden):
+    """Byte-exact pins of every stream property away from its default, raw
+    and evaluated, as `tydilang tests/data/golden_streams.td --top
+    streams.top_i --drc --ir` writes them: two declarations of one stream
+    structure meet in a strict connection, one R1 warning, and in a
+    @NoStrictType@ one, no diagnostic; a third stream keeps every default."""
+    path = os.path.join(DATA_DIR, "golden_streams.td")
+    with open(path, encoding="utf-8") as f:
+        sources = [(path, f.read())]
+    config = CompileConfig(inputs=[path], top="streams.top_i", emit_drc=True,
+                           emit_ir=True)
+    result = compile_sources(config, sources)
+    assert result.ok, result.diagnostics
+    with open(os.path.join(DATA_DIR, golden), encoding="utf-8") as f:
+        assert result.artifacts[artifact] == f.read()
+
+
+@pytest.mark.parametrize("artifact, golden", [
     ("1_parser_output.txt", "golden_grammar_parser_output.txt"),
     ("error_report.txt", "golden_grammar_error_report.txt")])
 def test_golden_grammar_build_is_pinned(tmp_path, monkeypatch, artifact, golden):

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from tydilang.context import EvalContext
 from tydilang.errors import TydiError
-from tydilang.logical_types import (NULL, BitType, GroupType, StreamType,
-                                    bit_width, data_type_display, short_name,
-                                    types_compatible)
+from tydilang.logical_types import (NULL, BitType, GroupType, StreamProperties,
+                                    StreamType, bit_width, data_type_display,
+                                    short_name, types_compatible)
 from tydilang.type_eval import force_type_entry
 
 from conftest import evaluated_project, project_of
@@ -301,6 +301,26 @@ def test_stream_compatibility_requires_equal_properties():
     same = eval_type("type s = Stream(Bit(4));", "s").evaluated
     assert not types_compatible(base, other)
     assert types_compatible(base, same)
+
+
+# a value other than golden_streams.td's, for each property
+_OTHER_PROPERTY = {"dimension": 1, "user": BitType(5), "throughput": 2.0,
+                   "synchronicity": "Desync", "complexity": 4,
+                   "direction": "Forward", "keep": False}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(StreamProperties)])
+def test_stream_compatibility_compares_every_property(field):
+    decl = ('type Group pix { luma: Bit(8), };\n'
+            'type s = Stream(pix, d = 2, u = Bit(4), t = 2.5, s = "FlatDesync", '
+            'c = 3, r = "Reverse", x = true);')
+    base = eval_type(decl, "s").evaluated
+    copy = eval_type(decl, "s").evaluated
+    assert copy is not base and types_compatible(base, copy)
+    other = dataclasses.replace(base, properties=dataclasses.replace(
+        base.properties, **{field: _OTHER_PROPERTY[field]}))
+    assert not types_compatible(base, other)
+    assert not types_compatible(other, base)
 
 
 # -- display names ------------------------------------------------------------------
