@@ -5,16 +5,19 @@ The same renderer serves every pipeline stage: unevaluated entries print as
 The raw text is the source of the entry's AST, sliced by `Package.snip` of
 the package the dumped scope belongs to; the placeholder tags of entries
 without source (imported packages, template parameters) are chosen here.
-Entries within each section are emitted in lexicographic id order so the dump
-does not depend on the order in which entities were evaluated.
+Stream properties print through `StreamProperties.summary`, raw or evaluated,
+so a property a stream does not set shows the dataclass default. Entries
+within each section are emitted in lexicographic id order so the dump does
+not depend on the order in which entities were evaluated.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .logical_types import (GroupType, StreamType, UnionType,
-                            data_type_display, stream_display_name)
+from .logical_types import (STREAM_PROPERTIES, GroupType, StreamProperties,
+                            StreamType, UnionType, data_type_display,
+                            stream_display_name)
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Package, Port, Project, Scope, Streamlet, TypeEntry,
                     Variable, indexed)
@@ -190,28 +193,14 @@ def _raw_element_text(type_node: AstNode, pkg: Package) -> str:
     return _not_inferred(pkg, inner)
 
 
-_PROPERTY_ORDER = [
-    ("StreamPropertyDimension", "dimension", "0"),
-    ("StreamPropertyUser", "user", "DataNull"),
-    ("StreamPropertyThroughput", "throughput", "1"),
-    ("StreamPropertySynchronicity", "synchronicity", "Sync"),
-    ("StreamPropertyComplexity", "complexity", "7"),
-    ("StreamPropertyDirection", "direction", "Forward"),
-    ("StreamPropertyKeep", "keep", "false"),
-]
-
-
 def _raw_properties_text(stream_node: AstNode, pkg: Package) -> str:
-    parts = []
-    for node_kind, label, default in _PROPERTY_ORDER:
+    raw = {}
+    for _, node_kind, field in STREAM_PROPERTIES:
         prop = stream_node.child(node_kind)
-        if prop is None:
-            parts.append(f"{label}={default}")
-        elif label == "user":
-            parts.append(f"user={_raw_element_text(prop.children[0], pkg)}")
-        else:
-            parts.append(f"{label}={_not_inferred(pkg, prop.children[0])}")
-    return ", ".join(parts)
+        if prop is not None:
+            raw[field] = (_raw_element_text(prop.children[0], pkg) if field == "user"
+                          else _not_inferred(pkg, prop.children[0]))
+    return StreamProperties().summary(raw)
 
 
 # -- streamlets / implementations ---------------------------------------------

@@ -39,10 +39,10 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import TydiError
-from .logical_types import (BitType, GroupType, NullType, StreamType,
-                            UnionType, stream_display_name)
+from .logical_types import (STREAM_PROPERTIES, BitType, GroupType, NullType,
+                            StreamType, UnionType, stream_display_name)
 from .model import EndRef, EvalState, Implementation, Port, Project
-from .values import escape, format_float
+from .values import escape
 
 
 @dataclass
@@ -162,19 +162,13 @@ def _type_json(t):
         return {"kind": "union", "name": t.name,
                 "fields": [{"name": n, "type": _type_json(ft)} for n, ft in t.fields]}
     p = t.properties  # a StreamType
+    properties = {field: getattr(p, field) for _, _, field in STREAM_PROPERTIES}
+    properties["user"] = _type_json(p.user)
     return {
         "kind": "stream",
         "name": stream_display_name(t),
         "element": _type_json(t.element),
-        "properties": {
-            "dimension": p.dimension,
-            "user": _type_json(p.user),
-            "throughput": float(format_float(p.throughput)),
-            "synchronicity": p.synchronicity,
-            "complexity": p.complexity,
-            "direction": p.direction,
-            "keep": p.keep,
-        },
+        "properties": properties,
     }
 
 

@@ -8,6 +8,11 @@ that identity is what strict typing compares: every alias, member extraction
 and template argument of a declaration passes on the one object the
 declaration evaluated to, while a type written in place is a fresh object
 each time it is evaluated. `types_compatible` is the structural comparison.
+
+`STREAM_PROPERTIES` lists the seven Tydi-spec stream properties once, in
+dump order, as the letter a `Stream(...)` sets each by, the AST node kind
+the parser makes of it and the `StreamProperties` field it evaluates to.
+The parser, evaluator, dumps, IR and `types_compatible` derive theirs from it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,15 @@ from .values import format_float
 if TYPE_CHECKING:
     from .model import Scope
 
+STREAM_PROPERTIES = (
+    ("d", "StreamPropertyDimension", "dimension"),
+    ("u", "StreamPropertyUser", "user"),
+    ("t", "StreamPropertyThroughput", "throughput"),
+    ("s", "StreamPropertySynchronicity", "synchronicity"),
+    ("c", "StreamPropertyComplexity", "complexity"),
+    ("r", "StreamPropertyDirection", "direction"),
+    ("x", "StreamPropertyKeep", "keep"),
+)
 SYNCHRONICITY_VALUES = ("Sync", "Flatten", "Desync", "FlatDesync")
 DIRECTION_VALUES = ("Forward", "Reverse")
 
@@ -69,11 +83,14 @@ class StreamProperties:
     direction: str = "Forward"
     keep: bool = False
 
-    def summary(self) -> str:
-        return (f"dimension={self.dimension}, user={data_type_display(self.user)}, "
-                f"throughput={format_float(self.throughput)}, "
-                f"synchronicity={self.synchronicity}, complexity={self.complexity}, "
-                f"direction={self.direction}, keep={'true' if self.keep else 'false'}")
+    def summary(self, raw: Optional[dict[str, str]] = None) -> str:
+        """The dump text of the properties, in `STREAM_PROPERTIES` order; a
+        field in `raw` shows that text in place of its value."""
+        texts = {"user": data_type_display(self.user),
+                 "throughput": format_float(self.throughput),
+                 "keep": "true" if self.keep else "false", **(raw or {})}
+        return ", ".join(f"{field}={texts.get(field, getattr(self, field))}"
+                         for _, _, field in STREAM_PROPERTIES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,13 +131,9 @@ def types_compatible(a: LogicalType, b: LogicalType) -> bool:
                    for (an, at), (bn, bt) in zip(a.fields, b.fields))
     pa, pb = a.properties, b.properties  # two StreamTypes
     return (types_compatible(a.element, b.element)
-            and pa.dimension == pb.dimension
             and types_compatible(pa.user, pb.user)
-            and pa.throughput == pb.throughput
-            and pa.synchronicity == pb.synchronicity
-            and pa.complexity == pb.complexity
-            and pa.direction == pb.direction
-            and pa.keep == pb.keep)
+            and all(getattr(pa, field) == getattr(pb, field)
+                    for _, _, field in STREAM_PROPERTIES if field != "user"))
 
 
 def data_type_display(t: LogicalType) -> str:

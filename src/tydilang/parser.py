@@ -11,7 +11,8 @@ ends a statement and returns where it ends, `parse_enclosed` reads ``[exp]``
 and ``(exp)``, `parse_name_ref` reads ``name`` and ``pkg.name``,
 `parse_body_decl` the const, type and assert items of group, streamlet and
 implementation bodies, and `parse_path_part` each ``name[index]`` half of
-a connection end. Each node is built once, when its kind is known.
+a connection end. Each node is built once, when its kind is known. The
+stream property letters and node kinds come from `STREAM_PROPERTIES`.
 """
 
 from __future__ import annotations
@@ -20,18 +21,11 @@ from typing import NamedTuple, Optional
 
 from .errors import Diagnostic, SyntaxDiagnosticError
 from .lexer import Token, tokenize
+from .logical_types import STREAM_PROPERTIES
 from .tree import AstNode, node
 
 CONST_KINDS = ("int", "str", "float", "bool", "clockdomain")
-STREAM_PROPERTY_KINDS = {
-    "d": "StreamPropertyDimension",
-    "u": "StreamPropertyUser",
-    "t": "StreamPropertyThroughput",
-    "s": "StreamPropertySynchronicity",
-    "c": "StreamPropertyComplexity",
-    "r": "StreamPropertyDirection",
-    "x": "StreamPropertyKeep",
-}
+STREAM_PROPERTY_KINDS = {letter: kind for letter, kind, _ in STREAM_PROPERTIES}
 INFIX_OPS = {
     "^", "*", "/", "%", "+", "-", "<<", ">>",
     "<", ">", "<=", ">=", "==", "!=", "&", "|", "&&", "||",
@@ -247,7 +241,7 @@ class _Parser:
                 break
             key = self.expect("ID", "a stream property")
             if key.text not in STREAM_PROPERTY_KINDS:
-                self.fail("a stream property (d/u/t/s/c/r/x)", key)
+                self.fail(f"a stream property ({'/'.join(STREAM_PROPERTY_KINDS)})", key)
             if key.text in given:
                 raise SyntaxDiagnosticError(
                     f"stream property {key.text!r} is given twice", self.path, key)

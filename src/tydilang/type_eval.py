@@ -17,23 +17,15 @@ from typing import Any, Optional
 
 from .context import EvalContext
 from .errors import TypeError_
-from .logical_types import (DIRECTION_VALUES, NULL, SYNCHRONICITY_VALUES,
-                            BitType, GroupType, StreamProperties, StreamType,
-                            UnionType)
+from .logical_types import (DIRECTION_VALUES, NULL, STREAM_PROPERTIES,
+                            SYNCHRONICITY_VALUES, BitType, GroupType,
+                            StreamProperties, StreamType, UnionType)
 from .math_engine import evaluate_expression
 from .model import Scope, TypeEntry, resolve_ref
 from .tree import AstNode
 from .values import BoolValue, FloatValue, IntValue, StrValue, variant_name
 
-_PROPERTY_KEYS = {
-    "StreamPropertyDimension": "dimension",
-    "StreamPropertyUser": "user",
-    "StreamPropertyThroughput": "throughput",
-    "StreamPropertySynchronicity": "synchronicity",
-    "StreamPropertyComplexity": "complexity",
-    "StreamPropertyDirection": "direction",
-    "StreamPropertyKeep": "keep",
-}
+_PROPERTY_KEYS = {kind: field for _, kind, field in STREAM_PROPERTIES}
 
 
 def force_type_entry(ctx: EvalContext, entry: TypeEntry):
