@@ -4,8 +4,9 @@ Implements the operator/type matrix for constant variables: arithmetic with
 int/float promotion, bool logic, comparisons, string concatenation, bitwise
 operations, `round`/`floor`/`ceil`/`log`, array literals and insertion, and
 integer ranges. Integer arithmetic is 64-bit; overflow is a compile error
-rather than silent wraparound. A `name` or `package.name` reference resolves
-through `model.resolve_ref`.
+rather than silent wraparound, as is a float literal or result that is not
+finite. A `name` or `package.name` reference resolves through
+`model.resolve_ref`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ def _check_int(n: int, span: Optional[Located], path, what: str = "integer") -> 
     if not in_int64_range(n):
         raise TypeError_(f"{what} overflows 64-bit range: {n}", path, span)
     return n
+
+
+def _check_float(x: float, span: Optional[Located], path,
+                 what: str = "float result") -> FloatValue:
+    if not math.isfinite(x):
+        raise TypeError_(f"{what} out of range", path, span)
+    return FloatValue(x)
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -111,7 +119,8 @@ class ExpressionEvaluator:
             n = int(text) if leaf.kind == "INT_RAW_NORAML" else int(text, 0)
             return IntValue(_check_int(n, atom, self.path, "integer literal"))
         if kind == "FloatExp":
-            return FloatValue(float(atom.children[0].leaf_text))
+            return _check_float(float(atom.children[0].leaf_text), atom, self.path,
+                                "float literal")
         if kind == "StringExp":
             return StrValue(atom.children[0].leaf_text)
         if kind == "BoolExp":
@@ -259,7 +268,7 @@ class ExpressionEvaluator:
                 return IntValue(_check_int(_trunc_div(x, y), span, self.path))
             if y == 0:
                 raise self.err("division by zero", span)
-            return FloatValue(x / y)
+            return _check_float(x / y, span, self.path)
         if op == "^":
             if both_int and y >= 0:
                 # past 2 ^ 64 the power surely overflows: do not compute it
@@ -276,7 +285,7 @@ class ExpressionEvaluator:
         n = {"+": x + y, "-": x - y, "*": x * y}[op]
         if both_int:
             return IntValue(_check_int(n, span, self.path))
-        return FloatValue(float(n))
+        return _check_float(float(n), span, self.path)
 
     def _str_concat(self, a: Value, b: Value, span) -> Value:
         if isinstance(a, ClockDomainValue) or isinstance(b, ClockDomainValue):

@@ -187,6 +187,12 @@ CASES = [
      "power result out of range: 0.0 ^ -1.0", "f0.td:1:22"),
     ("power_complex", P + "const x = -8.0 ^ 0.5;", {}, "type",
      "power result out of range: -8.0 ^ 0.5", "f0.td:1:22"),
+    ("float_literal_out_of_range", P + "const x = 1" + "0" * 400 + ".0;", {}, "type",
+     "float literal out of range", "f0.td:1:22"),
+    ("float_product_out_of_range", P + "const x = 10.0 ^ 308.0 * 10.0;", {}, "type",
+     "float result out of range", "f0.td:1:22"),
+    ("float_quotient_out_of_range", P + "const x = 10.0 ^ 308.0 / 0.5;", {}, "type",
+     "float result out of range", "f0.td:1:22"),
     ("sum_overflow", P + "const x = 9223372036854775807 + 1;", {}, "type",
      "integer overflows 64-bit range: 9223372036854775808", "f0.td:1:22"),
     ("concat_operand", P + 'const c: clockdomain = "f"; const x = "a" + c;', {},

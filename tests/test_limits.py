@@ -52,6 +52,24 @@ def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, source, in_file, line):
     assert capsys.readouterr().err.splitlines()[0] == line
 
 
+@pytest.mark.parametrize("source, where", [
+    ("package p; const r = round(10.0 ^ 308.0 * 10.0);\n", "1:28"),
+    ("package p; const big = 10.0 ^ 308.0 * 10.0; const r = floor(big - big);\n",
+     "1:24"),
+], ids=["round_of_overflow", "floor_of_inf_minus_inf"])
+def test_float_overflow_is_a_diagnostic(tmp_path, capsys, source, where):
+    """A float past the finite range ends where it is made, in a located
+    diagnostic, and never reaches `round` (OverflowError on infinity) or
+    `floor` (ValueError on nan)."""
+    src = tmp_path / "f0.td"
+    src.write_text(source, encoding="utf-8")
+    out = tmp_path / "build"
+    assert main([str(src), "--output", str(out)]) == 1
+    line = "[type] float result out of range"
+    assert (out / "error_report.txt").read_text() == f"{src}:{where}: {line}\n"
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 @pytest.mark.parametrize("chain, dumped", [
     ("".join(f"type t{k:05d} = t{k + 1:05d};\n" for k in range(199))
      + "type t00199 = Bit(1);\n", "t00000:Bit(1)"),
