@@ -277,6 +277,8 @@ def _extract_owner_scope(ctx: EvalContext, scope: Scope, extract: AstNode) -> Sc
         if owner_ast.kind == "TemplateInstance":
             template, args = _resolve_template_use(ctx, scope, owner_ast, category)
             entity = instantiate_template(ctx, template, args)
+        elif keyword == "impl":
+            entity = _resolve_impl(ctx, scope, owner_ast)
         else:
             entity = resolve_ref(ctx.project, scope, owner_ast, category)
         return entity.scope

@@ -672,6 +672,24 @@ def test_impl_member_extraction():
     assert project.packages["p"].scope.variables["got"].value == IntValue(3)
 
 
+def test_impl_member_extraction_of_impl_of_parameter():
+    """`impl c.member` reads the implementation bound to an `impl of`
+    parameter `c`, as `instance x(c)` instances it."""
+    result = compile_texts(
+        "package p;\n"
+        "type s = Stream(Bit(1));\n"
+        "streamlet io_s { i: s in, o: s out, };\n"
+        "impl leaf_i of io_s { const width = 8, i => o, };\n"
+        "streamlet w_s<c: impl of io_s> { i: s in, o: s out, };\n"
+        "impl w_i<c: impl of io_s> of w_s<impl c> {\n"
+        "  instance x(c), i => x.i, x.o => o,\n"
+        "  const q = impl c.width, assert(q == 8),\n};\n"
+        "streamlet top_s { i: s in, o: s out, };\n"
+        "impl top_i of top_s { instance w(w_i<impl leaf_i>), i => w.i, w.o => o, };\n")
+    assert result.exit_code == 0, result.diagnostics
+    assert "q:int(8)" in result.artifacts["2_evaluation_output.txt"]
+
+
 def test_cross_package_streamlet_and_implementation():
     project, _ = evaluated_project(
         "package lib;\n"
