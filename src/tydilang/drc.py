@@ -16,9 +16,7 @@ Rules enforced per connection of every non-external implementation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import Span, as_span
 from .logical_types import types_compatible
 from .model import EvalState, Implementation, Project, end_display
 from .sugaring import end_role, usage_census
@@ -32,10 +30,6 @@ class DrcDiagnostic:
     implementation: str
     connection: str
     message: str
-    span: Optional[Span] = None  # given as any location, held as a Span
-
-    def __post_init__(self):
-        object.__setattr__(self, "span", as_span(self.span))
 
     def line(self) -> str:
         return (f"[{self.severity}] {self.rule} {self.package}.{self.implementation}"
@@ -59,10 +53,8 @@ def run_drc(project: Project) -> list[DrcDiagnostic]:
 def _check_implementation(pkg_name: str, impl: Implementation) -> list[DrcDiagnostic]:
     out: list[DrcDiagnostic] = []
 
-    def report(severity, rule, conn, message, span=None):
-        out.append(DrcDiagnostic(severity, rule, pkg_name, impl.id,
-                                 conn.name if conn is not None else "-",
-                                 message, span))
+    def report(severity, rule, conn, message):
+        out.append(DrcDiagnostic(severity, rule, pkg_name, impl.id, conn.name, message))
 
     for conn in impl.connections:
         src, snk = conn.source, conn.sink
@@ -71,25 +63,25 @@ def _check_implementation(pkg_name: str, impl: Implementation) -> list[DrcDiagno
             if not types_compatible(src.port.logical_type, snk.port.logical_type):
                 report("Error", "R2", conn,
                        f"{src.display()} and {snk.display()} have incompatible "
-                       "stream types", conn.span)
+                       "stream types")
         elif src.port.logical_type is snk.port.logical_type:
             pass  # strict: one evaluated type at both ends
         elif types_compatible(src.port.logical_type, snk.port.logical_type):
             report("Warning", "R1", conn,
                    f"{src.display()} and {snk.display()} are structurally "
                    "compatible but do not name the same type declaration; "
-                   "add @NoStrictType@ to accept", conn.span)
+                   "add @NoStrictType@ to accept")
         else:
             report("Error", "R1", conn,
                    f"{src.display()} and {snk.display()} have incompatible "
-                   "stream types", conn.span)
+                   "stream types")
         # R3: direction
         if end_role(src) != "source":
             report("Error", "R3", conn,
-                   f"{src.display()} is not a source end", conn.span)
+                   f"{src.display()} is not a source end")
         if end_role(snk) != "sink":
             report("Error", "R3", conn,
-                   f"{snk.display()} is not a sink end", conn.span)
+                   f"{snk.display()} is not a sink end")
         # R4: clockdomain equality
         src_cd = src.port.clockdomain
         snk_cd = snk.port.clockdomain
@@ -97,7 +89,7 @@ def _check_implementation(pkg_name: str, impl: Implementation) -> list[DrcDiagno
                 and src_cd.expression != snk_cd.expression:
             report("Error", "R4", conn,
                    f"clockdomain mismatch: {src.display()} is `{src_cd.expression}"
-                   f" but {snk.display()} is `{snk_cd.expression}", conn.span)
+                   f" but {snk.display()} is `{snk_cd.expression}")
     # R5: single-connection per end (Self ends may legitimately stay unused --
     # they are the circuit's external interface)
     for usage in usage_census(impl):

@@ -27,14 +27,6 @@ class Span(NamedTuple):
         return f"{self.start}-{self.end}"
 
 
-def as_span(location: Optional[Located]) -> Optional[Span]:
-    """The Span of a location: None, a Span, or anything with `start` and
-    `end`, such as a token or an AST node."""
-    if location is None or type(location) is Span:
-        return location
-    return Span(location.start, location.end)
-
-
 @dataclass
 class Diagnostic:
     """A single compiler message tied to a source location. `span` may be
@@ -46,7 +38,8 @@ class Diagnostic:
     span: Optional[Span] = None
 
     def __post_init__(self):
-        self.span = as_span(self.span)
+        if self.span is not None:
+            self.span = Span(self.span.start, self.span.end)
 
     def location(self, source_text: Optional[str] = None) -> str:
         if self.path is None:
@@ -100,7 +93,6 @@ class CircularDependencyError(TydiError):
     def __init__(self, members, path=None, span=None):
         cycle = " -> ".join(members)
         super().__init__("resolution", f"circular dependency: {cycle}", path, span)
-        self.members = list(members)
 
 
 def offset_to_line_col(text: str, offset: int) -> tuple[int, int]:

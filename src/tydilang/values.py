@@ -79,17 +79,11 @@ def escape(s: str) -> str:
 
 def format_value(v: Value) -> str:
     """Dump text for an evaluated value, e.g. ``int(101)`` or ``bool(true)``."""
-    if isinstance(v, IntValue):
-        return f"int({v.value})"
     if isinstance(v, StrValue):
         return f'str("{escape(v.value)}")'
-    if isinstance(v, FloatValue):
-        return f"float({format_float(v.value)})"
-    if isinstance(v, BoolValue):
-        return f"bool({'true' if v.value else 'false'})"
-    if isinstance(v, ClockDomainValue):
-        return f"clockdomain({v.expression})"
-    return "array([" + ",".join(format_value(e) for e in v.elements) + "])"
+    if isinstance(v, ArrayValue):
+        return "array([" + ",".join(format_value(e) for e in v.elements) + "])"
+    return f"{variant_name(v)}({mangle_text(v)})"
 
 
 def mangle_text(v: Value) -> str:
