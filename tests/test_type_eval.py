@@ -303,7 +303,7 @@ def test_stream_compatibility_requires_equal_properties():
     assert types_compatible(base, same)
 
 
-# a value other than golden_streams.td's, for each property
+# for each property, a value other than the one the test's stream sets
 _OTHER_PROPERTY = {"dimension": 1, "user": BitType(5), "throughput": 2.0,
                    "synchronicity": "Desync", "complexity": 4,
                    "direction": "Forward", "keep": False}
