@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .errors import CircularDependencyError, TydiError
+from .errors import TydiError
 from .model import EvalState, Project
 
 
@@ -36,8 +36,9 @@ class EvalContext:
         key = id(node)
         depth = self._in_progress.get(key)
         if depth is not None:
-            raise CircularDependencyError(self._stack[depth:] + [label],
-                                          node.scope.package.path, node.span)
+            cycle = " -> ".join(self._stack[depth:] + [label])
+            raise TydiError("resolution", f"circular dependency: {cycle}",
+                            node.scope.package.path, node.span)
         self._in_progress[key] = len(self._stack)
         self._stack.append(label)
 

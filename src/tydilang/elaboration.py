@@ -27,7 +27,7 @@ from typing import Optional
 
 from .builder import StatementBuilder, substitute
 from .context import EvalContext
-from .errors import AssertionFailure, TydiError, TypeError_
+from .errors import TydiError
 from .logical_types import StreamType, short_name
 from .math_engine import (ExpressionEvaluator, evaluate_expression,
                           evaluate_range, force_variable)
@@ -36,8 +36,8 @@ from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Variable, resolve_name, resolve_ref)
 from .tree import AstNode
 from .type_eval import evaluate_type, force_type_entry
-from .values import (ArrayValue, BoolValue, ClockDomainValue, IntValue,
-                     Value, format_value, mangle_text, variant_name)
+from .values import (DEFAULT_CLOCKDOMAIN, ArrayValue, BoolValue, ClockDomainValue,
+                     IntValue, Value, format_value, mangle_text, variant_name)
 
 
 # -- streamlet evaluation ------------------------------------------------------
@@ -58,16 +58,16 @@ def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
     path = scope.package.path
     logical_type = evaluate_type(ctx, scope, port.type_ast)
     if not isinstance(logical_type, StreamType):
-        raise TypeError_(
-            f"port {port.name!r} must have a stream type, got "
-            f"{short_name(logical_type)}", path, port.span)
+        raise TydiError("type",
+                        f"port {port.name!r} must have a stream type, got "
+                        f"{short_name(logical_type)}", path, port.span)
     if port.array_size_ast is not None:
         size = evaluate_expression(ctx, scope, port.array_size_ast)
         if not isinstance(size, IntValue) or size.value < 1:
-            raise TypeError_(f"port array size must be a positive int", path, port.span)
+            raise TydiError("type", "port array size must be a positive int",
+                            path, port.span)
         port.array_size = size.value
     if port.cd_ast is None:
-        from .values import DEFAULT_CLOCKDOMAIN
         port.clockdomain = DEFAULT_CLOCKDOMAIN
     else:
         body = port.cd_ast.children[0]
@@ -77,9 +77,9 @@ def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
             var = resolve_ref(ctx.project, scope, body, "variable")
             cd = force_variable(ctx, var, path, body)
             if not isinstance(cd, ClockDomainValue):
-                raise TypeError_(
-                    f"port clockdomain {body.leaf_text!r} must be a clockdomain "
-                    f"value, got {variant_name(cd)}", path, body)
+                raise TydiError("type",
+                                f"port clockdomain {body.leaf_text!r} must be a "
+                                f"clockdomain value, got {variant_name(cd)}", path, body)
             port.clockdomain = cd
     port.logical_type = logical_type  # last: a port with a type is evaluated
 
@@ -152,8 +152,8 @@ def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
     if inst.array_size_ast is not None:
         size = evaluate_expression(ctx, scope, inst.array_size_ast)
         if not isinstance(size, IntValue) or size.value < 1:
-            raise TypeError_("instance array size must be a positive int",
-                             path, inst.span)
+            raise TydiError("type", "instance array size must be a positive int",
+                            path, inst.span)
         inst.array_size = size.value
     inst.target = target  # last: an instance with a target is evaluated
 
@@ -177,7 +177,8 @@ def resolve_connection(ctx: EvalContext, impl: Implementation, conn: Connection)
     if conn.fifo_ast is not None:
         depth = evaluate_expression(ctx, scope, conn.fifo_ast)
         if not isinstance(depth, IntValue) or depth.value < 0:
-            raise TypeError_("FIFO depth must be a non-negative int", path, conn.span)
+            raise TydiError("type", "FIFO depth must be a non-negative int",
+                            path, conn.span)
         conn.fifo_depth = depth.value
 
 
@@ -236,7 +237,7 @@ def _end_index(ctx, scope, index_ast, size, what, path, name_node) -> Optional[i
         raise TydiError("resolution", f"{what} is not an array", path, index_ast)
     idx = evaluate_expression(ctx, scope, index_ast)
     if not isinstance(idx, IntValue):
-        raise TypeError_(f"index of {what} must be an int", path, index_ast)
+        raise TydiError("type", f"index of {what} must be an int", path, index_ast)
     if not 0 <= idx.value < size:
         raise TydiError("resolution",
                         f"index {idx.value} out of bounds for {what} of size {size}",
@@ -252,17 +253,17 @@ def check_assertion(ctx: EvalContext, scope: Scope, assert_stmt: AstNode):
     exp = assert_stmt.children[0]
     value = evaluate_expression(ctx, scope, exp)
     if not isinstance(value, BoolValue):
-        raise TypeError_(
-            f"assert expects a boolean argument, got {variant_name(value)}",
-            path, assert_stmt)
+        raise TydiError("type",
+                        f"assert expects a boolean argument, got {variant_name(value)}",
+                        path, assert_stmt)
     if value.value:
         return
     raw = scope.package.snip(exp)
     ev = ExpressionEvaluator(ctx, scope)
     operands = ", ".join(
         format_value(ev.eval_term(t)) for t in exp.children if t.kind == "Term")
-    raise AssertionFailure(
-        f"assertion failed: {raw} (operands: {operands})", path, assert_stmt)
+    raise TydiError("assertion",
+                    f"assertion failed: {raw} (operands: {operands})", path, assert_stmt)
 
 
 # -- member extraction -------------------------------------------------------------
@@ -351,15 +352,15 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
     path = scope.package.path
     if param.kind == "type":
         if arg_node.kind != "TemplateArgType":
-            raise TypeError_(
-                f"template parameter {param.name!r} expects a logical type; "
-                "use the `type` keyword before the argument", path, arg_node)
+            raise TydiError("type",
+                            f"template parameter {param.name!r} expects a logical type; "
+                            "use the `type` keyword before the argument", path, arg_node)
         return evaluate_type(ctx, scope, arg_node.children[0])
     if param.kind == "impl":
         if arg_node.kind != "TemplateArgImpl":
-            raise TypeError_(
-                f"template parameter {param.name!r} expects an implementation; "
-                "use the `impl` keyword before the argument", path, arg_node)
+            raise TydiError("type",
+                            f"template parameter {param.name!r} expects an implementation; "
+                            "use the `impl` keyword before the argument", path, arg_node)
         target = _resolve_impl(ctx, scope, arg_node.children[0])
         if target.is_template:
             raise TydiError(
@@ -370,20 +371,21 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
         wanted, _ = resolve_name(template.scope.package.scope,
                                  param.impl_of, "streamlet", path, arg_node)
         if target.streamlet is not wanted:
-            raise TypeError_(
-                f"implementation {target.id!r} implements streamlet "
-                f"{target.streamlet.id!r}, but parameter {param.name!r} requires "
-                f"an implementation of {param.impl_of!r}", path, arg_node)
+            raise TydiError("type",
+                            f"implementation {target.id!r} implements streamlet "
+                            f"{target.streamlet.id!r}, but parameter {param.name!r} "
+                            f"requires an implementation of {param.impl_of!r}",
+                            path, arg_node)
         return target
     if arg_node.kind != "TemplateArgExp":
-        raise TypeError_(
-            f"template parameter {param.name!r} expects a {param.kind} value",
-            path, arg_node)
+        raise TydiError("type",
+                        f"template parameter {param.name!r} expects a {param.kind} value",
+                        path, arg_node)
     value = evaluate_expression(ctx, scope, arg_node.children[0])
     if variant_name(value) != param.kind:
-        raise TypeError_(
-            f"template parameter {param.name!r} expects {param.kind}, got "
-            f"{variant_name(value)}", path, arg_node)
+        raise TydiError("type",
+                        f"template parameter {param.name!r} expects {param.kind}, got "
+                        f"{variant_name(value)}", path, arg_node)
     return value
 
 
@@ -469,9 +471,9 @@ def _select_if_branch(ctx, scope, block: AstNode, path) -> tuple[AstNode, ...]:
     def test(exp: AstNode) -> bool:
         v = evaluate_expression(ctx, scope, exp)
         if not isinstance(v, BoolValue):
-            raise TypeError_(
-                f"if condition must be a boolean value, got {variant_name(v)}",
-                path, exp)
+            raise TydiError("type",
+                            f"if condition must be a boolean value, got {variant_name(v)}",
+                            path, exp)
         return v.value
 
     if test(block.children[0]):
@@ -498,9 +500,9 @@ def expand_for(ctx: EvalContext, impl: Implementation, block: AstNode,
     else:
         v = evaluate_expression(ctx, scope, iterable)
         if not isinstance(v, ArrayValue):
-            raise TypeError_(
-                f"for iterates an array of basic values, got {variant_name(v)}",
-                path, iterable)
+            raise TydiError("type",
+                            f"for iterates an array of basic values, got {variant_name(v)}",
+                            path, iterable)
         values = v
     _reject_plain_instances(body, path)
     for index, element in enumerate(values.elements):

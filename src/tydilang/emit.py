@@ -243,7 +243,6 @@ def emit_ir(project: Project) -> str:
 
 
 _LOGICAL_TYPES = (NullType, BitType, GroupType, UnionType, StreamType)
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json
 
 
 class _Level:
@@ -323,7 +322,6 @@ def _write(out: list[str], levels: _Levels, value, depth: int) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    else:  # a float
-        text = float.__repr__(value)
-        out.append(_NON_FINITE.get(text, text))
+    else:  # a float, finite as evaluation keeps it
+        out.append(float.__repr__(value))
 

@@ -1,4 +1,9 @@
-"""Diagnostics and error types shared by all compiler stages."""
+"""Diagnostics and the one exception type shared by all compiler stages.
+
+Every compile error is a `Diagnostic` of category syntax, resolution, type,
+assertion, io or usage. A stage raises it as `TydiError(category, message,
+path, span)`, the only exception type; the pipeline appends the few it
+finds itself (an unreadable input, nesting too deep) without raising them."""
 
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ class Diagnostic:
     """A single compiler message tied to a source location. `span` may be
     given as any location; the diagnostic holds it as a Span."""
 
-    category: str  # syntax | resolution | type | assertion | drc | io | usage
+    category: str  # syntax | resolution | type | assertion | io | usage
     message: str
     path: Optional[str] = None
     span: Optional[Span] = None
@@ -65,34 +70,6 @@ class TydiError(Exception):
     @property
     def message(self) -> str:
         return self.diagnostic.message
-
-
-class SyntaxDiagnosticError(TydiError):
-    def __init__(self, message, path=None, span=None):
-        super().__init__("syntax", message, path, span)
-
-
-class ResolutionError(TydiError):
-    def __init__(self, message, path=None, span=None):
-        super().__init__("resolution", message, path, span)
-
-
-class TypeError_(TydiError):
-    """Type rule violation; trailing underscore avoids shadowing the builtin."""
-
-    def __init__(self, message, path=None, span=None):
-        super().__init__("type", message, path, span)
-
-
-class AssertionFailure(TydiError):
-    def __init__(self, message, path=None, span=None):
-        super().__init__("assertion", message, path, span)
-
-
-class CircularDependencyError(TydiError):
-    def __init__(self, members, path=None, span=None):
-        cycle = " -> ".join(members)
-        super().__init__("resolution", f"circular dependency: {cycle}", path, span)
 
 
 def offset_to_line_col(text: str, offset: int) -> tuple[int, int]:

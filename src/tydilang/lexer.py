@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import Span, SyntaxDiagnosticError
+from .errors import Span, TydiError
 
 # Longest match first.
 PUNCT = [
@@ -73,7 +73,7 @@ def tokenize(text: str, path: str | None = None) -> list[Token]:
     out: list[Token] = []
 
     def err(msg: str, start: int, end: int):
-        raise SyntaxDiagnosticError(msg, path, Span(start, min(end, n)))
+        raise TydiError("syntax", msg, path, Span(start, min(end, n)))
 
     while i < n:
         m = _MASTER.match(data, i)
@@ -145,4 +145,4 @@ def _scan_balanced_braces(data: bytes, start: int, path) -> int:
             depth -= 1
             if depth == 0:
                 return m.end()
-    raise SyntaxDiagnosticError("unterminated process block", path, Span(start, len(data)))
+    raise TydiError("syntax", "unterminated process block", path, Span(start, len(data)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .errors import TypeError_
+from .errors import TydiError
 from .values import format_float
 
 if TYPE_CHECKING:
@@ -113,7 +113,7 @@ def bit_width(t: LogicalType) -> int:
         return sum(bit_width(ft) for _, ft in t.fields)
     if isinstance(t, UnionType):
         return max((bit_width(ft) for _, ft in t.fields), default=0)
-    raise TypeError_("bit_width is undefined for stream types")
+    raise TydiError("type", "bit_width is undefined for stream types")
 
 
 def types_compatible(a: LogicalType, b: LogicalType) -> bool:

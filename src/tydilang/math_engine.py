@@ -15,7 +15,7 @@ import math
 from typing import Optional
 
 from .context import EvalContext
-from .errors import Located, TydiError, TypeError_
+from .errors import Located, TydiError
 from .model import Scope, Variable, resolve_ref
 from .tree import AstNode
 from .values import (ArrayValue, BoolValue, ClockDomainValue, FloatValue,
@@ -38,14 +38,14 @@ def generated_clockdomain(package_name: str, var_id: str) -> str:
 
 def _check_int(n: int, span: Optional[Located], path, what: str = "integer") -> int:
     if not in_int64_range(n):
-        raise TypeError_(f"{what} overflows 64-bit range: {n}", path, span)
+        raise TydiError("type", f"{what} overflows 64-bit range: {n}", path, span)
     return n
 
 
 def _check_float(x: float, span: Optional[Located], path,
                  what: str = "float result") -> FloatValue:
     if not math.isfinite(x):
-        raise TypeError_(f"{what} out of range", path, span)
+        raise TydiError("type", f"{what} out of range", path, span)
     return FloatValue(x)
 
 
@@ -73,7 +73,7 @@ class ExpressionEvaluator:
         self.path = scope.package.path
 
     def err(self, message: str, span: Optional[Located] = None) -> TydiError:
-        return TypeError_(message, self.path, span)
+        return TydiError("type", message, self.path, span)
 
     # -- entry points ----------------------------------------------------------
 
@@ -262,12 +262,10 @@ class ExpressionEvaluator:
         both_int = isinstance(a, IntValue) and isinstance(b, IntValue)
         x, y = a.value, b.value
         if op == "/":
-            if both_int:
-                if y == 0:
-                    raise self.err("division by zero", span)
-                return IntValue(_check_int(_trunc_div(x, y), span, self.path))
             if y == 0:
                 raise self.err("division by zero", span)
+            if both_int:
+                return IntValue(_check_int(_trunc_div(x, y), span, self.path))
             return _check_float(x / y, span, self.path)
         if op == "^":
             if both_int and y >= 0:
@@ -349,16 +347,16 @@ def _compute_variable(ctx: EvalContext, var: Variable):
             return
         v = evaluate_expression(ctx, var.scope, var.expr_ast)
         if not isinstance(v, StrValue):
-            raise TypeError_(
-                f"clockdomain initializer must be a string, got {variant_name(v)}",
-                path, var.span)
+            raise TydiError("type",
+                            "clockdomain initializer must be a string, got "
+                            f"{variant_name(v)}", path, var.span)
         var.value = ClockDomainValue(v.value)
         return
     if var.expr_ast is None:
-        raise TypeError_(f"variable {var.id!r} has no initializer", path, var.span)
+        raise TydiError("type", f"variable {var.id!r} has no initializer", path, var.span)
     value = evaluate_expression(ctx, var.scope, var.expr_ast)
     if var.declared_kind is not None and variant_name(value) != var.declared_kind:
-        raise TypeError_(
-            f"variable {var.id!r} declared {var.declared_kind} but evaluates to "
-            f"{variant_name(value)}", path, var.span)
+        raise TydiError("type",
+                        f"variable {var.id!r} declared {var.declared_kind} but "
+                        f"evaluates to {variant_name(value)}", path, var.span)
     var.value = value

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import Located, ResolutionError, TydiError
+from .errors import Located, TydiError
 from .tree import AstNode
 from .values import Value
 
@@ -328,7 +328,7 @@ def resolve_name(start_scope: Scope, name: str, category: str,
 
     Inner names shadow outer names; relations are searched depth first, in
     the order they were added. Returns (entity, owning scope); on a miss,
-    raises a ResolutionError at `path`/`span` naming the scopes searched,
+    raises a resolution TydiError at `path`/`span` naming the scopes searched,
     apart from the `for` element scopes, which bind only loop variables.
     """
     allowed = TRAVERSABLE[category]
@@ -346,8 +346,8 @@ def resolve_name(start_scope: Scope, name: str, category: str,
             if kind in allowed:
                 stack.append(target)
     chain = " -> ".join(searched)
-    raise ResolutionError(f"{category} {name!r} not found (searched {chain})",
-                          path, span)
+    raise TydiError("resolution", f"{category} {name!r} not found (searched {chain})",
+                    path, span)
 
 
 def resolve_ref(project: Project, scope: Scope, ref: AstNode, category: str):
@@ -357,9 +357,8 @@ def resolve_ref(project: Project, scope: Scope, ref: AstNode, category: str):
     (QualifiedId, VarExp, IndexExp, LogicalUserDefinedType). A plain name
     resolves outward from `scope`; a qualified one is a member of a package
     whose `$package$` magic variable resolves from `scope`, as an import
-    declares it in the importing package scope. A miss raises a
-    ResolutionError at the path of the scope's package and the location of
-    `ref`.
+    declares it in the importing package scope. A miss raises a resolution
+    TydiError at the path of the scope's package and the location of `ref`.
     """
     path = scope.package.path
     ids = [ref.leaf_text] if ref.kind == "ID" else \
@@ -369,14 +368,15 @@ def resolve_ref(project: Project, scope: Scope, ref: AstNode, category: str):
     pkg_name, member = ids
     try:
         resolve_name(scope, f"$package${pkg_name}", "variable")
-    except ResolutionError:
-        raise ResolutionError(f"package {pkg_name!r} is not imported here",
-                              path, ref) from None
+    except TydiError:
+        raise TydiError("resolution", f"package {pkg_name!r} is not imported here",
+                        path, ref) from None
     pkg = project.packages.get(pkg_name)
     if pkg is None:
-        raise ResolutionError(f"package {pkg_name!r} does not exist", path, ref)
+        raise TydiError("resolution", f"package {pkg_name!r} does not exist", path, ref)
     entity = getattr(pkg.scope, _CATEGORY_MAPS[category]).get(member)
     if entity is None:
-        raise ResolutionError(
-            f"{category} {member!r} not found in package {pkg_name!r}", path, ref)
+        raise TydiError("resolution",
+                        f"{category} {member!r} not found in package {pkg_name!r}",
+                        path, ref)
     return entity

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import Diagnostic, SyntaxDiagnosticError
+from .errors import Diagnostic, TydiError
 from .lexer import Token, tokenize
 from .logical_types import STREAM_PROPERTIES
 from .tree import AstNode, node
@@ -87,8 +87,8 @@ class _Parser:
             found = t.text[:37] + "..."
         else:
             found = t.text
-        raise SyntaxDiagnosticError(
-            f"expected {expected}, found {found!r}", self.path, t)
+        raise TydiError("syntax",
+                        f"expected {expected}, found {found!r}", self.path, t)
 
     def id_leaf(self, what: str = "identifier") -> AstNode:
         t = self.expect("ID", what)
@@ -243,8 +243,9 @@ class _Parser:
             if key.text not in STREAM_PROPERTY_KINDS:
                 self.fail(f"a stream property ({'/'.join(STREAM_PROPERTY_KINDS)})", key)
             if key.text in given:
-                raise SyntaxDiagnosticError(
-                    f"stream property {key.text!r} is given twice", self.path, key)
+                raise TydiError("syntax",
+                                f"stream property {key.text!r} is given twice",
+                                self.path, key)
             given.add(key.text)
             self.expect("=")
             if key.text == "u":
@@ -693,7 +694,7 @@ def _log_with_base(text: str) -> Optional[str]:
 
 
 def parse_file(text: str, path: str = "<memory>") -> ParsedFile:
-    """Parse one source file; raises SyntaxDiagnosticError on the first error."""
+    """Parse one source file; raises a syntax TydiError on the first error."""
     p = _Parser(text, path)
     package_name, ast = p.parse_file()
     return ParsedFile(path, text, package_name, ast)
@@ -726,7 +727,7 @@ def parse_project(paths_and_texts: list[tuple[str, str]],
     for path, text in sorted(paths_and_texts, key=lambda item: item[0]):
         try:
             parsed = parse_file(text, path)
-        except SyntaxDiagnosticError as e:
+        except TydiError as e:
             diagnostics.append(e.diagnostic)
             continue
         except RecursionError:

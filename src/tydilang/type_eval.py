@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .context import EvalContext
-from .errors import TypeError_
+from .errors import TydiError
 from .logical_types import (DIRECTION_VALUES, NULL, STREAM_PROPERTIES,
                             SYNCHRONICITY_VALUES, BitType, GroupType,
                             StreamProperties, StreamType, UnionType)
@@ -78,18 +78,18 @@ def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
     if kind == "LogicalBitType":
         width = evaluate_expression(ctx, scope, inner.children[0])
         if not isinstance(width, IntValue):
-            raise TypeError_(f"Bit width must be an int, got {variant_name(width)}",
-                             path, inner)
+            raise TydiError("type", f"Bit width must be an int, got {variant_name(width)}",
+                            path, inner)
         if width.value < 1:
-            raise TypeError_(f"Bit width must be at least 1, got {width.value}",
-                             path, inner)
+            raise TydiError("type", f"Bit width must be at least 1, got {width.value}",
+                            path, inner)
         return BitType(width.value)
     if kind == "LogicalStreamType":
         return _evaluate_stream(ctx, scope, inner, declared_name)
     # a group or union, the last kinds of logical type the parser makes
-    raise TypeError_(
-        "inline group/union types must be declared with their own `type` "
-        "statement", path, inner)
+    raise TydiError("type",
+                    "inline group/union types must be declared with their own `type` "
+                    "statement", path, inner)
 
 
 def _evaluate_stream(ctx: EvalContext, scope: Scope, stream_node: AstNode,
@@ -102,39 +102,36 @@ def _evaluate_stream(ctx: EvalContext, scope: Scope, stream_node: AstNode,
         if key == "user":
             user = evaluate_type(ctx, scope, child.children[0])
             if isinstance(user, StreamType):
-                raise TypeError_("stream user type must not be a stream",
-                                 path, child)
+                raise TydiError("type", "stream user type must not be a stream",
+                                path, child)
             props[key] = user
             continue
         value = evaluate_expression(ctx, scope, child.children[0])
         if key == "dimension":
             if not isinstance(value, IntValue) or value.value < 0:
-                raise TypeError_("dimension must be a non-negative int", path, child)
+                raise TydiError("type", "dimension must be a non-negative int", path, child)
         elif key == "throughput":
             if isinstance(value, IntValue):
                 value = FloatValue(float(value.value))
-            if not isinstance(value, FloatValue) or value.value < 0:
-                raise TypeError_("throughput must be a non-negative number",
-                                 path, child)
+            if not isinstance(value, FloatValue) or value.value <= 0:
+                raise TydiError("type", "throughput must be a positive number",
+                                path, child)
         elif key == "synchronicity":
             if not isinstance(value, StrValue) or value.value not in SYNCHRONICITY_VALUES:
-                raise TypeError_(
-                    f"synchronicity must be one of {'/'.join(SYNCHRONICITY_VALUES)}",
-                    path, child)
+                raise TydiError("type", "synchronicity must be one of "
+                                f"{'/'.join(SYNCHRONICITY_VALUES)}", path, child)
         elif key == "complexity":
             if not isinstance(value, IntValue) or not 1 <= value.value <= 7:
-                raise TypeError_(
-                    f"complexity must be an int in [1, 7], got "
-                    f"{value.value if isinstance(value, IntValue) else variant_name(value)}",
-                    path, child)
+                got = value.value if isinstance(value, IntValue) else variant_name(value)
+                raise TydiError("type", f"complexity must be an int in [1, 7], got {got}",
+                                path, child)
         elif key == "direction":
             if not isinstance(value, StrValue) or value.value not in DIRECTION_VALUES:
-                raise TypeError_(
-                    f"direction must be one of {'/'.join(DIRECTION_VALUES)}",
-                    path, child)
+                raise TydiError("type", "direction must be one of "
+                                f"{'/'.join(DIRECTION_VALUES)}", path, child)
         elif key == "keep":
             if not isinstance(value, BoolValue):
-                raise TypeError_("keep must be a bool", path, child)
+                raise TydiError("type", "keep must be a bool", path, child)
         props[key] = value.value
     return StreamType(name=declared_name, element=element,
                       properties=StreamProperties(**props))

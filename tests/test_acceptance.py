@@ -13,7 +13,7 @@ import pytest
 
 from tydilang.context import EvalContext
 from tydilang.dump import dump_code_structure
-from tydilang.errors import ResolutionError
+from tydilang.errors import TydiError
 from tydilang.logical_types import StreamType
 from tydilang.model import EvalState
 from tydilang.pipeline import evaluate_project
@@ -134,8 +134,9 @@ def test_criterion_05_name_resolution_matrix():
                     entity, owner = resolve_name(inner, "target", category)
                     assert owner is outer
                 else:
-                    with pytest.raises(ResolutionError):
+                    with pytest.raises(TydiError) as exc:
                         resolve_name(inner, "target", category)
+                    assert exc.value.category == "resolution"
                 checked += 1
         assert checked == 36
 

@@ -238,7 +238,11 @@ CASES = [
     ("stream_dimension", P + "type t = Stream(Bit(1), d = -1);", {}, "type",
      "dimension must be a non-negative int", "f0.td:1:34"),
     ("stream_throughput", P + 'type t = Stream(Bit(1), t = "a");', {}, "type",
-     "throughput must be a non-negative number", "f0.td:1:34"),
+     "throughput must be a positive number", "f0.td:1:34"),
+    ("stream_throughput_zero", P + "type t = Stream(Bit(1), t = 0);", {}, "type",
+     "throughput must be a positive number", "f0.td:1:34"),
+    ("stream_throughput_negative_zero", P + "type t = Stream(Bit(1), t = -0.0);", {},
+     "type", "throughput must be a positive number", "f0.td:1:34"),
     ("stream_synchronicity", P + 'type t = Stream(Bit(1), s = "x");', {}, "type",
      "synchronicity must be one of Sync/Flatten/Desync/FlatDesync", "f0.td:1:34"),
     ("stream_complexity", P + "type t = Stream(Bit(1), c = 9);", {}, "type",
@@ -546,6 +550,8 @@ UNREACHABLE: dict[str, str] = {}
 _ERROR_CLASSES = {name for name, obj in vars(errors).items()
                   if isinstance(obj, type) and issubclass(obj, TydiError)}
 _MESSAGE_HELPERS = {"err": "", "fail": "expected "}
+# the categories a stage may raise or report; DRC makes its own reports
+CATEGORIES = {"syntax", "resolution", "type", "assertion", "io", "usage"}
 
 
 def _skeleton(node) -> str:
@@ -559,11 +565,22 @@ def _skeleton(node) -> str:
     return "{}"
 
 
+def _callee(node):
+    return node.func.id if isinstance(node.func, ast.Name) else \
+        getattr(node.func, "attr", None)
+
+
+def _literals(node) -> set:
+    """The values a category expression can take, if each is a literal."""
+    if isinstance(node, ast.IfExp):
+        return _literals(node.body) | _literals(node.orelse)
+    return {node.value} if isinstance(node, ast.Constant) else {None}
+
+
 def _message(node, function: str):
     """(prefix, message expression) if `node` makes a diagnostic."""
     if isinstance(node, ast.Call):
-        callee = node.func.id if isinstance(node.func, ast.Name) else \
-            getattr(node.func, "attr", None)
+        callee = _callee(node)
         index = 1 if callee in ("TydiError", "Diagnostic") else 0
         if (callee in _ERROR_CLASSES or callee == "Diagnostic"
                 or callee in _MESSAGE_HELPERS) and len(node.args) > index:
@@ -576,12 +593,19 @@ def _message(node, function: str):
 
 
 def diagnostic_sites() -> dict[str, str]:
-    """Every message site in the compiler: its key and the text it makes."""
+    """Every message site in the compiler: its key and the text it makes.
+    Each `TydiError` and `Diagnostic` names its category by literals from
+    CATEGORIES, but for the `Diagnostic` that a `TydiError` makes of its own."""
     sites = {}
 
     def visit(node, module: str, function: str):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, ast.FunctionDef) else function
+            if isinstance(child, ast.Call) and _callee(child) in ("TydiError", "Diagnostic") \
+                    and (module, inner) != ("errors", "__init__"):
+                category = child.args[0]
+                assert _literals(category) <= CATEGORIES, \
+                    f"{module}.{inner}:{child.lineno}: category {ast.unparse(category)}"
             found = _message(child, inner)
             if found is not None:
                 text = found[0] + _skeleton(found[1])

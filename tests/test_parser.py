@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tydilang.errors import SyntaxDiagnosticError
+from tydilang.errors import TydiError
 from tydilang.lexer import tokenize
 from tydilang import parser
 from tydilang.parser import parse_file, parse_fragment, parse_project
@@ -122,8 +122,9 @@ def test_empty_package():
 
 
 def test_consecutive_underscores_rejected():
-    with pytest.raises(SyntaxDiagnosticError) as exc:
+    with pytest.raises(TydiError) as exc:
         parse_file("package p;\nconst a__b = 1;")
+    assert exc.value.category == "syntax"
     assert "underscore" in exc.value.message
     span = exc.value.diagnostic.span
     text = "package p;\nconst a__b = 1;"
@@ -131,13 +132,15 @@ def test_consecutive_underscores_rejected():
 
 
 def test_identifier_must_not_start_with_digit():
-    with pytest.raises(SyntaxDiagnosticError):
+    with pytest.raises(TydiError) as exc:
         parse_file("package p;\nconst 1a = 1;")
+    assert exc.value.category == "syntax"
 
 
 def test_package_must_be_first_statement():
-    with pytest.raises(SyntaxDiagnosticError):
+    with pytest.raises(TydiError) as exc:
         parse_file("const a = 1;\npackage p;")
+    assert exc.value.category == "syntax"
 
 
 def test_comments_and_whitespace_discarded():
@@ -162,8 +165,9 @@ def test_string_escapes():
 
 
 def test_unsupported_escape_rejected():
-    with pytest.raises(SyntaxDiagnosticError):
+    with pytest.raises(TydiError) as exc:
         parse_file(r'package p; const s = "a\nb";')
+    assert exc.value.category == "syntax"
 
 
 # Each lexer diagnostic: source, exact message, and the exact bytes its span
@@ -199,7 +203,7 @@ LEXER_DIAGNOSTICS = [
     "non_ascii_character", "double_underscore", "process_block",
     "process_block_string"])
 def test_lexer_diagnostic_is_pinned(source, message, span_bytes):
-    with pytest.raises(SyntaxDiagnosticError) as exc:
+    with pytest.raises(TydiError) as exc:
         tokenize(source, "pin.td")
     diag = exc.value.diagnostic
     data = source.encode("utf-8")
@@ -395,9 +399,10 @@ def test_syntax_errors_aggregate_across_files():
 
 
 def test_error_carries_path_span_and_expectation():
-    with pytest.raises(SyntaxDiagnosticError) as exc:
+    with pytest.raises(TydiError) as exc:
         parse_file("package p;\nconst x = ;", path="bad.td")
     d = exc.value.diagnostic
+    assert d.category == "syntax"
     assert d.path == "bad.td"
     assert d.span is not None
     assert "expected" in d.message

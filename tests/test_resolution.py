@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from tydilang.errors import ResolutionError, TydiError
+from tydilang.errors import TydiError
 from tydilang.model import (Implementation, Instance, Port, Scope,
                             ScopeRelationKind, Streamlet, TypeEntry, Variable,
                             declare, resolve_name)
@@ -61,8 +61,9 @@ def test_resolution_matrix_cell(category, relation):
         entity, owner = resolve_name(inner, "target", category)
         assert owner is outer
     else:
-        with pytest.raises(ResolutionError):
+        with pytest.raises(TydiError) as exc:
             resolve_name(inner, "target", category)
+        assert exc.value.category == "resolution"
 
 
 def test_matrix_has_thirty_six_cells():
@@ -92,8 +93,9 @@ def test_not_found_error_names_searched_scopes():
     outer = Scope("package_p", "package")
     inner = Scope("group_g", "group")
     inner.add_relation(ScopeRelationKind.GROUP, outer)
-    with pytest.raises(ResolutionError) as exc:
+    with pytest.raises(TydiError) as exc:
         resolve_name(inner, "nope", "variable")
+    assert exc.value.category == "resolution"
     assert "group_g" in exc.value.message and "package_p" in exc.value.message
 
 
@@ -120,8 +122,8 @@ def test_resolve_name_leaves_no_garbage():
             resolve_name(inner, "x", "variable")
             try:
                 resolve_name(inner, "nope", "variable")
-            except ResolutionError:
-                pass
+            except TydiError as e:
+                assert e.category == "resolution"
         assert gc.collect() == 0
     finally:
         if enabled:
