@@ -15,21 +15,20 @@ Rules enforced per connection of every non-external implementation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .logical_types import types_compatible
 from .model import EvalState, Implementation, Project, end_display
 from .sugaring import end_role, usage_census
+from .values import Frozen, set_field
 
 
-@dataclass(frozen=True)
-class DrcDiagnostic:
-    severity: str  # Error | Warning
-    rule: str  # R1..R5
-    package: str
-    implementation: str
-    connection: str
-    message: str
+class DrcDiagnostic(Frozen):
+    def __init__(self, severity, rule, package, implementation, connection, message):
+        set_field(self, "severity", severity)  # Error | Warning
+        set_field(self, "rule", rule)  # R1..R5
+        set_field(self, "package", package)
+        set_field(self, "implementation", implementation)
+        set_field(self, "connection", connection)
+        set_field(self, "message", message)
 
     def line(self) -> str:
         return (f"[{self.severity}] {self.rule} {self.package}.{self.implementation}"

@@ -6,7 +6,7 @@ The raw text is the source of the entry's AST, sliced by `Package.snip` of
 the package the dumped scope belongs to; the placeholder tags of entries
 without source (imported packages, template parameters) are chosen here.
 Stream properties print through `StreamProperties.summary`, raw or evaluated,
-so a property a stream does not set shows the dataclass default. Entries
+so a property a stream does not set shows the `StreamProperties` default. Entries
 within each section are emitted in lexicographic id order so the dump does
 not depend on the order in which entities were evaluated.
 """

@@ -35,7 +35,6 @@ per depth at which it occurs, however many ports use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import TydiError
@@ -45,13 +44,14 @@ from .model import EndRef, EvalState, Implementation, Port, Project
 from .values import escape
 
 
-@dataclass
 class FlatCircuit:
-    top: Implementation
-    components: list[str] = field(default_factory=list)  # flat names
-    component_lines: list[str] = field(default_factory=list)
-    nets: list[str] = field(default_factory=list)  # labels
-    net_lines: list[str] = field(default_factory=list)
+    def __init__(self, top, components=None, component_lines=None, nets=None,
+                 net_lines=None):
+        self.top: Implementation = top
+        self.components = [] if components is None else components  # flat names
+        self.component_lines = [] if component_lines is None else component_lines
+        self.nets = [] if nets is None else nets  # labels
+        self.net_lines = [] if net_lines is None else net_lines
 
 
 def _segment(name: str, index) -> str:

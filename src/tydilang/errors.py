@@ -7,7 +7,6 @@ finds itself (an unreadable input, nesting too deep) without raising them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol
 
 
@@ -32,19 +31,15 @@ class Span(NamedTuple):
         return f"{self.start}-{self.end}"
 
 
-@dataclass
 class Diagnostic:
     """A single compiler message tied to a source location. `span` may be
     given as any location; the diagnostic holds it as a Span."""
 
-    category: str  # syntax | resolution | type | assertion | io | usage
-    message: str
-    path: Optional[str] = None
-    span: Optional[Span] = None
-
-    def __post_init__(self):
-        if self.span is not None:
-            self.span = Span(self.span.start, self.span.end)
+    def __init__(self, category, message, path=None, span=None):
+        self.category = category  # syntax | resolution | type | assertion | io | usage
+        self.message: str = message
+        self.path: Optional[str] = path
+        self.span = None if span is None else Span(span.start, span.end)
 
     def location(self, source_text: Optional[str] = None) -> str:
         if self.path is None:

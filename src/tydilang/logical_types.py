@@ -2,7 +2,8 @@
 
 Aliases and template placeholders exist only in the unevaluated (AST) world;
 evaluation resolves them away, so the classes here are always concrete.
-They are frozen: `type_eval` builds each one once, complete. A group, union
+They are frozen: `type_eval` builds each one once, complete. A `BitType`
+and a `StreamProperties` compare and hash by their fields. A group, union
 or stream is compared by identity (`==` and `hash` are the object's own), and
 that identity is what strict typing compares: every alias, member extraction
 and template argument of a declaration passes on the one object the
@@ -17,11 +18,10 @@ The parser, evaluator, dumps, IR and `types_compatible` derive theirs from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import TydiError
-from .values import format_float
+from .values import ByValue, Frozen, format_float, set_field
 
 if TYPE_CHECKING:
     from .model import Scope
@@ -47,41 +47,43 @@ class NullType:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __repr__(self):
-        return "NullType()"
-
 
 NULL = NullType()
 
 
-@dataclass(frozen=True)
-class BitType:
-    width: int
+class BitType(ByValue):
+    def __init__(self, width: int):
+        set_field(self, "width", width)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupType:
-    name: str
-    scope: "Scope"
-    fields: tuple[tuple[str, "LogicalType"], ...] = ()
+class _Compound(Frozen):
+    """A group or union: its declared name, inner scope and fields in order."""
+
+    def __init__(self, name: str, scope: "Scope", fields: tuple = ()):
+        set_field(self, "name", name)
+        set_field(self, "scope", scope)
+        set_field(self, "fields", fields)  # ((name, LogicalType), ...)
 
 
-@dataclass(frozen=True, eq=False)
-class UnionType:
-    name: str
-    scope: "Scope"
-    fields: tuple[tuple[str, "LogicalType"], ...] = ()
+class GroupType(_Compound):
+    """A group holds all its fields at once."""
 
 
-@dataclass(frozen=True)
-class StreamProperties:
-    dimension: int = 0
-    user: "LogicalType" = NULL
-    throughput: float = 1.0
-    synchronicity: str = "Sync"
-    complexity: int = 7
-    direction: str = "Forward"
-    keep: bool = False
+class UnionType(_Compound):
+    """A union holds one of its fields at a time."""
+
+
+class StreamProperties(ByValue):
+    def __init__(self, dimension: int = 0, user: "LogicalType" = NULL,
+                 throughput: float = 1.0, synchronicity: str = "Sync",
+                 complexity: int = 7, direction: str = "Forward", keep: bool = False):
+        set_field(self, "dimension", dimension)
+        set_field(self, "user", user)
+        set_field(self, "throughput", throughput)
+        set_field(self, "synchronicity", synchronicity)
+        set_field(self, "complexity", complexity)
+        set_field(self, "direction", direction)
+        set_field(self, "keep", keep)
 
     def summary(self, raw: Optional[dict[str, str]] = None) -> str:
         """The dump text of the properties, in `STREAM_PROPERTIES` order; a
@@ -93,11 +95,12 @@ class StreamProperties:
                          for _, _, field in STREAM_PROPERTIES)
 
 
-@dataclass(frozen=True, eq=False)
-class StreamType:
-    name: Optional[str]  # the id this Stream(...) expression was declared under
-    element: "LogicalType" = NULL
-    properties: StreamProperties = StreamProperties()
+class StreamType(Frozen):
+    def __init__(self, name: Optional[str], element: "LogicalType" = NULL,
+                 properties: StreamProperties = StreamProperties()):
+        set_field(self, "name", name)  # the id this Stream(...) was declared under
+        set_field(self, "element", element)
+        set_field(self, "properties", properties)
 
 
 LogicalType = object  # NullType | BitType | GroupType | UnionType | StreamType

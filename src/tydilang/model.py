@@ -20,7 +20,6 @@ mangled name, and that table is its memo. Every stage looks up a `name` or
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import Located, TydiError
@@ -71,74 +70,78 @@ class EvalState(enum.Enum):
     ERROR = "Error"
 
 
-@dataclass
 class Variable:
-    id: str
-    scope: Optional["Scope"] = None
-    # int/str/float/bool/clockdomain; a template parameter's kind
-    declared_kind: Optional[str] = None
-    expr_ast: Optional[AstNode] = None
-    is_magic: bool = False
-    span: Optional[AstNode] = None
-    state: EvalState = EvalState.NOT_INFERRED
-    value: Optional[Value] = None
-    error: Optional[TydiError] = None
+    def __init__(self, id, scope=None, declared_kind=None, expr_ast=None, is_magic=False,
+                 span=None, state=EvalState.NOT_INFERRED, value=None, error=None):
+        self.id: str = id
+        self.scope: Optional[Scope] = scope
+        # int/str/float/bool/clockdomain; a template parameter's kind
+        self.declared_kind: Optional[str] = declared_kind
+        self.expr_ast: Optional[AstNode] = expr_ast
+        self.is_magic: bool = is_magic
+        self.span: Optional[AstNode] = span
+        self.state: EvalState = state
+        self.value: Optional[Value] = value
+        self.error: Optional[TydiError] = error
 
     def label(self) -> str:
         owner = self.scope.name if self.scope else "?"
         return f"{owner}.{self.id}"
 
 
-@dataclass
 class TypeEntry:
-    id: str
-    ast: Optional[AstNode]  # the logical-type expression; None for bound args
-    scope: Optional["Scope"] = None  # defining scope (resolution starts here)
-    own_scope: Optional["Scope"] = None  # group/union inner scope, if any
-    field_names: list[str] = field(default_factory=list)  # group/union order
-    asserts: list[tuple["Scope", AstNode]] = field(default_factory=list)
-    span: Optional[AstNode] = None
-    state: EvalState = EvalState.NOT_INFERRED
-    evaluated: object = None  # LogicalType
-    error: Optional[TydiError] = None
+    def __init__(self, id, ast, scope=None, own_scope=None, field_names=None, asserts=None,
+                 span=None, state=EvalState.NOT_INFERRED, evaluated=None, error=None):
+        self.id: str = id
+        self.ast = ast  # the logical-type expression; None for bound args
+        self.scope: Optional[Scope] = scope  # defining scope (resolution starts here)
+        self.own_scope: Optional[Scope] = own_scope  # group/union inner scope, if any
+        self.field_names = [] if field_names is None else field_names  # group/union order
+        self.asserts: list[tuple[Scope, AstNode]] = [] if asserts is None else asserts
+        self.span: Optional[AstNode] = span
+        self.state: EvalState = state
+        self.evaluated: object = evaluated  # LogicalType
+        self.error: Optional[TydiError] = error
 
     def label(self) -> str:
         owner = self.scope.name if self.scope else "?"
         return f"{owner}.{self.id}"
 
 
-@dataclass
 class TemplateParam:
-    name: str
-    kind: str  # int/str/float/bool/clockdomain/type/impl
-    impl_of: Optional[str] = None  # streamlet name for impl-of parameters
+    def __init__(self, name, kind, impl_of=None):
+        self.name: str = name
+        self.kind: str = kind  # int/str/float/bool/clockdomain/type/impl
+        self.impl_of: Optional[str] = impl_of  # streamlet name for impl-of parameters
 
 
-@dataclass
 class Port:
-    name: str
-    type_ast: AstNode
-    direction: str  # in | out
-    array_size_ast: Optional[AstNode] = None
-    cd_ast: Optional[AstNode] = None
-    span: Optional[AstNode] = None
-    # evaluated; a port with a logical type is evaluated:
-    logical_type: object = None
-    array_size: Optional[int] = None
-    clockdomain: Optional[Value] = None
+    def __init__(self, name, type_ast, direction, array_size_ast=None, cd_ast=None,
+                 span=None, logical_type=None, array_size=None, clockdomain=None):
+        self.name: str = name
+        self.type_ast: AstNode = type_ast
+        self.direction: str = direction  # in | out
+        self.array_size_ast: Optional[AstNode] = array_size_ast
+        self.cd_ast: Optional[AstNode] = cd_ast
+        self.span: Optional[AstNode] = span
+        # evaluated; a port with a logical type is evaluated:
+        self.logical_type: object = logical_type
+        self.array_size: Optional[int] = array_size
+        self.clockdomain: Optional[Value] = clockdomain
 
 
-@dataclass
 class Streamlet:
-    id: str
-    scope: "Scope"
-    doc: Optional[str] = None
-    template_params: list[TemplateParam] = field(default_factory=list)
-    ports: dict[str, Port] = field(default_factory=dict)
-    asserts: list[tuple["Scope", AstNode]] = field(default_factory=list)
-    span: Optional[AstNode] = None
-    state: EvalState = EvalState.NOT_INFERRED
-    error: Optional[TydiError] = None
+    def __init__(self, id, scope, doc=None, template_params=None, ports=None,
+                 asserts=None, span=None, state=EvalState.NOT_INFERRED, error=None):
+        self.id: str = id
+        self.scope: Scope = scope
+        self.doc: Optional[str] = doc
+        self.template_params = [] if template_params is None else template_params
+        self.ports: dict[str, Port] = {} if ports is None else ports
+        self.asserts: list[tuple[Scope, AstNode]] = [] if asserts is None else asserts
+        self.span: Optional[AstNode] = span
+        self.state: EvalState = state
+        self.error: Optional[TydiError] = error
 
     @property
     def is_template(self) -> bool:
@@ -148,17 +151,18 @@ class Streamlet:
         return f"streamlet {self.id}"
 
 
-@dataclass
 class Instance:
-    name: str
-    target_ast: Optional[AstNode] = None  # None for compiler-inserted instances
-    array_size_ast: Optional[AstNode] = None
-    span: Optional[AstNode] = None
-    # the `for` element scope its target and size resolve in; None: the impl's
-    scope: Optional["Scope"] = field(default=None, compare=False, repr=False)
-    # evaluated; an instance with a target is evaluated:
-    target: Optional["Implementation"] = None
-    array_size: Optional[int] = None
+    def __init__(self, name, target_ast=None, array_size_ast=None, span=None, scope=None,
+                 target=None, array_size=None):
+        self.name: str = name
+        self.target_ast = target_ast  # None for compiler-inserted instances
+        self.array_size_ast: Optional[AstNode] = array_size_ast
+        self.span: Optional[AstNode] = span
+        # the `for` element scope its target and size resolve in; None: the impl's
+        self.scope: Optional[Scope] = scope
+        # evaluated; an instance with a target is evaluated:
+        self.target: Optional[Implementation] = target
+        self.array_size: Optional[int] = array_size
 
 
 def indexed(name: str, index: Optional[int]) -> str:
@@ -172,19 +176,20 @@ def end_display(owner: Optional[str], owner_index: Optional[int],
     return f"{owner_text}.{indexed(port_name, port_index)}"
 
 
-@dataclass
 class EndRef:
-    # the PathOwner and PathPort nodes of a written end; both None for an
-    # end that sugaring made, and the owner None for a Self end
-    path_owner: Optional[AstNode] = None
-    path_port: Optional[AstNode] = None
-    # resolved:
-    owner_name: Optional[str] = None
-    owner_index: Optional[int] = None
-    port_name: Optional[str] = None
-    port_index: Optional[int] = None
-    instance: Optional[Instance] = None
-    port: Optional[Port] = None
+    def __init__(self, path_owner=None, path_port=None, owner_name=None, owner_index=None,
+                 port_name=None, port_index=None, instance=None, port=None):
+        # the PathOwner and PathPort nodes of a written end; both None for an
+        # end that sugaring made, and the owner None for a Self end
+        self.path_owner: Optional[AstNode] = path_owner
+        self.path_port: Optional[AstNode] = path_port
+        # resolved:
+        self.owner_name: Optional[str] = owner_name
+        self.owner_index: Optional[int] = owner_index
+        self.port_name: Optional[str] = port_name
+        self.port_index: Optional[int] = port_index
+        self.instance: Optional[Instance] = instance
+        self.port: Optional[Port] = port
 
     @property
     def is_self(self) -> bool:
@@ -199,38 +204,42 @@ class EndRef:
                            self.port_index)
 
 
-@dataclass
 class Connection:
-    name: str
-    source: EndRef
-    sink: EndRef
-    fifo_ast: Optional[AstNode] = None
-    no_strict: bool = False
-    span: Optional[AstNode] = None
-    # the `for` element scope its ends and depth resolve in; None: the impl's
-    scope: Optional["Scope"] = field(default=None, compare=False, repr=False)
-    fifo_depth: int = 0
+    def __init__(self, name, source, sink, fifo_ast=None, no_strict=False, span=None,
+                 scope=None, fifo_depth=0):
+        self.name: str = name
+        self.source: EndRef = source
+        self.sink: EndRef = sink
+        self.fifo_ast: Optional[AstNode] = fifo_ast
+        self.no_strict: bool = no_strict
+        self.span: Optional[AstNode] = span
+        # the `for` element scope its ends and depth resolve in; None: the impl's
+        self.scope: Optional[Scope] = scope
+        self.fifo_depth: int = fifo_depth
 
 
-@dataclass
 class Implementation:
-    id: str
-    scope: "Scope"
-    of_ast: Optional[AstNode] = None
-    doc: Optional[str] = None
-    template_params: list[TemplateParam] = field(default_factory=list)
-    external: bool = False
-    instances: dict[str, Instance] = field(default_factory=dict)
-    connections: list[Connection] = field(default_factory=list)
-    # (scope the assert evaluates in, assert statement)
-    asserts: list[tuple["Scope", AstNode]] = field(default_factory=list)
-    generative: list[AstNode] = field(default_factory=list)  # if/for blocks
-    process_block: Optional[str] = None
-    derived_from: Optional[AstNode] = None  # ImplInstDecl target, if any
-    span: Optional[AstNode] = None
-    state: EvalState = EvalState.NOT_INFERRED
-    error: Optional[TydiError] = None
-    streamlet: Optional[Streamlet] = None
+    def __init__(self, id, scope, of_ast=None, doc=None, template_params=None,
+                 external=False, instances=None, connections=None, asserts=None,
+                 generative=None, process_block=None, derived_from=None, span=None,
+                 state=EvalState.NOT_INFERRED, error=None, streamlet=None):
+        self.id: str = id
+        self.scope: Scope = scope
+        self.of_ast: Optional[AstNode] = of_ast
+        self.doc: Optional[str] = doc
+        self.template_params = [] if template_params is None else template_params
+        self.external: bool = external
+        self.instances: dict[str, Instance] = {} if instances is None else instances
+        self.connections: list[Connection] = [] if connections is None else connections
+        # (scope the assert evaluates in, assert statement)
+        self.asserts: list[tuple[Scope, AstNode]] = [] if asserts is None else asserts
+        self.generative = [] if generative is None else generative  # if/for blocks
+        self.process_block: Optional[str] = process_block
+        self.derived_from: Optional[AstNode] = derived_from  # ImplInstDecl target, if any
+        self.span: Optional[AstNode] = span
+        self.state: EvalState = state
+        self.error: Optional[TydiError] = error
+        self.streamlet: Optional[Streamlet] = streamlet
 
     @property
     def is_template(self) -> bool:
@@ -240,22 +249,24 @@ class Implementation:
         return f"impl {self.id}"
 
 
-@dataclass
 class Scope:
-    name: str
-    category: str  # package/group/union/stream/streamlet/implement/iffor
-    variables: dict[str, Variable] = field(default_factory=dict)
-    types: dict[str, TypeEntry] = field(default_factory=dict)
-    streamlets: dict[str, Streamlet] = field(default_factory=dict)
-    implements: dict[str, Implementation] = field(default_factory=dict)
-    ports: dict[str, Port] = field(default_factory=dict)
-    instances: dict[str, Instance] = field(default_factory=dict)
-    connections: list[Connection] = field(default_factory=list)
-    relations: list[tuple[ScopeRelationKind, "Scope"]] = field(default_factory=list)
-    impl_args: dict[str, "Implementation"] = field(default_factory=dict)
-    # the package whose source declares the scope; None only for scopes
-    # built by hand outside the builder
-    package: Optional["Package"] = field(default=None, compare=False)
+    def __init__(self, name, category, variables=None, types=None, streamlets=None,
+                 implements=None, ports=None, instances=None, connections=None,
+                 relations=None, impl_args=None, package=None):
+        self.name: str = name
+        self.category = category  # package/group/union/stream/streamlet/implement/iffor
+        self.variables: dict[str, Variable] = {} if variables is None else variables
+        self.types: dict[str, TypeEntry] = {} if types is None else types
+        self.streamlets: dict[str, Streamlet] = {} if streamlets is None else streamlets
+        self.implements = {} if implements is None else implements
+        self.ports: dict[str, Port] = {} if ports is None else ports
+        self.instances: dict[str, Instance] = {} if instances is None else instances
+        self.connections: list[Connection] = [] if connections is None else connections
+        self.relations = [] if relations is None else relations
+        self.impl_args: dict[str, Implementation] = {} if impl_args is None else impl_args
+        # the package whose source declares the scope; None only for scopes
+        # built by hand outside the builder
+        self.package: Optional[Package] = package
 
     def add_relation(self, kind: ScopeRelationKind, target: "Scope"):
         self.relations.append((kind, target))
@@ -264,28 +275,25 @@ class Scope:
         return f"Scope({self.name})"
 
 
-@dataclass
 class Package:
     """One source file's package: its scope and the text its spans index."""
 
-    name: str
-    path: str
-    text: str
-    scope: Scope = field(init=False)
-
-    def __post_init__(self):
-        self.scope = Scope(f"package_{self.name}", "package", package=self)
-        self._data = self.text.encode("utf-8")  # spans are UTF-8 byte offsets
+    def __init__(self, name, path, text):
+        self.name: str = name
+        self.path: str = path
+        self.text: str = text
+        self.scope = Scope(f"package_{name}", "package", package=self)
+        self._data = text.encode("utf-8")  # spans are UTF-8 byte offsets
 
     def snip(self, location: Located) -> str:
         """The source text of a location, such as an AST node."""
         return self._data[location.start:location.end].decode("utf-8")
 
 
-@dataclass
 class Project:
-    name: str
-    packages: dict[str, Package] = field(default_factory=dict)
+    def __init__(self, name, packages=None):
+        self.name: str = name
+        self.packages: dict[str, Package] = {} if packages is None else packages
 
     def top_implementation(self, top: str) -> Implementation:
         """The implementation `top` ("package.impl") names; a usage error if

@@ -16,7 +16,6 @@ effect: every artifact is the same for any value.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .builder import build_project, import_package
@@ -35,20 +34,19 @@ from .type_eval import force_type_entry
 from .emit import emit_dot, emit_ir, flatten
 
 
-@dataclass
 class CompileConfig:
-    inputs: list[str]
-    project_name: str = "project"
-    output_dir: Optional[str] = None  # None: no artifacts written
-    top: Optional[str] = None  # "package.impl"
-    emit_drc: bool = False
-    emit_dot: bool = False
-    emit_ir: bool = False
-    jobs: int = 1  # validated for compatibility; has no effect
-
-    def __post_init__(self):
-        if self.jobs < 1:
+    def __init__(self, inputs, project_name="project", output_dir=None, top=None,
+                 emit_drc=False, emit_dot=False, emit_ir=False, jobs=1):
+        if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        self.inputs: list[str] = inputs
+        self.project_name: str = project_name
+        self.output_dir: Optional[str] = output_dir  # None: no artifacts written
+        self.top: Optional[str] = top  # "package.impl"
+        self.emit_drc: bool = emit_drc
+        self.emit_dot: bool = emit_dot
+        self.emit_ir: bool = emit_ir
+        self.jobs: int = jobs  # validated for compatibility; has no effect
 
 
 # the fixed artifact names; `0_ast/` holds one more per source file
@@ -57,12 +55,13 @@ ARTIFACTS = ("1_parser_output.txt", "2_evaluation_output.txt",
              "circuit.dot", "ir.json", "error_report.txt")
 
 
-@dataclass
 class CompileResult:
-    project: Optional[Project] = None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    drc_diagnostics: list = field(default_factory=list)
-    artifacts: dict[str, str] = field(default_factory=dict)  # name -> text
+    def __init__(self, project=None, diagnostics=None, drc_diagnostics=None,
+                 artifacts=None):
+        self.project: Optional[Project] = project
+        self.diagnostics: list[Diagnostic] = [] if diagnostics is None else diagnostics
+        self.drc_diagnostics = [] if drc_diagnostics is None else drc_diagnostics
+        self.artifacts = {} if artifacts is None else artifacts  # name -> text
 
     @property
     def exit_code(self) -> int:

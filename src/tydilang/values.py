@@ -1,44 +1,67 @@
-"""Constant-variable values: int, str, float, bool, clockdomain and arrays."""
+"""Constant-variable values: int, str, float, bool, clockdomain and arrays.
+
+A value is frozen and equals only a value of its variant with an equal
+payload: `IntValue(1)`, `BoolValue(True)` and `FloatValue(1.0)` differ. The
+logical types and DRC diagnostics are built on `Frozen` and `ByValue` too.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 INT64_MIN = -(2 ** 63)
 INT64_MAX = 2 ** 63 - 1
 
-
-@dataclass(frozen=True)
-class IntValue:
-    value: int
+set_field = object.__setattr__  # how a frozen record's `__init__` sets a field
 
 
-@dataclass(frozen=True)
-class StrValue:
-    value: str
+class Frozen:
+    """A record whose fields `__init__` sets once; it compares by identity."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is frozen")
 
 
-@dataclass(frozen=True)
-class FloatValue:
-    value: float
+class ByValue(Frozen):
+    """A frozen record equal to, and hashed like, one of its class with equal fields."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.__dict__ == self.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
 
 
-@dataclass(frozen=True)
-class BoolValue:
-    value: bool
+class IntValue(ByValue):
+    def __init__(self, value: int):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class ClockDomainValue:
+class StrValue(ByValue):
+    def __init__(self, value: str):
+        set_field(self, "value", value)
+
+
+class FloatValue(ByValue):
+    def __init__(self, value: float):
+        set_field(self, "value", value)
+
+
+class BoolValue(ByValue):
+    def __init__(self, value: bool):
+        set_field(self, "value", value)
+
+
+class ClockDomainValue(ByValue):
     """Equality of clockdomains is string equality of the expression."""
 
-    expression: str
+    def __init__(self, expression: str):
+        set_field(self, "expression", expression)
 
 
-@dataclass(frozen=True)
-class ArrayValue:
-    elements: tuple  # of one variant and no arrays, as `math_engine` checks
+class ArrayValue(ByValue):
+    def __init__(self, elements: tuple):
+        set_field(self, "elements", elements)  # of one variant, no arrays
 
 
 Value = Union[IntValue, StrValue, FloatValue, BoolValue, ClockDomainValue, ArrayValue]

@@ -1,4 +1,5 @@
-"""No compiler module imports a name it never uses.
+"""No compiler module imports a name it never uses, and `import tydilang`
+imports no module that only code generation needs.
 
 Deleting code tends to leave its imports behind; this guard catches them.
 `__init__.py` re-exports by design, `__future__` imports are directives,
@@ -6,6 +7,9 @@ and imports under `if TYPE_CHECKING:` serve string annotations only.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tydilang"
@@ -60,3 +64,17 @@ def test_guard_sees_an_unused_import():
                      "if TYPE_CHECKING:\n    from x import Y\n"
                      "def f() -> Optional[int]:\n    return 1\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"os"}
+
+
+def test_import_runs_no_dataclasses():
+    """The records are plain classes: a fresh `import tydilang` neither
+    imports `dataclasses` nor the `inspect` it needs, which together cost
+    more than compiling a small design."""
+    code = ("import sys; before = set(sys.modules); import tydilang; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "tydilang.pipeline" in added
+    assert {"dataclasses", "inspect"}.isdisjoint(added), added

@@ -74,6 +74,13 @@ def test_groups_unions_and_streams_compare_by_identity():
         assert len({a, b}) == 2
 
 
+def test_model_records_compare_by_identity():
+    a, b = (Port(name="p", type_ast=None, direction="in") for _ in range(2))
+    assert a == a and hash(a) == hash(a)
+    assert a != b and not a == b
+    assert len({a, b}) == 2 and [a, b].index(b) == 1
+
+
 FROZEN = [
     (IntValue(1), "value"), (StrValue("a"), "value"), (FloatValue(1.0), "value"),
     (BoolValue(True), "value"), (ClockDomainValue("fast"), "expression"),
