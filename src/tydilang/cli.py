@@ -60,8 +60,11 @@ def main(argv=None) -> int:
         emit_ir=args.ir,
         jobs=args.jobs)
     result = compile_project(config)
-    for d in result.diagnostics:
-        print(f"[{d.category}] {d.message}", file=sys.stderr)
+    # each diagnostic located, as the report has it; an io error writes no report
+    report = result.artifacts.get("error_report.txt")
+    if report is None or any(d.category == "io" for d in result.diagnostics):
+        report = "".join(f"[{d.category}] {d.message}\n" for d in result.diagnostics)
+    sys.stderr.write(report)
     if result.drc_diagnostics:
         errors = sum(1 for d in result.drc_diagnostics if d.severity == "Error")
         warnings = sum(1 for d in result.drc_diagnostics if d.severity == "Warning")

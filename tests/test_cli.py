@@ -112,6 +112,15 @@ def test_golden_error_report_is_pinned(tmp_path, monkeypatch):
     assert (out / "error_report.txt").read_text(encoding="utf-8") == expected
 
 
+def test_stderr_locates_each_error_as_the_report_does(tmp_path, capsys):
+    src = write_sources(tmp_path, {"b.td": 'package b;\nconst x: int = "s";\n'})
+    out = tmp_path / "build"
+    assert main([str(src / "b.td"), "--output", str(out)]) == 1
+    line = f"{src / 'b.td'}:2:1: [type] variable 'x' declared int but evaluates to str"
+    assert (out / "error_report.txt").read_text() == line + "\n"
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_errors_grouped_by_file(tmp_path):
     src = write_sources(tmp_path, {
         "a.td": "package a;\nconst x = ;\n",

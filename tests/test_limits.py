@@ -49,7 +49,7 @@ def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, source, in_file, line):
     assert main([str(src), "--ir", "--output", str(out)]) == 1
     where = str(src) if in_file else "<project>"
     assert (out / "error_report.txt").read_text() == f"{where}: {line}\n"
-    assert capsys.readouterr().err.splitlines()[0] == line
+    assert capsys.readouterr().err.splitlines()[0] == f"{where}: {line}"
 
 
 @pytest.mark.parametrize("source, where", [
@@ -67,7 +67,7 @@ def test_float_overflow_is_a_diagnostic(tmp_path, capsys, source, where):
     assert main([str(src), "--output", str(out)]) == 1
     line = "[type] float result out of range"
     assert (out / "error_report.txt").read_text() == f"{src}:{where}: {line}\n"
-    assert capsys.readouterr().err.splitlines() == [line]
+    assert capsys.readouterr().err.splitlines() == [f"{src}:{where}: {line}"]
 
 
 @pytest.mark.parametrize("chain, dumped", [
