@@ -39,7 +39,7 @@ class Diagnostic:
         self.category = category  # syntax | resolution | type | assertion | io | usage
         self.message: str = message
         self.path: Optional[str] = path
-        self.span = None if span is None else Span(span.start, span.end)
+        self.span: Optional[Span] = None if span is None else Span(span.start, span.end)
 
     def location(self, source_text: Optional[str] = None) -> str:
         if self.path is None:
