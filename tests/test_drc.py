@@ -1,7 +1,10 @@
+import os
+
 from tydilang.drc import drc_has_errors, render_drc_report, run_drc
+from tydilang.pipeline import CompileConfig, compile_sources
 from tydilang.sugaring import sugar_project
 
-from conftest import evaluated_project
+from conftest import DATA_DIR, evaluated_project
 
 RGB = """
 type Group rgb {
@@ -162,8 +165,8 @@ def test_double_driven_sink_is_r5_error():
         "package p;" + RGB +
         "streamlet s { a: rgb_stream in, b: rgb_stream in, output: rgb_stream out, };\n"
         "impl i of s { a => output, b => output, };\n")
-    r5 = [d for d in diags if d.rule == "R5"]
-    assert r5 and "2 connections" in r5[0].message
+    assert [(d.rule, d.message) for d in diags] == [
+        ("R5", "port end Self.output appears in 2 connections")]
 
 
 def test_undriven_instance_input_is_r5_error():
@@ -176,8 +179,23 @@ def test_undriven_instance_input_is_r5_error():
         "  instance a(leaf_i),\n"
         "  a.output => o,\n"
         "};\n")
-    r5 = [d for d in diags if d.rule == "R5"]
-    assert r5 and "never connected" in r5[0].message
+    assert [(d.rule, d.message) for d in diags] == [
+        ("R5", "port end a.input is never connected")]
+
+
+def test_golden_r5_report_is_pinned():
+    """Byte-exact pin of both R5 texts on array-indexed ends, as `tydilang
+    tests/data/golden_r5.td --top r5.top_i --drc` writes them: an instance
+    array input driven twice and one never driven, while the outputs nobody
+    reads get voiders and stay silent."""
+    path = os.path.join(DATA_DIR, "golden_r5.td")
+    with open(path, encoding="utf-8") as f:
+        sources = [(path, f.read())]
+    result = compile_sources(CompileConfig(inputs=[path], top="r5.top_i",
+                                           emit_drc=True), sources)
+    assert result.exit_code == 1
+    with open(os.path.join(DATA_DIR, "golden_r5_drc_report.txt"), encoding="utf-8") as f:
+        assert result.artifacts["drc_report.txt"] == f.read()
 
 
 def test_exactly_one_of_r1_r2_applies():

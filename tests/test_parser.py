@@ -306,7 +306,7 @@ def test_span_containment_over_fixture_corpus():
     corpus = [(PRELUDE_PATH, PRELUDE_SOURCE)] + [
         (str(path), path.read_text(encoding="utf-8"))
         for path in sorted(Path(DATA_DIR).rglob("*.td"))]
-    assert len(corpus) == 11
+    assert len(corpus) == 12
     for path, text in corpus:
         located = tokenize(text, path)
         ast = parse_file(text, path).ast
