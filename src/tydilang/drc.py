@@ -10,14 +10,16 @@ Rules enforced per connection of every non-external implementation:
   R3  connections run source -> sink (a Self `in` port is a source inside
       its own implementation, an instance `out` port is a source)
   R4  both ends must live in the same clockdomain
-  R5  every port end appears in exactly one connection
+  R5  every port end appears in exactly one connection, by the census that
+      sugaring reads (`sugaring.port_uses`), taken afresh on the sugared
+      implementation
 """
 
 from __future__ import annotations
 
 from .logical_types import types_compatible
 from .model import EvalState, Implementation, Project, end_display
-from .sugaring import end_role, usage_census
+from .sugaring import end_role, port_uses
 from .values import Frozen, set_field
 
 
@@ -89,18 +91,13 @@ def _check_implementation(pkg_name: str, impl: Implementation) -> list[DrcDiagno
             report("Error", "R4", conn,
                    f"clockdomain mismatch: {src.display()} is `{src_cd.expression}"
                    f" but {snk.display()} is `{snk_cd.expression}")
-    # R5: single-connection per end (Self ends may legitimately stay unused --
-    # they are the circuit's external interface)
-    for usage in usage_census(impl):
-        if usage.use_count > 1:
-            out.append(DrcDiagnostic(
-                "Error", "R5", pkg_name, impl.id, "-",
-                f"port end {end_display(*usage.key())} appears in {usage.use_count} "
-                "connections"))
-        elif usage.use_count == 0 and usage.owner is not None:
-            out.append(DrcDiagnostic(
-                "Error", "R5", pkg_name, impl.id, "-",
-                f"port end {end_display(*usage.key())} is never connected"))
+    # R5: single-connection per end, recounted on the sugared implementation
+    # (Self ends may legitimately stay unused -- they are the circuit's
+    # external interface)
+    for key, _, _, count in port_uses(impl)[0]:
+        use = f"appears in {count} connections" if count else "is never connected"
+        out.append(DrcDiagnostic("Error", "R5", pkg_name, impl.id, "-",
+                                 f"port end {end_display(*key)} {use}"))
     return out
 
 

@@ -1,15 +1,18 @@
 """Implicit stream plumbing: duplicator and voider insertion.
 
 After elaboration every port must ultimately be connected exactly once. A
-source end used k >= 2 times gets a k-channel duplicator spliced in; an
-instance output that is never used gets a voider to complete its handshake.
-Self ports of an implementation are its external interface and stay untouched
-when unused. Each source's uses are indexed in one pass over connections.
+source end used k >= 2 times as a source gets a k-channel duplicator spliced
+in; an instance output that is never used gets a voider to complete its
+handshake. Self ports of an implementation are its external interface and
+stay untouched when unused. `port_uses` is the one census of port ends: one
+pass over the connections counts each end's uses and indexes each source's,
+and only the ends not used exactly once become records. DRC's R5 recounts the
+sugared implementation with the same census.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .context import EvalContext
 from .elaboration import instantiate_template
@@ -23,19 +26,6 @@ DUPLICATOR_IMPL = "duplicator_i"
 VOIDER_IMPL = "void_i"
 
 
-class PortUsage(NamedTuple):
-    owner: object  # None for Self, otherwise the instance name
-    owner_index: object
-    port_name: str
-    port_index: object
-    role: str  # source | sink
-    use_count: int
-    port: Port
-
-    def key(self):
-        return (self.owner, self.owner_index, self.port_name, self.port_index)
-
-
 def _role(self_side: bool, direction: str) -> str:
     """A Self `in` port acts as a source inside its own implementation; an
     instance's `out` port is a source."""
@@ -46,28 +36,15 @@ def end_role(end: EndRef) -> str:
     return _role(end.is_self, end.port.direction)
 
 
-def _universe(impl: Implementation):
-    """Every addressable port end of an implementation, array-expanded."""
-    ends = []
-
-    def port_ends(owner, owner_index, port: Port, self_side: bool):
-        indices = [None] if port.array_size is None else list(range(port.array_size))
-        role = _role(self_side, port.direction)
-        for pi in indices:
-            ends.append(((owner, owner_index, port.name, pi), role, port))
-
-    for port in impl.streamlet.ports.values():
-        port_ends(None, None, port, self_side=True)
-    for inst in impl.instances.values():
-        inst_indices = [None] if inst.array_size is None else list(range(inst.array_size))
-        for ii in inst_indices:
-            for port in inst.target.streamlet.ports.values():
-                port_ends(inst.name, ii, port, self_side=False)
-    return ends
+def _indices(array_size: Optional[int]):
+    return (None,) if array_size is None else range(array_size)
 
 
-def _census(impl: Implementation):
-    """Every port end's usage, and each source end's connections in order."""
+def port_uses(impl: Implementation):
+    """The array-expanded port ends of `impl` that are not used exactly once,
+    as `(key, role, port, count)` in declaration order, and each source end's
+    connections in order. Unused Self ends are left out: they are the
+    implementation's external interface."""
     counts: dict[tuple, int] = {}
     uses: dict[tuple, list[Connection]] = {}
     for conn in impl.connections:
@@ -75,12 +52,20 @@ def _census(impl: Implementation):
         uses.setdefault(source, []).append(conn)
         for key in (source, conn.sink.key()):
             counts[key] = counts.get(key, 0) + 1
-    return [PortUsage(*key, role, counts.get(key, 0), port)
-            for key, role, port in _universe(impl)], uses
-
-
-def usage_census(impl: Implementation) -> list[PortUsage]:
-    return _census(impl)[0]
+    owners = [(None, None, impl.streamlet)]
+    for inst in impl.instances.values():
+        owners += [(inst.name, ii, inst.target.streamlet)
+                   for ii in _indices(inst.array_size)]
+    irregular = []
+    for owner, owner_index, streamlet in owners:
+        for port in streamlet.ports.values():
+            role = _role(owner is None, port.direction)
+            for pi in _indices(port.array_size):
+                key = (owner, owner_index, port.name, pi)
+                count = counts.get(key, 0)
+                if count > 1 or (count == 0 and owner is not None):
+                    irregular.append((key, role, port, count))
+    return irregular, uses
 
 
 def _sanitize(name: str) -> str:
@@ -98,17 +83,18 @@ def _unique_name(impl: Implementation, base: str) -> str:
     return name
 
 
-def _end_path_name(usage: PortUsage) -> str:
+def _end_path_name(key: tuple) -> str:
+    owner, owner_index, port_name, port_index = key
     parts = []
-    if usage.owner is None:
+    if owner is None:
         parts.append("self")
     else:
-        parts.append(usage.owner)
-        if usage.owner_index is not None:
-            parts.append(str(usage.owner_index))
-    parts.append(usage.port_name)
-    if usage.port_index is not None:
-        parts.append(str(usage.port_index))
+        parts.append(owner)
+        if owner_index is not None:
+            parts.append(str(owner_index))
+    parts.append(port_name)
+    if port_index is not None:
+        parts.append(str(port_index))
     return _sanitize("_".join(parts))
 
 
@@ -118,11 +104,6 @@ def _end(inst: Optional[Instance], port: Port, owner_index=None,
     return EndRef(owner_name=inst.name if inst is not None else None,
                   owner_index=owner_index, port_name=port.name,
                   port_index=port_index, instance=inst, port=port)
-
-
-def _source_end(impl: Implementation, usage: PortUsage) -> EndRef:
-    inst = impl.instances[usage.owner] if usage.owner is not None else None
-    return _end(inst, usage.port, usage.owner_index, usage.port_index)
 
 
 def _std_template(project: Project, name: str) -> Implementation:
@@ -141,38 +122,47 @@ def sugar_implementation(ctx: EvalContext, project: Project,
     """Rewrite one implementation so every port end is singly connected."""
     if impl.external or impl.state is not EvalState.EVALUATED:
         return
-    census, uses = _census(impl)
-    ordered = sorted(
-        (u for u in census if u.role == "source"),
-        key=lambda u: (u.owner or "", u.owner_index if u.owner_index is not None else -1,
-                       u.port_name, u.port_index if u.port_index is not None else -1))
-    for usage in ordered:
-        k = usage.use_count
+    irregular, uses = port_uses(impl)
+
+    def order(use):
+        owner, owner_index, port_name, port_index = use[0]
+        return (owner or "", -1 if owner_index is None else owner_index,
+                port_name, -1 if port_index is None else port_index)
+
+    sources = [use for use in irregular if use[1] == "source"]
+    for key, _, port, count in sorted(sources, key=order):
+        # only the uses as a source count: an end that is also wrongly used
+        # as a sink keeps that use, and R3 and R5 report it
+        source_uses = uses.get(key, [])
+        k = len(source_uses)
         if k >= 2:
-            inst = _insert(ctx, project, impl, usage, DUPLICATOR_IMPL, [IntValue(k)],
-                           f"duplicate_{_end_path_name(usage)}_{k}")
+            inst = _insert(ctx, project, impl, key, port, DUPLICATOR_IMPL, [IntValue(k)],
+                           f"duplicate_{_end_path_name(key)}_{k}")
             # retarget this source's uses, indexed before any insertion, onto
             # the outputs in declaration order; each keeps its fifo depth,
             # marker and name
             out_port = inst.target.streamlet.ports["output"]
-            for j, conn in enumerate(uses.get(usage.key(), [])):
+            for j, conn in enumerate(source_uses):
                 conn.source = _end(inst, out_port, port_index=j)
-        elif k == 0 and usage.owner is not None:
-            _insert(ctx, project, impl, usage, VOIDER_IMPL, [],
-                    f"void_{_end_path_name(usage)}")
+        elif count == 0:
+            _insert(ctx, project, impl, key, port, VOIDER_IMPL, [],
+                    f"void_{_end_path_name(key)}")
 
 
-def _insert(ctx, project, impl, usage: PortUsage, template_name: str,
+def _insert(ctx, project, impl, key: tuple, port: Port, template_name: str,
             more_args: list, base: str) -> Instance:
-    """Instance the prelude template `template_name` on the source's type
-    and `more_args`, under a unique name made from `base`, and connect the
-    source end to its `input`."""
+    """Instance the prelude template `template_name` on the type of the
+    source end `key` on `port` and `more_args`, under a unique name made from
+    `base`, and connect the source end to its `input`."""
     target = instantiate_template(ctx, _std_template(project, template_name),
-                                  [usage.port.logical_type, *more_args])
+                                  [port.logical_type, *more_args])
     name = _unique_name(impl, _sanitize(base))
     inst = impl.scope.instances[name] = Instance(name=name, target=target)
+    owner, owner_index, _, port_index = key
+    source = _end(impl.instances[owner] if owner is not None else None, port,
+                  owner_index, port_index)
     impl.scope.connections.append(Connection(
-        name=f"{name}_in", source=_source_end(impl, usage),
+        name=f"{name}_in", source=source,
         sink=_end(inst, target.streamlet.ports["input"])))
     return inst
 

@@ -8,6 +8,7 @@ criterion's stated runtime bound.
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -17,12 +18,12 @@ from tydilang.errors import TydiError
 from tydilang.logical_types import StreamType
 from tydilang.model import EvalState
 from tydilang.pipeline import evaluate_project
-from tydilang.sugaring import sugar_project, usage_census
+from tydilang.sugaring import sugar_project
 
 from conftest import compile_texts, evaluated_project, project_of
 from test_emit import check_dot
 from test_resolution import ALLOWED, CATEGORIES, RELATIONS, _entity
-from test_sugaring import make_topology
+from test_sugaring import census_map, instance_ends, make_topology
 
 SIMPLE_0 = """package simple_0;
 import simple_1;
@@ -304,9 +305,10 @@ def test_criterion_08_sugaring_post_condition():
                     if impl.external or impl.is_template \
                             or impl.state is not EvalState.EVALUATED:
                         continue
-                    for u in usage_census(impl):
-                        if u.role == "source" and u.use_count >= 2:
-                            fanouts[(impl.id, u.key())] = u.use_count
+                    sources = Counter(c.source.key() for c in impl.connections)
+                    for key, k in sources.items():
+                        if k >= 2:
+                            fanouts[(impl.id, key)] = k
             sugar_project(ctx, project)
             once = dump_code_structure(project)
             for pkg in project.packages.values():
@@ -314,10 +316,9 @@ def test_criterion_08_sugaring_post_condition():
                     if impl.external or impl.is_template \
                             or impl.state is not EvalState.EVALUATED:
                         continue
-                    for u in usage_census(impl):
-                        if u.owner is None and u.use_count == 0:
-                            continue
-                        assert u.use_count == 1, (impl.id, u.key())
+                    counts = census_map(impl)
+                    for key in [*counts, *instance_ends(impl)]:
+                        assert counts[key] == 1, (impl.id, key)
                     for name, inst in impl.instances.items():
                         if name.startswith("duplicate_"):
                             width = inst.target.streamlet.ports["output"].array_size
@@ -341,16 +342,14 @@ def test_criterion_09_tpch_fan_out(tpch1_source):
     with Criterion(9, "TPC-H compare_date fan-out", 2.0):
         project, ctx = evaluated_project(tpch1_source, top="std.main_i")
         data_filter = project.packages["std"].scope.implements["data_filter_i"]
-        census = {u.key(): u for u in usage_census(data_filter)}
-        pre = census[("compare_date", None, "output", None)].use_count
+        pre = census_map(data_filter)[("compare_date", None, "output", None)]
         assert pre == 14
         sugar_project(ctx, project)
         dups = [n for n in data_filter.instances if n.startswith("duplicate_compare_date")]
         assert dups == ["duplicate_compare_date_output_14"]
         dup = data_filter.instances[dups[0]]
         assert dup.target.streamlet.ports["output"].array_size == 14
-        census = {u.key(): u for u in usage_census(data_filter)}
-        assert census[("compare_date", None, "output", None)].use_count == 1
+        assert census_map(data_filter)[("compare_date", None, "output", None)] == 1
 
 
 def test_criterion_10_drc_discrimination():

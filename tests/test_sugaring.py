@@ -1,11 +1,12 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from tydilang.dump import dump_code_structure
 from tydilang.model import EndRef, EvalState
-from tydilang.sugaring import sugar_project, usage_census
+from tydilang.sugaring import end_role, port_uses, sugar_project
 
 from conftest import evaluated_project
 
@@ -27,7 +28,19 @@ def sugared(*texts, top=None):
 
 
 def census_map(impl):
-    return {u.key(): u for u in usage_census(impl)}
+    """How many connections each connected port end appears in, counted
+    here rather than by the census under test."""
+    return Counter(key for conn in impl.connections
+                   for key in (conn.source.key(), conn.sink.key()))
+
+
+def instance_ends(impl):
+    """Every array-expanded port end of the instances of `impl`."""
+    return [(inst.name, ii, port.name, pi)
+            for inst in impl.instances.values()
+            for ii in ([None] if inst.array_size is None else range(inst.array_size))
+            for port in inst.target.streamlet.ports.values()
+            for pi in ([None] if port.array_size is None else range(port.array_size))]
 
 
 # -- census -----------------------------------------------------------------------
@@ -40,27 +53,34 @@ def test_census_counts_simple_connection():
         "impl i of s { input => output, };\n")
     impl = project.packages["p"].scope.implements["i"]
     counts = census_map(impl)
-    assert counts[(None, None, "input", None)].use_count == 1
-    assert counts[(None, None, "output", None)].use_count == 1
-    assert counts[(None, None, "input", None)].role == "source"
-    assert counts[(None, None, "output", None)].role == "sink"
+    assert counts[(None, None, "input", None)] == 1
+    assert counts[(None, None, "output", None)] == 1
+    (conn,) = impl.connections
+    assert conn.source.key() == (None, None, "input", None)
+    assert end_role(conn.source) == "source"
+    assert end_role(conn.sink) == "sink"
+    assert port_uses(impl)[0] == []  # every end is used once
 
 
 def test_census_fan_out_and_unconnected():
     project, _ = evaluated_project(
         "package p;" + BASE +
-        "streamlet s { input: rgb_stream in, a: rgb_stream out, b: rgb_stream out, c: rgb_stream out, };\n"
+        "streamlet s { input: rgb_stream in, a: rgb_stream out, b: rgb_stream out, c: rgb_stream out, "
+        "d: rgb_stream out, };\n"
         "impl i of s {\n"
-        "  instance l(leaf_i),\n"
+        "  instance l(leaf_i),\n  instance m(leaf_i),\n"
         "  input => a,\n  input => b,\n  input => c,\n"
         "  l.output => l.input,\n"
         "};\n")
     impl = project.packages["p"].scope.implements["i"]
     counts = census_map(impl)
-    assert counts[(None, None, "input", None)].use_count == 3
-    assert counts[("l", None, "output", None)].use_count == 1
-    # census keeps zero-use entries visible
-    assert ("l", None, "input", None) in counts
+    assert counts[(None, None, "input", None)] == 3
+    assert counts[("l", None, "output", None)] == 1
+    # the census lists unused instance ends, and leaves the unused Self.d out
+    listed = {key: (role, count) for key, role, _, count in port_uses(impl)[0]}
+    assert listed == {(None, None, "input", None): ("source", 3),
+                      ("m", None, "input", None): ("sink", 0),
+                      ("m", None, "output", None): ("source", 0)}
 
 
 # -- duplicators --------------------------------------------------------------------
@@ -81,10 +101,7 @@ def test_fan_out_gets_one_duplicator():
     assert dups == ["duplicate_self_input_3"]
     dup_inst = impl.instances[dups[0]]
     assert dup_inst.target.streamlet.ports["output"].array_size == 3
-    counts = census_map(impl)
-    for usage in counts.values():
-        if usage.owner is None and usage.port_name == "input":
-            assert usage.use_count == 1
+    assert census_map(impl)[(None, None, "input", None)] == 1
 
 
 def test_single_use_output_untouched():
@@ -220,8 +237,7 @@ def test_unused_self_ports_left_alone():
         "impl i of s { input => output, };\n")
     impl = project.packages["p"].scope.implements["i"]
     assert list(impl.instances) == []
-    counts = census_map(impl)
-    assert counts[(None, None, "extra_in", None)].use_count == 0
+    assert census_map(impl)[(None, None, "extra_in", None)] == 0
 
 
 # -- random fan-out topologies ----------------------------------------------------------
@@ -280,9 +296,9 @@ def test_sugaring_post_condition_on_random_topologies(seed):
         for impl in pkg.scope.implements.values():
             if impl.external or impl.is_template or impl.state is not EvalState.EVALUATED:
                 continue
-            for u in usage_census(impl):
-                if u.role == "source" and u.use_count >= 2:
-                    fanouts[(impl.id, u.key())] = u.use_count
+            for key, k in Counter(c.source.key() for c in impl.connections).items():
+                if k >= 2:
+                    fanouts[(impl.id, key)] = k
 
     sugar_project(ctx, project)
 
@@ -290,10 +306,11 @@ def test_sugaring_post_condition_on_random_topologies(seed):
         for impl in pkg.scope.implements.values():
             if impl.external or impl.is_template or impl.state is not EvalState.EVALUATED:
                 continue
-            for u in usage_census(impl):
-                if u.owner is None and u.use_count == 0:
-                    continue  # untouched external interface
-                assert u.use_count == 1, (impl.id, u.key(), u.use_count)
+            # every connected end once, every instance end connected; an
+            # unused Self end is untouched external interface
+            counts = census_map(impl)
+            for key in [*counts, *instance_ends(impl)]:
+                assert counts[key] == 1, (impl.id, key, counts[key])
             for name, inst in impl.instances.items():
                 if name.startswith("duplicate_"):
                     k = inst.target.streamlet.ports["output"].array_size
@@ -323,7 +340,7 @@ def test_duplicator_channel_counts_match_fanout():
         "  input => a,\n  input => b,\n  input => c,\n  input => d,\n"
         "};\n")
     impl = project.packages["p"].scope.implements["top_i"]
-    pre = census_map(impl)[(None, None, "input", None)].use_count
+    pre = census_map(impl)[(None, None, "input", None)]
     sugar_project(ctx, project)
     dup = impl.instances[f"duplicate_self_input_{pre}"]
     assert dup.target.streamlet.ports["output"].array_size == pre == 4
@@ -405,6 +422,39 @@ def test_sugaring_is_linear_in_connections(monkeypatch):
 
     narrow, wide = key_calls(100), key_calls(200)
     assert wide / narrow <= 2.5, (narrow, wide)
+
+
+def test_census_lists_only_the_irregular_ends():
+    """Before sugaring, the census of `fan_out(lanes)` lists the `lanes`
+    unused taps and the `lanes // 2` fanned-out inputs, not all of its ends;
+    after sugaring it lists nothing."""
+    lanes = 10
+    project, ctx = evaluated_project(fan_out(lanes))
+    impl = project.packages["p"].scope.implements["fan_i"]
+    listed = {key: (role, count) for key, role, _, count in port_uses(impl)[0]}
+    assert listed == {
+        **{(f"lane_{i}", None, "tap", None): ("source", 0) for i in range(lanes)},
+        **{(None, None, "inputs", i): ("source", 2) for i in range(0, lanes, 2)}}
+    sugar_project(ctx, project)
+    assert port_uses(impl)[0] == []
+
+
+def test_end_used_as_sink_gets_no_duplicator():
+    """Only an end's uses as a source decide on a duplicator: an instance
+    output wrongly driven twice keeps both connections, so DRC reports the
+    user's errors and none about ends the compiler made."""
+    from tydilang.drc import run_drc
+    project, ctx = sugared(
+        "package p;" + BASE +
+        "streamlet top_s { a: rgb_stream in, b: rgb_stream in, };\n"
+        "impl top_i of top_s { instance l(leaf_i), a => l.output, b => l.output, "
+        "a => l.input, };\n")
+    impl = project.packages["p"].scope.implements["top_i"]
+    assert sorted(impl.instances) == ["duplicate_self_a_2", "l"]
+    assert [(d.rule, d.message) for d in run_drc(project)] == [
+        ("R5", "port end l.output appears in 2 connections"),
+        ("R3", "l.output is not a sink end"),
+        ("R3", "l.output is not a sink end")]
 
 
 def test_missing_prelude_reported():
