@@ -384,6 +384,18 @@ def test_hierarchy_dot_is_pinned():
             "input") in [edge[:4] for edge in edges]
 
 
+def test_hierarchy_ir_is_pinned():
+    """Byte-exact IR of the same design, as `tydilang tests/data/golden_hier.td
+    --top hier.top_i --dot --ir --project project` writes it: the escaped
+    connection name, `owner_index` on array instances and nested wrappers."""
+    path = os.path.join(DATA_DIR, "golden_hier.td")
+    result = compile_project(CompileConfig(inputs=[path], top="hier.top_i",
+                                           emit_dot=True, emit_ir=True))
+    assert result.ok, result.diagnostics
+    with open(os.path.join(DATA_DIR, "golden_hier_ir.json"), encoding="utf-8") as f:
+        assert result.artifacts["ir.json"] == f.read()
+
+
 def test_dot_escapes_quotes_and_backslashes_in_net_labels():
     """A net name may hold `"` and `\\` (string-literal escapes); in the DOT
     label they are escaped again, so the quoted label still ends where it
@@ -516,6 +528,54 @@ def test_ir_writer_renders_a_shared_type_per_depth():
     as_dicts = {"a": _type_json(t), "b": {"c": [_type_json(t), {"d": _type_json(t)}]},
                 "e": _type_json(t)}
     assert _ir_text(doc) == json.dumps(as_dicts, indent=2, sort_keys=True) + "\n"
+
+
+# every optional IR key (`owner_index`, `port_index`, `array_size` on an
+# instance and a port, a FIFO depth, @NoStrictType@, both docs) and strings
+# that need escaping: `"`, `\`, a tab, a non-ASCII and an astral character
+EVERY_IR_KEY = (
+    "package p;\n"
+    "type s = Stream(Bit(2));\n"
+    '#a leaf, "quoted" \\ a\ttab é \U0001F600# '
+    "streamlet leaf_s { i: s [2] in, o: s [2] out, };\n"
+    "#external é# external impl leaf_i of leaf_s {};\n"
+    "streamlet top_s { a: s [2] in, b: s [2] out, };\n"
+    "#top \U0001F600# impl top_i of top_s {\n"
+    "  instance x(leaf_i) [2],\n"
+    '  a[0] =3=> x[1].i[0] "n\\"a\\\\m\teé\U0001F600",\n'
+    "  a[1] => x[1].i[1] @NoStrictType@,\n"
+    "  x[1].o[0] => x[0].i[0], x[1].o[1] => x[0].i[1],\n"
+    "  x[0].o[0] => b[0], x[0].o[1] => b[1],\n"
+    "};\n")
+
+
+@pytest.mark.parametrize("name, top", [
+    ("tpch1.td", "std.main_i"), ("golden_templates", "app.top_i"),
+    ("golden_for", "lanes.top_i"), ("golden_streams.td", "streams.top_i"),
+    ("golden_hier.td", "hier.top_i"), ("golden_demo.td", None),
+    ("golden_circuit.td", "circ.top_i"), ("every_ir_key", "p.top_i")])
+def test_ir_is_canonical_json(tmp_path, name, top):
+    """The IR is exactly what the standard encoder writes, with ``indent=2,
+    sort_keys=True``, for the document it holds."""
+    if name == "every_ir_key":
+        path = tmp_path / "every_ir_key.td"
+        path.write_text(EVERY_IR_KEY, encoding="utf-8")
+    else:
+        path = os.path.join(DATA_DIR, name)
+    result = compile_project(CompileConfig(inputs=[str(path)], top=top, emit_ir=True))
+    assert result.ok, result.diagnostics
+    text = result.artifacts["ir.json"]
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    if name == "every_ir_key":
+        doc = json.loads(text)["packages"]["p"]
+        top_i = doc["implementations"]["top_i"]
+        first, second = top_i["connections"][:2]
+        assert (first["fifo_depth"], first["sink"]["owner_index"],
+                first["source"]["port_index"], second["no_strict_type"]) == (3, 1, 0, True)
+        assert first["name"] == 'n"a\\m\teé\U0001F600'
+        assert top_i["instances"]["x"]["array_size"] == 2
+        assert doc["streamlets"]["leaf_s"]["ports"]["o"]["array_size"] == 2
+        assert "doc" in top_i and "doc" in doc["streamlets"]["leaf_s"]
 
 
 def test_flat_names_are_injective():
