@@ -23,14 +23,13 @@ keys in walk order, and joins the lines once. A stamp refuses a port list
 whose record anchors repeat, and `emit_dot` two components of one flat name:
 either would merge in the DOT.
 
-`emit_ir` builds its document of dicts and lists and writes the text that
-the standard `json` module gives with ``indent=2, sort_keys=True``, but
-without the pure-Python generator chain that any indent forces on it:
-`_ir_text` appends shared pieces of text to one list and joins it once.
-Strings are escaped by `json.encoder`'s C routine; each key's line head
-(separator, newline, indent, quoted key) is made once per depth. Ports and
-named types hold the `LogicalType` itself, and each type is rendered once
-per depth at which it occurs, however many ports use it.
+`emit_ir` writes what `json.dumps` gives with ``indent=2, sort_keys=True``,
+without the pure-Python generator chain that any indent forces on `json`, in
+two tiers. The records that grow with a design (connections with their ends,
+instances, ports) are one f-string each at their fixed depth; `_ir_text`
+writes the dicts and lists around them into one list, copying that text and
+making each key's line head once per depth. Strings are escaped by `json`'s C
+routine; a logical type is rendered once per depth, however many ports use it.
 """
 
 from __future__ import annotations
@@ -172,28 +171,9 @@ def _type_json(t):
     }
 
 
-def _port_json(port: Port):
-    out = {
-        "type": port.logical_type,  # rendered once per depth by _ir_text
-        "direction": port.direction,
-        "clockdomain": port.clockdomain.expression,
-    }
-    if port.array_size is not None:
-        out["array_size"] = port.array_size
-    return out
-
-
-def _end_json(end: EndRef):
-    out = {"owner": end.owner_name, "port": end.port_name}
-    if end.owner_index is not None:
-        out["owner_index"] = end.owner_index
-    if end.port_index is not None:
-        out["port_index"] = end.port_index
-    return out
-
-
 def emit_ir(project: Project) -> str:
     """Serialize every evaluated streamlet, implementation and named type."""
+    levels = _Levels()
     packages = {}
     for pkg_name, package in project.packages.items():
         scope = package.scope
@@ -203,7 +183,8 @@ def emit_ir(project: Project) -> str:
         for sid, s in scope.streamlets.items():
             if s.state is not EvalState.EVALUATED:
                 continue
-            entry = {"ports": {p.name: _port_json(p) for p in s.ports.values()}}
+            entry = {"ports": _records("{}", [_port_text(levels, *p)
+                                              for p in sorted(s.ports.items())])}
             if s.doc:
                 entry["doc"] = s.doc
             streamlets[sid] = entry
@@ -211,25 +192,12 @@ def emit_ir(project: Project) -> str:
         for iid, impl in scope.implements.items():
             if impl.state is not EvalState.EVALUATED:
                 continue
+            instances = sorted(impl.instances.items())
             entry = {
                 "streamlet": impl.streamlet.id,
                 "external": impl.external,
-                "instances": {
-                    inst.name: ({"target": inst.target.id, "array_size": inst.array_size}
-                                if inst.array_size is not None
-                                else {"target": inst.target.id})
-                    for inst in impl.instances.values()
-                },
-                "connections": [
-                    {
-                        "name": c.name,
-                        "source": _end_json(c.source),
-                        "sink": _end_json(c.sink),
-                        "fifo_depth": c.fifo_depth,
-                        "no_strict_type": c.no_strict,
-                    }
-                    for c in impl.connections
-                ],
+                "instances": _records("{}", [_instance_text(*i) for i in instances]),
+                "connections": _records("[]", [_conn_text(c) for c in impl.connections]),
             }
             if impl.doc:
                 entry["doc"] = impl.doc
@@ -239,7 +207,51 @@ def emit_ir(project: Project) -> str:
             "streamlets": streamlets,
             "implementations": implementations,
         }
-    return _ir_text({"project": project.name, "packages": packages})
+    return _ir_text({"project": project.name, "packages": packages}, levels)
+
+
+class _Text(list):
+    """Finished JSON text in pieces, which `_write` copies unchanged."""
+
+
+_RECORDS = 5  # the depth of every connection list, instance map and port map
+_CLOSE, _MEMBER, _KEY, _END_KEY = ("\n" + "  " * d for d in range(_RECORDS, _RECORDS + 4))
+
+
+def _records(brackets: str, members: list[str]) -> _Text:
+    """Finished members (``"key": record`` in a map, in key order) in `brackets`."""
+    text = _Text([brackets[0]])
+    for member in members:
+        text += (_MEMBER, member, ",")
+    text[-1] = _CLOSE + brackets[1] if members else brackets
+    return text
+
+
+def _port_text(levels: _Levels, name: str, port: Port) -> str:
+    size = "" if port.array_size is None else f'{_KEY}"array_size": {port.array_size},'
+    return (f'{_quote(name)}: {{{size}{_KEY}"clockdomain": '
+            f'{_quote(port.clockdomain.expression)},{_KEY}"direction": '
+            f'{_quote(port.direction)},{_KEY}"type": '
+            f'{levels.type_text(port.logical_type, _RECORDS + 2)}{_MEMBER}}}')
+
+
+def _instance_text(name: str, inst) -> str:
+    size = "" if inst.array_size is None else f'{_KEY}"array_size": {inst.array_size},'
+    return f'{_quote(name)}: {{{size}{_KEY}"target": {_quote(inst.target.id)}{_MEMBER}}}'
+
+
+def _conn_text(c) -> str:
+    return (f'{{{_KEY}"fifo_depth": {c.fifo_depth},{_KEY}"name": {_quote(c.name)},'
+            f'{_KEY}"no_strict_type": {"true" if c.no_strict else "false"},{_KEY}"sink": '
+            f'{_end_text(c.sink)},{_KEY}"source": {_end_text(c.source)}{_MEMBER}}}')
+
+
+def _end_text(e: EndRef) -> str:
+    owner = "null" if e.owner_name is None else _quote(e.owner_name)
+    owner_i = "" if e.owner_index is None else f'{_END_KEY}"owner_index": {e.owner_index},'
+    port_i = "" if e.port_index is None else f',{_END_KEY}"port_index": {e.port_index}'
+    return (f'{{{_END_KEY}"owner": {owner},{owner_i}{_END_KEY}"port": '
+            f'{_quote(e.port_name)}{port_i}{_KEY}}}')
 
 
 _LOGICAL_TYPES = (NullType, BitType, GroupType, UnionType, StreamType)
@@ -264,19 +276,29 @@ class _Levels(dict):
         level = self[depth] = _Level(depth)
         return level
 
+    def type_text(self, t, depth: int) -> str:
+        memo = self[depth].types
+        if t not in memo:
+            out: list[str] = []
+            _write(out, self, _type_json(t), depth)
+            memo[t] = "".join(out)
+        return memo[t]
 
-def _ir_text(doc: dict) -> str:
+
+def _ir_text(doc: dict, levels: _Levels | None = None) -> str:
     """The `json` text of `doc` with ``indent=2, sort_keys=True``, plus a
     newline. `doc` holds dicts with string keys, lists, strings, numbers,
-    booleans, None and logical types (each written as its `_type_json`)."""
+    booleans, None, logical types (each written as its `_type_json`) and `_Text`."""
     out: list[str] = []
-    _write(out, _Levels(), doc, 0)
+    _write(out, _Levels() if levels is None else levels, doc, 0)
     out.append("\n")
     return "".join(out)
 
 
 def _write(out: list[str], levels: _Levels, value, depth: int) -> None:
-    if isinstance(value, str):
+    if type(value) is _Text:
+        out += value
+    elif isinstance(value, str):
         out.append(_quote(value))
     elif isinstance(value, dict):
         if not value:
@@ -295,14 +317,7 @@ def _write(out: list[str], levels: _Levels, value, depth: int) -> None:
             first = False
         out.append(level.close_dict)
     elif isinstance(value, _LOGICAL_TYPES):
-        memo = levels[depth].types
-        text = memo.get(value)
-        if text is None:
-            start = len(out)
-            _write(out, levels, _type_json(value), depth)
-            text = memo[value] = "".join(out[start:])
-            del out[start:]
-        out.append(text)
+        out.append(levels.type_text(value, depth))
     elif isinstance(value, list):
         if not value:
             out.append("[]")

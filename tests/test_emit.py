@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tydilang import emit
 from tydilang.emit import _ir_text, _type_json, emit_dot, emit_ir, flatten
 from tydilang.errors import TydiError
 from tydilang.logical_types import (BitType, GroupType, StreamProperties,
@@ -16,6 +17,7 @@ from tydilang.sugaring import sugar_project
 from tydilang.values import escape
 
 from conftest import DATA_DIR, compile_texts, evaluated_project
+from test_sugaring import fan_out
 
 TWO_LEVEL = """
 type Group rgb {
@@ -576,6 +578,33 @@ def test_ir_is_canonical_json(tmp_path, name, top):
         assert top_i["instances"]["x"]["array_size"] == 2
         assert doc["streamlets"]["leaf_s"]["ports"]["o"]["array_size"] == 2
         assert "doc" in top_i and "doc" in doc["streamlets"]["leaf_s"]
+
+
+def test_ir_writes_growing_records_as_finished_text(monkeypatch):
+    """Connections, instances and ports reach the IR as finished text: the
+    generic writer makes as many calls for a 100-lane fan-out as for a
+    10-lane one, because only the skeleton and named types pass through it."""
+    original = emit._write
+
+    def write_calls(lanes):
+        result = compile_texts(fan_out(lanes))
+        assert result.ok, result.diagnostics
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            original(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr("tydilang.emit._write", counting)
+            text = emit_ir(result.project)
+        connections = sum(len(impl.connections) for pkg in result.project.packages.values()
+                          for impl in pkg.scope.implements.values())
+        assert text.count('"fifo_depth"') == connections >= 4 * lanes
+        return calls
+
+    assert write_calls(10) == write_calls(100)
 
 
 def test_flat_names_are_injective():
