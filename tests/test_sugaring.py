@@ -291,14 +291,13 @@ def test_sugaring_post_condition_on_random_topologies(seed):
     source, top = make_topology(rng, rng.randint(1, 3))
     project, ctx = evaluated_project(source, top=f"p.{top}")
 
-    fanouts = {}
+    fanouts = {}  # implementation -> the sorted widths of its fan-outs
     for pkg in project.packages.values():
         for impl in pkg.scope.implements.values():
             if impl.external or impl.is_template or impl.state is not EvalState.EVALUATED:
                 continue
-            for key, k in Counter(c.source.key() for c in impl.connections).items():
-                if k >= 2:
-                    fanouts[(impl.id, key)] = k
+            fanouts[impl.id] = sorted(
+                k for k in Counter(c.source.key() for c in impl.connections).values() if k >= 2)
 
     sugar_project(ctx, project)
 
@@ -311,12 +310,11 @@ def test_sugaring_post_condition_on_random_topologies(seed):
             counts = census_map(impl)
             for key in [*counts, *instance_ends(impl)]:
                 assert counts[key] == 1, (impl.id, key, counts[key])
-            for name, inst in impl.instances.items():
-                if name.startswith("duplicate_"):
-                    k = inst.target.streamlet.ports["output"].array_size
-                    matches = [c for (i_, key), c in fanouts.items() if i_ == impl.id
-                               and name.endswith(f"_{c}") and str(k) == name.rsplit("_", 1)[1]]
-                    assert k >= 2
+            # one duplicator per fan-out, as wide as the fan-out
+            widths = sorted(inst.target.streamlet.ports["output"].array_size
+                            for name, inst in impl.instances.items()
+                            if name.startswith("duplicate_"))
+            assert widths == fanouts[impl.id], impl.id
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
