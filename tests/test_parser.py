@@ -281,6 +281,38 @@ def test_token_stream_is_pinned():
     ]
 
 
+def _scan(text: str) -> list[tuple]:
+    """Each token as (type, text, start, end); a lexer error as the one
+    entry ("error", message, start, end)."""
+    try:
+        return [(t.type, t.text, t.start, t.end) for t in tokenize(text)]
+    except TydiError as e:
+        d = e.diagnostic
+        return [("error", d.message, d.span.start, d.span.end)]
+
+
+# Where blanks and comments meet the start or the end of the text, a
+# process body, or a character that starts no token.
+@pytest.mark.parametrize("source, tokens", [
+    ("", [("EOF", "", 0, 0)]),
+    (" \t\r\n ", [("EOF", "", 5, 5)]),
+    ("a // comment", [("ID", "a", 0, 1), ("EOF", "", 12, 12)]),
+    ("a /* c */", [("ID", "a", 0, 1), ("EOF", "", 9, 9)]),
+    ('s { process /* c */ { x("}"); } }', [
+        ("ID", "s", 0, 1), ("{", "{", 2, 3),
+        ("PROCESS_BODY", ' x("}"); ', 4, 31), ("}", "}", 32, 33),
+        ("EOF", "", 33, 33)]),
+    ("process x", [("ID", "process", 0, 7), ("ID", "x", 8, 9), ("EOF", "", 9, 9)]),
+    ("  \n  $", [("error", "unexpected character '$'", 5, 6)]),
+    ("  12ab", [("error", "malformed number '12'", 2, 5)]),
+    ("a /* c */ é", [("error", "unexpected character 'é'", 10, 12)]),
+], ids=["empty", "blanks", "line_comment_at_eof", "block_comment_at_eof",
+        "process_comment_before_brace", "process_as_identifier",
+        "character_after_blanks", "number_after_blanks", "non_ascii_after_comment"])
+def test_token_stream_edges_are_pinned(source, tokens):
+    assert _scan(source) == tokens
+
+
 def test_doc_string_attaches_to_streamlet():
     parsed = parse_file(
         "package p;\n#explains the interface#\nstreamlet s { x: Stream(Bit(1)) in, };")
