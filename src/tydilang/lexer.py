@@ -1,18 +1,21 @@
 """Tokenizer for `.td` source text.
 
-One compiled master pattern is matched at each offset of the UTF-8 encoding,
-so a token's `start` and `end` are byte offsets. A token carries them as
-plain ints; a `Span` is made only for a diagnostic. The pattern's groups,
-tried in order: a run of whitespace and ``//`` / ``/* */`` comments
-(discarded; the language is space-insensitive), a ``#doc#`` string, a
-``"str"`` literal (only ``\\"`` and ``\\\\`` escapes), FLOAT, INT
-(``0b``/``0x``/``0o`` prefixes or decimal), an identifier, and punctuation,
-longest first.
+One compiled master pattern scans the UTF-8 encoding of a file in a single
+`finditer` pass, so a token's `start` and `end` are byte offsets; a `Span` is
+made only for a diagnostic. Each match starts with an optional run of
+whitespace and ``//`` / ``/* */`` comments, which is discarded (the language
+is space-insensitive) without a turn of the loop; the token's span is that
+of the group matched after it. The groups, tried in order: ``process`` as a
+word, an identifier, punctuation (longest first), FLOAT, INT
+(``0b``/``0x``/``0o`` prefixes or decimal), a ``"str"`` literal (only
+``\\"`` and ``\\\\`` escapes), a ``#doc#`` string, the end of the text
+(EOF), and a catch-all byte. Where no token starts, the catch-all matches,
+so no byte is skipped: the scan ends in `_fail`, which names the reason.
 
-Checks that run after a match: an identifier must not contain ``__``, a
-number must not be followed by an identifier character, and ``process``
+Checks that run after a match: an identifier must not contain ``__``, and a
+number must not be followed by an identifier character. ``process``
 followed by ``{`` becomes one opaque PROCESS_BODY token up to the matching
-brace. Where no group matches, `_fail` names the reason.
+brace, and the scan restarts past it; any other ``process`` is an ID.
 """
 
 from __future__ import annotations
@@ -32,22 +35,24 @@ PUNCT = [
     "+", "-", "*", "/", "%", "^", "&", "|", "!", "~",
 ]
 
-_SKIP = rb"(?:[ \t\r\n]+|//[^\n]*\n?|/\*.*?\*/)+"
+_BLANKS = rb"(?:[ \t\r\n]+|//[^\n]*\n?|/\*.*?\*/)*"
 # a string literal up to, not including, its closing quote
 _STR_HEAD = rb'"(?:[^"\\\n]|\\["\\])*'
-_MASTER = re.compile(b"|".join([
-    rb"(?P<SKIP>" + _SKIP + rb")",
-    rb"(?P<DOC>#[^#]*#)",
-    rb"(?P<STR>" + _STR_HEAD + rb'")',
-    rb"(?P<FLOAT>[0-9]+\.[0-9]+)",
-    rb"(?P<INT>0[bxo][A-Za-z0-9_]*|[0-9]+)",
+_MASTER = re.compile(_BLANKS + rb"(?:" + b"|".join([
+    rb"(?P<PROCESS>process\b)",
     rb"(?P<ID>[A-Za-z_][A-Za-z0-9_]*)",
     # an unclosed `/*` is an error, not the punctuation `/` and `*`
     rb"(?!/\*)(?P<PUNCT>"
     + b"|".join(re.escape(p.encode()) for p in sorted(PUNCT, key=len, reverse=True))
     + rb")",
-]), re.DOTALL)
-_BLANK = re.compile(_SKIP, re.DOTALL)
+    rb"(?P<FLOAT>[0-9]+\.[0-9]+)",
+    rb"(?P<INT>0[bxo][A-Za-z0-9_]*|[0-9]+)",
+    rb"(?P<STR>" + _STR_HEAD + rb'")',
+    rb"(?P<DOC>#[^#]*#)",
+    rb"(?P<EOF>\Z)",
+    rb"(?P<FAIL>.)",
+]) + rb")", re.DOTALL)
+_BLANK = re.compile(_BLANKS, re.DOTALL)
 _STR_PREFIX = re.compile(_STR_HEAD)
 _IDENT_START = re.compile(rb"[A-Za-z_]")
 _ESCAPE = re.compile(rb"\\(.)")
@@ -57,7 +62,7 @@ _BRACES = re.compile(rb'//[^\n]*\n?|/\*.*?\*/|"(?:[^"\\]|\\.)*"|(/\*|")|([{}])',
 
 
 class Token(NamedTuple):
-    type: str  # ID | INT | FLOAT | STR | DOC | punctuation text | EOF
+    type: str  # ID | INT | FLOAT | STR | DOC | PROCESS_BODY | punctuation text | EOF
     text: str
     start: int  # byte offsets of the token: [start, end)
     end: int
@@ -68,51 +73,51 @@ class Token(NamedTuple):
 
 def tokenize(text: str, path: str | None = None) -> list[Token]:
     data = text.encode("utf-8")
-    n = len(data)
-    i = 0
     out: list[Token] = []
+    append = out.append
+    new = tuple.__new__  # a Token without the named tuple's Python `__new__`
+    pos = 0
 
     def err(msg: str, start: int, end: int):
-        raise TydiError("syntax", msg, path, Span(start, min(end, n)))
+        raise TydiError("syntax", msg, path, Span(start, min(end, len(data))))
 
-    while i < n:
-        m = _MASTER.match(data, i)
-        if m is None:
-            err(*_fail(data, i))
-        kind, j = m.lastgroup, m.end()
-        if kind == "SKIP":
-            i = j
-            continue
-        if kind == "STR":
-            raw = _ESCAPE.sub(rb"\1", data[i + 1:j - 1]).decode("utf-8")
-        elif kind == "DOC":
-            raw = data[i + 1:j - 1].decode("utf-8")
-        else:
-            raw = m.group().decode("utf-8")
-        if kind == "PUNCT":
-            kind = raw
-        elif kind == "INT" or kind == "FLOAT":
-            if _IDENT_START.match(data, j):
-                err(f"malformed number {raw!r}", i, j + 1)
-        elif kind == "ID":
-            if "__" in raw:
-                err(f"consecutive underscores are not allowed in identifier {raw!r}", i, j)
-            if raw == "process":
+    while True:
+        for m in _MASTER.finditer(data, pos):
+            kind = m.lastgroup
+            s, e = m.span(kind)
+            if kind == "ID":
+                raw = data[s:e].decode()
+                if "__" in raw:
+                    err(f"consecutive underscores are not allowed in identifier {raw!r}", s, e)
+                append(new(Token, ("ID", raw, s, e)))
+            elif kind == "PUNCT":
+                raw = data[s:e].decode()
+                append(new(Token, (raw, raw, s, e)))
+            elif kind == "INT" or kind == "FLOAT":
+                raw = data[s:e].decode()
+                if _IDENT_START.match(data, e):
+                    err(f"malformed number {raw!r}", s, e + 1)
+                append(new(Token, (kind, raw, s, e)))
+            elif kind == "STR":
+                raw = _ESCAPE.sub(rb"\1", data[s + 1:e - 1]).decode()
+                append(new(Token, ("STR", raw, s, e)))
+            elif kind == "DOC":
+                append(new(Token, ("DOC", data[s + 1:e - 1].decode(), s, e)))
+            elif kind == "PROCESS":
                 # simulation blocks are carried as opaque text; their contents
                 # follow a different token grammar and are never analyzed
-                k = _BLANK.match(data, j)
-                k = k.end() if k else j
+                k = _BLANK.match(data, e).end()
                 if data.startswith(b"{", k):
-                    end = _scan_balanced_braces(data, k, path)
-                    inner = data[k + 1:end - 1].decode("utf-8")
-                    out.append(Token("PROCESS_BODY", inner, i, end))
-                    i = end
-                    continue
-        out.append(Token(kind, raw, i, j))
-        i = j
-
-    out.append(Token("EOF", "", n, n))
-    return out
+                    pos = _scan_balanced_braces(data, k, path)
+                    body = data[k + 1:pos - 1].decode()
+                    append(new(Token, ("PROCESS_BODY", body, s, pos)))
+                    break  # scan on from past the closing brace
+                append(new(Token, ("ID", "process", s, e)))
+            elif kind == "EOF":
+                append(new(Token, ("EOF", "", s, s)))
+                return out
+            else:
+                err(*_fail(data, s))
 
 
 def _fail(data: bytes, i: int) -> tuple[str, int, int]:

@@ -6,13 +6,15 @@ applied by the math engine, and unary operators live inside ``Term`` so they
 always bind tighter than any binary operator. Each parsed file is one
 `ParsedFile` record: its path, text, package name and tree.
 
-Every construct that recurs in the grammar has one method: `separator`
-ends a statement and returns where it ends, `parse_enclosed` reads ``[exp]``
-and ``(exp)``, `parse_name_ref` reads ``name`` and ``pkg.name``,
-`parse_body_decl` the const, type and assert items of group, streamlet and
-implementation bodies, and `parse_path_part` each ``name[index]`` half of
-a connection end. Each node is built once, when its kind is known. The
-stream property letters and node kinds come from `STREAM_PROPERTIES`.
+The token helpers (`next`, `at`, `accept`, `expect`, `id_leaf`, ...) and
+the hot paths index ``self.tokens[self.pos]`` themselves, with no call to
+look; `accept` and `expect` step past the token they return. Every construct
+that recurs in the grammar has one method: `separator` ends a statement and
+returns where it ends, `parse_enclosed` reads ``[exp]`` and ``(exp)``,
+`parse_name_ref` ``name`` and ``pkg.name``, `parse_body_decl` the const, type
+and assert items of every body, and `parse_path_part` each ``name[index]``
+half of a connection end. Each node is built once, when its kind is known.
+Stream property letters and node kinds come from `STREAM_PROPERTIES`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ INFIX_OPS = {
 }
 UNARY_OPS = {"-", "!", "~"}
 BUILTIN_FUNCS = {"round", "floor", "ceil"}
+INT_KINDS = {"0b": "INT_RAW_BIN", "0x": "INT_RAW_HEX", "0o": "INT_RAW_OCT"}
 
 
 class ParsedFile(NamedTuple):
@@ -45,60 +48,67 @@ class _Parser:
     def __init__(self, text: str, path: Optional[str] = None):
         self.path = path
         self.tokens = tokenize(text, path)
-        # `next` stops at the first EOF, so the second keeps `peek(1)` in range
+        # `next` stops at the first EOF, so the second keeps `pos + 1` in range
         self.tokens.append(self.tokens[-1])
         self.pos = 0
 
     # -- token helpers -----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]
-
     def next(self) -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.type != "EOF":
             self.pos += 1
         return t
 
-    def at(self, type_: str, text: Optional[str] = None) -> bool:
-        t = self.peek()
-        return t.type == type_ and (text is None or t.text == text)
+    def at(self, type_: str) -> bool:
+        return self.tokens[self.pos].type == type_
+
+    def accept(self, type_: str) -> Optional[Token]:
+        """The current token, consumed, if it is a `type_`; else None."""
+        t = self.tokens[self.pos]
+        if t.type == type_:
+            self.pos += 1
+            return t
+        return None
 
     def at_kw(self, word: str) -> bool:
-        return self.at("ID", word)
+        t = self.tokens[self.pos]
+        return t.type == "ID" and t.text == word
 
     def expect(self, type_: str, what: Optional[str] = None) -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.type != type_:
             self.fail(what or f"'{type_}'", t)
-        return self.next()
+        self.pos += 1
+        return t
 
     def expect_kw(self, word: str) -> Token:
-        t = self.peek()
-        if not (t.type == "ID" and t.text == word):
+        t = self.tokens[self.pos]
+        if t.type != "ID" or t.text != word:
             self.fail(f"keyword '{word}'", t)
-        return self.next()
+        self.pos += 1
+        return t
 
     def fail(self, expected: str, t: Optional[Token] = None):
-        t = t or self.peek()
-        if t.type == "EOF":
-            found = "end of file"
-        elif len(t.text) > 40:
-            found = t.text[:37] + "..."
-        else:
-            found = t.text
+        t = t or self.tokens[self.pos]
+        found = "end of file" if t.type == "EOF" else t.text
+        if len(found) > 40:
+            found = found[:37] + "..."
         raise TydiError("syntax",
                         f"expected {expected}, found {found!r}", self.path, t)
 
     def id_leaf(self, what: str = "identifier") -> AstNode:
-        t = self.expect("ID", what)
+        t = self.tokens[self.pos]
+        if t.type != "ID":
+            self.fail(what, t)
+        self.pos += 1
         return node("ID", t.start, t.end, leaf_text=t.text)
 
     def separator(self, sep: str, closer: str, end: int) -> int:
         """Consume a statement separator, which may be omitted before
         `closer`; returns where the statement ends: after the separator, or
         at `end` without one."""
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.type == sep:
             self.pos += 1
             return t.end
@@ -131,7 +141,7 @@ class _Parser:
     def parse_body_decl(self) -> Optional[AstNode]:
         """A const, type or assert item of a group, streamlet or
         implementation body; None before any other item."""
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.type == "ID":
             if t.text == "const":
                 return self.parse_const(",", "}")
@@ -146,21 +156,18 @@ class _Parser:
     # -- file --------------------------------------------------------------
 
     def parse_file(self) -> tuple[str, AstNode]:
-        start_tok = self.peek()
-        self.expect_kw("package")
+        start_tok = self.expect_kw("package")
         name = self.expect("ID", "package name").text
         self.expect(";")
         stmts: list[AstNode] = []
         while not self.at("EOF"):
             stmts.append(self.parse_top_statement())
-        end = stmts[-1].end if stmts else self.peek().end
+        end = stmts[-1].end if stmts else self.tokens[self.pos].end
         return name, node("Package", start_tok.start, max(end, start_tok.start), stmts)
 
     def parse_top_statement(self) -> AstNode:
-        doc = None
-        if self.at("DOC"):
-            t = self.next()
-            doc = node("DOC", t.start, t.end, leaf_text=t.text)
+        t = self.accept("DOC")
+        doc = node("DOC", t.start, t.end, leaf_text=t.text) if t else None
         if self.at_kw("import"):
             start = self.next().start
             name = self.id_leaf("package name")
@@ -180,14 +187,12 @@ class _Parser:
     def parse_const(self, sep: str, closer: str) -> AstNode:
         start = self.expect_kw("const").start
         children = [self.id_leaf()]
-        if self.at(":"):
-            self.next()
+        if self.accept(":"):
             t = self.expect("ID", "a value kind")
             if t.text not in CONST_KINDS:
                 self.fail("one of " + "/".join(CONST_KINDS), t)
             children.append(node("DeclKind", t.start, t.end, leaf_text=t.text))
-        if self.at("="):
-            self.next()
+        if self.accept("="):
             children.append(self.parse_exp())
         return node("ConstDecl", start,
                     self.separator(sep, closer, children[-1].end), children)
@@ -210,7 +215,7 @@ class _Parser:
         return node("LogicalType", inner.start, inner.end, [inner])
 
     def parse_logical_type_inner(self) -> AstNode:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.type != "ID":
             self.fail("a logical type")
         if t.text == "Null":
@@ -299,10 +304,10 @@ class _Parser:
         if d.text not in ("in", "out"):
             self.fail("port direction 'in' or 'out'", d)
         children.append(node("DIR", d.start, d.end, leaf_text=d.text))
-        if self.at("`"):
-            tick = self.next()
-            if self.at("STR"):
-                t = self.next()
+        tick = self.accept("`")
+        if tick:
+            t = self.accept("STR")
+            if t:
                 body = node("STR", t.start, t.end, leaf_text=t.text)
             else:
                 body = self.id_leaf("clockdomain name")
@@ -315,7 +320,7 @@ class _Parser:
     def parse_impl(self, doc: Optional[AstNode]) -> AstNode:
         children = [doc] if doc else []
         external = None
-        first = self.peek()
+        first = self.tokens[self.pos]
         if self.at_kw("external"):
             t = self.next()
             external = node("External", t.start, t.end)
@@ -359,8 +364,8 @@ class _Parser:
             return self.parse_if_block()
         if self.at_kw("for"):
             return self.parse_for_block()
-        if self.at("PROCESS_BODY"):
-            t = self.next()
+        t = self.accept("PROCESS_BODY")
+        if t:
             self.separator(",", "}", t.end)
             return node("ProcessBlock", t.start, t.end, leaf_text=t.text)
         return self.parse_connection()
@@ -386,14 +391,13 @@ class _Parser:
     def parse_template_instance(self, base: AstNode) -> AstNode:
         self.expect("<")
         args = [base, self.parse_template_arg()]
-        while self.at(","):
-            self.next()
+        while self.accept(","):
             args.append(self.parse_template_arg())
         end = self.expect(">").end
         return node("TemplateInstance", base.start, end, args)
 
     def parse_template_arg(self) -> AstNode:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.type == "ID" and t.text == "type":
             start = self.next().start
             ty = self.parse_logical_type()
@@ -408,8 +412,7 @@ class _Parser:
     def parse_template_params(self) -> AstNode:
         start = self.expect("<").start
         params = [self.parse_template_param()]
-        while self.at(","):
-            self.next()
+        while self.accept(","):
             params.append(self.parse_template_param())
         end = self.expect(">").end
         return node("TemplateParams", start, end, params)
@@ -417,7 +420,7 @@ class _Parser:
     def parse_template_param(self) -> AstNode:
         name = self.id_leaf("template parameter name")
         self.expect(":")
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.type == "ID" and t.text == "impl":
             self.next()
             self.expect_kw("of")
@@ -453,8 +456,7 @@ class _Parser:
         self.expect_kw("in")
         self.expect("(")
         first = self.parse_exp()
-        if self.at("="):
-            self.next()
+        if self.accept("="):
             step = self.parse_exp()
             self.expect("=>")
             stop = self.parse_exp()
@@ -467,9 +469,8 @@ class _Parser:
 
     def block_end(self, last: AstNode) -> int:
         """Where an if/for block ends: after its optional comma."""
-        if self.at(","):
-            return self.next().end
-        return last.end
+        comma = self.accept(",")
+        return comma.end if comma else last.end
 
     def parse_statement_block(self) -> AstNode:
         start = self.expect("{").start
@@ -484,19 +485,19 @@ class _Parser:
     def parse_connection(self) -> AstNode:
         src = self.parse_path_end()
         children = [src]
-        if self.at("="):
-            eq = self.next()
+        eq = self.accept("=")
+        if eq:
             depth = self.parse_exp()
             self.expect("=>")
             children.append(node("FifoDepth", eq.start, depth.end, [depth]))
         else:
             self.expect("=>", "'=>' or '=<depth>=>'")
         children.append(self.parse_path_end())
-        if self.at("STR"):
-            t = self.next()
+        t = self.accept("STR")
+        if t:
             children.append(node("ConnName", t.start, t.end, leaf_text=t.text))
-        if self.at("@NoStrictType@"):
-            t = self.next()
+        t = self.accept("@NoStrictType@")
+        if t:
             children.append(node("NoStrictMarker", t.start, t.end))
         return node("ConnectionStmt", src.start,
                     self.separator(",", "}", children[-1].end), children)
@@ -504,7 +505,7 @@ class _Parser:
     def parse_path_end(self) -> AstNode:
         parts, end = self.parse_path_part()
         start = parts[0].start
-        if not self.at("."):
+        if self.tokens[self.pos].type != ".":
             return node("PathEnd", start, end, (node("PathPort", start, end, parts),))
         self.pos += 1
         owner = node("PathOwner", start, end, parts)
@@ -516,7 +517,7 @@ class _Parser:
         """``name`` or ``name[exp]`` of a connection end: the name and its
         Index, and where they end."""
         name = self.parse_name_node()
-        if not self.at("["):
+        if self.tokens[self.pos].type != "[":
             return (name,), name.end
         _, idx, end = self.parse_enclosed("[", "]")
         return (name, node("Index", idx.start, end, (idx,))), end
@@ -526,13 +527,13 @@ class _Parser:
         first = self.id_leaf()
         parts = [first]
         end = first.end
-        while self.at("{{") and self.peek().start == end:
+        while self.at("{{") and self.tokens[self.pos].start == end:
             lb = self.next()
             var = self.id_leaf("interpolation variable")
             rb = self.expect("}}")
             parts.append(node("VarHole", lb.start, rb.end, [var]))
             end = rb.end
-            if self.at("ID") and self.peek().start == end:
+            if self.at("ID") and self.tokens[self.pos].start == end:
                 frag = self.next()
                 parts.append(node("ID", frag.start, frag.end, leaf_text=frag.text))
                 end = frag.end
@@ -547,7 +548,7 @@ class _Parser:
         children = [first]
         end = first.end
         while True:
-            t = self.peek()
+            t = self.tokens[self.pos]
             if t.type not in INFIX_OPS:
                 break
             if no_compare and t.type in ("<", ">"):
@@ -560,7 +561,7 @@ class _Parser:
         return node("Exp", first.start, end, children)
 
     def parse_term(self) -> AstNode:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.type in UNARY_OPS:
             self.next()
             op = node("UnaryOp", t.start, t.end, leaf_text=t.text)
@@ -580,26 +581,17 @@ class _Parser:
         elems = []
         while not self.at("}"):
             elems.append(self.parse_exp())
-            if self.at(","):
-                self.next()
-                continue
-            break
+            if not self.accept(","):
+                break
         end = self.expect("}").end
         arr = node("ArrayExp", start, end, elems)
         return node("Term", start, end, [arr])
 
     def parse_atom(self) -> AstNode:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.type == "INT":
             self.next()
-            if t.text.startswith("0b"):
-                leaf_kind = "INT_RAW_BIN"
-            elif t.text.startswith("0x"):
-                leaf_kind = "INT_RAW_HEX"
-            elif t.text.startswith("0o"):
-                leaf_kind = "INT_RAW_OCT"
-            else:
-                leaf_kind = "INT_RAW_NORAML"
+            leaf_kind = INT_KINDS.get(t.text[:2], "INT_RAW_NORAML")
             try:
                 int(t.text, 0) if not t.text.isdigit() else int(t.text)
             except ValueError:
@@ -622,16 +614,16 @@ class _Parser:
             return node("BoolExp", t.start, t.end, [leaf])
         if t.text in ("streamlet", "impl", "type"):
             return self.parse_member_extract("MemberExtractExp")
-        if self.peek(1).type == "(" and (
+        if self.tokens[self.pos + 1].type == "(" and (
                 t.text in BUILTIN_FUNCS or t.text == "log" or _log_with_base(t.text)):
             return self.parse_function_call()
-        if t.text == "log" and self.peek(1).type in ("INT", "FLOAT", "ID"):
+        if t.text == "log" and self.tokens[self.pos + 1].type in ("INT", "FLOAT", "ID"):
             return self.parse_function_call()
         self.next()
         ids = [node("ID", t.start, t.end, leaf_text=t.text)]
         end = t.end
         # unlike parse_name_ref, `a.` before anything but a name ends at `a`
-        if self.at(".") and self.peek(1).type == "ID":
+        if self.at(".") and self.tokens[self.pos + 1].type == "ID":
             self.next()
             member = self.id_leaf()
             ids.append(member)
@@ -670,7 +662,7 @@ class _Parser:
         if not self.at("<"):
             self.expect(".")
             member = self.id_leaf("member name")
-            if self.at("<") or self.at(".") and self.peek(1).type == "ID":
+            if self.at("<") or self.at(".") and self.tokens[self.pos + 1].type == "ID":
                 # what was read is a package-qualified owner
                 owner = node("QualifiedId", owner.start, member.end,
                              [owner, member])

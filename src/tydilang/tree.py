@@ -33,8 +33,11 @@ class AstNode(NamedTuple):
         return f"AstNode({self.kind}, {self.start}-{self.end})"
 
 
+_new = tuple.__new__  # builds a node without the named tuple's Python `__new__`
+
+
 def node(kind: str, start: int, end: int, children=(), leaf_text=None) -> AstNode:
-    return AstNode(kind, start, end, tuple(children), leaf_text)
+    return _new(AstNode, (kind, start, end, tuple(children), leaf_text))
 
 
 def dump_ast(n: AstNode) -> str:
