@@ -4,7 +4,9 @@ Stages run one after another on the calling thread; artifacts are written as
 soon as their stage completes, so everything produced before a failure
 survives it. A compile into a directory first removes the `ARTIFACTS` an
 earlier compile left there, but not `0_ast/`, even when its inputs cannot be
-read. A failed stage reports diagnostics; `compile_sources` alone writes them
+read. A source text that is not valid Unicode (a str holding a lone
+surrogate) is an `io` error like a file that is not UTF-8, and nothing is
+parsed. A failed stage reports diagnostics; `compile_sources` alone writes them
 to `error_report.txt`, and the exit status is derived from them
 (`CompileResult.exit_code`). An artifact that cannot be written or removed
 ends the compile with an `io` diagnostic and no error report. An input
@@ -206,6 +208,14 @@ def compile_project(config: CompileConfig) -> CompileResult:
 def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
                     result: Optional[CompileResult] = None) -> CompileResult:
     result = result or CompileResult()
+    for path, text in sources:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as e:
+            # a str can hold lone surrogates, which no UTF-8 file decodes to
+            result.diagnostics.append(Diagnostic(
+                "io", f"{path}: not valid UTF-8 ({e.reason} at character {e.start})"))
+            break
     sources = sources + [(PRELUDE_PATH, PRELUDE_SOURCE)]
     stage = "parsing"
     try:

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from tydilang.cli import main
-from tydilang.pipeline import CompileConfig, compile_project
+from tydilang.pipeline import CompileConfig, compile_project, compile_sources
 
 from conftest import DATA_DIR
 
@@ -276,6 +276,23 @@ def test_non_utf8_source_is_io_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"[io] {bad}: not valid UTF-8"), err
     assert not out.exists()
+
+
+def test_unencodable_source_text_is_io_error(tmp_path):
+    """A source given as a str with a lone surrogate is reported like a file
+    that is not UTF-8: one io diagnostic, exit 2, the fixed artifacts of an
+    earlier compile removed, and nothing parsed."""
+    out = tmp_path / "build"
+    out.mkdir()
+    (out / "error_report.txt").write_text("stale")
+    config = CompileConfig(inputs=[], project_name="x", output_dir=str(out))
+    result = compile_sources(config, [("ok.td", "package ok;"),
+                                      ("a.td", 'package p; const a = "\udcff";')])
+    assert result.exit_code == 2
+    assert [(d.category, d.message) for d in result.diagnostics] == [
+        ("io", "a.td: not valid UTF-8 (surrogates not allowed at character 22)")]
+    assert result.artifacts == {}
+    assert os.listdir(out) == []
 
 
 def test_unwritable_artifact_is_io_error(tmp_path, capsys):

@@ -523,6 +523,9 @@ API_CASES = [
      "expected end of input, found 'x'"),
     ("no_input_files", lambda: compile_project(CompileConfig(inputs=[])), "usage",
      "no input files"),
+    ("unencodable_source", lambda: compile_sources(
+        CompileConfig(inputs=[]), [("f0.td", P + 'const a = "\udcff";')]), "io",
+     "f0.td: not valid UTF-8 (surrogates not allowed at character 22)"),
 ]
 
 
