@@ -81,7 +81,7 @@ def tokenize(text: str, path: str | None = None) -> list[Token]:
     def err(msg: str, start: int, end: int):
         raise TydiError("syntax", msg, path, Span(start, min(end, len(data))))
 
-    while True:
+    while True:  # only the EOF group, a process body or `_fail` ends a pass
         for m in _MASTER.finditer(data, pos):
             kind = m.lastgroup
             s, e = m.span(kind)
