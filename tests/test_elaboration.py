@@ -690,6 +690,18 @@ def test_impl_member_extraction_of_impl_of_parameter():
     assert "q:int(8)" in result.artifacts["2_evaluation_output.txt"]
 
 
+def test_impl_member_extraction_of_template_instance():
+    """`impl k_i<3>.twice` instances the template and reads the member."""
+    result = compile_texts(
+        "package p;\n"
+        "type s = Stream(Bit(1));\n"
+        "streamlet k_s<n: int> { i: s in, o: s out, };\n"
+        "impl k_i<n: int> of k_s<n> { const twice = n * 2, i => o, };\n"
+        "const got = impl k_i<3>.twice;\n")
+    assert result.exit_code == 0, result.diagnostics
+    assert "got:int(6)" in result.artifacts["2_evaluation_output.txt"]
+
+
 def test_cross_package_streamlet_and_implementation():
     project, _ = evaluated_project(
         "package lib;\n"
@@ -899,3 +911,29 @@ def test_impl_of_argument_as_instance_target_in_for_body():
     larger = project.packages["p"].scope.implements["larger_i"]
     assert {name: inst.target.id for name, inst in larger.instances.items()} == \
         {"inst_0": "component_impl", "inst_1": "component_impl"}
+
+
+def test_impl_of_argument_member_in_for_body_fifo_depth():
+    """A `for` element scope sees the implementation's `impl of` arguments:
+    `impl c.width` in a FIFO depth reads the bound implementation."""
+    result = compile_texts(
+        "package p;\n"
+        "type s = Stream(Bit(1));\n"
+        "streamlet io_s { i: s in, o: s out, };\n"
+        "impl leaf_i of io_s { const width = 8, i => o, };\n"
+        "streamlet w_s<c: impl of io_s> { i: s [2] in, o: s [2] out, };\n"
+        "impl w_i<c: impl of io_s> of w_s<impl c> {\n"
+        "  for k in (0=1=>2) {\n"
+        "    instance x_{{k}}(c),\n"
+        "    i[k] =impl c.width=> x_{{k}}.i,\n"
+        "    x_{{k}}.o => o[k],\n"
+        "  }\n};\n"
+        "streamlet top_s { i: s [2] in, o: s [2] out, };\n"
+        "impl top_i of top_s { instance w(w_i<impl leaf_i>),\n"
+        "  for k in (0=1=>2) { i[k] => w.i[k], w.o[k] => o[k], }\n};\n")
+    assert result.exit_code == 0, result.diagnostics
+    element_connections = [
+        line for line in result.artifacts["2_evaluation_output.txt"].splitlines()
+        if "ExternalOwner(x_" in line and ".i:" in line]
+    assert len(element_connections) == 2
+    assert all("=8=>" in line for line in element_connections)
