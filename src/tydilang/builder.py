@@ -206,8 +206,8 @@ class StatementBuilder:
         """Build `item` of the body of `owner` (a package, a group or union
         entry, a streamlet or an implementation) and declare it in `own`.
         Its expressions resolve in `scope` (`own` by default, or the scope
-        of a `for` element), and the names of its connections end in the
-        element's `suffix`."""
+        of a `for` element), which its instance or connection records, and
+        the names of its connections end in the element's `suffix`."""
         resolve = scope or own
         kind = item.kind
         if kind == "ConstDecl":
@@ -243,10 +243,10 @@ class StatementBuilder:
                 target_ast=item.children[1],
                 array_size_ast=size.children[0] if size else None,
                 span=item,
-                scope=scope)
+                scope=resolve)
             declare(own, inst, "instance", item, self.path)
         elif kind == "ConnectionStmt":
-            own.connections.append(self.build_connection(item, suffix, scope))
+            own.connections.append(self.build_connection(item, suffix, resolve))
         elif kind in ("IfBlock", "ForBlock"):
             owner.generative.append(item)
         elif kind == "ProcessBlock":
@@ -260,7 +260,7 @@ class StatementBuilder:
                     self.path)
 
     def build_connection(self, item: AstNode, name_suffix: str,
-                         scope: Optional[Scope]) -> Connection:
+                         scope: Scope) -> Connection:
         source, sink = (EndRef(end.child("PathOwner"), end.child("PathPort"))
                         for end in item.children_of("PathEnd"))
         fifo = item.child("FifoDepth")

@@ -11,8 +11,11 @@ again with the `StatementBuilder` under a mangled ``name@arg@arg`` id, binds
 each parameter's magic variable in the fresh scope, registers the instance
 in the template's package and forces it; instantiating the same arguments
 twice finds the registered entity there, whose own evaluation state replays
-its result. Streamlet, implementation and type references resolve through
-`model.resolve_ref`.
+its result. `_resolve_entity` resolves every streamlet and implementation
+reference (`of`, instance target, extraction owner, `impl of` argument): it
+instantiates a `name<args>` use, finds an `impl of` argument in the scope and
+resolves any other name, as it does a type, through `model.resolve_ref`.
+`_evaluate_count` evaluates every array size and FIFO depth.
 
 Each element of a `for` block gets a scope that binds the loop variable and
 reaches the scope around it by an if/for relation. Expansion selects the
@@ -62,11 +65,8 @@ def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
                         f"port {port.name!r} must have a stream type, got "
                         f"{short_name(logical_type)}", path, port.span)
     if port.array_size_ast is not None:
-        size = evaluate_expression(ctx, scope, port.array_size_ast)
-        if not isinstance(size, IntValue) or size.value < 1:
-            raise TydiError("type", "port array size must be a positive int",
-                            path, port.span)
-        port.array_size = size.value
+        port.array_size = _evaluate_count(ctx, scope, port.array_size_ast, 1, port.span,
+                                          "port array size must be a positive int")
     if port.cd_ast is None:
         port.clockdomain = DEFAULT_CLOCKDOMAIN
     else:
@@ -119,67 +119,62 @@ def _adopt_derived(ctx: EvalContext, impl: Implementation):
 
 
 def _resolve_of_streamlet(ctx: EvalContext, impl: Implementation) -> Streamlet:
-    path = impl.scope.package.path
-    of = impl.of_ast
-    if of.kind == "TemplateInstance":
-        template, args = _resolve_template_use(ctx, impl.scope, of, "streamlet")
-        return instantiate_template(ctx, template, args)
-    s = resolve_ref(ctx.project, impl.scope, of, "streamlet")
+    s = _resolve_entity(ctx, impl.scope, impl.of_ast, "streamlet")
     if s.is_template:
         raise TydiError(
             "resolution",
             f"streamlet {s.id!r} is a template; supply template arguments",
-            path, of)
+            impl.scope.package.path, impl.of_ast)
     return s
 
 
 def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
-    scope = inst.scope or impl.scope
-    path = scope.package.path
-    target_ast = inst.target_ast
-    if target_ast.kind == "TemplateInstance":
-        template, args = _resolve_template_use(ctx, scope, target_ast,
-                                               "implementation")
-        target = instantiate_template(ctx, template, args)
-    else:
-        target = _resolve_impl(ctx, scope, target_ast)
-        if target.is_template:
-            raise TydiError(
-                "resolution",
-                f"instance {inst.name!r} targets template {target.id!r} "
-                "without arguments", path, inst.span)
+    scope = inst.scope
+    target = _resolve_entity(ctx, scope, inst.target_ast, "implementation")
+    if target.is_template:
+        raise TydiError(
+            "resolution",
+            f"instance {inst.name!r} targets template {target.id!r} "
+            "without arguments", scope.package.path, inst.span)
     evaluate_implementation(ctx, target)
     if inst.array_size_ast is not None:
-        size = evaluate_expression(ctx, scope, inst.array_size_ast)
-        if not isinstance(size, IntValue) or size.value < 1:
-            raise TydiError("type", "instance array size must be a positive int",
-                            path, inst.span)
-        inst.array_size = size.value
+        inst.array_size = _evaluate_count(ctx, scope, inst.array_size_ast, 1, inst.span,
+                                          "instance array size must be a positive int")
     inst.target = target  # last: an instance with a target is evaluated
 
 
-def _resolve_impl(ctx: EvalContext, scope: Scope, ref: AstNode) -> Implementation:
-    """The implementation `ref` names: an `impl of` argument bound in
-    `scope`, or else what `resolve_ref` finds."""
-    if ref.kind == "ID" and ref.leaf_text in scope.impl_args:
+def _resolve_entity(ctx: EvalContext, scope: Scope, ref: AstNode, category: str):
+    """The streamlet or implementation `ref` names in `scope`: the instance
+    of a `name<args>` use, an `impl of` argument bound in `scope` (for an
+    implementation), or else what `resolve_ref` finds."""
+    if ref.kind == "TemplateInstance":
+        template, args = _resolve_template_use(ctx, scope, ref, category)
+        return instantiate_template(ctx, template, args)
+    if category == "implementation" and ref.kind == "ID" \
+            and ref.leaf_text in scope.impl_args:
         return scope.impl_args[ref.leaf_text]
-    return resolve_ref(ctx.project, scope, ref, "implementation")
+    return resolve_ref(ctx.project, scope, ref, category)
+
+
+def _evaluate_count(ctx: EvalContext, scope: Scope, exp: AstNode, least: int,
+                    span: AstNode, message: str) -> int:
+    """The int `exp` evaluates to in `scope`: an array size or a FIFO depth.
+    Anything else, or an int below `least`, is a type error at `span`."""
+    value = evaluate_expression(ctx, scope, exp)
+    if not isinstance(value, IntValue) or value.value < least:
+        raise TydiError("type", message, scope.package.path, span)
+    return value.value
 
 
 # -- connections ---------------------------------------------------------------
 
 
 def resolve_connection(ctx: EvalContext, impl: Implementation, conn: Connection):
-    scope = conn.scope or impl.scope
-    path = scope.package.path
     for end in (conn.source, conn.sink):
-        _resolve_end(ctx, impl, end, scope)
+        _resolve_end(ctx, impl, end, conn.scope)
     if conn.fifo_ast is not None:
-        depth = evaluate_expression(ctx, scope, conn.fifo_ast)
-        if not isinstance(depth, IntValue) or depth.value < 0:
-            raise TydiError("type", "FIFO depth must be a non-negative int",
-                            path, conn.span)
-        conn.fifo_depth = depth.value
+        conn.fifo_depth = _evaluate_count(ctx, conn.scope, conn.fifo_ast, 0, conn.span,
+                                          "FIFO depth must be a non-negative int")
 
 
 def _path_part(node: AstNode, scope: Scope, path):
@@ -275,14 +270,7 @@ def _extract_owner_scope(ctx: EvalContext, scope: Scope, extract: AstNode) -> Sc
     path = scope.package.path
     if keyword in ("streamlet", "impl"):
         category = "streamlet" if keyword == "streamlet" else "implementation"
-        if owner_ast.kind == "TemplateInstance":
-            template, args = _resolve_template_use(ctx, scope, owner_ast, category)
-            entity = instantiate_template(ctx, template, args)
-        elif keyword == "impl":
-            entity = _resolve_impl(ctx, scope, owner_ast)
-        else:
-            entity = resolve_ref(ctx.project, scope, owner_ast, category)
-        return entity.scope
+        return _resolve_entity(ctx, scope, owner_ast, category).scope
     # keyword 'type': group/union member access
     if owner_ast.kind not in ("ID", "QualifiedId"):
         raise TydiError("resolution", "type member extraction needs a type name",
@@ -361,7 +349,7 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
             raise TydiError("type",
                             f"template parameter {param.name!r} expects an implementation; "
                             "use the `impl` keyword before the argument", path, arg_node)
-        target = _resolve_impl(ctx, scope, arg_node.children[0])
+        target = _resolve_entity(ctx, scope, arg_node.children[0], "implementation")
         if target.is_template:
             raise TydiError(
                 "resolution",
