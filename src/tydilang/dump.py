@@ -48,9 +48,9 @@ class _Writer:
         self.line(header + "{")
         self.depth += 1
 
-    def close(self, suffix: str = ""):
+    def close(self):
         self.depth -= 1
-        self.line("}" + suffix)
+        self.line("}")
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"

@@ -44,13 +44,12 @@ from .values import escape
 
 
 class FlatCircuit:
-    def __init__(self, top, components=None, component_lines=None, nets=None,
-                 net_lines=None):
+    def __init__(self, top):
         self.top: Implementation = top
-        self.components = [] if components is None else components  # flat names
-        self.component_lines = [] if component_lines is None else component_lines
-        self.nets = [] if nets is None else nets  # labels
-        self.net_lines = [] if net_lines is None else net_lines
+        self.components: list[str] = []  # flat names
+        self.component_lines: list[str] = []
+        self.nets: list[str] = []  # labels
+        self.net_lines: list[str] = []
 
 
 def _segment(name: str, index) -> str:

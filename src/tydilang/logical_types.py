@@ -40,12 +40,7 @@ DIRECTION_VALUES = ("Forward", "Reverse")
 
 
 class NullType:
-    _instance: Optional["NullType"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    pass
 
 
 NULL = NullType()

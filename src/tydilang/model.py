@@ -11,10 +11,12 @@ it, which diagnostics take as its location, and from which a template
 instance is built again. Variables, type entries, streamlets and
 implementations carry an evaluation `state` and stored `error`, which only
 `EvalContext.force` writes; a port, instance or connection is evaluated
-when its result is set: its logical type, its target or its sink's port. A
-template instance is registered in its template's package under its
-mangled name, and that table is its memo. Every stage looks up a `name` or
-`package.name` reference through `resolve_ref`.
+when its result is set: its logical type, its target or its sink's port.
+An instance or connection records the scope its names and counts resolve
+in, its implementation's or a `for` element's; only one that sugaring
+inserted has none. A template instance is registered in its template's
+package under its mangled name, and that table is its memo. Every stage
+looks up a `name` or `package.name` reference through `resolve_ref`.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class EvalState(enum.Enum):
 
 class Variable:
     def __init__(self, id, scope=None, declared_kind=None, expr_ast=None, is_magic=False,
-                 span=None, state=EvalState.NOT_INFERRED, value=None, error=None):
+                 span=None, state=EvalState.NOT_INFERRED, value=None):
         self.id: str = id
         self.scope: Optional[Scope] = scope
         # int/str/float/bool/clockdomain; a template parameter's kind
@@ -82,7 +84,7 @@ class Variable:
         self.span: Optional[AstNode] = span
         self.state: EvalState = state
         self.value: Optional[Value] = value
-        self.error: Optional[TydiError] = error
+        self.error: Optional[TydiError] = None
 
     def label(self) -> str:
         owner = self.scope.name if self.scope else "?"
@@ -90,18 +92,18 @@ class Variable:
 
 
 class TypeEntry:
-    def __init__(self, id, ast, scope=None, own_scope=None, field_names=None, asserts=None,
-                 span=None, state=EvalState.NOT_INFERRED, evaluated=None, error=None):
+    def __init__(self, id, ast, scope=None, own_scope=None, span=None,
+                 state=EvalState.NOT_INFERRED, evaluated=None):
         self.id: str = id
         self.ast = ast  # the logical-type expression; None for bound args
         self.scope: Optional[Scope] = scope  # defining scope (resolution starts here)
         self.own_scope: Optional[Scope] = own_scope  # group/union inner scope, if any
-        self.field_names = [] if field_names is None else field_names  # group/union order
-        self.asserts: list[tuple[Scope, AstNode]] = [] if asserts is None else asserts
+        self.field_names: list[str] = []  # group/union order
+        self.asserts: list[tuple[Scope, AstNode]] = []
         self.span: Optional[AstNode] = span
         self.state: EvalState = state
         self.evaluated: object = evaluated  # LogicalType
-        self.error: Optional[TydiError] = error
+        self.error: Optional[TydiError] = None
 
     def label(self) -> str:
         owner = self.scope.name if self.scope else "?"
@@ -117,7 +119,7 @@ class TemplateParam:
 
 class Port:
     def __init__(self, name, type_ast, direction, array_size_ast=None, cd_ast=None,
-                 span=None, logical_type=None, array_size=None, clockdomain=None):
+                 span=None):
         self.name: str = name
         self.type_ast: AstNode = type_ast
         self.direction: str = direction  # in | out
@@ -125,23 +127,22 @@ class Port:
         self.cd_ast: Optional[AstNode] = cd_ast
         self.span: Optional[AstNode] = span
         # evaluated; a port with a logical type is evaluated:
-        self.logical_type: object = logical_type
-        self.array_size: Optional[int] = array_size
-        self.clockdomain: Optional[Value] = clockdomain
+        self.logical_type: object = None
+        self.array_size: Optional[int] = None
+        self.clockdomain: Optional[Value] = None
 
 
 class Streamlet:
-    def __init__(self, id, scope, doc=None, template_params=None, ports=None,
-                 asserts=None, span=None, state=EvalState.NOT_INFERRED, error=None):
+    def __init__(self, id, scope, doc=None, span=None):
         self.id: str = id
         self.scope: Scope = scope
         self.doc: Optional[str] = doc
-        self.template_params = [] if template_params is None else template_params
-        self.ports: dict[str, Port] = {} if ports is None else ports
-        self.asserts: list[tuple[Scope, AstNode]] = [] if asserts is None else asserts
+        self.template_params: list[TemplateParam] = []
+        self.ports: dict[str, Port] = {}
+        self.asserts: list[tuple[Scope, AstNode]] = []
         self.span: Optional[AstNode] = span
-        self.state: EvalState = state
-        self.error: Optional[TydiError] = error
+        self.state: EvalState = EvalState.NOT_INFERRED
+        self.error: Optional[TydiError] = None
 
     @property
     def is_template(self) -> bool:
@@ -153,16 +154,17 @@ class Streamlet:
 
 class Instance:
     def __init__(self, name, target_ast=None, array_size_ast=None, span=None, scope=None,
-                 target=None, array_size=None):
+                 target=None):
         self.name: str = name
         self.target_ast = target_ast  # None for compiler-inserted instances
         self.array_size_ast: Optional[AstNode] = array_size_ast
         self.span: Optional[AstNode] = span
-        # the `for` element scope its target and size resolve in; None: the impl's
+        # the implementation or `for` element scope its target and size resolve
+        # in; None only for an instance that sugaring inserted
         self.scope: Optional[Scope] = scope
         # evaluated; an instance with a target is evaluated:
         self.target: Optional[Implementation] = target
-        self.array_size: Optional[int] = array_size
+        self.array_size: Optional[int] = None
 
 
 def indexed(name: str, index: Optional[int]) -> str:
@@ -206,40 +208,38 @@ class EndRef:
 
 class Connection:
     def __init__(self, name, source, sink, fifo_ast=None, no_strict=False, span=None,
-                 scope=None, fifo_depth=0):
+                 scope=None):
         self.name: str = name
         self.source: EndRef = source
         self.sink: EndRef = sink
         self.fifo_ast: Optional[AstNode] = fifo_ast
         self.no_strict: bool = no_strict
         self.span: Optional[AstNode] = span
-        # the `for` element scope its ends and depth resolve in; None: the impl's
+        # the implementation or `for` element scope its ends and depth resolve
+        # in; None only for a connection that sugaring inserted
         self.scope: Optional[Scope] = scope
-        self.fifo_depth: int = fifo_depth
+        self.fifo_depth: int = 0
 
 
 class Implementation:
-    def __init__(self, id, scope, of_ast=None, doc=None, template_params=None,
-                 external=False, instances=None, connections=None, asserts=None,
-                 generative=None, process_block=None, derived_from=None, span=None,
-                 state=EvalState.NOT_INFERRED, error=None, streamlet=None):
+    def __init__(self, id, scope, doc=None, span=None):
         self.id: str = id
         self.scope: Scope = scope
-        self.of_ast: Optional[AstNode] = of_ast
+        self.of_ast: Optional[AstNode] = None
         self.doc: Optional[str] = doc
-        self.template_params = [] if template_params is None else template_params
-        self.external: bool = external
-        self.instances: dict[str, Instance] = {} if instances is None else instances
-        self.connections: list[Connection] = [] if connections is None else connections
+        self.template_params: list[TemplateParam] = []
+        self.external: bool = False
+        self.instances: dict[str, Instance] = {}
+        self.connections: list[Connection] = []
         # (scope the assert evaluates in, assert statement)
-        self.asserts: list[tuple[Scope, AstNode]] = [] if asserts is None else asserts
-        self.generative = [] if generative is None else generative  # if/for blocks
-        self.process_block: Optional[str] = process_block
-        self.derived_from: Optional[AstNode] = derived_from  # ImplInstDecl target, if any
+        self.asserts: list[tuple[Scope, AstNode]] = []
+        self.generative: list[AstNode] = []  # if/for blocks
+        self.process_block: Optional[str] = None
+        self.derived_from: Optional[AstNode] = None  # ImplInstDecl target, if any
         self.span: Optional[AstNode] = span
-        self.state: EvalState = state
-        self.error: Optional[TydiError] = error
-        self.streamlet: Optional[Streamlet] = streamlet
+        self.state: EvalState = EvalState.NOT_INFERRED
+        self.error: Optional[TydiError] = None
+        self.streamlet: Optional[Streamlet] = None
 
     @property
     def is_template(self) -> bool:
@@ -250,18 +250,16 @@ class Implementation:
 
 
 class Scope:
-    def __init__(self, name, category, variables=None, types=None, streamlets=None,
-                 implements=None, ports=None, instances=None, connections=None,
-                 relations=None, impl_args=None, package=None):
+    def __init__(self, name, category, relations=None, impl_args=None, package=None):
         self.name: str = name
         self.category = category  # package/group/union/stream/streamlet/implement/iffor
-        self.variables: dict[str, Variable] = {} if variables is None else variables
-        self.types: dict[str, TypeEntry] = {} if types is None else types
-        self.streamlets: dict[str, Streamlet] = {} if streamlets is None else streamlets
-        self.implements = {} if implements is None else implements
-        self.ports: dict[str, Port] = {} if ports is None else ports
-        self.instances: dict[str, Instance] = {} if instances is None else instances
-        self.connections: list[Connection] = [] if connections is None else connections
+        self.variables: dict[str, Variable] = {}
+        self.types: dict[str, TypeEntry] = {}
+        self.streamlets: dict[str, Streamlet] = {}
+        self.implements: dict[str, Implementation] = {}
+        self.ports: dict[str, Port] = {}
+        self.instances: dict[str, Instance] = {}
+        self.connections: list[Connection] = []
         self.relations = [] if relations is None else relations
         self.impl_args: dict[str, Implementation] = {} if impl_args is None else impl_args
         # the package whose source declares the scope; None only for scopes
@@ -281,7 +279,6 @@ class Package:
     def __init__(self, name, path, text):
         self.name: str = name
         self.path: str = path
-        self.text: str = text
         self.scope = Scope(f"package_{name}", "package", package=self)
         self._data = text.encode("utf-8")  # spans are UTF-8 byte offsets
 
@@ -291,9 +288,9 @@ class Package:
 
 
 class Project:
-    def __init__(self, name, packages=None):
+    def __init__(self, name):
         self.name: str = name
-        self.packages: dict[str, Package] = {} if packages is None else packages
+        self.packages: dict[str, Package] = {}
 
     def top_implementation(self, top: str) -> Implementation:
         """The implementation `top` ("package.impl") names; a usage error if

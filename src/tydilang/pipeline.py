@@ -58,12 +58,11 @@ ARTIFACTS = ("1_parser_output.txt", "2_evaluation_output.txt",
 
 
 class CompileResult:
-    def __init__(self, project=None, diagnostics=None, drc_diagnostics=None,
-                 artifacts=None):
-        self.project: Optional[Project] = project
-        self.diagnostics: list[Diagnostic] = [] if diagnostics is None else diagnostics
-        self.drc_diagnostics = [] if drc_diagnostics is None else drc_diagnostics
-        self.artifacts = {} if artifacts is None else artifacts  # name -> text
+    def __init__(self):
+        self.project: Optional[Project] = None
+        self.diagnostics: list[Diagnostic] = []
+        self.drc_diagnostics = []
+        self.artifacts = {}  # name -> text
 
     @property
     def exit_code(self) -> int:
