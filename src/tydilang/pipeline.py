@@ -231,12 +231,11 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
         except TydiError as e:
             result.diagnostics.append(e.diagnostic)
         except RecursionError:
-            # the AST dumps and the stages after evaluation recurse once per
-            # nesting level, so a deep enough input exhausts the Python stack;
-            # parsing and evaluation report that at the file themselves
+            # the stages after evaluation recurse once per nesting level, so a
+            # deep enough input exhausts the Python stack; parsing, the AST
+            # dumps and evaluation report that at the file themselves
             result.diagnostics.append(Diagnostic(
-                "syntax" if stage == "parsing" else "resolution",
-                f"nesting too deep while {stage}"))
+                "resolution", f"nesting too deep while {stage}"))
         if result.diagnostics:
             _write(config, result, "error_report.txt",
                    render_error_report(result.diagnostics, dict(sources)))
@@ -309,8 +308,12 @@ def _write_ast_dumps(config: CompileConfig, result: CompileResult,
             name = f"{stem}_{n}"
             n += 1
         used.add(name)
-        _write(config, result, os.path.join("0_ast", f"{name}.txt"),
-               "[" + dump_ast(pf.ast) + "]\n")
+        try:
+            text = "[" + dump_ast(pf.ast) + "]\n"
+        except RecursionError:
+            # the dump takes more frames per nesting level than the parser
+            raise TydiError("syntax", "nesting too deep while parsing", pf.path) from None
+        _write(config, result, os.path.join("0_ast", f"{name}.txt"), text)
 
 
 def _inject_prelude_imports(project: Project):

@@ -47,9 +47,11 @@ UNCOVERED = {
     "pipeline.evaluate_project: root.scope.package.path))": _OVERFLOW,
     "pipeline.evaluate_project: break": _OVERFLOW,
     "pipeline.compile_sources: result.diagnostics.append(Diagnostic(": _OVERFLOW,
-    'pipeline.compile_sources: "syntax" if stage == "parsing" else "resolution",':
+    'pipeline.compile_sources: "resolution", f"nesting too deep while {stage}"))':
         _OVERFLOW,
-    'pipeline.compile_sources: f"nesting too deep while {stage}"))': _OVERFLOW,
+    "pipeline._write_ast_dumps: except RecursionError:": _OVERFLOW,
+    'pipeline._write_ast_dumps: raise TydiError("syntax", "nesting too deep while '
+    'parsing", pf.path) from None': _OVERFLOW,
     'parser.parse_fragment: raise ValueError(f"unknown fragment rule {rule!r}")':
         "rejects a misspelt rule; every caller in the tests names a known one",
 }

@@ -39,9 +39,12 @@ def nested_groups(depth: int) -> str:
 
 @pytest.mark.parametrize("source, in_file, line", [
     (nested_parentheses(DEPTH), True, "[syntax] nesting too deep while parsing"),
+    # parses, one frame per sign, but overflows the AST dump, two per sign
+    ("package p;\nconst c = " + "-" * 600 + "1;\n", True,
+     "[syntax] nesting too deep while parsing"),
     (backward_chain(DEPTH), True, "[resolution] nesting too deep while evaluating"),
     (nested_groups(1000), False, "[resolution] nesting too deep while emitting"),
-], ids=["parentheses", "constant_chain", "group_ir"])
+], ids=["parentheses", "unary_ast_dump", "constant_chain", "group_ir"])
 def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, source, in_file, line):
     src = tmp_path / "deep.td"
     src.write_text(source, encoding="utf-8")
