@@ -80,8 +80,7 @@ class ExpressionEvaluator:
     def eval_exp(self, exp: AstNode) -> Value:
         terms = [c for c in exp.children if c.kind == "Term"]
         ops = [c.leaf_text for c in exp.children if c.kind == "InfixOp"]
-        value, idx = self._climb(terms, ops, exp, 0, 1)
-        return value
+        return self._climb(terms, ops, exp, 0, 1)[0]
 
     def _climb(self, terms, ops, exp, i, min_prec):
         left = self.eval_term(terms[i])

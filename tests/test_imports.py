@@ -1,9 +1,11 @@
-"""No compiler module imports a name it never uses, and `import tydilang`
-imports no module that only code generation needs.
+"""No compiler module imports a name it never uses, no compiler function
+binds a local it never reads, and `import tydilang` imports no module that
+only code generation needs.
 
-Deleting code tends to leave its imports behind; this guard catches them.
-`__init__.py` re-exports by design, `__future__` imports are directives,
-and imports under `if TYPE_CHECKING:` serve string annotations only.
+Deleting code tends to leave its imports and locals behind; these guards
+catch them. `__init__.py` re-exports by design, `__future__` imports are
+directives, and imports under `if TYPE_CHECKING:` serve string annotations
+only. A local whose name starts with `_` is unused on purpose.
 """
 
 import ast
@@ -64,6 +66,46 @@ def test_guard_sees_an_unused_import():
                      "if TYPE_CHECKING:\n    from x import Y\n"
                      "def f() -> Optional[int]:\n    return 1\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"os"}
+
+
+def _unread_locals(tree) -> set[tuple[int, str]]:
+    """(line, name) of each name a function body binds and that neither the
+    body nor a function nested in it reads."""
+    unread = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = [node for stmt in fn.body for node in ast.walk(stmt)]
+        read = {node.id for node in body
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        bound = [(node.lineno, node.id) for node in body
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+        bound += [(node.lineno, node.name) for node in body
+                  if isinstance(node, ast.ExceptHandler) and node.name]
+        unread.update((line, name) for line, name in bound
+                      if name not in read and not name.startswith("_"))
+    return unread
+
+
+def unread_locals() -> list[str]:
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unread.extend(f"{path.name}:{line}: {name}"
+                      for line, name in sorted(_unread_locals(tree)))
+    return unread
+
+
+def test_no_unused_locals():
+    assert unread_locals() == []
+
+
+def test_guard_sees_an_unused_local():
+    tree = ast.parse("def f(a):\n    b, _c = a\n"
+                     "    def g():\n        return b\n"
+                     "    try:\n        pass\n    except OSError as e:\n        pass\n"
+                     "    for k in a:\n        pass\n    return g\n")
+    assert _unread_locals(tree) == {(7, "e"), (9, "k")}
 
 
 def test_import_runs_no_dataclasses():
