@@ -100,7 +100,7 @@ def _compute_implementation(ctx: EvalContext, impl: Implementation):
     for block in impl.generative:
         _expand_item(ctx, impl, block, sb, impl.scope, "")
     for inst in impl.scope.instances.values():
-        _evaluate_instance(ctx, impl, inst)
+        _evaluate_instance(ctx, inst)
     for conn in impl.scope.connections:
         resolve_connection(ctx, impl, conn)
     for scope, a in impl.asserts:
@@ -128,7 +128,7 @@ def _resolve_of_streamlet(ctx: EvalContext, impl: Implementation) -> Streamlet:
     return s
 
 
-def _evaluate_instance(ctx: EvalContext, impl: Implementation, inst: Instance):
+def _evaluate_instance(ctx: EvalContext, inst: Instance):
     scope = inst.scope
     target = _resolve_entity(ctx, scope, inst.target_ast, "implementation")
     if target.is_template:
@@ -150,8 +150,7 @@ def _resolve_entity(ctx: EvalContext, scope: Scope, ref: AstNode, category: str)
     if ref.kind == "TemplateInstance":
         template, args = _resolve_template_use(ctx, scope, ref, category)
         return instantiate_template(ctx, template, args)
-    if category == "implementation" and ref.kind == "ID" \
-            and ref.leaf_text in scope.impl_args:
+    if category == "implementation" and ref.leaf_text in scope.impl_args:
         return scope.impl_args[ref.leaf_text]
     return resolve_ref(ctx.project, scope, ref, category)
 
@@ -159,7 +158,8 @@ def _resolve_entity(ctx: EvalContext, scope: Scope, ref: AstNode, category: str)
 def _evaluate_count(ctx: EvalContext, scope: Scope, exp: AstNode, least: int,
                     span: AstNode, message: str) -> int:
     """The int `exp` evaluates to in `scope`: an array size or a FIFO depth.
-    Anything else, or an int below `least`, is a type error at `span`."""
+    Anything else, or an int below `least`, is a type error with `message`
+    at `span`."""
     value = evaluate_expression(ctx, scope, exp)
     if not isinstance(value, IntValue) or value.value < least:
         raise TydiError("type", message, scope.package.path, span)
