@@ -206,14 +206,15 @@ class StatementBuilder:
         """Build `item` of the body of `owner` (a package, a group or union
         entry, a streamlet or an implementation) and declare it in `own`.
         Its expressions resolve in `scope` (`own` by default, or the scope
-        of a `for` element), which its instance or connection records, and
-        the names of its connections end in the element's `suffix`."""
+        of a `for` element), which its instance or connection records and
+        where a const or type is declared instead, and the names of its
+        connections end in the element's `suffix`."""
         resolve = scope or own
         kind = item.kind
         if kind == "ConstDecl":
-            declare(own, self.build_const(item, resolve), "variable", item, self.path)
+            declare(resolve, self.build_const(item, resolve), "variable", item, self.path)
         elif kind == "TypeDecl":
-            declare(own, self.build_type_entry(item, resolve), "type", item, self.path)
+            declare(resolve, self.build_type_entry(item, resolve), "type", item, self.path)
         elif kind == "AssertStmt":
             owner.asserts.append((resolve, item))
         elif kind == "SubItemItem":

@@ -24,12 +24,15 @@ whose record anchors repeat, and `emit_dot` two components of one flat name:
 either would merge in the DOT.
 
 `emit_ir` writes what `json.dumps` gives with ``indent=2, sort_keys=True``,
-without the pure-Python generator chain that any indent forces on `json`, in
-two tiers. The records that grow with a design (connections with their ends,
-instances, ports) are one f-string each at their fixed depth; `_ir_text`
-writes the dicts and lists around them into one list, copying that text and
-making each key's line head once per depth. Strings are escaped by `json`'s C
-routine; a logical type is rendered once per depth, however many ports use it.
+plus a newline, as finished text into one list that it joins once. The
+document has a fixed shape (project, packages, then each package's
+implementations, streamlets and types), so each part is an f-string at its
+known depth. Strings are escaped by `json`'s C routine, and ints and floats
+(always finite) written by `repr`. `_type_text` writes a logical type, its
+fields and elements straight into the list; a type is rendered once per
+depth where a port or the types map places it. A type placed deeper than
+`IR_DEPTH_LIMIT` is a resolution error, so deep nesting ends in a diagnostic
+and every IR written stays readable by `json`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import TydiError
 from .logical_types import (STREAM_PROPERTIES, BitType, GroupType, NullType,
-                            StreamType, UnionType, stream_display_name)
+                            StreamType, stream_display_name)
 from .model import EndRef, EvalState, Implementation, Port, Project
 from .values import escape
 
@@ -147,91 +150,77 @@ def emit_dot(circuit: FlatCircuit) -> str:
 
 # -- structured IR ---------------------------------------------------------------
 
-
-def _type_json(t):
-    if isinstance(t, NullType):
-        return {"kind": "null"}
-    if isinstance(t, BitType):
-        return {"kind": "bit", "width": t.width}
-    if isinstance(t, GroupType):
-        return {"kind": "group", "name": t.name,
-                "fields": [{"name": n, "type": _type_json(ft)} for n, ft in t.fields]}
-    if isinstance(t, UnionType):
-        return {"kind": "union", "name": t.name,
-                "fields": [{"name": n, "type": _type_json(ft)} for n, ft in t.fields]}
-    p = t.properties  # a StreamType
-    properties = {field: getattr(p, field) for _, _, field in STREAM_PROPERTIES}
-    properties["user"] = _type_json(p.user)
-    return {
-        "kind": "stream",
-        "name": stream_display_name(t),
-        "element": _type_json(t.element),
-        "properties": properties,
-    }
-
-
-def emit_ir(project: Project) -> str:
-    """Serialize every evaluated streamlet, implementation and named type."""
-    levels = _Levels()
-    packages = {}
-    for pkg_name, package in project.packages.items():
-        scope = package.scope
-        types = {tid: e.evaluated for tid, e in scope.types.items()
-                 if e.state is EvalState.EVALUATED}
-        streamlets = {}
-        for sid, s in scope.streamlets.items():
-            if s.state is not EvalState.EVALUATED:
-                continue
-            entry = {"ports": _records("{}", [_port_text(levels, *p)
-                                              for p in sorted(s.ports.items())])}
-            if s.doc:
-                entry["doc"] = s.doc
-            streamlets[sid] = entry
-        implementations = {}
-        for iid, impl in scope.implements.items():
-            if impl.state is not EvalState.EVALUATED:
-                continue
-            instances = sorted(impl.instances.items())
-            entry = {
-                "streamlet": impl.streamlet.id,
-                "external": impl.external,
-                "instances": _records("{}", [_instance_text(*i) for i in instances]),
-                "connections": _records("[]", [_conn_text(c) for c in impl.connections]),
-            }
-            if impl.doc:
-                entry["doc"] = impl.doc
-            implementations[iid] = entry
-        packages[pkg_name] = {
-            "types": types,
-            "streamlets": streamlets,
-            "implementations": implementations,
-        }
-    return _ir_text({"project": project.name, "packages": packages}, levels)
-
-
-class _Text(list):
-    """Finished JSON text in pieces, which `_write` copies unchanged."""
-
+# The deepest level of the IR document a logical type may take; its keys sit
+# one level deeper, its containers at most two. Every chain of `type Group`
+# fields that compiled from the CLI before the bound still does (the deepest
+# placed a field at level 985), and `json.loads` in a fresh Python 3.11 reads
+# back the deepest document it allows (it stops past 994 nested containers).
+IR_DEPTH_LIMIT = 985
 
 _RECORDS = 5  # the depth of every connection list, instance map and port map
 _CLOSE, _MEMBER, _KEY, _END_KEY = ("\n" + "  " * d for d in range(_RECORDS, _RECORDS + 4))
+_PROPERTIES = sorted(field for _, _, field in STREAM_PROPERTIES)
 
 
-def _records(brackets: str, members: list[str]) -> _Text:
-    """Finished members (``"key": record`` in a map, in key order) in `brackets`."""
-    text = _Text([brackets[0]])
-    for member in members:
-        text += (_MEMBER, member, ",")
-    text[-1] = _CLOSE + brackets[1] if members else brackets
-    return text
+def emit_ir(project: Project) -> str:
+    """Serialize every evaluated streamlet, implementation and named type as
+    the text `json.dumps` gives with ``indent=2, sort_keys=True``, plus a
+    newline. Each container is opened by its own item of `out` and each
+    member ends in a ``","`` item, which `_end` replaces."""
+    types: dict = {}  # (type, depth) -> its text, where a port or a type entry places it
+    out = ['{\n  "packages": ', "{"]
+    for pkg_name in sorted(project.packages):
+        scope = project.packages[pkg_name].scope
+        out += (f'\n    {_quote(pkg_name)}: {{\n      "implementations": ', "{")
+        for iid, impl in _evaluated(scope.implements):
+            out += (f'\n        {_quote(iid)}: {{\n          "connections": ', "[")
+            for c in impl.connections:
+                out += (_MEMBER, _conn_text(c), ",")
+            _end(out, _RECORDS, "[]")
+            if impl.doc:
+                out.append(f',\n          "doc": {_quote(impl.doc)}')
+            out += (f',\n          "external": {"true" if impl.external else "false"},'
+                    '\n          "instances": ', "{")
+            for name, inst in sorted(impl.instances.items()):
+                out += (_MEMBER, _instance_text(name, inst), ",")
+            _end(out, _RECORDS)
+            out += (f',\n          "streamlet": {_quote(impl.streamlet.id)}\n        }}', ",")
+        _end(out, 3)
+        out += (',\n      "streamlets": ', "{")
+        for sid, s in _evaluated(scope.streamlets):
+            doc = f'\n          "doc": {_quote(s.doc)},' if s.doc else ""
+            out += (f'\n        {_quote(sid)}: {{{doc}\n          "ports": ', "{")
+            for name, port in sorted(s.ports.items()):
+                out += (_MEMBER, _port_text(types, name, port), ",")
+            _end(out, _RECORDS)
+            out += ("\n        }", ",")
+        _end(out, 3)
+        out += (',\n      "types": ', "{")
+        for tid, entry in _evaluated(scope.types):
+            out += (f"\n        {_quote(tid)}: ", _placed(types, entry.evaluated, 4), ",")
+        _end(out, 3)
+        out += ("\n    }", ",")
+    _end(out, 1)
+    out.append(f',\n  "project": {_quote(project.name)}\n}}\n')
+    return "".join(out)
 
 
-def _port_text(levels: _Levels, name: str, port: Port) -> str:
+def _evaluated(table: dict):
+    return sorted((key, e) for key, e in table.items() if e.state is EvalState.EVALUATED)
+
+
+def _end(out: list[str], depth: int, brackets: str = "{}") -> None:
+    """Close the container at `depth` whose opening bracket or last member's
+    comma ends `out`."""
+    out[-1] = brackets if out[-1] == brackets[0] else "\n" + "  " * depth + brackets[1]
+
+
+def _port_text(types: dict, name: str, port: Port) -> str:
     size = "" if port.array_size is None else f'{_KEY}"array_size": {port.array_size},'
     return (f'{_quote(name)}: {{{size}{_KEY}"clockdomain": '
             f'{_quote(port.clockdomain.expression)},{_KEY}"direction": '
             f'{_quote(port.direction)},{_KEY}"type": '
-            f'{levels.type_text(port.logical_type, _RECORDS + 2)}{_MEMBER}}}')
+            f'{_placed(types, port.logical_type, _RECORDS + 2)}{_MEMBER}}}')
 
 
 def _instance_text(name: str, inst) -> str:
@@ -253,89 +242,50 @@ def _end_text(e: EndRef) -> str:
             f'{_quote(e.port_name)}{port_i}{_KEY}}}')
 
 
-_LOGICAL_TYPES = (NullType, BitType, GroupType, UnionType, StreamType)
+def _placed(types: dict, t, depth: int) -> str:
+    """The text of `t` at `depth`, rendered once per call of `emit_ir`."""
+    text = types.get((t, depth))
+    if text is None:
+        out: list[str] = []
+        _type_text(out, t, depth)
+        text = types[t, depth] = "".join(out)
+    return text
 
 
-class _Level:
-    """The text shared by every container at one depth of the document."""
-    __slots__ = ("inner", "heads", "types", "open_list", "next_item",
-                 "close_dict", "close_list")
-
-    def __init__(self, depth: int):
-        pad = "\n" + "  " * depth
-        self.inner = pad + "  "  # starts each line of a member
-        self.heads: dict[str, tuple[str, str]] = {}  # key -> (later, first)
-        self.types: dict[object, str] = {}  # type -> its text at this depth
-        self.open_list, self.next_item = "[" + self.inner, "," + self.inner
-        self.close_dict, self.close_list = pad + "}", pad + "]"
-
-
-class _Levels(dict):
-    def __missing__(self, depth: int) -> _Level:
-        level = self[depth] = _Level(depth)
-        return level
-
-    def type_text(self, t, depth: int) -> str:
-        memo = self[depth].types
-        if t not in memo:
-            out: list[str] = []
-            _write(out, self, _type_json(t), depth)
-            memo[t] = "".join(out)
-        return memo[t]
-
-
-def _ir_text(doc: dict, levels: _Levels | None = None) -> str:
-    """The `json` text of `doc` with ``indent=2, sort_keys=True``, plus a
-    newline. `doc` holds dicts with string keys, lists, strings, numbers,
-    booleans, None, logical types (each written as its `_type_json`) and `_Text`."""
-    out: list[str] = []
-    _write(out, _Levels() if levels is None else levels, doc, 0)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(out: list[str], levels: _Levels, value, depth: int) -> None:
-    if type(value) is _Text:
-        out += value
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        level = levels[depth]
-        heads = level.heads
-        first = True
-        for key in sorted(value):
-            head = heads.get(key)
-            if head is None:
-                line = f"{level.inner}{_quote(key)}: "
-                head = heads[key] = ("," + line, "{" + line)
-            out.append(head[first])
-            _write(out, levels, value[key], depth + 1)
-            first = False
-        out.append(level.close_dict)
-    elif isinstance(value, _LOGICAL_TYPES):
-        out.append(levels.type_text(value, depth))
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        level = levels[depth]
-        sep = level.open_list
-        for item in value:
-            out.append(sep)
-            _write(out, levels, item, depth + 1)
-            sep = level.next_item
-        out.append(level.close_list)
-    elif value is None:
-        out.append("null")
-    elif value is True:  # before int: bool is an int
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    else:  # a float, finite as evaluation keeps it
-        out.append(float.__repr__(value))
-
+def _type_text(out: list[str], t, depth: int) -> None:
+    """Write logical type `t` into `out` as the object at `depth`."""
+    if depth > IR_DEPTH_LIMIT:
+        raise TydiError("resolution", "nesting too deep while emitting")
+    key = "\n" + "  " * (depth + 1)
+    if isinstance(t, NullType):
+        out.append(f'{{{key}"kind": "null"')
+    elif isinstance(t, BitType):
+        out.append(f'{{{key}"kind": "bit",{key}"width": {t.width!r}')
+    elif isinstance(t, StreamType):
+        out.append(f'{{{key}"element": ')
+        _type_text(out, t.element, depth + 1)
+        out.append(f',{key}"kind": "stream",{key}"name": {_quote(stream_display_name(t))},'
+                   f'{key}"properties": {{')
+        for field in _PROPERTIES:  # "user" sorts last
+            value = getattr(t.properties, field)
+            out.append(f'{key}  "{field}": ')
+            if field == "user":
+                _type_text(out, value, depth + 2)
+            elif isinstance(value, str):
+                out.append(_quote(value) + ",")
+            elif isinstance(value, bool):
+                out.append("true," if value else "false,")
+            else:
+                out.append(repr(value) + ",")
+        out.append(f"{key}}}")
+    else:  # a group or union
+        kind = "group" if isinstance(t, GroupType) else "union"
+        item = key + "  "
+        sep = f'{{{key}"fields": [{item}{{'
+        for name, field_type in t.fields:
+            out.append(f'{sep}{item}  "name": {_quote(name)},{item}  "type": ')
+            _type_text(out, field_type, depth + 3)
+            sep = f"{item}}},{item}{{"
+        out.append(f'{item}}}{key}],' if t.fields else f'{{{key}"fields": [],')
+        out.append(f'{key}"kind": "{kind}",{key}"name": {_quote(t.name)}')
+    out.append("\n" + "  " * depth + "}")

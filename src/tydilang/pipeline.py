@@ -252,7 +252,7 @@ def _stages(config: CompileConfig, result: CompileResult,
     parsing as it starts. A stage that reports a list of diagnostics records
     them and stops; one that stops at its first error raises it."""
     parsed, diagnostics = parse_project(sources)
-    _write_ast_dumps(config, result, parsed)
+    diagnostics += _write_ast_dumps(config, result, parsed)
     if diagnostics:
         result.diagnostics.extend(diagnostics)
         return
@@ -295,7 +295,10 @@ def _stages(config: CompileConfig, result: CompileResult,
 
 
 def _write_ast_dumps(config: CompileConfig, result: CompileResult,
-                     parsed: dict[str, ParsedFile]):
+                     parsed: dict[str, ParsedFile]) -> list[Diagnostic]:
+    """Write each parsed file's AST dump; return a diagnostic for each file
+    whose dump nests too deep to write."""
+    overflows = []
     used: set[str] = set()
     for pkg_name in sorted(parsed):
         if pkg_name == PRELUDE_PACKAGE:
@@ -312,8 +315,10 @@ def _write_ast_dumps(config: CompileConfig, result: CompileResult,
             text = "[" + dump_ast(pf.ast) + "]\n"
         except RecursionError:
             # the dump takes more frames per nesting level than the parser
-            raise TydiError("syntax", "nesting too deep while parsing", pf.path) from None
-        _write(config, result, os.path.join("0_ast", f"{name}.txt"), text)
+            overflows.append(Diagnostic("syntax", "nesting too deep while parsing", pf.path))
+        else:
+            _write(config, result, os.path.join("0_ast", f"{name}.txt"), text)
+    return overflows
 
 
 def _inject_prelude_imports(project: Project):

@@ -50,8 +50,8 @@ UNCOVERED = {
     'pipeline.compile_sources: "resolution", f"nesting too deep while {stage}"))':
         _OVERFLOW,
     "pipeline._write_ast_dumps: except RecursionError:": _OVERFLOW,
-    'pipeline._write_ast_dumps: raise TydiError("syntax", "nesting too deep while '
-    'parsing", pf.path) from None': _OVERFLOW,
+    'pipeline._write_ast_dumps: overflows.append(Diagnostic("syntax", "nesting too '
+    'deep while parsing", pf.path))': _OVERFLOW,
     'parser.parse_fragment: raise ValueError(f"unknown fragment rule {rule!r}")':
         "rejects a misspelt rule; every caller in the tests names a known one",
 }

@@ -20,9 +20,9 @@ import pytest
 from tydilang import errors
 from tydilang.builder import build_project
 from tydilang.context import EvalContext
-from tydilang.emit import flatten
+from tydilang.emit import IR_DEPTH_LIMIT, _type_text, flatten
 from tydilang.errors import TydiError
-from tydilang.logical_types import StreamType, bit_width
+from tydilang.logical_types import NULL, StreamType, bit_width
 from tydilang.model import Scope, ScopeRelationKind, Streamlet, declare, resolve_name
 from tydilang.parser import parse_fragment, parse_project
 from tydilang.pipeline import (CompileConfig, compile_project, compile_sources,
@@ -506,8 +506,10 @@ def test_only_usage_errors_have_no_location():
     assert {case[3] for case in CASES if case[5] == "<project>"} == {"usage"}
 
 
-# checks that no source reaches; the library API does. Each call raises the
-# diagnostic or returns a result that holds it.
+# checks that no source reaches, or only one of hundreds of declarations (a
+# type placed past the IR depth bound; `test_limits` compiles one); the
+# library API does. Each call raises the diagnostic or returns a result that
+# holds it.
 API_CASES = [
     ("declare_outside_package", _declare_streamlet_in_group, "resolution",
      "streamlet 'q' may only be declared in a package scope, not inside group_g"),
@@ -526,6 +528,8 @@ API_CASES = [
     ("unencodable_source", lambda: compile_sources(
         CompileConfig(inputs=[]), [("f0.td", P + 'const a = "\udcff";')]), "io",
      "f0.td: not valid UTF-8 (surrogates not allowed at character 22)"),
+    ("ir_type_nesting", lambda: _type_text([], NULL, IR_DEPTH_LIMIT + 1), "resolution",
+     "nesting too deep while emitting"),
 ]
 
 

@@ -859,9 +859,29 @@ def test_const_in_for_body_reads_loop_variable():
                       "    const c = i + 1,\n"
                       "    inputs[c] => outputs[c],\n"
                       "  }\n")
-    assert impl.scope.variables["c"].value == IntValue(1)
     [conn] = impl.connections
     assert (conn.source.port_index, conn.sink.port_index) == (1, 1)
+
+
+def test_each_for_element_declares_the_body_const():
+    impl = _chan_impl("  for i in (0=1=>2) {\n"
+                      "    const c = i + 1,\n"
+                      "    inputs[c] => outputs[c],\n"
+                      "  }\n")
+    assert [(c.source.port_index, c.sink.port_index) for c in impl.connections] == \
+        [(1, 1), (2, 2)]
+
+
+def test_each_for_element_declares_the_body_type():
+    impl = _chan_impl(
+        "  for i in (0=1=>2) {\n"
+        "    type t = Bit(i + 1),\n"
+        "    instance w_{{i}}(w_i<type t>),\n"
+        "  }\n",
+        extra="streamlet w_s<d: type> { input: Stream(d) in, };\n"
+              "external impl w_i<d: type> of w_s<type d> { };\n")
+    assert {name: inst.target.id for name, inst in impl.instances.items()} == \
+        {"w_0": "w_i@Bit(1)", "w_1": "w_i@Bit(2)"}
 
 
 def test_fifo_depth_from_loop_variable():

@@ -2,15 +2,14 @@ import gc
 import json
 import os
 import re
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tydilang import emit
-from tydilang.emit import _ir_text, _type_json, emit_dot, emit_ir, flatten
+from tydilang.emit import emit_dot, emit_ir, flatten
 from tydilang.errors import TydiError
-from tydilang.logical_types import (BitType, GroupType, StreamProperties,
-                                    StreamType)
 from tydilang.model import EndRef
 from tydilang.pipeline import CompileConfig, compile_project
 from tydilang.sugaring import sugar_project
@@ -495,41 +494,79 @@ def test_ir_stable_key_ordering():
     assert emit_ir(project) == emit_ir(project)
 
 
-_JSON_TEXT = st.text(st.one_of(
+_CHARACTER = st.one_of(
     st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028",
                      "\ufeff", "\U0001F600"]),
-    st.characters()))
-_JSON_SCALAR = st.one_of(
-    st.none(), st.booleans(), st.integers(-2**70, 2**70), _JSON_TEXT,
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]))
-_JSON_DOC = st.recursive(
-    _JSON_SCALAR,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
-    max_leaves=30)
+    st.characters())
+_DOC = st.text(_CHARACTER.filter(lambda c: c != "#"), min_size=1)
+_MAX_FLOAT = 1.7976931348623157e308
 
 
-@settings(max_examples=200, deadline=None)
-@given(_JSON_DOC)
-def test_ir_writer_matches_json(doc):
-    """The IR writer gives the standard encoder's indented, key-sorted text
-    for any document: escapes, big ints, the extreme finite floats, empty
-    containers and nesting included. Floats are finite, as evaluation keeps
-    every float value."""
-    assert _ir_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _float_literal(x: float) -> str:
+    """A `.td` float literal that evaluates to exactly `x`: its decimal value."""
+    text = format(Decimal(x), "f")
+    return text if "." in text else text + ".0"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(_DOC, _DOC), st.text(_CHARACTER.filter(lambda c: c != "\n")),
+       st.one_of(st.sampled_from([0, 2**63 - 1]), st.integers(0, 2**63 - 1)),
+       st.one_of(st.sampled_from([5e-324, 2.2250738585072014e-308, _MAX_FLOAT]),
+                 st.floats(min_value=5e-324, max_value=_MAX_FLOAT)))
+def test_ir_of_generated_sources_is_canonical_json(docs, name, dimension, throughput):
+    """Docs and connection names that need escaping, the largest int64 and
+    the extreme finite floats reach the IR as the standard encoder writes
+    them, and each loads back exactly."""
+    literal = name.replace("\\", "\\\\").replace('"', '\\"')
+    source = ("package p;\n"
+              f"type s = Stream(Bit(1), d = {dimension}, t = {_float_literal(throughput)});\n"
+              f"#{docs[0]}# streamlet top_s {{ a: s in, b: s out, }};\n"
+              f'#{docs[1]}# impl top_i of top_s {{ a => b "{literal}", }};\n')
+    result = compile_texts(source, ir=True)
+    assert result.ok, result.diagnostics
+    text = result.artifacts["ir.json"]
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    doc = json.loads(text)["packages"]["p"]
+    properties = doc["types"]["s"]["properties"]
+    assert (properties["dimension"], properties["throughput"]) == (dimension, throughput)
+    top_i = doc["implementations"]["top_i"]
+    assert (doc["streamlets"]["top_s"]["doc"], top_i["doc"]) == docs
+    assert top_i["connections"][0]["name"] == name
 
 
 def test_ir_writer_renders_a_shared_type_per_depth():
-    """One type object placed at several depths, and twice at one depth, is
-    written at each place as its `_type_json` dict would be: the text kept
-    for a type is never reused at another indent."""
-    group = GroupType("pair", scope=None, fields=[("a", BitType(3)), ("b", BitType(5))])
-    t = StreamType("s", group, StreamProperties(dimension=2, user=BitType(1)))
-    doc = {"a": t, "b": {"c": [t, {"d": t}]}, "e": t}
-    as_dicts = {"a": _type_json(t), "b": {"c": [_type_json(t), {"d": _type_json(t)}]},
-                "e": _type_json(t)}
-    assert _ir_text(doc) == json.dumps(as_dicts, indent=2, sort_keys=True) + "\n"
+    """One group, placed as a named type, a field of another group, a
+    stream element, a stream's user type and in port types, at several
+    depths and twice at one depth, is written alike at each place."""
+    result = compile_texts(
+        "package p;\n"
+        "type Group pair { a: Bit(3), b: Bit(5), };\n"
+        "type Group outer { p: pair, q: Bit(1), };\n"
+        "type s = Stream(pair, d = 2, u = pair);\n"
+        "streamlet leaf_s { i: s in, o: Stream(pair) out, w: Stream(outer) out, };\n"
+        "external impl leaf_i of leaf_s {};\n", ir=True)
+    assert result.ok, result.diagnostics
+    text = result.artifacts["ir.json"]
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    doc = json.loads(text)["packages"]["p"]
+    pair = doc["types"]["pair"]
+    assert pair["fields"][1] == {"name": "b", "type": {"kind": "bit", "width": 5}}
+
+    def pairs(value):
+        if isinstance(value, dict):
+            if value.get("name") == "pair" and value.get("kind") == "group":
+                yield value
+            for v in value.values():
+                yield from pairs(v)
+        elif isinstance(value, list):
+            for v in value:
+                yield from pairs(v)
+
+    found = list(pairs(doc))
+    # the entry, outer's field, s's element and user type (in the types
+    # map and in port i), port o's element and outer's field in port w
+    assert len(found) == 8
+    assert all(p == pair for p in found)
 
 
 # every optional IR key (`owner_index`, `port_index`, `array_size` on an
@@ -581,30 +618,30 @@ def test_ir_is_canonical_json(tmp_path, name, top):
 
 
 def test_ir_writes_growing_records_as_finished_text(monkeypatch):
-    """Connections, instances and ports reach the IR as finished text: the
-    generic writer makes as many calls for a 100-lane fan-out as for a
-    10-lane one, because only the skeleton and named types pass through it."""
-    original = emit._write
+    """Connections, instances and ports reach the IR as finished text, and
+    each logical type is rendered once per place: a 100-lane fan-out
+    renders as many types as a 10-lane one."""
+    original = emit._type_text
 
-    def write_calls(lanes):
+    def type_renders(lanes):
         result = compile_texts(fan_out(lanes))
         assert result.ok, result.diagnostics
-        calls = 0
+        renders = 0
 
         def counting(*args):
-            nonlocal calls
-            calls += 1
+            nonlocal renders
+            renders += 1
             original(*args)
 
         with monkeypatch.context() as m:
-            m.setattr("tydilang.emit._write", counting)
+            m.setattr("tydilang.emit._type_text", counting)
             text = emit_ir(result.project)
         connections = sum(len(impl.connections) for pkg in result.project.packages.values()
                           for impl in pkg.scope.implements.values())
         assert text.count('"fifo_depth"') == connections >= 4 * lanes
-        return calls
+        return renders
 
-    assert write_calls(10) == write_calls(100)
+    assert type_renders(10) == type_renders(100)
 
 
 def test_flat_names_are_injective():

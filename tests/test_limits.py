@@ -4,6 +4,8 @@ exit code 0, 1 or 2. Neither ends in a traceback."""
 
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from tydilang import CompileConfig, CompileResult, compile_sources
 from tydilang.cli import main
+from tydilang.emit import IR_DEPTH_LIMIT, _type_text
+from tydilang.logical_types import GroupType
 from tydilang.parser import parse_file
 from tydilang.tree import dump_ast
 
@@ -53,6 +57,30 @@ def test_deep_nesting_is_a_diagnostic(tmp_path, capsys, source, in_file, line):
     where = str(src) if in_file else "<project>"
     assert (out / "error_report.txt").read_text() == f"{where}: {line}\n"
     assert capsys.readouterr().err.splitlines()[0] == f"{where}: {line}"
+
+
+def test_ir_depth_bound_is_readable_by_json():
+    """A type at the IR depth bound is written, and a document around the
+    deepest that bound allows, an empty group at the bound, loads back with
+    `json` in a fresh interpreter. One level more is a diagnostic
+    (`test_diagnostics`)."""
+    out = ["[" * IR_DEPTH_LIMIT]
+    _type_text(out, GroupType("g", None), IR_DEPTH_LIMIT)
+    out.append("]" * IR_DEPTH_LIMIT)
+    loaded = subprocess.run([sys.executable, "-c", "import json, sys; json.load(sys.stdin)"],
+                            input="".join(out), capture_output=True, text=True, check=False)
+    assert loaded.returncode == 0, loaded.stderr
+
+
+def test_ast_dump_overflow_keeps_the_other_files_errors():
+    """A file whose AST dump nests too deep is reported at its file, and
+    the syntax errors of the other files are still reported."""
+    result = compile_sources(CompileConfig(inputs=["<memory>"]), [
+        ("a.td", "package a;\nconst c = " + "-" * 600 + "1;\n"),
+        ("b.td", "package b;\nconst d = ;\n")])
+    assert result.artifacts["error_report.txt"] == (
+        "a.td: [syntax] nesting too deep while parsing\n"
+        "b.td:2:11: [syntax] expected an expression, found ';'\n")
 
 
 @pytest.mark.parametrize("source, where", [
