@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 
+from .drc import drc_tally
 from .pipeline import CompileConfig, compile_project
 
 
@@ -66,9 +67,7 @@ def main(argv=None) -> int:
         report = "".join(f"[{d.category}] {d.message}\n" for d in result.diagnostics)
     sys.stderr.write(report)
     if result.drc_diagnostics:
-        errors = sum(1 for d in result.drc_diagnostics if d.severity == "Error")
-        warnings = sum(1 for d in result.drc_diagnostics if d.severity == "Warning")
-        print(f"DRC: {errors} errors, {warnings} warnings", file=sys.stderr)
+        print(f"DRC: {drc_tally(result.drc_diagnostics)}", file=sys.stderr)
     return result.exit_code
 
 

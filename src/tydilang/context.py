@@ -19,12 +19,17 @@ from collections import Counter
 from .errors import TydiError
 from .model import EvalState, Project
 
+# how deeply evaluation may nest: records forced one inside another, and the
+# expression terms, logical types and if/for blocks between them
+EVAL_DEPTH_LIMIT = 500
+
 
 class EvalContext:
     def __init__(self, project: Project):
         self.project = project
         self._stack: list[str] = []  # labels of the nodes being evaluated
         self._in_progress: dict[int, int] = {}  # id(node) -> stack depth
+        self.depth = 0  # the nesting levels open, against EVAL_DEPTH_LIMIT
         self.eval_counts: Counter[str] = Counter()
 
     # -- node guards ---------------------------------------------------------
@@ -39,8 +44,15 @@ class EvalContext:
             cycle = " -> ".join(self._stack[depth:] + [label])
             raise TydiError("resolution", f"circular dependency: {cycle}",
                             node.scope.package.path, node.span)
+        self.deeper(node.scope.package.path)
         self._in_progress[key] = len(self._stack)
         self._stack.append(label)
+
+    def deeper(self, path: str):
+        """One level deeper in `path`'s file; the caller closes it, or `force` on failure."""
+        self.depth += 1
+        if self.depth > EVAL_DEPTH_LIMIT:
+            raise TydiError("resolution", "nesting too deep while evaluating", path)
 
     def finish(self, node):
         del self._in_progress[id(node)]
@@ -55,6 +67,7 @@ class EvalContext:
         if node.state is EvalState.ERROR:
             raise node.error
         label = node.label()
+        depth = self.depth
         self.begin(node, label)
         try:
             self.eval_counts[label] += 1
@@ -66,3 +79,4 @@ class EvalContext:
             raise
         finally:
             self.finish(node)
+            self.depth = depth

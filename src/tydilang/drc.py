@@ -102,11 +102,13 @@ def _check_implementation(pkg_name: str, impl: Implementation) -> list[DrcDiagno
 
 
 def render_drc_report(diags: list[DrcDiagnostic]) -> str:
-    lines = [d.line() for d in diags]
+    return "".join(d.line() + "\n" for d in diags) + drc_tally(diags) + "\n"
+
+
+def drc_tally(diags: list[DrcDiagnostic]) -> str:
+    """``N errors, M warnings``, as the report ends and the command line prints it."""
     errors = sum(1 for d in diags if d.severity == "Error")
-    warnings = sum(1 for d in diags if d.severity == "Warning")
-    lines.append(f"{errors} errors, {warnings} warnings")
-    return "\n".join(lines) + "\n"
+    return f"{errors} errors, {len(diags) - errors} warnings"
 
 
 def drc_has_errors(diags: list[DrcDiagnostic]) -> bool:

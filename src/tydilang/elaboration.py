@@ -444,14 +444,16 @@ def _expand_item(ctx: EvalContext, impl: Implementation, item: AstNode,
     """Build `item`, or what an if/for block generates, into `impl`; its
     expressions evaluate in `scope`, the implementation's or a `for`
     element's."""
-    kind = item.kind
-    if kind == "ForBlock":
+    if item.kind not in ("ForBlock", "IfBlock"):
+        sb.build_item(item, impl, impl.scope, scope, suffix)
+        return
+    ctx.deeper(sb.path)
+    if item.kind == "ForBlock":
         expand_for(ctx, impl, item, sb, scope, suffix)
-    elif kind == "IfBlock":
+    else:
         for child in _select_if_branch(ctx, scope, item, sb.path):
             _expand_item(ctx, impl, child, sb, scope, suffix)
-    else:
-        sb.build_item(item, impl, impl.scope, scope, suffix)
+    ctx.depth -= 1
 
 
 def _select_if_branch(ctx, scope, block: AstNode, path) -> tuple[AstNode, ...]:

@@ -3,7 +3,7 @@
 Every compile error is a `Diagnostic` of category syntax, resolution, type,
 assertion, io or usage. A stage raises it as `TydiError(category, message,
 path, span)`, the only exception type; the pipeline appends the few it
-finds itself (an unreadable input, nesting too deep) without raising them."""
+finds itself (an unreadable input, no input at all) without raising them."""
 
 from __future__ import annotations
 

@@ -115,23 +115,24 @@ def bit_width(t: LogicalType) -> int:
 
 
 def types_compatible(a: LogicalType, b: LogicalType) -> bool:
-    """Structural equivalence; child order and names are significant."""
-    if isinstance(a, NullType) and isinstance(b, NullType):
-        return True
-    if isinstance(a, BitType) and isinstance(b, BitType):
-        return a.width == b.width
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (GroupType, UnionType)):
-        if len(a.fields) != len(b.fields):
+    """Structural equivalence; child order and names are significant. A loop
+    over the pairs left to compare, so a deep type takes no deep stack."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if type(a) is not type(b) or isinstance(a, BitType) and a.width != b.width:
             return False
-        return all(an == bn and types_compatible(at, bt)
-                   for (an, at), (bn, bt) in zip(a.fields, b.fields))
-    pa, pb = a.properties, b.properties  # two StreamTypes
-    return (types_compatible(a.element, b.element)
-            and types_compatible(pa.user, pb.user)
-            and all(getattr(pa, field) == getattr(pb, field)
-                    for _, _, field in STREAM_PROPERTIES if field != "user"))
+        if isinstance(a, (GroupType, UnionType)):
+            if [name for name, _ in a.fields] != [name for name, _ in b.fields]:
+                return False
+            pairs += [(at, bt) for (_, at), (_, bt) in zip(a.fields, b.fields)]
+        elif isinstance(a, StreamType):
+            pa, pb = a.properties, b.properties
+            if any(getattr(pa, field) != getattr(pb, field)
+                   for _, _, field in STREAM_PROPERTIES if field != "user"):
+                return False
+            pairs += [(a.element, b.element), (pa.user, pb.user)]
+    return True
 
 
 def data_type_display(t: LogicalType) -> str:

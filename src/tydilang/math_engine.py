@@ -78,35 +78,41 @@ class ExpressionEvaluator:
     # -- entry points ----------------------------------------------------------
 
     def eval_exp(self, exp: AstNode) -> Value:
-        terms = [c for c in exp.children if c.kind == "Term"]
-        ops = [c.leaf_text for c in exp.children if c.kind == "InfixOp"]
-        return self._climb(terms, ops, exp, 0, 1)[0]
-
-    def _climb(self, terms, ops, exp, i, min_prec):
-        left = self.eval_term(terms[i])
-        while i < len(ops) and PRECEDENCE[ops[i]] >= min_prec:
-            op = ops[i]
-            right, i = self._climb(terms, ops, exp, i + 1, PRECEDENCE[op] + 1)
-            left = self.apply_binary(op, left, right, exp)
-        return left, i
+        """Terms left to right; an operator applies once the next one binds no
+        tighter, so equal precedences group from the left, with no recursion."""
+        children = exp.children
+        values = [self.eval_term(children[0])]
+        ops: list[str] = []
+        for k in range(1, len(children) + 1, 2):
+            op = children[k].leaf_text if k < len(children) else None
+            while ops and (op is None or PRECEDENCE[ops[-1]] >= PRECEDENCE[op]):
+                right = values.pop()
+                values[-1] = self.apply_binary(ops.pop(), values[-1], right, exp)
+            if op is not None:
+                ops.append(op)
+                values.append(self.eval_term(children[k + 1]))
+        return values[0]
 
     def eval_term(self, term: AstNode) -> Value:
+        self.ctx.deeper(self.path)
         inner = term.children[0]
         if inner.kind == "Exp":
-            return self.eval_exp(inner)
-        if inner.kind == "UnaryExp":
-            op = inner.children[0].leaf_text
+            value = self.eval_exp(inner)
+        elif inner.kind == "UnaryExp":
             operand = self.eval_term(inner.children[1])
-            return self.apply_unary(op, operand, inner)
-        if inner.kind == "ArrayExp":
+            value = self.apply_unary(inner.children[0].leaf_text, operand, inner)
+        elif inner.kind == "ArrayExp":
             elems = tuple(self.eval_exp(e) for e in inner.children)
             kinds = {type(e) for e in elems}
             if len(kinds) > 1:
                 raise self.err("array elements must all have the same type", inner)
             if ArrayValue in kinds:
                 raise self.err("nested arrays are not supported", inner)
-            return ArrayValue(elems)
-        return self.eval_atom(inner)
+            value = ArrayValue(elems)
+        else:
+            value = self.eval_atom(inner)
+        self.ctx.depth -= 1
+        return value
 
     # -- atoms ------------------------------------------------------------------
 

@@ -35,6 +35,9 @@ INFIX_OPS = {
 UNARY_OPS = {"-", "!", "~"}
 BUILTIN_FUNCS = {"round", "floor", "ceil"}
 INT_KINDS = {"0b": "INT_RAW_BIN", "0x": "INT_RAW_HEX", "0o": "INT_RAW_OCT"}
+# how deeply expressions, unary operators, log bases, logical types, groups
+# and statement blocks may nest, counted together; a file nested deeper fails
+PARSE_DEPTH_LIMIT = 500
 
 
 class ParsedFile(NamedTuple):
@@ -51,6 +54,7 @@ class _Parser:
         # `next` stops at the first EOF, so the second keeps `pos + 1` in range
         self.tokens.append(self.tokens[-1])
         self.pos = 0
+        self.depth = 0  # the nesting levels open, against PARSE_DEPTH_LIMIT
 
     # -- token helpers -----------------------------------------------------
 
@@ -96,6 +100,12 @@ class _Parser:
             found = found[:37] + "..."
         raise TydiError("syntax",
                         f"expected {expected}, found {found!r}", self.path, t)
+
+    def deeper(self):
+        """Open one more nesting level; the caller closes it."""
+        self.depth += 1
+        if self.depth > PARSE_DEPTH_LIMIT:
+            raise TydiError("syntax", "nesting too deep while parsing", self.path)
 
     def id_leaf(self, what: str = "identifier") -> AstNode:
         t = self.tokens[self.pos]
@@ -211,7 +221,9 @@ class _Parser:
     # -- logical types -----------------------------------------------------
 
     def parse_logical_type(self) -> AstNode:
+        self.deeper()
         inner = self.parse_logical_type_inner()
+        self.depth -= 1
         return node("LogicalType", inner.start, inner.end, [inner])
 
     def parse_logical_type_inner(self) -> AstNode:
@@ -267,8 +279,10 @@ class _Parser:
         kind = "LogicalGroupType" if t.text == "Group" else "LogicalUnionType"
         children = [self.id_leaf("group/union name")]
         self.expect("{")
+        self.deeper()
         while not self.at("}"):
             children.append(self.parse_body_decl() or self.parse_group_field())
+        self.depth -= 1
         end = self.expect("}").end
         return node(kind, t.start, end, children)
 
@@ -475,8 +489,10 @@ class _Parser:
     def parse_statement_block(self) -> AstNode:
         start = self.expect("{").start
         items = []
+        self.deeper()
         while not self.at("}"):
             items.append(self.parse_impl_item())
+        self.depth -= 1
         end = self.expect("}").end
         return node("StatementBlock", start, end, items)
 
@@ -544,6 +560,7 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def parse_exp(self, no_compare: bool = False) -> AstNode:
+        self.deeper()
         first = self.parse_term()
         children = [first]
         end = first.end
@@ -558,6 +575,7 @@ class _Parser:
             term = self.parse_term()
             children.append(term)
             end = term.end
+        self.depth -= 1
         return node("Exp", first.start, end, children)
 
     def parse_term(self) -> AstNode:
@@ -565,7 +583,9 @@ class _Parser:
         if t.type in UNARY_OPS:
             self.next()
             op = node("UnaryOp", t.start, t.end, leaf_text=t.text)
+            self.deeper()
             inner = self.parse_term()
+            self.depth -= 1
             u = node("UnaryExp", t.start, inner.end, [op, inner])
             return node("Term", t.start, inner.end, [u])
         if t.type == "(":
@@ -642,7 +662,9 @@ class _Parser:
             # a following atom (log 2 (x) / log a(b))
             fused = _log_with_base(t.text)
             if fused is None:
+                self.deeper()
                 base = self.parse_atom()
+                self.depth -= 1
             else:
                 leaf = node("INT_RAW_NORAML", t.start + 3, t.end, leaf_text=fused)
                 base = node("IntExp", t.start + 3, t.end, [leaf])
@@ -721,10 +743,6 @@ def parse_project(paths_and_texts: list[tuple[str, str]],
             parsed = parse_file(text, path)
         except TydiError as e:
             diagnostics.append(e.diagnostic)
-            continue
-        except RecursionError:
-            # the parser recurses once per nesting level
-            diagnostics.append(Diagnostic("syntax", "nesting too deep while parsing", path))
             continue
         name = parsed.package_name
         if name in by_package:

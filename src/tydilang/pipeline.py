@@ -9,15 +9,16 @@ surrogate) is an `io` error like a file that is not UTF-8, and nothing is
 parsed. A failed stage reports diagnostics; `compile_sources` alone writes them
 to `error_report.txt`, and the exit status is derived from them
 (`CompileResult.exit_code`). An artifact that cannot be written or removed
-ends the compile with an `io` diagnostic and no error report. An input
-nested deeper than the Python stack allows fails with a "nesting too deep
-while <stage>" diagnostic. `CompileConfig.jobs` is validated but has no
+ends the compile with an `io` diagnostic and no error report. While it runs,
+a compile raises the process-wide recursion limit to what the nesting limits
+of parsing and evaluation need. `CompileConfig.jobs` is validated but has no
 effect: every artifact is the same for any value.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from typing import Optional
 
 from .builder import build_project, import_package
@@ -50,6 +51,10 @@ class CompileConfig:
         self.emit_ir: bool = emit_ir
         self.jobs: int = jobs  # validated for compatibility; has no effect
 
+
+# the Python frames a compile may take above its caller: the most measured at
+# the nesting limits (6,468 on Python 3.11), with headroom for tracing wrappers
+FRAME_BUDGET = 7000
 
 # the fixed artifact names; `0_ast/` holds one more per source file
 ARTIFACTS = ("1_parser_output.txt", "2_evaluation_output.txt",
@@ -86,15 +91,17 @@ def _write(config: CompileConfig, result: CompileResult, name: str, text: str):
         f.write(text)
 
 
+def diagnostic_order(d: Diagnostic):
+    """The order diagnostics are reported in: by file, offset, then message."""
+    return (d.path or "", d.span.start if d.span else -1, d.message)
+
+
 def render_error_report(diagnostics: list[Diagnostic],
                         sources: dict[str, str]) -> str:
     """One line per diagnostic with file, line/column, category and message,
-    sorted by file then offset."""
-    def sort_key(d: Diagnostic):
-        return (d.path or "", d.span.start if d.span else -1, d.message)
-
+    in `diagnostic_order`."""
     lines = [f"{d.location(sources.get(d.path))}: [{d.category}] {d.message}"
-             for d in sorted(diagnostics, key=sort_key)]
+             for d in sorted(diagnostics, key=diagnostic_order)]
     return "\n".join(lines) + "\n"
 
 
@@ -154,10 +161,7 @@ def evaluation_roots(project: Project):
 
 def evaluate_project(ctx: EvalContext, project: Project,
                      top: Optional[str] = None) -> list[Diagnostic]:
-    """Drive lazy evaluation from the configured roots; aggregate failures.
-
-    A root whose dependencies nest deeper than the Python stack allows is
-    reported at its file, and evaluation stops there."""
+    """Drive lazy evaluation from the configured roots; aggregate failures."""
     if top is not None:
         try:
             roots = [project.top_implementation(top)]
@@ -183,12 +187,7 @@ def evaluate_project(ctx: EvalContext, project: Project,
             if key not in seen:
                 seen.add(key)
                 diagnostics.append(d)
-        except RecursionError:
-            diagnostics.append(Diagnostic("resolution", "nesting too deep while evaluating",
-                                          root.scope.package.path))
-            break
-    diagnostics.sort(key=lambda d: (d.path or "", d.span.start if d.span else -1,
-                                    d.message))
+    diagnostics.sort(key=diagnostic_order)
     return diagnostics
 
 
@@ -216,7 +215,11 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
                 "io", f"{path}: not valid UTF-8 ({e.reason} at character {e.start})"))
             break
     sources = sources + [(PRELUDE_PATH, PRELUDE_SOURCE)]
-    stage = "parsing"
+    limit = sys.getrecursionlimit()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:  # the frames below this one
+        depth, frame = depth + 1, frame.f_back
+    sys.setrecursionlimit(max(limit, depth + FRAME_BUDGET))
     try:
         if config.output_dir is not None:
             for name in ARTIFACTS:
@@ -226,16 +229,9 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
         if result.diagnostics:  # the inputs could not be read
             return result
         try:
-            for stage in _stages(config, result, sources):
-                pass
+            _stages(config, result, sources)
         except TydiError as e:
             result.diagnostics.append(e.diagnostic)
-        except RecursionError:
-            # the stages after evaluation recurse once per nesting level, so a
-            # deep enough input exhausts the Python stack; parsing, the AST
-            # dumps and evaluation report that at the file themselves
-            result.diagnostics.append(Diagnostic(
-                "resolution", f"nesting too deep while {stage}"))
         if result.diagnostics:
             _write(config, result, "error_report.txt",
                    render_error_report(result.diagnostics, dict(sources)))
@@ -243,27 +239,27 @@ def compile_sources(config: CompileConfig, sources: list[tuple[str, str]],
         # an artifact could not be written or removed: an io error, like an
         # unreadable input, and no error report is tried where that failed
         result.diagnostics.append(Diagnostic("io", str(e)))
+    finally:
+        sys.setrecursionlimit(limit)
     return result
 
 
 def _stages(config: CompileConfig, result: CompileResult,
             sources: list[tuple[str, str]]):
-    """Run the stages into `result`, yielding the name of each stage after
-    parsing as it starts. A stage that reports a list of diagnostics records
-    them and stops; one that stops at its first error raises it."""
+    """Run the stages into `result`. A stage that reports a list of
+    diagnostics records them and stops; one that stops at its first error
+    raises it."""
     parsed, diagnostics = parse_project(sources)
-    diagnostics += _write_ast_dumps(config, result, parsed)
+    _write_ast_dumps(config, result, parsed)
     if diagnostics:
         result.diagnostics.extend(diagnostics)
         return
 
-    yield "building"
     project = build_project(config.project_name, parsed)
     _inject_prelude_imports(project)
     result.project = project
     _write(config, result, "1_parser_output.txt", dump_code_structure(project))
 
-    yield "evaluating"
     ctx = EvalContext(project)
     diagnostics = evaluate_project(ctx, project, config.top)
     if diagnostics:
@@ -271,18 +267,15 @@ def _stages(config: CompileConfig, result: CompileResult,
         return
     _write(config, result, "2_evaluation_output.txt", dump_code_structure(project))
 
-    yield "sugaring"
     sugar_project(ctx, project)
     _write(config, result, "2_evaluation_output_after_sugaring.txt",
            dump_code_structure(project))
 
-    yield "checking design rules"
     if config.emit_drc:
         result.drc_diagnostics = run_drc(project)
         _write(config, result, "drc_report.txt",
                render_drc_report(result.drc_diagnostics))
 
-    yield "emitting"
     if config.emit_dot:
         if config.top is None:
             raise TydiError("usage", "--dot requires --top <package.impl>")
@@ -295,10 +288,8 @@ def _stages(config: CompileConfig, result: CompileResult,
 
 
 def _write_ast_dumps(config: CompileConfig, result: CompileResult,
-                     parsed: dict[str, ParsedFile]) -> list[Diagnostic]:
-    """Write each parsed file's AST dump; return a diagnostic for each file
-    whose dump nests too deep to write."""
-    overflows = []
+                     parsed: dict[str, ParsedFile]):
+    """Write each parsed file's AST dump."""
     used: set[str] = set()
     for pkg_name in sorted(parsed):
         if pkg_name == PRELUDE_PACKAGE:
@@ -311,14 +302,8 @@ def _write_ast_dumps(config: CompileConfig, result: CompileResult,
             name = f"{stem}_{n}"
             n += 1
         used.add(name)
-        try:
-            text = "[" + dump_ast(pf.ast) + "]\n"
-        except RecursionError:
-            # the dump takes more frames per nesting level than the parser
-            overflows.append(Diagnostic("syntax", "nesting too deep while parsing", pf.path))
-        else:
-            _write(config, result, os.path.join("0_ast", f"{name}.txt"), text)
-    return overflows
+        _write(config, result, os.path.join("0_ast", f"{name}.txt"),
+               "[" + dump_ast(pf.ast) + "]\n")
 
 
 def _inject_prelude_imports(project: Project):

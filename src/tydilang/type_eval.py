@@ -68,14 +68,15 @@ def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
     inner = type_node.children[0] if type_node.kind == "LogicalType" else type_node
     path = scope.package.path
     kind = inner.kind
+    ctx.deeper(path)
     if kind == "LogicalUserDefinedType":
-        return force_type_entry(ctx, resolve_ref(ctx.project, scope, inner, "type"))
-    if kind == "LogicalTypeExtract":
+        t = force_type_entry(ctx, resolve_ref(ctx.project, scope, inner, "type"))
+    elif kind == "LogicalTypeExtract":
         from .elaboration import extract_member_type
-        return extract_member_type(ctx, scope, inner)
-    if kind == "LogicalNullType":
-        return NULL
-    if kind == "LogicalBitType":
+        t = extract_member_type(ctx, scope, inner)
+    elif kind == "LogicalNullType":
+        t = NULL
+    elif kind == "LogicalBitType":
         width = evaluate_expression(ctx, scope, inner.children[0])
         if not isinstance(width, IntValue):
             raise TydiError("type", f"Bit width must be an int, got {variant_name(width)}",
@@ -83,13 +84,15 @@ def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
         if width.value < 1:
             raise TydiError("type", f"Bit width must be at least 1, got {width.value}",
                             path, inner)
-        return BitType(width.value)
-    if kind == "LogicalStreamType":
-        return _evaluate_stream(ctx, scope, inner, declared_name)
-    # a group or union, the last kinds of logical type the parser makes
-    raise TydiError("type",
-                    "inline group/union types must be declared with their own `type` "
-                    "statement", path, inner)
+        t = BitType(width.value)
+    elif kind == "LogicalStreamType":
+        t = _evaluate_stream(ctx, scope, inner, declared_name)
+    else:  # a group or union, the last kinds of logical type the parser makes
+        raise TydiError("type",
+                        "inline group/union types must be declared with their own "
+                        "`type` statement", path, inner)
+    ctx.depth -= 1
+    return t
 
 
 def _evaluate_stream(ctx: EvalContext, scope: Scope, stream_node: AstNode,

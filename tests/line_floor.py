@@ -16,9 +16,7 @@ level do not count.
 Tracing starts in `pytest_load_initial_conftests`, which pytest calls for a
 ``-p`` plugin before it imports `conftest.py` (and so `tydilang`); importing
 this module traces nothing. The trace functions are module-level functions,
-not closures, so tracing builds no reference cycle. Python turns tracing off
-when the stack overflows, as it does in the tests of deep nesting, so the
-tracer is set again at each test phase.
+not closures, so tracing builds no reference cycle.
 """
 
 import importlib.util
@@ -29,29 +27,9 @@ import types
 
 import pytest
 
-# Python stops tracing when the stack overflows, so it never sees a
-# RecursionError handler run; test_deep_nesting_is_a_diagnostic
-# (tests/test_limits.py) reaches each one
-_OVERFLOW = "a RecursionError handler, run after tracing stopped"
-
 # lines no test executes, by "module.qualname: <stripped line text>", with the
 # reason each is accepted
 UNCOVERED = {
-    "parser.parse_project: except RecursionError:": _OVERFLOW,
-    'parser.parse_project: diagnostics.append(Diagnostic("syntax", '
-    '"nesting too deep while parsing", path))': _OVERFLOW,
-    "parser.parse_project: continue": _OVERFLOW,
-    "pipeline.evaluate_project: except RecursionError:": _OVERFLOW,
-    'pipeline.evaluate_project: diagnostics.append(Diagnostic("resolution", '
-    '"nesting too deep while evaluating",': _OVERFLOW,
-    "pipeline.evaluate_project: root.scope.package.path))": _OVERFLOW,
-    "pipeline.evaluate_project: break": _OVERFLOW,
-    "pipeline.compile_sources: result.diagnostics.append(Diagnostic(": _OVERFLOW,
-    'pipeline.compile_sources: "resolution", f"nesting too deep while {stage}"))':
-        _OVERFLOW,
-    "pipeline._write_ast_dumps: except RecursionError:": _OVERFLOW,
-    'pipeline._write_ast_dumps: overflows.append(Diagnostic("syntax", "nesting too '
-    'deep while parsing", pf.path))': _OVERFLOW,
     'parser.parse_fragment: raise ValueError(f"unknown fragment rule {rule!r}")':
         "rejects a misspelt rule; every caller in the tests names a known one",
 }
@@ -122,14 +100,6 @@ def _compiled_sources():
 @pytest.hookimpl(tryfirst=True)
 def pytest_load_initial_conftests():
     sys.settrace(_trace_call)
-
-
-@pytest.hookimpl(tryfirst=True)
-def pytest_runtest_setup():
-    sys.settrace(_trace_call)
-
-
-pytest_runtest_call = pytest_runtest_teardown = pytest_runtest_setup
 
 
 def pytest_sessionfinish(session):

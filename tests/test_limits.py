@@ -1,6 +1,7 @@
-"""Inputs nested deeper than the Python stack allows end in a diagnostic, an
-error report and exit code 1; randomly mutated sources end in a result with
-exit code 0, 1 or 2. Neither ends in a traceback."""
+"""Inputs nested deeper than the parser's or the evaluator's limit end in a
+diagnostic, an error report and exit code 1, wherever the caller stands on
+the Python stack; randomly mutated sources end in a result with exit code 0,
+1 or 2. Neither ends in a traceback."""
 
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tydilang import CompileConfig, CompileResult, compile_sources
+from tydilang import pipeline
 from tydilang.cli import main
 from tydilang.emit import IR_DEPTH_LIMIT, _type_text
 from tydilang.logical_types import GroupType
@@ -125,6 +127,132 @@ def test_ast_dump_reaches_as_deep_as_the_parser():
     dump = dump_ast(parse_file(nested_parentheses(depth)).ast)
     assert dump.count("Term(") == depth + 1
     assert f"INT_RAW_NORAML({21 + depth}, {22 + depth})" in dump
+
+
+def inline_groups(depth: int) -> str:
+    """A group whose field is a group declared in place, `depth` times."""
+    body = "f: Bit(1),"
+    for k in range(depth):
+        body = f"f: Group g{k} {{ {body} }},"
+    return f"package p;\ntype Group top {{ {body} }};\n"
+
+
+def implementation_chain(depth: int) -> str:
+    """`i00000` instantiates `i00001`, ... down to an external `i<depth>`."""
+    return ("package p;\nstreamlet s { };\n"
+            + "".join(f"impl i{k:05d} of s {{ instance x(i{k + 1:05d}), }};\n"
+                      for k in range(depth))
+            + f"external impl i{depth:05d} of s {{ }};\n")
+
+
+PARSING = "deep.td: [syntax] nesting too deep while parsing\n"
+EVALUATING = "deep.td: [resolution] nesting too deep while evaluating\n"
+
+
+# each way to nest: its source at a size, the largest size that compiles, and
+# the error report of one size more
+BOUNDARIES = {
+    "parentheses": (nested_parentheses, 498, EVALUATING),
+    "unary_minus": (lambda n: "package p;\nconst c = " + "-" * n + "1;\n", 498, EVALUATING),
+    "streams": (lambda n: "package p;\ntype t = " + "Stream(" * n + "Bit(1)" + ")" * n + ";\n",
+                497, EVALUATING),
+    "if_blocks": (lambda n: "package p;\nstreamlet s { };\nimpl i of s { "
+                  + "if (true) { " * n + "} " * n + "};\n", 498, EVALUATING),
+    "inline_groups": (inline_groups, 248, PARSING),
+    "type_aliases": (lambda n: "package p;\n" + "".join(
+        f"type t{k:05d} = t{k + 1:05d};\n" for k in range(n)) + f"type t{n:05d} = Bit(1);\n",
+        248, EVALUATING),
+    "constants": (backward_chain, 249, EVALUATING),
+    "implementations": (implementation_chain, 499, EVALUATING),
+    "constants_in_parentheses": (lambda n: "package p;\n" + "".join(
+        f"const c{k:05d} = {'(' * 40}c{k + 1:05d}{')' * 40} + 1;\n" for k in range(n))
+        + f"const c{n:05d} = 0;\n", 11, EVALUATING),
+}
+
+
+def at_depth(frames: int, call):
+    """`call()`, made `frames` Python frames deeper than this call."""
+    return call() if frames == 0 else at_depth(frames - 1, call)
+
+
+def compiled_three_ways(source: str):
+    """The exit code and error report of `source`, which must be the same at
+    caller depth 0, at caller depth 900 and under a caller's recursion limit
+    of 300, where the compile leaves that limit as it found it."""
+    def compiled():
+        result = compile_sources(CompileConfig(inputs=["<memory>"]), [("deep.td", source)])
+        return result.exit_code, result.artifacts.get("error_report.txt")
+
+    limit = sys.getrecursionlimit()
+    outcome = compiled()
+    assert at_depth(900, compiled) == outcome
+    sys.setrecursionlimit(300)
+    try:
+        assert compiled() == outcome
+        assert sys.getrecursionlimit() == 300
+    finally:
+        sys.setrecursionlimit(limit)
+    return outcome
+
+
+@pytest.mark.parametrize("kind", BOUNDARIES)
+def test_nesting_boundary_does_not_depend_on_the_caller(kind):
+    """The deepest input of each kind compiles, and one level more is a
+    diagnostic at its file, whatever the caller's stack depth and limit."""
+    source, deepest, report = BOUNDARIES[kind]
+    assert compiled_three_ways(source(deepest)) == (0, None)
+    assert compiled_three_ways(source(deepest + 1)) == (1, report)
+
+
+def test_compile_raises_the_recursion_limit_only_while_it_runs(monkeypatch):
+    """A compile raises a lower limit by its frame budget, keeps a higher
+    one, and restores either afterwards."""
+    seen = []
+    parse = pipeline.parse_project
+
+    def parse_and_look(sources):
+        seen.append(sys.getrecursionlimit())
+        return parse(sources)
+
+    monkeypatch.setattr(pipeline, "parse_project", parse_and_look)
+    limit = sys.getrecursionlimit()
+    try:
+        for caller_limit in (300, 100_000):
+            sys.setrecursionlimit(caller_limit)
+            compile_sources(CompileConfig(inputs=["<memory>"]), [("deep.td", "package p;\n")])
+            assert sys.getrecursionlimit() == caller_limit
+    finally:
+        sys.setrecursionlimit(limit)
+    assert seen[0] > pipeline.FRAME_BUDGET
+    assert seen[1] == 100_000
+
+
+def parallel_group_chains(length: int) -> str:
+    """Two chains of `length` groups, `g` and `h`, each group holding the one
+    before, forced leaf first by an external implementation per group, and
+    one @NoStrictType@ connection between the outermost of both."""
+    lines = ["package p;"]
+    for chain, direction in (("g", "out"), ("h", "in")):
+        lines.append(f"type Group {chain}00000 {{ f: Bit(1), }};")
+        lines += [f"type Group {chain}{k:05d} {{ f: {chain}{k - 1:05d}, }};"
+                  for k in range(1, length)]
+        lines += [f"streamlet s{chain}{k:05d} {{ p: Stream({chain}{k:05d}) {direction}, }};\n"
+                  f"external impl i{chain}{k:05d} of s{chain}{k:05d} {{ }};"
+                  for k in range(length)]
+    last = f"{length - 1:05d}"
+    lines.append(f"streamlet top_s {{ }};\nimpl top_i of top_s {{ instance a(ig{last}), "
+                 f"instance b(ih{last}), a.p => b.p @NoStrictType@, }};")
+    return "\n".join(lines) + "\n"
+
+
+def test_drc_compares_types_deeper_than_the_stack():
+    """Structural compatibility of two 3,000-level group chains is a loop,
+    not one call per level."""
+    result = compile_sources(CompileConfig(inputs=["<memory>"], emit_drc=True),
+                             [("chains.td", parallel_group_chains(3000))])
+    assert result.exit_code == 0, result.diagnostics
+    assert result.drc_diagnostics == []
+    assert result.artifacts["drc_report.txt"] == "0 errors, 0 warnings\n"
 
 
 with open(os.path.join(os.path.dirname(__file__), "data", "golden_demo.td"),
