@@ -4,8 +4,9 @@ Classifies AST statements into scope entries and adds the invisible language
 elements: scope relationships and the magic ``$package$``/``$arg$`` variables.
 Nothing is evaluated here; every entry starts in the NotInferred state and
 holds the AST nodes it was built from, whose source text its package's
-`Package.snip` gives back. `StatementBuilder.build_item` builds every item
-of every body: of a package, a group or union, a streamlet or an
+`Package.snip` gives back. Each build function builds into a scope, and
+every scope it makes belongs to that scope's package. `build_item` builds
+every item of every body: of a package, a group or union, a streamlet or an
 implementation, whether the body declares it or a for/if block generates
 it; `substitute` spells the instance names with ``{{var}}`` holes there.
 """
@@ -26,7 +27,7 @@ from .values import IntValue, StrValue, Value, variant_name
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-def substitute(name_node: AstNode, scope: Scope, path) -> str:
+def substitute(name_node: AstNode, scope: Scope) -> str:
     """The identifier an interpolated name spells in `scope`: each
     ``{{var}}`` hole is filled from the loop variables bound in `scope` and
     the `for` element scopes around it; outside a `for` a hole is an error."""
@@ -40,18 +41,18 @@ def substitute(name_node: AstNode, scope: Scope, path) -> str:
             raise TydiError(
                 "resolution",
                 "interpolated identifier is only usable inside a for scope",
-                path, name_node)
+                scope.package.path, name_node)
         if not isinstance(value, (IntValue, StrValue)):
             raise TydiError(
                 "type", f"loop variable of type {variant_name(value)} cannot be "
-                "interpolated into an identifier", path, part)
+                "interpolated into an identifier", scope.package.path, part)
         parts.append(str(value.value))
     merged = "".join(parts)
     if not _IDENT_RE.match(merged) or "__" in merged:
         raise TydiError(
             "resolution",
             f"interpolated identifier {merged!r} is not a valid identifier",
-            path, name_node)
+            scope.package.path, name_node)
     return merged
 
 
@@ -71,211 +72,196 @@ def _loop_value(scope: Scope, var: str) -> Optional[Value]:
     return None
 
 
-class StatementBuilder:
-    """Builds scope entries from statement ASTs.
+# -- logical types ---------------------------------------------------------------
 
-    Also used by template instantiation, which builds a template's statement
-    again under the mangled name, and by generative for/if expansion, which
-    hands each item of a selected branch or of each `for` element to
-    `build_item`, into an already-evaluating implementation. Every scope it
-    makes belongs to `package`, whose source the statements' spans index
-    into.
-    """
 
-    def __init__(self, package: Package):
-        self.package = package
-        self.path = package.path
+def build_type_entry(stmt: AstNode, scope: Scope) -> TypeEntry:
+    first = stmt.children[0]
+    if first.kind in ("LogicalGroupType", "LogicalUnionType"):
+        # type Group Date { ... };  registers the group's own name
+        return build_group_entry(first, first.children[0].leaf_text, scope,
+                                 attached=True)
+    # type alias = Group g { ... };  the group scope is detached and
+    # the inline name is invisible outside the alias
+    return build_named_type(first.leaf_text, stmt.children[1], scope, stmt,
+                            attached=False)
 
-    # -- variables -----------------------------------------------------------
 
-    def build_const(self, stmt: AstNode, scope: Scope) -> Variable:
-        kind_node = stmt.child("DeclKind")
-        return Variable(id=stmt.children_of("ID")[0].leaf_text, scope=scope,
-                        declared_kind=kind_node.leaf_text if kind_node else None,
-                        expr_ast=stmt.child("Exp"), span=stmt)
+def build_named_type(name: str, ty: AstNode, scope: Scope, decl: AstNode,
+                     attached: bool) -> TypeEntry:
+    """The entry of `name` for the logical type `ty`, declared by `decl`;
+    a group or union written inline there gets its own entry, and
+    `attached` says whether its scope sees `scope`."""
+    inner = ty.children[0]
+    if inner.kind in ("LogicalGroupType", "LogicalUnionType"):
+        return build_group_entry(inner, name, scope, attached)
+    return TypeEntry(id=name, ast=ty, scope=scope, span=decl)
 
-    # -- logical types ---------------------------------------------------------
 
-    def build_type_entry(self, stmt: AstNode, scope: Scope) -> TypeEntry:
-        first = stmt.children[0]
-        if first.kind in ("LogicalGroupType", "LogicalUnionType"):
-            # type Group Date { ... };  registers the group's own name
-            return self.build_group_entry(first, first.children[0].leaf_text,
-                                          scope, attached=True)
-        # type alias = Group g { ... };  the group scope is detached and
-        # the inline name is invisible outside the alias
-        return self.build_named_type(first.leaf_text, stmt.children[1], scope, stmt,
-                                     attached=False)
+def build_group_entry(group_ast: AstNode, entry_id: str, scope: Scope,
+                      attached: bool) -> TypeEntry:
+    is_group = group_ast.kind == "LogicalGroupType"
+    group_name = group_ast.children[0].leaf_text
+    prefix = "group" if is_group else "union"
+    own = Scope(f"{prefix}_{group_name}", prefix, package=scope.package)
+    if attached:
+        own.add_relation(
+            ScopeRelationKind.GROUP if is_group else ScopeRelationKind.UNION, scope)
+    entry = TypeEntry(id=entry_id, ast=group_ast, scope=scope, own_scope=own,
+                      span=group_ast)
+    for item in group_ast.children[1:]:
+        build_item(item, entry, own)
+    return entry
 
-    def build_named_type(self, name: str, ty: AstNode, scope: Scope,
-                         decl: AstNode, attached: bool) -> TypeEntry:
-        """The entry of `name` for the logical type `ty`, declared by `decl`;
-        a group or union written inline there gets its own entry, and
-        `attached` says whether its scope sees `scope`."""
-        inner = ty.children[0]
-        if inner.kind in ("LogicalGroupType", "LogicalUnionType"):
-            return self.build_group_entry(inner, name, scope, attached)
-        return TypeEntry(id=name, ast=ty, scope=scope, span=decl)
 
-    def build_group_entry(self, group_ast: AstNode, entry_id: str, scope: Scope,
-                          attached: bool) -> TypeEntry:
-        is_group = group_ast.kind == "LogicalGroupType"
-        group_name = group_ast.children[0].leaf_text
-        prefix = "group" if is_group else "union"
-        own = Scope(f"{prefix}_{group_name}", prefix, package=self.package)
-        if attached:
-            own.add_relation(
-                ScopeRelationKind.GROUP if is_group else ScopeRelationKind.UNION,
-                scope)
-        entry = TypeEntry(id=entry_id, ast=group_ast, scope=scope, own_scope=own,
-                          span=group_ast)
-        for item in group_ast.children[1:]:
-            self.build_item(item, entry, own)
-        return entry
+# -- streamlets ------------------------------------------------------------------
 
-    # -- streamlets ------------------------------------------------------------
 
-    def build_template_params(self, node: AstNode, scope: Scope) -> list[TemplateParam]:
-        """The parameters of a template, each declared in `scope` as a magic
-        variable at its parameter node."""
-        params = []
-        for p in node.children:
-            pname = p.children[0].leaf_text
-            kind = p.children[1]
-            param = TemplateParam(pname, "impl", kind.children[0].leaf_text) \
-                if kind.kind == "ImplOfKind" else TemplateParam(pname, kind.leaf_text)
-            declare(scope, Variable(id=pname, scope=scope, declared_kind=param.kind,
-                                    is_magic=True), "variable", p, self.path)
-            params.append(param)
-        return params
+def build_template_params(node: AstNode, scope: Scope) -> list[TemplateParam]:
+    """The parameters of a template, each declared in `scope` as a magic
+    variable at its parameter node."""
+    params = []
+    for p in node.children:
+        pname = p.children[0].leaf_text
+        kind = p.children[1]
+        param = TemplateParam(pname, "impl", kind.children[0].leaf_text) \
+            if kind.kind == "ImplOfKind" else TemplateParam(pname, kind.leaf_text)
+        declare(scope, Variable(id=pname, scope=scope, declared_kind=param.kind,
+                                is_magic=True), "variable", p, scope.package.path)
+        params.append(param)
+    return params
 
-    def build_streamlet(self, stmt: AstNode, scope: Scope,
-                        name: Optional[str] = None) -> Streamlet:
-        """`name` overrides the declared one, as for a template instance."""
-        doc_node = stmt.child("DOC")
-        name = name or stmt.child("ID").leaf_text
-        own = Scope(f"streamlet_{name}", "streamlet", package=self.package)
-        own.add_relation(ScopeRelationKind.STREAMLET, scope)
-        s = Streamlet(id=name, scope=own,
-                      doc=doc_node.leaf_text if doc_node else None, span=stmt)
-        s.ports = own.ports
-        tparams = stmt.child("TemplateParams")
-        if tparams is not None:
-            s.template_params = self.build_template_params(tparams, own)
-        for item in _body(stmt):
-            self.build_item(item, s, own)
-        return s
 
-    # -- implementations ---------------------------------------------------------
+def build_streamlet(stmt: AstNode, scope: Scope, name: Optional[str] = None) -> Streamlet:
+    """`name` overrides the declared one, as for a template instance."""
+    doc_node = stmt.child("DOC")
+    name = name or stmt.child("ID").leaf_text
+    own = Scope(f"streamlet_{name}", "streamlet", package=scope.package)
+    own.add_relation(ScopeRelationKind.STREAMLET, scope)
+    s = Streamlet(id=name, scope=own,
+                  doc=doc_node.leaf_text if doc_node else None, span=stmt)
+    s.ports = own.ports
+    tparams = stmt.child("TemplateParams")
+    if tparams is not None:
+        s.template_params = build_template_params(tparams, own)
+    for item in _body(stmt):
+        build_item(item, s, own)
+    return s
 
-    def build_impl(self, stmt: AstNode, scope: Scope,
-                   name: Optional[str] = None) -> Implementation:
-        """`name` overrides the declared one, as for a template instance."""
-        doc_node = stmt.child("DOC")
-        name = name or stmt.child("ID").leaf_text
-        own = Scope(f"implement_{name}", "implement", package=self.package)
-        own.add_relation(ScopeRelationKind.IMPLEMENT, scope)
-        impl = Implementation(id=name, scope=own,
-                              doc=doc_node.leaf_text if doc_node else None,
-                              span=stmt)
-        impl.instances = own.instances
-        impl.connections = own.connections
-        if stmt.kind == "ImplInstDecl":
-            impl.derived_from = stmt.child("TemplateInstance")
-            return impl
-        impl.external = stmt.child("External") is not None
-        of = stmt.child("OfStreamlet")
-        impl.of_ast = of.children[0]
-        tparams = stmt.child("TemplateParams")
-        if tparams is not None:
-            impl.template_params = self.build_template_params(tparams, own)
-        body = _body(stmt)
-        if impl.external and body:
-            raise TydiError(
-                "syntax",
-                f"external implementation {name!r} must have an empty body",
-                self.path, body[0])
-        for item in body:
-            self.build_item(item, impl, own)
+
+# -- implementations ---------------------------------------------------------------
+
+
+def build_impl(stmt: AstNode, scope: Scope, name: Optional[str] = None) -> Implementation:
+    """`name` overrides the declared one, as for a template instance."""
+    doc_node = stmt.child("DOC")
+    name = name or stmt.child("ID").leaf_text
+    own = Scope(f"implement_{name}", "implement", package=scope.package)
+    own.add_relation(ScopeRelationKind.IMPLEMENT, scope)
+    impl = Implementation(id=name, scope=own,
+                          doc=doc_node.leaf_text if doc_node else None, span=stmt)
+    impl.instances = own.instances
+    impl.connections = own.connections
+    if stmt.kind == "ImplInstDecl":
+        impl.derived_from = stmt.child("TemplateInstance")
         return impl
+    impl.external = stmt.child("External") is not None
+    of = stmt.child("OfStreamlet")
+    impl.of_ast = of.children[0]
+    tparams = stmt.child("TemplateParams")
+    if tparams is not None:
+        impl.template_params = build_template_params(tparams, own)
+    body = _body(stmt)
+    if impl.external and body:
+        raise TydiError(
+            "syntax", f"external implementation {name!r} must have an empty body",
+            scope.package.path, body[0])
+    for item in body:
+        build_item(item, impl, own)
+    return impl
 
-    # -- body items ----------------------------------------------------------------
 
-    def build_item(self, item: AstNode, owner, own: Scope,
-                   scope: Optional[Scope] = None, suffix: str = ""):
-        """Build `item` of the body of `owner` (a package, a group or union
-        entry, a streamlet or an implementation) and declare it in `own`.
-        Its expressions resolve in `scope` (`own` by default, or the scope
-        of a `for` element), which its instance or connection records and
-        where a const or type is declared instead, and the names of its
-        connections end in the element's `suffix`."""
-        resolve = scope or own
-        kind = item.kind
-        if kind == "ConstDecl":
-            declare(resolve, self.build_const(item, resolve), "variable", item, self.path)
-        elif kind == "TypeDecl":
-            declare(resolve, self.build_type_entry(item, resolve), "type", item, self.path)
-        elif kind == "AssertStmt":
-            owner.asserts.append((resolve, item))
-        elif kind == "SubItemItem":
-            # f: Group h { ... },  attached to the enclosing group's scope,
-            # as a nested `type Group` declaration is
-            fname = item.children[0].leaf_text
-            fentry = self.build_named_type(fname, item.children[1], resolve, item,
-                                           attached=True)
-            declare(own, fentry, "type", item, self.path)
-            owner.field_names.append(fname)
-        elif kind == "PortDecl":
-            size = item.child("ArraySize")
-            port = Port(
-                name=item.children[0].leaf_text,
-                type_ast=item.child("LogicalType"),
-                direction=item.child("DIR").leaf_text,
-                array_size_ast=size.children[0] if size else None,
-                cd_ast=item.child("ClockDomainAnn"),
-                span=item)
-            declare(own, port, "port", item, self.path)
-        elif kind == "InstanceDecl":
-            name_node = item.children[0]
-            size = item.child("ArraySize")
-            inst = Instance(
-                name=name_node.leaf_text if name_node.kind == "ID" else
-                substitute(name_node, resolve, self.path),
-                target_ast=item.children[1],
-                array_size_ast=size.children[0] if size else None,
-                span=item,
-                scope=resolve)
-            declare(own, inst, "instance", item, self.path)
-        elif kind == "ConnectionStmt":
-            own.connections.append(self.build_connection(item, suffix, resolve))
-        elif kind in ("IfBlock", "ForBlock"):
-            owner.generative.append(item)
-        elif kind == "ProcessBlock":
-            owner.process_block = item.leaf_text
-        elif kind == "ImportStmt":
-            import_package(own, item.children[0].leaf_text)
-        elif kind == "StreamletDecl":
-            declare(own, self.build_streamlet(item, own), "streamlet", item, self.path)
-        else:  # ImplDecl or ImplInstDecl, the last items the parser makes
-            declare(own, self.build_impl(item, own), "implementation", item,
-                    self.path)
+# -- body items --------------------------------------------------------------------
 
-    def build_connection(self, item: AstNode, name_suffix: str,
-                         scope: Scope) -> Connection:
-        source, sink = (EndRef(end.child("PathOwner"), end.child("PathPort"))
-                        for end in item.children_of("PathEnd"))
-        fifo = item.child("FifoDepth")
-        cname_node = item.child("ConnName")
-        cname = cname_node.leaf_text if cname_node else \
-            f"connection_{item.start}-{item.end}"
-        return Connection(
-            name=cname + name_suffix,
-            source=source,
-            sink=sink,
-            fifo_ast=fifo.children[0] if fifo else None,
-            no_strict=item.child("NoStrictMarker") is not None,
+
+def build_item(item: AstNode, owner, own: Scope, scope: Optional[Scope] = None,
+               suffix: str = ""):
+    """Build `item` of the body of `owner` (a package, a group or union
+    entry, a streamlet or an implementation) and declare it in `own`.
+    Its expressions resolve in `scope` (`own` by default, or the scope
+    of a `for` element), which its instance or connection records and
+    where a const or type is declared instead, and the names of its
+    connections end in the element's `suffix`."""
+    resolve = scope or own
+    path = own.package.path
+    kind = item.kind
+    if kind == "ConstDecl":
+        kind_node = item.child("DeclKind")
+        const = Variable(id=item.children_of("ID")[0].leaf_text, scope=resolve,
+                         declared_kind=kind_node.leaf_text if kind_node else None,
+                         expr_ast=item.child("Exp"), span=item)
+        declare(resolve, const, "variable", item, path)
+    elif kind == "TypeDecl":
+        declare(resolve, build_type_entry(item, resolve), "type", item, path)
+    elif kind == "AssertStmt":
+        owner.asserts.append((resolve, item))
+    elif kind == "SubItemItem":
+        # f: Group h { ... },  attached to the enclosing group's scope,
+        # as a nested `type Group` declaration is
+        fname = item.children[0].leaf_text
+        fentry = build_named_type(fname, item.children[1], resolve, item, attached=True)
+        declare(own, fentry, "type", item, path)
+        owner.field_names.append(fname)
+    elif kind == "PortDecl":
+        size = item.child("ArraySize")
+        port = Port(
+            name=item.children[0].leaf_text,
+            type_ast=item.child("LogicalType"),
+            direction=item.child("DIR").leaf_text,
+            array_size_ast=size.children[0] if size else None,
+            cd_ast=item.child("ClockDomainAnn"),
+            span=item)
+        declare(own, port, "port", item, path)
+    elif kind == "InstanceDecl":
+        name_node = item.children[0]
+        size = item.child("ArraySize")
+        inst = Instance(
+            name=name_node.leaf_text if name_node.kind == "ID" else
+            substitute(name_node, resolve),
+            target_ast=item.children[1],
+            array_size_ast=size.children[0] if size else None,
             span=item,
-            scope=scope)
+            scope=resolve)
+        declare(own, inst, "instance", item, path)
+    elif kind == "ConnectionStmt":
+        own.connections.append(build_connection(item, suffix, resolve))
+    elif kind in ("IfBlock", "ForBlock"):
+        owner.generative.append(item)
+    elif kind == "ProcessBlock":
+        owner.process_block = item.leaf_text
+    elif kind == "ImportStmt":
+        import_package(own, item.children[0].leaf_text)
+    elif kind == "StreamletDecl":
+        declare(own, build_streamlet(item, own), "streamlet", item, path)
+    else:  # ImplDecl or ImplInstDecl, the last items the parser makes
+        declare(own, build_impl(item, own), "implementation", item, path)
+
+
+def build_connection(item: AstNode, name_suffix: str, scope: Scope) -> Connection:
+    source, sink = (EndRef(end.child("PathOwner"), end.child("PathPort"))
+                    for end in item.children_of("PathEnd"))
+    fifo = item.child("FifoDepth")
+    cname_node = item.child("ConnName")
+    cname = cname_node.leaf_text if cname_node else \
+        f"connection_{item.start}-{item.end}"
+    return Connection(
+        name=cname + name_suffix,
+        source=source,
+        sink=sink,
+        fifo_ast=fifo.children[0] if fifo else None,
+        no_strict=item.child("NoStrictMarker") is not None,
+        span=item,
+        scope=scope)
 
 
 def import_package(scope: Scope, pkg_name: str):
@@ -292,7 +278,6 @@ def build_project(name: str, parsed_files: dict[str, ParsedFile]) -> Project:
         package = project.packages[pkg_name] = Package(
             parsed.package_name, parsed.path, parsed.text)
         import_package(package.scope, package.name)
-        sb = StatementBuilder(package)
         for stmt in parsed.ast.children:
-            sb.build_item(stmt, package, package.scope)
+            build_item(stmt, package, package.scope)
     return project

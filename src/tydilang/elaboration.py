@@ -7,7 +7,7 @@ every port it touches, and nothing else. A streamlet or implementation is
 computed once, by `EvalContext.force`; a derived implementation
 (`impl name(template<args>);`) adopts the body of a fresh instance and goes
 on to evaluate it. Template instantiation builds the template's statement
-again with the `StatementBuilder` under a mangled ``name@arg@arg`` id, binds
+again into its package's scope under a mangled ``name@arg@arg`` id, binds
 each parameter's magic variable in the fresh scope, registers the instance
 in the template's package and forces it; instantiating the same arguments
 twice finds the registered entity there, whose own evaluation state replays
@@ -20,15 +20,15 @@ resolves any other name, as it does a type, through `model.resolve_ref`.
 Each element of a `for` block gets a scope that binds the loop variable and
 reaches the scope around it by an if/for relation. Expansion selects the
 `if` branch or loops over the elements itself and hands every other item to
-the builder's `build_item`, once per element; what it builds evaluates in
-that scope.
+`builder.build_item`, once per element; what it builds evaluates in that
+scope.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .builder import StatementBuilder, substitute
+from .builder import build_impl, build_item, build_streamlet, substitute
 from .context import EvalContext
 from .errors import TydiError
 from .logical_types import StreamType, short_name
@@ -96,9 +96,8 @@ def _compute_implementation(ctx: EvalContext, impl: Implementation):
         _adopt_derived(ctx, impl)
     impl.streamlet = _resolve_of_streamlet(ctx, impl)
     evaluate_streamlet(ctx, impl.streamlet)
-    sb = StatementBuilder(impl.scope.package)
     for block in impl.generative:
-        _expand_item(ctx, impl, block, sb, impl.scope, "")
+        _expand_item(ctx, impl, block, impl.scope, "")
     for inst in impl.scope.instances.values():
         _evaluate_instance(ctx, inst)
     for conn in impl.scope.connections:
@@ -112,7 +111,7 @@ def _adopt_derived(ctx: EvalContext, impl: Implementation):
     under the user name, which the implementation then evaluates."""
     template, args = _resolve_template_use(ctx, impl.scope, impl.derived_from,
                                            "implementation")
-    body = _do_instantiate(ctx, template, args, impl.id)
+    body = _do_instantiate(template, args, impl.id)
     for name in ("scope", "instances", "connections", "external", "asserts",
                  "generative", "process_block", "of_ast"):
         setattr(impl, name, getattr(body, name))
@@ -177,19 +176,19 @@ def resolve_connection(ctx: EvalContext, impl: Implementation, conn: Connection)
                                           "FIFO depth must be a non-negative int")
 
 
-def _path_part(node: AstNode, scope: Scope, path):
+def _path_part(node: AstNode, scope: Scope):
     """The name node of a PathOwner or PathPort node, the name it spells in
     `scope`, and its index expression (None without an index)."""
     name_node = node.children[0]
     name = name_node.leaf_text if name_node.kind == "ID" else \
-        substitute(name_node, scope, path)
+        substitute(name_node, scope)
     index = node.children[1].children[0] if len(node.children) > 1 else None
     return name_node, name, index
 
 
 def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, scope: Scope):
     path = scope.package.path
-    port_node, port_name, port_index = _path_part(end.path_port, scope, path)
+    port_node, port_name, port_index = _path_part(end.path_port, scope)
     end.port_name = port_name
     if end.path_owner is None:
         port = impl.streamlet.ports.get(port_name)
@@ -199,7 +198,7 @@ def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, scope: Sco
                 f"unknown port {port_name!r} on streamlet {impl.streamlet.id!r}",
                 path, port_node)
     else:
-        owner_node, owner_name, owner_index = _path_part(end.path_owner, scope, path)
+        owner_node, owner_name, owner_index = _path_part(end.path_owner, scope)
         end.owner_name = owner_name
         inst = impl.scope.instances.get(owner_name)
         if inst is None:
@@ -209,7 +208,7 @@ def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, scope: Sco
                 path, owner_node)
         end.instance = inst
         end.owner_index = _end_index(ctx, scope, owner_index, inst.array_size,
-                                     f"instance {owner_name!r}", path, owner_node)
+                                     f"instance {owner_name!r}", owner_node)
         port = inst.target.streamlet.ports.get(port_name)
         if port is None:
             raise TydiError(
@@ -219,10 +218,11 @@ def _resolve_end(ctx: EvalContext, impl: Implementation, end: EndRef, scope: Sco
                 path, port_node)
     end.port = port
     end.port_index = _end_index(ctx, scope, port_index, port.array_size,
-                                f"port {port_name!r}", path, port_node)
+                                f"port {port_name!r}", port_node)
 
 
-def _end_index(ctx, scope, index_ast, size, what, path, name_node) -> Optional[int]:
+def _end_index(ctx, scope, index_ast, size, what, name_node) -> Optional[int]:
+    path = scope.package.path
     if index_ast is None:
         if size is not None:
             raise TydiError("resolution", f"{what} is an array; an index is required",
@@ -264,49 +264,43 @@ def check_assertion(ctx: EvalContext, scope: Scope, assert_stmt: AstNode):
 # -- member extraction -------------------------------------------------------------
 
 
-def _extract_owner_scope(ctx: EvalContext, scope: Scope, extract: AstNode) -> Scope:
+def _extract_member(ctx: EvalContext, scope: Scope, extract: AstNode, table: str,
+                    what: str):
+    """The entry a `streamlet/impl/type owner.member` extraction names in the
+    owner's `table` of variables or types; a miss names the member `what`."""
     keyword = extract.children[0].leaf_text
     owner_ast = extract.children[1]
     path = scope.package.path
     if keyword in ("streamlet", "impl"):
         category = "streamlet" if keyword == "streamlet" else "implementation"
-        return _resolve_entity(ctx, scope, owner_ast, category).scope
-    # keyword 'type': group/union member access
-    if owner_ast.kind not in ("ID", "QualifiedId"):
-        raise TydiError("resolution", "type member extraction needs a type name",
-                        path, owner_ast)
-    entry = resolve_ref(ctx.project, scope, owner_ast, "type")
-    evaluated = force_type_entry(ctx, entry)
-    inner_scope = getattr(evaluated, "scope", None)
-    if inner_scope is None:
-        raise TydiError(
-            "resolution",
-            f"type {entry.id!r} has no member scope (only groups and unions do)",
-            path, owner_ast)
-    return inner_scope
+        owner_scope = _resolve_entity(ctx, scope, owner_ast, category).scope
+    else:  # keyword 'type': group/union member access
+        if owner_ast.kind not in ("ID", "QualifiedId"):
+            raise TydiError("resolution", "type member extraction needs a type name",
+                            path, owner_ast)
+        entry = resolve_ref(ctx.project, scope, owner_ast, "type")
+        owner_scope = getattr(force_type_entry(ctx, entry), "scope", None)
+        if owner_scope is None:
+            raise TydiError(
+                "resolution",
+                f"type {entry.id!r} has no member scope (only groups and unions do)",
+                path, owner_ast)
+    member = extract.children[2].leaf_text
+    found = getattr(owner_scope, table).get(member)
+    if found is None:
+        raise TydiError("resolution",
+                        f"{what} {member!r} not found in scope {owner_scope.name!r}",
+                        path, extract)
+    return found
 
 
 def extract_member_value(ctx: EvalContext, scope: Scope, extract: AstNode) -> Value:
-    owner_scope = _extract_owner_scope(ctx, scope, extract)
-    member = extract.children[2].leaf_text
-    path = scope.package.path
-    var = owner_scope.variables.get(member)
-    if var is None:
-        raise TydiError("resolution",
-                        f"member {member!r} not found in scope {owner_scope.name!r}",
-                        path, extract)
-    return force_variable(ctx, var, path, extract)
+    var = _extract_member(ctx, scope, extract, "variables", "member")
+    return force_variable(ctx, var, scope.package.path, extract)
 
 
 def extract_member_type(ctx: EvalContext, scope: Scope, extract: AstNode):
-    owner_scope = _extract_owner_scope(ctx, scope, extract)
-    member = extract.children[2].leaf_text
-    path = scope.package.path
-    entry = owner_scope.types.get(member)
-    if entry is None:
-        raise TydiError("resolution",
-                        f"type member {member!r} not found in scope "
-                        f"{owner_scope.name!r}", path, extract)
+    entry = _extract_member(ctx, scope, extract, "types", "type member")
     return force_type_entry(ctx, entry)
 
 
@@ -403,19 +397,18 @@ def instantiate_template(ctx: EvalContext, template, args: list):
         table, compute = pkg_scope.implements, _compute_implementation
     entity = table.get(mangled)
     if entity is None:
-        entity = table[mangled] = _do_instantiate(ctx, template, args, mangled)
+        entity = table[mangled] = _do_instantiate(template, args, mangled)
     # evaluated after registration, so partial results appear in dumps; an
     # evaluated or failed instance replays its result
     ctx.force(entity, compute)
     return entity
 
 
-def _do_instantiate(ctx: EvalContext, template, args: list, new_name: str):
+def _do_instantiate(template, args: list, new_name: str):
     """Build the template's statement again under `new_name`, in the
     template's package, and bind the arguments in the fresh scope."""
-    sb = StatementBuilder(template.scope.package)
-    build = sb.build_streamlet if isinstance(template, Streamlet) else sb.build_impl
-    entity = build(template.span, sb.package.scope, new_name)
+    build = build_streamlet if isinstance(template, Streamlet) else build_impl
+    entity = build(template.span, template.scope.package.scope, new_name)
     entity.template_params = []
     _bind_args(entity.scope, template.template_params, args)
     return entity
@@ -440,30 +433,30 @@ def _bind_args(scope: Scope, params, args: list):
 
 
 def _expand_item(ctx: EvalContext, impl: Implementation, item: AstNode,
-                 sb: StatementBuilder, scope: Scope, suffix: str):
+                 scope: Scope, suffix: str):
     """Build `item`, or what an if/for block generates, into `impl`; its
     expressions evaluate in `scope`, the implementation's or a `for`
     element's."""
     if item.kind not in ("ForBlock", "IfBlock"):
-        sb.build_item(item, impl, impl.scope, scope, suffix)
+        build_item(item, impl, impl.scope, scope, suffix)
         return
-    ctx.deeper(sb.path)
+    ctx.deeper(scope.package.path)
     if item.kind == "ForBlock":
-        expand_for(ctx, impl, item, sb, scope, suffix)
+        expand_for(ctx, impl, item, scope, suffix)
     else:
-        for child in _select_if_branch(ctx, scope, item, sb.path):
-            _expand_item(ctx, impl, child, sb, scope, suffix)
+        for child in _select_if_branch(ctx, scope, item):
+            _expand_item(ctx, impl, child, scope, suffix)
     ctx.depth -= 1
 
 
-def _select_if_branch(ctx, scope, block: AstNode, path) -> tuple[AstNode, ...]:
+def _select_if_branch(ctx, scope, block: AstNode) -> tuple[AstNode, ...]:
     """The items of the branch whose condition holds; none if no branch does."""
     def test(exp: AstNode) -> bool:
         v = evaluate_expression(ctx, scope, exp)
         if not isinstance(v, BoolValue):
             raise TydiError("type",
                             f"if condition must be a boolean value, got {variant_name(v)}",
-                            path, exp)
+                            scope.package.path, exp)
         return v.value
 
     if test(block.children[0]):
@@ -478,7 +471,7 @@ def _select_if_branch(ctx, scope, block: AstNode, path) -> tuple[AstNode, ...]:
 
 
 def expand_for(ctx: EvalContext, impl: Implementation, block: AstNode,
-               sb: StatementBuilder, scope: Scope, suffix: str):
+               scope: Scope, suffix: str):
     """Build the body once per element, in an element scope that binds the
     loop variable and resolves everything else through `scope`."""
     path = scope.package.path
@@ -503,7 +496,7 @@ def expand_for(ctx: EvalContext, impl: Implementation, block: AstNode,
         element_scope.variables[var] = Variable(
             id=var, scope=element_scope, state=EvalState.EVALUATED, value=element)
         for item in body.children:
-            _expand_item(ctx, impl, item, sb, element_scope, f"{suffix}_for_{var}_{index}")
+            _expand_item(ctx, impl, item, element_scope, f"{suffix}_for_{var}_{index}")
 
 
 def _reject_plain_instances(body: AstNode, path):

@@ -158,7 +158,7 @@ def emit_dot(circuit: FlatCircuit) -> str:
 IR_DEPTH_LIMIT = 985
 
 _RECORDS = 5  # the depth of every connection list, instance map and port map
-_CLOSE, _MEMBER, _KEY, _END_KEY = ("\n" + "  " * d for d in range(_RECORDS, _RECORDS + 4))
+_MEMBER, _KEY, _END_KEY = ("\n" + "  " * d for d in range(_RECORDS + 1, _RECORDS + 4))
 _PROPERTIES = sorted(field for _, _, field in STREAM_PROPERTIES)
 
 

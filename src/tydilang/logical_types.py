@@ -102,16 +102,24 @@ LogicalType = object  # NullType | BitType | GroupType | UnionType | StreamType
 
 
 def bit_width(t: LogicalType) -> int:
-    """Null is 0 wide, Group sums its children, Union takes the widest child."""
-    if isinstance(t, NullType):
-        return 0
-    if isinstance(t, BitType):
-        return t.width
-    if isinstance(t, GroupType):
-        return sum(bit_width(ft) for _, ft in t.fields)
-    if isinstance(t, UnionType):
-        return max((bit_width(ft) for _, ft in t.fields), default=0)
-    raise TydiError("type", "bit_width is undefined for stream types")
+    """Null is 0 wide, Group sums its children, Union takes the widest child.
+    Two loops over the types inside `t`, so a deep type takes no deep stack."""
+    inside = [t]  # each type after the group or union that holds it
+    for t in inside:
+        if isinstance(t, (GroupType, UnionType)):
+            inside += [ft for _, ft in t.fields]
+        elif not isinstance(t, (NullType, BitType)):
+            raise TydiError("type", "bit_width is undefined for stream types")
+    widths = {}  # id of each type -> its width, children before parents
+    for t in reversed(inside):
+        fields = [widths[id(ft)] for _, ft in getattr(t, "fields", ())]
+        if isinstance(t, BitType):
+            widths[id(t)] = t.width
+        elif isinstance(t, GroupType):
+            widths[id(t)] = sum(fields)
+        else:  # a union, or Null, which has no fields
+            widths[id(t)] = max(fields, default=0)
+    return widths[id(inside[0])]
 
 
 def types_compatible(a: LogicalType, b: LogicalType) -> bool:

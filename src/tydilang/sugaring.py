@@ -106,8 +106,8 @@ def _end(inst: Optional[Instance], port: Port, owner_index=None,
                   port_index=port_index, instance=inst, port=port)
 
 
-def _std_template(project: Project, name: str) -> Implementation:
-    pkg = project.packages.get(PRELUDE_PACKAGE)
+def _std_template(ctx: EvalContext, name: str) -> Implementation:
+    pkg = ctx.project.packages.get(PRELUDE_PACKAGE)
     template = pkg.scope.implements.get(name) if pkg else None
     if template is None:
         raise TydiError(
@@ -117,8 +117,7 @@ def _std_template(project: Project, name: str) -> Implementation:
     return template
 
 
-def sugar_implementation(ctx: EvalContext, project: Project,
-                         impl: Implementation) -> None:
+def sugar_implementation(ctx: EvalContext, impl: Implementation) -> None:
     """Rewrite one implementation so every port end is singly connected."""
     if impl.external or impl.state is not EvalState.EVALUATED:
         return
@@ -136,7 +135,7 @@ def sugar_implementation(ctx: EvalContext, project: Project,
         source_uses = uses.get(key, [])
         k = len(source_uses)
         if k >= 2:
-            inst = _insert(ctx, project, impl, key, port, DUPLICATOR_IMPL, [IntValue(k)],
+            inst = _insert(ctx, impl, key, port, DUPLICATOR_IMPL, [IntValue(k)],
                            f"duplicate_{_end_path_name(key)}_{k}")
             # retarget this source's uses, indexed before any insertion, onto
             # the outputs in declaration order; each keeps its fifo depth,
@@ -145,16 +144,15 @@ def sugar_implementation(ctx: EvalContext, project: Project,
             for j, conn in enumerate(source_uses):
                 conn.source = _end(inst, out_port, port_index=j)
         elif count == 0:
-            _insert(ctx, project, impl, key, port, VOIDER_IMPL, [],
-                    f"void_{_end_path_name(key)}")
+            _insert(ctx, impl, key, port, VOIDER_IMPL, [], f"void_{_end_path_name(key)}")
 
 
-def _insert(ctx, project, impl, key: tuple, port: Port, template_name: str,
-            more_args: list, base: str) -> Instance:
+def _insert(ctx, impl, key: tuple, port: Port, template_name: str, more_args: list,
+            base: str) -> Instance:
     """Instance the prelude template `template_name` on the type of the
     source end `key` on `port` and `more_args`, under a unique name made from
     `base`, and connect the source end to its `input`."""
-    target = instantiate_template(ctx, _std_template(project, template_name),
+    target = instantiate_template(ctx, _std_template(ctx, template_name),
                                   [port.logical_type, *more_args])
     name = _unique_name(impl, _sanitize(base))
     inst = impl.scope.instances[name] = Instance(name=name, target=target)
@@ -171,4 +169,4 @@ def sugar_project(ctx: EvalContext, project: Project) -> None:
     for pkg_name in sorted(project.packages):
         scope = project.packages[pkg_name].scope
         for impl_id in sorted(scope.implements):
-            sugar_implementation(ctx, project, scope.implements[impl_id])
+            sugar_implementation(ctx, scope.implements[impl_id])

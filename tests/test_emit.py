@@ -5,7 +5,7 @@ import re
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tydilang import emit
 from tydilang.emit import emit_dot, emit_ir, flatten
@@ -513,16 +513,26 @@ def _float_literal(x: float) -> str:
        st.one_of(st.sampled_from([0, 2**63 - 1]), st.integers(0, 2**63 - 1)),
        st.one_of(st.sampled_from([5e-324, 2.2250738585072014e-308, _MAX_FLOAT]),
                  st.floats(min_value=5e-324, max_value=_MAX_FLOAT)))
+@example(("doc", "\U0001F600"), "lane_0", 2, 1.5)
+@example(("doc", "doc"), "a\ud800b", 0, 1.0)
 def test_ir_of_generated_sources_is_canonical_json(docs, name, dimension, throughput):
     """Docs and connection names that need escaping, the largest int64 and
     the extreme finite floats reach the IR as the standard encoder writes
-    them, and each loads back exactly."""
+    them, and each loads back exactly. A lone surrogate, which no UTF-8 file
+    holds, fails the compile as an io error at its first place."""
     literal = name.replace("\\", "\\\\").replace('"', '\\"')
     source = ("package p;\n"
               f"type s = Stream(Bit(1), d = {dimension}, t = {_float_literal(throughput)});\n"
               f"#{docs[0]}# streamlet top_s {{ a: s in, b: s out, }};\n"
               f'#{docs[1]}# impl top_i of top_s {{ a => b "{literal}", }};\n')
     result = compile_texts(source, ir=True)
+    surrogates = [i for i, c in enumerate(source) if "\ud800" <= c <= "\udfff"]
+    if surrogates:
+        assert result.exit_code == 2
+        assert [(d.category, d.message) for d in result.diagnostics] == [
+            ("io", "file_0.td: not valid UTF-8 (surrogates not allowed at character "
+                   f"{surrogates[0]})")]
+        return
     assert result.ok, result.diagnostics
     text = result.artifacts["ir.json"]
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

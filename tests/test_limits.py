@@ -16,7 +16,7 @@ from tydilang import CompileConfig, CompileResult, compile_sources
 from tydilang import pipeline
 from tydilang.cli import main
 from tydilang.emit import IR_DEPTH_LIMIT, _type_text
-from tydilang.logical_types import GroupType
+from tydilang.logical_types import GroupType, bit_width
 from tydilang.parser import parse_file
 from tydilang.tree import dump_ast
 
@@ -253,6 +253,15 @@ def test_drc_compares_types_deeper_than_the_stack():
     assert result.exit_code == 0, result.diagnostics
     assert result.drc_diagnostics == []
     assert result.artifacts["drc_report.txt"] == "0 errors, 0 warnings\n"
+
+
+def test_bit_width_of_a_group_deeper_than_the_stack():
+    """The width of a 3,000-level group chain is measured in a loop, within
+    the default recursion limit, not one call per level."""
+    result = compile_sources(CompileConfig(inputs=["<memory>"]),
+                             [("chains.td", parallel_group_chains(3000))])
+    assert result.exit_code == 0, result.diagnostics
+    assert bit_width(result.project.packages["p"].scope.types["g02999"].evaluated) == 1
 
 
 with open(os.path.join(os.path.dirname(__file__), "data", "golden_demo.td"),
