@@ -8,20 +8,29 @@ appears as both an inner and an outer endpoint.
 
 A design instances the same few implementations many times, so `flatten`
 renders each distinct implementation once per call into a *stamp* of text:
-the two pieces of its component line around the flat name (record
-attributes, then the port cells), its children as flat-name suffixes
-(``__inst`` or ``__inst_AT_i``) in sorted instance order, and for each net
-five fragments: the DOT-escaped connection name (a backslash before each
-backslash and double quote) with its ``__``, and the ends' suffixes and
-anchors with the punctuation between them. A copy then costs one f-string
-per component and two per net, its label and its line, each joining the
-copy's flat name onto the stamp's fragments. `FlatCircuit` holds the flat
-names and the net labels, the sort keys, beside two parallel lists of the
-lines; all four hold only strings, so a circuit adds nothing to the
-collector's lists. `emit_dot` sorts index lists by key, which keeps equal
-keys in walk order, and joins the lines once. A stamp refuses a port list
-whose record anchors repeat, and `emit_dot` two components of one flat name:
-either would merge in the DOT.
+the two fragments of its component line that follow the first and the
+second flat name (record attributes, then the port cells), its children as
+flat-name suffixes (``__inst`` or ``__inst_AT_i``) in sorted instance order,
+and for each net the fragments of its label and line: the DOT-escaped
+connection name (a backslash before each backslash and double quote) with
+its ``__``, and the ends' suffixes and anchors with the punctuation between
+them. A copy builds one string per net, its label, by joining its flat name
+onto the stamp's fragments; the rest of its text it only refers to.
+`FlatCircuit` holds the flat names and the net labels, the sort keys, and
+the pieces of each line: for a component its DOT ID and its stamp's two
+fragments, for a net its copy's flat name, which comes before each end,
+and the two fragments that follow the ends. All four lists hold only
+strings, so a circuit adds nothing to the collector's lists, and it holds
+less text than the DOT repeats. `emit_dot` sorts index lists by key, which
+keeps equal keys in walk order, picks each column of pieces in that order
+with one `itemgetter` into one preallocated list, and joins that list once:
+no line is a string of its own. A DOT ID is a flat name, quoted when it is
+a DOT keyword (``node``, ``edge``, ``graph``, ``digraph``, ``subgraph``,
+``strict``, in any case), which Graphviz would read as the start of a
+statement; only the top's flat name lacks ``__`` and can be one, so
+`flatten` quotes it after the walk. A stamp refuses a port list whose record
+anchors repeat, and `emit_dot` two components of one flat name: either would
+merge in the DOT.
 
 `emit_ir` writes what `json.dumps` gives with ``indent=2, sort_keys=True``,
 plus a newline, as finished text into one list that it joins once. The
@@ -37,7 +46,9 @@ and every IR written stays readable by `json`.
 
 from __future__ import annotations
 
+from itertools import compress, islice
 from json.encoder import encode_basestring_ascii as _quote
+from operator import eq, itemgetter
 
 from .errors import TydiError
 from .logical_types import (STREAM_PROPERTIES, BitType, GroupType, NullType,
@@ -50,9 +61,13 @@ class FlatCircuit:
     def __init__(self, top):
         self.top: Implementation = top
         self.components: list[str] = []  # flat names
-        self.component_lines: list[str] = []
+        self.component_parts: list[str] = []  # per component: DOT ID, head, tail
         self.nets: list[str] = []  # labels
-        self.net_lines: list[str] = []
+        self.net_parts: list[str] = []  # per net: the copy's flat name, arrow, label head
+
+
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+_EDGE_END = '"] ;\n'  # every net line's last piece
 
 
 def _segment(name: str, index) -> str:
@@ -62,9 +77,10 @@ def _segment(name: str, index) -> str:
 def _stamp(impl: Implementation) -> tuple:
     """The text every flat copy of `impl` shares: its component line after
     the first and after the second flat name, its children as (flat-name
-    suffix, target), and each net as the five fragments that `_walk` joins
-    a copy's flat name onto; ``src``/``sink`` below are the suffixes of the
-    ends (empty for the implementation's own ports)."""
+    suffix, target), and for each net the three fragments that `_walk`
+    joins a copy's flat name onto for its label and the two line fragments
+    that follow the copy's flat name; ``src``/``sink`` below are the
+    suffixes of the ends (empty for the implementation's own ports)."""
     streamlet = impl.streamlet
     cells = []
     givers = {"component": None}  # anchor -> the port that gives it
@@ -102,7 +118,7 @@ def _stamp(impl: Implementation) -> tuple:
         sink, sink_anchor = end_point(conn.sink)
         nets.append((escape(conn.name) + "__", f"{src}::{src_anchor}__", sink,
                      f"{src}:{src_anchor} -> ", f'{sink}:{sink_anchor} [label="'))
-    return (f' [{attrs}, label="{{<component>', "".join(cells) + '}"];',
+    return (f' [{attrs}, label="{{<component>', "".join(cells) + '}"];\n',
             children, nets)
 
 
@@ -113,14 +129,29 @@ def _walk(circuit: FlatCircuit, stamps: dict, impl: Implementation,
         stamp = stamps[id(impl)] = _stamp(impl)
     head, tail, children, nets = stamp
     circuit.components.append(flat_name)
-    circuit.component_lines.append(f"{flat_name}{head}{flat_name}{tail}")
+    circuit.component_parts.extend((flat_name, head, tail))
     for suffix, target in children:
         _walk(circuit, stamps, target, flat_name + suffix)
-    labels, lines = circuit.nets, circuit.net_lines
-    for name, src, sink, arrow, label_head in nets:
-        label = f"{name}{flat_name}{src}{flat_name}{sink}"
-        labels.append(label)
-        lines.append(f'{flat_name}{arrow}{flat_name}{label_head}{label}"] ;')
+    labels, parts = circuit.nets, circuit.net_parts
+    for name, src_label, sink, arrow, label_head in nets:
+        labels.append(f"{name}{flat_name}{src_label}{flat_name}{sink}")
+        parts.extend((flat_name, arrow, label_head))
+
+
+def _quote_top(circuit: FlatCircuit) -> None:
+    """Quote the top's flat name, a DOT keyword, where it is a DOT ID: at its
+    node, walked first, and at its own ports' ends. A net of the top has
+    the top's flat name as the piece before each end; that piece becomes
+    empty, and each end's ID moves onto the fragment that follows it, which
+    starts with the end's suffix (empty at the top's own ports)."""
+    name = circuit.components[0]
+    quoted = circuit.component_parts[0] = f'"{name}"'
+    parts = circuit.net_parts
+    for i in range(0, len(parts), 3):
+        if parts[i] == name:
+            arrow, label_head = parts[i + 1], parts[i + 2]
+            parts[i:i + 3] = ("", (quoted if arrow.startswith(":") else name) + arrow,
+                              (quoted if label_head.startswith(":") else name) + label_head)
 
 
 def flatten(project: Project, top_package: str, top_impl: str) -> FlatCircuit:
@@ -130,22 +161,45 @@ def flatten(project: Project, top_package: str, top_impl: str) -> FlatCircuit:
                         f"top implementation {top_impl!r} is not evaluated")
     circuit = FlatCircuit(impl)
     _walk(circuit, {}, impl, impl.id)  # stamps by identity: ids repeat across packages
+    if impl.id.lower() in _DOT_KEYWORDS:
+        _quote_top(circuit)
     return circuit
 
 
+def _picker(order: list[int]):
+    """A function from a list to its items at the indices `order`."""
+    return itemgetter(*order) if len(order) > 1 else lambda items: [items[i] for i in order]
+
+
 def emit_dot(circuit: FlatCircuit) -> str:
+    """The DOT text: the component lines sorted by flat name, then the net
+    lines sorted by label. Each line is the pieces the circuit refers to,
+    each column picked at once into one list that is joined once."""
     names, labels = circuit.components, circuit.nets
     order = sorted(range(len(names)), key=names.__getitem__)
-    for i, j in zip(order, order[1:]):
-        if names[i] == names[j]:
-            top = circuit.top
-            raise TydiError("resolution", f"two components of {top.id!r} flatten "
-                            f"to the name {names[i]!r}", top.scope.package.path,
-                            top.span)
-    return "\n".join(["digraph {", *map(circuit.component_lines.__getitem__, order),
-                      *map(circuit.net_lines.__getitem__,
-                           sorted(range(len(labels)), key=labels.__getitem__)),
-                      "}\n"])
+    pick = _picker(order)
+    sorted_names = pick(names)
+    name = next(compress(sorted_names, map(eq, sorted_names, islice(sorted_names, 1, None))),
+                None)
+    if name is not None:
+        top = circuit.top
+        raise TydiError("resolution", f"two components of {top.id!r} flatten "
+                        f"to the name {name!r}", top.scope.package.path, top.span)
+    nets_at = 1 + 4 * len(names)
+    out = [_EDGE_END] * (nets_at + 6 * len(labels) + 1)
+    out[0], out[-1] = "digraph {\n", "}\n"
+    parts = circuit.component_parts
+    out[1:nets_at:4] = pick(parts[0::3])
+    out[2:nets_at:4] = pick(parts[1::3])
+    out[3:nets_at:4] = sorted_names
+    out[4:nets_at:4] = pick(parts[2::3])
+    pick = _picker(sorted(range(len(labels)), key=labels.__getitem__))
+    parts = circuit.net_parts
+    out[nets_at:-1:6] = out[nets_at + 2:-1:6] = pick(parts[0::3])
+    out[nets_at + 1:-1:6] = pick(parts[1::3])
+    out[nets_at + 3:-1:6] = pick(parts[2::3])
+    out[nets_at + 4:-1:6] = pick(labels)
+    return "".join(out)
 
 
 # -- structured IR ---------------------------------------------------------------

@@ -61,17 +61,39 @@ def build_circuit():
 # -- flattening ----------------------------------------------------------------
 
 
-NODE_RE = re.compile(r'^(\w+) \[(color=red, )?shape=record, label="\{(.*)\}"\];$')
-EDGE_RE = re.compile(r'^(\w+):(\w+) -> (\w+):(\w+) \[label="((?:[^"]|\\")*)"\] ;$')
+# A DOT ID as the compiler writes one: a bare name, or a quoted one; the DOT
+# keywords, in any case, are names only when quoted.
+DOT_ID = r'([A-Za-z_][A-Za-z0-9_]*|"[A-Za-z_][A-Za-z0-9_]*")'
+DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+NODE_RE = re.compile(rf'^{DOT_ID} \[(color=red, )?shape=record, label="\{{(.*)\}}"\];$')
+EDGE_RE = re.compile(rf'^{DOT_ID}:(\w+) -> {DOT_ID}:(\w+) \[label="((?:[^"]|\\")*)"\] ;$')
+
+
+def dot_name(dot_id: str) -> str:
+    """The name that a DOT ID matched by `DOT_ID` stands for."""
+    if dot_id.startswith('"'):
+        return dot_id[1:-1]
+    assert dot_id.lower() not in DOT_KEYWORDS, f"bare DOT keyword {dot_id!r}"
+    return dot_id
+
+
+def dot_lines(circuit) -> tuple[list, list]:
+    """The node lines and the edge lines of the circuit's DOT."""
+    lines = emit_dot(circuit).splitlines()
+    assert (lines[0], lines[-1]) == ("digraph {", "}")
+    nodes = len(circuit.components)
+    return lines[1:1 + nodes], lines[1 + nodes:-1]
 
 
 def components_of(circuit) -> dict:
     """{flat name: (is wrapper, [(display name, anchor), ...])}, read from
-    each component's DOT line, which must name the key it is listed with."""
+    each node line of the circuit's DOT, which must name the flat name that
+    sorts to its place."""
     out = {}
-    for name, line in zip(circuit.components, circuit.component_lines, strict=True):
+    nodes, _ = dot_lines(circuit)
+    for name, line in zip(sorted(circuit.components), nodes, strict=True):
         m = NODE_RE.match(line)
-        assert m and m.group(1) == name, (name, line)
+        assert m and dot_name(m.group(1)) == name, (name, line)
         cells = m.group(3).split("|")
         assert cells[0] == f"<component>{name}"
         ports = [re.match(r"^<(\w+)>(.+)$", cell).group(2, 1) for cell in cells[1:]]
@@ -81,12 +103,15 @@ def components_of(circuit) -> dict:
 
 def nets_of(circuit) -> list:
     """(label, source, source anchor, sink, sink anchor) of each net, read
-    from its DOT line, which must hold the label it is listed with."""
+    from each edge line of the circuit's DOT, which must hold the label that
+    sorts to its place."""
     out = []
-    for label, line in zip(circuit.nets, circuit.net_lines, strict=True):
+    _, edges = dot_lines(circuit)
+    for label, line in zip(sorted(circuit.nets), edges, strict=True):
         m = EDGE_RE.match(line)
         assert m and m.group(5) == label, (label, line)
-        out.append((label, *m.group(1, 2, 3, 4)))
+        out.append((label, dot_name(m.group(1)), m.group(2), dot_name(m.group(3)),
+                    m.group(4)))
     return out
 
 
@@ -218,10 +243,12 @@ def test_same_named_implementations_in_two_packages_stay_apart():
 
 
 def test_flat_records_are_untracked():
-    """A circuit is its own object and four lists of strings, so flattening
-    the depth-8 tree (511 components, 765 nets) leaves as few new objects
-    for the collector to track as flattening a depth-2 one: no record per
-    component or net, and the stamps are gone once `flatten` returns."""
+    """A circuit is its own object and four lists of strings (the flat
+    names, the net labels, and the pieces of their lines that the stamps
+    hold), so flattening the depth-8 tree (511 components, 765 nets) leaves
+    as few new objects for the collector to track as flattening a depth-2
+    one: no record per component or net, and the stamps are gone once
+    `flatten` returns, the strings they held kept only by the lists."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -298,8 +325,11 @@ def test_flatten_resolves_each_implementation_once(monkeypatch):
 
 
 def check_dot(text: str):
-    """Mechanical well-formedness check: record labels parse, every edge
-    endpoint anchor exists in its node's label."""
+    """Mechanical well-formedness check: every line is a node or an edge
+    statement whose IDs are names or quoted names, never a bare DOT keyword,
+    record labels parse, and every edge endpoint anchor exists in its node's
+    label. Returns the anchors by node name and the edges with their ends'
+    names."""
     lines = text.splitlines()
     assert lines[0] == "digraph {"
     assert lines[-1] == "}"
@@ -308,7 +338,8 @@ def check_dot(text: str):
     for line in lines[1:-1]:
         m = NODE_RE.match(line)
         if m:
-            name, _, label = m.groups()
+            dot_id, _, label = m.groups()
+            name = dot_name(dot_id)
             cells = label.split("|")
             assert cells[0] == f"<component>{name}"
             anchors[name] = set()
@@ -319,12 +350,32 @@ def check_dot(text: str):
             continue
         m = EDGE_RE.match(line)
         assert m, line
-        edges.append(m.groups())
+        src, sanchor, dst, danchor, label = m.groups()
+        edges.append((dot_name(src), sanchor, dot_name(dst), danchor, label))
     for src, sanchor, dst, danchor, label in edges:
         assert src in anchors and dst in anchors
         assert sanchor in anchors[src], (src, sanchor)
         assert danchor in anchors[dst], (dst, danchor)
     return anchors, edges
+
+
+@pytest.mark.parametrize("name", ["golden_tpch1.dot", "golden_hier.dot", "golden_circuit.dot",
+                                  "golden_templates/circuit.dot", "golden_for/circuit.dot"])
+def test_golden_dots_are_well_formed(name):
+    with open(os.path.join(DATA_DIR, name), encoding="utf-8") as f:
+        anchors, edges = check_dot(f.read())
+    assert anchors and edges
+
+
+@pytest.mark.parametrize("line", [
+    'node [shape=record, label="{<component>node|<i>i}"];',
+    'Node:i -> top_i:o [label="c__Node::i__top_i"] ;',
+    'top_i:i -> STRICT:o [label="c__top_i::i__STRICT"] ;'])
+def test_check_dot_rejects_a_bare_keyword(line):
+    text = ("digraph {\n" + line + "\n"
+            'top_i [shape=record, label="{<component>top_i|<i>i|<o>o}"];\n}\n')
+    with pytest.raises(AssertionError, match="bare DOT keyword"):
+        check_dot(text)
 
 
 def test_dot_well_formed():
@@ -435,6 +486,94 @@ def test_dot_edges_sorted_by_label_string():
 def test_dot_empty_circuit():
     from tydilang.emit import FlatCircuit
     assert emit_dot(FlatCircuit(top="x")) == "digraph {\n}\n"
+
+
+KEYWORD_TOP = """package p;
+type s = Stream(Bit(1));
+streamlet pass_s { i: s in, o: s out, };
+external impl leaf_i of pass_s { };
+impl wrap_i of pass_s { instance y(leaf_i), i => y.i "down", y.o => o "up", };
+streamlet top_s { a: s in, b: s out, i: s in, o: s out, };
+impl TOP of top_s { instance x(wrap_i), i => x.i "in", x.o => o "out", a => b "through", };
+"""
+
+
+def test_top_named_like_a_dot_keyword_is_quoted():
+    """`Node` cannot be a bare DOT ID: Graphviz would read its node line as
+    default node attributes and its edges as a syntax error. It is quoted in
+    its node statement and at its own ports' ends, and nowhere else."""
+    result = compile_texts(KEYWORD_TOP.replace("TOP", "Node"), top="p.Node", dot=True)
+    assert result.ok, result.diagnostics
+    text = result.artifacts["circuit.dot"]
+    assert text == (
+        'digraph {\n'
+        '"Node" [color=red, shape=record, label="{<component>Node|<a>a|<b>b|<i>i|<o>o}"];\n'
+        'Node__x [color=red, shape=record, label="{<component>Node__x|<i>i|<o>o}"];\n'
+        'Node__x__y [shape=record, label="{<component>Node__x__y|<i>i|<o>o}"];\n'
+        'Node__x:i -> Node__x__y:i [label="down__Node__x::i__Node__x__y"] ;\n'
+        '"Node":i -> Node__x:i [label="in__Node::i__Node__x"] ;\n'
+        'Node__x:o -> "Node":o [label="out__Node__x::o__Node"] ;\n'
+        '"Node":a -> "Node":b [label="through__Node::a__Node"] ;\n'
+        'Node__x__y:o -> Node__x:o [label="up__Node__x__y::o__Node__x"] ;\n'
+        '}\n')
+    anchors, edges = check_dot(text)
+    assert set(anchors) == {"Node", "Node__x", "Node__x__y"}
+    assert [(src, sink) for src, _, sink, _, _ in edges] == [
+        ("Node__x", "Node__x__y"), ("Node", "Node__x"), ("Node__x", "Node"),
+        ("Node", "Node"), ("Node__x__y", "Node__x")]
+
+
+@pytest.mark.parametrize("top", ["node", "EDGE", "Graph", "digraph", "subGraph", "strict",
+                                 "Nodes", "edge_i"])
+def test_only_keyword_tops_are_quoted(top):
+    result = compile_texts(KEYWORD_TOP.replace("TOP", top), top=f"p.{top}", dot=True)
+    assert result.ok, result.diagnostics
+    text = result.artifacts["circuit.dot"]
+    check_dot(text)
+    quoted = top.lower() in DOT_KEYWORDS
+    dot_id = f'"{top}"' if quoted else top
+    assert text.splitlines()[1].startswith(f"{dot_id} [color=red")
+    assert text.count(f'"{top}"') == 5 * quoted
+    assert f"{top}__x [color=red" in text
+
+
+def test_components_sort_by_flat_name_not_walk_order():
+    """`flatten` walks `a`'s child before `a0`, but `_` sorts after `0`, so
+    the DOT lists `top_i__a0` before `top_i__a__x`."""
+    result = compile_texts(
+        "package p;\n"
+        "type s = Stream(Bit(1));\n"
+        "streamlet io_s { i: s in, o: s out, };\n"
+        "external impl leaf_i of io_s { };\n"
+        'impl wrap_i of io_s { instance x(leaf_i), i => x.i "down", x.o => o "up", };\n'
+        "impl top_i of io_s { instance a(wrap_i), instance a0(leaf_i),\n"
+        '  i => a.i "in", a.o => a0.i "mid", a0.o => o "out", };\n',
+        top="p.top_i", dot=True)
+    assert result.ok, result.diagnostics
+    assert result.artifacts["circuit.dot"] == (
+        'digraph {\n'
+        'top_i [color=red, shape=record, label="{<component>top_i|<i>i|<o>o}"];\n'
+        'top_i__a [color=red, shape=record, label="{<component>top_i__a|<i>i|<o>o}"];\n'
+        'top_i__a0 [shape=record, label="{<component>top_i__a0|<i>i|<o>o}"];\n'
+        'top_i__a__x [shape=record, label="{<component>top_i__a__x|<i>i|<o>o}"];\n'
+        'top_i__a:i -> top_i__a__x:i [label="down__top_i__a::i__top_i__a__x"] ;\n'
+        'top_i:i -> top_i__a:i [label="in__top_i::i__top_i__a"] ;\n'
+        'top_i__a:o -> top_i__a0:i [label="mid__top_i__a::o__top_i__a0"] ;\n'
+        'top_i__a0:o -> top_i:o [label="out__top_i__a0::o__top_i"] ;\n'
+        'top_i__a__x:o -> top_i__a:o [label="up__top_i__a__x::o__top_i__a"] ;\n'
+        '}\n')
+
+
+def test_circuit_holds_less_text_than_it_renders():
+    """A circuit holds the flat names and the net labels, and only refers
+    to the text its copies share, so the distinct strings in its lists add
+    up to less text than its DOT; a circuit holding each rendered line
+    (1.39 times the DOT here) fails."""
+    project, _ = evaluated_project(binary_tree(8), top="p.lvl8_i")
+    circuit = flatten(project, "p", "lvl8_i")
+    held = {id(text): len(text) for texts in vars(circuit).values()
+            if isinstance(texts, list) for text in texts}
+    assert sum(held.values()) < len(emit_dot(circuit))
 
 
 # -- IR -------------------------------------------------------------------------
