@@ -576,6 +576,118 @@ def test_circuit_holds_less_text_than_it_renders():
     assert sum(held.values()) < len(emit_dot(circuit))
 
 
+def naive_dot(project, package: str, top: str) -> str:
+    """The DOT of `package.top`, rendered straight from the model with one
+    f-string per line: the component lines sorted by flat name, then the net
+    lines sorted stably by label. A copy's nets follow its children's in the
+    walk, so equal labels keep that order."""
+    components, nets = [], []
+
+    def dot_id(name):
+        return f'"{name}"' if name.lower() in DOT_KEYWORDS else name
+
+    def segment(name, index):
+        return name if index is None else f"{name}_AT_{index}"
+
+    def walk(impl, flat):
+        cells = ""
+        for pname, port in sorted(impl.streamlet.ports.items()):
+            if port.array_size is None:
+                cells += f"|<{pname}>{pname}"
+            for i in range(port.array_size or 0):
+                cells += f"|<{pname}_AT_{i}>{pname}@{i}"
+        color = "color=red, " if impl.instances else ""
+        components.append((flat, f'{dot_id(flat)} [{color}shape=record, '
+                                 f'label="{{<component>{flat}{cells}}}"];\n'))
+        for inst_name, inst in sorted(impl.instances.items()):
+            for i in [None] if inst.array_size is None else range(inst.array_size):
+                walk(inst.target, f"{flat}__{segment(inst_name, i)}")
+        for conn in impl.connections:
+            (src, src_port), (sink, sink_port) = (
+                (flat if end.owner_name is None else
+                 f"{flat}__{segment(end.owner_name, end.owner_index)}",
+                 segment(end.port_name, end.port_index))
+                for end in (conn.source, conn.sink))
+            name = conn.name.replace("\\", "\\\\").replace('"', '\\"')
+            label = f"{name}__{src}::{src_port}__{sink}"
+            nets.append((label, f'{dot_id(src)}:{src_port} -> {dot_id(sink)}:{sink_port} '
+                                f'[label="{label}"] ;\n'))
+
+    walk(project.top_implementation(f"{package}.{top}"), top)
+    components.sort(key=lambda item: item[0])
+    nets.sort(key=lambda item: item[0])
+    return "".join(["digraph {\n", *(line for _, line in components + nets), "}\n"])
+
+
+PREFIX_NAMES = """package p;
+type s = Stream(Bit(1));
+streamlet io_s { i: s in, o: s out, };
+external impl leaf_i of io_s { };
+streamlet quad_s { i: s in, o: s out, p: s in, q: s out, };
+impl node_i of quad_s { instance x(leaf_i), i => x.i "a", x.o => o "a0", p => q "a_b", };
+impl wrap_i of quad_s {
+  instance n(node_i), i => n.i "a", n.o => o "a0", p => n.p "a_b", n.q => q,
+};
+impl top_i of quad_s {
+  instance n(node_i), instance w(wrap_i),
+  i => n.i "a", n.o => w.i "a0", w.o => o "a_b", p => w.p, w.q => n.p, n.q => q "a",
+};
+"""
+
+
+# Left unsugared, one source feeds three sinks over nets of one name: two
+# labels tie, and the third differs from them only in its sink and walks first.
+FAN_OUT = """package p;
+type s = Stream(Bit(1));
+streamlet two_s { i: s in, j: s in, o: s out, };
+external impl two_i of two_s { };
+streamlet top_s { i: s in, o: s out, };
+impl top_i of top_s {
+  instance x(two_i), instance y(two_i),
+  i => y.i "f", i => x.j "f", i => x.i "f", x.o => o,
+};
+"""
+
+
+def oracle_cases():
+    """(name, evaluated project, package, top) for each design whose DOT
+    `test_dot_matches_a_naive_renderer` checks; all but the fan-out are
+    sugared."""
+    cases = [(f"binary_tree_{depth}", (binary_tree(depth),), f"p.lvl{depth}_i")
+             for depth in range(1, 7)]
+    with open(os.path.join(DATA_DIR, "golden_hier.td"), encoding="utf-8") as f:
+        cases.append(("golden_hier", (f.read(),), "hier.top_i"))
+    cases += [("arrays", ("package p;" + TWO_LEVEL,), "p.main_i"),
+              ("keyword_top", (KEYWORD_TOP.replace("TOP", "Node"),), "p.Node"),
+              ("prefix_names", (PREFIX_NAMES,), "p.top_i"),
+              ("fan_out", (FAN_OUT,), "p.top_i")]
+    for name, texts, top in cases:
+        project, ctx = evaluated_project(*texts, top=top)
+        if name != "fan_out":
+            sugar_project(ctx, project)
+        yield name, project, *top.split(".")
+
+
+def test_dot_matches_a_naive_renderer():
+    """`emit_dot(flatten(...))` is byte-identical to a renderer that shares
+    none of its stamps, columns or quoting, on trees of every depth up to 6,
+    array instances and ports, a keyword top, and one implementation
+    instanced at two depths whose connection names `a`, `a0` and `a_b` are
+    prefixes of one another, and nets whose labels tie or differ only in
+    their sinks."""
+    for name, project, package, top in oracle_cases():
+        expected = naive_dot(project, package, top)
+        assert emit_dot(flatten(project, package, top)) == expected, name
+        if name == "prefix_names":
+            assert expected.count('[label="a__') == 5
+            assert expected.count('[label="a0__') == expected.count('[label="a_b__') == 4
+        if name == "fan_out":
+            assert expected.splitlines()[5:8] == [
+                'top_i:i -> top_i__x:j [label="f__top_i::i__top_i__x"] ;',
+                'top_i:i -> top_i__x:i [label="f__top_i::i__top_i__x"] ;',
+                'top_i:i -> top_i__y:i [label="f__top_i::i__top_i__y"] ;']
+
+
 # -- IR -------------------------------------------------------------------------
 
 
