@@ -11,26 +11,27 @@ renders each distinct implementation once per call into a *stamp* of text:
 the two fragments of its component line that follow the first and the
 second flat name (record attributes, then the port cells), its children as
 flat-name suffixes (``__inst`` or ``__inst_AT_i``) in sorted instance order,
-and for each net the fragments of its label and line: the DOT-escaped
-connection name (a backslash before each backslash and double quote) with
-its ``__``, and the ends' suffixes and anchors with the punctuation between
-them. A copy builds one string per net, its label, by joining its flat name
-onto the stamp's fragments; the rest of its text it only refers to.
-`FlatCircuit` holds the flat names and the net labels, the sort keys, and
-the pieces of each line: for a component its DOT ID and its stamp's two
-fragments, for a net its copy's flat name, which comes before each end,
-and the two fragments that follow the ends. All four lists hold only
-strings, so a circuit adds nothing to the collector's lists, and it holds
-less text than the DOT repeats. `emit_dot` sorts index lists by key, which
-keeps equal keys in walk order, picks each column of pieces in that order
-with one `itemgetter` into one preallocated list, and joins that list once:
-no line is a string of its own. A DOT ID is a flat name, quoted when it is
-a DOT keyword (``node``, ``edge``, ``graph``, ``digraph``, ``subgraph``,
-``strict``, in any case), which Graphviz would read as the start of a
-statement; only the top's flat name lacks ``__`` and can be one, so
-`flatten` quotes it after the walk. A stamp refuses a port list whose record
-anchors repeat, and `emit_dot` two components of one flat name: either would
-merge in the DOT.
+and five fragments per net: the DOT-escaped connection name (a backslash
+before each backslash and double quote) with its ``__``, the source's
+suffix and anchor with ``::`` and ``__``, the sink's suffix, and the two
+line fragments that follow the copy's flat name at each end. A copy builds
+no string of its own but its flat name. `FlatCircuit` holds the flat names
+and the pieces of each line: for a component its DOT ID and its stamp's
+two fragments, for a net its copy's flat name and its stamp's five
+fragments. All four lists hold only strings, so a circuit adds nothing to
+the collector's lists, and it holds less text than the DOT repeats.
+`emit_dot` builds each net's label, the flat name joined onto the name,
+source and sink fragments, only as a sort key. It sorts index lists by key,
+which keeps equal keys in walk order, picks each column of pieces in that
+order with one `itemgetter`, drops the keys and index lists, fills one
+preallocated list and joins it once: no line is a string of its own. A DOT
+ID is a flat name, quoted when it is a DOT keyword (``node``, ``edge``,
+``graph``, ``digraph``, ``subgraph``, ``strict``, in any case), which
+Graphviz would read as the start of a statement; only the top's flat name
+lacks ``__`` and can be one, so `flatten` quotes it after the walk, in its
+IDs but not in its labels. A stamp refuses a port list whose record anchors
+repeat, and `emit_dot` two components of one flat name: either would merge
+in the DOT.
 
 `emit_ir` writes what `json.dumps` gives with ``indent=2, sort_keys=True``,
 plus a newline, as finished text into one list that it joins once. The
@@ -62,12 +63,16 @@ class FlatCircuit:
         self.top: Implementation = top
         self.components: list[str] = []  # flat names
         self.component_parts: list[str] = []  # per component: DOT ID, head, tail
-        self.nets: list[str] = []  # labels
-        self.net_parts: list[str] = []  # per net: the copy's flat name, arrow, label head
+        self.nets: list[str] = []  # per net: its copy's flat name
+        # per net: its stamp's name, source and sink fragments, arrow, label head
+        self.net_parts: list[str] = []
 
 
 _DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
 _EDGE_END = '"] ;\n'  # every net line's last piece
+# a net line's other pieces: its copy's flat name (0), and its stamp's name,
+# source, sink, arrow and label-head fragments (1 to 5)
+_NET_LINE = (0, 4, 0, 5, 1, 0, 2, 0, 3)
 
 
 def _segment(name: str, index) -> str:
@@ -77,10 +82,10 @@ def _segment(name: str, index) -> str:
 def _stamp(impl: Implementation) -> tuple:
     """The text every flat copy of `impl` shares: its component line after
     the first and after the second flat name, its children as (flat-name
-    suffix, target), and for each net the three fragments that `_walk`
-    joins a copy's flat name onto for its label and the two line fragments
-    that follow the copy's flat name; ``src``/``sink`` below are the
-    suffixes of the ends (empty for the implementation's own ports)."""
+    suffix, target), and for each net, one after another, the three
+    fragments that a copy's label joins its flat name onto and the two line
+    fragments that follow the copy's flat name; ``src``/``sink`` below are
+    the suffixes of the ends (empty for the implementation's own ports)."""
     streamlet = impl.streamlet
     cells = []
     givers = {"component": None}  # anchor -> the port that gives it
@@ -116,8 +121,8 @@ def _stamp(impl: Implementation) -> tuple:
     for conn in impl.connections:
         src, src_anchor = end_point(conn.source)
         sink, sink_anchor = end_point(conn.sink)
-        nets.append((escape(conn.name) + "__", f"{src}::{src_anchor}__", sink,
-                     f"{src}:{src_anchor} -> ", f'{sink}:{sink_anchor} [label="'))
+        nets += (escape(conn.name) + "__", f"{src}::{src_anchor}__", sink,
+                 f"{src}:{src_anchor} -> ", f'{sink}:{sink_anchor} [label="')
     return (f' [{attrs}, label="{{<component>', "".join(cells) + '}"];\n',
             children, nets)
 
@@ -132,26 +137,28 @@ def _walk(circuit: FlatCircuit, stamps: dict, impl: Implementation,
     circuit.component_parts.extend((flat_name, head, tail))
     for suffix, target in children:
         _walk(circuit, stamps, target, flat_name + suffix)
-    labels, parts = circuit.nets, circuit.net_parts
-    for name, src_label, sink, arrow, label_head in nets:
-        labels.append(f"{name}{flat_name}{src_label}{flat_name}{sink}")
-        parts.extend((flat_name, arrow, label_head))
+    circuit.nets += [flat_name] * (len(nets) // 5)
+    circuit.net_parts += nets
 
 
 def _quote_top(circuit: FlatCircuit) -> None:
     """Quote the top's flat name, a DOT keyword, where it is a DOT ID: at its
-    node, walked first, and at its own ports' ends. A net of the top has
-    the top's flat name as the piece before each end; that piece becomes
-    empty, and each end's ID moves onto the fragment that follows it, which
-    starts with the end's suffix (empty at the top's own ports)."""
+    node, walked first, and at its own ports' ends. A net of the top gets an
+    empty flat name: its name and source fragments take the raw name onto
+    their ends, so its label keeps it, and its arrow and label head, which
+    start with an end's suffix (empty at the top's own ports), take the
+    end's ID in front."""
     name = circuit.components[0]
     quoted = circuit.component_parts[0] = f'"{name}"'
-    parts = circuit.net_parts
-    for i in range(0, len(parts), 3):
-        if parts[i] == name:
-            arrow, label_head = parts[i + 1], parts[i + 2]
-            parts[i:i + 3] = ("", (quoted if arrow.startswith(":") else name) + arrow,
-                              (quoted if label_head.startswith(":") else name) + label_head)
+    flats, parts = circuit.nets, circuit.net_parts
+    for i, flat in enumerate(flats):
+        if flat == name:
+            label_name, src, sink, arrow, label_head = parts[5 * i:5 * i + 5]
+            flats[i] = ""
+            parts[5 * i:5 * i + 5] = (
+                label_name + name, src + name, sink,
+                (quoted if arrow.startswith(":") else name) + arrow,
+                (quoted if label_head.startswith(":") else name) + label_head)
 
 
 def flatten(project: Project, top_package: str, top_impl: str) -> FlatCircuit:
@@ -173,11 +180,12 @@ def _picker(order: list[int]):
 
 def emit_dot(circuit: FlatCircuit) -> str:
     """The DOT text: the component lines sorted by flat name, then the net
-    lines sorted by label. Each line is the pieces the circuit refers to,
-    each column picked at once into one list that is joined once."""
-    names, labels = circuit.components, circuit.nets
-    order = sorted(range(len(names)), key=names.__getitem__)
-    pick = _picker(order)
+    lines sorted by label, each label built only as a sort key. Each line
+    is the pieces the circuit refers to: the columns are picked in sorted
+    order, and once the keys and index lists are gone they fill one list
+    that is joined once."""
+    names, flats, parts = circuit.components, circuit.nets, circuit.net_parts
+    pick = _picker(sorted(range(len(names)), key=names.__getitem__))
     sorted_names = pick(names)
     name = next(compress(sorted_names, map(eq, sorted_names, islice(sorted_names, 1, None))),
                 None)
@@ -185,20 +193,22 @@ def emit_dot(circuit: FlatCircuit) -> str:
         top = circuit.top
         raise TydiError("resolution", f"two components of {top.id!r} flatten "
                         f"to the name {name!r}", top.scope.package.path, top.span)
+    cparts = circuit.component_parts
+    components = [pick(cparts[0::3]), pick(cparts[1::3]), sorted_names, pick(cparts[2::3])]
+    keys = [f"{name}{flat}{src}{flat}{sink}" for name, flat, src, sink
+            in zip(parts[0::5], flats, parts[1::5], parts[2::5])]
+    pick = _picker(sorted(range(len(keys)), key=keys.__getitem__))
+    del keys, sorted_names
+    nets = [pick(flats)] + [pick(parts[i::5]) for i in range(5)]
+    del pick
     nets_at = 1 + 4 * len(names)
-    out = [_EDGE_END] * (nets_at + 6 * len(labels) + 1)
+    out = [_EDGE_END] * (nets_at + 10 * len(flats) + 1)
     out[0], out[-1] = "digraph {\n", "}\n"
-    parts = circuit.component_parts
-    out[1:nets_at:4] = pick(parts[0::3])
-    out[2:nets_at:4] = pick(parts[1::3])
-    out[3:nets_at:4] = sorted_names
-    out[4:nets_at:4] = pick(parts[2::3])
-    pick = _picker(sorted(range(len(labels)), key=labels.__getitem__))
-    parts = circuit.net_parts
-    out[nets_at:-1:6] = out[nets_at + 2:-1:6] = pick(parts[0::3])
-    out[nets_at + 1:-1:6] = pick(parts[1::3])
-    out[nets_at + 3:-1:6] = pick(parts[2::3])
-    out[nets_at + 4:-1:6] = pick(labels)
+    for i in range(4):
+        out[1 + i:nets_at:4] = components[i]
+    for i, column in enumerate(_NET_LINE, nets_at):
+        out[i:-1:10] = nets[column]
+    del components, nets
     return "".join(out)
 
 
