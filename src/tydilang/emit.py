@@ -11,27 +11,36 @@ renders each distinct implementation once per call into a *stamp* of text:
 the two fragments of its component line that follow the first and the
 second flat name (record attributes, then the port cells), its children as
 flat-name suffixes (``__inst`` or ``__inst_AT_i``) in sorted instance order,
-and five fragments per net: the DOT-escaped connection name (a backslash
-before each backslash and double quote) with its ``__``, the source's
-suffix and anchor with ``::`` and ``__``, the sink's suffix, and the two
-line fragments that follow the copy's flat name at each end. A copy builds
-no string of its own but its flat name. `FlatCircuit` holds the flat names
-and the pieces of each line: for a component its DOT ID and its stamp's
-two fragments, for a net its copy's flat name and its stamp's five
-fragments. All four lists hold only strings, so a circuit adds nothing to
-the collector's lists, and it holds less text than the DOT repeats.
-`emit_dot` builds each net's label, the flat name joined onto the name,
-source and sink fragments, only as a sort key. It sorts index lists by key,
-which keeps equal keys in walk order, picks each column of pieces in that
-order with one `itemgetter`, drops the keys and index lists, fills one
-preallocated list and joins it once: no line is a string of its own. A DOT
-ID is a flat name, quoted when it is a DOT keyword (``node``, ``edge``,
-``graph``, ``digraph``, ``subgraph``, ``strict``, in any case), which
-Graphviz would read as the start of a statement; only the top's flat name
-lacks ``__`` and can be one, so `flatten` quotes it after the walk, in its
-IDs but not in its labels. A stamp refuses a port list whose record anchors
-repeat, and `emit_dot` two components of one flat name: either would merge
-in the DOT.
+and five fragments per connection, a *stamp net*: the DOT-escaped
+connection name (a backslash before each backslash and double quote) with
+its ``__``, the source's suffix and anchor with ``::`` and ``__``, the
+sink's suffix, and the two line fragments that follow the copy's flat name
+at each end. A copy builds no string of its own but its flat name, which it
+adds to the components and to its stamp's list of copies. After the walk,
+`flatten` lays the nets out stamp by stamp, in the order in which each
+stamp's first copy finishes (so a contained implementation comes before
+every one that contains it), a stamp's nets stamp net by stamp net, and a
+stamp net's copies in walk order. `FlatCircuit` holds the flat names and
+the pieces of each line: for a component its DOT ID and its stamp's two
+fragments, for a net its copy's flat name; each stamp net's five fragments
+it holds once, and the stamps' sizes as bytes. Its lists hold only strings,
+so a circuit adds nothing to the collector's lists, and it holds less text
+than the DOT repeats. `emit_dot` builds each net's label, the flat name
+joined onto the name, source and sink fragments, only as a sort key, with
+one comprehension per stamp. It sorts index lists by key, which keeps equal
+keys in the layout's order, and that is the walk's: flat names and anchors
+hold no ``:``, so equal labels share a source anchor and a sink component,
+and belong to one copy or to a copy and its parent. It picks the flat names
+and a stamp-net index column in that order, each fragment column from the
+stamp nets through that index with one `itemgetter`, drops the keys and
+index lists, fills one preallocated list and joins it once: no line is a
+string of its own. A DOT ID is a flat name, quoted when it is a DOT keyword
+(``node``, ``edge``, ``graph``, ``digraph``, ``subgraph``, ``strict``, in
+any case), which Graphviz would read as the start of a statement; only the
+top's flat name lacks ``__`` and can be one, so `flatten` quotes it after
+the walk, in its IDs but not in its labels. A stamp refuses a port list
+whose record anchors repeat, and `emit_dot` two components of one flat
+name: either would merge in the DOT.
 
 `emit_ir` writes what `json.dumps` gives with ``indent=2, sort_keys=True``,
 plus a newline, as finished text into one list that it joins once. The
@@ -47,6 +56,7 @@ and every IR written stays readable by `json`.
 
 from __future__ import annotations
 
+from array import array
 from itertools import compress, islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import eq, itemgetter
@@ -63,9 +73,12 @@ class FlatCircuit:
         self.top: Implementation = top
         self.components: list[str] = []  # flat names
         self.component_parts: list[str] = []  # per component: DOT ID, head, tail
-        self.nets: list[str] = []  # per net: its copy's flat name
-        # per net: its stamp's name, source and sink fragments, arrow, label head
+        self.nets: list[str] = []  # per net, stamp by stamp: its copy's flat name
+        # per stamp net: its name, source and sink fragments, arrow, label head
         self.net_parts: list[str] = []
+        # per stamp: its copies and its stamp nets, the bytes of an
+        # array("l"); bytes, unlike a list or an array, the collector ignores
+        self.stamp_sizes = b""
 
 
 _DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
@@ -82,10 +95,11 @@ def _segment(name: str, index) -> str:
 def _stamp(impl: Implementation) -> tuple:
     """The text every flat copy of `impl` shares: its component line after
     the first and after the second flat name, its children as (flat-name
-    suffix, target), and for each net, one after another, the three
-    fragments that a copy's label joins its flat name onto and the two line
-    fragments that follow the copy's flat name; ``src``/``sink`` below are
-    the suffixes of the ends (empty for the implementation's own ports)."""
+    suffix, target), for each net, one after another, the three fragments
+    that a copy's label joins its flat name onto and the two line fragments
+    that follow the copy's flat name, and an empty list for its copies'
+    flat names; ``src``/``sink`` below are the suffixes of the ends (empty
+    for the implementation's own ports)."""
     streamlet = impl.streamlet
     cells = []
     givers = {"component": None}  # anchor -> the port that gives it
@@ -124,41 +138,42 @@ def _stamp(impl: Implementation) -> tuple:
         nets += (escape(conn.name) + "__", f"{src}::{src_anchor}__", sink,
                  f"{src}:{src_anchor} -> ", f'{sink}:{sink_anchor} [label="')
     return (f' [{attrs}, label="{{<component>', "".join(cells) + '}"];\n',
-            children, nets)
+            children, nets, [])
 
 
 def _walk(circuit: FlatCircuit, stamps: dict, impl: Implementation,
           flat_name: str) -> None:
     stamp = stamps.get(id(impl))
-    if stamp is None:
-        stamp = stamps[id(impl)] = _stamp(impl)
-    head, tail, children, nets = stamp
+    first = stamp is None
+    if first:
+        stamp = _stamp(impl)
+    head, tail, children, _, copies = stamp
     circuit.components.append(flat_name)
     circuit.component_parts.extend((flat_name, head, tail))
+    copies.append(flat_name)
     for suffix, target in children:
         _walk(circuit, stamps, target, flat_name + suffix)
-    circuit.nets += [flat_name] * (len(nets) // 5)
-    circuit.net_parts += nets
+    if first:  # the stamps in the order in which their first copies finish
+        stamps[id(impl)] = stamp
 
 
 def _quote_top(circuit: FlatCircuit) -> None:
     """Quote the top's flat name, a DOT keyword, where it is a DOT ID: at its
-    node, walked first, and at its own ports' ends. A net of the top gets an
-    empty flat name: its name and source fragments take the raw name onto
-    their ends, so its label keeps it, and its arrow and label head, which
-    start with an end's suffix (empty at the top's own ports), take the
-    end's ID in front."""
+    node, walked first, and at its own ports' ends. The top's stamp is the
+    last, with one copy. Its nets get an empty flat name: their name and
+    source fragments take the raw name onto their ends, so their labels keep
+    it, and their arrows and label heads, which start with an end's suffix
+    (empty at the top's own ports), take the end's ID in front."""
     name = circuit.components[0]
     quoted = circuit.component_parts[0] = f'"{name}"'
-    flats, parts = circuit.nets, circuit.net_parts
-    for i, flat in enumerate(flats):
-        if flat == name:
-            label_name, src, sink, arrow, label_head = parts[5 * i:5 * i + 5]
-            flats[i] = ""
-            parts[5 * i:5 * i + 5] = (
-                label_name + name, src + name, sink,
-                (quoted if arrow.startswith(":") else name) + arrow,
-                (quoted if label_head.startswith(":") else name) + label_head)
+    flats, parts, count = circuit.nets, circuit.net_parts, len(circuit.top.connections)
+    flats[len(flats) - count:] = [""] * count
+    for i in range(len(parts) - 5 * count, len(parts), 5):
+        label_name, src, sink, arrow, label_head = parts[i:i + 5]
+        parts[i:i + 5] = (
+            label_name + name, src + name, sink,
+            (quoted if arrow.startswith(":") else name) + arrow,
+            (quoted if label_head.startswith(":") else name) + label_head)
 
 
 def flatten(project: Project, top_package: str, top_impl: str) -> FlatCircuit:
@@ -167,7 +182,15 @@ def flatten(project: Project, top_package: str, top_impl: str) -> FlatCircuit:
         raise TydiError("resolution",
                         f"top implementation {top_impl!r} is not evaluated")
     circuit = FlatCircuit(impl)
-    _walk(circuit, {}, impl, impl.id)  # stamps by identity: ids repeat across packages
+    stamps: dict = {}  # by identity: ids repeat across packages
+    _walk(circuit, stamps, impl, impl.id)
+    sizes = array("l")
+    for _, _, _, nets, copies in stamps.values():
+        count = len(nets) // 5
+        circuit.nets += copies * count
+        circuit.net_parts += nets
+        sizes.extend((len(copies), count))
+    circuit.stamp_sizes = sizes.tobytes()
     if impl.id.lower() in _DOT_KEYWORDS:
         _quote_top(circuit)
     return circuit
@@ -182,8 +205,9 @@ def emit_dot(circuit: FlatCircuit) -> str:
     """The DOT text: the component lines sorted by flat name, then the net
     lines sorted by label, each label built only as a sort key. Each line
     is the pieces the circuit refers to: the columns are picked in sorted
-    order, and once the keys and index lists are gone they fill one list
-    that is joined once."""
+    order, a net's fragments through its stamp net's index, and once the
+    keys and index lists are gone they fill one list that is joined
+    once."""
     names, flats, parts = circuit.components, circuit.nets, circuit.net_parts
     pick = _picker(sorted(range(len(names)), key=names.__getitem__))
     sorted_names = pick(names)
@@ -195,14 +219,24 @@ def emit_dot(circuit: FlatCircuit) -> str:
                         f"to the name {name!r}", top.scope.package.path, top.span)
     cparts = circuit.component_parts
     components = [pick(cparts[0::3]), pick(cparts[1::3]), sorted_names, pick(cparts[2::3])]
-    keys = [f"{name}{flat}{src}{flat}{sink}" for name, flat, src, sink
-            in zip(parts[0::5], flats, parts[1::5], parts[2::5])]
+    keys: list[str] = []
+    stamp_nets: list[int] = []  # per net: its stamp net's index
+    sizes, at, start = array("l", circuit.stamp_sizes), 0, 0
+    for copies, count in zip(sizes[0::2], sizes[1::2]):
+        owners, table = flats[at:at + copies], parts[5 * start:5 * (start + count)]
+        keys += [f"{name}{flat}{src}{flat}{sink}" for name, src, sink
+                 in zip(table[0::5], table[1::5], table[2::5]) for flat in owners]
+        stamp_nets += [j for j in range(start, start + count) for _ in owners]
+        at += copies * count
+        start += count
     pick = _picker(sorted(range(len(keys)), key=keys.__getitem__))
     del keys, sorted_names
-    nets = [pick(flats)] + [pick(parts[i::5]) for i in range(5)]
-    del pick
+    flats, stamp_nets = pick(flats), pick(stamp_nets)
+    pick = _picker(stamp_nets)
+    nets = [flats] + [pick(parts[i::5]) for i in range(5)]
+    del pick, flats, stamp_nets
     nets_at = 1 + 4 * len(names)
-    out = [_EDGE_END] * (nets_at + 10 * len(flats) + 1)
+    out = [_EDGE_END] * (nets_at + 10 * len(circuit.nets) + 1)
     out[0], out[-1] = "digraph {\n", "}\n"
     for i in range(4):
         out[1 + i:nets_at:4] = components[i]
