@@ -69,6 +69,9 @@ from .values import escape
 
 
 class FlatCircuit:
+    # no per-instance dict, which the collector would track on 3.10
+    __slots__ = ("top", "components", "component_parts", "nets", "net_parts", "stamp_sizes")
+
     def __init__(self, top):
         self.top: Implementation = top
         self.components: list[str] = []  # flat names

@@ -98,18 +98,8 @@ def test_syntax_error_reports_line_and_column(tmp_path):
     assert "[syntax]" in report
 
 
-def test_golden_error_report_is_pinned(tmp_path, monkeypatch):
-    """`tydilang tests/data/golden_errors` from the repository root, as CI
-    runs it: several evaluation errors, each reported at the node that
-    caused it, on lines with multi-byte characters before the error, so
-    each column counts characters, not bytes."""
-    monkeypatch.chdir(os.path.dirname(os.path.dirname(DATA_DIR)))
-    out = tmp_path / "build"
-    assert main(["tests/data/golden_errors", "--output", str(out)]) == 1
-    with open(os.path.join(DATA_DIR, "golden_errors", "error_report.txt"),
-              encoding="utf-8") as f:
-        expected = f.read()
-    assert (out / "error_report.txt").read_text(encoding="utf-8") == expected
+def test_golden_error_report_is_pinned(golden_build):
+    assert golden_build("errors").mismatches() == []
 
 
 def test_stderr_locates_each_error_as_the_report_does(tmp_path, capsys):

@@ -1,10 +1,7 @@
-import os
-
 from tydilang.drc import drc_has_errors, render_drc_report, run_drc
-from tydilang.pipeline import CompileConfig, compile_sources
 from tydilang.sugaring import sugar_project
 
-from conftest import DATA_DIR, evaluated_project
+from conftest import evaluated_project
 
 RGB = """
 type Group rgb {
@@ -183,19 +180,8 @@ def test_undriven_instance_input_is_r5_error():
         ("R5", "port end a.input is never connected")]
 
 
-def test_golden_r5_report_is_pinned():
-    """Byte-exact pin of both R5 texts on array-indexed ends, as `tydilang
-    tests/data/golden_r5.td --top r5.top_i --drc` writes them: an instance
-    array input driven twice and one never driven, while the outputs nobody
-    reads get voiders and stay silent."""
-    path = os.path.join(DATA_DIR, "golden_r5.td")
-    with open(path, encoding="utf-8") as f:
-        sources = [(path, f.read())]
-    result = compile_sources(CompileConfig(inputs=[path], top="r5.top_i",
-                                           emit_drc=True), sources)
-    assert result.exit_code == 1
-    with open(os.path.join(DATA_DIR, "golden_r5_drc_report.txt"), encoding="utf-8") as f:
-        assert result.artifacts["drc_report.txt"] == f.read()
+def test_golden_r5_report_is_pinned(golden_build):
+    assert golden_build("r5").mismatches() == []
 
 
 def test_exactly_one_of_r1_r2_applies():

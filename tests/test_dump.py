@@ -2,11 +2,10 @@ import os
 
 import pytest
 
-from tydilang.cli import main
 from tydilang.dump import dump_code_structure
-from tydilang.pipeline import CompileConfig, compile_sources
 
 from conftest import DATA_DIR, compile_texts, evaluated_project, project_of
+from goldens import GOLDENS
 
 SIMPLE_0 = """package simple_0;
 import simple_1;
@@ -305,114 +304,33 @@ def test_golden_dump_frozen():
     assert result.artifacts["2_evaluation_output.txt"] == expected
 
 
-@pytest.mark.parametrize("artifact", ["1_parser_output.txt",
-                                      "2_evaluation_output_after_sugaring.txt",
-                                      "ir.json", "circuit.dot", "drc_report.txt"])
-def test_golden_template_project_is_pinned(artifact):
-    """Byte-exact pins for a two-package project that instantiates templates:
-    a streamlet template with a type parameter, an int parameter sizing a port
-    array and a group reading that parameter; an impl template with an
-    `impl of` parameter and a for block; a derived implementation of a
-    template from another package; and the duplicator and voiders that
-    sugaring inserts."""
-    _check_golden_project("golden_templates", "app.top_i", artifact)
+# The pins of the template, for, TPC-H, stream and grammar goldens under
+# their earlier test names, each read from its golden's one build, which
+# `test_goldens` checks in full.
 
 
-@pytest.mark.parametrize("artifact", ["1_parser_output.txt",
-                                      "2_evaluation_output_after_sugaring.txt",
-                                      "ir.json", "circuit.dot", "drc_report.txt"])
-def test_golden_for_project_is_pinned(artifact):
-    """Byte-exact pins for generative blocks: nested `for` blocks whose inner
-    range is bounded by the outer variable; `if`/`elif`/`else` inside a
-    `for`; interpolated instance names and array-indexed ends; a FIFO depth
-    and a template argument computed from the loop variable; and an assert
-    in a `for` body."""
-    _check_golden_project("golden_for", "lanes.top_i", artifact)
+@pytest.mark.parametrize("artifact", list(GOLDENS["templates"].pins))
+def test_golden_template_project_is_pinned(golden_build, artifact):
+    assert golden_build("templates").mismatches(artifact) == []
 
 
-def _check_golden_project(dirname: str, top: str, artifact: str):
-    """Compile every `.td` file of `tests/data/<dirname>` with DRC, DOT and
-    IR and compare one artifact with the checked-in copy."""
-    project_dir = os.path.join(DATA_DIR, dirname)
-    sources = []
-    for name in sorted(os.listdir(project_dir)):
-        if name.endswith(".td"):
-            with open(os.path.join(project_dir, name), encoding="utf-8") as f:
-                sources.append((name, f.read()))
-    with open(os.path.join(project_dir, artifact), encoding="utf-8") as f:
-        expected = f.read()
-    config = CompileConfig(inputs=[project_dir], top=top, emit_drc=True,
-                           emit_dot=True, emit_ir=True)
-    result = compile_sources(config, sources)
-    assert result.ok, result.diagnostics
-    assert [d for d in result.drc_diagnostics if d.severity == "Error"] == []
-    assert result.artifacts[artifact] == expected
+@pytest.mark.parametrize("artifact", list(GOLDENS["for"].pins))
+def test_golden_for_project_is_pinned(golden_build, artifact):
+    assert golden_build("for").mismatches(artifact) == []
 
 
-def test_golden_tpch1_ir_is_pinned():
-    """Byte-exact pins of the JSON IR, the DOT graph, the unevaluated and
-    the sugared code-structure dumps and the DRC report of the paper's
-    TPC-H query-1 design, as `tydilang tests/data/tpch1.td --top std.main_i --drc --dot
-    --ir` writes them: 161 stream types, most of them port types used many
-    times over, 143 nets, and 14 R1 warnings: the comparator's inline
-    `Stream(Bit(2))` output, duplicated, feeds `select` ports typed by the
-    declared `stream_filter_select_stream`. The sugared dump keeps 60
-    `NotInferred` records, 31 of them ports of templates, beside the
-    evaluated and sugared ones."""
-    path = os.path.join(DATA_DIR, "tpch1.td")
-    with open(path, encoding="utf-8") as f:
-        sources = [(path, f.read())]
-    config = CompileConfig(inputs=[path], top="std.main_i", emit_drc=True,
-                           emit_dot=True, emit_ir=True)
-    result = compile_sources(config, sources)
-    assert result.ok, result.diagnostics
-    for artifact, golden in (("ir.json", "golden_tpch1_ir.json"),
-                             ("circuit.dot", "golden_tpch1.dot"),
-                             ("1_parser_output.txt",
-                              "golden_tpch1_parser_output.txt"),
-                             ("drc_report.txt", "golden_tpch1_drc_report.txt"),
-                             ("2_evaluation_output_after_sugaring.txt",
-                              "golden_tpch1_evaluation_output.txt")):
-        with open(os.path.join(DATA_DIR, golden), encoding="utf-8") as f:
-            assert result.artifacts[artifact] == f.read(), artifact
+def test_golden_tpch1_ir_is_pinned(golden_build):
+    assert golden_build("tpch1").mismatches() == []
 
 
-@pytest.mark.parametrize("artifact, golden", [
-    ("1_parser_output.txt", "golden_streams_parser_output.txt"),
-    ("2_evaluation_output.txt", "golden_streams_evaluation_output.txt"),
-    ("ir.json", "golden_streams_ir.json"),
-    ("drc_report.txt", "golden_streams_drc_report.txt")])
-def test_golden_stream_properties_are_pinned(artifact, golden):
-    """Byte-exact pins of every stream property away from its default, raw
-    and evaluated, as `tydilang tests/data/golden_streams.td --top
-    streams.top_i --drc --ir` writes them: two declarations of one stream
-    structure meet in a strict connection, one R1 warning, and in a
-    @NoStrictType@ one, no diagnostic; a third stream keeps every default."""
-    path = os.path.join(DATA_DIR, "golden_streams.td")
-    with open(path, encoding="utf-8") as f:
-        sources = [(path, f.read())]
-    config = CompileConfig(inputs=[path], top="streams.top_i", emit_drc=True,
-                           emit_ir=True)
-    result = compile_sources(config, sources)
-    assert result.ok, result.diagnostics
-    with open(os.path.join(DATA_DIR, golden), encoding="utf-8") as f:
-        assert result.artifacts[artifact] == f.read()
+@pytest.mark.parametrize("artifact, golden", list(GOLDENS["streams"].pins.items()))
+def test_golden_stream_properties_are_pinned(golden_build, artifact, golden):
+    assert golden_build("streams").mismatches(artifact) == [], golden
 
 
-@pytest.mark.parametrize("artifact, golden", [
-    ("1_parser_output.txt", "golden_grammar_parser_output.txt"),
-    ("error_report.txt", "golden_grammar_error_report.txt")])
-def test_golden_grammar_build_is_pinned(tmp_path, monkeypatch, artifact, golden):
-    """Byte-exact pins of what the builder makes of every item kind the
-    parser reaches, and of the evaluation errors that follow, as
-    `tydilang tests/data/golden_grammar.td --project project` writes them
-    from the repository root."""
-    monkeypatch.chdir(os.path.dirname(os.path.dirname(DATA_DIR)))
-    out = tmp_path / "build"
-    assert main(["tests/data/golden_grammar.td", "--project", "project",
-                 "--output", str(out)]) == 1
-    with open(os.path.join(DATA_DIR, golden), encoding="utf-8") as f:
-        assert (out / artifact).read_text(encoding="utf-8") == f.read()
+@pytest.mark.parametrize("artifact, golden", list(GOLDENS["grammar"].pins.items()))
+def test_golden_grammar_build_is_pinned(golden_build, artifact, golden):
+    assert golden_build("grammar").mismatches(artifact) == [], golden
 
 
 def test_evaluated_values_dump_format():

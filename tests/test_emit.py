@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from tydilang import emit
 from tydilang.emit import emit_dot, emit_ir, flatten
 from tydilang.errors import TydiError
-from tydilang.model import EndRef
+from tydilang.logical_types import BitType, GroupType, NullType, StreamType, stream_display_name
+from tydilang.model import EndRef, EvalState
 from tydilang.pipeline import CompileConfig, compile_project
 from tydilang.sugaring import sugar_project
 from tydilang.values import escape
@@ -416,34 +417,17 @@ def test_dot_sorted_and_deterministic():
     assert names == sorted(names)
 
 
-def test_dot_is_pinned():
-    """Byte-exact DOT for a design with one wrapper implementation instanced
-    three times (two array elements and a scalar), array ports, a named net
-    and a wrapper port that passes straight through."""
-    with open(os.path.join(DATA_DIR, "golden_circuit.td"), encoding="utf-8") as f:
-        source = f.read()
-    with open(os.path.join(DATA_DIR, "golden_circuit.dot"), encoding="utf-8") as f:
-        expected = f.read()
-    result = compile_texts(source, top="circ.top_i", dot=True)
-    assert result.ok, result.diagnostics
-    assert result.artifacts["circuit.dot"] == expected
+def test_dot_is_pinned(golden_build):
+    assert golden_build("circuit").mismatches() == []
 
 
-def test_hierarchy_dot_is_pinned():
-    """Byte-exact DOT for a wrapper instanced as array elements and one level
-    deeper, whose named connection holds `"` and `\\` and starts at a child's
-    array port; every copy has a fan-out and unread outputs, so duplicator
-    and voider copies repeat, and two implementations name a connection
-    alike."""
-    with open(os.path.join(DATA_DIR, "golden_hier.td"), encoding="utf-8") as f:
-        source = f.read()
-    with open(os.path.join(DATA_DIR, "golden_hier.dot"), encoding="utf-8") as f:
-        expected = f.read()
-    result = compile_texts(source, top="hier.top_i", dot=True)
-    assert result.ok, result.diagnostics
-    text = result.artifacts["circuit.dot"]
-    assert text == expected
-    _, edges = check_dot(text)
+def test_hierarchy_dot_is_pinned(golden_build):
+    """In the `hier` golden's DOT, the named connection that holds `"` and
+    `\\` labels three nets, the name two implementations share four, and
+    the duplicator in the copy `row[1]` reads its child's array port."""
+    build = golden_build("hier")
+    assert build.mismatches("circuit.dot") == []
+    _, edges = check_dot(build.text("circuit.dot"))
     labels = [label for *_, label in edges]
     assert sum(label.startswith('q\\"uote\\\\back__') for label in labels) == 3
     assert sum(label.startswith("shared__") for label in labels) == 4
@@ -451,16 +435,8 @@ def test_hierarchy_dot_is_pinned():
             "input") in [edge[:4] for edge in edges]
 
 
-def test_hierarchy_ir_is_pinned():
-    """Byte-exact IR of the same design, as `tydilang tests/data/golden_hier.td
-    --top hier.top_i --dot --ir --project project` writes it: the escaped
-    connection name, `owner_index` on array instances and nested wrappers."""
-    path = os.path.join(DATA_DIR, "golden_hier.td")
-    result = compile_project(CompileConfig(inputs=[path], top="hier.top_i",
-                                           emit_dot=True, emit_ir=True))
-    assert result.ok, result.diagnostics
-    with open(os.path.join(DATA_DIR, "golden_hier_ir.json"), encoding="utf-8") as f:
-        assert result.artifacts["ir.json"] == f.read()
+def test_hierarchy_ir_is_pinned(golden_build):
+    assert golden_build("hier").mismatches("ir.json") == []
 
 
 def test_dot_escapes_quotes_and_backslashes_in_net_labels():
@@ -579,6 +555,10 @@ def test_components_sort_by_flat_name_not_walk_order():
         '}\n')
 
 
+def slot_values(circuit) -> list:
+    return [getattr(circuit, slot) for slot in type(circuit).__slots__]
+
+
 def test_circuit_holds_less_text_than_it_renders():
     """A circuit holds the flat names, and only refers to the text its
     copies share, so the distinct strings in its lists add up to less text
@@ -586,7 +566,7 @@ def test_circuit_holds_less_text_than_it_renders():
     here) fails."""
     project, _ = evaluated_project(binary_tree(8), top="p.lvl8_i")
     circuit = flatten(project, "p", "lvl8_i")
-    held = {id(text): len(text) for texts in vars(circuit).values()
+    held = {id(text): len(text) for texts in slot_values(circuit)
             if isinstance(texts, list) for text in texts}
     assert sum(held.values()) < len(emit_dot(circuit))
 
@@ -599,7 +579,7 @@ def test_no_string_per_net_outlives_the_walk():
     project, _ = evaluated_project(binary_tree(8), top="p.lvl8_i")
     circuit = flatten(project, "p", "lvl8_i")
     fragments = sum(2 + 5 * len(impl.connections) for impl in implementations(circuit.top))
-    held = {id(text) for texts in vars(circuit).values() if isinstance(texts, list)
+    held = {id(text) for texts in slot_values(circuit) if isinstance(texts, list)
             for text in texts}
     assert (len(circuit.components), len(circuit.nets), fragments) == (511, 765, 138)
     assert len(held) <= len(circuit.components) + fragments
@@ -681,6 +661,61 @@ def naive_dot(project, package: str, top: str) -> str:
     return "".join(["digraph {\n", *(line for _, line in components + nets), "}\n"])
 
 
+def naive_ir(project) -> str:
+    """The IR of `project`, walked from the model into dicts and lists and
+    written by the standard encoder: every evaluated implementation,
+    streamlet and named type of every package, each logical type in full
+    wherever it is placed."""
+    def logical(t):
+        if isinstance(t, NullType):
+            return {"kind": "null"}
+        if isinstance(t, BitType):
+            return {"kind": "bit", "width": t.width}
+        if isinstance(t, StreamType):
+            p = t.properties
+            return {"kind": "stream", "name": stream_display_name(t), "element": logical(t.element),
+                    "properties": {"complexity": p.complexity, "dimension": p.dimension,
+                                   "direction": p.direction, "keep": p.keep,
+                                   "synchronicity": p.synchronicity,
+                                   "throughput": p.throughput, "user": logical(p.user)}}
+        return {"kind": "group" if isinstance(t, GroupType) else "union", "name": t.name,
+                "fields": [{"name": name, "type": logical(field)} for name, field in t.fields]}
+
+    def optional(record, **items):
+        return {**record, **{key: value for key, value in items.items() if value is not None}}
+
+    def end(e):
+        return optional({"owner": e.owner_name, "port": e.port_name},
+                        owner_index=e.owner_index, port_index=e.port_index)
+
+    def implementation(impl):
+        return optional({
+            "connections": [{"fifo_depth": c.fifo_depth, "name": c.name,
+                             "no_strict_type": c.no_strict, "sink": end(c.sink),
+                             "source": end(c.source)} for c in impl.connections],
+            "external": impl.external,
+            "instances": {name: optional({"target": inst.target.id}, array_size=inst.array_size)
+                          for name, inst in impl.instances.items()},
+            "streamlet": impl.streamlet.id}, doc=impl.doc or None)
+
+    def streamlet(s):
+        return optional({"ports": {name: optional({
+            "clockdomain": port.clockdomain.expression, "direction": port.direction,
+            "type": logical(port.logical_type)}, array_size=port.array_size)
+            for name, port in s.ports.items()}}, doc=s.doc or None)
+
+    def evaluated(table, render):
+        return {key: render(e) for key, e in table.items() if e.state is EvalState.EVALUATED}
+
+    packages = {name: {"implementations": evaluated(package.scope.implements, implementation),
+                       "streamlets": evaluated(package.scope.streamlets, streamlet),
+                       "types": evaluated(package.scope.types,
+                                          lambda entry: logical(entry.evaluated))}
+                for name, package in project.packages.items()}
+    return json.dumps({"packages": packages, "project": project.name},
+                      indent=2, sort_keys=True) + "\n"
+
+
 PREFIX_NAMES = """package p;
 type s = Stream(Bit(1));
 streamlet io_s { i: s in, o: s out, };
@@ -731,8 +766,8 @@ impl strict of strict_s { instance x(x), instance w(w), a => x.a, b => w.a, };
 
 
 def oracle_cases():
-    """(name, evaluated project, package, top) for each design whose DOT
-    `test_dot_matches_a_naive_renderer` checks; all but the fan-out are
+    """(name, evaluated project, package, top) for each design whose DOT and
+    IR `test_dot_matches_a_naive_renderer` checks; all but the fan-out are
     sugared."""
     cases = [(f"binary_tree_{depth}", (binary_tree(depth),), f"p.lvl{depth}_i")
              for depth in range(1, 7)]
@@ -757,8 +792,9 @@ def test_dot_matches_a_naive_renderer():
     instanced at two depths whose connection names `a`, `a0` and `a_b` are
     prefixes of one another, nets whose labels tie or differ only in their
     sinks, and nets of different names whose labels tie, in either order of
-    declaration."""
+    declaration. The IR of each is byte-identical to `naive_ir`'s."""
     for name, project, package, top in oracle_cases():
+        assert emit_ir(project) == naive_ir(project), name
         expected = naive_dot(project, package, top)
         assert emit_dot(flatten(project, package, top)) == expected, name
         if name == "prefix_names":
@@ -862,8 +898,9 @@ def _float_literal(x: float) -> str:
 def test_ir_of_generated_sources_is_canonical_json(docs, name, dimension, throughput):
     """Docs and connection names that need escaping, the largest int64 and
     the extreme finite floats reach the IR as the standard encoder writes
-    them, and each loads back exactly. A lone surrogate, which no UTF-8 file
-    holds, fails the compile as an io error at its first place."""
+    them, and each loads back exactly, in the IR that `naive_ir` writes. A
+    lone surrogate, which no UTF-8 file holds, fails the compile as an io
+    error at its first place."""
     literal = name.replace("\\", "\\\\").replace('"', '\\"')
     source = ("package p;\n"
               f"type s = Stream(Bit(1), d = {dimension}, t = {_float_literal(throughput)});\n"
@@ -880,6 +917,7 @@ def test_ir_of_generated_sources_is_canonical_json(docs, name, dimension, throug
     assert result.ok, result.diagnostics
     text = result.artifacts["ir.json"]
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text == naive_ir(result.project)
     doc = json.loads(text)["packages"]["p"]
     properties = doc["types"]["s"]["properties"]
     assert (properties["dimension"], properties["throughput"]) == (dimension, throughput)
@@ -942,22 +980,34 @@ EVERY_IR_KEY = (
     "};\n")
 
 
+# the goldens that write an IR, by the source each case of the test below names
+GOLDEN_IRS = {"tpch1.td": "tpch1", "golden_templates": "templates", "golden_for": "for",
+              "golden_streams.td": "streams", "golden_hier.td": "hier",
+              "golden_circuit.td": "circuit"}
+
+
 @pytest.mark.parametrize("name, top", [
     ("tpch1.td", "std.main_i"), ("golden_templates", "app.top_i"),
     ("golden_for", "lanes.top_i"), ("golden_streams.td", "streams.top_i"),
     ("golden_hier.td", "hier.top_i"), ("golden_demo.td", None),
     ("golden_circuit.td", "circ.top_i"), ("every_ir_key", "p.top_i")])
-def test_ir_is_canonical_json(tmp_path, name, top):
+def test_ir_is_canonical_json(tmp_path, golden_build, name, top):
     """The IR is exactly what the standard encoder writes, with ``indent=2,
-    sort_keys=True``, for the document it holds."""
-    if name == "every_ir_key":
-        path = tmp_path / "every_ir_key.td"
-        path.write_text(EVERY_IR_KEY, encoding="utf-8")
+    sort_keys=True``, for the document it holds. A golden's IR is read from
+    its one build, which `test_goldens` also checks against `naive_ir`; the
+    others are compiled here, and checked against it too."""
+    if name in GOLDEN_IRS:
+        text = golden_build(GOLDEN_IRS[name]).text("ir.json")
     else:
-        path = os.path.join(DATA_DIR, name)
-    result = compile_project(CompileConfig(inputs=[str(path)], top=top, emit_ir=True))
-    assert result.ok, result.diagnostics
-    text = result.artifacts["ir.json"]
+        if name == "every_ir_key":
+            path = tmp_path / "every_ir_key.td"
+            path.write_text(EVERY_IR_KEY, encoding="utf-8")
+        else:
+            path = os.path.join(DATA_DIR, name)
+        result = compile_project(CompileConfig(inputs=[str(path)], top=top, emit_ir=True))
+        assert result.ok, result.diagnostics
+        text = result.artifacts["ir.json"]
+        assert text == naive_ir(result.project)
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     if name == "every_ir_key":
         doc = json.loads(text)["packages"]["p"]
