@@ -21,7 +21,7 @@ from .logical_types import (STREAM_PROPERTIES, GroupType, StreamProperties,
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Package, Port, Project, Scope, Streamlet, TypeEntry,
                     Variable, indexed)
-from .tree import AstNode
+from .tree import CHILDREN, KIND, TEXT, Node, child
 from .values import escape, format_value
 
 _PARAM_TAGS = {
@@ -115,7 +115,7 @@ def _dump_scope(w: _Writer, scope: Scope):
     w.close()
 
 
-def _not_inferred(pkg: Package, node: Optional[AstNode]) -> str:
+def _not_inferred(pkg: Package, node: Optional[Node]) -> str:
     """The record of an unevaluated expression: its source text, escaped."""
     text = "" if node is None else pkg.snip(node)
     return f'NotInferred("{escape(text)}")'
@@ -162,44 +162,44 @@ def _dump_evaluated_type(w: _Writer, label: str, t, own_scope):
 
 def _dump_unevaluated_type(w: _Writer, entry: TypeEntry, pkg: Package):
     ast = entry.ast
-    inner = ast.children[0] if ast.kind == "LogicalType" else ast
-    kind = inner.kind
+    inner = ast[CHILDREN][0] if ast[KIND] == "LogicalType" else ast
+    kind = inner[KIND]
     if kind in ("LogicalGroupType", "LogicalUnionType"):
         tag = "DataGroup" if kind == "LogicalGroupType" else "DataUnion"
-        w.open(f"{entry.id}:{tag}({inner.children[0].leaf_text})")
+        w.open(f"{entry.id}:{tag}({inner[CHILDREN][0][TEXT]})")
         if entry.own_scope is not None:
             _dump_scope(w, entry.own_scope)
         w.close()
         return
     if kind == "LogicalStreamType":
         w.open(f"{entry.id}:Stream({entry.id})")
-        w.line(f"DataType={_raw_element_text(inner.children[0], pkg)}")
+        w.line(f"DataType={_raw_element_text(inner[CHILDREN][0], pkg)}")
         w.line(_raw_properties_text(inner, pkg))
         w.close()
         return
     w.line(f"{entry.id}:{_raw_element_text(ast, pkg)}")
 
 
-def _raw_element_text(type_node: AstNode, pkg: Package) -> str:
-    inner = type_node.children[0] if type_node.kind == "LogicalType" else type_node
-    kind = inner.kind
+def _raw_element_text(type_node: Node, pkg: Package) -> str:
+    inner = type_node[CHILDREN][0] if type_node[KIND] == "LogicalType" else type_node
+    kind = inner[KIND]
     if kind == "LogicalNullType":
         return "DataNull"
     if kind == "LogicalBitType":
-        return f"Bit({_not_inferred(pkg, inner.children[0])})"
+        return f"Bit({_not_inferred(pkg, inner[CHILDREN][0])})"
     if kind == "LogicalUserDefinedType":
-        name = ".".join(c.leaf_text for c in inner.children)
+        name = ".".join(c[TEXT] for c in inner[CHILDREN])
         return f"VarType({name})"
     return _not_inferred(pkg, inner)
 
 
-def _raw_properties_text(stream_node: AstNode, pkg: Package) -> str:
+def _raw_properties_text(stream_node: Node, pkg: Package) -> str:
     raw = {}
     for _, node_kind, field in STREAM_PROPERTIES:
-        prop = stream_node.child(node_kind)
+        prop = child(stream_node, node_kind)
         if prop is not None:
-            raw[field] = (_raw_element_text(prop.children[0], pkg) if field == "user"
-                          else _not_inferred(pkg, prop.children[0]))
+            raw[field] = (_raw_element_text(prop[CHILDREN][0], pkg) if field == "user"
+                          else _not_inferred(pkg, prop[CHILDREN][0]))
     return StreamProperties().summary(raw)
 
 
@@ -244,14 +244,14 @@ def _impl_streamlet_text(impl: Implementation) -> str:
     if impl.derived_from is not None:
         return _not_inferred(pkg, impl.derived_from)
     of = impl.of_ast
-    if of.kind == "TemplateInstance":
-        base = of.children[0]
-        base_name = base.leaf_text if base.kind == "ID" else \
-            ".".join(c.leaf_text for c in base.children)
-        args = ",".join("@" + pkg.snip(a.children[0])
-                        for a in of.children[1:])
+    if of[KIND] == "TemplateInstance":
+        base = of[CHILDREN][0]
+        base_name = base[TEXT] if base[KIND] == "ID" else \
+            ".".join(c[TEXT] for c in base[CHILDREN])
+        args = ",".join("@" + pkg.snip(a[CHILDREN][0])
+                        for a in of[CHILDREN][1:])
         return f"ProxyStreamlet({base_name}<{args}>)"
-    name = of.leaf_text if of.kind == "ID" else ".".join(c.leaf_text for c in of.children)
+    name = of[TEXT] if of[KIND] == "ID" else ".".join(c[TEXT] for c in of[CHILDREN])
     return f"ProxyStreamlet({name}<>)"
 
 
@@ -263,13 +263,13 @@ def _port_text(port: Port, pkg: Package) -> str:
         type_part = data_type_display(port.logical_type)
         cd = port.clockdomain.expression
     else:
-        ast_inner = port.type_ast.children[0]
-        if ast_inner.kind == "LogicalUserDefinedType":
-            type_part = f"VarType({'.'.join(c.leaf_text for c in ast_inner.children)})"
+        ast_inner = port.type_ast[CHILDREN][0]
+        if ast_inner[KIND] == "LogicalUserDefinedType":
+            type_part = f"VarType({'.'.join(c[TEXT] for c in ast_inner[CHILDREN])})"
         else:
             type_part = _not_inferred(pkg, port.type_ast)
         cd = "DefaultClockDomain" if port.cd_ast is None else \
-            _not_inferred(pkg, port.cd_ast.children[0])
+            _not_inferred(pkg, port.cd_ast[CHILDREN][0])
     size = ""
     if port.array_size_ast is not None:
         size = f"[{port.array_size}]" if port.array_size is not None \

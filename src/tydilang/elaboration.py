@@ -37,7 +37,7 @@ from .math_engine import (ExpressionEvaluator, evaluate_expression,
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Port, Scope, ScopeRelationKind, Streamlet, TypeEntry,
                     Variable, resolve_name, resolve_ref)
-from .tree import AstNode
+from .tree import CHILDREN, KIND, TEXT, Node
 from .type_eval import evaluate_type, force_type_entry
 from .values import (DEFAULT_CLOCKDOMAIN, ArrayValue, BoolValue, ClockDomainValue,
                      IntValue, Value, format_value, mangle_text, variant_name)
@@ -70,15 +70,15 @@ def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
     if port.cd_ast is None:
         port.clockdomain = DEFAULT_CLOCKDOMAIN
     else:
-        body = port.cd_ast.children[0]
-        if body.kind == "STR":
-            port.clockdomain = ClockDomainValue(body.leaf_text)
+        body = port.cd_ast[CHILDREN][0]
+        if body[KIND] == "STR":
+            port.clockdomain = ClockDomainValue(body[TEXT])
         else:
             var = resolve_ref(ctx.project, scope, body, "variable")
             cd = force_variable(ctx, var, path, body)
             if not isinstance(cd, ClockDomainValue):
                 raise TydiError("type",
-                                f"port clockdomain {body.leaf_text!r} must be a "
+                                f"port clockdomain {body[TEXT]!r} must be a "
                                 f"clockdomain value, got {variant_name(cd)}", path, body)
             port.clockdomain = cd
     port.logical_type = logical_type  # last: a port with a type is evaluated
@@ -142,20 +142,20 @@ def _evaluate_instance(ctx: EvalContext, inst: Instance):
     inst.target = target  # last: an instance with a target is evaluated
 
 
-def _resolve_entity(ctx: EvalContext, scope: Scope, ref: AstNode, category: str):
+def _resolve_entity(ctx: EvalContext, scope: Scope, ref: Node, category: str):
     """The streamlet or implementation `ref` names in `scope`: the instance
     of a `name<args>` use, an `impl of` argument bound in `scope` (for an
     implementation), or else what `resolve_ref` finds."""
-    if ref.kind == "TemplateInstance":
+    if ref[KIND] == "TemplateInstance":
         template, args = _resolve_template_use(ctx, scope, ref, category)
         return instantiate_template(ctx, template, args)
-    if category == "implementation" and ref.leaf_text in scope.impl_args:
-        return scope.impl_args[ref.leaf_text]
+    if category == "implementation" and ref[TEXT] in scope.impl_args:
+        return scope.impl_args[ref[TEXT]]
     return resolve_ref(ctx.project, scope, ref, category)
 
 
-def _evaluate_count(ctx: EvalContext, scope: Scope, exp: AstNode, least: int,
-                    span: AstNode, message: str) -> int:
+def _evaluate_count(ctx: EvalContext, scope: Scope, exp: Node, least: int,
+                    span: Node, message: str) -> int:
     """The int `exp` evaluates to in `scope`: an array size or a FIFO depth.
     Anything else, or an int below `least`, is a type error with `message`
     at `span`."""
@@ -176,13 +176,13 @@ def resolve_connection(ctx: EvalContext, impl: Implementation, conn: Connection)
                                           "FIFO depth must be a non-negative int")
 
 
-def _path_part(node: AstNode, scope: Scope):
+def _path_part(node: Node, scope: Scope):
     """The name node of a PathOwner or PathPort node, the name it spells in
     `scope`, and its index expression (None without an index)."""
-    name_node = node.children[0]
-    name = name_node.leaf_text if name_node.kind == "ID" else \
+    name_node = node[CHILDREN][0]
+    name = name_node[TEXT] if name_node[KIND] == "ID" else \
         substitute(name_node, scope)
-    index = node.children[1].children[0] if len(node.children) > 1 else None
+    index = node[CHILDREN][1][CHILDREN][0] if len(node[CHILDREN]) > 1 else None
     return name_node, name, index
 
 
@@ -243,9 +243,9 @@ def _end_index(ctx, scope, index_ast, size, what, name_node) -> Optional[int]:
 # -- assertions ------------------------------------------------------------------
 
 
-def check_assertion(ctx: EvalContext, scope: Scope, assert_stmt: AstNode):
+def check_assertion(ctx: EvalContext, scope: Scope, assert_stmt: Node):
     path = scope.package.path
-    exp = assert_stmt.children[0]
+    exp = assert_stmt[CHILDREN][0]
     value = evaluate_expression(ctx, scope, exp)
     if not isinstance(value, BoolValue):
         raise TydiError("type",
@@ -256,7 +256,7 @@ def check_assertion(ctx: EvalContext, scope: Scope, assert_stmt: AstNode):
     raw = scope.package.snip(exp)
     ev = ExpressionEvaluator(ctx, scope)
     operands = ", ".join(
-        format_value(ev.eval_term(t)) for t in exp.children if t.kind == "Term")
+        format_value(ev.eval_term(t)) for t in exp[CHILDREN] if t[KIND] == "Term")
     raise TydiError("assertion",
                     f"assertion failed: {raw} (operands: {operands})", path, assert_stmt)
 
@@ -264,18 +264,18 @@ def check_assertion(ctx: EvalContext, scope: Scope, assert_stmt: AstNode):
 # -- member extraction -------------------------------------------------------------
 
 
-def _extract_member(ctx: EvalContext, scope: Scope, extract: AstNode, table: str,
+def _extract_member(ctx: EvalContext, scope: Scope, extract: Node, table: str,
                     what: str):
     """The entry a `streamlet/impl/type owner.member` extraction names in the
     owner's `table` of variables or types; a miss names the member `what`."""
-    keyword = extract.children[0].leaf_text
-    owner_ast = extract.children[1]
+    keyword = extract[CHILDREN][0][TEXT]
+    owner_ast = extract[CHILDREN][1]
     path = scope.package.path
     if keyword in ("streamlet", "impl"):
         category = "streamlet" if keyword == "streamlet" else "implementation"
         owner_scope = _resolve_entity(ctx, scope, owner_ast, category).scope
     else:  # keyword 'type': group/union member access
-        if owner_ast.kind not in ("ID", "QualifiedId"):
+        if owner_ast[KIND] not in ("ID", "QualifiedId"):
             raise TydiError("resolution", "type member extraction needs a type name",
                             path, owner_ast)
         entry = resolve_ref(ctx.project, scope, owner_ast, "type")
@@ -285,7 +285,7 @@ def _extract_member(ctx: EvalContext, scope: Scope, extract: AstNode, table: str
                 "resolution",
                 f"type {entry.id!r} has no member scope (only groups and unions do)",
                 path, owner_ast)
-    member = extract.children[2].leaf_text
+    member = extract[CHILDREN][2][TEXT]
     found = getattr(owner_scope, table).get(member)
     if found is None:
         raise TydiError("resolution",
@@ -294,12 +294,12 @@ def _extract_member(ctx: EvalContext, scope: Scope, extract: AstNode, table: str
     return found
 
 
-def extract_member_value(ctx: EvalContext, scope: Scope, extract: AstNode) -> Value:
+def extract_member_value(ctx: EvalContext, scope: Scope, extract: Node) -> Value:
     var = _extract_member(ctx, scope, extract, "variables", "member")
     return force_variable(ctx, var, scope.package.path, extract)
 
 
-def extract_member_type(ctx: EvalContext, scope: Scope, extract: AstNode):
+def extract_member_type(ctx: EvalContext, scope: Scope, extract: Node):
     entry = _extract_member(ctx, scope, extract, "types", "type member")
     return force_type_entry(ctx, entry)
 
@@ -307,17 +307,17 @@ def extract_member_type(ctx: EvalContext, scope: Scope, extract: AstNode):
 # -- template instantiation ----------------------------------------------------------
 
 
-def _resolve_template_use(ctx: EvalContext, scope: Scope, inst_ast: AstNode,
+def _resolve_template_use(ctx: EvalContext, scope: Scope, inst_ast: Node,
                           category: str):
     """Resolve a `name<args>` use; evaluates the arguments in `scope`."""
     path = scope.package.path
-    base = inst_ast.children[0]
+    base = inst_ast[CHILDREN][0]
     template = resolve_ref(ctx.project, scope, base, category)
     if not template.is_template:
         raise TydiError("resolution",
                         f"{category} {template.id!r} is not a template",
                         path, inst_ast)
-    arg_nodes = inst_ast.children[1:]
+    arg_nodes = inst_ast[CHILDREN][1:]
     params = template.template_params
     if len(arg_nodes) != len(params):
         raise TydiError(
@@ -330,20 +330,20 @@ def _resolve_template_use(ctx: EvalContext, scope: Scope, inst_ast: AstNode,
 
 
 def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
-                           arg_node: AstNode):
+                           arg_node: Node):
     path = scope.package.path
     if param.kind == "type":
-        if arg_node.kind != "TemplateArgType":
+        if arg_node[KIND] != "TemplateArgType":
             raise TydiError("type",
                             f"template parameter {param.name!r} expects a logical type; "
                             "use the `type` keyword before the argument", path, arg_node)
-        return evaluate_type(ctx, scope, arg_node.children[0])
+        return evaluate_type(ctx, scope, arg_node[CHILDREN][0])
     if param.kind == "impl":
-        if arg_node.kind != "TemplateArgImpl":
+        if arg_node[KIND] != "TemplateArgImpl":
             raise TydiError("type",
                             f"template parameter {param.name!r} expects an implementation; "
                             "use the `impl` keyword before the argument", path, arg_node)
-        target = _resolve_entity(ctx, scope, arg_node.children[0], "implementation")
+        target = _resolve_entity(ctx, scope, arg_node[CHILDREN][0], "implementation")
         if target.is_template:
             raise TydiError(
                 "resolution",
@@ -359,11 +359,11 @@ def _evaluate_template_arg(ctx: EvalContext, scope: Scope, template, param,
                             f"requires an implementation of {param.impl_of!r}",
                             path, arg_node)
         return target
-    if arg_node.kind != "TemplateArgExp":
+    if arg_node[KIND] != "TemplateArgExp":
         raise TydiError("type",
                         f"template parameter {param.name!r} expects a {param.kind} value",
                         path, arg_node)
-    value = evaluate_expression(ctx, scope, arg_node.children[0])
+    value = evaluate_expression(ctx, scope, arg_node[CHILDREN][0])
     if variant_name(value) != param.kind:
         raise TydiError("type",
                         f"template parameter {param.name!r} expects {param.kind}, got "
@@ -432,16 +432,16 @@ def _bind_args(scope: Scope, params, args: list):
 # -- generative for/if expansion -----------------------------------------------------
 
 
-def _expand_item(ctx: EvalContext, impl: Implementation, item: AstNode,
+def _expand_item(ctx: EvalContext, impl: Implementation, item: Node,
                  scope: Scope, suffix: str):
     """Build `item`, or what an if/for block generates, into `impl`; its
     expressions evaluate in `scope`, the implementation's or a `for`
     element's."""
-    if item.kind not in ("ForBlock", "IfBlock"):
+    if item[KIND] not in ("ForBlock", "IfBlock"):
         build_item(item, impl, impl.scope, scope, suffix)
         return
     ctx.deeper(scope.package.path)
-    if item.kind == "ForBlock":
+    if item[KIND] == "ForBlock":
         expand_for(ctx, impl, item, scope, suffix)
     else:
         for child in _select_if_branch(ctx, scope, item):
@@ -449,9 +449,9 @@ def _expand_item(ctx: EvalContext, impl: Implementation, item: AstNode,
     ctx.depth -= 1
 
 
-def _select_if_branch(ctx, scope, block: AstNode) -> tuple[AstNode, ...]:
+def _select_if_branch(ctx, scope, block: Node) -> tuple[Node, ...]:
     """The items of the branch whose condition holds; none if no branch does."""
-    def test(exp: AstNode) -> bool:
+    def test(exp: Node) -> bool:
         v = evaluate_expression(ctx, scope, exp)
         if not isinstance(v, BoolValue):
             raise TydiError("type",
@@ -459,26 +459,26 @@ def _select_if_branch(ctx, scope, block: AstNode) -> tuple[AstNode, ...]:
                             scope.package.path, exp)
         return v.value
 
-    if test(block.children[0]):
-        return block.children[1].children
-    for clause in block.children[2:]:
-        if clause.kind == "ElifClause":
-            if test(clause.children[0]):
-                return clause.children[1].children
-        elif clause.kind == "ElseClause":
-            return clause.children[0].children
+    if test(block[CHILDREN][0]):
+        return block[CHILDREN][1][CHILDREN]
+    for clause in block[CHILDREN][2:]:
+        if clause[KIND] == "ElifClause":
+            if test(clause[CHILDREN][0]):
+                return clause[CHILDREN][1][CHILDREN]
+        elif clause[KIND] == "ElseClause":
+            return clause[CHILDREN][0][CHILDREN]
     return ()
 
 
-def expand_for(ctx: EvalContext, impl: Implementation, block: AstNode,
+def expand_for(ctx: EvalContext, impl: Implementation, block: Node,
                scope: Scope, suffix: str):
     """Build the body once per element, in an element scope that binds the
     loop variable and resolves everything else through `scope`."""
     path = scope.package.path
-    var = block.children[0].leaf_text
-    iterable = block.children[1]
-    body = block.children[2]
-    if iterable.kind == "RangeExp":
+    var = block[CHILDREN][0][TEXT]
+    iterable = block[CHILDREN][1]
+    body = block[CHILDREN][2]
+    if iterable[KIND] == "RangeExp":
         values = evaluate_range(ctx, scope, iterable)
     else:
         v = evaluate_expression(ctx, scope, iterable)
@@ -495,19 +495,19 @@ def expand_for(ctx: EvalContext, impl: Implementation, block: AstNode,
                               package=scope.package)
         element_scope.variables[var] = Variable(
             id=var, scope=element_scope, state=EvalState.EVALUATED, value=element)
-        for item in body.children:
+        for item in body[CHILDREN]:
             _expand_item(ctx, impl, item, element_scope, f"{suffix}_for_{var}_{index}")
 
 
-def _reject_plain_instances(body: AstNode, path):
+def _reject_plain_instances(body: Node, path):
     """Plain-named instances inside a for body would collide after expansion."""
-    for item in body.children:
-        if item.kind == "InstanceDecl" and item.children[0].kind == "ID":
+    for item in body[CHILDREN]:
+        if item[KIND] == "InstanceDecl" and item[CHILDREN][0][KIND] == "ID":
             raise TydiError(
                 "resolution",
-                f"instance {item.children[0].leaf_text!r} cannot be declared in "
+                f"instance {item[CHILDREN][0][TEXT]!r} cannot be declared in "
                 "a for scope; interpolate the name with {{...}} instead",
                 path, item)
-        if item.kind in ("IfBlock", "ForBlock", "StatementBlock", "ElifClause",
+        if item[KIND] in ("IfBlock", "ForBlock", "StatementBlock", "ElifClause",
                          "ElseClause"):
             _reject_plain_instances(item, path)

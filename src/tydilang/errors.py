@@ -9,20 +9,22 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Protocol
 
+from .tree import END, START
+
 
 class Located(Protocol):
-    """A location in a source file: a Span, a token, an AST node."""
+    """A location in a source file: any tuple whose items at `tree.START`
+    and `tree.END` (1 and 2) are its byte offsets, as a parse-tree node's, a
+    token's and a lexer error's ``(None, start, end)`` are."""
 
-    start: int
-    end: int
+    def __getitem__(self, index: int): ...
 
 
 class Span(NamedTuple):
     """Half-open byte range [start, end) into a source file, as a diagnostic
-    holds it. Tokens and AST nodes carry the two ints themselves, and a
-    `Diagnostic` makes its Span from the one it is given. It does not check
-    its order: the lexer and parser make start <= end, and the tests check
-    that over every parsed fixture."""
+    holds it, made from the location it is given. It does not check its
+    order: the lexer and parser make start <= end, and the tests check that
+    over every parsed fixture."""
 
     start: int
     end: int
@@ -33,13 +35,13 @@ class Span(NamedTuple):
 
 class Diagnostic:
     """A single compiler message tied to a source location. `span` may be
-    given as any location; the diagnostic holds it as a Span."""
+    given as any `Located`; the diagnostic holds it as a Span."""
 
     def __init__(self, category, message, path=None, span=None):
         self.category = category  # syntax | resolution | type | assertion | io | usage
         self.message: str = message
         self.path: Optional[str] = path
-        self.span: Optional[Span] = None if span is None else Span(span.start, span.end)
+        self.span: Optional[Span] = None if span is None else Span(span[START], span[END])
 
     def location(self, source_text: Optional[str] = None) -> str:
         if self.path is None:

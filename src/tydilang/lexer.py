@@ -1,16 +1,17 @@
 """Tokenizer for `.td` source text.
 
 One compiled master pattern scans the UTF-8 encoding of a file in a single
-`finditer` pass, so a token's `start` and `end` are byte offsets; a `Span` is
-made only for a diagnostic. Each match starts with an optional run of
-whitespace and ``//`` / ``/* */`` comments, which is discarded (the language
-is space-insensitive) without a turn of the loop; the token's span is that
-of the group matched after it. The groups, tried in order: ``process`` as a
-word, an identifier, punctuation (longest first), FLOAT, INT
-(``0b``/``0x``/``0o`` prefixes or decimal), a ``"str"`` literal (only
-``\\"`` and ``\\\\`` escapes), a ``#doc#`` string, the end of the text
-(EOF), and a catch-all byte. Where no token starts, the catch-all matches,
-so no byte is skipped: the scan ends in `_fail`, which names the reason.
+`finditer` pass, so a token's `start` and `end` are byte offsets; a token,
+like a lexer error's tuple, is itself a location (`errors.Located`). Each
+match starts with an optional run of whitespace and ``//`` / ``/* */``
+comments, which is discarded (the language is space-insensitive) without a
+turn of the loop; the token's span is that of the group matched after it.
+The groups, tried in order: ``process`` as a word, an identifier,
+punctuation (longest first), FLOAT, INT (``0b``/``0x``/``0o`` prefixes or
+decimal), a ``"str"`` literal (only ``\\"`` and ``\\\\`` escapes), a ``#doc#``
+string, the end of the text (EOF), and a catch-all byte. Where no token
+starts, the catch-all matches, so no byte is skipped: the scan ends in
+`_fail`, which names the reason.
 
 Checks that run after a match: an identifier must not contain ``__``, and a
 number must not be followed by an identifier character. ``process``
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import Span, TydiError
+from .errors import TydiError
 
 # Longest match first.
 PUNCT = [
@@ -63,9 +64,9 @@ _BRACES = re.compile(rb'//[^\n]*\n?|/\*.*?\*/|"(?:[^"\\]|\\.)*"|(/\*|")|([{}])',
 
 class Token(NamedTuple):
     type: str  # ID | INT | FLOAT | STR | DOC | PROCESS_BODY | punctuation text | EOF
-    text: str
-    start: int  # byte offsets of the token: [start, end)
+    start: int  # byte offsets of the token: [start, end), where a node has them
     end: int
+    text: str
 
     def __repr__(self):
         return f"Token({self.type!r}, {self.text!r}, {self.start}-{self.end})"
@@ -79,7 +80,7 @@ def tokenize(text: str, path: str | None = None) -> list[Token]:
     pos = 0
 
     def err(msg: str, start: int, end: int):
-        raise TydiError("syntax", msg, path, Span(start, min(end, len(data))))
+        raise TydiError("syntax", msg, path, (None, start, min(end, len(data))))
 
     while True:  # only the EOF group, a process body or `_fail` ends a pass
         for m in _MASTER.finditer(data, pos):
@@ -89,20 +90,20 @@ def tokenize(text: str, path: str | None = None) -> list[Token]:
                 raw = data[s:e].decode()
                 if "__" in raw:
                     err(f"consecutive underscores are not allowed in identifier {raw!r}", s, e)
-                append(new(Token, ("ID", raw, s, e)))
+                append(new(Token, ("ID", s, e, raw)))
             elif kind == "PUNCT":
                 raw = data[s:e].decode()
-                append(new(Token, (raw, raw, s, e)))
+                append(new(Token, (raw, s, e, raw)))
             elif kind == "INT" or kind == "FLOAT":
                 raw = data[s:e].decode()
                 if _IDENT_START.match(data, e):
                     err(f"malformed number {raw!r}", s, e + 1)
-                append(new(Token, (kind, raw, s, e)))
+                append(new(Token, (kind, s, e, raw)))
             elif kind == "STR":
                 raw = _ESCAPE.sub(rb"\1", data[s + 1:e - 1]).decode()
-                append(new(Token, ("STR", raw, s, e)))
+                append(new(Token, ("STR", s, e, raw)))
             elif kind == "DOC":
-                append(new(Token, ("DOC", data[s + 1:e - 1].decode(), s, e)))
+                append(new(Token, ("DOC", s, e, data[s + 1:e - 1].decode())))
             elif kind == "PROCESS":
                 # simulation blocks are carried as opaque text; their contents
                 # follow a different token grammar and are never analyzed
@@ -110,11 +111,11 @@ def tokenize(text: str, path: str | None = None) -> list[Token]:
                 if data.startswith(b"{", k):
                     pos = _scan_balanced_braces(data, k, path)
                     body = data[k + 1:pos - 1].decode()
-                    append(new(Token, ("PROCESS_BODY", body, s, pos)))
+                    append(new(Token, ("PROCESS_BODY", s, pos, body)))
                     break  # scan on from past the closing brace
-                append(new(Token, ("ID", "process", s, e)))
+                append(new(Token, ("ID", s, e, "process")))
             elif kind == "EOF":
-                append(new(Token, ("EOF", "", s, s)))
+                append(new(Token, ("EOF", s, s, "")))
                 return out
             else:
                 err(*_fail(data, s))
@@ -150,4 +151,4 @@ def _scan_balanced_braces(data: bytes, start: int, path) -> int:
             depth -= 1
             if depth == 0:
                 return m.end()
-    raise TydiError("syntax", "unterminated process block", path, Span(start, len(data)))
+    raise TydiError("syntax", "unterminated process block", path, (None, start, len(data)))

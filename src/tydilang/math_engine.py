@@ -17,7 +17,7 @@ from typing import Optional
 from .context import EvalContext
 from .errors import Located, TydiError
 from .model import Scope, Variable, resolve_ref
-from .tree import AstNode
+from .tree import CHILDREN, KIND, TEXT, Node
 from .values import (ArrayValue, BoolValue, ClockDomainValue, FloatValue,
                      IntValue, StrValue, Value, in_int64_range, mangle_text,
                      variant_name)
@@ -77,14 +77,14 @@ class ExpressionEvaluator:
 
     # -- entry points ----------------------------------------------------------
 
-    def eval_exp(self, exp: AstNode) -> Value:
+    def eval_exp(self, exp: Node) -> Value:
         """Terms left to right; an operator applies once the next one binds no
         tighter, so equal precedences group from the left, with no recursion."""
-        children = exp.children
+        children = exp[CHILDREN]
         values = [self.eval_term(children[0])]
         ops: list[str] = []
         for k in range(1, len(children) + 1, 2):
-            op = children[k].leaf_text if k < len(children) else None
+            op = children[k][TEXT] if k < len(children) else None
             while ops and (op is None or PRECEDENCE[ops[-1]] >= PRECEDENCE[op]):
                 right = values.pop()
                 values[-1] = self.apply_binary(ops.pop(), values[-1], right, exp)
@@ -93,16 +93,16 @@ class ExpressionEvaluator:
                 values.append(self.eval_term(children[k + 1]))
         return values[0]
 
-    def eval_term(self, term: AstNode) -> Value:
+    def eval_term(self, term: Node) -> Value:
         self.ctx.deeper(self.path)
-        inner = term.children[0]
-        if inner.kind == "Exp":
+        inner = term[CHILDREN][0]
+        if inner[KIND] == "Exp":
             value = self.eval_exp(inner)
-        elif inner.kind == "UnaryExp":
-            operand = self.eval_term(inner.children[1])
-            value = self.apply_unary(inner.children[0].leaf_text, operand, inner)
-        elif inner.kind == "ArrayExp":
-            elems = tuple(self.eval_exp(e) for e in inner.children)
+        elif inner[KIND] == "UnaryExp":
+            operand = self.eval_term(inner[CHILDREN][1])
+            value = self.apply_unary(inner[CHILDREN][0][TEXT], operand, inner)
+        elif inner[KIND] == "ArrayExp":
+            elems = tuple(self.eval_exp(e) for e in inner[CHILDREN])
             kinds = {type(e) for e in elems}
             if len(kinds) > 1:
                 raise self.err("array elements must all have the same type", inner)
@@ -116,20 +116,20 @@ class ExpressionEvaluator:
 
     # -- atoms ------------------------------------------------------------------
 
-    def eval_atom(self, atom: AstNode) -> Value:
-        kind = atom.kind
+    def eval_atom(self, atom: Node) -> Value:
+        kind = atom[KIND]
         if kind == "IntExp":
-            leaf = atom.children[0]
-            text = leaf.leaf_text
-            n = int(text) if leaf.kind == "INT_RAW_NORAML" else int(text, 0)
+            leaf = atom[CHILDREN][0]
+            text = leaf[TEXT]
+            n = int(text) if leaf[KIND] == "INT_RAW_NORAML" else int(text, 0)
             return IntValue(_check_int(n, atom, self.path, "integer literal"))
         if kind == "FloatExp":
-            return _check_float(float(atom.children[0].leaf_text), atom, self.path,
+            return _check_float(float(atom[CHILDREN][0][TEXT]), atom, self.path,
                                 "float literal")
         if kind == "StringExp":
-            return StrValue(atom.children[0].leaf_text)
+            return StrValue(atom[CHILDREN][0][TEXT])
         if kind == "BoolExp":
-            return BoolValue(atom.children[0].leaf_text == "true")
+            return BoolValue(atom[CHILDREN][0][TEXT] == "true")
         if kind == "VarExp":
             return self.eval_reference(atom)
         if kind == "IndexExp":
@@ -140,16 +140,16 @@ class ExpressionEvaluator:
         from .elaboration import extract_member_value
         return extract_member_value(self.ctx, self.scope, atom)
 
-    def eval_reference(self, ref: AstNode) -> Value:
+    def eval_reference(self, ref: Node) -> Value:
         """The value of the variable a VarExp or IndexExp names."""
         var = resolve_ref(self.ctx.project, self.scope, ref, "variable")
         return force_variable(self.ctx, var, self.path, ref)
 
-    def eval_index(self, atom: AstNode) -> Value:
-        index_exp = atom.children[-1]
+    def eval_index(self, atom: Node) -> Value:
+        index_exp = atom[CHILDREN][-1]
         arr = self.eval_reference(atom)
         if not isinstance(arr, ArrayValue):
-            raise self.err(f"{atom.children[-2].leaf_text!r} is not an array", atom)
+            raise self.err(f"{atom[CHILDREN][-2][TEXT]!r} is not an array", atom)
         idx = self.eval_exp(index_exp)
         if not isinstance(idx, IntValue):
             raise self.err("array index must be an int", index_exp)
@@ -159,13 +159,13 @@ class ExpressionEvaluator:
                 f"{len(arr.elements)}", atom)
         return arr.elements[idx.value]
 
-    def eval_function(self, atom: AstNode) -> Value:
-        func = atom.children[0].leaf_text
+    def eval_function(self, atom: Node) -> Value:
+        func = atom[CHILDREN][0][TEXT]
         if func == "log":
-            base = self.eval_exp(atom.children[1])
-            arg = self.eval_exp(atom.children[2])
+            base = self.eval_exp(atom[CHILDREN][1])
+            arg = self.eval_exp(atom[CHILDREN][2])
             return self._eval_log(base, arg, atom)
-        arg = self.eval_exp(atom.children[1])
+        arg = self.eval_exp(atom[CHILDREN][1])
         if not isinstance(arg, FloatValue):
             raise self.err(f"{func} expects a float, got {variant_name(arg)}", atom)
         x = arg.value
@@ -312,14 +312,14 @@ class ExpressionEvaluator:
             span)
 
 
-def evaluate_expression(ctx: EvalContext, scope: Scope, exp: AstNode) -> Value:
+def evaluate_expression(ctx: EvalContext, scope: Scope, exp: Node) -> Value:
     return ExpressionEvaluator(ctx, scope).eval_exp(exp)
 
 
-def evaluate_range(ctx: EvalContext, scope: Scope, range_exp: AstNode) -> ArrayValue:
+def evaluate_range(ctx: EvalContext, scope: Scope, range_exp: Node) -> ArrayValue:
     """`start=step=>end` produces the half-open int sequence [start, end)."""
     ev = ExpressionEvaluator(ctx, scope)
-    vals = [ev.eval_exp(c) for c in range_exp.children]
+    vals = [ev.eval_exp(c) for c in range_exp[CHILDREN]]
     for v in vals:
         if not isinstance(v, IntValue):
             raise ev.err("range bounds must all be int", range_exp)

@@ -25,7 +25,7 @@ import enum
 from typing import Optional
 
 from .errors import Located, TydiError
-from .tree import AstNode
+from .tree import CHILDREN, END, KIND, START, TEXT, Node
 from .values import Value
 
 
@@ -79,9 +79,9 @@ class Variable:
         self.scope: Optional[Scope] = scope
         # int/str/float/bool/clockdomain; a template parameter's kind
         self.declared_kind: Optional[str] = declared_kind
-        self.expr_ast: Optional[AstNode] = expr_ast
+        self.expr_ast: Optional[Node] = expr_ast
         self.is_magic: bool = is_magic
-        self.span: Optional[AstNode] = span
+        self.span: Optional[Node] = span
         self.state: EvalState = state
         self.value: Optional[Value] = value
         self.error: Optional[TydiError] = None
@@ -99,8 +99,8 @@ class TypeEntry:
         self.scope: Optional[Scope] = scope  # defining scope (resolution starts here)
         self.own_scope: Optional[Scope] = own_scope  # group/union inner scope, if any
         self.field_names: list[str] = []  # group/union order
-        self.asserts: list[tuple[Scope, AstNode]] = []
-        self.span: Optional[AstNode] = span
+        self.asserts: list[tuple[Scope, Node]] = []
+        self.span: Optional[Node] = span
         self.state: EvalState = state
         self.evaluated: object = evaluated  # LogicalType
         self.error: Optional[TydiError] = None
@@ -121,11 +121,11 @@ class Port:
     def __init__(self, name, type_ast, direction, array_size_ast=None, cd_ast=None,
                  span=None):
         self.name: str = name
-        self.type_ast: AstNode = type_ast
+        self.type_ast: Node = type_ast
         self.direction: str = direction  # in | out
-        self.array_size_ast: Optional[AstNode] = array_size_ast
-        self.cd_ast: Optional[AstNode] = cd_ast
-        self.span: Optional[AstNode] = span
+        self.array_size_ast: Optional[Node] = array_size_ast
+        self.cd_ast: Optional[Node] = cd_ast
+        self.span: Optional[Node] = span
         # evaluated; a port with a logical type is evaluated:
         self.logical_type: object = None
         self.array_size: Optional[int] = None
@@ -139,8 +139,8 @@ class Streamlet:
         self.doc: Optional[str] = doc
         self.template_params: list[TemplateParam] = []
         self.ports: dict[str, Port] = {}
-        self.asserts: list[tuple[Scope, AstNode]] = []
-        self.span: Optional[AstNode] = span
+        self.asserts: list[tuple[Scope, Node]] = []
+        self.span: Optional[Node] = span
         self.state: EvalState = EvalState.NOT_INFERRED
         self.error: Optional[TydiError] = None
 
@@ -157,8 +157,8 @@ class Instance:
                  target=None):
         self.name: str = name
         self.target_ast = target_ast  # None for compiler-inserted instances
-        self.array_size_ast: Optional[AstNode] = array_size_ast
-        self.span: Optional[AstNode] = span
+        self.array_size_ast: Optional[Node] = array_size_ast
+        self.span: Optional[Node] = span
         # the implementation or `for` element scope its target and size resolve
         # in; None only for an instance that sugaring inserted
         self.scope: Optional[Scope] = scope
@@ -183,8 +183,8 @@ class EndRef:
                  port_name=None, port_index=None, instance=None, port=None):
         # the PathOwner and PathPort nodes of a written end; both None for an
         # end that sugaring made, and the owner None for a Self end
-        self.path_owner: Optional[AstNode] = path_owner
-        self.path_port: Optional[AstNode] = path_port
+        self.path_owner: Optional[Node] = path_owner
+        self.path_port: Optional[Node] = path_port
         # resolved:
         self.owner_name: Optional[str] = owner_name
         self.owner_index: Optional[int] = owner_index
@@ -212,9 +212,9 @@ class Connection:
         self.name: str = name
         self.source: EndRef = source
         self.sink: EndRef = sink
-        self.fifo_ast: Optional[AstNode] = fifo_ast
+        self.fifo_ast: Optional[Node] = fifo_ast
         self.no_strict: bool = no_strict
-        self.span: Optional[AstNode] = span
+        self.span: Optional[Node] = span
         # the implementation or `for` element scope its ends and depth resolve
         # in; None only for a connection that sugaring inserted
         self.scope: Optional[Scope] = scope
@@ -225,18 +225,18 @@ class Implementation:
     def __init__(self, id, scope, doc=None, span=None):
         self.id: str = id
         self.scope: Scope = scope
-        self.of_ast: Optional[AstNode] = None
+        self.of_ast: Optional[Node] = None
         self.doc: Optional[str] = doc
         self.template_params: list[TemplateParam] = []
         self.external: bool = False
         self.instances: dict[str, Instance] = {}
         self.connections: list[Connection] = []
         # (scope the assert evaluates in, assert statement)
-        self.asserts: list[tuple[Scope, AstNode]] = []
-        self.generative: list[AstNode] = []  # if/for blocks
+        self.asserts: list[tuple[Scope, Node]] = []
+        self.generative: list[Node] = []  # if/for blocks
         self.process_block: Optional[str] = None
-        self.derived_from: Optional[AstNode] = None  # ImplInstDecl target, if any
-        self.span: Optional[AstNode] = span
+        self.derived_from: Optional[Node] = None  # ImplInstDecl target, if any
+        self.span: Optional[Node] = span
         self.state: EvalState = EvalState.NOT_INFERRED
         self.error: Optional[TydiError] = None
         self.streamlet: Optional[Streamlet] = None
@@ -284,7 +284,7 @@ class Package:
 
     def snip(self, location: Located) -> str:
         """The source text of a location, such as an AST node."""
-        return self._data[location.start:location.end].decode("utf-8")
+        return self._data[location[START]:location[END]].decode("utf-8")
 
 
 class Project:
@@ -355,7 +355,7 @@ def resolve_name(start_scope: Scope, name: str, category: str,
                     path, span)
 
 
-def resolve_ref(project: Project, scope: Scope, ref: AstNode, category: str):
+def resolve_ref(project: Project, scope: Scope, ref: Node, category: str):
     """The entity a `name` or `package.name` reference denotes.
 
     `ref` is an ID leaf or a node whose ID children spell the reference
@@ -366,8 +366,8 @@ def resolve_ref(project: Project, scope: Scope, ref: AstNode, category: str):
     TydiError at the path of the scope's package and the location of `ref`.
     """
     path = scope.package.path
-    ids = [ref.leaf_text] if ref.kind == "ID" else \
-        [c.leaf_text for c in ref.children if c.kind == "ID"]
+    ids = [ref[TEXT]] if ref[KIND] == "ID" else \
+        [c[TEXT] for c in ref[CHILDREN] if c[KIND] == "ID"]
     if len(ids) == 1:
         return resolve_name(scope, ids[0], category, path, ref)[0]
     pkg_name, member = ids

@@ -1,10 +1,11 @@
 """Recursive-descent parser for `.td` source files.
 
-Produces a lossless, position-annotated tree of :class:`AstNode`. Expressions
-are kept flat (``Exp`` holds ``Term (InfixOp Term)*``); operator precedence is
-applied by the math engine, and unary operators live inside ``Term`` so they
-always bind tighter than any binary operator. Each parsed file is one
-`ParsedFile` record: its path, text, package name and tree.
+Produces a lossless, position-annotated tree of plain tuples (`tree`).
+Expressions are kept flat (``Exp`` holds ``Term (InfixOp Term)*``); operator
+precedence is applied by the math engine, and unary operators live inside
+``Term`` so they always bind tighter than any binary operator. Each parsed
+file is one `ParsedFile` record: its path, text, package name and `root`;
+its `ast` builds the tree's named view anew on each read.
 
 The token helpers (`next`, `at`, `accept`, `expect`, `id_leaf`, ...) and
 the hot paths index ``self.tokens[self.pos]`` themselves, with no call to
@@ -24,7 +25,7 @@ from typing import NamedTuple, Optional
 from .errors import Diagnostic, TydiError
 from .lexer import Token, tokenize
 from .logical_types import STREAM_PROPERTIES
-from .tree import AstNode, node
+from .tree import CHILDREN, END, KIND, START, AstNode, Node, named, node
 
 CONST_KINDS = ("int", "str", "float", "bool", "clockdomain")
 STREAM_PROPERTY_KINDS = {letter: kind for letter, kind, _ in STREAM_PROPERTIES}
@@ -44,7 +45,11 @@ class ParsedFile(NamedTuple):
     path: str
     text: str
     package_name: str
-    ast: AstNode
+    root: Node
+
+    @property
+    def ast(self) -> AstNode:
+        return named(self.root)
 
 
 class _Parser:
@@ -107,7 +112,7 @@ class _Parser:
         if self.depth > PARSE_DEPTH_LIMIT:
             raise TydiError("syntax", "nesting too deep while parsing", self.path)
 
-    def id_leaf(self, what: str = "identifier") -> AstNode:
+    def id_leaf(self, what: str = "identifier") -> Node:
         t = self.tokens[self.pos]
         if t.type != "ID":
             self.fail(what, t)
@@ -126,29 +131,29 @@ class _Parser:
             return end
         self.fail(f"'{sep}'")
 
-    def parse_enclosed(self, opener: str, closer: str) -> tuple[int, AstNode, int]:
+    def parse_enclosed(self, opener: str, closer: str) -> tuple[int, Node, int]:
         """``[exp]`` or ``(exp)``: the opener's start, the expression and the
         closer's end."""
         start = self.expect(opener).start
         exp = self.parse_exp()
         return start, exp, self.expect(closer).end
 
-    def parse_name_ref(self, what: str) -> AstNode:
+    def parse_name_ref(self, what: str) -> Node:
         """``name`` or ``pkg.name``: the identifier, or a QualifiedId of both."""
         first = self.id_leaf(what)
         if not self.at("."):
             return first
         self.pos += 1
         member = self.id_leaf()
-        return node("QualifiedId", first.start, member.end, (first, member))
+        return node("QualifiedId", first[START], member[END], (first, member))
 
-    def parse_array_size(self, children: list[AstNode]):
+    def parse_array_size(self, children: list[Node]):
         """Append an optional ``[size]`` of a port or instance to `children`."""
         if self.at("["):
             start, size, end = self.parse_enclosed("[", "]")
             children.append(node("ArraySize", start, end, (size,)))
 
-    def parse_body_decl(self) -> Optional[AstNode]:
+    def parse_body_decl(self) -> Optional[Node]:
         """A const, type or assert item of a group, streamlet or
         implementation body; None before any other item."""
         t = self.tokens[self.pos]
@@ -165,17 +170,17 @@ class _Parser:
 
     # -- file --------------------------------------------------------------
 
-    def parse_file(self) -> tuple[str, AstNode]:
+    def parse_file(self) -> tuple[str, Node]:
         start_tok = self.expect_kw("package")
         name = self.expect("ID", "package name").text
         self.expect(";")
-        stmts: list[AstNode] = []
+        stmts: list[Node] = []
         while not self.at("EOF"):
             stmts.append(self.parse_top_statement())
-        end = stmts[-1].end if stmts else self.tokens[self.pos].end
+        end = stmts[-1][END] if stmts else self.tokens[self.pos].end
         return name, node("Package", start_tok.start, max(end, start_tok.start), stmts)
 
-    def parse_top_statement(self) -> AstNode:
+    def parse_top_statement(self) -> Node:
         t = self.accept("DOC")
         doc = node("DOC", t.start, t.end, leaf_text=t.text) if t else None
         if self.at_kw("import"):
@@ -194,7 +199,7 @@ class _Parser:
 
     # -- const / type ------------------------------------------------------
 
-    def parse_const(self, sep: str, closer: str) -> AstNode:
+    def parse_const(self, sep: str, closer: str) -> Node:
         start = self.expect_kw("const").start
         children = [self.id_leaf()]
         if self.accept(":"):
@@ -205,9 +210,9 @@ class _Parser:
         if self.accept("="):
             children.append(self.parse_exp())
         return node("ConstDecl", start,
-                    self.separator(sep, closer, children[-1].end), children)
+                    self.separator(sep, closer, children[-1][END]), children)
 
-    def parse_type_decl(self, sep: str, closer: str) -> AstNode:
+    def parse_type_decl(self, sep: str, closer: str) -> Node:
         start = self.expect_kw("type").start
         if self.at_kw("Group") or self.at_kw("Union"):
             children = (self.parse_group_union(),)
@@ -216,17 +221,17 @@ class _Parser:
             self.expect("=")
             children = (name, self.parse_logical_type())
         return node("TypeDecl", start,
-                    self.separator(sep, closer, children[-1].end), children)
+                    self.separator(sep, closer, children[-1][END]), children)
 
     # -- logical types -----------------------------------------------------
 
-    def parse_logical_type(self) -> AstNode:
+    def parse_logical_type(self) -> Node:
         self.deeper()
         inner = self.parse_logical_type_inner()
         self.depth -= 1
-        return node("LogicalType", inner.start, inner.end, [inner])
+        return node("LogicalType", inner[START], inner[END], [inner])
 
-    def parse_logical_type_inner(self) -> AstNode:
+    def parse_logical_type_inner(self) -> Node:
         t = self.tokens[self.pos]
         if t.type != "ID":
             self.fail("a logical type")
@@ -244,10 +249,10 @@ class _Parser:
         if t.text in ("streamlet", "impl"):
             return self.parse_member_extract("LogicalTypeExtract")
         ref = self.parse_name_ref("identifier")
-        return node("LogicalUserDefinedType", ref.start, ref.end,
-                    ref.children or (ref,))
+        return node("LogicalUserDefinedType", ref[START], ref[END],
+                    ref[CHILDREN] or (ref,))
 
-    def parse_stream_type(self) -> AstNode:
+    def parse_stream_type(self) -> Node:
         start = self.expect_kw("Stream").start
         self.expect("(")
         children = [self.parse_logical_type()]
@@ -270,11 +275,11 @@ class _Parser:
             else:
                 value = self.parse_exp()
             children.append(node(STREAM_PROPERTY_KINDS[key.text],
-                                 comma.start, value.end, [value]))
+                                 comma.start, value[END], [value]))
         end = self.expect(")").end
         return node("LogicalStreamType", start, end, children)
 
-    def parse_group_union(self) -> AstNode:
+    def parse_group_union(self) -> Node:
         t = self.next()  # Group | Union
         kind = "LogicalGroupType" if t.text == "Group" else "LogicalUnionType"
         children = [self.id_leaf("group/union name")]
@@ -286,18 +291,18 @@ class _Parser:
         end = self.expect("}").end
         return node(kind, t.start, end, children)
 
-    def parse_group_field(self) -> AstNode:
+    def parse_group_field(self) -> Node:
         name = self.id_leaf("field name")
         self.expect(":")
         ty = self.parse_logical_type()
-        return node("SubItemItem", name.start,
-                    self.separator(",", "}", ty.end), (name, ty))
+        return node("SubItemItem", name[START],
+                    self.separator(",", "}", ty[END]), (name, ty))
 
     # -- streamlet ---------------------------------------------------------
 
-    def parse_streamlet(self, doc: Optional[AstNode]) -> AstNode:
+    def parse_streamlet(self, doc: Optional[Node]) -> Node:
         start_tok = self.expect_kw("streamlet")
-        start = doc.start if doc else start_tok.start
+        start = doc[START] if doc else start_tok.start
         children = [doc] if doc else []
         children.append(self.id_leaf("streamlet name"))
         if self.at("<"):
@@ -309,7 +314,7 @@ class _Parser:
         end = self.expect(";").end
         return node("StreamletDecl", start, end, children)
 
-    def parse_port(self) -> AstNode:
+    def parse_port(self) -> Node:
         name = self.id_leaf("port name")
         self.expect(":")
         children = [name, self.parse_logical_type()]
@@ -325,13 +330,13 @@ class _Parser:
                 body = node("STR", t.start, t.end, leaf_text=t.text)
             else:
                 body = self.id_leaf("clockdomain name")
-            children.append(node("ClockDomainAnn", tick.start, body.end, [body]))
-        return node("PortDecl", name.start,
-                    self.separator(",", "}", children[-1].end), children)
+            children.append(node("ClockDomainAnn", tick.start, body[END], [body]))
+        return node("PortDecl", name[START],
+                    self.separator(",", "}", children[-1][END]), children)
 
     # -- implementation ----------------------------------------------------
 
-    def parse_impl(self, doc: Optional[AstNode]) -> AstNode:
+    def parse_impl(self, doc: Optional[Node]) -> Node:
         children = [doc] if doc else []
         external = None
         first = self.tokens[self.pos]
@@ -340,14 +345,14 @@ class _Parser:
             external = node("External", t.start, t.end)
         self.expect_kw("impl")
         name = self.id_leaf("implementation name")
-        start = doc.start if doc else first.start
+        start = doc[START] if doc else first.start
         if self.at("("):
             # impl name(template<args>); declares a concrete implementation
             if external is not None:
                 self.fail("'of' (external implementations cannot be template instantiations)")
             self.next()
             target = self.parse_entity_ref()
-            if target.kind != "TemplateInstance":
+            if target[KIND] != "TemplateInstance":
                 self.fail("a template instantiation")
             self.expect(")")
             end = self.expect(";").end
@@ -360,7 +365,7 @@ class _Parser:
             children.append(self.parse_template_params())
         self.expect_kw("of")
         ref = self.parse_entity_ref()
-        children.append(node("OfStreamlet", ref.start, ref.end, [ref]))
+        children.append(node("OfStreamlet", ref[START], ref[END], [ref]))
         self.expect("{")
         while not self.at("}"):
             children.append(self.parse_impl_item())
@@ -368,7 +373,7 @@ class _Parser:
         end = self.expect(";").end
         return node("ImplDecl", start, end, children)
 
-    def parse_impl_item(self) -> AstNode:
+    def parse_impl_item(self) -> Node:
         decl = self.parse_body_decl()
         if decl is not None:
             return decl
@@ -384,7 +389,7 @@ class _Parser:
             return node("ProcessBlock", t.start, t.end, leaf_text=t.text)
         return self.parse_connection()
 
-    def parse_instance(self) -> AstNode:
+    def parse_instance(self) -> Node:
         start = self.expect_kw("instance").start
         name = self.parse_name_node()
         self.expect("(")
@@ -392,9 +397,9 @@ class _Parser:
         self.expect(")")
         self.parse_array_size(children)
         return node("InstanceDecl", start,
-                    self.separator(",", "}", children[-1].end), children)
+                    self.separator(",", "}", children[-1][END]), children)
 
-    def parse_entity_ref(self) -> AstNode:
+    def parse_entity_ref(self) -> Node:
         """A streamlet/implementation reference: id, pkg.id, optionally with
         template arguments ``<...>``."""
         base = self.parse_name_ref("a streamlet or implementation name")
@@ -402,28 +407,28 @@ class _Parser:
             return self.parse_template_instance(base)
         return base
 
-    def parse_template_instance(self, base: AstNode) -> AstNode:
+    def parse_template_instance(self, base: Node) -> Node:
         self.expect("<")
         args = [base, self.parse_template_arg()]
         while self.accept(","):
             args.append(self.parse_template_arg())
         end = self.expect(">").end
-        return node("TemplateInstance", base.start, end, args)
+        return node("TemplateInstance", base[START], end, args)
 
-    def parse_template_arg(self) -> AstNode:
+    def parse_template_arg(self) -> Node:
         t = self.tokens[self.pos]
         if t.type == "ID" and t.text == "type":
             start = self.next().start
             ty = self.parse_logical_type()
-            return node("TemplateArgType", start, ty.end, [ty])
+            return node("TemplateArgType", start, ty[END], [ty])
         if t.type == "ID" and t.text == "impl":
             start = self.next().start
             ref = self.parse_name_ref("an implementation name")
-            return node("TemplateArgImpl", start, ref.end, [ref])
+            return node("TemplateArgImpl", start, ref[END], [ref])
         exp = self.parse_exp(no_compare=True)
-        return node("TemplateArgExp", exp.start, exp.end, [exp])
+        return node("TemplateArgExp", exp[START], exp[END], [exp])
 
-    def parse_template_params(self) -> AstNode:
+    def parse_template_params(self) -> Node:
         start = self.expect("<").start
         params = [self.parse_template_param()]
         while self.accept(","):
@@ -431,7 +436,7 @@ class _Parser:
         end = self.expect(">").end
         return node("TemplateParams", start, end, params)
 
-    def parse_template_param(self) -> AstNode:
+    def parse_template_param(self) -> Node:
         name = self.id_leaf("template parameter name")
         self.expect(":")
         t = self.tokens[self.pos]
@@ -439,17 +444,17 @@ class _Parser:
             self.next()
             self.expect_kw("of")
             target = self.id_leaf("a streamlet name")
-            kind = node("ImplOfKind", t.start, target.end, [target])
+            kind = node("ImplOfKind", t.start, target[END], [target])
         elif t.type == "ID" and (t.text in CONST_KINDS or t.text == "type"):
             self.next()
             kind = node("KIND", t.start, t.end, leaf_text=t.text)
         else:
             self.fail("a template parameter kind", t)
-        return node("TemplateParam", name.start, kind.end, [name, kind])
+        return node("TemplateParam", name[START], kind[END], [name, kind])
 
     # -- generative blocks -------------------------------------------------
 
-    def parse_if_block(self) -> AstNode:
+    def parse_if_block(self) -> Node:
         start = self.expect_kw("if").start
         _, cond, _ = self.parse_enclosed("(", ")")
         children = [cond, self.parse_statement_block()]
@@ -457,14 +462,14 @@ class _Parser:
             estart = self.next().start
             _, econd, _ = self.parse_enclosed("(", ")")
             ebody = self.parse_statement_block()
-            children.append(node("ElifClause", estart, ebody.end, [econd, ebody]))
+            children.append(node("ElifClause", estart, ebody[END], [econd, ebody]))
         if self.at_kw("else"):
             estart = self.next().start
             ebody = self.parse_statement_block()
-            children.append(node("ElseClause", estart, ebody.end, [ebody]))
+            children.append(node("ElseClause", estart, ebody[END], [ebody]))
         return node("IfBlock", start, self.block_end(children[-1]), children)
 
-    def parse_for_block(self) -> AstNode:
+    def parse_for_block(self) -> Node:
         start = self.expect_kw("for").start
         var = self.id_leaf("loop variable")
         self.expect_kw("in")
@@ -474,19 +479,19 @@ class _Parser:
             step = self.parse_exp()
             self.expect("=>")
             stop = self.parse_exp()
-            iterable = node("RangeExp", first.start, stop.end, [first, step, stop])
+            iterable = node("RangeExp", first[START], stop[END], [first, step, stop])
         else:
             iterable = first
         self.expect(")")
         body = self.parse_statement_block()
         return node("ForBlock", start, self.block_end(body), [var, iterable, body])
 
-    def block_end(self, last: AstNode) -> int:
+    def block_end(self, last: Node) -> int:
         """Where an if/for block ends: after its optional comma."""
         comma = self.accept(",")
-        return comma.end if comma else last.end
+        return comma.end if comma else last[END]
 
-    def parse_statement_block(self) -> AstNode:
+    def parse_statement_block(self) -> Node:
         start = self.expect("{").start
         items = []
         self.deeper()
@@ -498,14 +503,14 @@ class _Parser:
 
     # -- connections -------------------------------------------------------
 
-    def parse_connection(self) -> AstNode:
+    def parse_connection(self) -> Node:
         src = self.parse_path_end()
         children = [src]
         eq = self.accept("=")
         if eq:
             depth = self.parse_exp()
             self.expect("=>")
-            children.append(node("FifoDepth", eq.start, depth.end, [depth]))
+            children.append(node("FifoDepth", eq.start, depth[END], [depth]))
         else:
             self.expect("=>", "'=>' or '=<depth>=>'")
         children.append(self.parse_path_end())
@@ -515,34 +520,34 @@ class _Parser:
         t = self.accept("@NoStrictType@")
         if t:
             children.append(node("NoStrictMarker", t.start, t.end))
-        return node("ConnectionStmt", src.start,
-                    self.separator(",", "}", children[-1].end), children)
+        return node("ConnectionStmt", src[START],
+                    self.separator(",", "}", children[-1][END]), children)
 
-    def parse_path_end(self) -> AstNode:
+    def parse_path_end(self) -> Node:
         parts, end = self.parse_path_part()
-        start = parts[0].start
+        start = parts[0][START]
         if self.tokens[self.pos].type != ".":
             return node("PathEnd", start, end, (node("PathPort", start, end, parts),))
         self.pos += 1
         owner = node("PathOwner", start, end, parts)
         parts, port_end = self.parse_path_part()
-        port = node("PathPort", parts[0].start, port_end, parts)
+        port = node("PathPort", parts[0][START], port_end, parts)
         return node("PathEnd", start, port_end, (owner, port))
 
-    def parse_path_part(self) -> tuple[tuple[AstNode, ...], int]:
+    def parse_path_part(self) -> tuple[tuple[Node, ...], int]:
         """``name`` or ``name[exp]`` of a connection end: the name and its
         Index, and where they end."""
         name = self.parse_name_node()
         if self.tokens[self.pos].type != "[":
-            return (name,), name.end
+            return (name,), name[END]
         _, idx, end = self.parse_enclosed("[", "]")
-        return (name, node("Index", idx.start, end, (idx,))), end
+        return (name, node("Index", idx[START], end, (idx,))), end
 
-    def parse_name_node(self) -> AstNode:
+    def parse_name_node(self) -> Node:
         """An identifier, possibly with interpolation holes: ``bypass_{{i}}``."""
         first = self.id_leaf()
         parts = [first]
-        end = first.end
+        end = first[END]
         while self.at("{{") and self.tokens[self.pos].start == end:
             lb = self.next()
             var = self.id_leaf("interpolation variable")
@@ -555,15 +560,15 @@ class _Parser:
                 end = frag.end
         if len(parts) == 1:
             return first
-        return node("InterpolatedId", first.start, end, parts)
+        return node("InterpolatedId", first[START], end, parts)
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_exp(self, no_compare: bool = False) -> AstNode:
+    def parse_exp(self, no_compare: bool = False) -> Node:
         self.deeper()
         first = self.parse_term()
         children = [first]
-        end = first.end
+        end = first[END]
         while True:
             t = self.tokens[self.pos]
             if t.type not in INFIX_OPS:
@@ -574,11 +579,11 @@ class _Parser:
             children.append(node("InfixOp", t.start, t.end, leaf_text=t.text))
             term = self.parse_term()
             children.append(term)
-            end = term.end
+            end = term[END]
         self.depth -= 1
-        return node("Exp", first.start, end, children)
+        return node("Exp", first[START], end, children)
 
-    def parse_term(self) -> AstNode:
+    def parse_term(self) -> Node:
         t = self.tokens[self.pos]
         if t.type in UNARY_OPS:
             self.next()
@@ -586,17 +591,17 @@ class _Parser:
             self.deeper()
             inner = self.parse_term()
             self.depth -= 1
-            u = node("UnaryExp", t.start, inner.end, [op, inner])
-            return node("Term", t.start, inner.end, [u])
+            u = node("UnaryExp", t.start, inner[END], [op, inner])
+            return node("Term", t.start, inner[END], [u])
         if t.type == "(":
             _, exp, end = self.parse_enclosed("(", ")")
             return node("Term", t.start, end, [exp])
         if t.type == "{":
             return self.parse_array_literal()
         atom = self.parse_atom()
-        return node("Term", atom.start, atom.end, [atom])
+        return node("Term", atom[START], atom[END], [atom])
 
-    def parse_array_literal(self) -> AstNode:
+    def parse_array_literal(self) -> Node:
         start = self.expect("{").start
         elems = []
         while not self.at("}"):
@@ -607,7 +612,7 @@ class _Parser:
         arr = node("ArrayExp", start, end, elems)
         return node("Term", start, end, [arr])
 
-    def parse_atom(self) -> AstNode:
+    def parse_atom(self) -> Node:
         t = self.tokens[self.pos]
         if t.type == "INT":
             self.next()
@@ -647,13 +652,13 @@ class _Parser:
             self.next()
             member = self.id_leaf()
             ids.append(member)
-            end = member.end
+            end = member[END]
         if self.at("["):
             _, idx, end = self.parse_enclosed("[", "]")
             return node("IndexExp", t.start, end, ids + [idx])
         return node("VarExp", t.start, end, ids)
 
-    def parse_function_call(self) -> AstNode:
+    def parse_function_call(self) -> Node:
         t = self.next()
         if t.text in BUILTIN_FUNCS:
             children = [node("FUNC", t.start, t.end, leaf_text=t.text)]
@@ -668,14 +673,14 @@ class _Parser:
             else:
                 leaf = node("INT_RAW_NORAML", t.start + 3, t.end, leaf_text=fused)
                 base = node("IntExp", t.start + 3, t.end, [leaf])
-            s, e = base.start, base.end
+            s, e = base[START], base[END]
             children = [node("FUNC", t.start, t.start + 3, leaf_text="log"),
                         node("Exp", s, e, [node("Term", s, e, [base])])]
         _, arg, end = self.parse_enclosed("(", ")")
         children.append(arg)
         return node("FunctionExp", t.start, end, children)
 
-    def parse_member_extract(self, kind: str) -> AstNode:
+    def parse_member_extract(self, kind: str) -> Node:
         """``streamlet|impl|type <owner>[<args>].<member>`` where owner may be
         package-qualified. The final ``.id`` is always the member."""
         t = self.next()  # streamlet | impl | type
@@ -686,7 +691,7 @@ class _Parser:
             member = self.id_leaf("member name")
             if self.at("<") or self.at(".") and self.tokens[self.pos + 1].type == "ID":
                 # what was read is a package-qualified owner
-                owner = node("QualifiedId", owner.start, member.end,
+                owner = node("QualifiedId", owner[START], member[END],
                              [owner, member])
                 member = None
         if self.at("<"):
@@ -695,7 +700,7 @@ class _Parser:
             self.expect(".")
             member = self.id_leaf("member name")
         ex = node("EXTRACT", t.start, t.end, leaf_text=t.text)
-        return node(kind, t.start, member.end, [ex, owner, member])
+        return node(kind, t.start, member[END], [ex, owner, member])
 
 
 def _log_with_base(text: str) -> Optional[str]:
@@ -710,11 +715,10 @@ def _log_with_base(text: str) -> Optional[str]:
 def parse_file(text: str, path: str = "<memory>") -> ParsedFile:
     """Parse one source file; raises a syntax TydiError on the first error."""
     p = _Parser(text, path)
-    package_name, ast = p.parse_file()
-    return ParsedFile(path, text, package_name, ast)
+    return ParsedFile(path, text, *p.parse_file())
 
 
-def parse_fragment(text: str, rule: str = "logical_type") -> AstNode:
+def parse_fragment(text: str, rule: str = "logical_type") -> Node:
     """Parse an isolated grammar fragment (used by tests and tools)."""
     p = _Parser(text, "<fragment>")
     if rule == "logical_type":

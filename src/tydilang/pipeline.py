@@ -303,7 +303,7 @@ def _write_ast_dumps(config: CompileConfig, result: CompileResult,
             n += 1
         used.add(name)
         _write(config, result, os.path.join("0_ast", f"{name}.txt"),
-               "[" + dump_ast(pf.ast) + "]\n")
+               "[" + dump_ast(pf.root) + "]\n")
 
 
 def _inject_prelude_imports(project: Project):

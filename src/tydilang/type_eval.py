@@ -22,7 +22,7 @@ from .logical_types import (DIRECTION_VALUES, NULL, STREAM_PROPERTIES,
                             StreamProperties, StreamType, UnionType)
 from .math_engine import evaluate_expression
 from .model import Scope, TypeEntry, resolve_ref
-from .tree import AstNode
+from .tree import CHILDREN, KIND, TEXT, Node
 from .values import BoolValue, FloatValue, IntValue, StrValue, variant_name
 
 _PROPERTY_KEYS = {kind: field for _, kind, field in STREAM_PROPERTIES}
@@ -44,9 +44,9 @@ def _compute_type_entry(ctx: EvalContext, entry: TypeEntry):
 
 def _evaluate_group(ctx: EvalContext, entry: TypeEntry):
     group_ast = entry.ast
-    name = group_ast.children[0].leaf_text
+    name = group_ast[CHILDREN][0][TEXT]
     scope = entry.own_scope
-    cls = GroupType if group_ast.kind == "LogicalGroupType" else UnionType
+    cls = GroupType if group_ast[KIND] == "LogicalGroupType" else UnionType
     fields = tuple((fname, force_type_entry(ctx, scope.types[fname]))
                    for fname in entry.field_names)
     from .elaboration import check_assertion
@@ -55,7 +55,7 @@ def _evaluate_group(ctx: EvalContext, entry: TypeEntry):
     return cls(name=name, scope=scope, fields=fields)
 
 
-def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
+def evaluate_type(ctx: EvalContext, scope: Scope, type_node: Node,
                   declared_name: Optional[str] = None):
     """Evaluate a logical-type expression to a concrete LogicalType: the
     object its declaration evaluated to for a named type or a member
@@ -65,9 +65,9 @@ def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
     `declared_name` names the stream when the expression sits directly under
     a `type x = Stream(...)` declaration; inline streams stay anonymous.
     """
-    inner = type_node.children[0] if type_node.kind == "LogicalType" else type_node
+    inner = type_node[CHILDREN][0] if type_node[KIND] == "LogicalType" else type_node
     path = scope.package.path
-    kind = inner.kind
+    kind = inner[KIND]
     ctx.deeper(path)
     if kind == "LogicalUserDefinedType":
         t = force_type_entry(ctx, resolve_ref(ctx.project, scope, inner, "type"))
@@ -77,7 +77,7 @@ def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
     elif kind == "LogicalNullType":
         t = NULL
     elif kind == "LogicalBitType":
-        width = evaluate_expression(ctx, scope, inner.children[0])
+        width = evaluate_expression(ctx, scope, inner[CHILDREN][0])
         if not isinstance(width, IntValue):
             raise TydiError("type", f"Bit width must be an int, got {variant_name(width)}",
                             path, inner)
@@ -95,21 +95,21 @@ def evaluate_type(ctx: EvalContext, scope: Scope, type_node: AstNode,
     return t
 
 
-def _evaluate_stream(ctx: EvalContext, scope: Scope, stream_node: AstNode,
+def _evaluate_stream(ctx: EvalContext, scope: Scope, stream_node: Node,
                      declared_name: Optional[str]) -> StreamType:
     path = scope.package.path
-    element = evaluate_type(ctx, scope, stream_node.children[0])
+    element = evaluate_type(ctx, scope, stream_node[CHILDREN][0])
     props: dict[str, Any] = {}
-    for child in stream_node.children[1:]:
-        key = _PROPERTY_KEYS[child.kind]
+    for child in stream_node[CHILDREN][1:]:
+        key = _PROPERTY_KEYS[child[KIND]]
         if key == "user":
-            user = evaluate_type(ctx, scope, child.children[0])
+            user = evaluate_type(ctx, scope, child[CHILDREN][0])
             if isinstance(user, StreamType):
                 raise TydiError("type", "stream user type must not be a stream",
                                 path, child)
             props[key] = user
             continue
-        value = evaluate_expression(ctx, scope, child.children[0])
+        value = evaluate_expression(ctx, scope, child[CHILDREN][0])
         if key == "dimension":
             if not isinstance(value, IntValue) or value.value < 0:
                 raise TydiError("type", "dimension must be a non-negative int", path, child)

@@ -7,6 +7,7 @@ from tydilang.elaboration import evaluate_implementation
 from tydilang.errors import Span, TydiError
 from tydilang.math_engine import evaluate_range, force_variable
 from tydilang.parser import parse_fragment
+from tydilang.tree import END, START
 from tydilang.type_eval import force_type_entry
 from tydilang.values import (ArrayValue, BoolValue, FloatValue, IntValue,
                              StrValue)
@@ -312,7 +313,7 @@ def test_cycle_reports_members(case):
     assert exc.value.message == f"circular dependency: {cycle}"
     # reported where the cycle closes: the declaration demanded twice
     assert (exc.value.diagnostic.path, exc.value.diagnostic.span) == (
-        "file_0.td", Span(entity.span.start, entity.span.end))
+        "file_0.td", Span(entity.span[START], entity.span[END]))
 
 
 def test_self_cycle():

@@ -1,4 +1,6 @@
+import gc
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,10 +10,12 @@ from tydilang.errors import TydiError
 from tydilang.lexer import tokenize
 from tydilang import parser
 from tydilang.parser import parse_file, parse_fragment, parse_project
+from tydilang.pipeline import FRAME_BUDGET
 from tydilang.stdlib import PRELUDE_PATH, PRELUDE_SOURCE
-from tydilang.tree import AstNode, dump_ast
+from tydilang.tree import CHILDREN, AstNode, child, dump_ast, named
 
 from conftest import DATA_DIR, evaluated_project, live_span_count
+from test_limits import BOUNDARIES
 
 
 def iter_nodes(n: AstNode):
@@ -109,7 +113,7 @@ def test_union_snippet_dump_has_expected_prefix():
 
 
 def test_id_leaf_dump_format():
-    node = parse_fragment(UNION_SNIPPET, "logical_type")
+    node = named(parse_fragment(UNION_SNIPPET, "logical_type"))
     leaves = [n for n in iter_nodes(node) if n.kind == "ID"]
     assert dump_ast(leaves[0]) == "ID(6, 7)"
 
@@ -153,7 +157,7 @@ def test_comments_and_whitespace_discarded():
 def test_integer_literal_forms():
     for text, value in [("1", 1), ("0b0001", 1), ("0x01", 1), ("0o01", 1),
                         ("0x1F", 31)]:
-        exp = parse_fragment(text, "exp")
+        exp = named(parse_fragment(text, "exp"))
         leaf = [n for n in iter_nodes(exp) if n.leaf_text == text]
         assert leaf, text
 
@@ -318,7 +322,7 @@ def test_doc_string_attaches_to_streamlet():
         "package p;\n#explains the interface#\nstreamlet s { x: Stream(Bit(1)) in, };")
     decl = parsed.ast.children[0]
     assert decl.kind == "StreamletDecl"
-    assert decl.child("DOC").leaf_text == "explains the interface"
+    assert child(decl, "DOC").leaf_text == "explains the interface"
 
 
 def test_process_block_is_opaque():
@@ -327,7 +331,7 @@ def test_process_block_is_opaque():
            '    if (state == "0") { send(x, 0b1); }\n  },\n};')
     parsed = parse_file(src)
     impl = parsed.ast.children[1]
-    block = impl.child("ProcessBlock")
+    block = child(impl, "ProcessBlock")
     assert block is not None
     assert "delay_cycle(5, 100MHz);" in block.leaf_text
 
@@ -389,6 +393,52 @@ def test_parsing_builds_no_span(tpch1_source):
     assert not diags
     assert live_span_count() <= before
     assert len(list(iter_nodes(parsed["std"].ast))) > 3000
+
+
+def levels(root):
+    """The nodes of a tree, one list per level, root first."""
+    out = [[root]]
+    while out[-1]:
+        out.append([c for n in out[-1] for c in n[CHILDREN]])
+    return out[:-1]
+
+
+def test_parse_tree_is_plain_and_untrackable(tpch1_source):
+    """Every node and every non-empty children tuple is an exact tuple, so
+    the collector stops tracking it. A collection untracks a tuple only once
+    its items are untracked, about one level of tuples per pass, so this
+    allows two passes per level of nodes, and two more."""
+    tree = levels(parse_file(tpch1_source).root)
+    nodes = [n for level in tree for n in level]
+    held = nodes + [n[CHILDREN] for n in nodes if n[CHILDREN]]
+    assert all(type(x) is tuple for x in held)
+    for _ in range(2 * len(tree) + 2):
+        if not any(map(gc.is_tracked, held)):
+            break
+        gc.collect()
+    assert not any(map(gc.is_tracked, held))
+
+
+def test_named_view_is_the_same_tree(tpch1_source):
+    parsed = parse_file(tpch1_source)
+    assert type(parsed.ast) is AstNode and parsed.ast == parsed.root
+    assert dump_ast(parsed.ast) == dump_ast(parsed.root)
+
+
+@pytest.mark.parametrize("kind", BOUNDARIES)
+def test_named_view_reaches_as_deep_as_the_parser(kind):
+    """The named view of the deepest input of each kind that compiles
+    builds node for node, at a recursion limit too low to parse it: without
+    recursing per level."""
+    source, deepest, _ = BOUNDARIES[kind]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + FRAME_BUDGET)  # as a compile does
+    try:
+        parsed = parse_file(source(deepest))
+    finally:
+        sys.setrecursionlimit(limit)
+    sizes = [[len(level) for level in levels(tree)] for tree in (parsed.root, parsed.ast)]
+    assert sizes[0] == sizes[1]
 
 
 def test_parse_project_keys_by_package_name():
