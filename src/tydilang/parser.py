@@ -14,7 +14,8 @@ that recurs in the grammar has one method: `separator` ends a statement and
 returns where it ends, `parse_enclosed` reads ``[exp]`` and ``(exp)``,
 `parse_name_ref` ``name`` and ``pkg.name``, `parse_body_decl` the const, type
 and assert items of every body, and `parse_path_part` each ``name[index]``
-half of a connection end. Each node is built once, when its kind is known.
+half of a connection end. Each node is built once, when its kind is known,
+by `_Parser.node`, which also keeps it in build order for the collector.
 Stream property letters and node kinds come from `STREAM_PROPERTIES`.
 """
 
@@ -25,7 +26,7 @@ from typing import NamedTuple, Optional
 from .errors import Diagnostic, TydiError
 from .lexer import Token, tokenize
 from .logical_types import STREAM_PROPERTIES
-from .tree import CHILDREN, END, KIND, START, AstNode, Node, named, node
+from .tree import CHILDREN, END, KIND, START, AstNode, Node, named
 
 CONST_KINDS = ("int", "str", "float", "bool", "clockdomain")
 STREAM_PROPERTY_KINDS = {letter: kind for letter, kind, _ in STREAM_PROPERTIES}
@@ -60,6 +61,22 @@ class _Parser:
         self.tokens.append(self.tokens[-1])
         self.pos = 0
         self.depth = 0  # the nesting levels open, against PARSE_DEPTH_LIMIT
+        # Every node and non-empty children tuple, children before parents;
+        # never read. Held by this older list, the nodes stay in build order
+        # in the collector's young generations, so each young collection that
+        # runs while parsing untracks them bottom-up, whole subtrees at once.
+        # Without it a collection moves children behind their parent and
+        # untracks about one level of the tree per pass.
+        self.built: list[tuple] = []
+
+    def node(self, kind: str, start: int, end: int, children=(), leaf_text=None) -> Node:
+        """`tree.node`, also appended to `built`."""
+        children = tuple(children)
+        if children:
+            self.built.append(children)
+        n = (kind, start, end, children, leaf_text)
+        self.built.append(n)
+        return n
 
     # -- token helpers -----------------------------------------------------
 
@@ -117,7 +134,7 @@ class _Parser:
         if t.type != "ID":
             self.fail(what, t)
         self.pos += 1
-        return node("ID", t.start, t.end, leaf_text=t.text)
+        return self.node("ID", t.start, t.end, leaf_text=t.text)
 
     def separator(self, sep: str, closer: str, end: int) -> int:
         """Consume a statement separator, which may be omitted before
@@ -145,13 +162,13 @@ class _Parser:
             return first
         self.pos += 1
         member = self.id_leaf()
-        return node("QualifiedId", first[START], member[END], (first, member))
+        return self.node("QualifiedId", first[START], member[END], (first, member))
 
     def parse_array_size(self, children: list[Node]):
         """Append an optional ``[size]`` of a port or instance to `children`."""
         if self.at("["):
             start, size, end = self.parse_enclosed("[", "]")
-            children.append(node("ArraySize", start, end, (size,)))
+            children.append(self.node("ArraySize", start, end, (size,)))
 
     def parse_body_decl(self) -> Optional[Node]:
         """A const, type or assert item of a group, streamlet or
@@ -165,7 +182,7 @@ class _Parser:
             if t.text == "assert":
                 start = self.next().start
                 _, exp, end = self.parse_enclosed("(", ")")
-                return node("AssertStmt", start, self.separator(",", "}", end), (exp,))
+                return self.node("AssertStmt", start, self.separator(",", "}", end), (exp,))
         return None
 
     # -- file --------------------------------------------------------------
@@ -178,15 +195,15 @@ class _Parser:
         while not self.at("EOF"):
             stmts.append(self.parse_top_statement())
         end = stmts[-1][END] if stmts else self.tokens[self.pos].end
-        return name, node("Package", start_tok.start, max(end, start_tok.start), stmts)
+        return name, self.node("Package", start_tok.start, max(end, start_tok.start), stmts)
 
     def parse_top_statement(self) -> Node:
         t = self.accept("DOC")
-        doc = node("DOC", t.start, t.end, leaf_text=t.text) if t else None
+        doc = self.node("DOC", t.start, t.end, leaf_text=t.text) if t else None
         if self.at_kw("import"):
             start = self.next().start
             name = self.id_leaf("package name")
-            return node("ImportStmt", start, self.expect(";").end, (name,))
+            return self.node("ImportStmt", start, self.expect(";").end, (name,))
         if self.at_kw("const"):
             return self.parse_const(";", "EOF")
         if self.at_kw("type"):
@@ -206,11 +223,11 @@ class _Parser:
             t = self.expect("ID", "a value kind")
             if t.text not in CONST_KINDS:
                 self.fail("one of " + "/".join(CONST_KINDS), t)
-            children.append(node("DeclKind", t.start, t.end, leaf_text=t.text))
+            children.append(self.node("DeclKind", t.start, t.end, leaf_text=t.text))
         if self.accept("="):
             children.append(self.parse_exp())
-        return node("ConstDecl", start,
-                    self.separator(sep, closer, children[-1][END]), children)
+        return self.node("ConstDecl", start,
+                         self.separator(sep, closer, children[-1][END]), children)
 
     def parse_type_decl(self, sep: str, closer: str) -> Node:
         start = self.expect_kw("type").start
@@ -220,8 +237,8 @@ class _Parser:
             name = self.id_leaf("type name")
             self.expect("=")
             children = (name, self.parse_logical_type())
-        return node("TypeDecl", start,
-                    self.separator(sep, closer, children[-1][END]), children)
+        return self.node("TypeDecl", start,
+                         self.separator(sep, closer, children[-1][END]), children)
 
     # -- logical types -----------------------------------------------------
 
@@ -229,7 +246,7 @@ class _Parser:
         self.deeper()
         inner = self.parse_logical_type_inner()
         self.depth -= 1
-        return node("LogicalType", inner[START], inner[END], [inner])
+        return self.node("LogicalType", inner[START], inner[END], [inner])
 
     def parse_logical_type_inner(self) -> Node:
         t = self.tokens[self.pos]
@@ -237,11 +254,11 @@ class _Parser:
             self.fail("a logical type")
         if t.text == "Null":
             self.next()
-            return node("LogicalNullType", t.start, t.end)
+            return self.node("LogicalNullType", t.start, t.end)
         if t.text == "Bit":
             self.next()
             _, width, end = self.parse_enclosed("(", ")")
-            return node("LogicalBitType", t.start, end, [width])
+            return self.node("LogicalBitType", t.start, end, [width])
         if t.text == "Stream":
             return self.parse_stream_type()
         if t.text in ("Group", "Union"):
@@ -249,8 +266,8 @@ class _Parser:
         if t.text in ("streamlet", "impl"):
             return self.parse_member_extract("LogicalTypeExtract")
         ref = self.parse_name_ref("identifier")
-        return node("LogicalUserDefinedType", ref[START], ref[END],
-                    ref[CHILDREN] or (ref,))
+        return self.node("LogicalUserDefinedType", ref[START], ref[END],
+                         ref[CHILDREN] or (ref,))
 
     def parse_stream_type(self) -> Node:
         start = self.expect_kw("Stream").start
@@ -274,10 +291,10 @@ class _Parser:
                 value = self.parse_logical_type()
             else:
                 value = self.parse_exp()
-            children.append(node(STREAM_PROPERTY_KINDS[key.text],
-                                 comma.start, value[END], [value]))
+            children.append(self.node(STREAM_PROPERTY_KINDS[key.text],
+                                      comma.start, value[END], [value]))
         end = self.expect(")").end
-        return node("LogicalStreamType", start, end, children)
+        return self.node("LogicalStreamType", start, end, children)
 
     def parse_group_union(self) -> Node:
         t = self.next()  # Group | Union
@@ -289,14 +306,14 @@ class _Parser:
             children.append(self.parse_body_decl() or self.parse_group_field())
         self.depth -= 1
         end = self.expect("}").end
-        return node(kind, t.start, end, children)
+        return self.node(kind, t.start, end, children)
 
     def parse_group_field(self) -> Node:
         name = self.id_leaf("field name")
         self.expect(":")
         ty = self.parse_logical_type()
-        return node("SubItemItem", name[START],
-                    self.separator(",", "}", ty[END]), (name, ty))
+        return self.node("SubItemItem", name[START],
+                         self.separator(",", "}", ty[END]), (name, ty))
 
     # -- streamlet ---------------------------------------------------------
 
@@ -312,7 +329,7 @@ class _Parser:
             children.append(self.parse_body_decl() or self.parse_port())
         self.expect("}")
         end = self.expect(";").end
-        return node("StreamletDecl", start, end, children)
+        return self.node("StreamletDecl", start, end, children)
 
     def parse_port(self) -> Node:
         name = self.id_leaf("port name")
@@ -322,17 +339,17 @@ class _Parser:
         d = self.expect("ID", "port direction 'in' or 'out'")
         if d.text not in ("in", "out"):
             self.fail("port direction 'in' or 'out'", d)
-        children.append(node("DIR", d.start, d.end, leaf_text=d.text))
+        children.append(self.node("DIR", d.start, d.end, leaf_text=d.text))
         tick = self.accept("`")
         if tick:
             t = self.accept("STR")
             if t:
-                body = node("STR", t.start, t.end, leaf_text=t.text)
+                body = self.node("STR", t.start, t.end, leaf_text=t.text)
             else:
                 body = self.id_leaf("clockdomain name")
-            children.append(node("ClockDomainAnn", tick.start, body[END], [body]))
-        return node("PortDecl", name[START],
-                    self.separator(",", "}", children[-1][END]), children)
+            children.append(self.node("ClockDomainAnn", tick.start, body[END], [body]))
+        return self.node("PortDecl", name[START],
+                         self.separator(",", "}", children[-1][END]), children)
 
     # -- implementation ----------------------------------------------------
 
@@ -342,7 +359,7 @@ class _Parser:
         first = self.tokens[self.pos]
         if self.at_kw("external"):
             t = self.next()
-            external = node("External", t.start, t.end)
+            external = self.node("External", t.start, t.end)
         self.expect_kw("impl")
         name = self.id_leaf("implementation name")
         start = doc[START] if doc else first.start
@@ -357,7 +374,7 @@ class _Parser:
             self.expect(")")
             end = self.expect(";").end
             children += [name, target]
-            return node("ImplInstDecl", start, end, children)
+            return self.node("ImplInstDecl", start, end, children)
         if external is not None:
             children.append(external)
         children.append(name)
@@ -365,13 +382,13 @@ class _Parser:
             children.append(self.parse_template_params())
         self.expect_kw("of")
         ref = self.parse_entity_ref()
-        children.append(node("OfStreamlet", ref[START], ref[END], [ref]))
+        children.append(self.node("OfStreamlet", ref[START], ref[END], [ref]))
         self.expect("{")
         while not self.at("}"):
             children.append(self.parse_impl_item())
         self.expect("}")
         end = self.expect(";").end
-        return node("ImplDecl", start, end, children)
+        return self.node("ImplDecl", start, end, children)
 
     def parse_impl_item(self) -> Node:
         decl = self.parse_body_decl()
@@ -386,7 +403,7 @@ class _Parser:
         t = self.accept("PROCESS_BODY")
         if t:
             self.separator(",", "}", t.end)
-            return node("ProcessBlock", t.start, t.end, leaf_text=t.text)
+            return self.node("ProcessBlock", t.start, t.end, leaf_text=t.text)
         return self.parse_connection()
 
     def parse_instance(self) -> Node:
@@ -396,8 +413,8 @@ class _Parser:
         children = [name, self.parse_entity_ref()]
         self.expect(")")
         self.parse_array_size(children)
-        return node("InstanceDecl", start,
-                    self.separator(",", "}", children[-1][END]), children)
+        return self.node("InstanceDecl", start,
+                         self.separator(",", "}", children[-1][END]), children)
 
     def parse_entity_ref(self) -> Node:
         """A streamlet/implementation reference: id, pkg.id, optionally with
@@ -413,20 +430,20 @@ class _Parser:
         while self.accept(","):
             args.append(self.parse_template_arg())
         end = self.expect(">").end
-        return node("TemplateInstance", base[START], end, args)
+        return self.node("TemplateInstance", base[START], end, args)
 
     def parse_template_arg(self) -> Node:
         t = self.tokens[self.pos]
         if t.type == "ID" and t.text == "type":
             start = self.next().start
             ty = self.parse_logical_type()
-            return node("TemplateArgType", start, ty[END], [ty])
+            return self.node("TemplateArgType", start, ty[END], [ty])
         if t.type == "ID" and t.text == "impl":
             start = self.next().start
             ref = self.parse_name_ref("an implementation name")
-            return node("TemplateArgImpl", start, ref[END], [ref])
+            return self.node("TemplateArgImpl", start, ref[END], [ref])
         exp = self.parse_exp(no_compare=True)
-        return node("TemplateArgExp", exp[START], exp[END], [exp])
+        return self.node("TemplateArgExp", exp[START], exp[END], [exp])
 
     def parse_template_params(self) -> Node:
         start = self.expect("<").start
@@ -434,7 +451,7 @@ class _Parser:
         while self.accept(","):
             params.append(self.parse_template_param())
         end = self.expect(">").end
-        return node("TemplateParams", start, end, params)
+        return self.node("TemplateParams", start, end, params)
 
     def parse_template_param(self) -> Node:
         name = self.id_leaf("template parameter name")
@@ -444,13 +461,13 @@ class _Parser:
             self.next()
             self.expect_kw("of")
             target = self.id_leaf("a streamlet name")
-            kind = node("ImplOfKind", t.start, target[END], [target])
+            kind = self.node("ImplOfKind", t.start, target[END], [target])
         elif t.type == "ID" and (t.text in CONST_KINDS or t.text == "type"):
             self.next()
-            kind = node("KIND", t.start, t.end, leaf_text=t.text)
+            kind = self.node("KIND", t.start, t.end, leaf_text=t.text)
         else:
             self.fail("a template parameter kind", t)
-        return node("TemplateParam", name[START], kind[END], [name, kind])
+        return self.node("TemplateParam", name[START], kind[END], [name, kind])
 
     # -- generative blocks -------------------------------------------------
 
@@ -462,12 +479,12 @@ class _Parser:
             estart = self.next().start
             _, econd, _ = self.parse_enclosed("(", ")")
             ebody = self.parse_statement_block()
-            children.append(node("ElifClause", estart, ebody[END], [econd, ebody]))
+            children.append(self.node("ElifClause", estart, ebody[END], [econd, ebody]))
         if self.at_kw("else"):
             estart = self.next().start
             ebody = self.parse_statement_block()
-            children.append(node("ElseClause", estart, ebody[END], [ebody]))
-        return node("IfBlock", start, self.block_end(children[-1]), children)
+            children.append(self.node("ElseClause", estart, ebody[END], [ebody]))
+        return self.node("IfBlock", start, self.block_end(children[-1]), children)
 
     def parse_for_block(self) -> Node:
         start = self.expect_kw("for").start
@@ -479,12 +496,12 @@ class _Parser:
             step = self.parse_exp()
             self.expect("=>")
             stop = self.parse_exp()
-            iterable = node("RangeExp", first[START], stop[END], [first, step, stop])
+            iterable = self.node("RangeExp", first[START], stop[END], [first, step, stop])
         else:
             iterable = first
         self.expect(")")
         body = self.parse_statement_block()
-        return node("ForBlock", start, self.block_end(body), [var, iterable, body])
+        return self.node("ForBlock", start, self.block_end(body), [var, iterable, body])
 
     def block_end(self, last: Node) -> int:
         """Where an if/for block ends: after its optional comma."""
@@ -499,7 +516,7 @@ class _Parser:
             items.append(self.parse_impl_item())
         self.depth -= 1
         end = self.expect("}").end
-        return node("StatementBlock", start, end, items)
+        return self.node("StatementBlock", start, end, items)
 
     # -- connections -------------------------------------------------------
 
@@ -510,29 +527,29 @@ class _Parser:
         if eq:
             depth = self.parse_exp()
             self.expect("=>")
-            children.append(node("FifoDepth", eq.start, depth[END], [depth]))
+            children.append(self.node("FifoDepth", eq.start, depth[END], [depth]))
         else:
             self.expect("=>", "'=>' or '=<depth>=>'")
         children.append(self.parse_path_end())
         t = self.accept("STR")
         if t:
-            children.append(node("ConnName", t.start, t.end, leaf_text=t.text))
+            children.append(self.node("ConnName", t.start, t.end, leaf_text=t.text))
         t = self.accept("@NoStrictType@")
         if t:
-            children.append(node("NoStrictMarker", t.start, t.end))
-        return node("ConnectionStmt", src[START],
-                    self.separator(",", "}", children[-1][END]), children)
+            children.append(self.node("NoStrictMarker", t.start, t.end))
+        return self.node("ConnectionStmt", src[START],
+                         self.separator(",", "}", children[-1][END]), children)
 
     def parse_path_end(self) -> Node:
         parts, end = self.parse_path_part()
         start = parts[0][START]
         if self.tokens[self.pos].type != ".":
-            return node("PathEnd", start, end, (node("PathPort", start, end, parts),))
+            return self.node("PathEnd", start, end, (self.node("PathPort", start, end, parts),))
         self.pos += 1
-        owner = node("PathOwner", start, end, parts)
+        owner = self.node("PathOwner", start, end, parts)
         parts, port_end = self.parse_path_part()
-        port = node("PathPort", parts[0][START], port_end, parts)
-        return node("PathEnd", start, port_end, (owner, port))
+        port = self.node("PathPort", parts[0][START], port_end, parts)
+        return self.node("PathEnd", start, port_end, (owner, port))
 
     def parse_path_part(self) -> tuple[tuple[Node, ...], int]:
         """``name`` or ``name[exp]`` of a connection end: the name and its
@@ -541,7 +558,7 @@ class _Parser:
         if self.tokens[self.pos].type != "[":
             return (name,), name[END]
         _, idx, end = self.parse_enclosed("[", "]")
-        return (name, node("Index", idx[START], end, (idx,))), end
+        return (name, self.node("Index", idx[START], end, (idx,))), end
 
     def parse_name_node(self) -> Node:
         """An identifier, possibly with interpolation holes: ``bypass_{{i}}``."""
@@ -552,15 +569,15 @@ class _Parser:
             lb = self.next()
             var = self.id_leaf("interpolation variable")
             rb = self.expect("}}")
-            parts.append(node("VarHole", lb.start, rb.end, [var]))
+            parts.append(self.node("VarHole", lb.start, rb.end, [var]))
             end = rb.end
             if self.at("ID") and self.tokens[self.pos].start == end:
                 frag = self.next()
-                parts.append(node("ID", frag.start, frag.end, leaf_text=frag.text))
+                parts.append(self.node("ID", frag.start, frag.end, leaf_text=frag.text))
                 end = frag.end
         if len(parts) == 1:
             return first
-        return node("InterpolatedId", first[START], end, parts)
+        return self.node("InterpolatedId", first[START], end, parts)
 
     # -- expressions ---------------------------------------------------------
 
@@ -576,30 +593,30 @@ class _Parser:
             if no_compare and t.type in ("<", ">"):
                 break
             self.next()
-            children.append(node("InfixOp", t.start, t.end, leaf_text=t.text))
+            children.append(self.node("InfixOp", t.start, t.end, leaf_text=t.text))
             term = self.parse_term()
             children.append(term)
             end = term[END]
         self.depth -= 1
-        return node("Exp", first[START], end, children)
+        return self.node("Exp", first[START], end, children)
 
     def parse_term(self) -> Node:
         t = self.tokens[self.pos]
         if t.type in UNARY_OPS:
             self.next()
-            op = node("UnaryOp", t.start, t.end, leaf_text=t.text)
+            op = self.node("UnaryOp", t.start, t.end, leaf_text=t.text)
             self.deeper()
             inner = self.parse_term()
             self.depth -= 1
-            u = node("UnaryExp", t.start, inner[END], [op, inner])
-            return node("Term", t.start, inner[END], [u])
+            u = self.node("UnaryExp", t.start, inner[END], [op, inner])
+            return self.node("Term", t.start, inner[END], [u])
         if t.type == "(":
             _, exp, end = self.parse_enclosed("(", ")")
-            return node("Term", t.start, end, [exp])
+            return self.node("Term", t.start, end, [exp])
         if t.type == "{":
             return self.parse_array_literal()
         atom = self.parse_atom()
-        return node("Term", atom[START], atom[END], [atom])
+        return self.node("Term", atom[START], atom[END], [atom])
 
     def parse_array_literal(self) -> Node:
         start = self.expect("{").start
@@ -609,8 +626,8 @@ class _Parser:
             if not self.accept(","):
                 break
         end = self.expect("}").end
-        arr = node("ArrayExp", start, end, elems)
-        return node("Term", start, end, [arr])
+        arr = self.node("ArrayExp", start, end, elems)
+        return self.node("Term", start, end, [arr])
 
     def parse_atom(self) -> Node:
         t = self.tokens[self.pos]
@@ -621,22 +638,22 @@ class _Parser:
                 int(t.text, 0) if not t.text.isdigit() else int(t.text)
             except ValueError:
                 self.fail("a valid integer literal", t)
-            leaf = node(leaf_kind, t.start, t.end, leaf_text=t.text)
-            return node("IntExp", t.start, t.end, [leaf])
+            leaf = self.node(leaf_kind, t.start, t.end, leaf_text=t.text)
+            return self.node("IntExp", t.start, t.end, [leaf])
         if t.type == "FLOAT":
             self.next()
-            leaf = node("FLOAT_RAW", t.start, t.end, leaf_text=t.text)
-            return node("FloatExp", t.start, t.end, [leaf])
+            leaf = self.node("FLOAT_RAW", t.start, t.end, leaf_text=t.text)
+            return self.node("FloatExp", t.start, t.end, [leaf])
         if t.type == "STR":
             self.next()
-            leaf = node("STR", t.start, t.end, leaf_text=t.text)
-            return node("StringExp", t.start, t.end, [leaf])
+            leaf = self.node("STR", t.start, t.end, leaf_text=t.text)
+            return self.node("StringExp", t.start, t.end, [leaf])
         if t.type != "ID":
             self.fail("an expression")
         if t.text in ("true", "false"):
             self.next()
-            leaf = node("BOOL_RAW", t.start, t.end, leaf_text=t.text)
-            return node("BoolExp", t.start, t.end, [leaf])
+            leaf = self.node("BOOL_RAW", t.start, t.end, leaf_text=t.text)
+            return self.node("BoolExp", t.start, t.end, [leaf])
         if t.text in ("streamlet", "impl", "type"):
             return self.parse_member_extract("MemberExtractExp")
         if self.tokens[self.pos + 1].type == "(" and (
@@ -645,7 +662,7 @@ class _Parser:
         if t.text == "log" and self.tokens[self.pos + 1].type in ("INT", "FLOAT", "ID"):
             return self.parse_function_call()
         self.next()
-        ids = [node("ID", t.start, t.end, leaf_text=t.text)]
+        ids = [self.node("ID", t.start, t.end, leaf_text=t.text)]
         end = t.end
         # unlike parse_name_ref, `a.` before anything but a name ends at `a`
         if self.at(".") and self.tokens[self.pos + 1].type == "ID":
@@ -655,13 +672,13 @@ class _Parser:
             end = member[END]
         if self.at("["):
             _, idx, end = self.parse_enclosed("[", "]")
-            return node("IndexExp", t.start, end, ids + [idx])
-        return node("VarExp", t.start, end, ids)
+            return self.node("IndexExp", t.start, end, ids + [idx])
+        return self.node("VarExp", t.start, end, ids)
 
     def parse_function_call(self) -> Node:
         t = self.next()
         if t.text in BUILTIN_FUNCS:
-            children = [node("FUNC", t.start, t.end, leaf_text=t.text)]
+            children = [self.node("FUNC", t.start, t.end, leaf_text=t.text)]
         else:
             # log<base>(arg): base either fused into the identifier (log2) or
             # a following atom (log 2 (x) / log a(b))
@@ -671,14 +688,14 @@ class _Parser:
                 base = self.parse_atom()
                 self.depth -= 1
             else:
-                leaf = node("INT_RAW_NORAML", t.start + 3, t.end, leaf_text=fused)
-                base = node("IntExp", t.start + 3, t.end, [leaf])
+                leaf = self.node("INT_RAW_NORAML", t.start + 3, t.end, leaf_text=fused)
+                base = self.node("IntExp", t.start + 3, t.end, [leaf])
             s, e = base[START], base[END]
-            children = [node("FUNC", t.start, t.start + 3, leaf_text="log"),
-                        node("Exp", s, e, [node("Term", s, e, [base])])]
+            children = [self.node("FUNC", t.start, t.start + 3, leaf_text="log"),
+                        self.node("Exp", s, e, [self.node("Term", s, e, [base])])]
         _, arg, end = self.parse_enclosed("(", ")")
         children.append(arg)
-        return node("FunctionExp", t.start, end, children)
+        return self.node("FunctionExp", t.start, end, children)
 
     def parse_member_extract(self, kind: str) -> Node:
         """``streamlet|impl|type <owner>[<args>].<member>`` where owner may be
@@ -691,16 +708,16 @@ class _Parser:
             member = self.id_leaf("member name")
             if self.at("<") or self.at(".") and self.tokens[self.pos + 1].type == "ID":
                 # what was read is a package-qualified owner
-                owner = node("QualifiedId", owner[START], member[END],
-                             [owner, member])
+                owner = self.node("QualifiedId", owner[START], member[END],
+                                  [owner, member])
                 member = None
         if self.at("<"):
             owner = self.parse_template_instance(owner)
         if member is None:
             self.expect(".")
             member = self.id_leaf("member name")
-        ex = node("EXTRACT", t.start, t.end, leaf_text=t.text)
-        return node(kind, t.start, member[END], [ex, owner, member])
+        ex = self.node("EXTRACT", t.start, t.end, leaf_text=t.text)
+        return self.node(kind, t.start, member[END], [ex, owner, member])
 
 
 def _log_with_base(text: str) -> Optional[str]:

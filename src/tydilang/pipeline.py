@@ -108,17 +108,20 @@ def render_error_report(diagnostics: list[Diagnostic],
 def collect_sources(inputs: list[str]) -> list[tuple[str, str]]:
     """Expand directories into their `.td` files and read everything.
 
-    A file that cannot be read or is not UTF-8 raises OSError naming it."""
-    paths: list[str] = []
+    A file named more than once (``dir dir/a.td``, ``a.td a.td``) is read
+    once, under the name it is first given. A file that cannot be read or is
+    not UTF-8 raises OSError naming it."""
+    paths: dict[str, str] = {}  # real path -> the first name given for it
     for item in inputs:
         if os.path.isdir(item):
-            for entry in sorted(os.listdir(item)):
-                if entry.endswith(".td"):
-                    paths.append(os.path.join(item, entry))
+            named = [os.path.join(item, entry) for entry in sorted(os.listdir(item))
+                     if entry.endswith(".td")]
         else:
-            paths.append(item)
+            named = [item]
+        for p in named:
+            paths.setdefault(os.path.realpath(p), p)
     out = []
-    for p in paths:
+    for p in paths.values():
         with open(p, "r", encoding="utf-8") as f:
             try:
                 out.append((p, f.read()))

@@ -251,6 +251,29 @@ def test_ast_dump_stem_collision_resolved(tmp_path):
     assert (out / "0_ast" / "x_2.txt").is_file()
 
 
+@pytest.mark.parametrize("twice", [
+    lambda src: [src, src / "a.td"],
+    lambda src: [src / "a.td", src / "a.td"],
+    lambda src: [src / "a.td", src / ".." / "src" / "a.td", src],
+], ids=["dir_and_file", "file_twice", "other_spelling"])
+def test_a_file_named_twice_is_read_once(tmp_path, twice):
+    src = write_sources(tmp_path, {"a.td": "package a;\nconst x = 1;\n"})
+    out = tmp_path / "build"
+    assert main([*map(str, twice(src)), "--output", str(out)]) == 0
+    assert not (out / "error_report.txt").exists()
+    assert os.listdir(out / "0_ast") == ["a.txt"]
+
+
+def test_two_files_of_one_package_still_fail(tmp_path, capsys):
+    src = write_sources(tmp_path, {"a.td": "package a;", "b.td": "package a;"})
+    out = tmp_path / "build"
+    assert main([str(src), str(src / "b.td"), "--output", str(out)]) == 1
+    line = (f"{src / 'b.td'}: [syntax] duplicate package 'a' declared in "
+            f"{src / 'a.td'} and {src / 'b.td'}")
+    assert (out / "error_report.txt").read_text() == line + "\n"
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_jobs_zero_is_usage_error(tmp_path):
     src = write_sources(tmp_path, {"x.td": "package p;"})
     assert main([str(src), "--jobs", "0", "--output", str(tmp_path / "b")]) == 2

@@ -1,14 +1,16 @@
 import gc
+import importlib.util
 import json
 import os
 import re
+import sys
 import tracemalloc
 from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tydilang import emit
+from tydilang import compile_sources, emit
 from tydilang.emit import emit_dot, emit_ir, flatten
 from tydilang.errors import TydiError
 from tydilang.logical_types import BitType, GroupType, NullType, StreamType, stream_display_name
@@ -18,6 +20,7 @@ from tydilang.sugaring import sugar_project
 from tydilang.values import escape
 
 from conftest import DATA_DIR, compile_texts, evaluated_project
+from goldens import ROOT
 from test_sugaring import fan_out
 
 TWO_LEVEL = """
@@ -818,6 +821,32 @@ def test_dot_matches_a_naive_renderer():
 
 
 # -- IR -------------------------------------------------------------------------
+
+
+def load_workloads():
+    """perfbench's workload generators, loaded once from their file, read
+    only (a dataclass needs its module in `sys.modules`)."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, os.path.join(ROOT, "perfbench", "workloads.py"))
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("name", ["tpch_multi", "fanout_sugar", "deep_hier"])
+def test_benchmark_workload_matches_the_naive_renderers(name):
+    """Each benchmark workload, at a quarter of its size, compiles to the IR
+    (and, for deep_hier, the DOT) that the naive renderers write."""
+    workloads = load_workloads()
+    w = workloads.generate(name, 1, ROOT, scale=0.25)
+    result = compile_sources(workloads.config(w), w.sources)
+    assert result.exit_code == 0
+    assert workloads.check(w, result.exit_code, result.artifacts) == []
+    assert result.artifacts["ir.json"] == naive_ir(result.project)
+    if name == "deep_hier":
+        assert result.artifacts["circuit.dot"] == naive_dot(result.project, *w.top.split("."))
 
 
 def test_ir_serializes_stream_defaults_explicitly():

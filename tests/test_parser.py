@@ -419,6 +419,31 @@ def test_parse_tree_is_plain_and_untrackable(tpch1_source):
     assert not any(map(gc.is_tracked, held))
 
 
+def test_parse_tree_is_untracked_while_it_is_built(tpch1_source):
+    """The parser keeps its nodes in build order in a list older than them,
+    so the young collections that run while it parses untrack the tree
+    bottom-up. Right after the parse, with no explicit collection, at most
+    9% of tpch1's tuples are still tracked on CPython 3.10-3.13 (77% when
+    the list is left out, as each pass then untracks one level). A tuple
+    that CPython reuses from its free lists does not count towards the next
+    young collection, so a first parse, kept alive, empties the lists that
+    earlier tests filled; else fewer collections run and more stays tracked."""
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        first = parse_file(tpch1_source)
+        root = parse_file(tpch1_source).root
+        gc.disable()  # no collection while the tree is counted
+        nodes = [n for level in levels(root) for n in level]
+        held = nodes + [n[CHILDREN] for n in nodes if n[CHILDREN]]
+        tracked = sum(map(gc.is_tracked, held))
+    finally:
+        if enabled:
+            gc.enable()
+    assert first.root == root
+    assert tracked <= 0.15 * len(held), f"{tracked} of {len(held)} still tracked"
+
+
 def test_named_view_is_the_same_tree(tpch1_source):
     parsed = parse_file(tpch1_source)
     assert type(parsed.ast) is AstNode and parsed.ast == parsed.root
