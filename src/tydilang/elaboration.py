@@ -21,7 +21,8 @@ Each element of a `for` block gets a scope that binds the loop variable and
 reaches the scope around it by an if/for relation. Expansion selects the
 `if` branch or loops over the elements itself and hands every other item to
 `builder.build_item`, once per element; what it builds evaluates in that
-scope.
+scope. An instance target of a `for` body that names nothing an element
+scope binds is resolved once per implementation, at its first use.
 """
 
 from __future__ import annotations
@@ -98,8 +99,9 @@ def _compute_implementation(ctx: EvalContext, impl: Implementation):
     evaluate_streamlet(ctx, impl.streamlet)
     for block in impl.generative:
         _expand_item(ctx, impl, block, impl.scope, "")
+    shared: dict[int, list] = {}  # id of a `for`-body target: [its names, its target]
     for inst in impl.scope.instances.values():
-        _evaluate_instance(ctx, inst)
+        _evaluate_instance(ctx, inst, shared)
     for conn in impl.scope.connections:
         resolve_connection(ctx, impl, conn)
     for scope, a in impl.asserts:
@@ -127,19 +129,46 @@ def _resolve_of_streamlet(ctx: EvalContext, impl: Implementation) -> Streamlet:
     return s
 
 
-def _evaluate_instance(ctx: EvalContext, inst: Instance):
+def _evaluate_instance(ctx: EvalContext, inst: Instance, shared: dict[int, list]):
     scope = inst.scope
-    target = _resolve_entity(ctx, scope, inst.target_ast, "implementation")
-    if target.is_template:
-        raise TydiError(
-            "resolution",
-            f"instance {inst.name!r} targets template {target.id!r} "
-            "without arguments", scope.package.path, inst.span)
-    evaluate_implementation(ctx, target)
+    slot = _shared_slot(shared, inst.target_ast, scope)
+    target = slot[1] if slot else None
+    if target is None:
+        target = _resolve_entity(ctx, scope, inst.target_ast, "implementation")
+        if target.is_template:
+            raise TydiError(
+                "resolution",
+                f"instance {inst.name!r} targets template {target.id!r} "
+                "without arguments", scope.package.path, inst.span)
+        evaluate_implementation(ctx, target)
+        if slot:
+            slot[1] = target
     if inst.array_size_ast is not None:
         inst.array_size = _evaluate_count(ctx, scope, inst.array_size_ast, 1, inst.span,
                                           "instance array size must be a positive int")
     inst.target = target  # last: an instance with a target is evaluated
+
+
+def _shared_slot(shared: dict[int, list], target_ast: Node, scope: Scope):
+    """The slot of `shared` that holds the target `target_ast` resolves to in
+    every `for` element of the implementation, or None when `scope` is not an
+    element's or an element scope up to the implementation's binds a name the
+    node mentions: a loop variable, or a const or type the body declares."""
+    if scope.category != "iffor":
+        return None
+    slot = shared.get(id(target_ast))
+    if slot is None:
+        order = [target_ast]
+        for n in order:  # a loop, not recursion, as `tree.named`
+            order.extend(n[CHILDREN])
+        slot = shared[id(target_ast)] = [
+            {n[TEXT] for n in order if n[TEXT] is not None}, None]
+    names = slot[0]
+    while scope.category == "iffor":
+        if not (names.isdisjoint(scope.variables) and names.isdisjoint(scope.types)):
+            return None
+        scope = scope.relations[0][1]
+    return slot
 
 
 def _resolve_entity(ctx: EvalContext, scope: Scope, ref: Node, category: str):

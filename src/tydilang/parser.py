@@ -70,7 +70,7 @@ class _Parser:
         self.built: list[tuple] = []
 
     def node(self, kind: str, start: int, end: int, children=(), leaf_text=None) -> Node:
-        """`tree.node`, also appended to `built`."""
+        """The node tuple of these fields, also appended to `built`."""
         children = tuple(children)
         if children:
             self.built.append(children)

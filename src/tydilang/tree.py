@@ -29,10 +29,6 @@ class AstNode(NamedTuple):
         return f"AstNode({self.kind}, {self.start}-{self.end})"
 
 
-def node(kind: str, start: int, end: int, children=(), leaf_text=None) -> Node:
-    return (kind, start, end, tuple(children), leaf_text)
-
-
 def child(n: Node, kind: str) -> Optional[Node]:
     for c in n[CHILDREN]:
         if c[KIND] == kind:

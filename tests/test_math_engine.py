@@ -6,7 +6,6 @@ from tydilang.context import EvalContext
 from tydilang.elaboration import evaluate_implementation
 from tydilang.errors import Span, TydiError
 from tydilang.math_engine import evaluate_range, force_variable
-from tydilang.parser import parse_fragment
 from tydilang.tree import END, START
 from tydilang.type_eval import force_type_entry
 from tydilang.values import (ArrayValue, BoolValue, FloatValue, IntValue,
@@ -178,15 +177,6 @@ def test_array_indexing():
 # -- ranges -------------------------------------------------------------------
 
 
-def _range_values(text: str):
-    project = project_of("package p;")
-    ctx = EvalContext(project)
-    node = parse_fragment(text, "exp")
-    # reuse the for-header grammar: start=step=>end
-    from tydilang.tree import node as make_node
-    raise AssertionError("helper not used")
-
-
 def range_of(start, step, end):
     project, ctx = evaluated_project("package p;")
     from tydilang.parser import _Parser
@@ -197,8 +187,7 @@ def range_of(start, step, end):
     stepx = p.parse_exp()
     p.expect("=>")
     stop = p.parse_exp()
-    from tydilang.tree import node as make_node
-    rng = make_node("RangeExp", 0, 1, [first, stepx, stop])
+    rng = p.node("RangeExp", 0, 1, [first, stepx, stop])
     return evaluate_range(ctx, project.packages["p"].scope, rng)
 
 

@@ -4,11 +4,12 @@ from collections import Counter
 
 import pytest
 
+from tydilang import elaboration, sugaring
 from tydilang.dump import dump_code_structure
 from tydilang.model import EndRef, EvalState
 from tydilang.sugaring import end_role, port_uses, sugar_project
 
-from conftest import evaluated_project
+from conftest import compile_texts, evaluated_project
 
 BASE = """
 type Group rgb {
@@ -376,18 +377,18 @@ def fan_out(lanes: int) -> str:
     """A `for` fan-out of `lanes` lanes whose every second input also feeds a
     probe: lanes / 2 duplicators and `lanes` voiders."""
     return ("package p;" + BASE + f"const lanes = {lanes};\n" + """
-streamlet tap_s { input: rgb_stream in, output: rgb_stream out, tap: rgb_stream out, };
-external impl tap_i of tap_s {};
-streamlet probe_s { input: rgb_stream in, };
-external impl probe_i of probe_s {};
+streamlet tap_s<t: type> { input: t in, output: t out, tap: t out, };
+external impl tap_i<t: type> of tap_s<type t> {};
+streamlet probe_s<t: type> { input: t in, };
+external impl probe_i<t: type> of probe_s<type t> {};
 streamlet fan_s { inputs: rgb_stream [lanes] in, outputs: rgb_stream [lanes] out, };
 impl fan_i of fan_s {
   for i in (0=1=>lanes) {
-    instance lane_{{i}}(tap_i),
+    instance lane_{{i}}(tap_i<type rgb_stream>),
     inputs[i] => lane_{{i}}.input,
     lane_{{i}}.output => outputs[i],
     if ((i % 2) == 0) {
-      instance probe_{{i}}(probe_i),
+      instance probe_{{i}}(probe_i<type rgb_stream>),
       inputs[i] => probe_{{i}}.input,
     }
   }
@@ -420,6 +421,110 @@ def test_sugaring_is_linear_in_connections(monkeypatch):
 
     narrow, wide = key_calls(100), key_calls(200)
     assert wide / narrow <= 2.5, (narrow, wide)
+
+
+def test_template_uses_are_looked_up_once_per_implementation(monkeypatch):
+    """Doubling the fan-out width leaves elaboration's template
+    instantiations as they are, because each `for`-body target is resolved
+    once for the implementation. Sugaring still looks up one instance per
+    inserted component, which is what the tracer counts, and finds the same
+    two instances at every width."""
+    def calls(lanes):
+        counted, found = Counter(), {}
+        with monkeypatch.context() as m:
+            for module in (elaboration, sugaring):
+                def counting(ctx, template, args, module=module,
+                             original=module.instantiate_template):
+                    counted[module.__name__] += 1
+                    instance = original(ctx, template, args)
+                    found.setdefault(module.__name__, set()).add(instance.id)
+                    return instance
+                m.setattr(module, "instantiate_template", counting)
+            sugared(fan_out(lanes))
+        return counted, {name: len(ids) for name, ids in found.items()}
+
+    # tap_i and probe_i on rgb_stream, and their streamlets; duplicator_i
+    # and void_i on rgb_stream, one call for each of lanes / 2 duplicators
+    # and `lanes` voiders
+    instances = {"tydilang.elaboration": 6, "tydilang.sugaring": 2}
+    assert calls(100) == ({"tydilang.elaboration": 6, "tydilang.sugaring": 150},
+                          instances)
+    assert calls(200) == ({"tydilang.elaboration": 6, "tydilang.sugaring": 300},
+                          instances)
+
+
+UNSHARED = "package p;" + BASE + """
+const n = 5;
+streamlet k_s<n: int> { input: rgb_stream in, };
+external impl k_i<n: int> of k_s<n> {};
+streamlet t_s<t: type> { input: t in, };
+external impl t_i<t: type> of t_s<type t> {};
+streamlet top_s { };
+"""
+
+
+def compiled_both_ways(body: str, monkeypatch):
+    """The compile of an implementation with `body`, and the compile that
+    resolves every instance target in every `for` element again."""
+    text = UNSHARED + "impl top_i of top_s {\n" + body + "\n};\n"
+    shared = compile_texts(text)
+    with monkeypatch.context() as m:
+        m.setattr(elaboration, "_shared_slot", lambda *args: None)
+        unshared = compile_texts(text)
+    return shared, unshared
+
+
+def outcome(result):
+    return (result.exit_code, result.artifacts,
+            [(d.category, d.message, d.path, d.span) for d in result.diagnostics])
+
+
+def instance_targets(result) -> dict[str, str]:
+    impl = result.project.packages["p"].scope.implements["top_i"]
+    return {name: inst.target.id for name, inst in impl.instances.items()}
+
+
+@pytest.mark.parametrize("body, targets", [
+    # the loop variable
+    ("for i in (0=1=>3) { instance k_{{i}}(k_i<i>), }",
+     {f"k_{i}": f"k_i@{i}" for i in range(3)}),
+    # a const of the body beside the package's `n`, and `p.n`, which names it too
+    ("for i in (0=1=>3) { const n = i + 10, instance k_{{i}}(k_i<n>), "
+     "instance q_{{i}}(k_i<p.n>), }",
+     {**{f"k_{i}": f"k_i@{i + 10}" for i in range(3)},
+      **{f"q_{i}": "k_i@5" for i in range(3)}}),
+    # the outer and the inner variable of a nested `for`
+    ("for i in (0=1=>2) { for j in (0=1=>2) { instance k_{{i}}_{{j}}(k_i<i * 10 + j>), } }",
+     {f"k_{i}_{j}": f"k_i@{i * 10 + j}" for i in range(2) for j in range(2)}),
+    # an `if` inside the `for`, and a const only some elements declare
+    ("for i in (0=1=>4) { if (i >= 2) { const n = i, instance e_{{i}}(k_i<n>), } "
+     "instance k_{{i}}(k_i<n>), }",
+     {**{f"e_{i}": f"k_i@{i}" for i in (2, 3)},
+      **{f"k_{i}": f"k_i@{5 if i < 2 else i}" for i in range(4)}}),
+])
+def test_targets_naming_element_bindings_resolve_per_element(body, targets,
+                                                             monkeypatch):
+    """A `for`-body target that names a loop variable, or a const the body
+    declares, resolves in each element: every artifact is the one that
+    resolving each element's target writes."""
+    shared, unshared = compiled_both_ways(body, monkeypatch)
+    assert shared.ok, shared.diagnostics
+    assert outcome(shared) == outcome(unshared)
+    assert instance_targets(shared) == targets
+
+
+def test_failing_for_body_target_reports_its_first_use(monkeypatch):
+    """A target that fails in a `for` body reports the failure of its first
+    element, as resolving it in every element does."""
+    body = "for i in (0=1=>3) { instance k_{{i}}(t_i<5>), }"
+    shared, unshared = compiled_both_ways(body, monkeypatch)
+    assert outcome(shared) == outcome(unshared)
+    (d,) = shared.diagnostics
+    source = UNSHARED + "impl top_i of top_s {\n" + body
+    assert (d.category, d.message, d.path, d.location(source)) == (
+        "type", "template parameter 't' expects a logical type; use the `type` "
+        "keyword before the argument", "file_0.td",
+        f"file_0.td:{source.count(chr(10)) + 1}:{body.index('5') + 1}")
 
 
 def test_census_lists_only_the_irregular_ends():
