@@ -68,7 +68,7 @@ def _loop_value(scope: Scope, var: str) -> Optional[Value]:
         binding = scope.variables.get(var)
         if binding is not None:
             return binding.value
-        scope = scope.relations[0][1]
+        scope = scope.relation[1]
     return None
 
 

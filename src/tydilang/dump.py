@@ -91,10 +91,9 @@ def _dump_scope(w: _Writer, scope: Scope):
         for iid in sorted(scope.implements):
             _dump_implement(w, scope.implements[iid])
         w.close()
-    if scope.relations:
+    if scope.relation is not None:
         w.open("ScopeRelations")
-        for kind, target in scope.relations:
-            w.line(f"--{kind.value}-->{target.name}")
+        w.line(f"--{scope.relation[0].value}-->{scope.relation[1].name}")
         w.close()
     if scope.ports:
         w.open("Ports")

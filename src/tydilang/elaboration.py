@@ -33,8 +33,8 @@ from .builder import build_impl, build_item, build_streamlet, substitute
 from .context import EvalContext
 from .errors import TydiError
 from .logical_types import StreamType, short_name
-from .math_engine import (ExpressionEvaluator, evaluate_expression,
-                          evaluate_range, force_variable)
+from .math_engine import (evaluate_expression, evaluate_range, evaluate_term,
+                          force_variable)
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Port, Scope, ScopeRelationKind, Streamlet, TypeEntry,
                     Variable, resolve_name, resolve_ref)
@@ -167,7 +167,7 @@ def _shared_slot(shared: dict[int, list], target_ast: Node, scope: Scope):
     while scope.category == "iffor":
         if not (names.isdisjoint(scope.variables) and names.isdisjoint(scope.types)):
             return None
-        scope = scope.relations[0][1]
+        scope = scope.relation[1]
     return slot
 
 
@@ -283,9 +283,8 @@ def check_assertion(ctx: EvalContext, scope: Scope, assert_stmt: Node):
     if value.value:
         return
     raw = scope.package.snip(exp)
-    ev = ExpressionEvaluator(ctx, scope)
-    operands = ", ".join(
-        format_value(ev.eval_term(t)) for t in exp[CHILDREN] if t[KIND] == "Term")
+    operands = ", ".join(format_value(evaluate_term(ctx, scope, t))
+                         for t in exp[CHILDREN] if t[KIND] == "Term")
     raise TydiError("assertion",
                     f"assertion failed: {raw} (operands: {operands})", path, assert_stmt)
 
@@ -520,7 +519,7 @@ def expand_for(ctx: EvalContext, impl: Implementation, block: Node,
     for index, element in enumerate(values.elements):
         # named after the scope around it, which labels and dumps name as before
         element_scope = Scope(scope.name, "iffor", impl_args=scope.impl_args,
-                              relations=[(ScopeRelationKind.IFFOR, scope)],
+                              relation=(ScopeRelationKind.IFFOR, scope),
                               package=scope.package)
         element_scope.variables[var] = Variable(
             id=var, scope=element_scope, state=EvalState.EVALUATED, value=element)

@@ -7,6 +7,8 @@ finds itself (an unreadable input, no input at all) without raising them."""
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from typing import NamedTuple, Optional, Protocol
 
 from .tree import END, START
@@ -43,12 +45,13 @@ class Diagnostic:
         self.path: Optional[str] = path
         self.span: Optional[Span] = None if span is None else Span(span[START], span[END])
 
-    def location(self, source_text: Optional[str] = None) -> str:
+    def location(self, index=None) -> str:
+        """`path:line:col` in the file that `index`, a `line_index`, indexes."""
         if self.path is None:
             return "<project>"
-        if self.span is None or source_text is None:
+        if self.span is None or index is None:
             return self.path
-        line, col = offset_to_line_col(source_text, self.span.start)
+        line, col = line_col(index, self.span.start)
         return f"{self.path}:{line}:{col}"
 
 
@@ -69,10 +72,16 @@ class TydiError(Exception):
         return self.diagnostic.message
 
 
-def offset_to_line_col(text: str, offset: int) -> tuple[int, int]:
-    """1-based (line, column) for a byte offset into UTF-8 encoded text."""
-    data = text.encode("utf-8")[:offset]
-    line = data.count(b"\n") + 1
-    last_nl = data.rfind(b"\n")
-    col_bytes = data[last_nl + 1:]
-    return line, len(col_bytes.decode("utf-8", errors="replace")) + 1
+def line_index(text: str) -> tuple[bytes, list[int]]:
+    """A file's UTF-8 bytes and the offset of each newline, after a -1 that
+    starts its first line."""
+    data = text.encode("utf-8")
+    return data, [-1] + [m.start() for m in re.finditer(b"\n", data)]
+
+
+def line_col(index: tuple[bytes, list[int]], offset: int) -> tuple[int, int]:
+    """1-based (line, column) for a byte offset into an indexed file."""
+    data, newlines = index
+    line = bisect_left(newlines, offset)  # lines that start at or before it
+    text = data[newlines[line - 1] + 1:offset].decode("utf-8", errors="replace")
+    return line, len(text) + 1

@@ -59,276 +59,265 @@ def _trunc_mod(a: int, b: int) -> int:
     return r if a >= 0 else -r
 
 
-class ExpressionEvaluator:
-    """Evaluates one expression tree within a scope.
-
-    Referenced variables are forced through the context's once-only guards,
-    so each variable is computed a single time no matter how many
-    expressions mention it.
-    """
-
-    def __init__(self, ctx: EvalContext, scope: Scope):
-        self.ctx = ctx
-        self.scope = scope
-        self.path = scope.package.path
-
-    def err(self, message: str, span: Optional[Located] = None) -> TydiError:
-        return TydiError("type", message, self.path, span)
-
-    # -- entry points ----------------------------------------------------------
-
-    def eval_exp(self, exp: Node) -> Value:
-        """Terms left to right; an operator applies once the next one binds no
-        tighter, so equal precedences group from the left, with no recursion."""
-        children = exp[CHILDREN]
-        values = [self.eval_term(children[0])]
-        ops: list[str] = []
-        for k in range(1, len(children) + 1, 2):
-            op = children[k][TEXT] if k < len(children) else None
-            while ops and (op is None or PRECEDENCE[ops[-1]] >= PRECEDENCE[op]):
-                right = values.pop()
-                values[-1] = self.apply_binary(ops.pop(), values[-1], right, exp)
-            if op is not None:
-                ops.append(op)
-                values.append(self.eval_term(children[k + 1]))
-        return values[0]
-
-    def eval_term(self, term: Node) -> Value:
-        self.ctx.deeper(self.path)
-        inner = term[CHILDREN][0]
-        if inner[KIND] == "Exp":
-            value = self.eval_exp(inner)
-        elif inner[KIND] == "UnaryExp":
-            operand = self.eval_term(inner[CHILDREN][1])
-            value = self.apply_unary(inner[CHILDREN][0][TEXT], operand, inner)
-        elif inner[KIND] == "ArrayExp":
-            elems = tuple(self.eval_exp(e) for e in inner[CHILDREN])
-            kinds = {type(e) for e in elems}
-            if len(kinds) > 1:
-                raise self.err("array elements must all have the same type", inner)
-            if ArrayValue in kinds:
-                raise self.err("nested arrays are not supported", inner)
-            value = ArrayValue(elems)
-        else:
-            value = self.eval_atom(inner)
-        self.ctx.depth -= 1
-        return value
-
-    # -- atoms ------------------------------------------------------------------
-
-    def eval_atom(self, atom: Node) -> Value:
-        kind = atom[KIND]
-        if kind == "IntExp":
-            leaf = atom[CHILDREN][0]
-            text = leaf[TEXT]
-            n = int(text) if leaf[KIND] == "INT_RAW_NORAML" else int(text, 0)
-            return IntValue(_check_int(n, atom, self.path, "integer literal"))
-        if kind == "FloatExp":
-            return _check_float(float(atom[CHILDREN][0][TEXT]), atom, self.path,
-                                "float literal")
-        if kind == "StringExp":
-            return StrValue(atom[CHILDREN][0][TEXT])
-        if kind == "BoolExp":
-            return BoolValue(atom[CHILDREN][0][TEXT] == "true")
-        if kind == "VarExp":
-            return self.eval_reference(atom)
-        if kind == "IndexExp":
-            return self.eval_index(atom)
-        if kind == "FunctionExp":
-            return self.eval_function(atom)
-        # MemberExtractExp, the last kind of atom the parser makes
-        from .elaboration import extract_member_value
-        return extract_member_value(self.ctx, self.scope, atom)
-
-    def eval_reference(self, ref: Node) -> Value:
-        """The value of the variable a VarExp or IndexExp names."""
-        var = resolve_ref(self.ctx.project, self.scope, ref, "variable")
-        return force_variable(self.ctx, var, self.path, ref)
-
-    def eval_index(self, atom: Node) -> Value:
-        index_exp = atom[CHILDREN][-1]
-        arr = self.eval_reference(atom)
-        if not isinstance(arr, ArrayValue):
-            raise self.err(f"{atom[CHILDREN][-2][TEXT]!r} is not an array", atom)
-        idx = self.eval_exp(index_exp)
-        if not isinstance(idx, IntValue):
-            raise self.err("array index must be an int", index_exp)
-        if not 0 <= idx.value < len(arr.elements):
-            raise self.err(
-                f"index {idx.value} out of bounds for array of size "
-                f"{len(arr.elements)}", atom)
-        return arr.elements[idx.value]
-
-    def eval_function(self, atom: Node) -> Value:
-        func = atom[CHILDREN][0][TEXT]
-        if func == "log":
-            base = self.eval_exp(atom[CHILDREN][1])
-            arg = self.eval_exp(atom[CHILDREN][2])
-            return self._eval_log(base, arg, atom)
-        arg = self.eval_exp(atom[CHILDREN][1])
-        if not isinstance(arg, FloatValue):
-            raise self.err(f"{func} expects a float, got {variant_name(arg)}", atom)
-        x = arg.value
-        if func == "round":
-            n = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
-        elif func == "floor":
-            n = math.floor(x)
-        else:  # ceil: the parser makes a FUNC of the builtins only
-            n = math.ceil(x)
-        return IntValue(_check_int(int(n), atom, self.path, f"{func} result"))
-
-    def _eval_log(self, base: Value, arg: Value, span) -> Value:
-        for v, what in ((base, "base"), (arg, "argument")):
-            if not isinstance(v, (IntValue, FloatValue)):
-                raise self.err(f"log {what} must be numeric, got {variant_name(v)}", span)
-        b = base.value
-        x = arg.value
-        if x <= 0:
-            raise self.err(f"log argument must be positive, got {x}", span)
-        if b <= 0 or b == 1:
-            raise self.err(f"log base must be positive and not 1, got {b}", span)
-        if b == 2:
-            return FloatValue(math.log2(x))
-        if b == 10:
-            return FloatValue(math.log10(x))
-        return FloatValue(math.log(x) / math.log(b))
-
-    # -- operators ---------------------------------------------------------------
-
-    def apply_unary(self, op: str, v: Value, span) -> Value:
-        if op == "-":
-            if isinstance(v, IntValue):
-                return IntValue(_check_int(-v.value, span, self.path))
-            if isinstance(v, FloatValue):
-                return FloatValue(-v.value)
-            raise self.err(f"unary '-' expects int or float, got {variant_name(v)}", span)
-        if op == "!":
-            if isinstance(v, BoolValue):
-                return BoolValue(not v.value)
-            raise self.err(f"unary '!' expects bool, got {variant_name(v)}", span)
-        # "~", the last of the parser's unary operators
-        if isinstance(v, IntValue):
-            return IntValue(_check_int(~v.value, span, self.path))
-        raise self.err(f"unary '~' expects int, got {variant_name(v)}", span)
-
-    def apply_binary(self, op: str, a: Value, b: Value, span) -> Value:
-        if op == "+" and (isinstance(a, ArrayValue) or isinstance(b, ArrayValue)):
-            return self._array_insert(a, b, span)
-
-        if op in ("&&", "||"):
-            if isinstance(a, BoolValue) and isinstance(b, BoolValue):
-                return BoolValue(a.value and b.value if op == "&&"
-                                 else a.value or b.value)
-            raise self._bin_err(op, a, b, span)
-
-        if op in ("==", "!="):
-            if type(a) is not type(b) or isinstance(a, ArrayValue):
-                raise self._bin_err(op, a, b, span)
-            if isinstance(a, ClockDomainValue):
-                same = a.expression == b.expression
-            else:
-                same = a.value == b.value
-            return BoolValue(same if op == "==" else not same)
-
-        if op in ("<", ">", "<=", ">="):
-            if not (isinstance(a, (IntValue, FloatValue))
-                    and isinstance(b, (IntValue, FloatValue))):
-                raise self._bin_err(op, a, b, span)
-            x, y = a.value, b.value
-            result = {"<": x < y, ">": x > y, "<=": x <= y, ">=": x >= y}[op]
-            return BoolValue(result)
-
-        if op in ("<<", ">>", "&", "|", "%"):
-            if not (isinstance(a, IntValue) and isinstance(b, IntValue)):
-                raise self._bin_err(op, a, b, span)
-            x, y = a.value, b.value
-            if op == "%":
-                if y == 0:
-                    raise self.err("modulo by zero", span)
-                return IntValue(_trunc_mod(x, y))
-            if op in ("<<", ">>"):
-                if not 0 <= y < 64:
-                    raise self.err(f"shift amount must be in [0, 64), got {y}", span)
-                n = x << y if op == "<<" else x >> y
-                return IntValue(_check_int(n, span, self.path, "shift result"))
-            n = x & y if op == "&" else x | y
-            return IntValue(_check_int(n, span, self.path))
-
-        if op == "+" and (isinstance(a, StrValue) or isinstance(b, StrValue)):
-            return self._str_concat(a, b, span)
-
-        # + - * / ^, the rest of the parser's infix operators
-        if not (isinstance(a, (IntValue, FloatValue))
-                and isinstance(b, (IntValue, FloatValue))):
-            raise self._bin_err(op, a, b, span)
-        return self._numeric(op, a, b, span)
-
-    def _numeric(self, op: str, a: Value, b: Value, span) -> Value:
-        both_int = isinstance(a, IntValue) and isinstance(b, IntValue)
-        x, y = a.value, b.value
-        if op == "/":
-            if y == 0:
-                raise self.err("division by zero", span)
-            if both_int:
-                return IntValue(_check_int(_trunc_div(x, y), span, self.path))
-            return _check_float(x / y, span, self.path)
-        if op == "^":
-            if both_int and y >= 0:
-                # past 2 ^ 64 the power surely overflows: do not compute it
-                if abs(x) >= 2 and y > 64:
-                    raise self.err(f"power result out of range: {x} ^ {y}", span)
-                return IntValue(_check_int(x ** y, span, self.path, "power result"))
-            try:
-                n = float(x) ** float(y)
-            except (OverflowError, ZeroDivisionError):
-                n = None
-            if not isinstance(n, float):  # also a negative base to a fraction
-                raise self.err(f"power result out of range: {x} ^ {y}", span)
-            return FloatValue(n)
-        n = {"+": x + y, "-": x - y, "*": x * y}[op]
-        if both_int:
-            return IntValue(_check_int(n, span, self.path))
-        return _check_float(float(n), span, self.path)
-
-    def _str_concat(self, a: Value, b: Value, span) -> Value:
-        if isinstance(a, ClockDomainValue) or isinstance(b, ClockDomainValue):
-            raise self._bin_err("+", a, b, span)
-        return StrValue(mangle_text(a) + mangle_text(b))
-
-    def _array_insert(self, a: Value, b: Value, span) -> Value:
-        if isinstance(a, ArrayValue) and isinstance(b, ArrayValue):
-            raise self.err("cannot add two arrays", span)
-        arr, elem, append = (a, b, True) if isinstance(a, ArrayValue) else (b, a, False)
-        if arr.elements and type(arr.elements[0]) is not type(elem):
-            raise self.err(
-                f"inserted {variant_name(elem)} does not match array of "
-                f"{variant_name(arr.elements[0])}", span)
-        elements = arr.elements + (elem,) if append else (elem,) + arr.elements
-        return ArrayValue(elements)
-
-    def _bin_err(self, op, a, b, span) -> TydiError:
-        return self.err(
-            f"operator {op!r} not defined for {variant_name(a)} * {variant_name(b)}",
-            span)
+def err(message: str, path, span: Optional[Located] = None) -> TydiError:
+    return TydiError("type", message, path, span)
 
 
 def evaluate_expression(ctx: EvalContext, scope: Scope, exp: Node) -> Value:
-    return ExpressionEvaluator(ctx, scope).eval_exp(exp)
+    """Terms left to right; an operator applies once the next one binds no
+    tighter, so equal precedences group from the left, with no recursion.
+    Each referenced variable is forced once, through `EvalContext.force`,
+    however many expressions mention it."""
+    children = exp[CHILDREN]
+    values = [evaluate_term(ctx, scope, children[0])]
+    ops: list[str] = []
+    for k in range(1, len(children) + 1, 2):
+        op = children[k][TEXT] if k < len(children) else None
+        while ops and (op is None or PRECEDENCE[ops[-1]] >= PRECEDENCE[op]):
+            right = values.pop()
+            values[-1] = apply_binary(ops.pop(), values[-1], right,
+                                      scope.package.path, exp)
+        if op is not None:
+            ops.append(op)
+            values.append(evaluate_term(ctx, scope, children[k + 1]))
+    return values[0]
+
+
+def evaluate_term(ctx: EvalContext, scope: Scope, term: Node) -> Value:
+    path = scope.package.path
+    ctx.deeper(path)
+    inner = term[CHILDREN][0]
+    if inner[KIND] == "Exp":
+        value = evaluate_expression(ctx, scope, inner)
+    elif inner[KIND] == "UnaryExp":
+        operand = evaluate_term(ctx, scope, inner[CHILDREN][1])
+        value = apply_unary(inner[CHILDREN][0][TEXT], operand, path, inner)
+    elif inner[KIND] == "ArrayExp":
+        elems = tuple(evaluate_expression(ctx, scope, e) for e in inner[CHILDREN])
+        kinds = {type(e) for e in elems}
+        if len(kinds) > 1:
+            raise err("array elements must all have the same type", path, inner)
+        if ArrayValue in kinds:
+            raise err("nested arrays are not supported", path, inner)
+        value = ArrayValue(elems)
+    else:
+        value = _eval_atom(ctx, scope, inner)
+    ctx.depth -= 1
+    return value
+
+
+def _eval_atom(ctx: EvalContext, scope: Scope, atom: Node) -> Value:
+    kind = atom[KIND]
+    if kind == "IntExp":
+        leaf = atom[CHILDREN][0]
+        text = leaf[TEXT]
+        n = int(text) if leaf[KIND] == "INT_RAW_NORAML" else int(text, 0)
+        return IntValue(_check_int(n, atom, scope.package.path, "integer literal"))
+    if kind == "FloatExp":
+        return _check_float(float(atom[CHILDREN][0][TEXT]), atom, scope.package.path,
+                            "float literal")
+    if kind == "StringExp":
+        return StrValue(atom[CHILDREN][0][TEXT])
+    if kind == "BoolExp":
+        return BoolValue(atom[CHILDREN][0][TEXT] == "true")
+    if kind == "VarExp" or kind == "IndexExp":
+        return _eval_variable(ctx, scope, atom)
+    if kind == "FunctionExp":
+        return _eval_function(ctx, scope, atom)
+    # MemberExtractExp, the last kind of atom the parser makes
+    from .elaboration import extract_member_value
+    return extract_member_value(ctx, scope, atom)
+
+
+def _eval_variable(ctx: EvalContext, scope: Scope, atom: Node) -> Value:
+    """A VarExp's variable, or the element of it that an IndexExp selects."""
+    path = scope.package.path
+    var = resolve_ref(ctx.project, scope, atom, "variable")
+    arr = force_variable(ctx, var, path, atom)
+    if atom[KIND] == "VarExp":
+        return arr
+    index_exp = atom[CHILDREN][-1]
+    if not isinstance(arr, ArrayValue):
+        raise err(f"{atom[CHILDREN][-2][TEXT]!r} is not an array", path, atom)
+    idx = evaluate_expression(ctx, scope, index_exp)
+    if not isinstance(idx, IntValue):
+        raise err("array index must be an int", path, index_exp)
+    if not 0 <= idx.value < len(arr.elements):
+        raise err(
+            f"index {idx.value} out of bounds for array of size "
+            f"{len(arr.elements)}", path, atom)
+    return arr.elements[idx.value]
+
+
+def _eval_function(ctx: EvalContext, scope: Scope, atom: Node) -> Value:
+    path = scope.package.path
+    func = atom[CHILDREN][0][TEXT]
+    if func == "log":
+        base = evaluate_expression(ctx, scope, atom[CHILDREN][1])
+        arg = evaluate_expression(ctx, scope, atom[CHILDREN][2])
+        return _eval_log(base, arg, path, atom)
+    arg = evaluate_expression(ctx, scope, atom[CHILDREN][1])
+    if not isinstance(arg, FloatValue):
+        raise err(f"{func} expects a float, got {variant_name(arg)}", path, atom)
+    x = arg.value
+    if func == "round":
+        n = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+    elif func == "floor":
+        n = math.floor(x)
+    else:  # ceil: the parser makes a FUNC of the builtins only
+        n = math.ceil(x)
+    return IntValue(_check_int(int(n), atom, path, f"{func} result"))
+
+
+# -- operators: values plus the location (path, span) an error is reported at -------
+
+def _eval_log(base: Value, arg: Value, path, span) -> Value:
+    for v, what in ((base, "base"), (arg, "argument")):
+        if not isinstance(v, (IntValue, FloatValue)):
+            raise err(f"log {what} must be numeric, got {variant_name(v)}", path, span)
+    b, x = base.value, arg.value
+    if x <= 0:
+        raise err(f"log argument must be positive, got {x}", path, span)
+    if b <= 0 or b == 1:
+        raise err(f"log base must be positive and not 1, got {b}", path, span)
+    if b == 2:
+        return FloatValue(math.log2(x))
+    if b == 10:
+        return FloatValue(math.log10(x))
+    return FloatValue(math.log(x) / math.log(b))
+
+
+def apply_unary(op: str, v: Value, path, span) -> Value:
+    if op == "-":
+        if isinstance(v, IntValue):
+            return IntValue(_check_int(-v.value, span, path))
+        if isinstance(v, FloatValue):
+            return FloatValue(-v.value)
+        raise err(f"unary '-' expects int or float, got {variant_name(v)}", path, span)
+    if op == "!":
+        if isinstance(v, BoolValue):
+            return BoolValue(not v.value)
+        raise err(f"unary '!' expects bool, got {variant_name(v)}", path, span)
+    # "~", the last of the parser's unary operators
+    if isinstance(v, IntValue):
+        return IntValue(_check_int(~v.value, span, path))
+    raise err(f"unary '~' expects int, got {variant_name(v)}", path, span)
+
+
+def apply_binary(op: str, a: Value, b: Value, path, span) -> Value:
+    if op == "+" and (isinstance(a, ArrayValue) or isinstance(b, ArrayValue)):
+        return _array_insert(a, b, path, span)
+
+    if op in ("&&", "||"):
+        if isinstance(a, BoolValue) and isinstance(b, BoolValue):
+            return BoolValue(a.value and b.value if op == "&&"
+                             else a.value or b.value)
+        raise _bin_err(op, a, b, path, span)
+
+    if op in ("==", "!="):
+        if type(a) is not type(b) or isinstance(a, ArrayValue):
+            raise _bin_err(op, a, b, path, span)
+        if isinstance(a, ClockDomainValue):
+            same = a.expression == b.expression
+        else:
+            same = a.value == b.value
+        return BoolValue(same if op == "==" else not same)
+
+    if op in ("<", ">", "<=", ">="):
+        if not (isinstance(a, (IntValue, FloatValue))
+                and isinstance(b, (IntValue, FloatValue))):
+            raise _bin_err(op, a, b, path, span)
+        x, y = a.value, b.value
+        result = {"<": x < y, ">": x > y, "<=": x <= y, ">=": x >= y}[op]
+        return BoolValue(result)
+
+    if op in ("<<", ">>", "&", "|", "%"):
+        if not (isinstance(a, IntValue) and isinstance(b, IntValue)):
+            raise _bin_err(op, a, b, path, span)
+        x, y = a.value, b.value
+        if op == "%":
+            if y == 0:
+                raise err("modulo by zero", path, span)
+            return IntValue(_trunc_mod(x, y))
+        if op in ("<<", ">>"):
+            if not 0 <= y < 64:
+                raise err(f"shift amount must be in [0, 64), got {y}", path, span)
+            n = x << y if op == "<<" else x >> y
+            return IntValue(_check_int(n, span, path, "shift result"))
+        n = x & y if op == "&" else x | y
+        return IntValue(_check_int(n, span, path))
+
+    if op == "+" and (isinstance(a, StrValue) or isinstance(b, StrValue)):
+        if isinstance(a, ClockDomainValue) or isinstance(b, ClockDomainValue):
+            raise _bin_err("+", a, b, path, span)
+        return StrValue(mangle_text(a) + mangle_text(b))
+
+    # + - * / ^, the rest of the parser's infix operators
+    if not (isinstance(a, (IntValue, FloatValue))
+            and isinstance(b, (IntValue, FloatValue))):
+        raise _bin_err(op, a, b, path, span)
+    return _numeric(op, a, b, path, span)
+
+
+def _numeric(op: str, a: Value, b: Value, path, span) -> Value:
+    both_int = isinstance(a, IntValue) and isinstance(b, IntValue)
+    x, y = a.value, b.value
+    if op == "/":
+        if y == 0:
+            raise err("division by zero", path, span)
+        if both_int:
+            return IntValue(_check_int(_trunc_div(x, y), span, path))
+        return _check_float(x / y, span, path)
+    if op == "^":
+        if both_int and y >= 0:
+            # past 2 ^ 64 the power surely overflows: do not compute it
+            if abs(x) >= 2 and y > 64:
+                raise err(f"power result out of range: {x} ^ {y}", path, span)
+            return IntValue(_check_int(x ** y, span, path, "power result"))
+        try:
+            n = float(x) ** float(y)
+        except (OverflowError, ZeroDivisionError):
+            n = None
+        if not isinstance(n, float):  # also a negative base to a fraction
+            raise err(f"power result out of range: {x} ^ {y}", path, span)
+        return FloatValue(n)
+    n = {"+": x + y, "-": x - y, "*": x * y}[op]
+    if both_int:
+        return IntValue(_check_int(n, span, path))
+    return _check_float(float(n), span, path)
+
+
+def _array_insert(a: Value, b: Value, path, span) -> Value:
+    if isinstance(a, ArrayValue) and isinstance(b, ArrayValue):
+        raise err("cannot add two arrays", path, span)
+    arr, elem, append = (a, b, True) if isinstance(a, ArrayValue) else (b, a, False)
+    if arr.elements and type(arr.elements[0]) is not type(elem):
+        raise err(
+            f"inserted {variant_name(elem)} does not match array of "
+            f"{variant_name(arr.elements[0])}", path, span)
+    elements = arr.elements + (elem,) if append else (elem,) + arr.elements
+    return ArrayValue(elements)
+
+
+def _bin_err(op, a, b, path, span) -> TydiError:
+    return err(
+        f"operator {op!r} not defined for {variant_name(a)} * {variant_name(b)}",
+        path, span)
 
 
 def evaluate_range(ctx: EvalContext, scope: Scope, range_exp: Node) -> ArrayValue:
     """`start=step=>end` produces the half-open int sequence [start, end)."""
-    ev = ExpressionEvaluator(ctx, scope)
-    vals = [ev.eval_exp(c) for c in range_exp[CHILDREN]]
+    path = scope.package.path
+    vals = [evaluate_expression(ctx, scope, c) for c in range_exp[CHILDREN]]
     for v in vals:
         if not isinstance(v, IntValue):
-            raise ev.err("range bounds must all be int", range_exp)
+            raise err("range bounds must all be int", path, range_exp)
     start, step, stop = (v.value for v in vals)
     if step == 0:
-        raise ev.err("range step must not be zero", range_exp)
+        raise err("range step must not be zero", path, range_exp)
     size = max(0, -(-(stop - start) // step))
     if size > RANGE_ELEMENT_LIMIT:
-        raise ev.err(f"range produces too many elements ({size})", range_exp)
+        raise err(f"range produces too many elements ({size})", path, range_exp)
     return ArrayValue(tuple(IntValue(n) for n in range(start, stop, step)))
 
 

@@ -1,22 +1,22 @@
 """The code structure: a mutable project/package/scope graph.
 
 Scopes house variables, logical types, streamlets, implementations, ports,
-instances and connections, and are linked by typed scope relationships that
-govern which name categories may resolve through them. Every scope the
-builder makes knows its `Package`, which holds the source path and text
-that diagnostics and dumps need. An entry holds the AST it was built from,
-and `Package.snip` gives the source text of any of its nodes; no entry keeps
-a copy of that text. An entity's `span` field holds the node that declares
-it, which diagnostics take as its location, and from which a template
-instance is built again. Variables, type entries, streamlets and
-implementations carry an evaluation `state` and stored `error`, which only
-`EvalContext.force` writes; a port, instance or connection is evaluated
-when its result is set: its logical type, its target or its sink's port.
-An instance or connection records the scope its names and counts resolve
-in, its implementation's or a `for` element's; only one that sugaring
-inserted has none. A template instance is registered in its template's
-package under its mangled name, and that table is its memo. Every stage
-looks up a `name` or `package.name` reference through `resolve_ref`.
+instances and connections. Each scope has at most one typed relation to the
+scope around it, whose kind governs which name categories may resolve
+through it. Every scope the builder makes knows its `Package`, which holds
+the source path and text that diagnostics and dumps need. An entry holds the
+AST it was built from, and `Package.snip` gives the source text of any of
+its nodes; no entry keeps a copy of that text. An entity's `span` field
+holds the node that declares it, which diagnostics take as its location, and
+from which a template instance is built again. Variables, type entries,
+streamlets and implementations carry an evaluation `state` and stored
+`error`, which only `EvalContext.force` writes; a port, instance or
+connection is evaluated when its result is set: its logical type, its target
+or its sink's port. An instance or connection records the scope its names
+and counts resolve in, its implementation's or a `for` element's; only one
+that sugaring inserted has none. A template instance is registered in its
+template's package under its mangled name, and that table is its memo. Every
+stage looks up a `name` or `package.name` reference through `resolve_ref`.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ class Implementation:
 
 
 class Scope:
-    def __init__(self, name, category, relations=None, impl_args=None, package=None):
+    def __init__(self, name, category, relation=None, impl_args=None, package=None):
         self.name: str = name
         self.category = category  # package/group/union/stream/streamlet/implement/iffor
         self.variables: dict[str, Variable] = {}
@@ -260,14 +260,15 @@ class Scope:
         self.ports: dict[str, Port] = {}
         self.instances: dict[str, Instance] = {}
         self.connections: list[Connection] = []
-        self.relations = [] if relations is None else relations
+        # the one outward relation, a (kind, scope) pair, or None
+        self.relation: Optional[tuple[ScopeRelationKind, Scope]] = relation
         self.impl_args: dict[str, Implementation] = {} if impl_args is None else impl_args
         # the package whose source declares the scope; None only for scopes
         # built by hand outside the builder
         self.package: Optional[Package] = package
 
     def add_relation(self, kind: ScopeRelationKind, target: "Scope"):
-        self.relations.append((kind, target))
+        self.relation = (kind, target)
 
     def __repr__(self):
         return f"Scope({self.name})"
@@ -331,25 +332,24 @@ def resolve_name(start_scope: Scope, name: str, category: str,
                  path: Optional[str] = None, span: Optional[Located] = None):
     """Find `name` in `start_scope` or outward through permitted relations.
 
-    Inner names shadow outer names; relations are searched depth first, in
-    the order they were added. Returns (entity, owning scope); on a miss,
-    raises a resolution TydiError at `path`/`span` naming the scopes searched,
-    apart from the `for` element scopes, which bind only loop variables.
+    Inner names shadow outer names; the search follows each scope's one
+    relation while its kind is permitted. Returns (entity, owning scope); on
+    a miss, raises a resolution TydiError at `path`/`span` naming the scopes
+    searched, apart from the `for` element scopes, which bind only loop
+    variables.
     """
     allowed = TRAVERSABLE[category]
     attr = _CATEGORY_MAPS[category]
     searched: list[str] = []
-    stack = [start_scope]
-    while stack:
-        scope = stack.pop()
+    scope = start_scope
+    while scope is not None:
         if scope.category != "iffor":
             searched.append(scope.name)
         table = getattr(scope, attr)
         if name in table:
             return table[name], scope
-        for kind, target in reversed(scope.relations):
-            if kind in allowed:
-                stack.append(target)
+        relation = scope.relation
+        scope = relation[1] if relation is not None and relation[0] in allowed else None
     chain = " -> ".join(searched)
     raise TydiError("resolution", f"{category} {name!r} not found (searched {chain})",
                     path, span)

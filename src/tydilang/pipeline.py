@@ -26,7 +26,7 @@ from .context import EvalContext
 from .drc import drc_has_errors, render_drc_report, run_drc
 from .dump import dump_code_structure
 from .elaboration import evaluate_implementation
-from .errors import Diagnostic, TydiError
+from .errors import Diagnostic, TydiError, line_index
 from .math_engine import force_variable
 from .model import Implementation, Project, Variable
 from .parser import ParsedFile, parse_project
@@ -99,8 +99,10 @@ def diagnostic_order(d: Diagnostic):
 def render_error_report(diagnostics: list[Diagnostic],
                         sources: dict[str, str]) -> str:
     """One line per diagnostic with file, line/column, category and message,
-    in `diagnostic_order`."""
-    lines = [f"{d.location(sources.get(d.path))}: [{d.category}] {d.message}"
+    in `diagnostic_order`. Each file with a diagnostic is indexed once."""
+    indexes = {path: line_index(sources[path])
+               for path in {d.path for d in diagnostics} if path in sources}
+    lines = [f"{d.location(indexes.get(d.path))}: [{d.category}] {d.message}"
              for d in sorted(diagnostics, key=diagnostic_order)]
     return "\n".join(lines) + "\n"
 

@@ -2,8 +2,11 @@ import os
 
 import pytest
 
+from tydilang import pipeline
 from tydilang.cli import main
-from tydilang.pipeline import CompileConfig, compile_project, compile_sources
+from tydilang.errors import Diagnostic
+from tydilang.pipeline import (CompileConfig, compile_project, compile_sources,
+                               render_error_report)
 
 from conftest import DATA_DIR
 
@@ -96,6 +99,29 @@ def test_syntax_error_reports_line_and_column(tmp_path):
     report = (out / "error_report.txt").read_text()
     assert "bad.td:2:11" in report
     assert "[syntax]" in report
+
+
+def test_error_report_indexes_each_file_once(monkeypatch):
+    """However many diagnostics a file has, the report indexes it once, and
+    places each at the line and the character column of its byte offset."""
+    texts = {"a.td": "package a;\n\u00e9\u00e9 x\n\n\u20ac", "b.td": "package b;\n  y"}
+    diagnostics = [Diagnostic("type", f"m{k}", path, (None, k, k))
+                   for path, text in texts.items()
+                   for k in range(len(text.encode()) + 1)]
+    diagnostics += [Diagnostic("usage", "no span", "a.td"), Diagnostic("io", "no path")]
+    indexed = []
+    index_file = pipeline.line_index
+    monkeypatch.setattr(pipeline, "line_index",
+                        lambda text: indexed.append(text) or index_file(text))
+    report = render_error_report(diagnostics, texts)
+    assert sorted(indexed) == sorted(texts.values())
+    expected = ["a.td: [usage] no span", "<project>: [io] no path"]
+    for d in diagnostics[:-2]:
+        before = texts[d.path].encode()[:d.span.start]
+        line = before.count(b"\n") + 1
+        column = len(before[before.rfind(b"\n") + 1:].decode(errors="replace")) + 1
+        expected.append(f"{d.path}:{line}:{column}: [type] {d.message}")
+    assert sorted(report.splitlines()) == sorted(expected)
 
 
 def test_golden_error_report_is_pinned(golden_build):

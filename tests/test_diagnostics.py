@@ -21,7 +21,7 @@ from tydilang import errors
 from tydilang.builder import build_project
 from tydilang.context import EvalContext
 from tydilang.emit import IR_DEPTH_LIMIT, _type_text, flatten
-from tydilang.errors import TydiError
+from tydilang.errors import TydiError, line_index
 from tydilang.logical_types import NULL, StreamType, bit_width
 from tydilang.model import Scope, ScopeRelationKind, Streamlet, declare, resolve_name
 from tydilang.parser import parse_fragment, parse_project
@@ -471,8 +471,9 @@ def test_diagnostic_is_pinned(sources, options, category, message, location):
     files = [(f"f{i}.td", text) for i, text in enumerate(sources)]
     result = compile_sources(CompileConfig(inputs=["<memory>"], **options), files)
     assert [(d.category, d.message) for d in result.diagnostics] == [(category, message)]
-    assert result.diagnostics[0].location(dict(files).get(
-        result.diagnostics[0].path)) == location
+    text = dict(files).get(result.diagnostics[0].path)
+    index = None if text is None else line_index(text)
+    assert result.diagnostics[0].location(index) == location
 
 
 def _declare_streamlet_in_group():
@@ -553,10 +554,19 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tydilang"
 UNREACHABLE: dict[str, str] = {}
 
 # calls whose argument is a diagnostic message, by the name called, with the
-# text the callee puts in front of it
+# position of that argument and the text the callee puts in front of it
 _ERROR_CLASSES = {name for name, obj in vars(errors).items()
                   if isinstance(obj, type) and issubclass(obj, TydiError)}
-_MESSAGE_HELPERS = {"err": "", "fail": "expected "}
+_MESSAGE_HELPERS = {"err": (0, ""), "fail": (0, "expected ")}
+# helpers whose own bodies make the whole message they return
+_MESSAGE_MAKERS = {"_bin_err"}
+# the exceptions raised that are not diagnostics, by "module.function: class"
+_NOT_DIAGNOSTICS = {
+    "parser.parse_fragment: ValueError",  # an unknown rule: a caller's bug
+    "pipeline.CompileConfig.__init__: ValueError",  # likewise, jobs < 1
+    "pipeline.collect_sources: OSError",  # turned into an io diagnostic
+    "values.Frozen.__setattr__: AttributeError",  # writing a frozen record
+}
 # the categories a stage may raise or report; DRC makes its own reports
 CATEGORIES = {"syntax", "resolution", "type", "assertion", "io", "usage"}
 
@@ -588,10 +598,10 @@ def _message(node, function: str):
     """(prefix, message expression) if `node` makes a diagnostic."""
     if isinstance(node, ast.Call):
         callee = _callee(node)
-        index = 1 if callee in ("TydiError", "Diagnostic") else 0
+        index, prefix = _MESSAGE_HELPERS.get(callee, (1, ""))
         if (callee in _ERROR_CLASSES or callee == "Diagnostic"
                 or callee in _MESSAGE_HELPERS) and len(node.args) > index:
-            return _MESSAGE_HELPERS.get(callee, ""), node.args[index]
+            return prefix, node.args[index]
     # the lexer's `_fail` returns (message, start, end) for `err` to raise
     if isinstance(node, ast.Return) and function == "_fail" \
             and isinstance(node.value, ast.Tuple):
@@ -622,6 +632,59 @@ def diagnostic_sites() -> dict[str, str]:
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
     return sites
+
+
+def _definitions(name: str):
+    """(module, def) for every function named `name` in the compiler."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                yield path.stem, node
+
+
+def _raises():
+    """("module.function: callee", raise) for every `raise` of the compiler,
+    the function named with the classes around it."""
+    def visit(node, module: str, where: str):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            if isinstance(child, ast.Raise):
+                exc = child.exc
+                callee = _callee(exc) if isinstance(exc, ast.Call) else None
+                yield f"{module}.{inner}: {callee}", child
+            yield from visit(child, module, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+
+
+def test_diagnostic_scanner_reads_every_raise():
+    """Each `raise` makes a diagnostic whose text the site scan reads: a
+    `TydiError`, a message helper at the argument position listed for it, or
+    a helper that makes the message itself. Otherwise a helper that takes the
+    message elsewhere would hide its sites from the scan, and from the pins."""
+    for name, (index, _) in _MESSAGE_HELPERS.items():
+        for module, definition in _definitions(name):
+            params = [a.arg for a in definition.args.args if a.arg != "self"]
+            messages = [call.args[1] for call in ast.walk(definition)
+                        if isinstance(call, ast.Call) and _callee(call) == "TydiError"]
+            assert any(isinstance(n, ast.Name) and n.id == params[index]
+                       for m in messages for n in ast.walk(m)), \
+                f"{module}.{name}: argument {index} is not the message"
+    for name in _MESSAGE_MAKERS:
+        texts = [_skeleton(found[1]) for _, d in _definitions(name) for n in ast.walk(d)
+                 if (found := _message(n, name)) is not None]
+        assert any(text != "{}" for text in texts), f"{name} does not make its message"
+    readable = {"TydiError"} | set(_MESSAGE_HELPERS) | _MESSAGE_MAKERS
+    raises = list(_raises())
+    unread = [key for key, node in raises
+              if node.exc is not None and ast.unparse(node.exc) != "node.error"
+              and key.rpartition(": ")[2] not in readable
+              and key not in _NOT_DIAGNOSTICS]
+    assert unread == []
+    assert _NOT_DIAGNOSTICS <= {key for key, _ in raises}, "stale _NOT_DIAGNOSTICS"
 
 
 def _matches(skeleton: str, message: str) -> bool:

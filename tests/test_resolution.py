@@ -252,7 +252,8 @@ def _reachable_scopes(project):
         if id(scope) in seen:
             continue
         seen[id(scope)] = scope
-        stack.extend(target for _, target in scope.relations)
+        if scope.relation is not None:
+            stack.append(scope.relation[1])
         stack.extend(e.own_scope for e in scope.types.values() if e.own_scope)
         stack.extend(s.scope for s in scope.streamlets.values())
         stack.extend(i.scope for i in scope.implements.values())

@@ -6,6 +6,7 @@ import pytest
 
 from tydilang import elaboration, sugaring
 from tydilang.dump import dump_code_structure
+from tydilang.errors import line_index
 from tydilang.model import EndRef, EvalState
 from tydilang.sugaring import end_role, port_uses, sugar_project
 
@@ -521,7 +522,7 @@ def test_failing_for_body_target_reports_its_first_use(monkeypatch):
     assert outcome(shared) == outcome(unshared)
     (d,) = shared.diagnostics
     source = UNSHARED + "impl top_i of top_s {\n" + body
-    assert (d.category, d.message, d.path, d.location(source)) == (
+    assert (d.category, d.message, d.path, d.location(line_index(source))) == (
         "type", "template parameter 't' expects a logical type; use the `type` "
         "keyword before the argument", "file_0.td",
         f"file_0.td:{source.count(chr(10)) + 1}:{body.index('5') + 1}")
