@@ -5,10 +5,12 @@ The same renderer serves every pipeline stage: unevaluated entries print as
 The raw text is the source of the entry's AST, sliced by `Package.snip` of
 the package the dumped scope belongs to; the placeholder tags of entries
 without source (imported packages, template parameters) are chosen here.
-Stream properties print through `StreamProperties.summary`, raw or evaluated,
-so a property a stream does not set shows the `StreamProperties` default. Entries
+Stream properties print through `_properties_text`, raw or evaluated, so a
+property a stream does not set shows the `StreamProperties` default. Entries
 within each section are emitted in lexicographic id order so the dump does
-not depend on the order in which entities were evaluated.
+not depend on the order in which entities were evaluated. Each block
+function appends finished lines, indented by the `pad` it is given, to one
+list that `dump_code_structure` joins once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Package, Port, Project, Scope, Streamlet, TypeEntry,
                     Variable, indexed)
 from .tree import CHILDREN, KIND, TEXT, Node, child
-from .values import escape, format_value
+from .values import escape, format_float, format_value
 
 _PARAM_TAGS = {
     "int": "Int", "str": "Str", "float": "Float", "bool": "Bool",
@@ -36,82 +38,61 @@ _PARAM_PLACEHOLDERS = {
 }
 
 
-class _Writer:
-    def __init__(self):
-        self.lines: list[str] = []
-        self.depth = 0
-
-    def line(self, text: str):
-        self.lines.append("  " * self.depth + text)
-
-    def open(self, header: str):
-        self.line(header + "{")
-        self.depth += 1
-
-    def close(self):
-        self.depth -= 1
-        self.line("}")
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
 def dump_code_structure(project: Project) -> str:
-    w = _Writer()
-    w.open(f"Project({project.name})")
+    out = [f"Project({project.name}){{"]
     for name in sorted(project.packages):
-        pkg = project.packages[name]
-        w.open(f"Package({name})")
-        _dump_scope(w, pkg.scope)
-        w.close()
-    w.close()
-    return w.text()
+        out.append(f"  Package({name}){{")
+        _dump_scope(out, project.packages[name].scope, "    ")
+        out.append("  }")
+    out.append("}")
+    return "\n".join(out) + "\n"
 
 
-def _dump_scope(w: _Writer, scope: Scope):
+def _dump_scope(out: list[str], scope: Scope, pad: str):
+    """Append the lines of `scope` to `out`, its header indented by `pad`."""
     pkg = scope.package
-    w.open(f"Scope({scope.name})")
+    inner = pad + "  "  # a section's header and closing brace
+    item = inner + "  "  # each entry of a section
+    out.append(f"{pad}Scope({scope.name}){{")
     if scope.variables:
-        w.open("Variables")
-        for vid in sorted(scope.variables):
-            _dump_variable(w, scope.variables[vid], pkg)
-        w.close()
+        out.append(inner + "Variables{")
+        out += [item + _variable_text(scope.variables[vid], pkg)
+                for vid in sorted(scope.variables)]
+        out.append(inner + "}")
     if scope.types:
-        w.open("Types")
+        out.append(inner + "Types{")
         for tid in sorted(scope.types):
-            _dump_type_entry(w, scope.types[tid], pkg)
-        w.close()
+            _dump_type_entry(out, scope.types[tid], pkg, item)
+        out.append(inner + "}")
     if scope.streamlets:
-        w.open("Streamlets")
+        out.append(inner + "Streamlets{")
         for sid in sorted(scope.streamlets):
-            _dump_streamlet(w, scope.streamlets[sid])
-        w.close()
+            _dump_streamlet(out, scope.streamlets[sid], item)
+        out.append(inner + "}")
     if scope.implements:
-        w.open("Implements")
+        out.append(inner + "Implements{")
         for iid in sorted(scope.implements):
-            _dump_implement(w, scope.implements[iid])
-        w.close()
+            _dump_implement(out, scope.implements[iid], item)
+        out.append(inner + "}")
     if scope.relation is not None:
-        w.open("ScopeRelations")
-        w.line(f"--{scope.relation[0].value}-->{scope.relation[1].name}")
-        w.close()
+        out += [inner + "ScopeRelations{",
+                f"{item}--{scope.relation[0].value}-->{scope.relation[1].name}",
+                inner + "}"]
     if scope.ports:
-        w.open("Ports")
-        for pid in sorted(scope.ports):
-            w.line(_port_text(scope.ports[pid], pkg))
-        w.close()
+        out.append(inner + "Ports{")
+        out += [item + _port_text(scope.ports[pid], pkg) for pid in sorted(scope.ports)]
+        out.append(inner + "}")
     if scope.instances:
-        w.open("Instances")
-        for nid in sorted(scope.instances):
-            w.line(_instance_text(scope.instances[nid], pkg))
-        w.close()
+        out.append(inner + "Instances{")
+        out += [item + _instance_text(scope.instances[nid], pkg)
+                for nid in sorted(scope.instances)]
+        out.append(inner + "}")
     if scope.connections:
-        w.open("Connections")
-        for conn in sorted(scope.connections,
-                           key=lambda c: (c.name, _source_port_text(c, pkg))):
-            w.line(_connection_text(conn, pkg))
-        w.close()
-    w.close()
+        out.append(inner + "Connections{")
+        out += [item + _connection_text(conn, pkg) for conn in sorted(
+            scope.connections, key=lambda c: (c.name, _source_port_text(c, pkg)))]
+        out.append(inner + "}")
+    out.append(pad + "}")
 
 
 def _not_inferred(pkg: Package, node: Optional[Node]) -> str:
@@ -120,63 +101,62 @@ def _not_inferred(pkg: Package, node: Optional[Node]) -> str:
     return f'NotInferred("{escape(text)}")'
 
 
-def _dump_variable(w: _Writer, var: Variable, pkg: Package):
+def _dotted(ref: Node) -> str:
+    """The name an ``ID`` leaf holds, or the ``pkg.name`` of a qualified one."""
+    return ref[TEXT] or ".".join(c[TEXT] for c in ref[CHILDREN])
+
+
+def _variable_text(var: Variable, pkg: Package) -> str:
     if var.state is EvalState.EVALUATED:
-        w.line(f"{var.id}:{format_value(var.value)}")
-    elif not var.is_magic:
-        w.line(f'{var.id}:{var.declared_kind or "UnknownType"}'
-               f'({_not_inferred(pkg, var.expr_ast)})')
-    elif var.declared_kind is None:  # an imported package
-        w.line(f'{var.id}:PackageType(NotInferred(""))')
-    else:  # a template parameter
-        w.line(f'{var.id}:{_PARAM_PLACEHOLDERS[var.declared_kind]}'
-               f'(NotInferred("$arg${var.id}"))')
+        return f"{var.id}:{format_value(var.value)}"
+    if not var.is_magic:
+        return (f'{var.id}:{var.declared_kind or "UnknownType"}'
+                f'({_not_inferred(pkg, var.expr_ast)})')
+    if var.declared_kind is None:  # an imported package
+        return f'{var.id}:PackageType(NotInferred(""))'
+    # a template parameter
+    return (f'{var.id}:{_PARAM_PLACEHOLDERS[var.declared_kind]}'
+            f'(NotInferred("$arg${var.id}"))')
 
 
 # -- logical types -----------------------------------------------------------
 
 
-def _dump_type_entry(w: _Writer, entry: TypeEntry, pkg: Package):
+def _dump_type_entry(out: list[str], entry: TypeEntry, pkg: Package, pad: str):
+    """Append the entry's one line, or its block: a stream's element and
+    properties, or a group's or union's scope."""
+    scope, body = None, ()
     if entry.state is EvalState.EVALUATED:
-        _dump_evaluated_type(w, entry.id, entry.evaluated, entry.own_scope)
-        return
-    _dump_unevaluated_type(w, entry, pkg)
-
-
-def _dump_evaluated_type(w: _Writer, label: str, t, own_scope):
-    if isinstance(t, StreamType):
-        w.open(f"{label}:Stream({stream_display_name(t)})")
-        w.line(f"DataType={data_type_display(t.element)}")
-        w.line(t.properties.summary())
-        w.close()
-        return
-    if isinstance(t, (GroupType, UnionType)) and own_scope is not None:
-        tag = "DataGroup" if isinstance(t, GroupType) else "DataUnion"
-        w.open(f"{label}:{tag}({t.name})")
-        _dump_scope(w, own_scope)
-        w.close()
-        return
-    w.line(f"{label}:{data_type_display(t)}")
-
-
-def _dump_unevaluated_type(w: _Writer, entry: TypeEntry, pkg: Package):
-    ast = entry.ast
-    inner = ast[CHILDREN][0] if ast[KIND] == "LogicalType" else ast
-    kind = inner[KIND]
-    if kind in ("LogicalGroupType", "LogicalUnionType"):
-        tag = "DataGroup" if kind == "LogicalGroupType" else "DataUnion"
-        w.open(f"{entry.id}:{tag}({inner[CHILDREN][0][TEXT]})")
-        if entry.own_scope is not None:
-            _dump_scope(w, entry.own_scope)
-        w.close()
-        return
-    if kind == "LogicalStreamType":
-        w.open(f"{entry.id}:Stream({entry.id})")
-        w.line(f"DataType={_raw_element_text(inner[CHILDREN][0], pkg)}")
-        w.line(_raw_properties_text(inner, pkg))
-        w.close()
-        return
-    w.line(f"{entry.id}:{_raw_element_text(ast, pkg)}")
+        t = entry.evaluated
+        if isinstance(t, StreamType):
+            head = f"Stream({stream_display_name(t)})"
+            body = (f"DataType={data_type_display(t.element)}",
+                    _properties_text(t.properties))
+        elif isinstance(t, (GroupType, UnionType)) and entry.own_scope is not None:
+            tag = "DataGroup" if isinstance(t, GroupType) else "DataUnion"
+            head, scope = f"{tag}({t.name})", entry.own_scope
+        else:
+            out.append(f"{pad}{entry.id}:{data_type_display(t)}")
+            return
+    else:
+        ast = entry.ast
+        inner = ast[CHILDREN][0] if ast[KIND] == "LogicalType" else ast
+        kind = inner[KIND]
+        if kind in ("LogicalGroupType", "LogicalUnionType"):
+            tag = "DataGroup" if kind == "LogicalGroupType" else "DataUnion"
+            head, scope = f"{tag}({inner[CHILDREN][0][TEXT]})", entry.own_scope
+        elif kind == "LogicalStreamType":
+            head = f"Stream({entry.id})"
+            body = (f"DataType={_raw_element_text(inner[CHILDREN][0], pkg)}",
+                    _raw_properties_text(inner, pkg))
+        else:
+            out.append(f"{pad}{entry.id}:{_raw_element_text(ast, pkg)}")
+            return
+    out.append(f"{pad}{entry.id}:{head}{{")
+    if scope is not None:
+        _dump_scope(out, scope, pad + "  ")
+    out += [f"{pad}  {line}" for line in body]
+    out.append(pad + "}")
 
 
 def _raw_element_text(type_node: Node, pkg: Package) -> str:
@@ -187,8 +167,7 @@ def _raw_element_text(type_node: Node, pkg: Package) -> str:
     if kind == "LogicalBitType":
         return f"Bit({_not_inferred(pkg, inner[CHILDREN][0])})"
     if kind == "LogicalUserDefinedType":
-        name = ".".join(c[TEXT] for c in inner[CHILDREN])
-        return f"VarType({name})"
+        return f"VarType({_dotted(inner)})"
     return _not_inferred(pkg, inner)
 
 
@@ -199,41 +178,45 @@ def _raw_properties_text(stream_node: Node, pkg: Package) -> str:
         if prop is not None:
             raw[field] = (_raw_element_text(prop[CHILDREN][0], pkg) if field == "user"
                           else _not_inferred(pkg, prop[CHILDREN][0]))
-    return StreamProperties().summary(raw)
+    return _properties_text(StreamProperties(), raw)
+
+
+def _properties_text(props: StreamProperties, raw: Optional[dict[str, str]] = None) -> str:
+    """The dump text of the properties, in `STREAM_PROPERTIES` order; a
+    field in `raw` shows that text in place of its value."""
+    texts = {"user": data_type_display(props.user),
+             "throughput": format_float(props.throughput),
+             "keep": "true" if props.keep else "false", **(raw or {})}
+    return ", ".join(f"{field}={texts.get(field, getattr(props, field))}"
+                     for _, _, field in STREAM_PROPERTIES)
 
 
 # -- streamlets / implementations ---------------------------------------------
 
 
 def _param_tags(params) -> str:
-    tags = []
-    for p in params:
-        if p.kind == "impl":
-            tags.append(f"@ImplementOf({p.impl_of})")
-        else:
-            tags.append("@" + _PARAM_TAGS[p.kind])
-    return ",".join(tags)
+    return ",".join(f"@ImplementOf({p.impl_of})" if p.kind == "impl"
+                    else "@" + _PARAM_TAGS[p.kind] for p in params)
 
 
-def _dump_streamlet(w: _Writer, s: Streamlet):
+def _dump_streamlet(out: list[str], s: Streamlet, pad: str):
     head = f"<{_param_tags(s.template_params)}>" if s.is_template else "<NormalStreamlet>"
-    w.open(f"Streamlet({s.id}){head}")
-    _dump_scope(w, s.scope)
-    w.close()
+    out.append(f"{pad}Streamlet({s.id}){head}{{")
+    _dump_scope(out, s.scope, pad + "  ")
+    out.append(pad + "}")
 
 
-def _dump_implement(w: _Writer, impl: Implementation):
+def _dump_implement(out: list[str], impl: Implementation, pad: str):
     if impl.is_template:
         head = f"<{_param_tags(impl.template_params)}>"
     elif impl.external:
         head = "<ExternalImplement>"
     else:
         head = "<NormalImplement>"
-    w.open(f"Implement({impl.id}){head} -> {_impl_streamlet_text(impl)}")
-    _dump_scope(w, impl.scope)
-    w.line("simulation_process{Some}" if impl.process_block is not None
-           else "simulation_process{None}")
-    w.close()
+    out.append(f"{pad}Implement({impl.id}){head} -> {_impl_streamlet_text(impl)}{{")
+    _dump_scope(out, impl.scope, pad + "  ")
+    process = "None" if impl.process_block is None else "Some"
+    out += [f"{pad}  simulation_process{{{process}}}", pad + "}"]
 
 
 def _impl_streamlet_text(impl: Implementation) -> str:
@@ -244,14 +227,10 @@ def _impl_streamlet_text(impl: Implementation) -> str:
         return _not_inferred(pkg, impl.derived_from)
     of = impl.of_ast
     if of[KIND] == "TemplateInstance":
-        base = of[CHILDREN][0]
-        base_name = base[TEXT] if base[KIND] == "ID" else \
-            ".".join(c[TEXT] for c in base[CHILDREN])
         args = ",".join("@" + pkg.snip(a[CHILDREN][0])
                         for a in of[CHILDREN][1:])
-        return f"ProxyStreamlet({base_name}<{args}>)"
-    name = of[TEXT] if of[KIND] == "ID" else ".".join(c[TEXT] for c in of[CHILDREN])
-    return f"ProxyStreamlet({name}<>)"
+        return f"ProxyStreamlet({_dotted(of[CHILDREN][0])}<{args}>)"
+    return f"ProxyStreamlet({_dotted(of)}<>)"
 
 
 # -- ports / instances / connections ------------------------------------------
@@ -264,7 +243,7 @@ def _port_text(port: Port, pkg: Package) -> str:
     else:
         ast_inner = port.type_ast[CHILDREN][0]
         if ast_inner[KIND] == "LogicalUserDefinedType":
-            type_part = f"VarType({'.'.join(c[TEXT] for c in ast_inner[CHILDREN])})"
+            type_part = f"VarType({_dotted(ast_inner)})"
         else:
             type_part = _not_inferred(pkg, port.type_ast)
         cd = "DefaultClockDomain" if port.cd_ast is None else \

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from .errors import TydiError
-from .values import ByValue, Frozen, format_float, set_field
+from .values import ByValue, Frozen, set_field
 
 if TYPE_CHECKING:
     from .model import Scope
@@ -79,15 +79,6 @@ class StreamProperties(ByValue):
         set_field(self, "complexity", complexity)
         set_field(self, "direction", direction)
         set_field(self, "keep", keep)
-
-    def summary(self, raw: Optional[dict[str, str]] = None) -> str:
-        """The dump text of the properties, in `STREAM_PROPERTIES` order; a
-        field in `raw` shows that text in place of its value."""
-        texts = {"user": data_type_display(self.user),
-                 "throughput": format_float(self.throughput),
-                 "keep": "true" if self.keep else "false", **(raw or {})}
-        return ", ".join(f"{field}={texts.get(field, getattr(self, field))}"
-                         for _, _, field in STREAM_PROPERTIES)
 
 
 class StreamType(Frozen):

@@ -111,8 +111,8 @@ def collect_sources(inputs: list[str]) -> list[tuple[str, str]]:
     """Expand directories into their `.td` files and read everything.
 
     A file named more than once (``dir dir/a.td``, ``a.td a.td``) is read
-    once, under the name it is first given. A file that cannot be read or is
-    not UTF-8 raises OSError naming it."""
+    once, under the name it is first given, without a leading byte-order mark.
+    A file that cannot be read or is not UTF-8 raises OSError naming it."""
     paths: dict[str, str] = {}  # real path -> the first name given for it
     for item in inputs:
         if os.path.isdir(item):
@@ -124,7 +124,7 @@ def collect_sources(inputs: list[str]) -> list[tuple[str, str]]:
             paths.setdefault(os.path.realpath(p), p)
     out = []
     for p in paths.values():
-        with open(p, "r", encoding="utf-8") as f:
+        with open(p, "r", encoding="utf-8-sig") as f:
             try:
                 out.append((p, f.read()))
             except UnicodeDecodeError as e:

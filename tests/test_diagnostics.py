@@ -557,7 +557,7 @@ UNREACHABLE: dict[str, str] = {}
 # position of that argument and the text the callee puts in front of it
 _ERROR_CLASSES = {name for name, obj in vars(errors).items()
                   if isinstance(obj, type) and issubclass(obj, TydiError)}
-_MESSAGE_HELPERS = {"err": (0, ""), "fail": (0, "expected ")}
+_MESSAGE_HELPERS = {"err": (0, ""), "fail": (0, "expected "), "_evaluate_count": (5, "")}
 # helpers whose own bodies make the whole message they return
 _MESSAGE_MAKERS = {"_bin_err"}
 # the exceptions raised that are not diagnostics, by "module.function: class"
@@ -685,6 +685,43 @@ def test_diagnostic_scanner_reads_every_raise():
               and key not in _NOT_DIAGNOSTICS]
     assert unread == []
     assert _NOT_DIAGNOSTICS <= {key for key, _ in raises}, "stale _NOT_DIAGNOSTICS"
+
+
+def _own_calls(function):
+    """The calls in `function`'s body, not in the functions defined in it."""
+    left = list(ast.iter_child_nodes(function))
+    while left:
+        node = left.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            left += ast.iter_child_nodes(node)
+            if isinstance(node, ast.Call):
+                yield node
+
+
+def test_every_message_helper_is_listed():
+    """Each name in `_MESSAGE_HELPERS` is defined in the compiler, and every
+    function that makes a diagnostic whose whole message is one of its own
+    parameters is listed there at that parameter's position. A helper that
+    raises inside itself is called as a plain statement, so the raise check
+    above does not see it: unlisted, its calls would hide their sites."""
+    undefined = [name for name in _MESSAGE_HELPERS if not any(_definitions(name))]
+    assert undefined == [], "message helpers defined nowhere"
+    unlisted = []
+    for path in sorted(SRC.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(function, ast.FunctionDef) or \
+                    (path.stem, function.name) == ("errors", "__init__"):
+                continue
+            params = [a.arg for a in function.args.args if a.arg != "self"]
+            for call in _own_calls(function):
+                if _callee(call) not in _ERROR_CLASSES | {"Diagnostic"} or len(call.args) < 2:
+                    continue
+                message = call.args[1]
+                if isinstance(message, ast.Name) and message.id in params:
+                    position = params.index(message.id)
+                    if _MESSAGE_HELPERS.get(function.name, (None,))[0] != position:
+                        unlisted.append(f"{path.stem}.{function.name}: {message.id}")
+    assert unlisted == []
 
 
 def _matches(skeleton: str, message: str) -> bool:

@@ -304,7 +304,7 @@ def test_golden_dump_frozen():
     assert result.artifacts["2_evaluation_output.txt"] == expected
 
 
-# The pins of the template, for, TPC-H, stream and grammar goldens under
+# The pins of the template, for, stream and grammar goldens under
 # their earlier test names, each read from its golden's one build, which
 # `test_goldens` checks in full.
 
@@ -317,10 +317,6 @@ def test_golden_template_project_is_pinned(golden_build, artifact):
 @pytest.mark.parametrize("artifact", list(GOLDENS["for"].pins))
 def test_golden_for_project_is_pinned(golden_build, artifact):
     assert golden_build("for").mismatches(artifact) == []
-
-
-def test_golden_tpch1_ir_is_pinned(golden_build):
-    assert golden_build("tpch1").mismatches() == []
 
 
 @pytest.mark.parametrize("artifact, golden", list(GOLDENS["streams"].pins.items()))
