@@ -33,8 +33,8 @@ from .builder import build_impl, build_item, build_streamlet, substitute
 from .context import EvalContext
 from .errors import TydiError
 from .logical_types import StreamType, short_name
-from .math_engine import (evaluate_expression, evaluate_range, evaluate_term,
-                          force_variable)
+from .math_engine import (RANGE_ELEMENT_LIMIT, evaluate_expression, evaluate_range,
+                          evaluate_term, force_variable)
 from .model import (Connection, EndRef, EvalState, Implementation, Instance,
                     Port, Scope, ScopeRelationKind, Streamlet, TypeEntry,
                     Variable, resolve_name, resolve_ref)
@@ -67,7 +67,7 @@ def evaluate_port(ctx: EvalContext, scope: Scope, port: Port):
                         f"{short_name(logical_type)}", path, port.span)
     if port.array_size_ast is not None:
         port.array_size = _evaluate_count(ctx, scope, port.array_size_ast, 1, port.span,
-                                          "port array size must be a positive int")
+                                          "port array size must be a positive int", "port")
     if port.cd_ast is None:
         port.clockdomain = DEFAULT_CLOCKDOMAIN
     else:
@@ -145,7 +145,8 @@ def _evaluate_instance(ctx: EvalContext, inst: Instance, shared: dict[int, list]
             slot[1] = target
     if inst.array_size_ast is not None:
         inst.array_size = _evaluate_count(ctx, scope, inst.array_size_ast, 1, inst.span,
-                                          "instance array size must be a positive int")
+                                          "instance array size must be a positive int",
+                                          "instance")
     inst.target = target  # last: an instance with a target is evaluated
 
 
@@ -184,13 +185,18 @@ def _resolve_entity(ctx: EvalContext, scope: Scope, ref: Node, category: str):
 
 
 def _evaluate_count(ctx: EvalContext, scope: Scope, exp: Node, least: int,
-                    span: Node, message: str) -> int:
+                    span: Node, message: str, array: Optional[str] = None) -> int:
     """The int `exp` evaluates to in `scope`: an array size or a FIFO depth.
     Anything else, or an int below `least`, is a type error with `message`
-    at `span`."""
+    at `span`. The size of a `port` or `instance` `array` makes as many
+    elements, so above `RANGE_ELEMENT_LIMIT` it is a type error at `exp`; a
+    FIFO depth makes none and is unbounded."""
     value = evaluate_expression(ctx, scope, exp)
     if not isinstance(value, IntValue) or value.value < least:
         raise TydiError("type", message, scope.package.path, span)
+    if array and value.value > RANGE_ELEMENT_LIMIT:
+        raise TydiError("type", f"{array} array size {value.value} is above the limit of "
+                        f"{RANGE_ELEMENT_LIMIT}", scope.package.path, exp)
     return value.value
 
 

@@ -1,22 +1,14 @@
 """The golden projects: one table, each row a compile of a project under
 `tests/data` with its exit code and every artifact it pins byte for byte.
 
-`tests/test_goldens.py` compiles each row once per test session. Run as a
-script, this module compiles every row with the given command under
-``PYTHONHASHSEED`` 0 and 1, checks the pins, and requires the two output
-trees to be byte-identical, so no artifact depends on the order of hashed
-sets and dicts:
-
-    PYTHONPATH=src python tests/goldens.py python -m tydilang.cli
-    python tests/goldens.py tydilang      # the installed console script
+`tests/test_goldens.py` compiles each row once per test session, and the
+`goldens` step of `tests/ci.py` compiles every row through the command line
+under ``PYTHONHASHSEED`` 0 and 1.
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
-import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -136,40 +128,3 @@ def pin_failures(golden: Golden, exit_code: int, out_dir: str, artifacts=None) -
         if not written.is_file() or written.read_bytes() != Path(DATA_DIR, pin).read_bytes():
             failures.append(f"{artifact} is not tests/data/{pin}")
     return failures
-
-
-def _files(top: str) -> dict[str, bytes]:
-    return {path.relative_to(top): path.read_bytes()
-            for path in Path(top).rglob("*") if path.is_file()}
-
-
-def main(command: list[str]) -> int:
-    """Compile every golden with `command` under both hash seeds; print what
-    differs from the pins or between the seeds, and return 1 if anything
-    does."""
-    failures = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            for name, golden in GOLDENS.items():
-                out = os.path.join(tmp, seed, name)
-                run = subprocess.run([*command, *golden.argv, "--output", out], cwd=ROOT,
-                                     env=env, capture_output=True, text=True)
-                found = pin_failures(golden, run.returncode, out)
-                if run.returncode != golden.exit_code:
-                    found.append("stderr:\n" + run.stderr)
-                failures += [f"{name}, PYTHONHASHSEED={seed}: {f}" for f in found]
-        trees = _files(os.path.join(tmp, "0")), _files(os.path.join(tmp, "1"))
-        failures += [f"{path} differs between PYTHONHASHSEED=0 and 1"
-                     for path in sorted(trees[0].keys() | trees[1].keys())
-                     if trees[0].get(path) != trees[1].get(path)]
-    pins = sum(len(golden.pins) for golden in GOLDENS.values())
-    print("\n".join(failures) or f"{len(GOLDENS)} goldens, {pins} pins: "
-          "as pinned under PYTHONHASHSEED=0 and 1, and the two trees alike")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    if len(sys.argv) < 2:
-        sys.exit(f"usage: {sys.argv[0]} COMMAND...   (e.g. tydilang, or python -m tydilang.cli)")
-    sys.exit(main(sys.argv[1:]))

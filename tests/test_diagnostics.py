@@ -292,6 +292,8 @@ CASES = [
      "resolution", "package 'b' does not exist", "f0.td:1:39"),
     ("port_array_size", IO + "streamlet q { a: s [0] in, }; impl i of q { };", {},
      "type", "port array size must be a positive int", "f0.td:1:124"),
+    ("port_array_limit", IO + "streamlet q { a: s [1000001] in, }; impl i of q { };", {},
+     "type", "port array size 1000001 is above the limit of 1000000", "f0.td:1:130"),
     ("port_clockdomain_not_found", IO + "streamlet q { a: s in `f, }; impl i of q { };",
      {}, "resolution", "variable 'f' not found (searched streamlet_q -> package_p)",
      "f0.td:1:133"),
@@ -323,6 +325,8 @@ CASES = [
      "resolution", "instance 'a' targets template 't' without arguments", "f0.td:1:164"),
     ("instance_array_size", IO + "impl i of io_s { instance a(leaf_i) [0], };", {},
      "type", "instance array size must be a positive int", "f0.td:1:127"),
+    ("instance_array_limit", IO + "impl i of io_s { instance a(leaf_i) [2 * 10 ^ 6], };", {},
+     "type", "instance array size 2000000 is above the limit of 1000000", "f0.td:1:147"),
     ("fifo_depth", IO + "impl i of io_s { i =-1=> o, };", {}, "type",
      "FIFO depth must be a non-negative int", "f0.td:1:127"),
     ("unknown_own_port", IO + "impl i of io_s { i => q, };", {}, "resolution",

@@ -304,9 +304,9 @@ def test_golden_dump_frozen():
     assert result.artifacts["2_evaluation_output.txt"] == expected
 
 
-# The pins of the template, for, stream and grammar goldens under
-# their earlier test names, each read from its golden's one build, which
-# `test_goldens` checks in full.
+# The pins of the template, for and stream goldens under their earlier
+# test names, each read from its golden's one build, which `test_goldens`
+# checks in full.
 
 
 @pytest.mark.parametrize("artifact", list(GOLDENS["templates"].pins))
@@ -322,11 +322,6 @@ def test_golden_for_project_is_pinned(golden_build, artifact):
 @pytest.mark.parametrize("artifact, golden", list(GOLDENS["streams"].pins.items()))
 def test_golden_stream_properties_are_pinned(golden_build, artifact, golden):
     assert golden_build("streams").mismatches(artifact) == [], golden
-
-
-@pytest.mark.parametrize("artifact, golden", list(GOLDENS["grammar"].pins.items()))
-def test_golden_grammar_build_is_pinned(golden_build, artifact, golden):
-    assert golden_build("grammar").mismatches(artifact) == [], golden
 
 
 def test_evaluated_values_dump_format():

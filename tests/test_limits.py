@@ -103,6 +103,28 @@ def test_float_overflow_is_a_diagnostic(tmp_path, capsys, source, where):
     assert capsys.readouterr().err.splitlines() == [f"{src}:{where}: {line}"]
 
 
+@pytest.mark.parametrize("declaration, instance, where", [
+    ("o: s [100000000] out", "instance x(e_i)", "3:23"),
+    ("o: s out", "instance x(e_i) [100000000]", "6:40"),
+], ids=["port_array", "instance_array"])
+def test_array_size_above_the_element_limit_is_a_diagnostic(tmp_path, capsys, declaration,
+                                                            instance, where):
+    """An array of 10^8 ports or instances is a located diagnostic at its
+    size, made before any element is: the unused ports of a 10^8-port array
+    on an instanced external once ran sugaring for minutes."""
+    src = tmp_path / "big.td"
+    src.write_text("package p;\ntype s = Stream(Bit(8));\n"
+                   f"streamlet e_s {{ {declaration}, }};\n"
+                   "external impl e_i of e_s { };\nstreamlet top_s { };\n"
+                   f"impl top_i of top_s {{ {instance}, }};\n", encoding="utf-8")
+    out = tmp_path / "build"
+    assert main([str(src), "--output", str(out)]) == 1
+    kind = "port" if "[" in declaration else "instance"
+    line = f"{src}:{where}: [type] {kind} array size 100000000 is above the limit of 1000000"
+    assert (out / "error_report.txt").read_text() == line + "\n"
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 @pytest.mark.parametrize("chain, dumped", [
     ("".join(f"type t{k:05d} = t{k + 1:05d};\n" for k in range(199))
      + "type t00199 = Bit(1);\n", "t00000:Bit(1)"),

@@ -351,14 +351,6 @@ def test_span_containment_over_fixture_corpus():
         check_span_containment(ast)
 
 
-@pytest.mark.parametrize("name, artifact", [("grammar", "0_ast/golden_grammar.txt"),
-                                            ("tpch1", "0_ast/tpch1.txt")],
-                         ids=["golden_grammar.td-golden_grammar_ast.txt",
-                              "tpch1.td-golden_tpch1_ast.txt"])
-def test_ast_dump_is_pinned(golden_build, name, artifact):
-    assert golden_build(name).mismatches(artifact) == []
-
-
 def _parser_node_kinds() -> set[str]:
     """Every node kind parser.py can make: the kinds it passes to `node(`
     by name, the stream property kinds, the integer literal kinds, and the
